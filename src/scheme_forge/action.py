@@ -15,7 +15,7 @@ from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
                     AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace, CyclicProductSpace, point_index)
+                    HermitianMatrixSpace, CyclicProductSpace)
 
 VECTOR_MATRIX_FAMILIES = ("cyclotomic", "hamming", "weak_hamming",
                           "weak_hamming_dual")
@@ -74,23 +74,6 @@ def gl_generators(k, field):
             for i in range(k))
         gens.append(("diag_primitive", diag))
     return gens
-
-
-def scalar_mul_point(space, x, u):
-    """u * x on point indices by a binary addition chain."""
-    x = point_index(x)
-    acc = 0
-    base = x
-    u = int(u)
-    if u < 0:
-        base = space.neg(base)
-        u = -u
-    while u:
-        if u & 1:
-            acc = space.add(acc, base)
-        base = space.add(base, base)
-        u >>= 1
-    return acc
 
 
 class Generator:
@@ -269,7 +252,7 @@ def _build_central(space, params):
     for u in range(2, nu):
         if math.gcd(u, nu) != 1:
             continue
-        perm = [scalar_mul_point(space, x, u) for x in range(space.size)]
+        perm = [space.scalar_mul(x, u) for x in range(space.size)]
         gens.append(Generator("mul_%d" % u, perm, {"unit": u}))
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 

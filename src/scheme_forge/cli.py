@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (SchemeForgeError, UsageError, ConfigError,
@@ -40,29 +39,16 @@ def read_config(path):
     return cfg
 
 
-def thread_count():
-    """SCHEME_FORGE_THREADS caps parallelism; all sweeps here are
-    sequential, so the value is validated and recorded only."""
-    raw = os.environ.get("SCHEME_FORGE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("SCHEME_FORGE_THREADS must be an integer")
-    if n < 1:
-        raise ConfigError("SCHEME_FORGE_THREADS must be >= 1")
-    return n
+def action_from_config(space, action_cfg):
+    if not isinstance(action_cfg, dict) or "family" not in action_cfg:
+        raise ConfigError('action must be an object with a "family" key')
+    params = {k: v for k, v in action_cfg.items() if k != "family"}
+    return build_action(space, action_cfg["family"], **params)
 
 
 def load_action(cfg, size_bound):
     space = space_from_config(cfg["space"], size_bound=size_bound)
-    action_cfg = cfg["action"]
-    if not isinstance(action_cfg, dict) or "family" not in action_cfg:
-        raise ConfigError('action must be an object with a "family" key')
-    params = {k: v for k, v in action_cfg.items() if k != "family"}
-    genset = build_action(space, action_cfg["family"], **params)
-    return space, genset
+    return space, action_from_config(space, cfg["action"])
 
 
 def write_report(report, out_path):
@@ -87,12 +73,15 @@ def render_eigenmatrix(name, M):
 
 
 def check_report(space, genset, verify_representatives):
-    """Conditions (3)/(4)/(6), orbits, scheme axioms. Returns (report, code)."""
+    """Conditions (3)/(4)/(6), orbits, scheme axioms.
+
+    Returns (report, code, scheme): scheme is the checked TranslationScheme,
+    which keeps its intersection tensor, or None when the classes are not
+    negation-closed."""
     report = {
         "space": space.to_config(),
         "action": genset.label(),
         "size": space.size,
-        "threads": thread_count(),
     }
     additive_ok, additive_witness = genset.verify_additive()
     report["condition_3_additive"] = additive_ok
@@ -117,22 +106,23 @@ def check_report(space, genset, verify_representatives):
         if pairing is not None:
             report["status"] = "commutative_non_symmetric"
             report["condition_6_pairing"] = pairing
-            return report, 0
+            return report, 0, None
         report["status"] = "not_a_scheme"
-        return report, 1
+        return report, 1, None
     scheme = TranslationScheme(space, partition, label=genset.label())
     axioms = scheme.verify_axioms(verify_representatives)
     report["axioms"] = axioms
     report["status"] = "symmetric_scheme"
     all_ok = (report["condition_3_additive"]
               and report["pairing_nondegenerate"] and axioms["all_pass"])
-    return report, 0 if all_ok else 1
+    return report, 0 if all_ok else 1, scheme
 
 
 def cmd_check(args):
     cfg = read_config(args.config)
     space, genset = load_action(cfg, args.size_bound)
-    report, code = check_report(space, genset, args.verify_representatives)
+    report, code, _ = check_report(space, genset,
+                                   args.verify_representatives)
     write_report(report, args.out)
     return code
 
@@ -140,12 +130,11 @@ def cmd_check(args):
 def cmd_build(args):
     cfg = read_config(args.config)
     space, genset = load_action(cfg, args.size_bound)
-    report, code = check_report(space, genset, args.verify_representatives)
+    report, code, scheme = check_report(space, genset,
+                                        args.verify_representatives)
     if report["status"] != "symmetric_scheme" or code != 0:
         write_report(report, args.out)
         return code if code else 1
-    partition = orbits(genset)
-    scheme = TranslationScheme(space, partition, label=genset.label())
     full = scheme.to_report(genset.family, args.verify_representatives)
     full["check"] = report
     write_report(full, args.out)
@@ -160,13 +149,8 @@ def cmd_dual(args):
         cfg_b = read_config(args.config_b)
         if cfg_b["space"] != cfg_a["space"]:
             raise ConfigError("the two configs must describe the same space")
-        _, gens_Gc = load_action({"space": cfg_a["space"],
-                                  "action": cfg_b["action"]},
-                                 args.size_bound)
-        # rebuild on the shared space object so point indices coincide
-        gens_Gc = build_action(space, cfg_b["action"]["family"],
-                               **{k: v for k, v in cfg_b["action"].items()
-                                  if k != "family"})
+        # built on the shared space object so point indices coincide
+        gens_Gc = action_from_config(space, cfg_b["action"])
     cert = duality_report(gens_G, gens_Gc=gens_Gc,
                           matrix_bound=args.matrix_bound,
                           verify_representatives=args.verify_representatives)

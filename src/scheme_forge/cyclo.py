@@ -11,7 +11,7 @@ import cmath
 import functools
 import math
 
-from .errors import UsageError
+from .errors import UsageError, IntegrityError
 
 
 def _poly_divmod(num, den):
@@ -50,7 +50,9 @@ def cyclotomic_polynomial(m):
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert not rem
+            if rem:
+                raise IntegrityError("inexact division of x^%d - 1 by Phi_%d"
+                                     % (m, d))
     return tuple(num)
 
 

@@ -435,8 +435,6 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.checks["krein_equals_dual_intersection"] = ok
     if not ok:
         cert.fail("krein_equals_dual_intersection", witness)
-    if mode == "self":
-        pass  # p_dual is scheme_G's own tensor; equality already checked
 
     # intersection numbers with representative verification (axiom iv)
     axioms = scheme_G.verify_axioms(verify_representatives)

@@ -8,7 +8,7 @@ is verified by exhaustive trial division.
 
 from __future__ import annotations
 
-from .errors import UsageError, ResourceLimitError
+from .errors import UsageError, ResourceLimitError, IntegrityError
 
 DEFAULT_Q_BOUND = 256
 
@@ -209,11 +209,6 @@ class FieldElement:
             return FieldElement(spec, (prod[0] % spec.p,))
         return FieldElement(spec, _poly_mod(prod, spec.modulus, spec.p))
 
-    def scale(self, n):
-        """Multiply by the integer n (prime-subfield scalar)."""
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a * n) % p for a in self.coeffs))
-
     def __pow__(self, n):
         if n < 0:
             return self.inv() ** (-n)
@@ -243,7 +238,8 @@ class FieldElement:
         for _ in range(spec.e - 1):
             x = x.frobenius()
             acc = acc + x
-        assert not any(acc.coeffs[1:]), "trace landed outside F_p"
+        if any(acc.coeffs[1:]):
+            raise IntegrityError("trace landed outside F_p")
         return acc.coeffs[0]
 
     def subfield_trace(self, f):
@@ -262,7 +258,8 @@ class FieldElement:
         for _ in range(f - 1):
             x = x.frobenius()
             acc = acc + x
-        assert not any(acc.coeffs[1:]), "subfield trace landed outside F_p"
+        if any(acc.coeffs[1:]):
+            raise IntegrityError("subfield trace landed outside F_p")
         return acc.coeffs[0]
 
     def multiplicative_order(self):

@@ -7,7 +7,7 @@ makes the dual-poset automorphism group act on the same vertex space.
 
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import UsageError, IntegrityError
 
 
 class WeakOrderPoset:
@@ -71,7 +71,8 @@ class WeakOrderPoset:
             below = sum(1 for v in self.level_of if v < s)
             top = sum(1 for k in support if self.level_of[k - 1] == s)
             w_block = below + top
-        assert w_ideal == w_block, "poset weight formulas disagree"
+        if w_ideal != w_block:
+            raise IntegrityError("poset weight formulas disagree")
         return w_ideal
 
     def sphere_sizes(self, q):

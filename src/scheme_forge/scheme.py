@@ -15,7 +15,7 @@ from .errors import IntegrityError, ResourceLimitError
 from .action import OrbitPartition, check_condition_4
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
                     AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace, point_index)
+                    HermitianMatrixSpace)
 from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
@@ -36,6 +36,7 @@ class TranslationScheme:
         self.valencies = partition.sizes
         self.label = label
         self._p_tensor = None
+        self._p_verified = False
 
     def relation(self, x, y):
         """Class index of (x, y), i.e. class of y - x."""
@@ -52,10 +53,12 @@ class TranslationScheme:
     def intersection_numbers(self, verify_representatives=None):
         """(d+1)^3 tensor p[i][j][k], computed by one sweep over X per
         representative; with verification on, every u in X_k must give the
-        same counts."""
+        same counts.  The tensor is kept, so a later call reuses it unless
+        it asks for a verification the kept tensor did not have."""
         if verify_representatives is None:
             verify_representatives = self.space.size <= REPRESENTATIVE_VERIFY_BOUND
-        if self._p_tensor is not None and not verify_representatives:
+        if self._p_tensor is not None and (self._p_verified
+                                           or not verify_representatives):
             return self._p_tensor
         d = self.d
         space = self.space
@@ -80,6 +83,7 @@ class TranslationScheme:
                 for j in range(d + 1):
                     tensor[i][j][k] = first[i][j]
         self._p_tensor = tensor
+        self._p_verified = verify_representatives
         return tensor
 
     # -- adjacency matrices ---------------------------------------------------

@@ -5,6 +5,9 @@ on Krein parameters, which uses -1e-9.  Expensive pipeline runs are shared
 through module-scoped fixtures so the suite stays fast.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from scheme_forge import oracles
@@ -51,6 +54,32 @@ FAMILIES = [
                           levels=[2, 1])),
 ]
 
+# sha256 of json.dumps(cert.to_json(), sort_keys=True) for each family's
+# self-mode certificate, recorded before the integer-digit core replaced
+# the per-space FieldElement group law and pairing
+GOLDEN_CERTIFICATES = {
+    "central/Z_8":
+        "306aa580fb01e1fc632a7f65c2aa0900512767db5ce04cefc06c81bb8c14b77b",
+    "cyclotomic(d=2)/F_5":
+        "e77f9932830f09e72d4d3d0f0aa1ea3cb269f5109b4df4b75499140a72c3f11d",
+    "bilinear(2,2)/F_2":
+        "3a4765c995900779abbe31ab792c034187085075d45d3a9249ab0b9435306c98",
+    "alternating(4)/F_2":
+        "e7d7fa4cfea3465ff922fa96d128cc0e2edf7f04a39607f8dc23b0552bb5dc61",
+    "hermitian(2)/F_4":
+        "d72e3660cefef1fd522445e84348027e340417c7a7a3da2db61ac6cc60bf8976",
+    "symmetric(2)/F_5":
+        "79f2c0edcea6c8b0658c303f96eafa4cd0eec62dbbc8754ba4d4bc5a1ac71940",
+    "hamming(2)/F_2":
+        "4577dc4ea5bf3d4b0fdea5145451bd064c70de2dd0b4a9cc02d5d47df5339e83",
+    "hamming(4)/F_3":
+        "1d7a879b04283c3c80558b167db9d83539548da0a2e90d759b7640ecd22b1c4b",
+    "weak_hamming(1,1)/F_2":
+        "7a2cd9d39dbe629d6cc708f4946c7f625b89a2f577c839bdca8dfce8700364f2",
+    "weak_hamming(2,1)/F_2":
+        "4ab68c57d7aa0f3780ba9593f5e276398a40a2b1b67c094cc4c18a1da844ae6a",
+}
+
 # weak_hamming(2,1) has non-palindromic levels: its certificate is the
 # cross-duality of criterion 4, not a self-duality
 SELF_DUAL = [name for name, _ in FAMILIES if name != "weak_hamming(2,1)/F_2"]
@@ -76,7 +105,7 @@ def report_line(criterion, ok, detail):
 def test_criterion_1_axiom_suite(gensets):
     failures = []
     for name, genset in gensets.items():
-        report, code = check_report(genset.space, genset, True)
+        report, code, _ = check_report(genset.space, genset, True)
         if code != 0 or report["status"] != "symmetric_scheme":
             failures.append(name)
     report_line(1, not failures,
@@ -178,7 +207,7 @@ def test_criterion_6_condition_6_branch():
                   and space.neg(d10) == d20)
     pairing = check_condition_6(part, space)
     cert = duality_report(genset)
-    report, code = check_report(space, genset, True)
+    report, code, _ = check_report(space, genset, True)
     ok = (not ok4 and witness_ok and pairing is not None
           and not cert.passed and cert.Q is None
           and code == 0 and report["status"] == "commutative_non_symmetric")
@@ -264,3 +293,11 @@ def test_criterion_9_krein_flags(certificates):
                 "Krein parameters conjugation-invariant exactly and "
                 ">= -1e-9 in floating approximation for all families"
                 + ("" if not failures else "; failed: %s" % failures))
+
+
+def test_certificates_match_golden_digests(certificates):
+    changed = [name for name, cert in certificates.items()
+               if hashlib.sha256(json.dumps(cert.to_json(), sort_keys=True)
+                                 .encode()).hexdigest()
+               != GOLDEN_CERTIFICATES[name]]
+    assert not changed, "certificates changed: %s" % changed

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from scheme_forge import cli
 from scheme_forge.cli import main
+from scheme_forge.space import AbelianSpace
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -127,13 +129,34 @@ def test_reports_are_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_env_validated(capsys, monkeypatch):
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", "4")
-    code, out, _ = run(["check", cfg("hamming2_f2")], capsys)
-    assert code == 0 and json.loads(out)["threads"] == 4
-    monkeypatch.setenv("SCHEME_FORGE_THREADS", "zero")
-    code, _, _ = run(["check", cfg("hamming2_f2")], capsys)
-    assert code == 2
+def test_each_command_computes_once(capsys, monkeypatch):
+    """build and self-mode dual sweep the representative-verified
+    intersection tensor once (|X|^2 subtractions on hamming(2)/F_2, with
+    the idempotent and sigma sweeps off), build finds the orbits once, and
+    a cross dual builds each action once."""
+    counts = {"sub": 0, "orbits": 0, "build_action": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(AbelianSpace, "sub", counted("sub", AbelianSpace.sub))
+    for name in ("orbits", "build_action"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+
+    def counts_of(argv):
+        counts.update(dict.fromkeys(counts, 0))
+        assert run(argv, capsys)[0] == 0
+        return dict(counts)
+
+    build = counts_of(["build", cfg("hamming2_f2")])
+    assert (build["sub"], build["orbits"]) == (16, 1)
+    dual = counts_of(["dual", cfg("hamming2_f2"), "--matrix-bound", "1"])
+    assert dual["sub"] == 16
+    cross = counts_of(["dual", cfg("wh21_f2"), cfg("wh12_f2")])
+    assert cross["build_action"] == 2
 
 
 def test_eigenmatrix_tables_rendered(capsys):

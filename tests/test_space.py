@@ -23,15 +23,112 @@ SPACES = [
     CyclicProductSpace((2, 4)),
 ]
 
+# extension fields of odd characteristic, and a Hermitian space whose
+# diagonal runs over the proper subfield F_4 of F_16
+ORACLE_SPACES = SPACES + [
+    VectorSpace(2, FieldSpec(3, 2)),
+    SymmetricMatrixSpace(2, FieldSpec(3, 2)),
+    HermitianMatrixSpace(2, FieldSpec(3, 2)),
+    HermitianMatrixSpace(2, FieldSpec(2, 4)),
+]
+
+
+# -- oracle: the per-kind FieldElement formulas the digit core replaced ------
+
+def oracle_add_tables(space):
+    """Per free coordinate, table[a][b] = index of the sum of the values
+    that indices a and b stand for: addition mod m_i on a cyclic factor,
+    FieldElement addition otherwise."""
+    if space.kind == "cyclic_product":
+        return [[[(a + b) % m for b in range(m)] for a in range(m)]
+                for m in space.moduli]
+    values = [space._field_elements] * len(space.coords_of(0))
+    if space.kind == "matrix_hermitian":
+        values[:space.m] = [space._subfield] * space.m
+    tables = []
+    for vals in values:
+        index = {v: k for k, v in enumerate(vals)}
+        tables.append([[index[a + b] for b in vals] for a in vals])
+    return tables
+
+
+def oracle_pairing(space):
+    """pairing(x, y) by the per-kind formula: a sum of entry products in F_q
+    followed by the trace (Hermitian: sum_ij A_ij B_ji and the trace of
+    the base subfield), or sum (m/m_i) x_i y_i mod m for cyclic products.
+    F_q addition and multiplication are tabulated from FieldElement
+    arithmetic on element indices."""
+    if space.kind == "cyclic_product":
+        m = space.character_order
+        return lambda x, y: sum(
+            (m // mi) * a * b for mi, a, b in
+            zip(space.moduli, space.coords_of(x), space.coords_of(y))) % m
+    els = space.field.elements()
+    add = [[(a + b).index for b in els] for a in els]
+    mul = [[(a * b).index for b in els] for a in els]
+    final = {a.index: a.trace() for a in els}
+    entries = []  # row-major entry indices of each materialized point
+    for x in range(space.size):
+        A = space.materialize(x)
+        flat = A if space.kind == "vector" else [v for row in A for v in row]
+        entries.append([v.index for v in flat])
+    m = getattr(space, "m", None)
+    if space.kind == "matrix_alternating":
+        terms = [(i * m + j, i * m + j) for i, j in space._positions]
+    elif space.kind == "matrix_hermitian":
+        terms = [(i * m + j, j * m + i) for i in range(m) for j in range(m)]
+        final = {a.index: a.subfield_trace(space.base_f)
+                 for a in space._subfield}
+    else:  # vector, full and symmetric (sum_ij A_ij B_ij = tr(AB))
+        terms = [(k, k) for k in range(len(entries[0]))]
+
+    def pairing(x, y):
+        ex, ey = entries[x], entries[y]
+        acc = 0  # index of the zero element
+        for s, t in terms:
+            acc = add[acc][mul[ex[s]][ey[t]]]
+        return final[acc]
+    return pairing
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: repr(s))
+def test_digit_core_matches_field_oracle(space):
+    """add and pairing_exponent agree with coordinatewise FieldElement
+    addition and the per-kind trace formulas on every pair of points."""
+    tables = oracle_add_tables(space)
+    pairing = oracle_pairing(space)
+    coords = [space.coords_of(x) for x in range(space.size)]
+    points = range(space.size)
+    for x in points:
+        cx = coords[x]
+        want_add = [space.index_of(tuple(t[a][b] for t, a, b
+                                         in zip(tables, cx, coords[y])))
+                    for y in points]
+        assert [space.add(x, y) for y in points] == want_add
+        assert ([space.pairing_exponent(x, y) for y in points]
+                == [pairing(x, y) for y in points])
+
+
+def test_index_of_rejects_out_of_range_coordinates():
+    sp = VectorSpace(2, FieldSpec(3))
+    with pytest.raises(UsageError):
+        sp.index_of((0, 3))
+    with pytest.raises(UsageError):
+        sp.index_of((-1, 0))
+    with pytest.raises(UsageError):
+        sp.coords_of(sp.size)
+
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_group_axioms_exhaustive(space):
     n = space.size
-    assert space.coords_of(0) == (0,) * len(space._radices)
+    assert not any(space.coords_of(0))
     for x in range(n):
         assert space.index_of(space.coords_of(x)) == x
         assert space.add(x, 0) == x
         assert space.add(x, space.neg(x)) == 0
+        assert space.scalar_mul(x, 3) == space.add(space.add(x, x), x)
+        assert space.scalar_mul(x, -1) == space.neg(x)
     for x in range(n):
         for y in range(n):
             assert space.add(x, y) == space.add(y, x)
