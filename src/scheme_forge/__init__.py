@@ -15,9 +15,9 @@ from .action import (GeneratorSet, OrbitPartition, build_action, orbits,
                      verify_adjoint)
 from .scheme import TranslationScheme
 from .duality import (constancy_test, character_profile, pairing_table,
-                      verify_eigen_identities, idempotent_matrices,
-                      verify_idempotents, sigma_permutation,
-                      krein_parameters, duality_report, DualityCertificate)
+                      verify_eigen_identities, verify_idempotents,
+                      sigma_permutation, krein_parameters, duality_report,
+                      DualityCertificate)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "orbits", "check_condition_4", "check_condition_6", "adjoint_map",
     "verify_adjoint", "TranslationScheme", "constancy_test",
     "character_profile", "pairing_table", "verify_eigen_identities",
-    "idempotent_matrices", "verify_idempotents", "sigma_permutation",
-    "krein_parameters", "duality_report", "DualityCertificate",
+    "verify_idempotents", "sigma_permutation", "krein_parameters",
+    "duality_report", "DualityCertificate",
 ]

@@ -17,7 +17,7 @@ import sys
 
 from .errors import (SchemeForgeError, UsageError, ConfigError,
                      ResourceLimitError, IntegrityError)
-from .space import space_from_config, DEFAULT_SIZE_BOUND
+from .space import space_from_config, check_keys, DEFAULT_SIZE_BOUND
 from .action import (build_action, orbits, check_condition_4,
                      check_condition_6)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
@@ -39,11 +39,25 @@ def read_config(path):
     return cfg
 
 
+# Action family -> (required, optional) parameter keys; no other key but
+# "family" is accepted.
+ACTION_KEYS = {
+    "central": ((), ()), "bilinear": ((), ()), "alternating": ((), ()),
+    "symmetric": ((), ()), "hermitian": ((), ()), "hamming": ((), ("n",)),
+    "cyclotomic": (("d",), ()), "custom": (("generators",), ()),
+    "weak_hamming": (("levels",), ()), "weak_hamming_dual": (("levels",), ()),
+}
+
+
 def action_from_config(space, action_cfg):
     if not isinstance(action_cfg, dict) or "family" not in action_cfg:
         raise ConfigError('action must be an object with a "family" key')
+    family = action_cfg["family"]
+    if not isinstance(family, str) or family not in ACTION_KEYS:
+        raise ConfigError("unknown action family %r" % (family,))
     params = {k: v for k, v in action_cfg.items() if k != "family"}
-    return build_action(space, action_cfg["family"], **params)
+    check_keys(params, *ACTION_KEYS[family], "action " + family)
+    return build_action(space, family, **params)
 
 
 def load_action(cfg, size_bound):

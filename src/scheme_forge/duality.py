@@ -2,20 +2,44 @@
 sigma permutation, Krein parameters, and the full self/cross pipeline.
 
 All identities are checked exactly in Z[zeta_m]; the only floating-point
-use is the advisory lower bound on Krein parameters.  Character sums are
-accumulated as exponent histograms and reduced once, so a sum over a class
-costs one table lookup per point plus a single cyclotomic reduction.
+use is the advisory lower bound on irrational Krein parameters.  Character
+sums are accumulated as exponent histograms and reduced once, so a sum over
+a class costs one table lookup per point plus a single cyclotomic reduction.
+
+Sigma and the idempotent products are read off the spectrum P Q.  The
+scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
+dual class Y_i) commutes with translations, so each character
+chi_x = <., x> is an eigenvector: N_i chi_x = lambda_i(x) chi_x with
+lambda_i(x) = sum_c f_i(c) conj<c, x>.  As f_i is Q[k][i] on the class X_k
+(constancy_G), X_k = -X_k (condition (4)) and the pairing is symmetric
+(GramSpace: B = B^T), for x in Y_j
+
+    lambda_i(x) = sum_k Q[k][i] sum_{c in X_k} <x, c> = (P Q)[j][i],
+
+the inner sum being P[j][k] (constancy_G_check).  So:
+
+  * sigma: N_i chi_x is |X| chi_x or 0 iff (P Q)[j][i] is |X| or 0.
+  * orthogonality: for a nondegenerate pairing the |X| characters are
+    distinct and orthogonal, a basis diagonalising every N_i, so
+    N_i N_i' = delta_ii' |X| N_i iff lambda_i lambda_i' = delta_ii' |X|
+    lambda_i at every x; as Z[zeta_m] has no zero divisors, iff each row
+    of P Q has entries in {0, |X|} and at most one |X|.
+
+Nondegeneracy, the premise of the basis, is checked by
+AbelianSpace.verify_nondegenerate: every y != 0 pairs nontrivially with
+some x, an integer scan of pairing exponents.
 """
 
 from __future__ import annotations
 
 from .cyclo import CycloInt
-from .errors import UsageError, IntegrityError, ResourceLimitError
+from .errors import UsageError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
+# |X| up to which the idempotent report also carries `dense_products`
 DENSE_IDEMPOTENT_BOUND = 32
 
 
@@ -78,11 +102,11 @@ def _cyclo_matmul(A, B):
     return out
 
 
-def verify_eigen_identities(P, Q, valencies, multiplicities, size):
-    """Exact checks tying P and Q together; returns a report dict."""
+def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
+    """Exact checks tying P and Q (and their product PQ) together; returns
+    a report dict."""
     d = len(Q) - 1
     report = {}
-    PQ = _cyclo_matmul(P, Q)
     report["PQ_is_nI"] = all(
         PQ[i][j] == CycloInt.integer(Q[0][0].order, size if i == j else 0)
         for i in range(d + 1) for j in range(d + 1))
@@ -110,125 +134,70 @@ def verify_eigen_identities(P, Q, valencies, multiplicities, size):
     return report
 
 
-# -- idempotents ---------------------------------------------------------------
+# -- idempotents and sigma, from the spectrum ---------------------------------
 
-def idempotent_matrices(space, profile, matrix_bound=DEFAULT_MATRIX_BOUND):
-    """The scaled idempotents |X|*E_j as dense CycloInt matrices,
-    entry (a, b) = f_j(a - b)."""
-    n = space.size
-    if n > matrix_bound:
-        raise ResourceLimitError(
-            "|X| = %d exceeds idempotent matrix bound %d" % (n, matrix_bound))
-    diff = [[space.sub(a, b) for b in range(n)] for a in range(n)]
-    return [[[f[diff[a][b]] for b in range(n)] for a in range(n)]
-            for f in profile]
-
-
-def verify_idempotents(space, scheme, profile):
+def verify_idempotents(space, profile, constancy, spectrum):
     """Exact checks of the idempotent properties, in the scaled form
     N_j = |X| E_j with N_j[a][b] = f_j(a-b).
 
-    Products are verified on row 0; every matrix involved is constant on
-    point differences by construction, so row 0 determines the product
-    exactly.  Below DENSE_IDEMPOTENT_BOUND vertices the full dense product
-    is checked as well.
+    N_0 = J and sum_j N_j = |X| I are checked point by point; Bose-Mesner
+    membership is `constancy`, the result of constancy_test(G partition,
+    profile); the products N_i N_j = delta_ij |X| N_i are read off the
+    spectrum P Q when the pairing is nondegenerate (module docstring), and
+    fail with a `degenerate_witness` point otherwise.  `dense_products`
+    repeats that verdict for |X| <= DENSE_IDEMPOTENT_BOUND.
     """
     n = space.size
     m = space.character_order
-    d = len(profile) - 1
     report = {}
 
-    # N_0 = J and sum_j N_j = |X| I
     one = CycloInt.integer(m, 1)
-    report["E0_is_J"] = all(profile[0][y] == one for y in range(n))
-    sums_ok = True
-    for y in range(n):
-        acc = CycloInt.zero(m)
-        for j in range(d + 1):
-            acc = acc + profile[j][y]
-        want = CycloInt.integer(m, n if y == 0 else 0)
-        if acc != want:
-            sums_ok = False
-    report["sum_is_identity"] = sums_ok
+    report["E0_is_J"] = all(v == one for v in profile[0])
+    report["sum_is_identity"] = all(
+        sum(col[1:], col[0]) == CycloInt.integer(m, n if y == 0 else 0)
+        for y, col in enumerate(zip(*profile)))
 
-    # Bose-Mesner membership: f_j constant on every relation class
-    ok, _, witness = constancy_test(scheme.partition, profile)
+    ok, _, witness = constancy
     report["bose_mesner_membership"] = ok
     if not ok:
         report["bose_mesner_witness"] = witness
 
-    # N_i N_j = delta_ij * n * N_i, via row 0:
-    # (N_i N_j)[0][b] = sum_c f_i(-c) f_j(c-b)
-    prod_ok = True
-    neg = [space.neg(c) for c in range(n)]
-    for i in range(d + 1):
-        fi = profile[i]
-        for j in range(d + 1):
-            fj = profile[j]
-            for b in range(n):
-                acc = CycloInt.zero(m)
-                for c in range(n):
-                    acc = acc + fi[neg[c]] * fj[space.sub(c, b)]
-                want = (n * fi[neg[b]]) if i == j else CycloInt.zero(m)
-                if acc != want:
-                    prod_ok = False
-    report["orthogonal_idempotents"] = prod_ok
-
+    full, zero = CycloInt.integer(m, n), CycloInt.zero(m)
+    nondegenerate, degenerate = space.verify_nondegenerate()
+    report["orthogonal_idempotents"] = nondegenerate and all(
+        all(lam == full or lam == zero for lam in row)
+        and row.count(full) <= 1 for row in spectrum)
+    if not nondegenerate:
+        report["degenerate_witness"] = space.serialize_point(degenerate)
     if n <= DENSE_IDEMPOTENT_BOUND:
-        mats = idempotent_matrices(space, profile, matrix_bound=n)
-        dense_ok = True
-        for i in range(d + 1):
-            for j in range(d + 1):
-                PQ = _cyclo_matmul(mats[i], mats[j])
-                for a in range(n):
-                    for b in range(n):
-                        want = (n * mats[i][a][b]) if i == j \
-                            else CycloInt.zero(m)
-                        if PQ[a][b] != want:
-                            dense_ok = False
-        report["dense_products"] = dense_ok
+        report["dense_products"] = report["orthogonal_idempotents"]
 
     report["all_pass"] = all(v for k, v in report.items()
                              if isinstance(v, bool))
     return report
 
 
-def sigma_permutation(space, dual_partition, profile, table):
+def sigma_permutation(spectrum, size):
     """Find sigma via the eigenvector relation: for x in dual class j,
-    N_i <.,x> = |X| <.,x> for exactly one i (and 0 for the others).
+    N_i chi_x = |X| chi_x for exactly one i (and 0 for the others), read
+    off row j of the spectrum P Q (module docstring).
 
     Returns (sigma, ok, witness); under this labeling sigma is expected to
     be the identity, which is verified rather than assumed."""
-    n = space.size
-    m = space.character_order
-    d = dual_partition.d
-    sigma = [0] * (d + 1)
-    for j in range(d + 1):
-        x = dual_partition.classes[j][0]
-        chi = [CycloInt.root_of_unity(m, table[b][x]) for b in range(n)]
+    m = spectrum[0][0].order
+    full, zero = CycloInt.integer(m, size), CycloInt.zero(m)
+    sigma = []
+    for j, row in enumerate(spectrum):
         hits = []
-        for i in range(d + 1):
-            fi = profile[i]
-            match_eigen = True
-            match_zero = True
-            for a in range(n):
-                acc = CycloInt.zero(m)
-                for b in range(n):
-                    acc = acc + fi[space.sub(a, b)] * chi[b]
-                if acc != n * chi[a]:
-                    match_eigen = False
-                if not acc.is_zero():
-                    match_zero = False
-                if not match_eigen and not match_zero:
-                    break
-            if match_eigen:
+        for i, lam in enumerate(row):
+            if lam == full:
                 hits.append(i)
-            elif not match_zero:
+            elif lam != zero:
                 return None, False, ("nonzero non-eigen", i, j)
         if len(hits) != 1:
             return None, False, ("non-unique eigenspace", j, hits)
-        sigma[j] = hits[0]
-    if sorted(sigma) != list(range(d + 1)):
+        sigma.append(hits[0])
+    if sorted(sigma) != list(range(len(spectrum))):
         return sigma, False, ("sigma not bijective", sigma)
     return sigma, True, None
 
@@ -240,6 +209,8 @@ def krein_parameters(P, Q, size):
 
     This solves the Hadamard-product expansion of E_i o E_j in the
     idempotent basis, using PQ = |X| I in place of a linear solve.
+    Nonnegativity is decided exactly for rational-integer entries and by
+    the rigorous float lower bound (>= KREIN_FLOAT_FLOOR) for the others.
     Returns (tensor of CycloInt, flags dict)."""
     d = len(Q) - 1
     m = Q[0][0].order
@@ -257,11 +228,16 @@ def krein_parameters(P, Q, size):
                 tensor[i][j][k] = q
                 if not q.is_real():
                     real_ok = False
-                val, err = q.approx()
-                low = val.real - err
-                if low < KREIN_FLOAT_FLOOR:
+                low = q.as_rational_integer()
+                if low is not None:  # a rational integer: exact sign
+                    negative = low < 0
+                else:
+                    val, err = q.approx()
+                    low = val.real - err
+                    negative = low < KREIN_FLOAT_FLOOR
+                if negative:
                     nonneg_ok = False
-                    worst = min(worst, low)
+                    worst = min(worst, float(low))
     flags = {"real": real_ok, "nonnegative": nonneg_ok}
     if not nonneg_ok:
         flags["worst_value"] = worst
@@ -386,7 +362,8 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
 
     table = pairing_table(space)
     profile_Q = character_profile(space, part_Gc.classes, table)
-    ok, F_Q, witness = constancy_test(part_G, profile_Q)
+    constancy_G = constancy_test(part_G, profile_Q)
+    ok, F_Q, witness = constancy_G
     cert.checks["constancy_G"] = ok
     if not ok:
         cert.fail("constancy_G", witness)
@@ -401,9 +378,11 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
 
     cert.Q = F_Q
     cert.P = F_P
+    spectrum = _cyclo_matmul(cert.P, cert.Q)
 
-    eig = verify_eigen_identities(cert.P, cert.Q, scheme_G.valencies,
-                                  cert.multiplicities, space.size)
+    eig = verify_eigen_identities(cert.P, cert.Q, spectrum,
+                                  scheme_G.valencies, cert.multiplicities,
+                                  space.size)
     cert.checks["eigen_identities"] = eig["all_pass"]
     cert.checks["eigen_detail"] = eig
 
@@ -413,10 +392,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
             scheme_G.valencies == cert.multiplicities
 
     if space.size <= matrix_bound:
-        idem = verify_idempotents(space, scheme_G, profile_Q)
+        idem = verify_idempotents(space, profile_Q, constancy_G, spectrum)
         cert.checks["idempotents"] = idem["all_pass"]
         cert.checks["idempotent_detail"] = idem
-        sigma, ok, witness = sigma_permutation(space, part_Gc, profile_Q, table)
+        sigma, ok, witness = sigma_permutation(spectrum, space.size)
         cert.sigma = sigma
         cert.checks["sigma_identity"] = ok and sigma == list(range(part_G.d + 1))
         if not ok:

@@ -33,7 +33,8 @@ import math
 from operator import mul
 
 from .cyclo import CycloInt
-from .errors import UsageError, ResourceLimitError, IntegrityError
+from .errors import (UsageError, ConfigError, ResourceLimitError,
+                     IntegrityError)
 from .gf import FieldSpec
 
 DEFAULT_SIZE_BOUND = 4096
@@ -148,21 +149,25 @@ class GramSpace(AbelianSpace):
     """A space whose pairing exponent is d(x) . B . d(y) mod m.
 
     `blocks` lists, per free coordinate, its digit radices and the block of
-    B on those digits; B is block diagonal in the coordinates.
+    B on those digits; B is block diagonal in the coordinates.  The pairing
+    is symmetric (<x,y> = <y,x>), so B must equal its transpose mod m.
     """
 
     def __init__(self, blocks, character_order, **kw):
         super().__init__([radices for radices, _ in blocks], character_order,
                          **kw)
         n = len(self.radices)
+        m = character_order
         gram = [[0] * n for _ in range(n)]
         at = 0
         for radices, block in blocks:
             for i, row in enumerate(block):
                 gram[at + i][at:at + len(row)] = row
             at += len(radices)
+        if any((gram[i][j] - gram[j][i]) % m
+               for i in range(n) for j in range(i)):
+            raise UsageError("the Gram matrix must be symmetric mod %d" % m)
         self.gram = tuple(map(tuple, gram))
-        m = character_order
         cols = list(zip(*self.gram))
         # row x of the table is d(x) . B, so a pairing is one dot product
         self._gram_rows = [tuple(sum(map(mul, d, col)) % m for col in cols)
@@ -410,27 +415,73 @@ class CyclicProductSpace(GramSpace):
         return {"kind": "cyclic_product", "moduli": list(self.moduli)}
 
 
+# -- config schema ------------------------------------------------------------
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v):
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+# The type of each config key, wherever it appears: (description, test).
+# "kind" and "family" are checked on their own, before the other keys.
+KEY_TYPES = {
+    "field": ("an object", lambda v: isinstance(v, dict)),
+    "n": ("an integer", _is_int), "m": ("an integer", _is_int),
+    "p": ("an integer", _is_int), "e": ("an integer", _is_int),
+    "d": ("an integer", _is_int),
+    "lambda_multiplier": ("an integer", _is_int),
+    "moduli": ("a list of integers", _is_int_list),
+    "modulus": ("a list of integers", _is_int_list),
+    "levels": ("a list of integers", _is_int_list),
+    "generators": ("a list of integer lists", lambda v: isinstance(v, list)
+                   and all(map(_is_int_list, v))),
+}
+
+# Space kind -> (class, required keys in constructor order); every kind
+# also takes an optional "lambda_multiplier", and nothing else.
+SPACE_KINDS = {
+    "vector": (VectorSpace, ("n", "field")),
+    "matrix_full": (FullMatrixSpace, ("m", "n", "field")),
+    "matrix_alternating": (AlternatingMatrixSpace, ("m", "field")),
+    "matrix_symmetric": (SymmetricMatrixSpace, ("m", "field")),
+    "matrix_hermitian": (HermitianMatrixSpace, ("m", "field")),
+    "cyclic_product": (CyclicProductSpace, ("moduli",)),
+}
+
+
+def check_keys(cfg, required, optional, where):
+    """Raise ConfigError unless the dict `cfg` has every required key, no
+    key outside required + optional, and each value of its KEY_TYPES
+    type."""
+    for key in required:
+        if key not in cfg:
+            raise ConfigError("%s: missing key %r" % (where, key))
+    unknown = sorted(set(cfg) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError("%s: unknown key(s) %s"
+                          % (where, ", ".join(map(repr, unknown))))
+    for key, value in cfg.items():
+        what, valid = KEY_TYPES[key]
+        if not valid(value):
+            raise ConfigError("%s: %r must be %s, got %r"
+                              % (where, key, what, value))
+
+
 def space_from_config(cfg, size_bound=DEFAULT_SIZE_BOUND):
     """Build an AbelianSpace from a config fragment."""
-    if not isinstance(cfg, dict) or "kind" not in cfg:
-        raise UsageError("space config must be a dict with a 'kind'")
-    kind = cfg["kind"]
-    kw = {"size_bound": size_bound,
-          "lambda_multiplier": cfg.get("lambda_multiplier", 1)}
-    if kind == "cyclic_product":
-        return CyclicProductSpace(cfg["moduli"], **kw)
-    fcfg = cfg.get("field")
-    if not isinstance(fcfg, dict):
-        raise UsageError("space config needs a 'field' fragment")
-    field = FieldSpec(fcfg["p"], fcfg.get("e", 1), fcfg.get("modulus"))
-    if kind == "vector":
-        return VectorSpace(cfg["n"], field, **kw)
-    if kind == "matrix_full":
-        return FullMatrixSpace(cfg["m"], cfg["n"], field, **kw)
-    if kind == "matrix_alternating":
-        return AlternatingMatrixSpace(cfg["m"], field, **kw)
-    if kind == "matrix_symmetric":
-        return SymmetricMatrixSpace(cfg["m"], field, **kw)
-    if kind == "matrix_hermitian":
-        return HermitianMatrixSpace(cfg["m"], field, **kw)
-    raise UsageError("unknown space kind %r" % kind)
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in SPACE_KINDS:
+        raise ConfigError("space config needs a 'kind' of %s, got %r"
+                          % ("/".join(SPACE_KINDS), kind))
+    cls, keys = SPACE_KINDS[kind]
+    check_keys({k: v for k, v in cfg.items() if k != "kind"}, keys,
+               ("lambda_multiplier",), "space " + kind)
+    args = [cfg[k] for k in keys]
+    if keys[-1] == "field":
+        check_keys(cfg["field"], ("p",), ("e", "modulus"), "space field")
+        args[-1] = FieldSpec(**cfg["field"])
+    return cls(*args, size_bound=size_bound,
+               lambda_multiplier=cfg.get("lambda_multiplier", 1))

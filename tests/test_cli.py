@@ -116,6 +116,47 @@ def test_malformed_config_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
+
+
+@pytest.mark.parametrize("space, action, message", [
+    ({"kind": "vector", "field": {"p": 2}}, {"family": "hamming"},
+     "missing key 'n'"),
+    ({"kind": "cyclic_product"}, {"family": "central"},
+     "missing key 'moduli'"),
+    (HAMMING, {"family": "weak_hamming"}, "missing key 'levels'"),
+    (HAMMING, {"family": "cyclotomic"}, "missing key 'd'"),
+    ({"kind": "vector", "n": 2, "field": {}}, {"family": "hamming"},
+     "missing key 'p'"),
+    ({"kind": "vector", "n": "2", "field": {"p": 2}}, {"family": "hamming"},
+     "'n' must be an integer"),
+    ({"kind": "vector", "n": True, "field": {"p": 2}},
+     {"family": "hamming"}, "'n' must be an integer"),
+    ({"kind": "cyclic_product", "moduli": 8}, {"family": "central"},
+     "'moduli' must be a list of integers"),
+    ({"kind": "vector", "n": 2, "field": 2}, {"family": "hamming"},
+     "'field' must be an object"),
+    (HAMMING, {"family": "weak_hamming", "levels": [1, "1"]},
+     "'levels' must be a list of integers"),
+    (HAMMING, {"family": "custom", "generators": [0, 1]},
+     "'generators' must be a list of integer lists"),
+    ({"kind": "vector", "n": 2, "field": {"p": 2}, "bogus": 1},
+     {"family": "hamming"}, "unknown key(s) 'bogus'"),
+    ({"kind": "vector", "n": 2, "field": {"p": 2, "bogus": 1}},
+     {"family": "hamming"}, "unknown key(s) 'bogus'"),
+    (HAMMING, {"family": "hamming", "bogus": 1}, "unknown key(s) 'bogus'"),
+    ({"kind": ["vector"]}, {"family": "hamming"}, "needs a 'kind' of"),
+    (HAMMING, {"family": "nope"}, "unknown action family"),
+])
+def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
+                                     message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"space": space, "action": action}))
+    for command in ("check", "build", "dual"):
+        code, _, err = run([command, str(bad)], capsys)
+        assert code == 2 and "config error" in err and message in err
+
+
 def test_size_bound_exit_3(capsys):
     code, _, err = run(["check", cfg("hamming4_f3"), "--size-bound", "10"],
                        capsys)
@@ -131,9 +172,10 @@ def test_reports_are_byte_deterministic(capsys, tmp_path):
 
 def test_each_command_computes_once(capsys, monkeypatch):
     """build and self-mode dual sweep the representative-verified
-    intersection tensor once (|X|^2 subtractions on hamming(2)/F_2, with
-    the idempotent and sigma sweeps off), build finds the orbits once, and
-    a cross dual builds each action once."""
+    intersection tensor once (|X|^2 subtractions on hamming(2)/F_2; the
+    idempotent and sigma checks, on at the default matrix bound, subtract
+    no points), build finds the orbits once, and a cross dual builds each
+    action once."""
     counts = {"sub": 0, "orbits": 0, "build_action": 0}
 
     def counted(key, fn):
@@ -153,7 +195,7 @@ def test_each_command_computes_once(capsys, monkeypatch):
 
     build = counts_of(["build", cfg("hamming2_f2")])
     assert (build["sub"], build["orbits"]) == (16, 1)
-    dual = counts_of(["dual", cfg("hamming2_f2"), "--matrix-bound", "1"])
+    dual = counts_of(["dual", cfg("hamming2_f2")])
     assert dual["sub"] == 16
     cross = counts_of(["dual", cfg("wh21_f2"), cfg("wh12_f2")])
     assert cross["build_action"] == 2
