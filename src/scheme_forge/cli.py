@@ -185,8 +185,6 @@ def make_parser():
 
     def common(p):
         p.add_argument("--out", default=None, help="write JSON report here")
-        p.add_argument("--matrix-bound", type=int,
-                       default=DEFAULT_MATRIX_BOUND, dest="matrix_bound")
         p.add_argument("--size-bound", type=int,
                        default=DEFAULT_SIZE_BOUND, dest="size_bound")
         p.add_argument("--no-verify-representatives", action="store_false",
@@ -206,6 +204,8 @@ def make_parser():
     p_dual.add_argument("config")
     p_dual.add_argument("config_b", nargs="?", default=None)
     common(p_dual)
+    p_dual.add_argument("--matrix-bound", type=int,
+                        default=DEFAULT_MATRIX_BOUND, dest="matrix_bound")
     p_dual.set_defaults(func=cmd_dual)
     return parser
 

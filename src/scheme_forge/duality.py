@@ -2,9 +2,10 @@
 sigma permutation, Krein parameters, and the full self/cross pipeline.
 
 All identities are checked exactly in Z[zeta_m]; the only floating-point
-use is the advisory lower bound on irrational Krein parameters.  Character
-sums are accumulated as exponent histograms and reduced once, so a sum over
-a class costs one table lookup per point plus a single cyclotomic reduction.
+use is the advisory lower bound on Krein parameters that are not rational
+integers.  Character sums are accumulated as exponent histograms and
+reduced once, so a sum over a class costs one table lookup per point plus
+a single cyclotomic reduction.
 
 Sigma and the idempotent products are read off the spectrum P Q.  The
 scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
@@ -28,12 +29,26 @@ the inner sum being P[j][k] (constancy_G_check).  So:
 Nondegeneracy, the premise of the basis, is checked by
 AbelianSpace.verify_nondegenerate: every y != 0 pairs nontrivially with
 some x, an integer scan of pairing exponents.
+
+The spectrum P Q, row orthogonality and the Krein tensor are contractions
+of coefficient arrays (cyclo.contract), each one exact einsum through the
+structure constants of Z[zeta_m] rather than a loop of scalar products:
+
+  * P Q is "ik,kj->ij";
+  * row orthogonality weights the rows of Q by the valencies ("i,ij->ij")
+    and contracts them with conj Q ("ij,ik->jk"), conjugation being a
+    fixed phi(m) x phi(m) integer matrix on the power basis;
+  * the Krein tensor is T[i][j][k] = sum_l P[k][l] Q[l][i] Q[l][j]:
+    "li,lj->lij", then "kl,lij->ijk", then an exact division by |X|.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloInt
-from .errors import UsageError
+import numpy as np
+
+from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
+                    contract, conjugate_array)
+from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
@@ -86,20 +101,13 @@ def constancy_test(partition_G, profile):
     return True, F, None
 
 
-# -- matrix utilities over CycloInt ------------------------------------------
+# -- contractions over Z[zeta_m] ----------------------------------------------
 
-def _cyclo_matmul(A, B):
-    n, r, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, r):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def spectrum(P, Q):
+    """The product P Q of two matrices of CycloInt, exact."""
+    m = Q[0][0].order
+    return cyclo_entries(contract("ik,kj->ij", coeff_array(P),
+                                  coeff_array(Q), m), m)
 
 
 def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
@@ -117,19 +125,17 @@ def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
         Q[0][j] == CycloInt.integer(m, multiplicities[j]) for j in range(d + 1))
     report["P_row0_valencies"] = all(
         P[0][j] == CycloInt.integer(m, valencies[j]) for j in range(d + 1))
-    report["entries_real"] = all(
-        Q[i][j].is_real() and P[i][j].is_real()
-        for i in range(d + 1) for j in range(d + 1))
-    ortho = True
-    for j in range(d + 1):
-        for j2 in range(d + 1):
-            acc = CycloInt.zero(m)
-            for i in range(d + 1):
-                acc = acc + valencies[i] * (Q[i][j] * Q[i][j2].conjugate())
-            want = size * multiplicities[j] if j == j2 else 0
-            if acc != CycloInt.integer(m, want):
-                ortho = False
-    report["row_orthogonality"] = ortho
+    Pa, Qa = coeff_array(P), coeff_array(Q)
+    Qc = conjugate_array(Qa, m)
+    report["entries_real"] = (np.array_equal(Qc, Qa)
+                              and np.array_equal(conjugate_array(Pa, m), Pa))
+    # sum_i v_i Q[i][j] conj Q[i][j'] = delta_jj' |X| m_j
+    weighted = contract("i,ij->ij", integer_array(valencies, m), Qa, m)
+    gram = contract("ij,ik->jk", weighted, Qc, m)
+    want = [[size * k if j == j2 else 0 for j2 in range(d + 1)]
+            for j, k in enumerate(multiplicities)]
+    report["row_orthogonality"] = np.array_equal(gram,
+                                                 integer_array(want, m))
     report["all_pass"] = all(v for k, v in report.items() if k != "all_pass")
     return report
 
@@ -208,51 +214,43 @@ def krein_parameters(P, Q, size):
     """q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j], exact.
 
     This solves the Hadamard-product expansion of E_i o E_j in the
-    idempotent basis, using PQ = |X| I in place of a linear solve.
-    Nonnegativity is decided exactly for rational-integer entries and by
-    the rigorous float lower bound (>= KREIN_FLOAT_FLOOR) for the others.
+    idempotent basis, using PQ = |X| I in place of a linear solve.  The
+    tensor is two contractions of coefficient arrays (cyclo.contract); a
+    sum that |X| does not divide raises IntegrityError.  Nonnegativity is
+    decided exactly for rational-integer entries and by the rigorous float
+    lower bound (>= KREIN_FLOAT_FLOOR) for the others.
     Returns (tensor of CycloInt, flags dict)."""
-    d = len(Q) - 1
     m = Q[0][0].order
-    tensor = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    real_ok = True
-    nonneg_ok = True
-    worst = 0.0
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                acc = CycloInt.zero(m)
-                for l in range(d + 1):
-                    acc = acc + P[k][l] * Q[l][i] * Q[l][j]
-                q = acc.divide_exact(size)
-                tensor[i][j][k] = q
-                if not q.is_real():
-                    real_ok = False
-                low = q.as_rational_integer()
-                if low is not None:  # a rational integer: exact sign
-                    negative = low < 0
-                else:
-                    val, err = q.approx()
-                    low = val.real - err
-                    negative = low < KREIN_FLOAT_FLOOR
-                if negative:
-                    nonneg_ok = False
-                    worst = min(worst, float(low))
-    flags = {"real": real_ok, "nonnegative": nonneg_ok}
-    if not nonneg_ok:
-        flags["worst_value"] = worst
+    Pa, Qa = coeff_array(P), coeff_array(Q)
+    T = contract("kl,lij->ijk", Pa, contract("li,lj->lij", Qa, Qa, m), m)
+    inexact = np.argwhere((T % size != 0).any(axis=-1))
+    if len(inexact):
+        raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
+                             "sum not divisible by |X| = %d"
+                             % (tuple(map(int, inexact[0])), size))
+    T = T // size
+    tensor = cyclo_entries(T, m)
+    rational = ~(T[..., 1:] != 0).any(axis=-1)
+    ints = T[..., 0][rational]
+    lows = [float(v) for v in ints[ints < 0]]
+    for i, j, k in np.argwhere(~rational):
+        val, err = tensor[i][j][k].approx()
+        if val.real - err < KREIN_FLOAT_FLOOR:
+            lows.append(val.real - err)
+    flags = {"real": np.array_equal(conjugate_array(T, m), T),
+             "nonnegative": not lows}
+    if lows:
+        flags["worst_value"] = min(lows)
     return tensor, flags
 
 
 def krein_equals_intersection(krein, p_tensor):
     """Exact tensor equality q_ij^k == p_ij^k (dual intersection numbers)."""
-    d = len(p_tensor) - 1
+    K = coeff_array(krein)
     m = krein[0][0][0].order
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for k in range(d + 1):
-                if krein[i][j][k] != CycloInt.integer(m, p_tensor[i][j][k]):
-                    return False, (i, j, k)
+    differ = np.argwhere((K != integer_array(p_tensor, m)).any(axis=-1))
+    if len(differ):
+        return False, tuple(map(int, differ[0]))
     return True, None
 
 
@@ -378,9 +376,9 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
 
     cert.Q = F_Q
     cert.P = F_P
-    spectrum = _cyclo_matmul(cert.P, cert.Q)
+    PQ = spectrum(cert.P, cert.Q)
 
-    eig = verify_eigen_identities(cert.P, cert.Q, spectrum,
+    eig = verify_eigen_identities(cert.P, cert.Q, PQ,
                                   scheme_G.valencies, cert.multiplicities,
                                   space.size)
     cert.checks["eigen_identities"] = eig["all_pass"]
@@ -392,10 +390,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
             scheme_G.valencies == cert.multiplicities
 
     if space.size <= matrix_bound:
-        idem = verify_idempotents(space, profile_Q, constancy_G, spectrum)
+        idem = verify_idempotents(space, profile_Q, constancy_G, PQ)
         cert.checks["idempotents"] = idem["all_pass"]
         cert.checks["idempotent_detail"] = idem
-        sigma, ok, witness = sigma_permutation(spectrum, space.size)
+        sigma, ok, witness = sigma_permutation(PQ, space.size)
         cert.sigma = sigma
         cert.checks["sigma_identity"] = ok and sigma == list(range(part_G.d + 1))
         if not ok:

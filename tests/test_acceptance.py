@@ -22,7 +22,7 @@ from scheme_forge.action import (build_action, orbits, check_condition_4,
 from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (duality_report, pairing_table,
                                   character_profile, constancy_test,
-                                  _cyclo_matmul)
+                                  spectrum)
 from scheme_forge.cli import check_report
 
 # the ten families of criterion 1; builders are zero-argument callables so
@@ -150,7 +150,7 @@ def test_criterion_4_cross_duality():
     gens_Gc = build_action(space, "weak_hamming_dual", levels=[2, 1])
     cert = duality_report(gens_G, gens_Gc)
     n = space.size
-    PQ = _cyclo_matmul(cert.P, cert.Q)
+    PQ = spectrum(cert.P, cert.Q)
     d = len(cert.Q) - 1
     pq_ok = all(PQ[i][j] == CycloInt.integer(2, n if i == j else 0)
                 for i in range(d + 1) for j in range(d + 1))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from scheme_forge import cli
+from scheme_forge import cli, duality
 from scheme_forge.cli import main
 from scheme_forge.space import AbelianSpace
 
@@ -199,6 +199,32 @@ def test_each_command_computes_once(capsys, monkeypatch):
     assert dual["sub"] == 16
     cross = counts_of(["dual", cfg("wh21_f2"), cfg("wh12_f2")])
     assert cross["build_action"] == 2
+
+
+@pytest.mark.parametrize("command", ["check", "build"])
+def test_matrix_bound_is_a_dual_flag(command, capsys):
+    """Only dual reads --matrix-bound; check and build reject it."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg("hamming2_f2"), "--matrix-bound", "1"])
+    assert exc.value.code == 2
+    assert "--matrix-bound" in capsys.readouterr().err
+    code, out, _ = run(["dual", cfg("hamming2_f2"), "--matrix-bound", "1"],
+                       capsys)
+    assert code == 0
+    assert "idempotent_detail" not in json.loads(out.split("\nQ\n")[0])[
+        "checks"]
+
+
+def test_krein_integrity_failure_exits_1(capsys, monkeypatch):
+    """An inexact Krein division ends dual with exit 1 and a message: here
+    krein_parameters is handed |X| + 1 = 5, which divides none of the sums
+    4 q_ij^k with q_ij^k != 0 mod 5."""
+    real = duality.krein_parameters
+    monkeypatch.setattr(duality, "krein_parameters",
+                        lambda P, Q, size: real(P, Q, size + 1))
+    code, _, err = run(["dual", cfg("hamming2_f2")], capsys)
+    assert code == 1
+    assert err.startswith("integrity failure: Krein parameter")
 
 
 def test_eigenmatrix_tables_rendered(capsys):

@@ -2,10 +2,13 @@
 
 import cmath
 import math
+import random
 
 import pytest
 
-from scheme_forge.cyclo import CycloInt, cyclotomic_polynomial, euler_phi
+from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
+                                coeff_array, cyclo_entries, contract,
+                                conjugate_array)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
 
@@ -97,3 +100,22 @@ def test_json_round_shape():
     j = CycloInt.root_of_unity(4, 1).to_json()
     assert j["order"] == 4 and j["coeffs"] == [0, 1]
     assert j["approx"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_contract_matches_scalar_products(m):
+    """A 2x3 by 3x2 product and an entrywise conjugate of coefficient
+    arrays equal the CycloInt loops."""
+    rng = random.Random(m)
+
+    def rand():
+        return CycloInt(m, [rng.randint(-4, 4) for _ in range(m)])
+
+    A = [[rand() for _ in range(3)] for _ in range(2)]
+    B = [[rand() for _ in range(2)] for _ in range(3)]
+    AB = contract("ik,kj->ij", coeff_array(A), coeff_array(B), m)
+    assert cyclo_entries(AB, m) == [
+        [sum((A[i][k] * B[k][j] for k in range(3)), CycloInt.zero(m))
+         for j in range(2)] for i in range(2)]
+    assert cyclo_entries(conjugate_array(coeff_array(A), m), m) == \
+        [[a.conjugate() for a in row] for row in A]

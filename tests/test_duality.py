@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 
+import numpy as np
 import pytest
 
 from scheme_forge import cli
-from scheme_forge.cyclo import CycloInt
-from scheme_forge.errors import UsageError
+from scheme_forge.cyclo import (CycloInt, coeff_array, contract,
+                                conjugate_array)
+from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import VectorSpace, FullMatrixSpace, GramSpace
 from scheme_forge.action import build_action, orbits, OrbitPartition
@@ -16,10 +19,109 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
                                   verify_idempotents, sigma_permutation,
                                   krein_parameters, krein_equals_intersection,
-                                  duality_report, _cyclo_matmul,
-                                  DENSE_IDEMPOTENT_BOUND)
+                                  duality_report, spectrum,
+                                  KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+# -- scalar CycloInt oracles ---------------------------------------------------
+#
+# Reference oracles for the coefficient-array contractions in duality.py:
+# the same sums as loops of scalar CycloInt products.
+
+def _cyclo_matmul(A, B):
+    n, r, m = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = A[i][0] * B[0][j]
+            for k in range(1, r):
+                acc = acc + A[i][k] * B[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
+    """verify_eigen_identities with entrywise conjugates and a triple loop
+    for row orthogonality."""
+    d = len(Q) - 1
+    m = Q[0][0].order
+    report = {}
+    report["PQ_is_nI"] = all(
+        PQ[i][j] == CycloInt.integer(m, size if i == j else 0)
+        for i in range(d + 1) for j in range(d + 1))
+    one = CycloInt.integer(m, 1)
+    report["Q_col0_ones"] = all(Q[i][0] == one for i in range(d + 1))
+    report["Q_row0_multiplicities"] = all(
+        Q[0][j] == CycloInt.integer(m, multiplicities[j]) for j in range(d + 1))
+    report["P_row0_valencies"] = all(
+        P[0][j] == CycloInt.integer(m, valencies[j]) for j in range(d + 1))
+    report["entries_real"] = all(
+        Q[i][j].is_real() and P[i][j].is_real()
+        for i in range(d + 1) for j in range(d + 1))
+    ortho = True
+    for j in range(d + 1):
+        for j2 in range(d + 1):
+            acc = CycloInt.zero(m)
+            for i in range(d + 1):
+                acc = acc + valencies[i] * (Q[i][j] * Q[i][j2].conjugate())
+            want = size * multiplicities[j] if j == j2 else 0
+            if acc != CycloInt.integer(m, want):
+                ortho = False
+    report["row_orthogonality"] = ortho
+    report["all_pass"] = all(v for k, v in report.items() if k != "all_pass")
+    return report
+
+
+def loop_krein_parameters(P, Q, size):
+    """krein_parameters as (d+1)^4 scalar products."""
+    d = len(Q) - 1
+    m = Q[0][0].order
+    tensor = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    real_ok = True
+    nonneg_ok = True
+    worst = 0.0
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for k in range(d + 1):
+                acc = CycloInt.zero(m)
+                for l in range(d + 1):
+                    acc = acc + P[k][l] * Q[l][i] * Q[l][j]
+                q = acc.divide_exact(size)
+                tensor[i][j][k] = q
+                if not q.is_real():
+                    real_ok = False
+                low = q.as_rational_integer()
+                if low is not None:  # a rational integer: exact sign
+                    negative = low < 0
+                else:
+                    val, err = q.approx()
+                    low = val.real - err
+                    negative = low < KREIN_FLOAT_FLOOR
+                if negative:
+                    nonneg_ok = False
+                    worst = min(worst, float(low))
+    flags = {"real": real_ok, "nonnegative": nonneg_ok}
+    if not nonneg_ok:
+        flags["worst_value"] = worst
+    return tensor, flags
+
+
+def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
+    """The spectrum, eigen_detail and Krein tensor and flags (floats
+    included) of the array contractions equal the loop oracles'; returns
+    the oracles' (eigen_detail, (tensor, flags))."""
+    PQ = _cyclo_matmul(P, Q)
+    assert spectrum(P, Q) == PQ
+    eigen = loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size)
+    assert verify_eigen_identities(P, Q, PQ, valencies, multiplicities,
+                                   size) == eigen
+    krein = loop_krein_parameters(P, Q, size)
+    assert krein_parameters(P, Q, size) == krein
+    return eigen, krein
 
 
 # -- point-level sweep oracles ------------------------------------------------
@@ -175,7 +277,7 @@ def spectral_parts(space, part_G, part_Gc, table):
     profile_P = character_profile(space, part_G.classes, table)
     ok, P, _ = constancy_test(part_Gc, profile_P)
     assert constancy[0] and ok
-    return profile_Q, constancy, _cyclo_matmul(P, constancy[1])
+    return profile_Q, constancy, spectrum(P, constancy[1])
 
 
 def ints(M):
@@ -225,13 +327,13 @@ def test_weak_hamming_11_F_matrix():
 def test_eigen_identities(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
-    rep = verify_eigen_identities(F, F, _cyclo_matmul(F, F), part.sizes,
+    rep = verify_eigen_identities(F, F, spectrum(F, F), part.sizes,
                                   part.sizes, sp.size)
     assert rep["all_pass"]
     # corrupt one entry: identities must fail
     bad = [row[:] for row in F]
     bad[1][1] = CycloInt.integer(2, 5)
-    rep = verify_eigen_identities(bad, F, _cyclo_matmul(bad, F), part.sizes,
+    rep = verify_eigen_identities(bad, F, spectrum(bad, F), part.sizes,
                                   part.sizes, sp.size)
     assert not rep["all_pass"]
 
@@ -446,3 +548,114 @@ def test_condition_4_failure_reported_not_thrown():
     assert not cert.passed
     assert cert.checks["condition_4_G"] is False
     assert cert.Q is None  # no certificate beyond the precondition report
+
+
+# -- coefficient-array contractions against the loop oracles -----------------
+
+SHIPPED = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
+
+
+def assert_certificate_matches_loops(cert):
+    if cert.Q is None:
+        # condition (4) fails (symmetric(2)/F_3): no eigenmatrices
+        assert not cert.checks["condition_4_G"]
+        return
+    eigen, krein = assert_contractions_match_loops(
+        cert.P, cert.Q, cert.space.size, cert.valencies, cert.multiplicities)
+    assert cert.checks["eigen_detail"] == eigen
+    assert (cert.krein, cert.krein_flags) == krein
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_contractions_match_loops(name):
+    """Every shipped config: spectrum, eigen_detail, Krein tensor and flags
+    equal the scalar loops'."""
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        cfg = json.load(fh)
+    _, genset = cli.load_action(cfg, 4096)
+    assert_certificate_matches_loops(duality_report(genset))
+
+
+def test_contractions_match_loops_cross_and_degenerate():
+    sp = VectorSpace(3, FieldSpec(2))
+    assert_certificate_matches_loops(duality_report(
+        build_action(sp, "weak_hamming", levels=[2, 1]),
+        build_action(sp, "weak_hamming_dual", levels=[2, 1])))
+    # PQ != |X| I and failed row orthogonality
+    cert = duality_report(build_action(degenerate_space(), "central"))
+    assert not cert.checks["eigen_detail"]["row_orthogonality"]
+    assert_certificate_matches_loops(cert)
+
+
+def random_cyclo(rng, m, real, bound=3):
+    x = CycloInt(m, [rng.randint(-bound, bound) for _ in range(m)])
+    return x + x.conjugate() if real else x
+
+
+@pytest.mark.parametrize("m,real", [(5, True), (5, False), (8, True),
+                                    (12, False)])
+def test_contractions_match_loops_irrational(m, real):
+    """Scheme eigenmatrices give rational-integer Krein parameters (they
+    are dual intersection numbers), so irrational entries, complex entries
+    and the float sign bound are exercised on random P and Q; P is scaled
+    by |X| = 3 so the division is exact."""
+    rng = random.Random(m)
+    d = 3
+    Q = [[random_cyclo(rng, m, real) for _ in range(d + 1)]
+         for _ in range(d + 1)]
+    P = [[3 * random_cyclo(rng, m, real) for _ in range(d + 1)]
+         for _ in range(d + 1)]
+    valencies = [rng.randint(1, 9) for _ in range(d + 1)]
+    multiplicities = [rng.randint(1, 9) for _ in range(d + 1)]
+    _, (tensor, flags) = assert_contractions_match_loops(
+        P, Q, 3, valencies, multiplicities)
+    assert any(q.as_rational_integer() is None
+               for plane in tensor for row in plane for q in row)
+    assert flags["real"] is real
+    assert not flags["nonnegative"] and flags["worst_value"] < 0
+
+
+def test_contract_object_branch_is_exact():
+    """Coefficients near 2^40 put the proven bound past 2^63: the
+    contraction runs on Python integers and equals the scalar oracle,
+    whose coefficients int64 could not hold."""
+    m = 5
+    rng = random.Random(40)
+
+    def big():
+        coeffs = [rng.choice((1, -1)) * rng.randint(2 ** 39, 2 ** 40)
+                  for _ in range(4)]
+        return CycloInt(m, tuple(coeffs), reduce=False)
+
+    P = [[big() for _ in range(3)] for _ in range(3)]
+    Q = [[big() for _ in range(3)] for _ in range(3)]
+    A, B = coeff_array(P), coeff_array(Q)
+    assert A.dtype == np.int64
+    out = contract("ik,kj->ij", A, B, m)
+    assert out.dtype == object
+    assert out.tolist() == coeff_array(_cyclo_matmul(P, Q)).tolist()
+    tensor, flags = krein_parameters(P, Q, 1)
+    want = loop_krein_parameters(P, Q, 1)
+    assert (tensor, flags) == want
+    assert max(abs(c) for plane in tensor for row in plane for q in row
+               for c in q.coeffs) >= 2 ** 63
+
+
+@pytest.mark.parametrize("e", range(28, 34))
+def test_int64_only_below_the_bound(e):
+    """Z[zeta_1] = Z (phi = 1, M = [[[1]]]): the square of the 2x2 matrix
+    with every entry -2^e has 2 * 2^e * 2^e = 2^(2e+1) as its bound, which
+    its entries attain; int64 exactly when that is below 2^63."""
+    A = np.full((2, 2, 1), -2 ** e, dtype=object)
+    out = contract("ik,kj->ij", A, A, 1)
+    assert (out.dtype == np.int64) is (2 * e + 1 < 63)
+    assert out.tolist() == np.full((2, 2, 1), 2 ** (2 * e + 1)).tolist()
+    assert conjugate_array(A, 1).tolist() == A.tolist()
+
+
+def test_krein_inexact_division_raises_integrity_error():
+    """P = Q = [[1]] with |X| = 2: q_00^0 = 1/2 is not an algebraic
+    integer; the error names (i, j, k)."""
+    one = CycloInt.integer(5, 1)
+    with pytest.raises(IntegrityError, match=r"\(0, 0, 0\)"):
+        krein_parameters([[one]], [[one]], 2)
