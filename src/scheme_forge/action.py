@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import oracles
 from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
                     AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace, CyclicProductSpace)
+                    HermitianMatrixSpace, CyclicProductSpace,
+                    pairing_table)
 
 VECTOR_MATRIX_FAMILIES = ("cyclotomic", "hamming", "weak_hamming",
                           "weak_hamming_dual")
@@ -105,13 +108,15 @@ class GeneratorSet:
                 raise IntegrityError("generator %s is not a bijection" % g.name)
 
     def verify_additive(self):
-        """Exhaustive check of g(x + x') = gx + gx'."""
-        space = self.space
+        """Check g(x + e_i) = g(x) + g(e_i) for every generator g, every
+        point x and every digit basis vector e_i, O(N |X|) per generator.
+        The e_i generate X, so induction on the length of y as a word in
+        them gives g(x + y) = g(x) + g(y) for all x and y.  Returns (ok,
+        witness), the witness a violating (g.name, x, y)."""
         for g in self.generators:
-            for x in range(space.size):
-                for y in range(x, space.size):
-                    if g.perm[space.add(x, y)] != space.add(g.perm[x], g.perm[y]):
-                        return False, (g.name, x, y)
+            witness = _additivity_witness(self.space, g.perm)
+            if witness is not None:
+                return False, (g.name,) + witness
         return True, None
 
     def label(self):
@@ -178,28 +183,41 @@ def orbits(genset: GeneratorSet) -> OrbitPartition:
 
 
 def check_condition_4(partition: OrbitPartition, space: AbelianSpace):
-    """Negation-closure of every class; returns (ok, witness)."""
-    for x in range(space.size):
-        if partition.class_of[x] != partition.class_of[space.neg(x)]:
-            return False, x
+    """Negation-closure of every class; returns (ok, witness), the witness
+    the least point whose negation lies in another class."""
+    class_of = np.asarray(partition.class_of)
+    moved = np.flatnonzero(class_of[space.neg(np.arange(space.size))]
+                           != class_of)
+    if len(moved):
+        return False, int(moved[0])
     return True, None
 
 
 def check_condition_6(partition: OrbitPartition, space: AbelianSpace):
     """The involution j(i) with -O_i = O_{j(i)}, verified exhaustively.
     Returns the pairing list, or None if negation is not class-coherent."""
-    pairing = [None] * (partition.d + 1)
-    for x in range(space.size):
-        i = partition.class_of[x]
-        j = partition.class_of[space.neg(x)]
-        if pairing[i] is None:
-            pairing[i] = j
-        elif pairing[i] != j:
-            return None
-    for i, j in enumerate(pairing):
-        if pairing[j] != i:
-            return None
-    return pairing
+    class_of = np.asarray(partition.class_of)
+    negated = class_of[space.neg(np.arange(space.size))]
+    pairing = negated[[cls[0] for cls in partition.classes]]
+    if (pairing[class_of] != negated).any() \
+            or (pairing[pairing] != np.arange(len(pairing))).any():
+        return None
+    return pairing.tolist()
+
+
+def _additivity_witness(space, perm):
+    """The first (x, e_i) in row-major order with perm(x + e_i) !=
+    perm(x) + perm(e_i), e_i running over the digit basis; None if there
+    is none."""
+    perm = np.asarray(perm)
+    points = np.arange(space.size)[:, None]
+    basis = space.basis
+    bad = perm[space.add(points, basis)] != space.add(perm[points],
+                                                      perm[basis])
+    if not bad.any():
+        return None
+    x, i = divmod(int(bad.argmax()), len(basis))
+    return x, int(basis[i])
 
 
 # -- family constructors -----------------------------------------------------
@@ -252,7 +270,7 @@ def _build_central(space, params):
     for u in range(2, nu):
         if math.gcd(u, nu) != 1:
             continue
-        perm = [space.scalar_mul(x, u) for x in range(space.size)]
+        perm = space.scalar_mul(np.arange(space.size), u).tolist()
         gens.append(Generator("mul_%d" % u, perm, {"unit": u}))
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
@@ -453,25 +471,36 @@ def _assert_preserves_weight(space, M, poset, name):
                 "adjoint of %s does not preserve the dual poset weight" % name)
 
 
-def verify_adjoint(adjoint: AdjointMap, exhaustive_bound=1024):
+def verify_adjoint(adjoint: AdjointMap, exhaustive_bound=1024, table=None):
     """Check <gx, y> = <x, iota(g) y> for every generator.
 
-    Exhaustive over X x X when |X| is within the bound; above it, for
-    vector spaces, checks all basis pairs (enough by bilinearity of the
-    pairing exponent in each argument)."""
+    When |X| is within the bound, exhaustively: T[g x, y] = T[x, iota(g) y]
+    on the pairing table T (`table`, or one built here), one array
+    comparison per generator; lambda is a unit, so the scaled table decides
+    the same identity.  Above the bound, g and iota(g) must first pass the
+    digit-basis additivity check of verify_additive (a failure returns its
+    witness, named after the map that failed); then both sides are
+    biadditive in (x, y), so checking the pairs of digit basis vectors is
+    enough.  The witness is (g.name, x, y) at the first mismatch in
+    row-major order."""
     genset = adjoint.source
     space = genset.space
-    n = space.size
-    if n <= exhaustive_bound:
-        xs = ys = range(n)
-    else:
-        if not isinstance(space, VectorSpace):
-            raise UsageError("|X| above the exhaustive adjoint bound")
-        xs = ys = [space.basis_index(i) for i in range(1, space.n + 1)]
+    exhaustive = space.size <= exhaustive_bound
+    if exhaustive and table is None:
+        table = pairing_table(space)
+    points = np.arange(space.size) if exhaustive else space.basis
     for g, ig in zip(genset.generators, adjoint.images):
-        for x in xs:
-            for y in ys:
-                if (space.pairing_exponent(g.perm[x], y)
-                        != space.pairing_exponent(x, ig.perm[y])):
-                    return False, (g.name, x, y)
+        perm, iperm = np.asarray(g.perm), np.asarray(ig.perm)
+        if exhaustive:
+            bad = table[perm] != table[:, iperm]
+        else:
+            for h in (g, ig):
+                witness = _additivity_witness(space, h.perm)
+                if witness is not None:
+                    return False, (h.name,) + witness
+            bad = (space.pairing_exponent(perm[points][:, None], points)
+                   != space.pairing_exponent(points[:, None], iperm[points]))
+        if bad.any():
+            x, y = divmod(int(bad.argmax()), len(points))
+            return False, (g.name, int(points[x]), int(points[y]))
     return True, None

@@ -28,7 +28,7 @@ the inner sum being P[j][k] (constancy_G_check).  So:
 
 Nondegeneracy, the premise of the basis, is checked by
 AbelianSpace.verify_nondegenerate: every y != 0 pairs nontrivially with
-some x, an integer scan of pairing exponents.
+some x, which by biadditivity may be taken from the digit basis.
 
 The spectrum P Q, row orthogonality and the Krein tensor are contractions
 of coefficient arrays (cyclo.contract), each one exact einsum through the
@@ -51,6 +51,7 @@ from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
+from .space import pairing_table
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
@@ -58,28 +59,18 @@ KREIN_FLOAT_FLOOR = -1e-9
 DENSE_IDEMPOTENT_BOUND = 32
 
 
-def pairing_table(space):
-    """|X| x |X| table of pairing exponents (lambda multiplier applied)."""
-    n = space.size
-    m = space.character_order
-    mult = space.lambda_multiplier
-    return [[(space.pairing_exponent(y, x) * mult) % m for x in range(n)]
-            for y in range(n)]
-
-
 def character_profile(space, dual_classes, table):
-    """profile[j][y] = sum over x in dual class j of <y, x>, exact."""
+    """profile[j][y] = sum over x in dual class j of <y, x>, exact: per
+    class, one bincount of the exponents T[y][x] (offset by m y) gives the
+    exponent histogram of every y, reduced once into a CycloInt."""
     m = space.character_order
+    offsets = np.arange(space.size)[:, None] * m
     profile = []
     for cls in dual_classes:
-        row = []
-        for y in range(space.size):
-            counts = [0] * m
-            ty = table[y]
-            for x in cls:
-                counts[ty[x]] += 1
-            row.append(CycloInt.from_exponent_counts(m, counts))
-        profile.append(row)
+        counts = np.bincount((table[:, cls] + offsets).ravel(),
+                             minlength=space.size * m)
+        profile.append([CycloInt.from_exponent_counts(m, row) for row in
+                        counts.reshape(space.size, m).tolist()])
     return profile
 
 
@@ -347,10 +338,11 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
+    table = pairing_table(space)
     # adjoint witness (sufficient for constancy, verified independently)
     try:
         adj = adjoint_map(gens_G)
-        ok, witness = verify_adjoint(adj)
+        ok, witness = verify_adjoint(adj, table=table)
         cert.checks["adjoint"] = ok
         if not ok:
             cert.fail("adjoint", witness)
@@ -358,7 +350,6 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.checks["adjoint"] = None
         cert.notes.append("no adjoint witness: %s" % exc)
 
-    table = pairing_table(space)
     profile_Q = character_profile(space, part_Gc.classes, table)
     constancy_G = constancy_test(part_G, profile_Q)
     ok, F_Q, witness = constancy_G

@@ -4,7 +4,8 @@ numbers, adjacency matrices, and the axiom verification report.
 The relation rule is (x, y) in R_i iff y - x lies in class i of the orbit
 partition; intersection numbers use the translated form
 p_ij^k = #{z : z in X_j, u - z in X_i} for a representative u of X_k, with
-optional re-computation over every representative as an integrity check.
+optional re-computation over every representative as an integrity check;
+each class is an array sweep over the differences u - z.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
 REPRESENTATIVE_VERIFY_BOUND = 1024
+# entries per index array in intersection_tensor, which bounds its memory
+SWEEP_BLOCK = 2 ** 14
 
 
 class TranslationScheme:
@@ -51,40 +54,19 @@ class TranslationScheme:
     # -- intersection numbers ------------------------------------------------
 
     def intersection_numbers(self, verify_representatives=None):
-        """(d+1)^3 tensor p[i][j][k], computed by one sweep over X per
-        representative; with verification on, every u in X_k must give the
-        same counts.  The tensor is kept, so a later call reuses it unless
-        it asks for a verification the kept tensor did not have."""
+        """(d+1)^3 tensor p[i][j][k] (see `intersection_tensor`); with
+        verification on, every u in X_k must give the same counts.  The
+        tensor is kept, so a later call reuses it unless it asks for a
+        verification the kept tensor did not have."""
         if verify_representatives is None:
             verify_representatives = self.space.size <= REPRESENTATIVE_VERIFY_BOUND
         if self._p_tensor is not None and (self._p_verified
                                            or not verify_representatives):
             return self._p_tensor
-        d = self.d
-        space = self.space
-        class_of = self.partition.class_of
-        tensor = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-        for k in range(d + 1):
-            reps = (self.partition.classes[k] if verify_representatives
-                    else [self.representative(k)])
-            first = None
-            for u in reps:
-                counts = [[0] * (d + 1) for _ in range(d + 1)]
-                for z in range(space.size):
-                    counts[class_of[space.sub(u, z)]][class_of[z]] += 1
-                if first is None:
-                    first = counts
-                elif counts != first:
-                    raise IntegrityError(
-                        "intersection numbers depend on the representative "
-                        "of class %d (u=%d vs u=%d)"
-                        % (k, reps[0], u))
-            for i in range(d + 1):
-                for j in range(d + 1):
-                    tensor[i][j][k] = first[i][j]
-        self._p_tensor = tensor
+        self._p_tensor = intersection_tensor(self.space, self.partition,
+                                             verify_representatives)
         self._p_verified = verify_representatives
-        return tensor
+        return self._p_tensor
 
     # -- adjacency matrices ---------------------------------------------------
 
@@ -93,12 +75,10 @@ class TranslationScheme:
         if n > matrix_bound:
             raise ResourceLimitError(
                 "|X| = %d exceeds the matrix bound %d" % (n, matrix_bound))
-        A = np.zeros((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                if self.relation(x, y) == i:
-                    A[x, y] = 1
-        return A
+        points = np.arange(n)
+        diff = self.space.sub(points, points[:, None])  # [x][y] = y - x
+        return (np.asarray(self.partition.class_of)[diff] == i).astype(
+            np.int64)
 
     # -- verification -----------------------------------------------------------
 
@@ -186,3 +166,40 @@ def _diag_rep(space, entries):
     for i, v in enumerate(entries):
         mat[i][i] = v
     return space.index_of_matrix(mat)
+
+
+def intersection_tensor(space, partition, verify_representatives):
+    """p[i][j][k] = #{z : z in X_j, u - z in X_i} for u in X_k, as nested
+    lists, for the representatives u of each class k (all of X_k when
+    verifying, else its first point).
+
+    For a block of representatives the points u - z, for every z, form
+    one int32 index array built digit by digit, and so do the class pairs
+    (i, j) of (u - z, z); blocks keep these arrays near SWEEP_BLOCK
+    entries.  Two representatives give the same counts iff their sorted
+    rows of pairs are equal, and one bincount of the first row gives the
+    counts.  Raises IntegrityError, naming the first u whose counts differ
+    from the first representative's, when the counts depend on u."""
+    d = partition.d
+    class_of = np.asarray(partition.class_of, dtype=np.int32)
+    points = np.arange(space.size)
+    block = max(1, SWEEP_BLOCK // space.size)
+    tensor = np.empty((d + 1,) * 3, dtype=np.int64)
+    for k, cls in enumerate(partition.classes):
+        reps = np.asarray(cls if verify_representatives else cls[:1])
+        for at in range(0, len(reps), block):
+            pairs = class_of[space.sub(reps[at:at + block, None], points)]
+            pairs *= d + 1
+            pairs += class_of
+            pairs.sort(axis=1)
+            if at == 0:
+                first = pairs[0].copy()
+            differ = np.flatnonzero((pairs != first).any(axis=1))
+            if len(differ):
+                raise IntegrityError(
+                    "intersection numbers depend on the representative "
+                    "of class %d (u=%d vs u=%d)"
+                    % (k, reps[0], reps[at + differ[0]]))
+        tensor[:, :, k] = np.bincount(first, minlength=(d + 1) ** 2
+                                      ).reshape(d + 1, d + 1)
+    return tensor.tolist()

@@ -6,7 +6,16 @@ mixed-radix number of its digits (first digit most significant, zero
 element at index 0).  Each F_p coefficient of a field coordinate is one
 digit of radix p, highest-degree coefficient first (the order of
 FieldElement.index); each factor Z_{m_i} of a cyclic product is one digit
-of radix m_i.  So `add`, `neg` and `sub` work digit by digit.
+of radix m_i.
+
+The digits of all points form one numpy array D (|X| x N, row x = d(x));
+with the radices r_i and the place weights w_i = r_{i+1} ... r_N, a point
+is x = sum_i d_i(x) w_i.  The group law is one digit-by-digit array
+sweep: `add`, `neg`, `sub` and `scalar_mul` combine column i of D at the
+given points, reduce mod r_i and weight by w_i.  They take a point index
+or integer index arrays, which broadcast against each other, so a sweep
+over X (or over X x X) is one call; index arrays stay in int32 whenever
+|X|^2 < 2^31.
 
 The pairing is one bilinear form: <x,y> = zeta_m^k with
 
@@ -15,8 +24,11 @@ The pairing is one bilinear form: <x,y> = zeta_m^k with
 where the N x N Gram matrix B is built once per space.  For field spaces B
 is block diagonal, one block per free coordinate, holding an F_p-bilinear
 trace form on that coordinate's digit basis; for cyclic products it is
-diag(m/m_i).  `pairing_exponent` returns k before the lambda multiplier;
-`inner_product` wraps it in a CycloInt.
+diag(m/m_i).  `pairing_exponent` returns k before the lambda multiplier,
+for indices or index arrays; `pairing_table` is the whole table
+(D . B . D^T) lambda mod m as one matrix product; `inner_product` wraps
+one exponent in a CycloInt.  Biadditivity lets a check quantified over
+all y use the digit basis vectors e_i (the points w_i) instead.
 
 Coordinates (`coords_of`, `index_of`, `serialize_point`) group the digits
 of one field coordinate back into a field-element index.  The field-space
@@ -28,9 +40,10 @@ or the pairing.
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import mul
+import operator
+
+import numpy as np
 
 from .cyclo import CycloInt
 from .errors import (UsageError, ConfigError, ResourceLimitError,
@@ -44,14 +57,18 @@ class AbelianSpace:
     """X = Z_{r_1} x ... x Z_{r_N} on digit vectors.
 
     `coord_radices` lists, per free coordinate, the radices of its digits.
-    Subclasses define `pairing_exponent`.
+    `digits` is the |X| x N array D whose row x is d(x), `radices` the r_i
+    and `place` the place weights, so x = D[x] . place.  `basis` lists the
+    digit basis vectors e_i (the points place[i], r_i > 1), which generate
+    X.  Subclasses define `pairing_exponent`.
     """
 
     kind = None
 
     def __init__(self, coord_radices, character_order, lambda_multiplier=1,
                  size_bound=DEFAULT_SIZE_BOUND):
-        radices = tuple(r for digits in coord_radices for r in digits)
+        # the trivial group gets one digit of radix 1, so D has a column
+        radices = tuple(r for digits in coord_radices for r in digits) or (1,)
         size = math.prod(radices)
         if size > size_bound:
             raise ResourceLimitError(
@@ -59,11 +76,21 @@ class AbelianSpace:
         if math.gcd(lambda_multiplier, character_order) != 1:
             raise UsageError("lambda multiplier must be a unit mod %d"
                              % character_order)
+        # every intermediate of the group law (a digit times a scalar
+        # reduced mod the group exponent is below |X|^2) and of
+        # d(x) . B . d(y) (at most N m max(r_i)) stays below this bound
+        bound = len(radices) * max(size, character_order) ** 2
+        dtype = np.int32 if bound < 2 ** 31 else np.int64
         self.radices = radices
         self._coord_radices = tuple(math.prod(d) for d in coord_radices)
-        self._place = tuple(math.prod(radices[i + 1:])
-                            for i in range(len(radices)))
-        self._digits = list(itertools.product(*(range(r) for r in radices)))
+        self._exponent = math.lcm(*radices)
+        self.place = np.array([math.prod(radices[i + 1:])
+                               for i in range(len(radices))], dtype=dtype)
+        # column i of D is contiguous: the group law runs digit by digit
+        self._columns = np.indices(radices, dtype).reshape(len(radices),
+                                                           size)
+        self.digits = self._columns.T
+        self.basis = self.place[np.array(radices) > 1]
         self.size = size
         self.character_order = character_order
         self.lambda_multiplier = lambda_multiplier
@@ -89,28 +116,36 @@ class AbelianSpace:
             index = index * r + c
         return index
 
-    def _index_of_digits(self, digits):
-        """Index of a digit vector, each digit reduced mod its radix."""
-        return sum(d % r * w for d, r, w in zip(digits, self.radices,
-                                                 self._place))
-
     # -- group structure ----------------------------------------------------
+    #
+    # Each operation takes point indices or integer index arrays (which
+    # broadcast against each other) and returns an index or an index array.
+
+    def _digitwise(self, op, *points):
+        """The point(s) whose digit i is op(digit i of each of `points`)
+        mod r_i, built digit by digit in the dtype of `place`."""
+        out = 0
+        for col, r, w in zip(self._columns, self.radices, self.place):
+            digit = op(*(col[x] for x in points))
+            digit %= r
+            digit *= w
+            out += digit  # in place once out is an array
+        return out if np.ndim(out) else int(out)
 
     def add(self, x, y):
-        return self._index_of_digits(map(int.__add__, self._digits[x],
-                                         self._digits[y]))
+        return self._digitwise(operator.add, x, y)
 
     def neg(self, x):
-        return self._index_of_digits(map(int.__neg__, self._digits[x]))
+        return self._digitwise(operator.neg, x)
 
     def sub(self, x, y):
-        """x - y as a point index."""
-        return self._index_of_digits(map(int.__sub__, self._digits[x],
-                                         self._digits[y]))
+        """x - y."""
+        return self._digitwise(operator.sub, x, y)
 
     def scalar_mul(self, x, u):
         """u * x for an integer u."""
-        return self._index_of_digits(u * d for d in self._digits[x])
+        u %= self._exponent
+        return self._digitwise(lambda d: d * u, x)
 
     # -- pairing (subclasses define pairing_exponent) -------------------------
 
@@ -119,13 +154,15 @@ class AbelianSpace:
         return CycloInt.root_of_unity(self.character_order, k)
 
     def verify_nondegenerate(self):
-        """Exhaustive check of inner product axiom (iii): x != 0 implies
-        <x,y> != 1 for some y. Returns (ok, witness_or_None)."""
-        m = self.character_order
-        for x in range(1, self.size):
-            if all((self.pairing_exponent(x, y) * self.lambda_multiplier) % m == 0
-                   for y in range(self.size)):
-                return False, x
+        """Inner product axiom (iii): x != 0 implies <x,y> != 1 for some y.
+        The pairing exponent is biadditive, so y ranges over the digit
+        basis, and lambda is a unit, so it is left out.  Returns (ok,
+        witness_or_None), the witness the least degenerate x."""
+        points = np.arange(1, self.size)
+        k = self.pairing_exponent(points[:, None], self.basis)
+        degenerate = np.flatnonzero(~k.any(axis=1))
+        if len(degenerate):
+            return False, int(points[degenerate[0]])
         return True, None
 
     # -- misc ---------------------------------------------------------------
@@ -158,25 +195,34 @@ class GramSpace(AbelianSpace):
                          **kw)
         n = len(self.radices)
         m = character_order
-        gram = [[0] * n for _ in range(n)]
+        gram = np.zeros((n, n), dtype=self.place.dtype)
         at = 0
         for radices, block in blocks:
-            for i, row in enumerate(block):
-                gram[at + i][at:at + len(row)] = row
-            at += len(radices)
-        if any((gram[i][j] - gram[j][i]) % m
-               for i in range(n) for j in range(i)):
+            end = at + len(radices)
+            gram[at:end, at:end] = np.mod(block, m)
+            at = end
+        if ((gram - gram.T) % m).any():
             raise UsageError("the Gram matrix must be symmetric mod %d" % m)
-        self.gram = tuple(map(tuple, gram))
-        cols = list(zip(*self.gram))
-        # row x of the table is d(x) . B, so a pairing is one dot product
-        self._gram_rows = [tuple(sum(map(mul, d, col)) % m for col in cols)
-                           for d in self._digits]
+        self.gram = gram
+        # row x is d(x) . B mod m, so a pairing is one dot product
+        self._gram_rows = self.digits @ gram % m
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""
-        return (sum(map(mul, self._gram_rows[x], self._digits[y]))
-                % self.character_order)
+        k = ((self._gram_rows[x] * self.digits[y]).sum(axis=-1)
+             % self.character_order)
+        return k if np.ndim(k) else int(k)
+
+
+def pairing_table(space):
+    """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
+    (D . B . D^T) lambda mod m, in the smallest integer dtype holding
+    m - 1."""
+    m = space.character_order
+    rows = space._gram_rows * (space.lambda_multiplier % m) % m
+    table = rows @ space.digits.T
+    table %= m
+    return table.astype(np.min_scalar_type(m - 1))
 
 
 def _trace_block(elements, p, f, form):

@@ -1,8 +1,11 @@
 """Actions, orbits, conditions (3)/(4)/(6), and adjoint maps."""
 
+import json
+import os
+
 import pytest
 
-from scheme_forge import oracles
+from scheme_forge import cli, oracles
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
@@ -11,7 +14,14 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace,
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator,
-                                 gl_generators, mat_mul, mat_identity)
+                                 GeneratorSet, gl_generators, mat_mul,
+                                 mat_identity, mat_transpose,
+                                 _materialize_matvec)
+
+from test_space import SPACES, TupleDigits
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
 
 
 def classes_as_sets(partition):
@@ -135,22 +145,81 @@ def test_condition_4_symmetric_f5():
     assert ok
 
 
+ADJOINT_CASES = [
+    (CyclicProductSpace((8,)), "central", {}),
+    (VectorSpace(1, FieldSpec(5)), "cyclotomic", {"d": 2}),
+    (FullMatrixSpace(2, 2, FieldSpec(2)), "bilinear", {}),
+    (AlternatingMatrixSpace(4, FieldSpec(2)), "alternating", {}),
+    (HermitianMatrixSpace(2, FieldSpec(2, 2)), "hermitian", {}),
+    (SymmetricMatrixSpace(2, FieldSpec(5)), "symmetric", {}),
+    (VectorSpace(4, FieldSpec(3)), "hamming", {}),
+    (VectorSpace(3, FieldSpec(2)), "weak_hamming", {"levels": [2, 1]}),
+]
+
+
 def test_adjoint_verifies_for_all_families():
-    cases = [
-        (CyclicProductSpace((8,)), "central", {}),
-        (VectorSpace(1, FieldSpec(5)), "cyclotomic", {"d": 2}),
-        (FullMatrixSpace(2, 2, FieldSpec(2)), "bilinear", {}),
-        (AlternatingMatrixSpace(4, FieldSpec(2)), "alternating", {}),
-        (HermitianMatrixSpace(2, FieldSpec(2, 2)), "hermitian", {}),
-        (SymmetricMatrixSpace(2, FieldSpec(5)), "symmetric", {}),
-        (VectorSpace(4, FieldSpec(3)), "hamming", {}),
-        (VectorSpace(3, FieldSpec(2)), "weak_hamming", {"levels": [2, 1]}),
-    ]
-    for sp, family, params in cases:
+    for sp, family, params in ADJOINT_CASES:
         genset = build_action(sp, family, **params)
         adj = adjoint_map(genset)
         ok, witness = verify_adjoint(adj)
         assert ok, (family, witness)
+
+
+def test_adjoint_basis_pairs_pass_for_all_families():
+    """Above the exhaustive bound the honest adjoint of every family passes
+    on digit basis pairs, on every kind of space (before, only vector
+    spaces had a basis path)."""
+    cases = ADJOINT_CASES + [
+        (CyclicProductSpace((4, 6)), "central", {}),
+        (VectorSpace(3, FieldSpec(2)), "weak_hamming_dual",
+         {"levels": [2, 1]}),
+        (VectorSpace(2, FieldSpec(2, 2)), "hamming", {}),
+    ]
+    for sp, family, params in cases:
+        adj = adjoint_map(build_action(sp, family, **params))
+        ok, witness = verify_adjoint(adj, exhaustive_bound=1)
+        assert ok, (family, witness)
+
+
+def test_basis_pairs_catch_extension_field_adjoint():
+    """Over F_4 the F_q-basis pairs compare traces only; the digit basis
+    pairs catch an adjoint corrupted to M^T + I, as the exhaustive check
+    does."""
+    sp = VectorSpace(2, FieldSpec(2, 2))
+    genset = build_action(sp, "hamming")
+    adj = adjoint_map(genset)
+    g = genset.generators[0]
+    M = mat_transpose(g.data["matrix"])
+    one = sp.field.one()
+    bad = tuple(tuple(a + one if i == j else a for j, a in enumerate(row))
+                for i, row in enumerate(M))
+    images = [Generator(adj.images[0].name, _materialize_matvec(sp, bad),
+                        {"matrix": bad})] + adj.images[1:]
+    corrupted = AdjointMap(genset, images, "hamming")
+    assert g.name == "swap_1_2"
+    assert verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
+    assert verify_adjoint(corrupted) == loop_verify_adjoint(corrupted)
+    ok, (name, x, y) = verify_adjoint(corrupted, exhaustive_bound=1)
+    assert not ok and name == "swap_1_2"
+    assert {x, y} <= set(sp.basis.tolist())
+    assert (sp.pairing_exponent(g.perm[x], y)
+            != sp.pairing_exponent(x, images[0].perm[y]))
+
+
+def test_basis_pairs_require_additive_adjoint():
+    """Above the bound a non-additive adjoint image fails with its
+    additivity witness; the exhaustive checks fail too."""
+    sp = CyclicProductSpace((5,))
+    genset = build_action(sp, "central")
+    adj = adjoint_map(genset)
+    images = [Generator("adj_bad", [0, 2, 1, 4, 3], {})] + adj.images[1:]
+    bad = AdjointMap(genset, images, "central")
+    ok, (name, x, y) = verify_adjoint(bad, exhaustive_bound=1)
+    assert not ok and name == "adj_bad"
+    perm = images[0].perm
+    assert perm[sp.add(x, y)] != sp.add(perm[x], perm[y])
+    assert not verify_adjoint(bad)[0]
+    assert not loop_verify_adjoint(bad)[0]
 
 
 def test_weak_hamming_adjoint_lands_in_dual():
@@ -196,3 +265,137 @@ def test_non_additive_custom_rejected():
     perm = [0, 2, 1, 4, 3]
     with pytest.raises(UsageError):
         build_action(sp, "custom", generators=[perm])
+
+
+# -- oracles: the point-pair loops that the array sweeps replaced --------------
+#
+# The group law and the pairing come from the tuple-of-digits oracle, so the
+# loops share no code with the array paths.
+
+def loop_verify_additive(genset):
+    """Exhaustive check of g(x + y) = gx + gy over all |X|^2/2 pairs."""
+    space = TupleDigits(genset.space)
+    n = genset.space.size
+    for g in genset.generators:
+        for x in range(n):
+            for y in range(x, n):
+                if g.perm[space.add(x, y)] != space.add(g.perm[x], g.perm[y]):
+                    return False, (g.name, x, y)
+    return True, None
+
+
+def loop_verify_adjoint(adjoint):
+    """<gx, y> = <x, iota(g) y> pair by pair over X x X."""
+    genset = adjoint.source
+    space = TupleDigits(genset.space)
+    n = genset.space.size
+    for g, ig in zip(genset.generators, adjoint.images):
+        for x in range(n):
+            for y in range(n):
+                if (space.pairing_exponent(g.perm[x], y)
+                        != space.pairing_exponent(x, ig.perm[y])):
+                    return False, (g.name, x, y)
+    return True, None
+
+
+def loop_condition_4(partition, space):
+    oracle = TupleDigits(space)
+    for x in range(space.size):
+        if partition.class_of[x] != partition.class_of[oracle.neg(x)]:
+            return False, x
+    return True, None
+
+
+def loop_condition_6(partition, space):
+    oracle = TupleDigits(space)
+    pairing = [None] * (partition.d + 1)
+    for x in range(space.size):
+        i = partition.class_of[x]
+        j = partition.class_of[oracle.neg(x)]
+        if pairing[i] is None:
+            pairing[i] = j
+        elif pairing[i] != j:
+            return None
+    for i, j in enumerate(pairing):
+        if pairing[j] != i:
+            return None
+    return pairing
+
+
+def natural_actions(space):
+    """The built-in actions that live on `space`, with their parameters."""
+    kind = space.kind
+    if kind == "vector":
+        acts = [("hamming", {}), ("central", {}),
+                ("weak_hamming", {"levels": [1] * space.n})]
+        if space.n == 1 and space.field.q % 4 == 1:
+            acts.append(("cyclotomic", {"d": 2}))
+        return acts
+    family = {"matrix_full": "bilinear", "matrix_alternating": "alternating",
+              "matrix_symmetric": "symmetric",
+              "matrix_hermitian": "hermitian",
+              "cyclic_product": "central"}[kind]
+    return [(family, {})]
+
+
+def assert_sweeps_match_loops(genset):
+    """verify_additive, conditions (4) and (6) and verify_adjoint (both
+    paths) give the loop oracles' verdicts; witnesses are equal, except
+    that a non-additive generator may be caught at another pair, which
+    must then violate additivity."""
+    space = genset.space
+    ok, witness = genset.verify_additive()
+    assert ok == loop_verify_additive(genset)[0]
+    if not ok:
+        name, x, y = witness
+        perm = {g.name: g.perm for g in genset.generators}[name]
+        assert perm[space.add(x, y)] != space.add(perm[x], perm[y])
+    part = orbits(genset)
+    assert check_condition_4(part, space) == loop_condition_4(part, space)
+    assert check_condition_6(part, space) == loop_condition_6(part, space)
+    if genset.family != "custom":
+        adj = adjoint_map(genset)
+        want = loop_verify_adjoint(adj)
+        assert verify_adjoint(adj) == want
+        assert verify_adjoint(adj, exhaustive_bound=1)[0] == want[0]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_sweeps_match_loops_on_spaces(space):
+    for family, params in natural_actions(space):
+        assert_sweeps_match_loops(build_action(space, family, **params))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_sweeps_match_loops_on_shipped_configs(name):
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        cfg = json.load(fh)
+    _, genset = cli.load_action(cfg, 4096)
+    assert_sweeps_match_loops(genset)
+
+
+def test_sweeps_match_loops_on_failing_fixtures():
+    """Non-additive custom generators, a corrupted adjoint and the
+    non-symmetric classes of symmetric(2)/F_3.  On Z_2 x Z_5 the generator
+    (a, b) -> (a, h(b)) is additive along the first digit and not along
+    the second."""
+    h = [0, 2, 1, 4, 3]
+    for moduli, perm in (((5,), h),
+                         ((2, 5), [5 * a + h[b] for a in range(2)
+                                   for b in range(5)])):
+        genset = GeneratorSet(CyclicProductSpace(moduli), "custom", {},
+                              [Generator("custom_0", perm, {})])
+        assert not genset.verify_additive()[0]
+        assert_sweeps_match_loops(genset)
+    sp = VectorSpace(2, FieldSpec(2))
+    genset = build_action(sp, "hamming")
+    adj = adjoint_map(genset)
+    perm = list(adj.images[0].perm)
+    perm[1], perm[2] = perm[2], perm[1]
+    bad = AdjointMap(genset, [Generator("bad", perm, {})], "hamming")
+    assert verify_adjoint(bad) == loop_verify_adjoint(bad)
+    assert not verify_adjoint(bad, exhaustive_bound=1)[0]
+    sp = SymmetricMatrixSpace(2, FieldSpec(3))
+    genset = build_action(sp, "symmetric")
+    assert not check_condition_4(orbits(genset), sp)[0]
+    assert_sweeps_match_loops(genset)

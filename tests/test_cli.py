@@ -5,9 +5,8 @@ import os
 
 import pytest
 
-from scheme_forge import cli, duality
+from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
-from scheme_forge.space import AbelianSpace
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -171,12 +170,12 @@ def test_reports_are_byte_deterministic(capsys, tmp_path):
 
 
 def test_each_command_computes_once(capsys, monkeypatch):
-    """build and self-mode dual sweep the representative-verified
-    intersection tensor once (|X|^2 subtractions on hamming(2)/F_2; the
-    idempotent and sigma checks, on at the default matrix bound, subtract
-    no points), build finds the orbits once, and a cross dual builds each
-    action once."""
-    counts = {"sub": 0, "orbits": 0, "build_action": 0}
+    """build and self-mode dual compute the intersection tensor once, with
+    representative verification (the idempotent and sigma checks, on at
+    the default matrix bound, compute none), build finds the orbits once,
+    and a cross dual builds each action once."""
+    counts = {"orbits": 0, "build_action": 0}
+    tensors = []
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -184,19 +183,25 @@ def test_each_command_computes_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(AbelianSpace, "sub", counted("sub", AbelianSpace.sub))
+    def recorded(space, partition, verify_representatives):
+        tensors.append(verify_representatives)
+        return real(space, partition, verify_representatives)
+
+    real = scheme.intersection_tensor
+    monkeypatch.setattr(scheme, "intersection_tensor", recorded)
     for name in ("orbits", "build_action"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
 
     def counts_of(argv):
         counts.update(dict.fromkeys(counts, 0))
+        tensors.clear()
         assert run(argv, capsys)[0] == 0
-        return dict(counts)
+        return dict(counts, tensors=list(tensors))
 
     build = counts_of(["build", cfg("hamming2_f2")])
-    assert (build["sub"], build["orbits"]) == (16, 1)
+    assert (build["tensors"], build["orbits"]) == ([True], 1)
     dual = counts_of(["dual", cfg("hamming2_f2")])
-    assert dual["sub"] == 16
+    assert dual["tensors"] == [True]
     cross = counts_of(["dual", cfg("wh21_f2"), cfg("wh12_f2")])
     assert cross["build_action"] == 2
 

@@ -130,11 +130,17 @@ def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
 # products in Z[zeta_m] that multiply the scaled idempotents and apply them
 # to characters point by point, with no appeal to the spectrum.
 
+def differences(space):
+    """diff[a][b] = a - b as nested lists, from one array call."""
+    points = np.arange(space.size)
+    return space.sub(points[:, None], points).tolist()
+
+
 def idempotent_matrices(space, profile):
     """The scaled idempotents |X|*E_j as dense CycloInt matrices,
     entry (a, b) = f_j(a - b)."""
     n = space.size
-    diff = [[space.sub(a, b) for b in range(n)] for a in range(n)]
+    diff = differences(space)
     return [[[f[diff[a][b]] for b in range(n)] for a in range(n)]
             for f in profile]
 
@@ -166,7 +172,8 @@ def sweep_verify_idempotents(space, scheme, profile):
 
     # (N_i N_j)[0][b] = sum_c f_i(-c) f_j(c-b)
     prod_ok = True
-    neg = [space.neg(c) for c in range(n)]
+    diff = differences(space)
+    neg = diff[0]
     for i in range(d + 1):
         fi = profile[i]
         for j in range(d + 1):
@@ -174,7 +181,7 @@ def sweep_verify_idempotents(space, scheme, profile):
             for b in range(n):
                 acc = CycloInt.zero(m)
                 for c in range(n):
-                    acc = acc + fi[neg[c]] * fj[space.sub(c, b)]
+                    acc = acc + fi[neg[c]] * fj[diff[c][b]]
                 want = (n * fi[neg[b]]) if i == j else CycloInt.zero(m)
                 if acc != want:
                     prod_ok = False
@@ -205,6 +212,7 @@ def sweep_sigma_permutation(space, dual_partition, profile, table):
     n = space.size
     m = space.character_order
     d = dual_partition.d
+    diff = differences(space)
     sigma = [0] * (d + 1)
     for j in range(d + 1):
         x = dual_partition.classes[j][0]
@@ -217,7 +225,7 @@ def sweep_sigma_permutation(space, dual_partition, profile, table):
             for a in range(n):
                 acc = CycloInt.zero(m)
                 for b in range(n):
-                    acc = acc + fi[space.sub(a, b)] * chi[b]
+                    acc = acc + fi[diff[a][b]] * chi[b]
                 if acc != n * chi[a]:
                     match_eigen = False
                 if not acc.is_zero():

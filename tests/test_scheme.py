@@ -1,14 +1,25 @@
 """Translation schemes: axioms, intersection numbers, labels."""
 
+import json
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scheme_forge.errors import IntegrityError, ResourceLimitError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
-                                SymmetricMatrixSpace, CyclicProductSpace)
-from scheme_forge.action import build_action, orbits, OrbitPartition
-from scheme_forge.scheme import TranslationScheme
+                                SymmetricMatrixSpace, CyclicProductSpace,
+                                pairing_table)
+from scheme_forge import cli, scheme
+from scheme_forge.action import (build_action, orbits, OrbitPartition,
+                                 check_condition_4)
+from scheme_forge.scheme import TranslationScheme, intersection_tensor
+
+from test_action import SHIPPED, CONFIGS, natural_actions
+from test_space import SPACES, TupleDigits, assert_matches_tuple_oracle
 
 
 def make_scheme(space, family, **params):
@@ -77,13 +88,16 @@ def test_non_symmetric_partition_rejected():
         TranslationScheme(sp, part)
 
 
-def test_representative_verification_catches_bad_partition():
+def bad_z8_partition():
     """A negation-closed partition of Z_8 that is not a scheme: the class
     {2,4,6} gives different counts at u = 2 and u = 4."""
-    sp = CyclicProductSpace((8,))
     class_of = [0, 1, 2, 3, 2, 3, 2, 1]
     classes = [[0], [1, 7], [2, 4, 6], [3, 5]]
-    part = OrbitPartition(class_of, classes)
+    return CyclicProductSpace((8,)), OrbitPartition(class_of, classes)
+
+
+def test_representative_verification_catches_bad_partition():
+    sp, part = bad_z8_partition()
     sch = TranslationScheme(sp, part)
     with pytest.raises(IntegrityError):
         sch.intersection_numbers(verify_representatives=True)
@@ -115,3 +129,121 @@ def test_to_report_shape():
     assert rep["size"] == 4
     assert len(rep["p_tensor"]) == 3
     assert rep["axioms"]["all_pass"]
+
+
+# -- oracle: the per-representative sweep that the array sweep replaced --------
+
+def sweep_intersection_numbers(space, partition, verify_representatives):
+    """p[i][j][k] by one loop over X per representative u of X_k, with
+    u - z from the tuple-of-digits oracle."""
+    oracle = TupleDigits(space)
+    d = partition.d
+    class_of = partition.class_of
+    tensor = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    for k in range(d + 1):
+        reps = (partition.classes[k] if verify_representatives
+                else [partition.classes[k][0]])
+        first = None
+        for u in reps:
+            counts = [[0] * (d + 1) for _ in range(d + 1)]
+            for z in range(space.size):
+                counts[class_of[oracle.sub(u, z)]][class_of[z]] += 1
+            if first is None:
+                first = counts
+            elif counts != first:
+                raise IntegrityError(
+                    "intersection numbers depend on the representative "
+                    "of class %d (u=%d vs u=%d)" % (k, reps[0], u))
+        for i in range(d + 1):
+            for j in range(d + 1):
+                tensor[i][j][k] = first[i][j]
+    return tensor
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def assert_tensor_matches_sweep(space, partition):
+    for verify in (True, False):
+        want = outcome(sweep_intersection_numbers, space, partition, verify)
+        assert outcome(intersection_tensor, space, partition, verify) == want
+
+
+def assert_scheme_matches_loops(space, partition):
+    """The intersection tensor (both verification modes) and the adjacency
+    matrices equal the loops'."""
+    assert_tensor_matches_sweep(space, partition)
+    oracle = TupleDigits(space)
+    sch = TranslationScheme(space, partition)
+    n = space.size
+    for i in range(partition.d + 1):
+        want = [[int(partition.class_of[oracle.sub(y, x)] == i)
+                 for y in range(n)] for x in range(n)]
+        assert sch.adjacency_matrix(i).tolist() == want
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_intersection_tensor_matches_sweep_on_spaces(space):
+    for family, params in natural_actions(space):
+        part = orbits(build_action(space, family, **params))
+        if check_condition_4(part, space)[0]:
+            assert_scheme_matches_loops(space, part)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_intersection_tensor_matches_sweep_on_shipped_configs(name):
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        cfg = json.load(fh)
+    space, genset = cli.load_action(cfg, 4096)
+    part = orbits(genset)
+    if check_condition_4(part, space)[0]:
+        assert_scheme_matches_loops(space, part)
+    else:
+        assert_tensor_matches_sweep(space, part)
+
+
+@pytest.mark.parametrize("block", [1, 16, scheme.SWEEP_BLOCK])
+def test_intersection_tensor_matches_sweep_on_bad_partition(block,
+                                                            monkeypatch):
+    """Same message, naming the same u, as the sweep, whether the
+    representatives of a class come in one block or one per block."""
+    monkeypatch.setattr(scheme, "SWEEP_BLOCK", block)
+    sp, part = bad_z8_partition()
+    want = "intersection numbers depend on the representative of class 2 " \
+           "(u=2 vs u=4)"
+    assert outcome(sweep_intersection_numbers, sp, part, True) == want
+    assert_tensor_matches_sweep(sp, part)
+    sp = VectorSpace(4, FieldSpec(3))
+    assert_tensor_matches_sweep(sp, orbits(build_action(sp, "hamming")))
+
+
+@st.composite
+def cyclic_products(draw):
+    """Z_{m_1} x ... x Z_{m_k} with |X| <= 64 and a unit lambda mod m."""
+    moduli = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3)
+                  .filter(lambda ms: math.prod(ms) <= 64))
+    m = math.lcm(*moduli)
+    lam = draw(st.sampled_from([u for u in range(1, m)
+                                if math.gcd(u, m) == 1]))
+    return CyclicProductSpace(moduli, lambda_multiplier=lam)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(cyclic_products())
+def test_central_cyclic_products_match_oracles(space):
+    """The array group law, the pairing table and the intersection tensor
+    of the central action equal the scalar oracles; the table also equals
+    sum (m/m_i) x_i y_i lambda mod m on coordinates."""
+    assert_matches_tuple_oracle(space)
+    m, lam = space.character_order, space.lambda_multiplier
+    coords = [space.coords_of(x) for x in range(space.size)]
+    assert pairing_table(space).tolist() == [
+        [sum(m // mi * a * b for mi, a, b in zip(space.moduli, cx, cy))
+         * lam % m for cy in coords] for cx in coords]
+    part = orbits(build_action(space, "central"))
+    assert check_condition_4(part, space)[0]
+    assert_tensor_matches_sweep(space, part)

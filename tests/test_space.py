@@ -1,5 +1,10 @@
 """Vertex spaces: group structure, indexing, and pairing axioms."""
 
+import itertools
+import math
+from operator import mul
+
+import numpy as np
 import pytest
 
 from scheme_forge.cyclo import CycloInt
@@ -8,7 +13,7 @@ from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
-                                space_from_config)
+                                GramSpace, pairing_table, space_from_config)
 
 SPACES = [
     VectorSpace(2, FieldSpec(2)),
@@ -98,15 +103,110 @@ def test_digit_core_matches_field_oracle(space):
     tables = oracle_add_tables(space)
     pairing = oracle_pairing(space)
     coords = [space.coords_of(x) for x in range(space.size)]
-    points = range(space.size)
-    for x in points:
+    points = np.arange(space.size)
+    for x in range(space.size):
         cx = coords[x]
         want_add = [space.index_of(tuple(t[a][b] for t, a, b
                                          in zip(tables, cx, coords[y])))
-                    for y in points]
-        assert [space.add(x, y) for y in points] == want_add
-        assert ([space.pairing_exponent(x, y) for y in points]
-                == [pairing(x, y) for y in points])
+                    for y in range(space.size)]
+        assert space.add(x, points).tolist() == want_add
+        assert (space.pairing_exponent(x, points).tolist()
+                == [pairing(x, y) for y in range(space.size)])
+
+
+# -- oracle: the tuple-of-digits group law and pairing the array core replaced
+
+class TupleDigits:
+    """The group law and pairing of `space` on Python tuples of digits, one
+    point at a time, with B read back from `space.gram`."""
+
+    def __init__(self, space):
+        self.radices = space.radices
+        self.place = [math.prod(self.radices[i + 1:])
+                      for i in range(len(self.radices))]
+        self.digits = list(itertools.product(*(range(r)
+                                               for r in self.radices)))
+        self.m = space.character_order
+        self.lam = space.lambda_multiplier
+        cols = list(zip(*space.gram.tolist()))
+        self.gram_rows = [tuple(sum(map(mul, d, col)) % self.m
+                                for col in cols) for d in self.digits]
+
+    def index_of_digits(self, digits):
+        return sum(d % r * w for d, r, w in zip(digits, self.radices,
+                                                 self.place))
+
+    def add(self, x, y):
+        return self.index_of_digits(map(int.__add__, self.digits[x],
+                                        self.digits[y]))
+
+    def neg(self, x):
+        return self.index_of_digits(map(int.__neg__, self.digits[x]))
+
+    def sub(self, x, y):
+        return self.index_of_digits(map(int.__sub__, self.digits[x],
+                                        self.digits[y]))
+
+    def scalar_mul(self, x, u):
+        return self.index_of_digits(u * d for d in self.digits[x])
+
+    def pairing_exponent(self, x, y):
+        return sum(map(mul, self.gram_rows[x], self.digits[y])) % self.m
+
+    def pairing_table(self):
+        n = len(self.digits)
+        return [[self.pairing_exponent(x, y) * self.lam % self.m
+                 for y in range(n)] for x in range(n)]
+
+    def verify_nondegenerate(self):
+        """The exhaustive scan over all pairs."""
+        n = len(self.digits)
+        for x in range(1, n):
+            if all(self.pairing_exponent(x, y) * self.lam % self.m == 0
+                   for y in range(n)):
+                return False, x
+        return True, None
+
+
+def assert_matches_tuple_oracle(space, units=(0, 1, 2, 3, -1, -5, 1000)):
+    """The array group law (index and index-array calls), pairing_exponent,
+    pairing_table and verify_nondegenerate equal the tuple oracle's on
+    every point and every pair of points."""
+    oracle = TupleDigits(space)
+    n = space.size
+    points = np.arange(n)
+    col, row = points[:, None], points[None, :]
+    for name in ("add", "sub", "pairing_exponent"):
+        want = [[getattr(oracle, name)(x, y) for y in range(n)]
+                for x in range(n)]
+        got = getattr(space, name)(col, row)
+        assert got.shape == (n, n) and got.tolist() == want, name
+        assert [getattr(space, name)(x, y) for x, y in
+                ((0, n - 1), (n - 1, n // 2))] == [want[0][n - 1],
+                                                   want[n - 1][n // 2]]
+    want = [oracle.neg(x) for x in range(n)]
+    assert space.neg(points).tolist() == want
+    assert [space.neg(x) for x in range(n)] == want
+    for u in units:
+        want = [oracle.scalar_mul(x, u) for x in range(n)]
+        assert space.scalar_mul(points, u).tolist() == want, u
+        assert space.scalar_mul(n - 1, u) == want[n - 1]
+    assert type(space.add(0, 0)) is int
+    assert type(space.pairing_exponent(0, 0)) is int
+    table = pairing_table(space)
+    assert table.tolist() == oracle.pairing_table()
+    assert table.dtype == np.min_scalar_type(space.character_order - 1)
+    assert space.verify_nondegenerate() == oracle.verify_nondegenerate()
+
+
+@pytest.mark.parametrize("space", SPACES + [
+    VectorSpace(1, FieldSpec(5), lambda_multiplier=2),
+    CyclicProductSpace((3, 5, 2), lambda_multiplier=7),
+    GramSpace([((3,), ((1,),)), ((3,), ((0,),))], 3),  # degenerate
+    AlternatingMatrixSpace(1, FieldSpec(2)),  # the trivial group
+], ids=lambda s: repr(s))
+def test_array_core_matches_tuple_oracle(space):
+    assert_matches_tuple_oracle(space)
 
 
 def test_index_of_rejects_out_of_range_coordinates():
