@@ -17,8 +17,7 @@ from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
                     AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace, CyclicProductSpace,
-                    pairing_table)
+                    HermitianMatrixSpace, CyclicProductSpace)
 
 VECTOR_MATRIX_FAMILIES = ("cyclotomic", "hamming", "weak_hamming",
                           "weak_hamming_dual")
@@ -471,36 +470,28 @@ def _assert_preserves_weight(space, M, poset, name):
                 "adjoint of %s does not preserve the dual poset weight" % name)
 
 
-def verify_adjoint(adjoint: AdjointMap, exhaustive_bound=1024, table=None):
+def verify_adjoint(adjoint: AdjointMap):
     """Check <gx, y> = <x, iota(g) y> for every generator.
 
-    When |X| is within the bound, exhaustively: T[g x, y] = T[x, iota(g) y]
-    on the pairing table T (`table`, or one built here), one array
-    comparison per generator; lambda is a unit, so the scaled table decides
-    the same identity.  Above the bound, g and iota(g) must first pass the
-    digit-basis additivity check of verify_additive (a failure returns its
-    witness, named after the map that failed); then both sides are
-    biadditive in (x, y), so checking the pairs of digit basis vectors is
-    enough.  The witness is (g.name, x, y) at the first mismatch in
+    g and iota(g) must first pass the digit-basis additivity check of
+    verify_additive (a failure returns its witness, named after the map
+    that failed).  Then both sides are biadditive in (x, y), so the pairs
+    of digit basis vectors decide the identity for all of X x X, one
+    array comparison per generator; lambda is a unit, so it is left out.
+    The witness is (g.name, x, y) at the first mismatching basis pair in
     row-major order."""
     genset = adjoint.source
     space = genset.space
-    exhaustive = space.size <= exhaustive_bound
-    if exhaustive and table is None:
-        table = pairing_table(space)
-    points = np.arange(space.size) if exhaustive else space.basis
+    basis = space.basis
     for g, ig in zip(genset.generators, adjoint.images):
+        for h in (g, ig):
+            witness = _additivity_witness(space, h.perm)
+            if witness is not None:
+                return False, (h.name,) + witness
         perm, iperm = np.asarray(g.perm), np.asarray(ig.perm)
-        if exhaustive:
-            bad = table[perm] != table[:, iperm]
-        else:
-            for h in (g, ig):
-                witness = _additivity_witness(space, h.perm)
-                if witness is not None:
-                    return False, (h.name,) + witness
-            bad = (space.pairing_exponent(perm[points][:, None], points)
-                   != space.pairing_exponent(points[:, None], iperm[points]))
+        bad = (space.pairing_exponent(perm[basis][:, None], basis)
+               != space.pairing_exponent(basis[:, None], iperm[basis]))
         if bad.any():
-            x, y = divmod(int(bad.argmax()), len(points))
-            return False, (g.name, int(points[x]), int(points[y]))
+            x, y = divmod(int(bad.argmax()), len(basis))
+            return False, (g.name, int(basis[x]), int(basis[y]))
     return True, None

@@ -338,11 +338,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
-    table = pairing_table(space)
     # adjoint witness (sufficient for constancy, verified independently)
     try:
         adj = adjoint_map(gens_G)
-        ok, witness = verify_adjoint(adj, table=table)
+        ok, witness = verify_adjoint(adj)
         cert.checks["adjoint"] = ok
         if not ok:
             cert.fail("adjoint", witness)
@@ -350,6 +349,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.checks["adjoint"] = None
         cert.notes.append("no adjoint witness: %s" % exc)
 
+    table = pairing_table(space)
     profile_Q = character_profile(space, part_Gc.classes, table)
     constancy_G = constancy_test(part_G, profile_Q)
     ok, F_Q, witness = constancy_G

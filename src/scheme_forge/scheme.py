@@ -21,8 +21,6 @@ from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
 REPRESENTATIVE_VERIFY_BOUND = 1024
-# entries per index array in intersection_tensor, which bounds its memory
-SWEEP_BLOCK = 2 ** 14
 
 
 class TranslationScheme:
@@ -173,33 +171,29 @@ def intersection_tensor(space, partition, verify_representatives):
     lists, for the representatives u of each class k (all of X_k when
     verifying, else its first point).
 
-    For a block of representatives the points u - z, for every z, form
-    one int32 index array built digit by digit, and so do the class pairs
-    (i, j) of (u - z, z); blocks keep these arrays near SWEEP_BLOCK
-    entries.  Two representatives give the same counts iff their sorted
-    rows of pairs are equal, and one bincount of the first row gives the
-    counts.  Raises IntegrityError, naming the first u whose counts differ
-    from the first representative's, when the counts depend on u."""
+    For the representatives of class k, the points u - z, for every z,
+    form one index array built digit by digit (in the index dtype of the
+    space, see AbelianSpace.__init__), and the class pairs (i, j) of
+    (u - z, z) one int32 array.  Two representatives give the same counts
+    iff their sorted rows of pairs are equal, and one bincount of the
+    first row gives the counts.  Raises IntegrityError, naming the first u
+    whose counts differ from the first representative's, when the counts
+    depend on u."""
     d = partition.d
     class_of = np.asarray(partition.class_of, dtype=np.int32)
     points = np.arange(space.size)
-    block = max(1, SWEEP_BLOCK // space.size)
     tensor = np.empty((d + 1,) * 3, dtype=np.int64)
     for k, cls in enumerate(partition.classes):
         reps = np.asarray(cls if verify_representatives else cls[:1])
-        for at in range(0, len(reps), block):
-            pairs = class_of[space.sub(reps[at:at + block, None], points)]
-            pairs *= d + 1
-            pairs += class_of
-            pairs.sort(axis=1)
-            if at == 0:
-                first = pairs[0].copy()
-            differ = np.flatnonzero((pairs != first).any(axis=1))
-            if len(differ):
-                raise IntegrityError(
-                    "intersection numbers depend on the representative "
-                    "of class %d (u=%d vs u=%d)"
-                    % (k, reps[0], reps[at + differ[0]]))
-        tensor[:, :, k] = np.bincount(first, minlength=(d + 1) ** 2
+        pairs = class_of[space.sub(reps[:, None], points)]
+        pairs *= d + 1
+        pairs += class_of
+        pairs.sort(axis=1)
+        differ = np.flatnonzero((pairs != pairs[0]).any(axis=1))
+        if len(differ):
+            raise IntegrityError(
+                "intersection numbers depend on the representative "
+                "of class %d (u=%d vs u=%d)" % (k, reps[0], reps[differ[0]]))
+        tensor[:, :, k] = np.bincount(pairs[0], minlength=(d + 1) ** 2
                                       ).reshape(d + 1, d + 1)
     return tensor.tolist()

@@ -15,7 +15,7 @@ sweep: `add`, `neg`, `sub` and `scalar_mul` combine column i of D at the
 given points, reduce mod r_i and weight by w_i.  They take a point index
 or integer index arrays, which broadcast against each other, so a sweep
 over X (or over X x X) is one call; index arrays stay in int32 whenever
-|X|^2 < 2^31.
+N max(|X|, m)^2 < 2^31 (see AbelianSpace.__init__), else int64.
 
 The pairing is one bilinear form: <x,y> = zeta_m^k with
 
@@ -265,12 +265,6 @@ class VectorSpace(GramSpace):
 
     def index_of_vector(self, vec):
         return self.index_of(tuple(a.index for a in vec))
-
-    def basis_index(self, i):
-        """Index of the standard basis vector e_i (1-based i)."""
-        vec = [self.field.zero()] * self.n
-        vec[i - 1] = self.field.one()
-        return self.index_of_vector(vec)
 
     def to_config(self):
         return {"kind": "vector", "n": self.n, "field": self.field.to_config()}

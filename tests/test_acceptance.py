@@ -189,7 +189,7 @@ def test_criterion_5_adjoint_soundness(gensets, certificates):
     if failed or witness is None:
         ok = False
         detail.append("corrupted adjoint was not caught")
-    report_line(5, ok, "verify_adjoint exhaustive on all families, "
+    report_line(5, ok, "verify_adjoint on all families, "
                        "corrupted map caught with witness"
                        + ("" if ok else "; " + "; ".join(detail)))
 

@@ -158,17 +158,8 @@ ADJOINT_CASES = [
 
 
 def test_adjoint_verifies_for_all_families():
-    for sp, family, params in ADJOINT_CASES:
-        genset = build_action(sp, family, **params)
-        adj = adjoint_map(genset)
-        ok, witness = verify_adjoint(adj)
-        assert ok, (family, witness)
-
-
-def test_adjoint_basis_pairs_pass_for_all_families():
-    """Above the exhaustive bound the honest adjoint of every family passes
-    on digit basis pairs, on every kind of space (before, only vector
-    spaces had a basis path)."""
+    """The honest adjoint of every family passes on digit basis pairs, on
+    every kind of space (before, only vector spaces had a basis path)."""
     cases = ADJOINT_CASES + [
         (CyclicProductSpace((4, 6)), "central", {}),
         (VectorSpace(3, FieldSpec(2)), "weak_hamming_dual",
@@ -177,13 +168,30 @@ def test_adjoint_basis_pairs_pass_for_all_families():
     ]
     for sp, family, params in cases:
         adj = adjoint_map(build_action(sp, family, **params))
-        ok, witness = verify_adjoint(adj, exhaustive_bound=1)
+        ok, witness = verify_adjoint(adj)
         assert ok, (family, witness)
+
+
+def assert_adjoint_witness_violates(adjoint, witness):
+    """A verify_adjoint witness (name, x, y) is real: either the named map
+    is not additive at (x, y), or the named generator g breaks
+    <gx, y> = <x, iota(g) y> there."""
+    space = adjoint.source.space
+    name, x, y = witness
+    for g, ig in zip(adjoint.source.generators, adjoint.images):
+        for h in (g, ig):
+            if (h.name == name and h.perm[space.add(x, y)]
+                    != space.add(h.perm[x], h.perm[y])):
+                return
+        if (g.name == name and space.pairing_exponent(g.perm[x], y)
+                != space.pairing_exponent(x, ig.perm[y])):
+            return
+    raise AssertionError("witness %r violates nothing" % (witness,))
 
 
 def test_basis_pairs_catch_extension_field_adjoint():
     """Over F_4 the F_q-basis pairs compare traces only; the digit basis
-    pairs catch an adjoint corrupted to M^T + I, as the exhaustive check
+    pairs catch an adjoint corrupted to M^T + I, as the pair-by-pair loop
     does."""
     sp = VectorSpace(2, FieldSpec(2, 2))
     genset = build_action(sp, "hamming")
@@ -197,28 +205,39 @@ def test_basis_pairs_catch_extension_field_adjoint():
                         {"matrix": bad})] + adj.images[1:]
     corrupted = AdjointMap(genset, images, "hamming")
     assert g.name == "swap_1_2"
-    assert verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
-    assert verify_adjoint(corrupted) == loop_verify_adjoint(corrupted)
-    ok, (name, x, y) = verify_adjoint(corrupted, exhaustive_bound=1)
+    assert loop_verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
+    ok, (name, x, y) = verify_adjoint(corrupted)
     assert not ok and name == "swap_1_2"
     assert {x, y} <= set(sp.basis.tolist())
     assert (sp.pairing_exponent(g.perm[x], y)
             != sp.pairing_exponent(x, images[0].perm[y]))
 
 
+def test_adjoint_mismatch_on_a_later_basis_vector():
+    """On Z_2 x Z_2 an additive adjoint (a, b) -> (a, a + b) of the
+    identity agrees with it against the first basis vector (1, 0) and
+    differs against (0, 1); the witness is the loop's."""
+    sp = CyclicProductSpace((2, 2))
+    genset = GeneratorSet(sp, "custom", {},
+                          [Generator("id", [0, 1, 2, 3], {})])
+    bad = AdjointMap(genset, [Generator("bad", [0, 1, 3, 2], {})], "custom")
+    assert sp.basis.tolist() == [2, 1]
+    assert verify_adjoint(bad) == (False, ("id", 1, 2))
+    assert loop_verify_adjoint(bad) == (False, ("id", 1, 2))
+
+
 def test_basis_pairs_require_additive_adjoint():
-    """Above the bound a non-additive adjoint image fails with its
-    additivity witness; the exhaustive checks fail too."""
+    """A non-additive adjoint image fails with its additivity witness;
+    the pair-by-pair loop fails too."""
     sp = CyclicProductSpace((5,))
     genset = build_action(sp, "central")
     adj = adjoint_map(genset)
     images = [Generator("adj_bad", [0, 2, 1, 4, 3], {})] + adj.images[1:]
     bad = AdjointMap(genset, images, "central")
-    ok, (name, x, y) = verify_adjoint(bad, exhaustive_bound=1)
+    ok, (name, x, y) = verify_adjoint(bad)
     assert not ok and name == "adj_bad"
     perm = images[0].perm
     assert perm[sp.add(x, y)] != sp.add(perm[x], perm[y])
-    assert not verify_adjoint(bad)[0]
     assert not loop_verify_adjoint(bad)[0]
 
 
@@ -339,10 +358,10 @@ def natural_actions(space):
 
 
 def assert_sweeps_match_loops(genset):
-    """verify_additive, conditions (4) and (6) and verify_adjoint (both
-    paths) give the loop oracles' verdicts; witnesses are equal, except
-    that a non-additive generator may be caught at another pair, which
-    must then violate additivity."""
+    """verify_additive, conditions (4) and (6) and verify_adjoint give the
+    loop oracles' verdicts; condition witnesses are equal, and additivity
+    and adjoint witnesses, which may name another pair than the loops',
+    must be real violations."""
     space = genset.space
     ok, witness = genset.verify_additive()
     assert ok == loop_verify_additive(genset)[0]
@@ -355,9 +374,10 @@ def assert_sweeps_match_loops(genset):
     assert check_condition_6(part, space) == loop_condition_6(part, space)
     if genset.family != "custom":
         adj = adjoint_map(genset)
-        want = loop_verify_adjoint(adj)
-        assert verify_adjoint(adj) == want
-        assert verify_adjoint(adj, exhaustive_bound=1)[0] == want[0]
+        ok, witness = verify_adjoint(adj)
+        assert ok == loop_verify_adjoint(adj)[0]
+        if not ok:
+            assert_adjoint_witness_violates(adj, witness)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -393,8 +413,9 @@ def test_sweeps_match_loops_on_failing_fixtures():
     perm = list(adj.images[0].perm)
     perm[1], perm[2] = perm[2], perm[1]
     bad = AdjointMap(genset, [Generator("bad", perm, {})], "hamming")
-    assert verify_adjoint(bad) == loop_verify_adjoint(bad)
-    assert not verify_adjoint(bad, exhaustive_bound=1)[0]
+    ok, witness = verify_adjoint(bad)
+    assert not ok and not loop_verify_adjoint(bad)[0]
+    assert_adjoint_witness_violates(bad, witness)
     sp = SymmetricMatrixSpace(2, FieldSpec(3))
     genset = build_action(sp, "symmetric")
     assert not check_condition_4(orbits(genset), sp)[0]

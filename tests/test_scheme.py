@@ -13,7 +13,7 @@ from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 SymmetricMatrixSpace, CyclicProductSpace,
                                 pairing_table)
-from scheme_forge import cli, scheme
+from scheme_forge import cli
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  check_condition_4)
 from scheme_forge.scheme import TranslationScheme, intersection_tensor
@@ -206,17 +206,17 @@ def test_intersection_tensor_matches_sweep_on_shipped_configs(name):
         assert_tensor_matches_sweep(space, part)
 
 
-@pytest.mark.parametrize("block", [1, 16, scheme.SWEEP_BLOCK])
-def test_intersection_tensor_matches_sweep_on_bad_partition(block,
-                                                            monkeypatch):
-    """Same message, naming the same u, as the sweep, whether the
-    representatives of a class come in one block or one per block."""
-    monkeypatch.setattr(scheme, "SWEEP_BLOCK", block)
+def test_intersection_tensor_matches_sweep_on_bad_partition():
+    """Same message, naming the same u, as the sweep.  With the class
+    listed as [2, 6, 4], u = 6 = -2 agrees with u = 2 and the first
+    differing representative is the third one."""
     sp, part = bad_z8_partition()
     want = "intersection numbers depend on the representative of class 2 " \
            "(u=2 vs u=4)"
-    assert outcome(sweep_intersection_numbers, sp, part, True) == want
-    assert_tensor_matches_sweep(sp, part)
+    for classes in (part.classes, [[0], [1, 7], [2, 6, 4], [3, 5]]):
+        part = OrbitPartition(part.class_of, classes)
+        assert outcome(sweep_intersection_numbers, sp, part, True) == want
+        assert_tensor_matches_sweep(sp, part)
     sp = VectorSpace(4, FieldSpec(3))
     assert_tensor_matches_sweep(sp, orbits(build_action(sp, "hamming")))
 
