@@ -7,6 +7,7 @@ through module-scoped fixtures so the suite stays fast.
 
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -23,7 +24,9 @@ from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (duality_report, pairing_table,
                                   character_profile, constancy_test,
                                   spectrum)
-from scheme_forge.cli import check_report
+from scheme_forge.cli import check_report, main
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # the ten families of criterion 1; builders are zero-argument callables so
 # each space is fresh (pairing caches are per-space)
@@ -301,3 +304,106 @@ def test_certificates_match_golden_digests(certificates):
                                  .encode()).hexdigest()
                != GOLDEN_CERTIFICATES[name]]
     assert not changed, "certificates changed: %s" % changed
+
+
+# (exit code, sha256 of the --out JSON bytes) of each CLI command on the
+# shipped configs, the cross pair and the perfbench stretch configs (the
+# same argv as perfbench/workloads.py), recorded before generator and
+# adjoint materialization moved from FieldElement loops to index tables
+GOLDEN_REPORTS = {
+    "check configs/alternating4_f2.json":
+        (0, "5cedc148a72c6335238e22d1483650c52b3e49666ea9e8fe2413a05ea8e10fd1"),
+    "build configs/alternating4_f2.json":
+        (0, "25404ac7cbbf10bdc7c8ed276e56ec759f2f8f30eac1faa5dfc73209c80c17d0"),
+    "dual configs/alternating4_f2.json":
+        (0, "d4e15d8eee2488eaf4350cec7823280d0c18685660e5e416059948e6976e5b6b"),
+    "check configs/bilinear22_f2.json":
+        (0, "8691d52b3730b810a6589c1d1a4f9d53b56e0d9c4fff4ff22729b2b292103c2d"),
+    "build configs/bilinear22_f2.json":
+        (0, "f6b0e8b4a4ed72b817ffc107ec2dcae0886a7669743cb8c2e63cdf6c089f2788"),
+    "dual configs/bilinear22_f2.json":
+        (0, "f03b508f7c375b4f24aadce20f401f3d9e703d2a7f0b75dd8944a91bab1a45b9"),
+    "check configs/central_z8.json":
+        (0, "3406b49869ba277d01e057378a9126349ac9d5b4f852efe3e3c9f13ece6a55b2"),
+    "build configs/central_z8.json":
+        (0, "2f125ef7fbc4243727089c5c98ef8d3f2ed58fefde6941abb745204ffad8f9bd"),
+    "dual configs/central_z8.json":
+        (0, "cdbf7df8747308d7eed32628e06f050cf1f0f8469c50be606d5ce8a3b4831f6a"),
+    "check configs/cyclotomic2_f5.json":
+        (0, "b32552cd9c641210764688870b7f1abdc70d8d4599a684d417c6b7bed3a83c4e"),
+    "build configs/cyclotomic2_f5.json":
+        (0, "4dade8c148da0688fb7d6319974822e4de5071d8d2f11b7b93110813126151bc"),
+    "dual configs/cyclotomic2_f5.json":
+        (0, "546d1d775dbd63cb3cceb90d920bcc6e7caa323f36a1ace100fee156f227a9a5"),
+    "check configs/hamming2_f2.json":
+        (0, "835e42a5bfa4e068e80da55ecd8029143c7bc1c6ffdc7afdebb5d0f4426aae4f"),
+    "build configs/hamming2_f2.json":
+        (0, "5081211038eaa9a838319e76fbbc5491f544d8af5e60d6448b0a70560ef513e3"),
+    "dual configs/hamming2_f2.json":
+        (0, "e38099dd68f1515140f910b3ac596b762380637a1122cb1dcd86fc2dc026c142"),
+    "check configs/hamming4_f3.json":
+        (0, "756967c6e94724429e183e947db589b91814a6262fcae0913e7c6a31b5098d3b"),
+    "build configs/hamming4_f3.json":
+        (0, "7345c121569cd893375c8ded25e1626db8c1205c8d09eb83961dda5502e927a2"),
+    "dual configs/hamming4_f3.json":
+        (0, "c5a1cf7780695a873cba6ddba9a72f0bb074994a339f0f16b48e5d8ecafb7dfa"),
+    "check configs/her2_f4.json":
+        (0, "f2723eaf8d6e75aef03255fb57abdefab9842155b3320cb01e7a9610ac497e3b"),
+    "build configs/her2_f4.json":
+        (0, "f5024cb3c898029574194ddeefb2fee7012c294b777621f9effdd305bc143569"),
+    "dual configs/her2_f4.json":
+        (0, "2f15ad28fab15c88150700d838cf0dfec933d0d7d4867db58d4c8b31d4291206"),
+    "check configs/symmetric2_f3.json":
+        (0, "57676b7e609998831a6e2165a3206d1dac5a72bb332dd71d7a0ccd6ab3cbf6fc"),
+    "build configs/symmetric2_f3.json":
+        (1, "57676b7e609998831a6e2165a3206d1dac5a72bb332dd71d7a0ccd6ab3cbf6fc"),
+    "dual configs/symmetric2_f3.json":
+        (1, "8e4a1f4480039940f7bb73e95e72eb7891d372e1059b7bac7cd583056837db81"),
+    "check configs/symmetric2_f5.json":
+        (0, "b9b92e69c1f5fd4081284bb970d801e0ea6a24881a20df95e109bd7ecb4be03f"),
+    "build configs/symmetric2_f5.json":
+        (0, "f3adb98534e565d9cb3109a9d215f5022c0e5a50d92ecd72f86a60f61dc48dce"),
+    "dual configs/symmetric2_f5.json":
+        (0, "82ef66124a15ea9bfc87a91219031b5af1b3adff87332b990e52b122c97cfcb7"),
+    "check configs/wh11_f2.json":
+        (0, "2a5ba0e9501b5a185b5c17437599f68740a517bb5885e9756d5dfe4405ef691c"),
+    "build configs/wh11_f2.json":
+        (0, "12f660f0335d25d8bd88c85fe7313638a9372faacff405906d1c145dc15afec1"),
+    "dual configs/wh11_f2.json":
+        (0, "60f8e885e478444b37f368af95a0f00e35da48bd0a166a24818444a9237fcd8f"),
+    "check configs/wh12_f2.json":
+        (0, "54698e5760bc62e9f0a22ffaf58a72a9f8e58f961d40fbe74b1ec6beae362e46"),
+    "build configs/wh12_f2.json":
+        (0, "ef9616fc7514f2d58bb33bbc55065f5d5d2ac11fce5cdeab229ee2201eb92b3f"),
+    "dual configs/wh12_f2.json":
+        (0, "d937109b243a73afb762a319f6cd435b11f2cea1e6e6aa27168f1e4ad160c829"),
+    "check configs/wh21_f2.json":
+        (0, "62513bcf2476da3625db70c96269fdccfda3f6cc8b31309c6836f3b4f1dad297"),
+    "build configs/wh21_f2.json":
+        (0, "e9192a03fc99c0147cc5ebd972970e4991cc32a5264e068348d2129ec1c438cd"),
+    "dual configs/wh21_f2.json":
+        (0, "5b4e4938755bed145c3247eb436eced118076e1f27ab65f9494d67c62cb50f9e"),
+    "dual configs/wh21_f2.json configs/wh12_f2.json":
+        (0, "3225d0fe9b574220dbd7e6221c1906005405d130edcdcb80aa970dd84f5be8d8"),
+    "build perfbench/configs/bilinear24_f2.json":
+        (0, "2991631e4a6a9e36a0ac5203f2383bfd29c35e0390c97c3cf5d83257c0976e85"),
+    "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
+        (0, "75155da9224d488c4d71702568d1b57f1dc81e7a353d6c6e9a6087352728ed18"),
+    "dual perfbench/configs/central_z16xz8.json --matrix-bound 64":
+        (0, "fe8f99490329c1e5da0ffa5dea8d8b443802c9c691fdda11f70890f51ee9b726"),
+    "build perfbench/configs/central_z16xz8.json":
+        (0, "b03f47f0afea5061fc30d8558a53f90e29ddc79fd355b10d52d965f89539d0b5"),
+    "build perfbench/configs/central_z15xz15.json":
+        (0, "2bc7df963d19b3e123aa7d75bf0766b5c519be40141b0eddd84a9aa6121b0af1"),
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_REPORTS)
+def test_reports_match_golden_digests(command, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = [os.path.join(ROOT, tok) if tok.endswith(".json") else tok
+            for tok in command.split()]
+    code = main(argv + ["--out", str(path)])
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (code, digest) == GOLDEN_REPORTS[command]
