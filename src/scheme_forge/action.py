@@ -4,6 +4,12 @@ Each built-in family materializes a small generating set as point
 permutations; orbits are computed by breadth-first closure (the full group
 is never stored).  Adjoint images iota(g) are defined generator-by-generator
 following the family's structural rule and verified against the pairing.
+
+A field family's map (v -> M v, or A -> left A right) runs on the entry
+arrays of all points at once through the field's index tables
+(FieldSpec.matmul).  Each permutation comes from the formula on every
+point, never from basis images and linearity, so verify_additive stays a
+real test of condition (3).
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from . import oracles
 from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
-                    AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace, CyclicProductSpace)
+                    FormsSpace, AlternatingMatrixSpace, SymmetricMatrixSpace,
+                    HermitianMatrixSpace)
 
 VECTOR_MATRIX_FAMILIES = ("cyclotomic", "hamming", "weak_hamming",
                           "weak_hamming_dual")
@@ -29,19 +35,6 @@ def mat_identity(k, field):
     z, o = field.zero(), field.one()
     return tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
 
-def mat_mul(A, B, field):
-    n, m, r = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = field.zero()
-            for k in range(r):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
 def mat_transpose(A):
     return tuple(zip(*A))
 
@@ -49,10 +42,9 @@ def mat_conj_transpose(A, space):
     return tuple(tuple(space.conj(A[j][i]) for j in range(len(A)))
                  for i in range(len(A[0])))
 
-def mat_vec(A, v, field):
-    return tuple(
-        sum((A[i][j] * v[j] for j in range(len(v))), field.zero())
-        for i in range(len(A)))
+def index_matrix(A):
+    """A matrix of FieldElements as an array of element indices."""
+    return np.array([[a.index for a in row] for row in A])
 
 
 def gl_generators(k, field):
@@ -165,11 +157,11 @@ def orbits(genset: GeneratorSet) -> OrbitPartition:
         # class j of the action and of its dual-poset partner correspond
         raw.sort(key=lambda c: (genset.poset.weight(space.coords_of(c[0])),
                                 c[0]))
-    elif hasattr(space, "index_of_matrix"):
+    elif isinstance(space, (FullMatrixSpace, FormsSpace)):
         # forms schemes label classes by rank (alternating: rank/2, which
         # sorts the same way); ties broken by minimal point index
         raw.sort(key=lambda c: (oracles.matrix_rank(
-            space.materialize_cached(c[0]), space.field), c[0]))
+            space.materialize(c[0]), space.field), c[0]))
     else:
         raw.sort(key=lambda c: c[0])
     if raw[0] != [0]:
@@ -222,24 +214,24 @@ def _additivity_witness(space, perm):
 # -- family constructors -----------------------------------------------------
 
 
-def _materialize_matvec(space: VectorSpace, M):
+def _field_map(space, family, name, data):
+    """The Generator `name` with `data`, its permutation the family's
+    formula evaluated on every point of X at once: {"matrix": M} is
+    v -> M v, {"alpha": a, "beta": b} is A -> a^T A b, and b = a when
+    there is no "beta" (A -> a* A a for Hermitian forms).  Raises
+    IntegrityError when an image is not in X."""
     field = space.field
-    perm = []
-    for x in range(space.size):
-        v = space.materialize_cached(x)
-        perm.append(space.index_of_vector(mat_vec(M, v, field)))
-    return perm
-
-
-def _materialize_congruence(space, left, right):
-    """A -> left A right materialized on matrix points."""
-    field = space.field
-    perm = []
-    for x in range(space.size):
-        A = space.materialize_cached(x)
-        perm.append(space.index_of_matrix(mat_mul(mat_mul(left, A, field),
-                                                  right, field)))
-    return perm
+    X = space.entries(np.arange(space.size))
+    if "matrix" in data:
+        images = field.matmul(index_matrix(data["matrix"]), X[..., None])
+        images = images[..., 0]
+    else:
+        alpha = data["alpha"]
+        left = (mat_conj_transpose(alpha, space) if family == "hermitian"
+                else mat_transpose(alpha))
+        images = field.matmul(field.matmul(index_matrix(left), X),
+                              index_matrix(data.get("beta", alpha)))
+    return Generator(name, space.points_of(images, name).tolist(), data)
 
 
 def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
@@ -262,9 +254,7 @@ def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
 
 
 def _build_central(space, params):
-    nu = space.exponent if isinstance(space, CyclicProductSpace) else space.character_order
-    if hasattr(space, "field"):
-        nu = space.field.p
+    nu = space.character_order
     gens = []
     for u in range(2, nu):
         if math.gcd(u, nu) != 1:
@@ -282,10 +272,9 @@ def _build_cyclotomic(space, params):
     if q % 2 == 0 or d < 1 or (q - 1) % (2 * d) != 0:
         raise UsageError("cyclotomic classes need odd q with 2d | q-1")
     w = space.field.primitive_element()
-    M = ((w ** d,),)
-    perm = _materialize_matvec(space, M)
-    return GeneratorSet(space, "cyclotomic", {"d": d},
-                        [Generator("mul_w^%d" % d, perm, {"matrix": M})])
+    gen = _field_map(space, "cyclotomic", "mul_w^%d" % d,
+                     {"matrix": ((w ** d,),)})
+    return GeneratorSet(space, "cyclotomic", {"d": d}, [gen])
 
 
 def _build_bilinear(space, params):
@@ -294,13 +283,12 @@ def _build_bilinear(space, params):
     field = space.field
     m, n = space.m, space.n
     Im, In = mat_identity(m, field), mat_identity(n, field)
-    gens = []
-    for name, alpha in gl_generators(m, field):
-        perm = _materialize_congruence(space, mat_transpose(alpha), In)
-        gens.append(Generator("left_" + name, perm, {"alpha": alpha, "beta": In}))
-    for name, beta in gl_generators(n, field):
-        perm = _materialize_congruence(space, Im, beta)
-        gens.append(Generator("right_" + name, perm, {"alpha": Im, "beta": beta}))
+    gens = [_field_map(space, "bilinear", "left_" + name,
+                       {"alpha": alpha, "beta": In})
+            for name, alpha in gl_generators(m, field)]
+    gens += [_field_map(space, "bilinear", "right_" + name,
+                        {"alpha": Im, "beta": beta})
+             for name, beta in gl_generators(n, field)]
     return GeneratorSet(space, "bilinear", {"m": m, "n": n}, gens)
 
 
@@ -312,14 +300,8 @@ def _build_congruence(space, family, params):
         raise UsageError("%s actions need a %s space"
                          % (family, expected.kind))
     field = space.field
-    gens = []
-    for name, alpha in gl_generators(space.m, field):
-        if family == "hermitian":
-            left = mat_conj_transpose(alpha, space)
-        else:
-            left = mat_transpose(alpha)
-        perm = _materialize_congruence(space, left, alpha)
-        gens.append(Generator(name, perm, {"alpha": alpha}))
+    gens = [_field_map(space, family, name, {"alpha": alpha})
+            for name, alpha in gl_generators(space.m, field)]
     extra = {}
     if family == "symmetric":
         extra["q_mod_4"] = field.q % 4
@@ -355,9 +337,8 @@ def _build_hamming(space, params):
     n = int(params.get("n", space.n))
     if n != space.n:
         raise UsageError("hamming n mismatch with space dimension")
-    gens = []
-    for name, M in _hamming_block_generators(space, list(range(1, n + 1)), ""):
-        gens.append(Generator(name, _materialize_matvec(space, M), {"matrix": M}))
+    gens = [_field_map(space, "hamming", name, {"matrix": M}) for name, M
+            in _hamming_block_generators(space, list(range(1, n + 1)), "")]
     return GeneratorSet(space, "hamming", {"n": n}, gens)
 
 
@@ -384,7 +365,7 @@ def _build_weak_hamming(space, family, params):
                  for a in range(space.n)]
             M[l - 1][i - 1] = o  # e_i -> e_i + e_l, a level-s -> level-s2 bleed
             mats.append(("bleed_%d_to_%d" % (i, l), tuple(map(tuple, M))))
-    gens = [Generator(name, _materialize_matvec(space, M), {"matrix": M})
+    gens = [_field_map(space, family, name, {"matrix": M})
             for name, M in mats]
     return GeneratorSet(space, family, {"levels": levels}, gens, poset=poset)
 
@@ -432,42 +413,35 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
             codomain = "weak_hamming"
         dual_poset = genset.poset.dual() if genset.poset is not None else None
         for g in genset.generators:
-            Mt = mat_transpose(g.data["matrix"])
+            ig = _field_map(space, family, "adj_" + g.name,
+                            {"matrix": mat_transpose(g.data["matrix"])})
             if dual_poset is not None:
-                _assert_preserves_weight(space, Mt, dual_poset, g.name)
-            images.append(Generator("adj_" + g.name,
-                                    _materialize_matvec(space, Mt),
-                                    {"matrix": Mt}))
+                _assert_preserves_weight(space, ig.perm, dual_poset, g.name)
+            images.append(ig)
     elif family == "bilinear":
-        In = mat_identity(space.n, space.field)
-        for g in genset.generators:
-            at = mat_transpose(g.data["alpha"])
-            bt = mat_transpose(g.data["beta"])
-            perm = _materialize_congruence(space, mat_transpose(at), bt)
-            images.append(Generator("adj_" + g.name, perm,
-                                    {"alpha": at, "beta": bt}))
+        images = [_field_map(space, family, "adj_" + g.name,
+                             {"alpha": mat_transpose(g.data["alpha"]),
+                              "beta": mat_transpose(g.data["beta"])})
+                  for g in genset.generators]
     elif family in ("alternating", "symmetric", "hermitian"):
         for g in genset.generators:
-            if family == "hermitian":
-                a2 = mat_conj_transpose(g.data["alpha"], space)
-                left = mat_conj_transpose(a2, space)
-            else:
-                a2 = mat_transpose(g.data["alpha"])
-                left = mat_transpose(a2)
-            perm = _materialize_congruence(space, left, a2)
-            images.append(Generator("adj_" + g.name, perm, {"alpha": a2}))
+            alpha = g.data["alpha"]
+            a2 = (mat_conj_transpose(alpha, space) if family == "hermitian"
+                  else mat_transpose(alpha))
+            images.append(_field_map(space, family, "adj_" + g.name,
+                                     {"alpha": a2}))
     else:
         raise UsageError("no adjoint rule for family %r" % family)
     return AdjointMap(genset, images, codomain)
 
 
-def _assert_preserves_weight(space, M, poset, name):
-    field = space.field
-    for x in range(space.size):
-        v = space.materialize_cached(x)
-        if poset.weight(mat_vec(M, v, field)) != poset.weight(v):
-            raise IntegrityError(
-                "adjoint of %s does not preserve the dual poset weight" % name)
+def _assert_preserves_weight(space, perm, poset, name):
+    """Raise IntegrityError unless w(perm(x)) = w(x) for every point x,
+    the poset weights read off the nonzero entries of all points."""
+    weights = poset.weights(space.entries(np.arange(space.size)) != 0)
+    if (weights[list(perm)] != weights).any():
+        raise IntegrityError(
+            "adjoint of %s does not preserve the dual poset weight" % name)
 
 
 def verify_adjoint(adjoint: AdjointMap):

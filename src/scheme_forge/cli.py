@@ -12,11 +12,13 @@ Exit codes: 0 success, 1 duality/axiom failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from contextlib import nullcontext
 
-from .errors import (SchemeForgeError, UsageError, ConfigError,
-                     ResourceLimitError, IntegrityError)
+from .errors import (UsageError, ConfigError, ResourceLimitError,
+                     IntegrityError)
 from .space import space_from_config, check_keys, DEFAULT_SIZE_BOUND
 from .action import (build_action, orbits, check_condition_4,
                      check_condition_6)
@@ -65,13 +67,18 @@ def load_action(cfg, size_bound):
     return space, action_from_config(space, cfg["action"])
 
 
+WRITE_BATCH = 1 << 16  # encoder chunks joined per write
+
+
 def write_report(report, out_path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
+    out_path, or to stdout, streamed: the encoder's chunks are joined and
+    written WRITE_BATCH at a time, so the whole text is never held."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        while batch := "".join(itertools.islice(chunks, WRITE_BATCH)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 def render_eigenmatrix(name, M):

@@ -61,13 +61,15 @@ DENSE_IDEMPOTENT_BOUND = 32
 
 def character_profile(space, dual_classes, table):
     """profile[j][y] = sum over x in dual class j of <y, x>, exact: per
-    class, one bincount of the exponents T[y][x] (offset by m y) gives the
-    exponent histogram of every y, reduced once into a CycloInt."""
+    class, one bincount of the exponents T[x][y] = T[y][x] (offset by m y)
+    gives the exponent histogram of every y, reduced once into a CycloInt.
+    The pairing is symmetric, so the class is a gather of whole rows of T,
+    in the index dtype of the space (see AbelianSpace.__init__)."""
     m = space.character_order
-    offsets = np.arange(space.size)[:, None] * m
+    offsets = np.arange(space.size, dtype=space.place.dtype) * m
     profile = []
     for cls in dual_classes:
-        counts = np.bincount((table[:, cls] + offsets).ravel(),
+        counts = np.bincount((table[cls] + offsets).ravel(),
                              minlength=space.size * m)
         profile.append([CycloInt.from_exponent_counts(m, row) for row in
                         counts.reshape(space.size, m).tolist()])

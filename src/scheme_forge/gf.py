@@ -3,10 +3,14 @@
 Elements are coefficient tuples (constant term first) reduced mod a monic
 irreducible modulus of degree e over F_p.  Everything is immutable and
 desk-scale: q is capped (default 256) and the irreducibility of the modulus
-is verified by exhaustive trial division.
+is verified by exhaustive trial division.  For array work a FieldSpec
+tabulates its addition, multiplication, negation and Frobenius map on
+element indices once, from this arithmetic (`tables`, `matmul`).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import UsageError, ResourceLimitError, IntegrityError
 
@@ -80,6 +84,7 @@ class FieldSpec:
             self.modulus = modulus
         self._elements = None
         self._primitive = None
+        self._tables = None
 
     @staticmethod
     def _is_irreducible(modulus, p):
@@ -150,6 +155,33 @@ class FieldSpec:
                         self._primitive = a
                         break
         return self._primitive
+
+    # -- index tables -----------------------------------------------------
+
+    def tables(self):
+        """(add, mul, neg, frob) on element indices, built once from
+        FieldElement arithmetic: add[a, b] and mul[a, b] are q x q,
+        neg[a] and frob[a] (a -> a^p) have length q."""
+        if self._tables is None:
+            els = self.elements()
+            add = np.array([[(a + b).index for b in els] for a in els])
+            mul = np.array([[(a * b).index for b in els] for a in els])
+            neg = np.array([(-a).index for a in els])
+            frob = np.array([a.frobenius().index for a in els])
+            self._tables = add, mul, neg, frob
+        return self._tables
+
+    def matmul(self, A, B):
+        """The matrix product A B over F_q on arrays of element indices,
+        stacked over any leading axes that broadcast: A is (..., r, k), B
+        (..., k, c).  Each product is one lookup in the mul table and the
+        k terms of each entry fold through the add table."""
+        add, mul, _, _ = self.tables()
+        terms = mul[A[..., :, :, None], B[..., None, :, :]]
+        acc = terms[..., 0, :]
+        for j in range(1, terms.shape[-2]):
+            acc = add[acc, terms[..., j, :]]
+        return acc
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.p == other.p

@@ -45,7 +45,3 @@ def least_nonsquare(field):
         if a.index not in squares:
             return a
     raise UsageError("no nonsquare found (q must be odd)")
-
-
-def hamming_weight(vec):
-    return sum(1 for v in vec if not v.is_zero())

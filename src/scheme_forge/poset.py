@@ -7,7 +7,9 @@ makes the dual-poset automorphism group act on the same vertex space.
 
 from __future__ import annotations
 
-from .errors import UsageError, IntegrityError
+import numpy as np
+
+from .errors import UsageError
 
 
 class WeakOrderPoset:
@@ -52,41 +54,26 @@ class WeakOrderPoset:
 
     def weight(self, coords):
         """P-weight of a coordinate vector (any sequence of field elements
-        or residues; only zero-ness is consulted).
-
-        Computed from the order-ideal definition and, independently, from
-        the block formula (partial level sums plus the Hamming weight of
-        the top nonempty level); the two must agree.
-        """
+        or residues; only zero-ness is consulted)."""
         if len(coords) != self.n:
             raise UsageError("vector dimension != poset size")
-        support = [k for k in range(1, self.n + 1) if _nonzero(coords[k - 1])]
-        ideal = {k for k in range(1, self.n + 1)
-                 if any(k == j or self.less(k, j) for j in support)}
-        w_ideal = len(ideal)
-        if not support:
-            w_block = 0
-        else:
-            s = max(self.level_of[k - 1] for k in support)
-            below = sum(1 for v in self.level_of if v < s)
-            top = sum(1 for k in support if self.level_of[k - 1] == s)
-            w_block = below + top
-        if w_ideal != w_block:
-            raise IntegrityError("poset weight formulas disagree")
-        return w_ideal
+        return int(self.weights(np.array([_nonzero(c) for c in coords],
+                                         dtype=bool)))
+
+    def weights(self, nonzero):
+        """P-weights of a stack of vectors given by their nonzero masks
+        (last axis the n coordinates): the size of the order ideal of the
+        support, which is the support plus every coordinate below its top
+        level."""
+        level = np.array(self.level_of)
+        top = np.where(nonzero, level, 0).max(axis=-1, initial=0)
+        return (nonzero | (level < top[..., None])).sum(axis=-1)
 
     def sphere_sizes(self, q):
         """|S_P(i)| for i = 0..n by exhaustive weight evaluation."""
-        counts = [0] * (self.n + 1)
-        total = q ** self.n
-        for idx in range(total):
-            coords = []
-            k = idx
-            for _ in range(self.n):
-                coords.append(k % q)
-                k //= q
-            counts[self.weight(coords)] += 1
-        return counts
+        nonzero = np.indices((q,) * self.n).reshape(self.n, -1).T != 0
+        return np.bincount(self.weights(nonzero),
+                           minlength=self.n + 1).tolist()
 
     def __eq__(self, other):
         return (isinstance(other, WeakOrderPoset)

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import IntegrityError, ResourceLimitError
 from .action import OrbitPartition, check_condition_4
-from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
-                    AlternatingMatrixSpace, SymmetricMatrixSpace,
-                    HermitianMatrixSpace)
+from .space import (AbelianSpace, FullMatrixSpace, AlternatingMatrixSpace,
+                    SymmetricMatrixSpace, HermitianMatrixSpace)
 from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
@@ -42,9 +41,6 @@ class TranslationScheme:
     def relation(self, x, y):
         """Class index of (x, y), i.e. class of y - x."""
         return self.partition.class_of[self.space.sub(y, x)]
-
-    def class_points(self, i):
-        return self.partition.classes[i]
 
     def representative(self, i):
         return self.partition.classes[i][0]
@@ -113,17 +109,12 @@ class TranslationScheme:
         if family in ("hamming", "weak_hamming", "weak_hamming_dual"):
             for i in range(1, self.d + 1):
                 labels[i] = "weight_%d" % i
-        elif family in ("bilinear", "hermitian") or (
-                family is None and isinstance(space, (FullMatrixSpace,
-                                                      HermitianMatrixSpace))):
+        elif family in ("bilinear", "hermitian", "alternating") or (
+                family is None and isinstance(space, (
+                    FullMatrixSpace, HermitianMatrixSpace,
+                    AlternatingMatrixSpace))):
             for i in range(1, self.d + 1):
-                r = oracles.matrix_rank(space.materialize_cached(
-                    self.representative(i)), space.field)
-                labels[i] = "rank_%d" % r
-        elif family == "alternating" or (
-                family is None and isinstance(space, AlternatingMatrixSpace)):
-            for i in range(1, self.d + 1):
-                r = oracles.matrix_rank(space.materialize_cached(
+                r = oracles.matrix_rank(space.materialize(
                     self.representative(i)), space.field)
                 labels[i] = "rank_%d" % r
         elif family == "symmetric" or (
@@ -158,12 +149,11 @@ class TranslationScheme:
 
 
 def _diag_rep(space, entries):
-    field = space.field
-    zero = field.zero()
-    mat = [[zero] * space.m for _ in range(space.m)]
+    """The point diag(entries, 0, ..., 0) of a symmetric space."""
+    mat = np.zeros((1, space.m, space.m), dtype=np.intp)
     for i, v in enumerate(entries):
-        mat[i][i] = v
-    return space.index_of_matrix(mat)
+        mat[0, i, i] = v.index
+    return int(space.points_of(mat, "diag")[0])
 
 
 def intersection_tensor(space, partition, verify_representatives):

@@ -30,12 +30,15 @@ for indices or index arrays; `pairing_table` is the whole table
 one exponent in a CycloInt.  Biadditivity lets a check quantified over
 all y use the digit basis vectors e_i (the points w_i) instead.
 
-Coordinates (`coords_of`, `index_of`, `serialize_point`) group the digits
-of one field coordinate back into a field-element index.  The field-space
-classes decode points to FieldElement vectors or matrices (`materialize`)
-and encode them back (`index_of_vector`, `index_of_matrix`) for the action
-families and rank labels; no FieldElement arithmetic runs in the group law
-or the pairing.
+Coordinates (`coords_of`, `coords_array`, `index_of`, `serialize_point`)
+group the digits of one field coordinate back into a field-element index.
+The field spaces decode index arrays of points to arrays of the element
+indices of their vector or matrix entries (`entries`) and encode such
+arrays back to points (`points_of`, which raises IntegrityError for a
+matrix outside X); the action families evaluate their formulas on these
+arrays through the field's index tables.  `materialize` gives one point
+as FieldElements, for rank labels.  No FieldElement arithmetic runs in
+the group law, the pairing or the actions.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ class AbelianSpace:
         dtype = np.int32 if bound < 2 ** 31 else np.int64
         self.radices = radices
         self._coord_radices = tuple(math.prod(d) for d in coord_radices)
+        self._coord_place = np.array(
+            [math.prod(self._coord_radices[i + 1:])
+             for i in range(len(self._coord_radices))], dtype=dtype)
         self._exponent = math.lcm(*radices)
         self.place = np.array([math.prod(radices[i + 1:])
                                for i in range(len(radices))], dtype=dtype)
@@ -94,19 +100,19 @@ class AbelianSpace:
         self.size = size
         self.character_order = character_order
         self.lambda_multiplier = lambda_multiplier
-        self._mat_cache = {}
 
     # -- indexing ----------------------------------------------------------
 
     def coords_of(self, index):
         if not 0 <= index < self.size:
             raise UsageError("point index out of range")
-        coords = []
-        for r in reversed(self._coord_radices):
-            index, c = divmod(index, r)
-            coords.append(c)
-        coords.reverse()
-        return tuple(coords)
+        return tuple(self.coords_array(index).tolist())
+
+    def coords_array(self, points):
+        """coords_of for an index array: one row of coordinates per point."""
+        points = np.asarray(points)[..., None]
+        return points // self._coord_place % np.array(self._coord_radices,
+                                                      dtype=points.dtype)
 
     def index_of(self, coords):
         index = 0
@@ -170,13 +176,15 @@ class AbelianSpace:
     def serialize_point(self, x):
         return list(self.coords_of(x))
 
-    def materialize_cached(self, x):
-        """`materialize(x)` (field spaces), kept per point."""
-        v = self._mat_cache.get(x)
-        if v is None:
-            v = self.materialize(x)
-            self._mat_cache[x] = v
-        return v
+    def to_config(self):
+        """The config fragment space_from_config builds this space from
+        (without lambda_multiplier)."""
+        cfg = {"kind": self.kind}
+        for key in SPACE_KINDS[self.kind][1]:
+            value = getattr(self, key)
+            cfg[key] = (value.to_config() if key == "field"
+                        else list(value) if key == "moduli" else value)
+        return cfg
 
     def __repr__(self):
         return "%s(size=%d)" % (type(self).__name__, self.size)
@@ -245,7 +253,38 @@ def _trace_twice(a, b):
     return 2 * (a * b).trace()
 
 
-class VectorSpace(GramSpace):
+class FieldSpace(GramSpace):
+    """F_q vectors or matrices of the given `shape`, one free coordinate
+    (an element index) per entry, row-major.  `entries(points)` decodes
+    an index array of points to element-index arrays of shape
+    points.shape + shape; `points_of(entries, name)` encodes them back."""
+
+    def __init__(self, shape, field: FieldSpec, blocks, **kw):
+        self.shape = shape
+        self.field = field
+        self._field_elements = field.elements()
+        super().__init__(blocks, field.p, **kw)
+
+    def entries(self, points):
+        return self.coords_array(points).reshape(np.shape(points)
+                                                 + self.shape)
+
+    def points_of(self, entries, name):
+        """The points with these entries; `name` names the map that made
+        them, for the error of a subclass that finds one outside X."""
+        coords = entries.reshape(entries.shape[:-len(self.shape)] + (-1,))
+        return coords @ self._coord_place
+
+    def materialize(self, x):
+        """Point x as a tuple of FieldElements, or of rows of them."""
+        els = self._field_elements
+        E = self.entries(x)
+        if E.ndim == 1:
+            return tuple(els[a] for a in E)
+        return tuple(tuple(els[a] for a in row) for row in E)
+
+
+class VectorSpace(FieldSpace):
     """X = (F_q^n, +) with <x,y> = lambda(sum x_i y_i)."""
 
     kind = "vector"
@@ -254,23 +293,11 @@ class VectorSpace(GramSpace):
         if n < 1:
             raise UsageError("n must be >= 1")
         self.n = n
-        self.field = field
-        self._field_elements = field.elements()
-        block = _trace_block(self._field_elements, field.p, field.e,
-                             _trace)
-        super().__init__([block] * n, field.p, **kw)
-
-    def materialize(self, x):
-        return tuple(self._field_elements[c] for c in self.coords_of(x))
-
-    def index_of_vector(self, vec):
-        return self.index_of(tuple(a.index for a in vec))
-
-    def to_config(self):
-        return {"kind": "vector", "n": self.n, "field": self.field.to_config()}
+        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        super().__init__((n,), field, [block] * n, **kw)
 
 
-class FullMatrixSpace(GramSpace):
+class FullMatrixSpace(FieldSpace):
     """X = (F_q^{m x n}, +), <A,B> = lambda(sum_ij A_ij B_ij)."""
 
     kind = "matrix_full"
@@ -278,162 +305,151 @@ class FullMatrixSpace(GramSpace):
     def __init__(self, m, n, field: FieldSpec, **kw):
         self.m = m
         self.n = n
-        self.field = field
-        self._field_elements = field.elements()
-        block = _trace_block(self._field_elements, field.p, field.e,
-                             _trace)
-        super().__init__([block] * (m * n), field.p, **kw)
-
-    def materialize(self, x):
-        els = self._field_elements
-        c = self.coords_of(x)
-        return tuple(tuple(els[c[i * self.n + j]] for j in range(self.n))
-                     for i in range(self.m))
-
-    def index_of_matrix(self, mat):
-        return self.index_of(tuple(mat[i][j].index
-                                   for i in range(self.m)
-                                   for j in range(self.n)))
-
-    def to_config(self):
-        return {"kind": "matrix_full", "m": self.m, "n": self.n,
-                "field": self.field.to_config()}
+        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        super().__init__((m, n), field, [block] * (m * n), **kw)
 
 
-class AlternatingMatrixSpace(GramSpace):
+class FormsSpace(FieldSpace):
+    """m x m forms A_ji = mirror(A_ij), free at `positions` (i <= j),
+    zero at every other upper entry.  Subclasses give the mirror table on
+    element indices and may map coordinate values to entries."""
+
+    form = None
+
+    def __init__(self, m, field: FieldSpec, positions, blocks, **kw):
+        self.m = m
+        self._rows = np.array([i for i, _ in positions], dtype=np.intp)
+        self._cols = np.array([j for _, j in positions], dtype=np.intp)
+        super().__init__((m, m), field, blocks, **kw)
+
+    def _to_entries(self, coords):
+        return coords
+
+    def _to_coords(self, values):
+        return values
+
+    def _form(self, values):
+        """The forms whose free entries are `values` (one row per form)."""
+        E = np.zeros(values.shape[:-1] + self.shape, dtype=values.dtype)
+        E[..., self._rows, self._cols] = values
+        E[..., self._cols, self._rows] = self._mirror()[values]
+        return E
+
+    def entries(self, points):
+        return self._form(self._to_entries(self.coords_array(points)))
+
+    def points_of(self, entries, name):
+        """As FieldSpace.points_of, for a stack of matrices (row x the
+        image of point x).  Raises IntegrityError, naming the first point
+        whose image is not a form of this space, unless every matrix is
+        rebuilt exactly from its free entries."""
+        values = entries[..., self._rows, self._cols]
+        bad = (self._form(values) != entries).any(axis=(-2, -1))
+        if bad.any():
+            x = int(bad.argmax())
+            raise IntegrityError(
+                "%s maps point %d %s to a matrix that is not %s"
+                % (name, x, self.serialize_point(x), self.form))
+        return self._to_coords(values) @ self._coord_place
+
+
+class AlternatingMatrixSpace(FormsSpace):
     """Alternating m x m matrices (zero diagonal, A_ji = -A_ij); the free
     coordinates are the strict upper triangle, row-major, and
     <A,B> = lambda(sum_{i<j} A_ij B_ij)."""
 
     kind = "matrix_alternating"
+    form = "alternating"
 
     def __init__(self, m, field: FieldSpec, **kw):
-        self.m = m
-        self.field = field
-        self._field_elements = field.elements()
-        self._positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        block = _trace_block(self._field_elements, field.p, field.e,
-                             _trace)
-        super().__init__([block] * len(self._positions), field.p, **kw)
+        positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        super().__init__(m, field, positions, [block] * len(positions), **kw)
 
-    def materialize(self, x):
-        els = self._field_elements
-        zero = self.field.zero()
-        c = self.coords_of(x)
-        mat = [[zero] * self.m for _ in range(self.m)]
-        for (i, j), v in zip(self._positions, c):
-            mat[i][j] = els[v]
-            mat[j][i] = -els[v]
-        return tuple(tuple(row) for row in mat)
-
-    def index_of_matrix(self, mat):
-        return self.index_of(tuple(mat[i][j].index for i, j in self._positions))
-
-    def to_config(self):
-        return {"kind": "matrix_alternating", "m": self.m,
-                "field": self.field.to_config()}
+    def _mirror(self):
+        return self.field.tables()[2]
 
 
-class SymmetricMatrixSpace(GramSpace):
+class SymmetricMatrixSpace(FormsSpace):
     """Symmetric m x m matrices over F_q, q odd; free coordinates are the
     upper triangle including the diagonal.  <A,B> = lambda(tr(AB)), so an
     off-diagonal coordinate carries twice the trace form."""
 
     kind = "matrix_symmetric"
+    form = "symmetric"
 
     def __init__(self, m, field: FieldSpec, **kw):
         if field.p == 2:
             raise UsageError("symmetric forms spaces require odd q")
-        self.m = m
-        self.field = field
-        self._field_elements = field.elements()
-        self._positions = [(i, j) for i in range(m) for j in range(i, m)]
-        els, p = self._field_elements, field.p
+        positions = [(i, j) for i in range(m) for j in range(i, m)]
+        els, p = field.elements(), field.p
         blocks = [_trace_block(els, p, field.e,
                                _trace if i == j else _trace_twice)
-                  for i, j in self._positions]
-        super().__init__(blocks, p, **kw)
+                  for i, j in positions]
+        super().__init__(m, field, positions, blocks, **kw)
 
-    def materialize(self, x):
-        els = self._field_elements
-        zero = self.field.zero()
-        c = self.coords_of(x)
-        mat = [[zero] * self.m for _ in range(self.m)]
-        for (i, j), v in zip(self._positions, c):
-            mat[i][j] = els[v]
-            mat[j][i] = els[v]
-        return tuple(tuple(row) for row in mat)
-
-    def index_of_matrix(self, mat):
-        return self.index_of(tuple(mat[i][j].index for i, j in self._positions))
-
-    def to_config(self):
-        return {"kind": "matrix_symmetric", "m": self.m,
-                "field": self.field.to_config()}
+    def _mirror(self):
+        return np.arange(self.field.q)
 
 
-class HermitianMatrixSpace(GramSpace):
+class HermitianMatrixSpace(FormsSpace):
     """Hermitian m x m matrices over F_{q^2} (conjugation a -> a^q).
 
     Free coordinates: the diagonal runs over the base subfield F_q, the
     strict upper triangle over all of F_{q^2}; lower entries are forced by
     *A = A.  The pairing tr(AB) lands in F_q and is fed to the base-field
     trace, keeping the character order at p: a diagonal coordinate carries
-    Tr_{F_q/F_p}(ab), an upper one Tr_{F_q^2/F_p}(a conj(b)).
+    Tr_{F_q/F_p}(ab), an upper one Tr_{F_q^2/F_p}(a conj(b)).  A diagonal
+    coordinate k stands for the entry _subfield[k].
     """
 
     kind = "matrix_hermitian"
+    form = "Hermitian"
 
     def __init__(self, m, field: FieldSpec, **kw):
         if field.e % 2 != 0:
             raise UsageError("Hermitian spaces need an even-degree field F_{q^2}")
-        self.m = m
-        self.field = field
         self.base_f = field.e // 2
         self.base_q = field.p ** self.base_f
-        self._field_elements = field.elements()
+        els = field.elements()
         self._subfield = tuple(
-            a for a in self._field_elements
-            if (a ** self.base_q).coeffs == a.coeffs)
+            a for a in els if (a ** self.base_q).coeffs == a.coeffs)
         if len(self._subfield) != self.base_q:
             raise IntegrityError("F_%d has %d elements fixed by a -> a^%d"
                                  % (field.q, len(self._subfield), self.base_q))
-        self._sub_index = {a.index: k for k, a in enumerate(self._subfield)}
-        self._upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        # subfield coordinate -> entry, and entry -> coordinate (-1 off it)
+        self._sub_to_field = np.array([a.index for a in self._subfield])
+        self._field_to_sub = np.full(field.q, -1)
+        self._field_to_sub[self._sub_to_field] = np.arange(self.base_q)
+        upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
         p = field.p
         diag = _trace_block(self._subfield, p, self.base_f,
                             lambda a, b: (a * b).subfield_trace(self.base_f))
-        upper = _trace_block(self._field_elements, p, field.e,
-                             lambda a, b: (a * self.conj(b)).trace())
-        super().__init__([diag] * m + [upper] * len(self._upper), p, **kw)
+        upper_block = _trace_block(els, p, field.e,
+                                   lambda a, b: (a * self.conj(b)).trace())
+        super().__init__(m, field, [(i, i) for i in range(m)] + upper,
+                         [diag] * m + [upper_block] * len(upper), **kw)
 
     def conj(self, a):
         return a ** self.base_q
 
-    def materialize(self, x):
-        els = self._field_elements
-        zero = self.field.zero()
-        c = self.coords_of(x)
-        mat = [[zero] * self.m for _ in range(self.m)]
-        for i in range(self.m):
-            mat[i][i] = self._subfield[c[i]]
-        for k, (i, j) in enumerate(self._upper):
-            v = els[c[self.m + k]]
-            mat[i][j] = v
-            mat[j][i] = self.conj(v)
-        return tuple(tuple(row) for row in mat)
+    def _mirror(self):
+        """a -> a^q on element indices: the Frobenius table base_f times."""
+        frob = self.field.tables()[3]
+        conj = np.arange(self.field.q)
+        for _ in range(self.base_f):
+            conj = frob[conj]
+        return conj
 
-    def index_of_matrix(self, mat):
-        coords = []
-        for i in range(self.m):
-            coords.append(self._sub_index[mat[i][i].index])
-        for i, j in self._upper:
-            coords.append(mat[i][j].index)
-        return self.index_of(tuple(coords))
+    def _to_entries(self, coords):
+        values = coords.copy()
+        values[..., :self.m] = self._sub_to_field[coords[..., :self.m]]
+        return values
 
-    def to_config(self):
-        return {"kind": "matrix_hermitian", "m": self.m,
-                "field": self.field.to_config()}
+    def _to_coords(self, values):
+        coords = values.copy()
+        coords[..., :self.m] = self._field_to_sub[values[..., :self.m]]
+        return coords
 
 
 class CyclicProductSpace(GramSpace):
@@ -448,11 +464,7 @@ class CyclicProductSpace(GramSpace):
             raise UsageError("cyclic_product needs moduli >= 2")
         self.moduli = moduli
         m = math.lcm(*moduli)
-        self.exponent = m
         super().__init__([((mi,), ((m // mi,),)) for mi in moduli], m, **kw)
-
-    def to_config(self):
-        return {"kind": "cyclic_product", "moduli": list(self.moduli)}
 
 
 # -- config schema ------------------------------------------------------------

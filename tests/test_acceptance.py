@@ -26,6 +26,8 @@ from scheme_forge.duality import (duality_report, pairing_table,
                                   spectrum)
 from scheme_forge.cli import check_report, main
 
+from test_space import index_of_entries
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # the ten families of criterion 1; builders are zero-argument callables so
@@ -204,8 +206,8 @@ def test_criterion_6_condition_6_branch():
     ok4, _ = check_condition_4(part, space)
     field = space.field
     zero, one, two = field.zero(), field.one(), field.element(2)
-    d10 = space.index_of_matrix([[one, zero], [zero, zero]])
-    d20 = space.index_of_matrix([[two, zero], [zero, zero]])
+    d10 = index_of_entries(space, [[one, zero], [zero, zero]])
+    d20 = index_of_entries(space, [[two, zero], [zero, zero]])
     witness_ok = (part.class_of[d10] != part.class_of[d20]
                   and space.neg(d10) == d20)
     pairing = check_condition_6(part, space)
@@ -248,7 +250,7 @@ def test_criterion_8_oracle_cross_checks(gensets):
         space = genset.space
         part = orbits(genset)
         for x in range(space.size):
-            r = oracles.matrix_rank(space.materialize_cached(x), space.field)
+            r = oracles.matrix_rank(space.materialize(x), space.field)
             if part.class_of[x] != r // divisor:
                 ok = False
                 detail.append("%s: class/rank mismatch at %d" % (name, x))
@@ -259,7 +261,7 @@ def test_criterion_8_oracle_cross_checks(gensets):
         part = orbits(genset)
         scheme = TranslationScheme(space, part)
         for x in range(space.size):
-            w = genset.poset.weight(space.materialize_cached(x))
+            w = genset.poset.weight(space.materialize(x))
             if part.class_of[x] != w:
                 ok = False
                 detail.append("%s: class/weight mismatch at %d" % (name, x))
@@ -268,7 +270,7 @@ def test_criterion_8_oracle_cross_checks(gensets):
         for x in range(space.size):
             for y in range(space.size):
                 w = genset.poset.weight(
-                    space.materialize_cached(space.sub(y, x)))
+                    space.materialize(space.sub(y, x)))
                 if scheme.relation(x, y) != w:
                     ok = False
                     detail.append("%s: relation mismatch" % name)

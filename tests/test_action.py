@@ -4,24 +4,27 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scheme_forge import cli, oracles
 from scheme_forge.errors import UsageError, IntegrityError
-from scheme_forge.gf import FieldSpec
+from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace)
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator,
-                                 GeneratorSet, gl_generators, mat_mul,
+                                 GeneratorSet, gl_generators,
                                  mat_identity, mat_transpose,
-                                 _materialize_matvec)
+                                 mat_conj_transpose, _field_map)
 
-from test_space import SPACES, TupleDigits
+from test_space import SPACES, ORACLE_SPACES, TupleDigits, index_of_entries
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
+PERFBENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "perfbench", "configs")
 
 
 def classes_as_sets(partition):
@@ -84,7 +87,7 @@ def test_bilinear_rank_classes():
     part = orbits(build_action(sp, "bilinear"))
     assert part.sizes == [1, 9, 6]
     for x in range(sp.size):
-        r = oracles.matrix_rank(sp.materialize_cached(x), sp.field)
+        r = oracles.matrix_rank(sp.materialize(x), sp.field)
         assert part.class_of[x] == r
 
 
@@ -93,7 +96,7 @@ def test_alternating_rank_classes():
     part = orbits(build_action(sp, "alternating"))
     assert part.sizes == [1, 35, 28]
     for x in range(sp.size):
-        r = oracles.matrix_rank(sp.materialize_cached(x), sp.field)
+        r = oracles.matrix_rank(sp.materialize(x), sp.field)
         assert r % 2 == 0
         assert part.class_of[x] == r // 2
 
@@ -102,7 +105,7 @@ def test_hermitian_rank_classes():
     sp = HermitianMatrixSpace(2, FieldSpec(2, 2))
     part = orbits(build_action(sp, "hermitian"))
     for x in range(sp.size):
-        r = oracles.matrix_rank(sp.materialize_cached(x), sp.field)
+        r = oracles.matrix_rank(sp.materialize(x), sp.field)
         assert part.class_of[x] == r
 
 
@@ -114,7 +117,7 @@ def test_weak_hamming_weight_classes():
             genset = build_action(sp, family, levels=list(levels))
             part = orbits(genset)
             for x in range(sp.size):
-                w = genset.poset.weight(sp.materialize_cached(x))
+                w = genset.poset.weight(sp.materialize(x))
                 assert part.class_of[x] == w
             assert part.sizes == genset.poset.sphere_sizes(2)
 
@@ -127,8 +130,8 @@ def test_condition_4_and_6_symmetric_f3():
     assert not ok
     one, two = sp.field.one(), sp.field.element(2)
     zero = sp.field.zero()
-    d10 = sp.index_of_matrix([[one, zero], [zero, zero]])
-    d20 = sp.index_of_matrix([[two, zero], [zero, zero]])
+    d10 = index_of_entries(sp, [[one, zero], [zero, zero]])
+    d20 = index_of_entries(sp, [[two, zero], [zero, zero]])
     assert sp.neg(d10) == d20
     assert part.class_of[d10] != part.class_of[d20]
     pairing = check_condition_6(part, sp)
@@ -201,7 +204,7 @@ def test_basis_pairs_catch_extension_field_adjoint():
     one = sp.field.one()
     bad = tuple(tuple(a + one if i == j else a for j, a in enumerate(row))
                 for i, row in enumerate(M))
-    images = [Generator(adj.images[0].name, _materialize_matvec(sp, bad),
+    images = [Generator(adj.images[0].name, loop_matvec(sp, bad),
                         {"matrix": bad})] + adj.images[1:]
     corrupted = AdjointMap(genset, images, "hamming")
     assert g.name == "swap_1_2"
@@ -420,3 +423,205 @@ def test_sweeps_match_loops_on_failing_fixtures():
     genset = build_action(sp, "symmetric")
     assert not check_condition_4(orbits(genset), sp)[0]
     assert_sweeps_match_loops(genset)
+
+
+# -- oracle: the per-point FieldElement loops the index-table sweeps replaced
+#
+# Each point is materialized to FieldElements, multiplied entry by entry and
+# encoded back one free coordinate at a time, so the loops share neither
+# the field tables nor the array decoder and encoder with the action code.
+
+def mat_mul(A, B, field):
+    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(len(B))),
+                           field.zero())
+                       for j in range(len(B[0])))
+                 for i in range(len(A)))
+
+
+def loop_matvec(space, M):
+    """v -> M v, point by point."""
+    field = space.field
+    return [index_of_entries(space, tuple(
+        sum((a * b for a, b in zip(row, space.materialize(x))),
+            field.zero()) for row in M))
+        for x in range(space.size)]
+
+
+def loop_congruence(space, left, right):
+    """A -> left A right, point by point."""
+    field = space.field
+    return [index_of_entries(space, mat_mul(
+        mat_mul(left, space.materialize(x), field), right, field))
+        for x in range(space.size)]
+
+
+def loop_perm(space, family, data):
+    """The permutation of a generator or adjoint image, from its data by
+    the family's formula: v -> M v, or A -> alpha^T A beta (alpha* A alpha
+    for Hermitian forms, beta = alpha for every forms family)."""
+    if "matrix" in data:
+        return loop_matvec(space, data["matrix"])
+    alpha = data["alpha"]
+    if family == "hermitian":
+        left = mat_conj_transpose(alpha, space)
+    else:
+        left = mat_transpose(alpha)
+    return loop_congruence(space, left, data.get("beta", alpha))
+
+
+def assert_perms_match_loops(genset):
+    if genset.family == "central":
+        return
+    space = genset.space
+    adj = adjoint_map(genset)
+    for g in genset.generators + adj.images:
+        assert list(g.perm) == loop_perm(space, genset.family, g.data), \
+            g.name
+
+
+# more extension-field kinds, beside those of ORACLE_SPACES
+EXTENSION_SPACES = [
+    VectorSpace(2, FieldSpec(2, 4)),
+    FullMatrixSpace(1, 2, FieldSpec(3, 2)),
+    AlternatingMatrixSpace(3, FieldSpec(2, 2)),
+]
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES + EXTENSION_SPACES,
+                         ids=lambda s: repr(s))
+def test_array_perms_match_loops_on_spaces(space):
+    for family, params in natural_actions(space):
+        assert_perms_match_loops(build_action(space, family, **params))
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(CONFIGS, name + ".json") for name in SHIPPED] + [
+    os.path.join(PERFBENCH_CONFIGS, name + ".json")
+    for name in ("bilinear24_f2", "hamming5_f3")],
+    ids=os.path.basename)
+def test_array_perms_match_loops_on_configs(path):
+    with open(path) as fh:
+        cfg = json.load(fh)
+    _, genset = cli.load_action(cfg, 4096)
+    assert_perms_match_loops(genset)
+
+
+def is_form(space, A):
+    """A (FieldElements) is alternating, symmetric or Hermitian, as the
+    space's kind asks, checked entry by entry."""
+    m = space.m
+    if space.kind == "matrix_alternating":
+        return all(A[i][i].is_zero() for i in range(m)) and all(
+            A[j][i] == -A[i][j] for i in range(m) for j in range(m))
+    if space.kind == "matrix_symmetric":
+        return all(A[j][i] == A[i][j] for i in range(m) for j in range(m))
+    return all(A[j][i] == space.conj(A[i][j])
+               for i in range(m) for j in range(m))
+
+
+@pytest.mark.parametrize("space, left, right", [
+    # alternating(3)/F_2: A -> A T, T a transvection
+    (AlternatingMatrixSpace(3, FieldSpec(2)), "identity", "transvection"),
+    # symmetric(2)/F_3: A -> A diag(w, 1)
+    (SymmetricMatrixSpace(2, FieldSpec(3)), "identity", "diag_primitive"),
+    # hermitian(2)/F_4: A -> alpha^T A alpha, alpha = diag(w, 1), whose
+    # diagonal w^2 a leaves the subfield F_2
+    (HermitianMatrixSpace(2, FieldSpec(2, 2)), "diag_primitive^T",
+     "diag_primitive"),
+], ids=["alternating", "symmetric", "hermitian"])
+def test_image_outside_forms_space_raises(space, left, right):
+    """A map that is not a congruence raises IntegrityError naming the map
+    and the first point whose image is not a form, where the per-point
+    encoders projected to the upper triangle or raised KeyError."""
+    gens = dict(gl_generators(space.m, space.field))
+    gens["identity"] = mat_identity(space.m, space.field)
+    L = (mat_transpose(gens[left[:-2]]) if left.endswith("^T")
+         else gens[left])
+    R = gens[right]
+    with pytest.raises(IntegrityError) as info:
+        # A -> a^T A b with a = L^T
+        _field_map(space, "bilinear", "bad_map",
+                   {"alpha": mat_transpose(L), "beta": R})
+    message = str(info.value)
+    assert message.startswith("bad_map maps point ")
+    x = int(message.split()[3])
+    assert message.endswith("is not %s" % space.form)
+    images = [mat_mul(mat_mul(L, space.materialize(y), space.field), R,
+                      space.field) for y in range(x + 1)]
+    assert [is_form(space, A) for A in images] == [True] * x + [False]
+
+
+@pytest.mark.parametrize("config, size", [("bilinear24_f2", 256),
+                                          ("hamming5_f3", 243)])
+def test_build_makes_fewer_field_products_than_points(config, size,
+                                                      monkeypatch, capsys):
+    """Generators and adjoints come from the index tables: a build makes
+    fewer FieldElement products than |X|, so per-point field arithmetic
+    shows here if it comes back."""
+    calls = [0]
+    mul = FieldElement.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    path = os.path.join(PERFBENCH_CONFIGS, config + ".json")
+    assert cli.main(["build", path]) == 0
+    assert json.loads(capsys.readouterr().out)["size"] == size
+    assert 0 < calls[0] < size
+
+
+# small spaces per field for the property test: every kind the field allows
+PROPERTY_SPACES = {
+    (2, 1): [VectorSpace(3, FieldSpec(2)), FullMatrixSpace(2, 3, FieldSpec(2)),
+             AlternatingMatrixSpace(4, FieldSpec(2))],
+    (3, 1): [VectorSpace(3, FieldSpec(3)), FullMatrixSpace(2, 2, FieldSpec(3)),
+             AlternatingMatrixSpace(3, FieldSpec(3)),
+             SymmetricMatrixSpace(2, FieldSpec(3))],
+    (2, 2): [VectorSpace(2, FieldSpec(2, 2)),
+             FullMatrixSpace(2, 2, FieldSpec(2, 2)),
+             AlternatingMatrixSpace(3, FieldSpec(2, 2)),
+             HermitianMatrixSpace(2, FieldSpec(2, 2))],
+    (3, 2): [VectorSpace(2, FieldSpec(3, 2)),
+             FullMatrixSpace(1, 2, FieldSpec(3, 2)),
+             AlternatingMatrixSpace(2, FieldSpec(3, 2)),
+             SymmetricMatrixSpace(2, FieldSpec(3, 2)),
+             HermitianMatrixSpace(2, FieldSpec(3, 2))],
+}
+
+
+@st.composite
+def invertible(draw, field, k):
+    """A random invertible k x k matrix of FieldElements."""
+    els = field.elements()
+    M = draw(st.lists(st.lists(st.sampled_from(els), min_size=k,
+                               max_size=k), min_size=k, max_size=k)
+             .filter(lambda M: oracles.matrix_rank(M, field) == k))
+    return tuple(map(tuple, M))
+
+
+@st.composite
+def random_maps(draw):
+    """A space and the data of a random map of its family: a matrix for
+    vector spaces, alpha and beta for full matrices, alpha for forms."""
+    space = draw(st.sampled_from([sp for spaces in PROPERTY_SPACES.values()
+                                  for sp in spaces]))
+    if space.kind == "vector":
+        return space, {"matrix": draw(invertible(space.field, space.n))}
+    data = {"alpha": draw(invertible(space.field, space.m))}
+    if space.kind == "matrix_full":
+        data["beta"] = draw(invertible(space.field, space.n))
+    return space, data
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(random_maps())
+def test_array_perm_matches_loop_on_random_maps(case):
+    """For random invertible matrices over F_2, F_3, F_4 and F_9, the
+    array permutation of v -> M v, A -> alpha^T A beta and the congruences
+    equals the per-point oracle loop's."""
+    space, data = case
+    family = {"matrix_hermitian": "hermitian"}.get(space.kind, space.kind)
+    got = _field_map(space, family, "g", data).perm
+    assert list(got) == loop_perm(space, family, data)

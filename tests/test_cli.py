@@ -237,3 +237,20 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert code == 0
     assert "\nQ\n" in "\n" + out
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
+
+
+@pytest.mark.parametrize("batch", [cli.WRITE_BATCH, 3])
+def test_write_report_streams_the_dumps_bytes(batch, capsys, tmp_path,
+                                              monkeypatch):
+    """The streamed report, to a file and to stdout, is byte for byte
+    json.dumps(report, sort_keys=True, indent=2) + "\\n", also when the
+    encoder's chunks span many write batches."""
+    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
+              "c": [[True, False]] * 5, "d": "end"}
+    want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    path = tmp_path / "r.json"
+    cli.write_report(report, str(path))
+    assert path.read_bytes() == want.encode()
+    cli.write_report(report, None)
+    assert capsys.readouterr().out == want

@@ -1,5 +1,8 @@
 """Weak order posets and P-weights."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from scheme_forge.errors import UsageError
@@ -62,3 +65,34 @@ def test_validation():
         WeakOrderPoset((1, 0))
     with pytest.raises(UsageError):
         WeakOrderPoset((1, 1)).weight((0,))
+
+
+def ideal_weight(P, coords):
+    """|<supp(v)>|: the order ideal generated by the support, from `less`."""
+    support = [k for k in range(1, P.n + 1) if coords[k - 1]]
+    return len({k for k in range(1, P.n + 1)
+                if any(k == j or P.less(k, j) for j in support)})
+
+
+def block_weight(P, coords):
+    """Partial level sums below the top nonempty level plus the Hamming
+    weight of that level."""
+    support = [k for k in range(1, P.n + 1) if coords[k - 1]]
+    if not support:
+        return 0
+    s = max(P.level_of[k - 1] for k in support)
+    return (sum(1 for v in P.level_of if v < s)
+            + sum(1 for k in support if P.level_of[k - 1] == s))
+
+
+@pytest.mark.parametrize("levels", [(1,), (3,), (1, 1), (2, 1), (1, 2),
+                                    (1, 1, 1), (2, 1, 2), (1, 3, 1)])
+def test_weights_match_ideal_and_block_formulas(levels):
+    """The array weights equal the order-ideal definition and the block
+    formula on every 0/1 vector, for the poset and its dual."""
+    for P in (WeakOrderPoset(levels), WeakOrderPoset(levels).dual()):
+        vectors = list(itertools.product((0, 1), repeat=P.n))
+        got = P.weights(np.array(vectors, dtype=bool)).tolist()
+        assert got == [ideal_weight(P, v) for v in vectors]
+        assert got == [block_weight(P, v) for v in vectors]
+        assert [P.weight(v) for v in vectors] == got

@@ -79,7 +79,8 @@ def oracle_pairing(space):
         entries.append([v.index for v in flat])
     m = getattr(space, "m", None)
     if space.kind == "matrix_alternating":
-        terms = [(i * m + j, i * m + j) for i, j in space._positions]
+        terms = [(i * m + j, i * m + j)
+                 for i, j in zip(space._rows, space._cols)]
     elif space.kind == "matrix_hermitian":
         terms = [(i * m + j, j * m + i) for i in range(m) for j in range(m)]
         final = {a.index: a.subfield_trace(space.base_f)
@@ -112,6 +113,23 @@ def test_digit_core_matches_field_oracle(space):
         assert space.add(x, points).tolist() == want_add
         assert (space.pairing_exponent(x, points).tolist()
                 == [pairing(x, y) for y in range(space.size)])
+
+
+def index_of_entries(space, A):
+    """The point whose materialized vector or matrix of FieldElements is A,
+    read from its free coordinates one entry at a time (the per-point
+    encoder that the array encoder `points_of` replaced).  A Hermitian
+    diagonal entry outside the subfield raises ValueError."""
+    if space.kind == "vector":
+        coords = [a.index for a in A]
+    elif space.kind == "matrix_full":
+        coords = [a.index for row in A for a in row]
+    else:
+        coords = [A[i][j].index for i, j in zip(space._rows, space._cols)]
+        if space.kind == "matrix_hermitian":
+            coords[:space.m] = [space._subfield.index(A[i][i])
+                                for i in range(space.m)]
+    return space.index_of(tuple(coords))
 
 
 # -- oracle: the tuple-of-digits group law and pairing the array core replaced
@@ -275,7 +293,7 @@ def test_hermitian_space_structure():
         for i in range(2):
             for j in range(2):
                 assert sp.conj(A[i][j]) == A[j][i]
-        assert sp.index_of_matrix(A) == x
+        assert index_of_entries(sp, A) == x
 
 
 def test_alternating_space_structure():
