@@ -4,8 +4,8 @@ Elements are coefficient tuples (constant term first) reduced mod a monic
 irreducible modulus of degree e over F_p.  Everything is immutable and
 desk-scale: q is capped (default 256) and the irreducibility of the modulus
 is verified by exhaustive trial division.  For array work a FieldSpec
-tabulates its addition, multiplication, negation and Frobenius map on
-element indices once, from this arithmetic (`tables`, `matmul`).
+tabulates its addition, multiplication (through discrete logarithms)
+and negation on element indices once (`tables`, `matmul`).
 """
 
 from __future__ import annotations
@@ -159,16 +159,24 @@ class FieldSpec:
     # -- index tables -----------------------------------------------------
 
     def tables(self):
-        """(add, mul, neg, frob) on element indices, built once from
-        FieldElement arithmetic: add[a, b] and mul[a, b] are q x q,
-        neg[a] and frob[a] (a -> a^p) have length q."""
+        """(add, mul, neg) on element indices, built once: add[a, b] adds
+        coefficient vectors mod p, mul[a, b] = w^(log a + log b) from the
+        FieldElement powers of the primitive element w, neg[a] = -a."""
         if self._tables is None:
-            els = self.elements()
-            add = np.array([[(a + b).index for b in els] for a in els])
-            mul = np.array([[(a * b).index for b in els] for a in els])
+            q, els = self.q, self.elements()
+            coeffs = np.array([a.coeffs for a in els])
+            place = self.p ** np.arange(self.e)
+            add = (coeffs[:, None] + coeffs) % self.p @ place
+            power = [self.one()]
+            for _ in range(q - 2):
+                power.append(power[-1] * self.primitive_element())
+            exp = np.array([a.index for a in power])
+            log = np.zeros(q, dtype=np.intp)
+            log[exp] = np.arange(q - 1)
+            mul = exp[(log[:, None] + log) % (q - 1)]
+            mul[0] = mul[:, 0] = 0
             neg = np.array([(-a).index for a in els])
-            frob = np.array([a.frobenius().index for a in els])
-            self._tables = add, mul, neg, frob
+            self._tables = add, mul, neg
         return self._tables
 
     def matmul(self, A, B):
@@ -176,7 +184,7 @@ class FieldSpec:
         stacked over any leading axes that broadcast: A is (..., r, k), B
         (..., k, c).  Each product is one lookup in the mul table and the
         k terms of each entry fold through the add table."""
-        add, mul, _, _ = self.tables()
+        add, mul, _ = self.tables()
         terms = mul[A[..., :, :, None], B[..., None, :, :]]
         acc = terms[..., 0, :]
         for j in range(1, terms.shape[-2]):

@@ -310,14 +310,16 @@ class FullMatrixSpace(FieldSpace):
 
 
 class FormsSpace(FieldSpace):
-    """m x m forms A_ji = mirror(A_ij), free at `positions` (i <= j),
-    zero at every other upper entry.  Subclasses give the mirror table on
-    element indices and may map coordinate values to entries."""
+    """m x m forms A_ji = mirror[A_ij] (a table on element indices), free
+    at `positions` (i <= j), zero at every other upper entry.  Subclasses
+    may map coordinate values to entries."""
 
     form = None
 
-    def __init__(self, m, field: FieldSpec, positions, blocks, **kw):
+    def __init__(self, m, field: FieldSpec, positions, blocks, mirror,
+                 **kw):
         self.m = m
+        self._mirror = mirror
         self._rows = np.array([i for i, _ in positions], dtype=np.intp)
         self._cols = np.array([j for _, j in positions], dtype=np.intp)
         super().__init__((m, m), field, blocks, **kw)
@@ -332,7 +334,7 @@ class FormsSpace(FieldSpace):
         """The forms whose free entries are `values` (one row per form)."""
         E = np.zeros(values.shape[:-1] + self.shape, dtype=values.dtype)
         E[..., self._rows, self._cols] = values
-        E[..., self._cols, self._rows] = self._mirror()[values]
+        E[..., self._cols, self._rows] = self._mirror[values]
         return E
 
     def entries(self, points):
@@ -364,10 +366,8 @@ class AlternatingMatrixSpace(FormsSpace):
     def __init__(self, m, field: FieldSpec, **kw):
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         block = _trace_block(field.elements(), field.p, field.e, _trace)
-        super().__init__(m, field, positions, [block] * len(positions), **kw)
-
-    def _mirror(self):
-        return self.field.tables()[2]
+        super().__init__(m, field, positions, [block] * len(positions),
+                         field.tables()[2], **kw)
 
 
 class SymmetricMatrixSpace(FormsSpace):
@@ -386,10 +386,8 @@ class SymmetricMatrixSpace(FormsSpace):
         blocks = [_trace_block(els, p, field.e,
                                _trace if i == j else _trace_twice)
                   for i, j in positions]
-        super().__init__(m, field, positions, blocks, **kw)
-
-    def _mirror(self):
-        return np.arange(self.field.q)
+        super().__init__(m, field, positions, blocks, np.arange(field.q),
+                         **kw)
 
 
 class HermitianMatrixSpace(FormsSpace):
@@ -428,18 +426,11 @@ class HermitianMatrixSpace(FormsSpace):
         upper_block = _trace_block(els, p, field.e,
                                    lambda a, b: (a * self.conj(b)).trace())
         super().__init__(m, field, [(i, i) for i in range(m)] + upper,
-                         [diag] * m + [upper_block] * len(upper), **kw)
+                         [diag] * m + [upper_block] * len(upper),
+                         np.array([self.conj(a).index for a in els]), **kw)
 
     def conj(self, a):
         return a ** self.base_q
-
-    def _mirror(self):
-        """a -> a^q on element indices: the Frobenius table base_f times."""
-        frob = self.field.tables()[3]
-        conj = np.arange(self.field.q)
-        for _ in range(self.base_f):
-            conj = frob[conj]
-        return conj
 
     def _to_entries(self, coords):
         values = coords.copy()

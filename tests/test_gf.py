@@ -1,5 +1,6 @@
 """Finite field arithmetic, checked exhaustively at desk scale."""
 
+import numpy as np
 import pytest
 
 from scheme_forge.errors import UsageError
@@ -100,3 +101,30 @@ def test_frobenius_is_additive_automorphism():
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(UsageError):
         FieldSpec(2).one() + FieldSpec(3).one()
+
+
+@pytest.mark.parametrize("p,e", FIELDS + [(2, 3), (3, 3)])
+def test_index_tables_match_field_arithmetic(p, e):
+    """add, mul and neg on element indices are FieldElement +, * and
+    unary -, on every element (pair)."""
+    F = FieldSpec(p, e)
+    els = F.elements()
+    add, mul, neg = F.tables()
+    assert add.tolist() == [[(a + b).index for b in els] for a in els]
+    assert mul.tolist() == [[(a * b).index for b in els] for a in els]
+    assert neg.tolist() == [(-a).index for a in els]
+    assert F.tables() is F.tables()
+
+
+def test_matmul_matches_field_arithmetic():
+    """matmul over F_9, stacked and broadcast, against the sum of
+    FieldElement products entry by entry."""
+    F = FieldSpec(3, 2)
+    els = F.elements()
+    rng = np.random.default_rng(0)
+    A = rng.integers(0, 9, size=(5, 2, 3))
+    B = rng.integers(0, 9, size=(3, 4))
+    want = [[[sum((els[a[i][k]] * els[B[k][j]] for k in range(3)),
+                  F.zero()).index for j in range(4)] for i in range(2)]
+            for a in A.tolist()]
+    assert F.matmul(A, B).tolist() == want
