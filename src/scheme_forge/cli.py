@@ -12,10 +12,11 @@ Exit codes: 0 success, 1 duality/axiom failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
+import math
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 
 from .errors import (UsageError, ConfigError, ResourceLimitError,
                      IntegrityError)
@@ -67,17 +68,115 @@ def load_action(cfg, size_bound):
     return space, action_from_config(space, cfg["action"])
 
 
-WRITE_BATCH = 1 << 16  # encoder chunks joined per write
+# A container whose text stays within about this many characters is
+# memoized; a container's pending text is written out once it grows past.
+MEMO_CHARS = 1 << 10
+
+
+def _scalar_text(value):
+    """The JSON text of a str, None, bool, int or float (checked in the
+    order json checks them); None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key_text(key):
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, not %s"
+                        % type(key).__name__)
+    return encode_basestring_ascii(text)
+
+
+def _chunks(obj, depth, memo):
+    """Yield the text of obj, nested `depth` containers deep, as
+    json.dumps(sort_keys=True, indent=2) spells it.
+
+    A list of plain ints is one str.join.  Otherwise the pending text is
+    yielded whenever it passes MEMO_CHARS, and the text of a container
+    that never passed it is stored in memo under (id(obj), depth): the
+    parent reuses it for every later occurrence of obj at that depth."""
+    text = _scalar_text(obj)
+    if text is not None:
+        yield text
+        return
+    inner = "\n" + "  " * (depth + 1)
+    sep = "," + inner
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        lead = [sep + _key_text(key) + ": " for key, _ in items]
+        values = [value for _, value in items]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        lead, values, brackets = None, obj, "[]"
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
+    if not values:
+        yield brackets
+        return
+    close = "\n" + "  " * depth + brackets[1]
+    if lead is None:
+        if set(map(type, values)) == {int}:
+            yield "[" + inner + sep.join(map(int.__repr__, values)) + close
+            return
+        lead = [sep] * len(values)
+    lead[0] = brackets[0] + lead[0][1:]  # the bracket, not a comma
+    pending, size, whole = [], 0, True
+    for head, value in zip(lead, values):
+        text = _scalar_text(value)
+        if text is None:
+            text = memo.get((id(value), depth + 1))
+        if text is None:
+            pending.append(head)
+            size += len(head)
+            chunks = _chunks(value, depth + 1, memo)
+        else:
+            chunks = (head + text,)
+        for text in chunks:
+            pending.append(text)
+            size += len(text)
+            if size > MEMO_CHARS:
+                yield "".join(pending)
+                pending, size, whole = [], 0, False
+    pending.append(close)
+    text = "".join(pending)
+    if whole:
+        memo[(id(obj), depth)] = text
+    yield text
 
 
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
-    out_path, or to stdout, streamed: the encoder's chunks are joined and
-    written WRITE_BATCH at a time, so the whole text is never held."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(report)
+    out_path, or to stdout, byte for byte, streamed.
+
+    The encoder takes str, int, float, bool and None scalars (ASCII
+    escaping, float repr, NaN and Infinity spelled as json spells them)
+    and dict, list and tuple containers, dict keys sorted.  Repeated
+    subtrees are encoded once: the text of a container that stays within
+    about MEMO_CHARS is memoized by (id, depth), identity because the
+    report keeps every container alive while it is written, depth because
+    indentation depends on it (a list of plain ints is not memoized: one
+    str.join re-encodes it).  A container's pending text is written once
+    it passes MEMO_CHARS, so the whole text is never held."""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        while batch := "".join(itertools.islice(chunks, WRITE_BATCH)):
-            fh.write(batch)
+        for text in _chunks(report, 0, {}):
+            fh.write(text)
         fh.write("\n")
 
 

@@ -167,26 +167,10 @@ class CycloInt:
             out[(-k) % m] += c
         return CycloInt(m, out)
 
-    def divide_exact(self, n):
-        """Divide by the integer n; every coefficient must be divisible."""
-        if any(c % n for c in self.coeffs):
-            raise ArithmeticError("inexact division of %r by %d" % (self, n))
-        return CycloInt(self.order, tuple(c // n for c in self.coeffs),
-                        reduce=False)
-
     # -- queries -----------------------------------------------------------
-
-    def as_rational_integer(self):
-        """The integer n if self == n*1, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
 
     def is_zero(self):
         return not any(self.coeffs)
-
-    def is_real(self):
-        return self.conjugate() == self
 
     def approx(self):
         """(complex value, rigorous roundoff bound) of the embedding

@@ -272,8 +272,20 @@ class DualityCertificate:
             self.witnesses.append({"check": check, "witness": witness})
 
     def to_json(self):
+        """The certificate as JSON-ready dicts and lists.  Each distinct
+        CycloInt becomes JSON once: equal entries of P, Q and the Krein
+        tensor share one dict, so CycloInt.approx() runs once per value
+        and cli.write_report encodes each shared dict once."""
+        entries = {}
+
+        def entry(c):
+            out = entries.get(c)
+            if out is None:
+                out = entries[c] = c.to_json()
+            return out
+
         def cyclo_matrix(M):
-            return None if M is None else [[c.to_json() for c in row] for row in M]
+            return None if M is None else [[entry(c) for c in row] for row in M]
         return {
             "mode": self.mode,
             "pass": self.passed,
@@ -285,8 +297,7 @@ class DualityCertificate:
             "P": cyclo_matrix(self.P),
             "sigma": self.sigma,
             "krein": None if self.krein is None else
-                [[[q.to_json() for q in row] for row in plane]
-                 for plane in self.krein],
+                [cyclo_matrix(plane) for plane in self.krein],
             "krein_flags": self.krein_flags,
             "checks": self.checks,
             "witnesses": self.witnesses,

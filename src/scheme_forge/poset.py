@@ -1,4 +1,4 @@
-"""Weak order posets, poset weights, and sphere sizes.
+"""Weak order posets and poset weights.
 
 A weak order poset is an ordinal sum of antichains; coordinates keep their
 identity under dualization (only the order relation flips), which is what
@@ -68,12 +68,6 @@ class WeakOrderPoset:
         level = np.array(self.level_of)
         top = np.where(nonzero, level, 0).max(axis=-1, initial=0)
         return (nonzero | (level < top[..., None])).sum(axis=-1)
-
-    def sphere_sizes(self, q):
-        """|S_P(i)| for i = 0..n by exhaustive weight evaluation."""
-        nonzero = np.indices((q,) * self.n).reshape(self.n, -1).T != 0
-        return np.bincount(self.weights(nonzero),
-                           minlength=self.n + 1).tolist()
 
     def __eq__(self, other):
         return (isinstance(other, WeakOrderPoset)

@@ -1,5 +1,5 @@
 """Translation association schemes: relations, valencies, intersection
-numbers, adjacency matrices, and the axiom verification report.
+numbers, and the axiom verification report.
 
 The relation rule is (x, y) in R_i iff y - x lies in class i of the orbit
 partition; intersection numbers use the translated form
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IntegrityError, ResourceLimitError
+from .errors import IntegrityError
 from .action import OrbitPartition, check_condition_4
 from .space import (AbelianSpace, FullMatrixSpace, AlternatingMatrixSpace,
                     SymmetricMatrixSpace, HermitianMatrixSpace)
@@ -61,18 +61,6 @@ class TranslationScheme:
                                              verify_representatives)
         self._p_verified = verify_representatives
         return self._p_tensor
-
-    # -- adjacency matrices ---------------------------------------------------
-
-    def adjacency_matrix(self, i, matrix_bound=DEFAULT_MATRIX_BOUND):
-        n = self.space.size
-        if n > matrix_bound:
-            raise ResourceLimitError(
-                "|X| = %d exceeds the matrix bound %d" % (n, matrix_bound))
-        points = np.arange(n)
-        diff = self.space.sub(points, points[:, None])  # [x][y] = y - x
-        return (np.asarray(self.partition.class_of)[diff] == i).astype(
-            np.int64)
 
     # -- verification -----------------------------------------------------------
 

@@ -177,13 +177,15 @@ class AbelianSpace:
         return list(self.coords_of(x))
 
     def to_config(self):
-        """The config fragment space_from_config builds this space from
-        (without lambda_multiplier)."""
+        """The config fragment space_from_config builds this space from;
+        lambda_multiplier appears only when it is not 1."""
         cfg = {"kind": self.kind}
         for key in SPACE_KINDS[self.kind][1]:
             value = getattr(self, key)
             cfg[key] = (value.to_config() if key == "field"
                         else list(value) if key == "moduli" else value)
+        if self.lambda_multiplier != 1:
+            cfg["lambda_multiplier"] = self.lambda_multiplier
         return cfg
 
     def __repr__(self):
@@ -222,15 +224,37 @@ class GramSpace(AbelianSpace):
         return k if np.ndim(k) else int(k)
 
 
+# rows of the pairing table per float64 product (4 MB at |X| = 4096)
+PAIRING_BLOCK_ROWS = 128
+
+
 def pairing_table(space):
     """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
     (D . B . D^T) lambda mod m, in the smallest integer dtype holding
-    m - 1."""
+    m - 1.
+
+    The product runs in float64, which numpy hands to BLAS (an integer
+    matmul gets none), PAIRING_BLOCK_ROWS rows at a time so that the
+    float64 temporary stays small; each block is reduced mod m in the
+    index dtype of the space.  It is exact: the factors are integers in
+    [0, m) and [0, max r_i), so every partial sum is an integer of at
+    most N (m - 1)(max r_i - 1) <= N max(|X|, m)^2, which the index
+    dtype holds (AbelianSpace.__init__ sizes it by that bound) and which
+    stays below 2^53: under 12 * 4096^2 < 2^28 for |X| <=
+    DEFAULT_SIZE_BOUND (N <= 12 digits, m <= |X|), and under 2^53 for
+    every |X| < 2^22, far beyond a table that fits in memory."""
     m = space.character_order
-    rows = space._gram_rows * (space.lambda_multiplier % m) % m
-    table = rows @ space.digits.T
-    table %= m
-    return table.astype(np.min_scalar_type(m - 1))
+    rows = (space._gram_rows * (space.lambda_multiplier % m) % m).astype(
+        np.float64)
+    cols = space.digits.T.astype(np.float64)
+    table = np.empty((space.size, space.size),
+                     dtype=np.min_scalar_type(m - 1))
+    for start in range(0, space.size, PAIRING_BLOCK_ROWS):
+        block = (rows[start:start + PAIRING_BLOCK_ROWS] @ cols).astype(
+            space.place.dtype)
+        block %= m
+        table[start:start + PAIRING_BLOCK_ROWS] = block
+    return table
 
 
 def _trace_block(elements, p, f, form):

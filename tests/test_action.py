@@ -20,6 +20,7 @@ from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  mat_conj_transpose, _field_map)
 
 from test_space import SPACES, ORACLE_SPACES, TupleDigits, index_of_entries
+from test_poset import sphere_sizes
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
@@ -119,7 +120,7 @@ def test_weak_hamming_weight_classes():
             for x in range(sp.size):
                 w = genset.poset.weight(sp.materialize(x))
                 assert part.class_of[x] == w
-            assert part.sizes == genset.poset.sphere_sizes(2)
+            assert part.sizes == sphere_sizes(genset.poset, 2)
 
 
 def test_condition_4_and_6_symmetric_f3():

@@ -1,9 +1,14 @@
 """CLI: exit codes, report shapes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
@@ -239,13 +244,9 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
-@pytest.mark.parametrize("batch", [cli.WRITE_BATCH, 3])
-def test_write_report_streams_the_dumps_bytes(batch, capsys, tmp_path,
-                                              monkeypatch):
+def test_write_report_streams_the_dumps_bytes(capsys, tmp_path):
     """The streamed report, to a file and to stdout, is byte for byte
-    json.dumps(report, sort_keys=True, indent=2) + "\\n", also when the
-    encoder's chunks span many write batches."""
-    monkeypatch.setattr(cli, "WRITE_BATCH", batch)
+    json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
     report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
               "c": [[True, False]] * 5, "d": "end"}
     want = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -254,3 +255,85 @@ def test_write_report_streams_the_dumps_bytes(batch, capsys, tmp_path,
     assert path.read_bytes() == want.encode()
     cli.write_report(report, None)
     assert capsys.readouterr().out == want
+
+
+def encoded(obj):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_report(obj, None)
+    return out.getvalue()
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([2 ** 63, -2 ** 63 - 1, 3 ** 90]),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    st.text(), st.sampled_from(["\x00\x1f\x7f", "é\u2028\U0001f600",
+                                "\ud800", '"\\/\n\t']))
+
+# one key type per dict: json sorts the raw keys, which need not compare
+KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
+
+TREES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        *(st.dictionaries(keys, children, max_size=6) for keys in KEYS)),
+    max_leaves=20)
+
+
+@st.composite
+def shared_trees(draw):
+    """A tree holding one container at two depths and twice at one depth,
+    and, as it grows, container texts above the memo and flush size."""
+    shared = draw(st.lists(TREES, min_size=1, max_size=3))
+    other = draw(TREES)
+    long = [shared] * draw(st.integers(0, 20))
+    return {"a": shared, "b": [other, [shared, shared], {"c": shared}],
+            "d": long, "e": other}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(TREES, shared_trees()))
+def test_write_report_matches_json_dumps(obj):
+    """The encoder gives json.dumps(obj, sort_keys=True, indent=2) exactly,
+    on random trees of every JSON type, NaN and infinities included."""
+    assert encoded(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def test_write_report_rejects_what_json_rejects():
+    for bad in ({"a": {1, 2}}, [object()], {(1, 2): 0}, {"a": 1, 2: 0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            encoded(bad)
+
+
+class WriteRecorder(io.StringIO):
+    """A text file that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_write_report_streams_a_large_certificate(monkeypatch):
+    """The dual certificate of the central action on Z16 x Z8 (7.6 MB of
+    text) is written in pieces of at most 64 KiB whose bytes are
+    json.dumps's: the encoder never holds the whole text."""
+    config = os.path.join(CONFIGS, os.pardir, "perfbench", "configs",
+                          "central_z16xz8.json")
+    _, genset = cli.load_action(cli.read_config(config), 4096)
+    cert = duality.duality_report(genset, matrix_bound=64).to_json()
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    cli.write_report(cert, None)
+    want = json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    assert recorder.getvalue() == want
+    assert len(want) > 7 * 10 ** 6
+    assert max(recorder.sizes) <= 64 * 1024

@@ -22,6 +22,8 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report, spectrum,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
+from test_cyclo import as_rational_integer, divide_exact, is_real
+
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
@@ -60,7 +62,7 @@ def loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
     report["P_row0_valencies"] = all(
         P[0][j] == CycloInt.integer(m, valencies[j]) for j in range(d + 1))
     report["entries_real"] = all(
-        Q[i][j].is_real() and P[i][j].is_real()
+        is_real(Q[i][j]) and is_real(P[i][j])
         for i in range(d + 1) for j in range(d + 1))
     ortho = True
     for j in range(d + 1):
@@ -90,11 +92,11 @@ def loop_krein_parameters(P, Q, size):
                 acc = CycloInt.zero(m)
                 for l in range(d + 1):
                     acc = acc + P[k][l] * Q[l][i] * Q[l][j]
-                q = acc.divide_exact(size)
+                q = divide_exact(acc, size)
                 tensor[i][j][k] = q
-                if not q.is_real():
+                if not is_real(q):
                     real_ok = False
-                low = q.as_rational_integer()
+                low = as_rational_integer(q)
                 if low is not None:  # a rational integer: exact sign
                     negative = low < 0
                 else:
@@ -289,7 +291,7 @@ def spectral_parts(space, part_G, part_Gc, table):
 
 
 def ints(M):
-    return [[c.as_rational_integer() for c in row] for row in M]
+    return [[as_rational_integer(c) for c in row] for row in M]
 
 
 @pytest.fixture(scope="module")
@@ -617,7 +619,7 @@ def test_contractions_match_loops_irrational(m, real):
     multiplicities = [rng.randint(1, 9) for _ in range(d + 1)]
     _, (tensor, flags) = assert_contractions_match_loops(
         P, Q, 3, valencies, multiplicities)
-    assert any(q.as_rational_integer() is None
+    assert any(as_rational_integer(q) is None
                for plane in tensor for row in plane for q in row)
     assert flags["real"] is real
     assert not flags["nonnegative"] and flags["worst_value"] < 0

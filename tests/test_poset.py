@@ -9,6 +9,13 @@ from scheme_forge.errors import UsageError
 from scheme_forge.poset import WeakOrderPoset
 
 
+def sphere_sizes(poset, q):
+    """|S_P(i)| for i = 0..n by exhaustive weight evaluation over F_q^n."""
+    nonzero = np.indices((q,) * poset.n).reshape(poset.n, -1).T != 0
+    return np.bincount(poset.weights(nonzero),
+                       minlength=poset.n + 1).tolist()
+
+
 def test_level_layout():
     P = WeakOrderPoset((2, 1))
     assert P.level_of == (1, 1, 2)
@@ -51,11 +58,11 @@ def test_single_level_is_hamming_weight():
 
 
 def test_sphere_sizes():
-    assert WeakOrderPoset((1, 1)).sphere_sizes(2) == [1, 1, 2]
-    assert WeakOrderPoset((2, 1)).sphere_sizes(2) == [1, 2, 1, 4]
-    assert WeakOrderPoset((2, 1)).dual().sphere_sizes(2) == [1, 1, 4, 2]
+    assert sphere_sizes(WeakOrderPoset((1, 1)), 2) == [1, 1, 2]
+    assert sphere_sizes(WeakOrderPoset((2, 1)), 2) == [1, 2, 1, 4]
+    assert sphere_sizes(WeakOrderPoset((2, 1)).dual(), 2) == [1, 1, 4, 2]
     # all spheres of the chain 1+1+1: q^(i-1)(q-1) points at weight i
-    assert WeakOrderPoset((1, 1, 1)).sphere_sizes(3) == [1, 2, 6, 18]
+    assert sphere_sizes(WeakOrderPoset((1, 1, 1)), 3) == [1, 2, 6, 18]
 
 
 def test_validation():

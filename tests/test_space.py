@@ -10,6 +10,7 @@ import pytest
 from scheme_forge.cyclo import CycloInt
 from scheme_forge.errors import UsageError, ResourceLimitError
 from scheme_forge.gf import FieldSpec
+from scheme_forge import space as space_module
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
@@ -345,6 +346,39 @@ def test_space_from_config_round_trip():
             for y in range(space.size):
                 assert (rebuilt.pairing_exponent(x, y)
                         == space.pairing_exponent(x, y))
+
+
+def test_to_config_keeps_lambda_multiplier():
+    """to_config names a lambda multiplier other than 1, so the space
+    rebuilt from it has the same scaled pairing; lambda = 1 stays
+    implicit, as in the shipped reports."""
+    cfg = {"kind": "vector", "n": 1, "field": {"p": 5},
+           "lambda_multiplier": 2}
+    space = space_from_config(cfg)
+    assert space.to_config() == {"kind": "vector", "n": 1,
+                                 "field": {"p": 5, "e": 1},
+                                 "lambda_multiplier": 2}
+    rebuilt = space_from_config(space.to_config())
+    assert rebuilt.lambda_multiplier == 2
+    assert np.array_equal(pairing_table(rebuilt), pairing_table(space))
+    assert "lambda_multiplier" not in space_from_config(
+        dict(cfg, lambda_multiplier=1)).to_config()
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: repr(s))
+def test_pairing_table_matches_int64_product(space, monkeypatch):
+    """The float64 product, in blocks of the default row count and in
+    blocks of 3 rows (a ragged last block included), equals the int64
+    product (D . B mod m) lambda mod m . D^T mod m."""
+    m = space.character_order
+    rows = space._gram_rows.astype(np.int64) * (space.lambda_multiplier
+                                                % m) % m
+    want = rows @ space.digits.T.astype(np.int64) % m
+    for block_rows in (space_module.PAIRING_BLOCK_ROWS, 3):
+        monkeypatch.setattr(space_module, "PAIRING_BLOCK_ROWS", block_rows)
+        table = pairing_table(space)
+        assert table.dtype == np.min_scalar_type(m - 1)
+        assert np.array_equal(table, want)
 
 
 def test_bad_configs_rejected():
