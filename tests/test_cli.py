@@ -244,9 +244,14 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
-def test_write_report_streams_the_dumps_bytes(capsys, tmp_path):
+@pytest.mark.parametrize("memo_chars", [3, 1 << 16])
+def test_write_report_streams_the_dumps_bytes(memo_chars, capsys, tmp_path,
+                                              monkeypatch):
     """The streamed report, to a file and to stdout, is byte for byte
-    json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
+    json.dumps(report, sort_keys=True, indent=2) + "\\n", both when every
+    container passes MEMO_CHARS and is written in pieces and when the
+    whole report stays within it and is memoized."""
+    monkeypatch.setattr(cli, "MEMO_CHARS", memo_chars)
     report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
               "c": [[True, False]] * 5, "d": "end"}
     want = json.dumps(report, sort_keys=True, indent=2) + "\n"
