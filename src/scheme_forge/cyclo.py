@@ -8,9 +8,23 @@ Matrices and tensors of elements are contracted as integer arrays of
 power-basis coefficients, shape (..., phi(m)) (`coeff_array`,
 `contract`): a product of two elements is bilinear in their coefficients,
 through the structure constants M[a, b, :] = coefficients of z^a z^b, so
-one `np.einsum` computes a whole contraction.  It runs in int64 only when
-a bound in Python integers proves that no partial sum reaches 2^63, and
-with Python integers (dtype=object) otherwise, so it is exact either way.
+one einsum "...X,...Y,XYZ->...Z" computes a whole contraction.  Every
+such table is read off the reduction matrix R[k, :] = coefficients of
+z^k, k < m (`reduction_matrix`).
+
+A contraction runs only over the coefficients that can be nonzero: A and
+B are sliced to their nonzero coefficient columns (their support), M to
+those rows and to its nonzero output columns, and the result is scattered
+back into phi(m) columns.  Central actions, whose eigenmatrices are
+rational integers, contract one column instead of phi(m).  A dropped
+column holds only zeros, so it adds only zero products: the sliced
+contraction has the same sums, and the count of its products times the
+largest absolute entries of the sliced A, B and M bounds every partial
+sum, in any summation order.  The contraction runs in int64 only when that
+bound, in Python integers, is below 2^63, and with Python integers
+(dtype=object) otherwise, so it is exact either way.  It follows a fixed
+pairwise path, A with B over the element indices and then the result
+with M, rather than one einsum picks.
 """
 
 from __future__ import annotations
@@ -113,11 +127,6 @@ class CycloInt:
     def root_of_unity(m, k):
         k %= m
         return CycloInt(m, [0] * k + [1])
-
-    @staticmethod
-    def from_exponent_counts(m, counts):
-        """Sum of counts[k] * zeta_m^k; counts is a length-m sequence."""
-        return CycloInt(m, list(counts))
 
     # -- ring operations -------------------------------------------------
 
@@ -226,11 +235,26 @@ class CycloInt:
 # -- exact contractions of coefficient arrays ----------------------------------
 
 @functools.cache
+def reduction_matrix(m):
+    """R[k, :] = power-basis coefficients of z^k, k < m: each row is the
+    one before shifted up one power, with the carried coefficient c of
+    z^phi(m) replaced by -c times the lower coefficients of Phi_m."""
+    n = euler_phi(m)
+    low = np.array(cyclotomic_polynomial(m)[:n], dtype=np.int64)
+    R = np.zeros((m, n), dtype=np.int64)
+    R[0, 0] = 1
+    for k in range(1, m):
+        R[k, 1:] = R[k - 1, :-1]
+        R[k] -= R[k - 1, -1] * low
+    R.setflags(write=False)
+    return R
+
+
+@functools.cache
 def structure_constants(m):
     """M[a, b, :] = power-basis coefficients of z^a z^b, a, b < phi(m)."""
-    n = euler_phi(m)
-    M = np.array([[CycloInt.root_of_unity(m, a + b).coeffs for b in range(n)]
-                  for a in range(n)], dtype=np.int64)
+    a = np.arange(euler_phi(m))
+    M = reduction_matrix(m)[(a[:, None] + a) % m]
     M.setflags(write=False)
     return M
 
@@ -238,8 +262,7 @@ def structure_constants(m):
 @functools.cache
 def conjugation_matrix(m):
     """C[a, :] = power-basis coefficients of z^(-a), a < phi(m)."""
-    C = np.array([CycloInt.root_of_unity(m, -a).coeffs
-                  for a in range(euler_phi(m))], dtype=np.int64)
+    C = reduction_matrix(m)[-np.arange(euler_phi(m)) % m]
     C.setflags(write=False)
     return C
 
@@ -259,41 +282,72 @@ def coeff_array(entries):
 
 def integer_array(values, m):
     """Coefficient array of an array of rational integers in Z[zeta_m]."""
-    values = np.asarray(values, dtype=object)
-    out = np.zeros(values.shape + (euler_phi(m),), dtype=object)
+    values = np.asarray(values)
+    out = np.zeros(values.shape + (euler_phi(m),), dtype=values.dtype)
     out[..., 0] = values
     return out
+
+
+def nonzero(A):
+    """Entrywise test that the elements of a coefficient array are not 0
+    (a bool array, also for dtype=object)."""
+    return (A != 0).any(axis=-1)
+
+
+def equals_integers(A, values):
+    """Entrywise test that the elements of a coefficient array are the
+    rational integers `values` (broadcast against A without its
+    coefficient axis)."""
+    return (A[..., 0] == values) & ~nonzero(A[..., 1:])
+
+
+def nest(flat, shape):
+    """A flat list as nested lists of the given shape (ndim >= 1)."""
+    for size in reversed(shape[1:]):
+        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
+    return flat
 
 
 def cyclo_entries(A, m):
     """Inverse of coeff_array for ndim >= 2: nested lists of CycloInt of
     order m.  The coefficients are read as one flat list: a nested
     tolist() makes one short-lived list per entry among the entries'
-    tuples, which left 1.7 MB more resident memory after the d = 29 Krein
-    tensor of central Z16 x Z8."""
+    tuples, which left 1.7 MB more resident memory after a 30^3 tensor
+    over Z[zeta_16]."""
     n = A.shape[-1]
     flat = A.reshape(-1).tolist()
-    entries = [CycloInt(m, tuple(flat[i:i + n]), reduce=False)
-               for i in range(0, len(flat), n)]
-    for size in reversed(A.shape[1:-1]):
-        entries = [entries[i:i + size] for i in range(0, len(entries), size)]
-    return entries
+    return nest([CycloInt(m, tuple(flat[i:i + n]), reduce=False)
+                 for i in range(0, len(flat), n)], A.shape[:-1])
+
+
+def _support(A):
+    """Indices of the coefficient columns of A that hold a nonzero entry."""
+    return np.flatnonzero(nonzero(A.reshape(-1, A.shape[-1]).T))
 
 
 def _max_abs(A):
-    return max(int(A.max()), -int(A.min()), 1)
+    return max(int(A.max(initial=0)), -int(A.min(initial=0)), 1)
 
 
 def _exact_einsum(spec, operands, bound):
-    """np.einsum of integer arrays; `bound` must be at least the sum of the
-    absolute values of all the products the contraction expands to, which
-    bounds every partial sum in any summation order.  int64 only below
-    2^63, Python integers otherwise."""
+    """np.einsum of integer arrays along the pairwise path that contracts
+    the first two operands, then the result with the next; `bound` must be
+    at least the sum of the absolute values of all the products the
+    contraction expands to, which bounds every partial sum in any
+    summation order.  int64 only below 2^63, Python integers otherwise."""
+    path = ["einsum_path"] + [(0, 1)] * (len(operands) - 1)
     if bound < 2 ** 63:
         return np.einsum(spec, *(np.asarray(A, dtype=np.int64)
-                                 for A in operands), optimize=True)
+                                 for A in operands), optimize=path)
     return np.einsum(spec, *(np.asarray(A, dtype=object) for A in operands),
-                     dtype=object, optimize=True)
+                     dtype=object, optimize=path)
+
+
+def _scatter(R, columns, n):
+    """R into the given `columns` of a zero array with n coefficients."""
+    out = np.zeros(R.shape[:-1] + (n,), dtype=R.dtype)
+    out[..., columns] = R
+    return out
 
 
 def contract(spec, A, B, m):
@@ -301,19 +355,30 @@ def contract(spec, A, B, m):
 
     `spec` is an einsum specification over element indices in lowercase
     letters, e.g. "ik,kj->ij" for a matrix product; A and B carry one more
-    trailing axis, the phi(m) coefficients, and so does the result."""
+    trailing axis, the phi(m) coefficients, and so does the result.  Only
+    the supports of A and B are contracted (module docstring)."""
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
     M = structure_constants(m)
+    ka, kb = _support(A), _support(B)
+    M = M[np.ix_(ka, kb)]
+    kz = _support(M)
+    A, B, M = A[..., ka], B[..., kb], M[..., kz]
     sizes = dict(zip(sa + sb, A.shape[:-1] + B.shape[:-1]))
     terms = math.prod(n for c, n in sizes.items() if c not in out) \
-        * M.shape[0] ** 2
+        * len(ka) * len(kb)
     bound = terms * _max_abs(A) * _max_abs(B) * _max_abs(M)
-    return _exact_einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out), (A, B, M), bound)
+    return _scatter(_exact_einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out),
+                                  (A, B, M), bound), kz, euler_phi(m))
 
 
 def conjugate_array(A, m):
-    """Entrywise image of a coefficient array under zeta -> zeta^(-1)."""
-    C = conjugation_matrix(m)
-    bound = C.shape[0] * _max_abs(A) * _max_abs(C)
-    return _exact_einsum("...X,XZ->...Z", (A, C), bound)
+    """Entrywise image of a coefficient array under zeta -> zeta^(-1),
+    contracted over the support of A (module docstring)."""
+    ka = _support(A)
+    C = conjugation_matrix(m)[ka]
+    kz = _support(C)
+    A, C = A[..., ka], C[:, kz]
+    bound = len(ka) * _max_abs(A) * _max_abs(C)
+    return _scatter(_exact_einsum("...X,XZ->...Z", (A, C), bound), kz,
+                    euler_phi(m))

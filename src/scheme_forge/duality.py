@@ -3,9 +3,20 @@ sigma permutation, Krein parameters, and the full self/cross pipeline.
 
 All identities are checked exactly in Z[zeta_m]; the only floating-point
 use is the advisory lower bound on Krein parameters that are not rational
-integers.  Character sums are accumulated as exponent histograms and
-reduced once, so a sum over a class costs one table lookup per point plus
-a single cyclotomic reduction.
+integers.  Every quantity of the pipeline is an integer array of
+power-basis coefficients, shape (..., phi(m)) (cyclo.py):
+
+  * the character profile, (dual classes, |X|, phi(m)): per class, one
+    exponent histogram per point, reduced by one m x phi(m) matrix;
+  * F = Q or P, (d + 1, d + 1, phi(m)): the profile at one
+    representative of each class, once constancy holds;
+  * the spectrum P Q and the Krein tensor, (d + 1, d + 1[, d + 1],
+    phi(m)).
+
+Every check is an array comparison of these.  CycloInt objects appear
+only at the certificate boundary: DualityCertificate.P and .Q are nested
+CycloInt, built once, and to_json makes one JSON entry per distinct
+coefficient row of P, Q and the Krein tensor.
 
 Sigma and the idempotent products are read off the spectrum P Q.  The
 scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
@@ -32,7 +43,7 @@ some x, which by biadditivity may be taken from the digit basis.
 
 The spectrum P Q, row orthogonality and the Krein tensor are contractions
 of coefficient arrays (cyclo.contract), each one exact einsum through the
-structure constants of Z[zeta_m] rather than a loop of scalar products:
+structure constants of Z[zeta_m], over the nonzero coefficients only:
 
   * P Q is "ik,kj->ij";
   * row orthogonality weights the rows of Q by the valencies ("i,ij->ij")
@@ -47,11 +58,12 @@ from __future__ import annotations
 import numpy as np
 
 from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
+                    equals_integers, nest, nonzero, reduction_matrix,
                     contract, conjugate_array)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
-from .space import pairing_table
+from .space import pairing_table, PAIRING_BLOCK_ROWS
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
@@ -60,75 +72,81 @@ DENSE_IDEMPOTENT_BOUND = 32
 
 
 def character_profile(space, dual_classes, table):
-    """profile[j][y] = sum over x in dual class j of <y, x>, exact: per
-    class, one bincount of the exponents T[x][y] = T[y][x] (offset by m y)
-    gives the exponent histogram of every y, reduced once into a CycloInt.
-    The pairing is symmetric, so the class is a gather of whole rows of T,
-    in the index dtype of the space (see AbelianSpace.__init__)."""
+    """profile[j, y] = coefficients of the sum over x in dual class j of
+    <y, x>, an int64 array of shape (classes, |X|, phi(m)).
+
+    The pairing is symmetric, so the class is a gather of whole rows of
+    T, PAIRING_BLOCK_ROWS rows at a time: one bincount of the exponents
+    T[x][y] (offset by m y) adds the block to the exponent histogram of
+    every y.  The histograms, (|X|, m), times the reduction matrix
+    R[k] = coefficients of zeta^k give the class's row of the profile.
+    That product runs in float64 (BLAS) and is exact: the histogram of y
+    sums to at most |X|, so every partial sum is an integer of at most
+    |X| max|R|, far below 2^53."""
     m = space.character_order
-    offsets = np.arange(space.size, dtype=space.place.dtype) * m
-    profile = []
-    for cls in dual_classes:
-        counts = np.bincount((table[cls] + offsets).ravel(),
-                             minlength=space.size * m)
-        profile.append([CycloInt.from_exponent_counts(m, row) for row in
-                        counts.reshape(space.size, m).tolist()])
+    n = space.size
+    R = reduction_matrix(m).astype(np.float64)
+    offsets = np.arange(n, dtype=np.intp) * m
+    profile = np.empty((len(dual_classes), n, R.shape[1]), dtype=np.int64)
+    for j, cls in enumerate(dual_classes):
+        counts = np.zeros(n * m, dtype=np.intp)
+        for start in range(0, len(cls), PAIRING_BLOCK_ROWS):
+            block = table[cls[start:start + PAIRING_BLOCK_ROWS]] + offsets
+            counts += np.bincount(block.ravel(), minlength=n * m)
+        profile[j] = counts.reshape(n, m).astype(np.float64) @ R
     return profile
 
 
 def constancy_test(partition_G, profile):
-    """Theorem check: each f_j constant on each class X_i.
+    """Theorem check: each f_j constant on each class X_i, one array
+    comparison per class against its first point.
 
-    Returns (ok, F, witness); on pass F[i][j] is the common value, on fail
-    the witness is (i, j, y, y2) with f_j(y) != f_j(y2)."""
-    d = partition_G.d
-    F = [[None] * len(profile) for _ in range(d + 1)]
-    for j, f in enumerate(profile):
-        for i, cls in enumerate(partition_G.classes):
-            y0 = cls[0]
-            v0 = f[y0]
-            for y in cls[1:]:
-                if f[y] != v0:
-                    return False, None, (i, j, y0, y)
-            F[i][j] = v0
-    return True, F, None
+    Returns (ok, F, witness); on pass F[i, j] is the common value, a
+    coefficient array of shape (d + 1, dual classes, phi(m)); on fail the
+    witness is (i, j, y0, y) with f_j(y0) != f_j(y), y0 the first point
+    of X_i: the first failure in the order j, then i, then y along X_i."""
+    witness = None
+    for i, cls in enumerate(partition_G.classes):
+        values = profile[:, cls]
+        differs = (values != values[:, :1]).any(axis=-1)
+        rows = np.flatnonzero(differs.any(axis=1))
+        if len(rows) and (witness is None or rows[0] < witness[1]):
+            j = int(rows[0])
+            witness = (i, j, cls[0], cls[int(np.argmax(differs[j]))])
+    if witness is not None:
+        return False, None, witness
+    reps = [cls[0] for cls in partition_G.classes]
+    return True, profile[:, reps].transpose(1, 0, 2), None
 
 
 # -- contractions over Z[zeta_m] ----------------------------------------------
 
 def spectrum(P, Q):
-    """The product P Q of two matrices of CycloInt, exact."""
+    """The product P Q of two matrices of CycloInt, exact: the spectrum
+    of a certificate's P and Q as nested CycloInt."""
     m = Q[0][0].order
     return cyclo_entries(contract("ik,kj->ij", coeff_array(P),
                                   coeff_array(Q), m), m)
 
 
-def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
-    """Exact checks tying P and Q (and their product PQ) together; returns
-    a report dict."""
-    d = len(Q) - 1
+def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size, m):
+    """Exact checks tying the coefficient arrays P and Q (and their
+    product PQ) over Z[zeta_m] together; returns a report dict."""
     report = {}
-    report["PQ_is_nI"] = all(
-        PQ[i][j] == CycloInt.integer(Q[0][0].order, size if i == j else 0)
-        for i in range(d + 1) for j in range(d + 1))
-    m = Q[0][0].order
-    one = CycloInt.integer(m, 1)
-    report["Q_col0_ones"] = all(Q[i][0] == one for i in range(d + 1))
-    report["Q_row0_multiplicities"] = all(
-        Q[0][j] == CycloInt.integer(m, multiplicities[j]) for j in range(d + 1))
-    report["P_row0_valencies"] = all(
-        P[0][j] == CycloInt.integer(m, valencies[j]) for j in range(d + 1))
-    Pa, Qa = coeff_array(P), coeff_array(Q)
-    Qc = conjugate_array(Qa, m)
-    report["entries_real"] = (np.array_equal(Qc, Qa)
-                              and np.array_equal(conjugate_array(Pa, m), Pa))
+    report["PQ_is_nI"] = bool(equals_integers(
+        PQ, size * np.eye(len(Q), dtype=np.int64)).all())
+    report["Q_col0_ones"] = bool(equals_integers(Q[:, 0], 1).all())
+    report["Q_row0_multiplicities"] = bool(
+        equals_integers(Q[0], multiplicities).all())
+    report["P_row0_valencies"] = bool(equals_integers(P[0], valencies).all())
+    Qc = conjugate_array(Q, m)
+    report["entries_real"] = (np.array_equal(Qc, Q)
+                              and np.array_equal(conjugate_array(P, m), P))
     # sum_i v_i Q[i][j] conj Q[i][j'] = delta_jj' |X| m_j
-    weighted = contract("i,ij->ij", integer_array(valencies, m), Qa, m)
+    weighted = contract("i,ij->ij", integer_array(valencies, m), Q, m)
     gram = contract("ij,ik->jk", weighted, Qc, m)
-    want = [[size * k if j == j2 else 0 for j2 in range(d + 1)]
-            for j, k in enumerate(multiplicities)]
-    report["row_orthogonality"] = np.array_equal(gram,
-                                                 integer_array(want, m))
+    report["row_orthogonality"] = bool(equals_integers(
+        gram, np.diag([size * k for k in multiplicities])).all())
     report["all_pass"] = all(v for k, v in report.items() if k != "all_pass")
     return report
 
@@ -139,33 +157,33 @@ def verify_idempotents(space, profile, constancy, spectrum):
     """Exact checks of the idempotent properties, in the scaled form
     N_j = |X| E_j with N_j[a][b] = f_j(a-b).
 
-    N_0 = J and sum_j N_j = |X| I are checked point by point; Bose-Mesner
-    membership is `constancy`, the result of constancy_test(G partition,
-    profile); the products N_i N_j = delta_ij |X| N_i are read off the
-    spectrum P Q when the pairing is nondegenerate (module docstring), and
-    fail with a `degenerate_witness` point otherwise.  `dense_products`
-    repeats that verdict for |X| <= DENSE_IDEMPOTENT_BOUND.
+    N_0 = J and sum_j N_j = |X| I are checked on the whole profile;
+    Bose-Mesner membership is `constancy`, the result of
+    constancy_test(G partition, profile); the products
+    N_i N_j = delta_ij |X| N_i are read off the spectrum P Q when the
+    pairing is nondegenerate (module docstring), and fail with a
+    `degenerate_witness` point otherwise.  `dense_products` repeats that
+    verdict for |X| <= DENSE_IDEMPOTENT_BOUND.
     """
     n = space.size
-    m = space.character_order
     report = {}
 
-    one = CycloInt.integer(m, 1)
-    report["E0_is_J"] = all(v == one for v in profile[0])
-    report["sum_is_identity"] = all(
-        sum(col[1:], col[0]) == CycloInt.integer(m, n if y == 0 else 0)
-        for y, col in enumerate(zip(*profile)))
+    report["E0_is_J"] = bool(equals_integers(profile[0], 1).all())
+    identity = np.zeros(n, dtype=np.int64)
+    identity[0] = n
+    report["sum_is_identity"] = bool(
+        equals_integers(profile.sum(axis=0), identity).all())
 
     ok, _, witness = constancy
     report["bose_mesner_membership"] = ok
     if not ok:
         report["bose_mesner_witness"] = witness
 
-    full, zero = CycloInt.integer(m, n), CycloInt.zero(m)
+    full = equals_integers(spectrum, n)
     nondegenerate, degenerate = space.verify_nondegenerate()
-    report["orthogonal_idempotents"] = nondegenerate and all(
-        all(lam == full or lam == zero for lam in row)
-        and row.count(full) <= 1 for row in spectrum)
+    report["orthogonal_idempotents"] = bool(
+        nondegenerate and (full | ~nonzero(spectrum)).all()
+        and (full.sum(axis=1) <= 1).all())
     if not nondegenerate:
         report["degenerate_witness"] = space.serialize_point(degenerate)
     if n <= DENSE_IDEMPOTENT_BOUND:
@@ -179,23 +197,24 @@ def verify_idempotents(space, profile, constancy, spectrum):
 def sigma_permutation(spectrum, size):
     """Find sigma via the eigenvector relation: for x in dual class j,
     N_i chi_x = |X| chi_x for exactly one i (and 0 for the others), read
-    off row j of the spectrum P Q (module docstring).
+    off row j of the spectrum P Q (module docstring), a coefficient
+    array.
 
     Returns (sigma, ok, witness); under this labeling sigma is expected to
-    be the identity, which is verified rather than assumed."""
-    m = spectrum[0][0].order
-    full, zero = CycloInt.integer(m, size), CycloInt.zero(m)
-    sigma = []
-    for j, row in enumerate(spectrum):
-        hits = []
-        for i, lam in enumerate(row):
-            if lam == full:
-                hits.append(i)
-            elif lam != zero:
-                return None, False, ("nonzero non-eigen", i, j)
-        if len(hits) != 1:
-            return None, False, ("non-unique eigenspace", j, hits)
-        sigma.append(hits[0])
+    be the identity, which is verified rather than assumed.  The witness
+    is that of the first failing row j: an entry that is neither |X| nor
+    0, else the count of |X| entries."""
+    full = equals_integers(spectrum, size)
+    other = ~full & nonzero(spectrum)
+    failing = other.any(axis=1) | (full.sum(axis=1) != 1)
+    if failing.any():
+        j = int(np.argmax(failing))
+        if other[j].any():
+            return None, False, ("nonzero non-eigen",
+                                 int(np.argmax(other[j])), j)
+        return None, False, ("non-unique eigenspace", j,
+                             np.flatnonzero(full[j]).tolist())
+    sigma = np.argmax(full, axis=1).tolist()
     if sorted(sigma) != list(range(len(spectrum))):
         return sigma, False, ("sigma not bijective", sigma)
     return sigma, True, None
@@ -203,51 +222,78 @@ def sigma_permutation(spectrum, size):
 
 # -- Krein parameters ------------------------------------------------------------
 
-def krein_parameters(P, Q, size):
-    """q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j], exact.
+def krein_parameters(P, Q, size, m):
+    """q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j], exact, for the
+    coefficient arrays P and Q over Z[zeta_m].
 
     This solves the Hadamard-product expansion of E_i o E_j in the
     idempotent basis, using PQ = |X| I in place of a linear solve.  The
     tensor is two contractions of coefficient arrays (cyclo.contract); a
     sum that |X| does not divide raises IntegrityError.  Nonnegativity is
     decided exactly for rational-integer entries and by the rigorous float
-    lower bound (>= KREIN_FLOAT_FLOOR) for the others.
-    Returns (tensor of CycloInt, flags dict)."""
-    m = Q[0][0].order
-    Pa, Qa = coeff_array(P), coeff_array(Q)
-    T = contract("kl,lij->ijk", Pa, contract("li,lj->lij", Qa, Qa, m), m)
-    inexact = np.argwhere((T % size != 0).any(axis=-1))
+    lower bound (>= KREIN_FLOAT_FLOOR) of CycloInt.approx for the others.
+    Returns (coefficient array T[i, j, k], flags dict)."""
+    T = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
+    inexact = np.argwhere(nonzero(T % size))
     if len(inexact):
         raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
                              "sum not divisible by |X| = %d"
                              % (tuple(map(int, inexact[0])), size))
     T = T // size
-    tensor = cyclo_entries(T, m)
-    rational = ~(T[..., 1:] != 0).any(axis=-1)
+    rational = ~nonzero(T[..., 1:])
     ints = T[..., 0][rational]
     lows = [float(v) for v in ints[ints < 0]]
-    for i, j, k in np.argwhere(~rational):
-        val, err = tensor[i][j][k].approx()
+    for coeffs in T[~rational].tolist():
+        val, err = CycloInt(m, tuple(coeffs), reduce=False).approx()
         if val.real - err < KREIN_FLOAT_FLOOR:
             lows.append(val.real - err)
     flags = {"real": np.array_equal(conjugate_array(T, m), T),
              "nonnegative": not lows}
     if lows:
         flags["worst_value"] = min(lows)
-    return tensor, flags
+    return T, flags
 
 
 def krein_equals_intersection(krein, p_tensor):
-    """Exact tensor equality q_ij^k == p_ij^k (dual intersection numbers)."""
-    K = coeff_array(krein)
-    m = krein[0][0][0].order
-    differ = np.argwhere((K != integer_array(p_tensor, m)).any(axis=-1))
+    """Exact tensor equality q_ij^k == p_ij^k (dual intersection numbers)
+    of the Krein coefficient array and the nested-list p_tensor."""
+    differ = np.argwhere(~equals_integers(krein, p_tensor))
     if len(differ):
         return False, tuple(map(int, differ[0]))
     return True, None
 
 
 # -- the full pipeline -------------------------------------------------------------
+
+
+def shared_json(arrays, m):
+    """Each coefficient array over Z[zeta_m] as nested lists of
+    CycloInt.to_json() dicts, one dict per distinct element across all
+    the arrays.  Their coefficient rows, cut to the columns where any row
+    is nonzero, are grouped by a lexsort and a diff of the sorted rows."""
+    if not arrays:
+        return []
+    flat = [A.reshape(-1, A.shape[-1]) for A in arrays]
+    cols = np.flatnonzero(np.any([nonzero(R.T) for R in flat], axis=0))
+    rows = np.concatenate([R[:, cols] for R in flat])
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(rows), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    distinct = np.zeros((int(first.sum()), flat[0].shape[1]),
+                        dtype=rows.dtype)
+    distinct[:, cols] = ranked[first]
+    entries = [CycloInt(m, tuple(coeffs), reduce=False).to_json()
+               for coeffs in distinct.tolist()]
+    out, start = [], 0
+    for A in arrays:
+        stop = start + A[..., 0].size
+        out.append(nest([entries[g] for g in group[start:stop].tolist()],
+                        A.shape[:-1]))
+        start = stop
+    return out
 
 
 class DualityCertificate:
@@ -273,19 +319,16 @@ class DualityCertificate:
 
     def to_json(self):
         """The certificate as JSON-ready dicts and lists.  Each distinct
-        CycloInt becomes JSON once: equal entries of P, Q and the Krein
-        tensor share one dict, so CycloInt.approx() runs once per value
-        and cli.write_report encodes each shared dict once."""
-        entries = {}
-
-        def entry(c):
-            out = entries.get(c)
-            if out is None:
-                out = entries[c] = c.to_json()
-            return out
-
-        def cyclo_matrix(M):
-            return None if M is None else [[entry(c) for c in row] for row in M]
+        element of P, Q and the Krein tensor becomes JSON once
+        (shared_json): equal entries share one dict, so CycloInt.approx()
+        runs once per value and cli.write_report encodes each shared dict
+        once."""
+        names = [k for k in ("Q", "P", "krein")
+                 if getattr(self, k) is not None]
+        arrays = [coeff_array(getattr(self, k)) if k != "krein"
+                  else self.krein for k in names]
+        parts = dict(zip(names, shared_json(arrays,
+                                            self.space.character_order)))
         return {
             "mode": self.mode,
             "pass": self.passed,
@@ -293,11 +336,10 @@ class DualityCertificate:
             "size": self.space.size,
             "valencies": self.valencies,
             "multiplicities": self.multiplicities,
-            "Q": cyclo_matrix(self.Q),
-            "P": cyclo_matrix(self.P),
+            "Q": parts.get("Q"),
+            "P": parts.get("P"),
             "sigma": self.sigma,
-            "krein": None if self.krein is None else
-                [cyclo_matrix(plane) for plane in self.krein],
+            "krein": parts.get("krein"),
             "krein_flags": self.krein_flags,
             "checks": self.checks,
             "witnesses": self.witnesses,
@@ -378,18 +420,19 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.fail("constancy_G_check", witness)
         return cert
 
-    cert.Q = F_Q
-    cert.P = F_P
-    PQ = spectrum(cert.P, cert.Q)
+    m = space.character_order
+    cert.Q = cyclo_entries(F_Q, m)
+    cert.P = cyclo_entries(F_P, m)
+    PQ = contract("ik,kj->ij", F_P, F_Q, m)
 
-    eig = verify_eigen_identities(cert.P, cert.Q, PQ,
+    eig = verify_eigen_identities(F_P, F_Q, PQ,
                                   scheme_G.valencies, cert.multiplicities,
-                                  space.size)
+                                  space.size, m)
     cert.checks["eigen_identities"] = eig["all_pass"]
     cert.checks["eigen_detail"] = eig
 
     if mode == "self":
-        cert.checks["P_equals_Q"] = cert.P == cert.Q
+        cert.checks["P_equals_Q"] = np.array_equal(F_P, F_Q)
         cert.checks["valencies_equal_multiplicities"] = \
             scheme_G.valencies == cert.multiplicities
 
@@ -406,7 +449,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.notes.append("idempotents not materialized (|X| above matrix "
                           "bound); certificate rests on constancy + PQ = |X|I")
 
-    krein, flags = krein_parameters(cert.P, cert.Q, space.size)
+    krein, flags = krein_parameters(F_P, F_Q, space.size, m)
     cert.krein = krein
     cert.krein_flags = flags
     cert.checks["krein_real"] = flags["real"]

@@ -231,7 +231,7 @@ def test_krein_integrity_failure_exits_1(capsys, monkeypatch):
     4 q_ij^k with q_ij^k != 0 mod 5."""
     real = duality.krein_parameters
     monkeypatch.setattr(duality, "krein_parameters",
-                        lambda P, Q, size: real(P, Q, size + 1))
+                        lambda P, Q, size, m: real(P, Q, size + 1, m))
     code, _, err = run(["dual", cfg("hamming2_f2")], capsys)
     assert code == 1
     assert err.startswith("integrity failure: Krein parameter")

@@ -4,13 +4,54 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+import sympy
 
 from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
                                 coeff_array, cyclo_entries, contract,
-                                conjugate_array)
+                                conjugate_array, reduction_matrix,
+                                structure_constants, conjugation_matrix)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
+
+
+def from_exponent_counts(m, counts):
+    """Sum of counts[k] * zeta_m^k; counts is a length-m sequence."""
+    return CycloInt(m, list(counts))
+
+
+def unsliced_contract(spec, A, B, m, dtype=object):
+    """cyclo.contract without support slicing: one three-operand einsum
+    over all phi(m) coefficients, contracting A with the structure
+    constants first.  dtype=object is exact; dtype=np.float64 (BLAS) is
+    exact while every partial sum stays below 2^53, which is asserted
+    from the same bound as contract's."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    M = structure_constants(m)
+    if dtype is not object:
+        sizes = dict(zip(sa + sb, A.shape[:-1] + B.shape[:-1]))
+        terms = math.prod(n for c, n in sizes.items() if c not in out)
+        assert (terms * M.shape[0] ** 2 * int(abs(A).max(initial=1))
+                * int(abs(B).max(initial=1)) * int(abs(M).max()) < 2 ** 53)
+    R = np.einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out),
+                  *(np.asarray(X, dtype=dtype) for X in (A, B, M)),
+                  optimize=["einsum_path", (0, 2), (0, 1)])
+    return R.astype(object if dtype is object else np.int64)
+
+
+def unsliced_conjugate(A, m, dtype=object):
+    """cyclo.conjugate_array without support slicing; exact on Python
+    integers, and in float64 while the bound on partial sums, asserted,
+    stays below 2^53."""
+    C = conjugation_matrix(m)
+    if dtype is not object:
+        assert (C.shape[0] * int(abs(A).max(initial=1))
+                * int(abs(C).max()) < 2 ** 53)
+    R = np.einsum("...X,XZ->...Z", np.asarray(A, dtype=dtype),
+                  C.astype(dtype))
+    return R.astype(object if dtype is object else np.int64)
 
 
 def divide_exact(c, n):
@@ -69,12 +110,16 @@ def test_geometric_sum_vanishes(m):
 
 
 def test_from_exponent_counts():
+    """An exponent histogram reduces through the reduction matrix as
+    through CycloInt's reduction."""
     counts = [0] * 8
     counts[1] = 3
     counts[5] = 2
-    v = CycloInt.from_exponent_counts(8, counts)
+    v = from_exponent_counts(8, counts)
     expect = 3 * CycloInt.root_of_unity(8, 1) + 2 * CycloInt.root_of_unity(8, 5)
     assert v == expect
+    assert tuple((np.array(counts) @ reduction_matrix(8)).tolist()) == \
+        expect.coeffs
 
 
 def test_conjugate_and_real():
@@ -135,3 +180,123 @@ def test_contract_matches_scalar_products(m):
          for j in range(2)] for i in range(2)]
     assert cyclo_entries(conjugate_array(coeff_array(A), m), m) == \
         [[a.conjugate() for a in row] for row in A]
+
+
+# -- independent oracle: sympy's cyclotomic polynomials ---------------------
+
+
+@pytest.mark.parametrize("m", ORDERS + [16, 80])
+def test_tables_match_sympy(m):
+    """R[k] (k < m), M[a, b] and C[a] are the coefficients of
+    rem(x^k, Phi_m), rem(x^(a+b), Phi_m) and rem(x^(m-a), Phi_m), with
+    Phi_m and the remainders from sympy."""
+    x = sympy.Symbol("x")
+    phi_m = sympy.cyclotomic_poly(m, x)
+    n = euler_phi(m)
+
+    def power(k):
+        coeffs = sympy.Poly(sympy.rem(x ** k, phi_m, x), x).all_coeffs()
+        coeffs = [int(c) for c in reversed(coeffs)]
+        return coeffs + [0] * (n - len(coeffs))
+    powers = [power(k) for k in range(max(m, 2 * n - 1))]
+    assert reduction_matrix(m).tolist() == powers[:m]
+    assert structure_constants(m).tolist() == [
+        [powers[a + b] for b in range(n)] for a in range(n)]
+    assert conjugation_matrix(m).tolist() == [powers[-a % m]
+                                              for a in range(n)]
+
+
+# -- support slicing against the unsliced einsum -----------------------------
+
+def random_coeffs(rng, shape, n, zero_columns, low=-9, high=9):
+    A = rng.integers(low, high, size=shape + (n,), endpoint=True)
+    A[..., zero_columns] = 0
+    return A
+
+
+SLICING_CASES = [(m, seed) for m in (5, 8, 12, 16) for seed in range(4)]
+
+
+@pytest.mark.parametrize("m,seed", SLICING_CASES)
+def test_sliced_contract_matches_unsliced(m, seed):
+    """Random operands with random zero coefficient columns: contract
+    and conjugate_array equal the unsliced einsum on every spec the
+    pipeline uses."""
+    rng = np.random.default_rng(seed)
+    n = euler_phi(m)
+
+    def operand(shape):
+        zero = rng.choice(n, size=rng.integers(0, n, endpoint=True),
+                          replace=False)
+        return random_coeffs(rng, shape, n, zero)
+    for spec, sa, sb in (("ik,kj->ij", (3, 4), (4, 2)),
+                         ("i,ij->ij", (3,), (3, 3)),
+                         ("ij,ik->jk", (3, 2), (3, 4)),
+                         ("li,lj->lij", (3, 2), (3, 2)),
+                         ("kl,lij->ijk", (2, 3), (3, 2, 2))):
+        A, B = operand(sa), operand(sb)
+        out = contract(spec, A, B, m)
+        assert out.dtype == np.int64
+        assert out.tolist() == unsliced_contract(spec, A, B, m).tolist()
+        assert conjugate_array(A, m).tolist() == \
+            unsliced_conjugate(A, m).tolist()
+
+
+@pytest.mark.parametrize("m", [5, 8, 12])
+def test_contract_all_zero_operand(m):
+    """An operand with no nonzero column has an empty support: the
+    result is all zeros of the full shape, as unsliced."""
+    n = euler_phi(m)
+    rng = np.random.default_rng(m)
+    A = np.zeros((3, 3, n), dtype=np.int64)
+    B = random_coeffs(rng, (3, 3), n, [])
+    for X, Y in ((A, B), (B, A), (A, A)):
+        out = contract("ik,kj->ij", X, Y, m)
+        assert out.shape == (3, 3, n) and not out.any()
+        assert out.tolist() == unsliced_contract("ik,kj->ij", X, Y, m).tolist()
+    assert conjugate_array(A, m).tolist() == A.tolist()
+
+
+@pytest.mark.parametrize("m", [5, 8, 12, 16])
+def test_contract_lone_power_columns(m):
+    """Operands holding only z^a and z^b: the product has the support of
+    z^(a+b) reduced, and every (a, b) matches the unsliced einsum."""
+    n = euler_phi(m)
+    rng = np.random.default_rng(m)
+    for a in range(n):
+        for b in range(n):
+            A = random_coeffs(rng, (2, 3), n, [k for k in range(n) if k != a])
+            B = random_coeffs(rng, (3, 2), n, [k for k in range(n) if k != b])
+            out = contract("ik,kj->ij", A, B, m)
+            assert out.tolist() == unsliced_contract("ik,kj->ij", A, B,
+                                                     m).tolist()
+            assert not out[..., ~structure_constants(m)[a, b].astype(bool)
+                           ].any()
+        assert conjugate_array(A, m).tolist() == \
+            unsliced_conjugate(A, m).tolist()
+
+
+@pytest.mark.parametrize("m", [5, 12])
+def test_contract_object_branch_after_slicing(m):
+    """Coefficients near 2^40 in two columns only: the bound on the
+    sliced operands is still past 2^63, so the contraction runs on Python
+    integers, equal to the unsliced einsum and beyond int64."""
+    n = euler_phi(m)
+    rng = random.Random(m)
+    keep = [1, n - 1]
+
+    def big(shape):
+        A = np.zeros(shape + (n,), dtype=object)
+        for idx in np.ndindex(*shape):
+            for k in keep:
+                A[idx + (k,)] = rng.choice((1, -1)) * rng.randint(2 ** 39,
+                                                                  2 ** 40)
+        return A
+    A, B = big((3, 3)), big((3, 3))
+    out = contract("ik,kj->ij", A, B, m)
+    assert out.dtype == object
+    assert out.tolist() == unsliced_contract("ik,kj->ij", A, B, m).tolist()
+    assert max(abs(c) for c in out.ravel().tolist()) >= 2 ** 63
+    conj = conjugate_array(out, m)
+    assert conj.dtype == object
+    assert conj.tolist() == unsliced_conjugate(out, m).tolist()

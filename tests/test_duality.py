@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from scheme_forge import cli
-from scheme_forge.cyclo import (CycloInt, coeff_array, contract,
-                                conjugate_array)
+from scheme_forge import cyclo, duality
+from scheme_forge.cyclo import (CycloInt, coeff_array, cyclo_entries,
+                                contract, conjugate_array)
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
-from scheme_forge.space import VectorSpace, FullMatrixSpace, GramSpace
+from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
+                                CyclicProductSpace)
 from scheme_forge.action import build_action, orbits, OrbitPartition
 from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (pairing_table, character_profile,
@@ -22,7 +24,9 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report, spectrum,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
-from test_cyclo import as_rational_integer, divide_exact, is_real
+from test_cyclo import (as_rational_integer, divide_exact, is_real,
+                        from_exponent_counts, unsliced_contract,
+                        unsliced_conjugate)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -114,15 +118,21 @@ def loop_krein_parameters(P, Q, size):
 
 def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
     """The spectrum, eigen_detail and Krein tensor and flags (floats
-    included) of the array contractions equal the loop oracles'; returns
-    the oracles' (eigen_detail, (tensor, flags))."""
+    included) of the array contractions of the CycloInt matrices P and Q
+    equal the loop oracles'; returns the oracles' (eigen_detail,
+    (tensor, flags))."""
+    m = Q[0][0].order
     PQ = _cyclo_matmul(P, Q)
     assert spectrum(P, Q) == PQ
+    Pa, Qa = coeff_array(P), coeff_array(Q)
+    PQa = contract("ik,kj->ij", Pa, Qa, m)
+    assert cyclo_entries(PQa, m) == PQ
     eigen = loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size)
-    assert verify_eigen_identities(P, Q, PQ, valencies, multiplicities,
-                                   size) == eigen
+    assert verify_eigen_identities(Pa, Qa, PQa, valencies, multiplicities,
+                                   size, m) == eigen
     krein = loop_krein_parameters(P, Q, size)
-    assert krein_parameters(P, Q, size) == krein
+    tensor, flags = krein_parameters(Pa, Qa, size, m)
+    assert (cyclo_entries(tensor, m), flags) == krein
     return eigen, krein
 
 
@@ -130,7 +140,49 @@ def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
 #
 # Reference oracles for the spectral checks in duality.py: O(d^2 |X|^2)
 # products in Z[zeta_m] that multiply the scaled idempotents and apply them
-# to characters point by point, with no appeal to the spectrum.
+# to characters point by point, with no appeal to the spectrum.  Their
+# character profile is nested CycloInt, profile[j][y].
+
+def cyclo_profile(space, profile):
+    """The coefficient-array profile as nested CycloInt."""
+    return cyclo_entries(profile, space.character_order)
+
+
+def loop_character_profile(space, dual_classes, table):
+    """character_profile from whole columns of the table, one CycloInt
+    exponent histogram per (dual class, point)."""
+    m = space.character_order
+    return [[from_exponent_counts(m, np.bincount(table[cls, y], minlength=m))
+             for y in range(space.size)] for cls in dual_classes]
+
+
+def loop_constancy_test(partition_G, profile):
+    """constancy_test as a loop over the CycloInt profile: returns
+    (ok, F, witness), F[i][j] the common value of f_j on X_i, the witness
+    (i, j, y0, y) the first f_j(y) != f_j(y0) in the order j, i, y."""
+    d = partition_G.d
+    F = [[None] * len(profile) for _ in range(d + 1)]
+    for j, f in enumerate(profile):
+        for i, cls in enumerate(partition_G.classes):
+            y0 = cls[0]
+            v0 = f[y0]
+            for y in cls[1:]:
+                if f[y] != v0:
+                    return False, None, (i, j, y0, y)
+            F[i][j] = v0
+    return True, F, None
+
+
+def assert_constancy_matches_loop(space, partition_G, profile):
+    """constancy_test on the array profile equals the loop oracle on the
+    CycloInt one (F as CycloInt); returns constancy_test's result."""
+    ok, F, witness = result = constancy_test(partition_G, profile)
+    want_ok, want_F, want_witness = loop_constancy_test(
+        partition_G, cyclo_profile(space, profile))
+    assert (ok, witness) == (want_ok, want_witness)
+    if ok:
+        assert cyclo_entries(F, space.character_order) == want_F
+    return result
 
 def differences(space):
     """diff[a][b] = a - b as nested lists, from one array call."""
@@ -167,7 +219,7 @@ def sweep_verify_idempotents(space, scheme, profile):
             sums_ok = False
     report["sum_is_identity"] = sums_ok
 
-    ok, _, witness = constancy_test(scheme.partition, profile)
+    ok, _, witness = loop_constancy_test(scheme.partition, profile)
     report["bose_mesner_membership"] = ok
     if not ok:
         report["bose_mesner_witness"] = witness
@@ -262,7 +314,8 @@ def sweep_certificate(gens_G, gens_Gc=None):
     part_G = orbits(gens_G)
     part_Gc = orbits(dual_action(gens_G, gens_Gc))
     table = pairing_table(space)
-    profile = character_profile(space, part_Gc.classes, table)
+    profile = cyclo_profile(space, character_profile(space, part_Gc.classes,
+                                                     table))
     idem = sweep_verify_idempotents(space, TranslationScheme(space, part_G),
                                     profile)
     sigma, _, witness = sweep_sigma_permutation(space, part_Gc, profile,
@@ -281,17 +334,21 @@ def assert_matches_sweeps(cert, gens_G, gens_Gc=None):
 
 def spectral_parts(space, part_G, part_Gc, table):
     """(profile, constancy_G result, spectrum P Q) as duality_report
-    computes them; both constancy tests must pass."""
+    computes them, as coefficient arrays; both constancy tests must
+    pass."""
     profile_Q = character_profile(space, part_Gc.classes, table)
     constancy = constancy_test(part_G, profile_Q)
     profile_P = character_profile(space, part_G.classes, table)
     ok, P, _ = constancy_test(part_Gc, profile_P)
     assert constancy[0] and ok
-    return profile_Q, constancy, spectrum(P, constancy[1])
+    return profile_Q, constancy, contract("ik,kj->ij", P, constancy[1],
+                                          space.character_order)
 
 
-def ints(M):
-    return [[as_rational_integer(c) for c in row] for row in M]
+def ints(F):
+    """A coefficient array of rational integers as nested int lists."""
+    assert not F[..., 1:].any()
+    return F[..., 0].tolist()
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +363,54 @@ def hamming22():
 
 def test_constancy_and_F_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
-    ok, F, witness = constancy_test(part, profile)
+    ok, F, witness = assert_constancy_matches_loop(sp, part, profile)
     assert ok and witness is None
     assert ints(F) == [[1, 2, 1], [1, 0, -1], [1, -2, 1]]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 128])
+@pytest.mark.parametrize("name", ["hamming4_f3", "cyclotomic2_f5", "her2_f4",
+                                  "central_z8", "wh21_f2"])
+def test_character_profile_matches_loop(name, block_rows, monkeypatch):
+    """The blocked exponent histograms, reduced by one matrix, equal one
+    CycloInt per (dual class, point) from whole table columns, whatever
+    the block size."""
+    monkeypatch.setattr(duality, "PAIRING_BLOCK_ROWS", block_rows)
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        space, genset = cli.load_action(json.load(fh), 4096)
+    classes = orbits(genset).classes
+    table = pairing_table(space)
+    profile = character_profile(space, classes, table)
+    assert profile.shape == (len(classes), space.size,
+                             len(CycloInt.zero(space.character_order).coeffs))
+    assert cyclo_profile(space, profile) == \
+        loop_character_profile(space, classes, table)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constancy_witness_matches_loop(seed):
+    """Random profiles constant on random classes, with a few entries
+    changed: constancy_test reports the loop's verdict, F and first
+    witness (i, j, y0, y).  Seeds 0-11 give 5 passes and 7 failures."""
+    rng = random.Random(seed)
+    n = 12
+    sp = CyclicProductSpace((n,))  # m = 12, phi(m) = 4
+    points = list(range(1, n))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n - 1), 3))
+    classes = [[0]] + [sorted(points[a:b]) for a, b in
+                       zip([0] + cuts, cuts + [n - 1])]
+    class_of = [0] * n
+    for i, cls in enumerate(classes):
+        for y in cls:
+            class_of[y] = i
+    part = OrbitPartition(class_of, classes)
+    values = np.array([[[rng.randint(-2, 2) for _ in range(4)]
+                        for _ in classes] for _ in range(3)])
+    profile = values[:, class_of].copy()
+    for _ in range(rng.randint(0, 3)):
+        profile[rng.randrange(3), rng.randrange(n), rng.randrange(4)] += 1
+    assert_constancy_matches_loop(sp, part, profile)
 
 
 def test_constancy_witness_on_split_class(hamming22):
@@ -316,7 +418,7 @@ def test_constancy_witness_on_split_class(hamming22):
     sp, genset, part, table, profile = hamming22
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
     bad_profile = character_profile(sp, bad.classes, table)
-    ok, F, witness = constancy_test(part, bad_profile)
+    ok, F, witness = assert_constancy_matches_loop(sp, part, bad_profile)
     assert not ok
     i, j, y0, y1 = witness
     assert part.class_of[y0] == i == part.class_of[y1]
@@ -329,7 +431,7 @@ def test_weak_hamming_11_F_matrix():
     dual = orbits(build_action(sp, "weak_hamming_dual", levels=[1, 1]))
     table = pairing_table(sp)
     profile = character_profile(sp, dual.classes, table)
-    ok, F, _ = constancy_test(part, profile)
+    ok, F, _ = assert_constancy_matches_loop(sp, part, profile)
     assert ok
     assert ints(F) == [[1, 1, 2], [1, 1, -2], [1, -1, 0]]
 
@@ -337,14 +439,14 @@ def test_weak_hamming_11_F_matrix():
 def test_eigen_identities(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
-    rep = verify_eigen_identities(F, F, spectrum(F, F), part.sizes,
-                                  part.sizes, sp.size)
+    rep = verify_eigen_identities(F, F, contract("ik,kj->ij", F, F, 2),
+                                  part.sizes, part.sizes, sp.size, 2)
     assert rep["all_pass"]
     # corrupt one entry: identities must fail
-    bad = [row[:] for row in F]
-    bad[1][1] = CycloInt.integer(2, 5)
-    rep = verify_eigen_identities(bad, F, spectrum(bad, F), part.sizes,
-                                  part.sizes, sp.size)
+    bad = F.copy()
+    bad[1, 1] = [5]
+    rep = verify_eigen_identities(bad, F, contract("ik,kj->ij", bad, F, 2),
+                                  part.sizes, part.sizes, sp.size, 2)
     assert not rep["all_pass"]
 
 
@@ -355,8 +457,8 @@ def test_idempotents_hamming22(hamming22):
     rep = verify_idempotents(sp, profile, constancy, spectrum)
     assert rep["all_pass"]
     assert rep["dense_products"]  # |X| = 4 is under the dense bound
-    assert rep == sweep_verify_idempotents(sp, sch, profile)
-    mats = idempotent_matrices(sp, profile)
+    assert rep == sweep_verify_idempotents(sp, sch, cyclo_profile(sp, profile))
+    mats = idempotent_matrices(sp, cyclo_profile(sp, profile))
     n = sp.size
     # N_0 = J and sum N_j = |X| I, directly on the dense matrices
     assert all(mats[0][a][b] == CycloInt.integer(2, 1)
@@ -385,6 +487,7 @@ def test_idempotents_fail_on_split_partition(hamming22):
                              constancy_test(part, bad_profile), spectrum)
     assert not rep["bose_mesner_membership"]
     assert not rep["all_pass"]
+    bad_profile = cyclo_profile(sp, bad_profile)
     assert rep == sweep_verify_idempotents(sp, sch, bad_profile)
     assert sigma_permutation(spectrum, sp.size) == \
         sweep_sigma_permutation(sp, bad, bad_profile, table)
@@ -396,19 +499,30 @@ def test_sigma_identity(hamming22):
     sigma, ok, witness = sigma_permutation(spectrum, sp.size)
     assert ok and sigma == [0, 1, 2] and witness is None
     assert (sigma, ok, witness) == \
-        sweep_sigma_permutation(sp, part, profile, table)
+        sweep_sigma_permutation(sp, part, cyclo_profile(sp, profile), table)
 
 
 def test_sigma_witnesses():
-    """Each failing shape of the spectrum yields the sweep's witness."""
-    z, n = CycloInt.zero(2), CycloInt.integer(2, 4)
-    one = CycloInt.integer(2, 1)
-    assert sigma_permutation([[n, z], [z, one]], 4) == \
+    """Each failing shape of the spectrum yields the sweep's witness, the
+    first failing row deciding."""
+    z, n = CycloInt.zero(5), CycloInt.integer(5, 4)
+    one, w = CycloInt.integer(5, 1), CycloInt.root_of_unity(5, 1)
+
+    def sigma(rows):
+        return sigma_permutation(coeff_array(rows), 4)
+    assert sigma([[n, z], [z, one]]) == \
         (None, False, ("nonzero non-eigen", 1, 1))
-    assert sigma_permutation([[n, n], [z, n]], 4) == \
+    assert sigma([[n, z], [w, n]]) == \
+        (None, False, ("nonzero non-eigen", 0, 1))
+    assert sigma([[n, n], [z, n]]) == \
         (None, False, ("non-unique eigenspace", 0, [0, 1]))
-    assert sigma_permutation([[n, z], [n, z]], 4) == \
+    assert sigma([[n, n], [w, z]]) == \
+        (None, False, ("non-unique eigenspace", 0, [0, 1]))
+    assert sigma([[z, z], [n, z]]) == \
+        (None, False, ("non-unique eigenspace", 0, []))
+    assert sigma([[n, z], [n, z]]) == \
         ([0, 0], False, ("sigma not bijective", [0, 0]))
+    assert sigma([[z, n], [n, z]]) == ([1, 0], True, None)
 
 
 SHIPPED_SMALL = ["alternating4_f2", "bilinear22_f2", "central_z8",
@@ -470,7 +584,7 @@ def test_gram_matrix_must_be_symmetric():
 def test_krein_equals_intersection_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
-    krein, flags = krein_parameters(F, F, sp.size)
+    krein, flags = krein_parameters(F, F, sp.size, 2)
     assert flags["real"] and flags["nonnegative"]
     sch = TranslationScheme(sp, part)
     ok, witness = krein_equals_intersection(
@@ -480,7 +594,7 @@ def test_krein_equals_intersection_hamming22(hamming22):
     for i in range(part.d + 1):
         for j in range(part.d + 1):
             want = part.sizes[i] if i == j else 0
-            assert krein[i][j][0] == CycloInt.integer(2, want)
+            assert krein[i, j, 0].tolist() == [want]
 
 
 def test_krein_sign_exact_for_integer_entries(monkeypatch):
@@ -491,16 +605,20 @@ def test_krein_sign_exact_for_integer_entries(monkeypatch):
     one = CycloInt.integer(m, 1)
     monkeypatch.setattr(CycloInt, "approx", None)  # any float use fails
     for value, nonnegative in ((-1, False), (0, True), (1, True)):
-        tensor, flags = krein_parameters([[CycloInt.integer(m, value)]],
-                                         [[one]], 1)
-        assert tensor == [[[CycloInt.integer(m, value)]]]
+        tensor, flags = krein_parameters(
+            coeff_array([[CycloInt.integer(m, value)]]),
+            coeff_array([[one]]), 1, m)
+        assert cyclo_entries(tensor, m) == [[[CycloInt.integer(m, value)]]]
         assert flags["real"] and flags["nonnegative"] is nonnegative
         assert flags.get("worst_value") == (None if nonnegative else -1.0)
     monkeypatch.undo()
     z = lambda k: CycloInt.root_of_unity(m, k)
-    _, flags = krein_parameters([[z(2) + z(3)]], [[one]], 1)  # -1.618...
+    Q = coeff_array([[one]])
+    _, flags = krein_parameters(coeff_array([[z(2) + z(3)]]), Q, 1,
+                                m)  # -1.618...
     assert not flags["nonnegative"] and flags["worst_value"] < -1.6
-    _, flags = krein_parameters([[z(1) + z(4)]], [[one]], 1)  # 0.618...
+    _, flags = krein_parameters(coeff_array([[z(1) + z(4)]]), Q, 1,
+                                m)  # 0.618...
     assert flags["nonnegative"]
 
 
@@ -573,7 +691,8 @@ def assert_certificate_matches_loops(cert):
     eigen, krein = assert_contractions_match_loops(
         cert.P, cert.Q, cert.space.size, cert.valencies, cert.multiplicities)
     assert cert.checks["eigen_detail"] == eigen
-    assert (cert.krein, cert.krein_flags) == krein
+    assert (cyclo_entries(cert.krein, cert.space.character_order),
+            cert.krein_flags) == krein
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -644,11 +763,10 @@ def test_contract_object_branch_is_exact():
     out = contract("ik,kj->ij", A, B, m)
     assert out.dtype == object
     assert out.tolist() == coeff_array(_cyclo_matmul(P, Q)).tolist()
-    tensor, flags = krein_parameters(P, Q, 1)
+    tensor, flags = krein_parameters(A, B, 1, m)
     want = loop_krein_parameters(P, Q, 1)
-    assert (tensor, flags) == want
-    assert max(abs(c) for plane in tensor for row in plane for q in row
-               for c in q.coeffs) >= 2 ** 63
+    assert (cyclo_entries(tensor, m), flags) == want
+    assert max(abs(c) for c in tensor.ravel().tolist()) >= 2 ** 63
 
 
 @pytest.mark.parametrize("e", range(28, 34))
@@ -666,6 +784,90 @@ def test_int64_only_below_the_bound(e):
 def test_krein_inexact_division_raises_integrity_error():
     """P = Q = [[1]] with |X| = 2: q_00^0 = 1/2 is not an algebraic
     integer; the error names (i, j, k)."""
-    one = CycloInt.integer(5, 1)
+    one = coeff_array([[CycloInt.integer(5, 1)]])
     with pytest.raises(IntegrityError, match=r"\(0, 0, 0\)"):
-        krein_parameters([[one]], [[one]], 2)
+        krein_parameters(one, one, 2, 5)
+
+
+# -- the array pipeline at many classes over a large cyclotomic field ----------
+
+def test_central_16x20_contracts_one_coefficient(monkeypatch):
+    """Central Z16 x Z20 (|X| = 320, d = 35, m = 80, phi(m) = 32) has
+    rational-integer P and Q (Ramanujan sums): every exact einsum of its
+    duality_report runs on coefficient axes of length 1, and every
+    contraction and conjugate equals the unsliced einsum over all 32
+    coefficients."""
+    real_einsum = cyclo._exact_einsum
+
+    def one_coefficient(spec, operands, bound):
+        shapes = [np.shape(A) for A in operands]
+        assert all(shape[-1] == 1 for shape in shapes[:-1]), (spec, shapes)
+        assert set(shapes[-1]) == {1}, (spec, shapes)
+        return real_einsum(spec, operands, bound)
+
+    contracts, conjugates = [], []
+
+    def recorded(calls, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls.append((args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(cyclo, "_exact_einsum", one_coefficient)
+    monkeypatch.setattr(duality, "contract",
+                        recorded(contracts, duality.contract))
+    monkeypatch.setattr(duality, "conjugate_array",
+                        recorded(conjugates, duality.conjugate_array))
+    cert = duality_report(build_action(CyclicProductSpace((16, 20)),
+                                       "central"))
+    assert cert.passed and len(cert.Q) == 36
+    assert [args[0] for args, _ in contracts] == [
+        "ik,kj->ij", "i,ij->ij", "ij,ik->jk", "li,lj->lij", "kl,lij->ijk"]
+    for args, out in contracts:
+        assert np.array_equal(out, unsliced_contract(*args, dtype=np.float64))
+    assert len(conjugates) == 3
+    for args, out in conjugates:
+        assert np.array_equal(out, unsliced_conjugate(*args, dtype=np.float64))
+
+
+def test_duality_report_builds_cycloints_only_for_P_and_Q(monkeypatch):
+    """The pipeline runs on coefficient arrays: of central Z16 x Z8
+    (d = 29), duality_report constructs at most the 2 (d + 1)^2 CycloInt
+    entries of the certificate's P and Q."""
+    genset = build_action(CyclicProductSpace((16, 8)), "central")
+    built = []
+    real_init = CycloInt.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycloInt, "__init__", counted)
+    cert = duality_report(genset)
+    d = len(cert.valencies) - 1
+    assert cert.passed and d == 29
+    assert len(built) <= 2 * (d + 1) ** 2
+
+
+def test_cross_pair_swapped_swaps_P_and_Q(tmp_path, capsys):
+    """dual wh21 wh12 and dual wh12 wh21 give the same verdict and check
+    keys, with P and Q (and valencies and multiplicities) swapped."""
+    reports = []
+    for a, b in (("wh21_f2", "wh12_f2"), ("wh12_f2", "wh21_f2")):
+        path = tmp_path / ("%s_%s.json" % (a, b))
+        code = cli.main(["dual", os.path.join(CONFIGS, a + ".json"),
+                         os.path.join(CONFIGS, b + ".json"),
+                         "--out", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        reports.append(json.loads(path.read_text()))
+    ab, ba = reports
+    assert ab["pass"] is ba["pass"] is True
+    assert ab["mode"] == ba["mode"] == "cross"
+    assert ab["checks"].keys() == ba["checks"].keys()
+    for key in ("eigen_detail", "idempotent_detail"):
+        assert ab["checks"][key].keys() == ba["checks"][key].keys()
+    assert (ab["P"], ab["Q"]) == (ba["Q"], ba["P"])
+    assert (ab["valencies"], ab["multiplicities"]) == \
+        (ba["multiplicities"], ba["valencies"])
