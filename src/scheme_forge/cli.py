@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import sys
+from collections import defaultdict
 from contextlib import nullcontext
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import (UsageError, ConfigError, ResourceLimitError,
@@ -69,8 +71,9 @@ def load_action(cfg, size_bound):
 
 
 # A container whose text stays within about this many characters is
-# memoized; a container's pending text is written out once it grows past.
-MEMO_CHARS = 1 << 10
+# memoized (a Krein entry with phi(m) = 64 coefficients is 1,096 at its
+# depth); a container's pending text is written out once it grows past.
+MEMO_CHARS = 1 << 12
 
 
 def _scalar_text(value):
@@ -107,10 +110,14 @@ def _chunks(obj, depth, memo):
     """Yield the text of obj, nested `depth` containers deep, as
     json.dumps(sort_keys=True, indent=2) spells it.
 
-    A list of plain ints is one str.join.  Otherwise the pending text is
-    yielded whenever it passes MEMO_CHARS, and the text of a container
-    that never passed it is stored in memo under (id(obj), depth): the
-    parent reuses it for every later occurrence of obj at that depth."""
+    memo[depth] maps id(container) to the text of a container at that
+    depth whose text stayed within MEMO_CHARS; the parent reuses it for
+    every later occurrence of the container at that depth, so each
+    shared entry is encoded once whatever its size up to that limit.
+    A list of plain ints is one str.join.  A list looks all its children
+    up in memo[depth + 1] at once, and when every one is there it is
+    written with one sep.join per slice of about MEMO_CHARS characters.
+    Otherwise the pending text is yielded whenever it passes MEMO_CHARS."""
     text = _scalar_text(obj)
     if text is not None:
         yield text
@@ -131,9 +138,24 @@ def _chunks(obj, depth, memo):
         yield brackets
         return
     close = "\n" + "  " * depth + brackets[1]
+    level = memo[depth + 1]
     if lead is None:
         if set(map(type, values)) == {int}:
             yield "[" + inner + sep.join(map(int.__repr__, values)) + close
+            return
+        texts = list(map(level.get, map(id, values)))
+        if None not in texts:
+            # every child already encoded: C-level joins of about
+            # MEMO_CHARS characters each
+            step = max(1, MEMO_CHARS // (max(map(len, texts)) + len(sep)))
+            text = "[" + inner + sep.join(texts[:step])
+            for start in range(step, len(texts), step):
+                yield text
+                text = sep + sep.join(texts[start:start + step])
+            text += close
+            if len(texts) <= step:
+                memo[depth][id(obj)] = text
+            yield text
             return
         lead = [sep] * len(values)
     lead[0] = brackets[0] + lead[0][1:]  # the bracket, not a comma
@@ -141,7 +163,7 @@ def _chunks(obj, depth, memo):
     for head, value in zip(lead, values):
         text = _scalar_text(value)
         if text is None:
-            text = memo.get((id(value), depth + 1))
+            text = level.get(id(value))
         if text is None:
             pending.append(head)
             size += len(head)
@@ -157,7 +179,7 @@ def _chunks(obj, depth, memo):
     pending.append(close)
     text = "".join(pending)
     if whole:
-        memo[(id(obj), depth)] = text
+        memo[depth][id(obj)] = text
     yield text
 
 
@@ -167,29 +189,31 @@ def write_report(report, out_path):
 
     The encoder takes str, int, float, bool and None scalars (ASCII
     escaping, float repr, NaN and Infinity spelled as json spells them)
-    and dict, list and tuple containers, dict keys sorted.  Repeated
-    subtrees are encoded once: the text of a container that stays within
-    about MEMO_CHARS is memoized by (id, depth), identity because the
-    report keeps every container alive while it is written, depth because
-    indentation depends on it (a list of plain ints is not memoized: one
-    str.join re-encodes it).  A container's pending text is written once
-    it passes MEMO_CHARS, so the whole text is never held."""
+    and dict, list and tuple containers, dict keys sorted.  Each shared
+    entry is encoded once, whatever its size up to MEMO_CHARS: the text
+    of a container that stays within MEMO_CHARS is memoized by depth and
+    id, depth because indentation depends on it, identity because the
+    report keeps every container alive while it is written (a list of
+    plain ints is not memoized: one str.join re-encodes it).  A list
+    whose entries are all encoded already is written with C-level joins,
+    and a container's pending text is written once it passes MEMO_CHARS,
+    so the whole text is never held."""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        for text in _chunks(report, 0, {}):
+        for text in _chunks(report, 0, defaultdict(dict)):
             fh.write(text)
         fh.write("\n")
 
 
 def render_eigenmatrix(name, M):
-    """TSV table: exact cyclotomic entry plus 6-decimal approximation."""
-    lines = [name]
-    for row in M:
-        cells = []
-        for c in row:
-            val, _ = c.approx()
-            cells.append("%s (%.*f)" % (c.render(), APPROX_DIGITS, val.real))
-        lines.append("\t".join(cells))
-    return "\n".join(lines)
+    """TSV table: exact cyclotomic entry plus 6-decimal approximation,
+    the cell text of each distinct entry built once."""
+    cells = {}
+    for c in chain.from_iterable(M):
+        if c not in cells:
+            cells[c] = "%s (%.*f)" % (c.render(), APPROX_DIGITS,
+                                      c.approx()[0].real)
+    return "\n".join([name] + ["\t".join(map(cells.__getitem__, row))
+                               for row in M])
 
 
 def check_report(space, genset, verify_representatives):

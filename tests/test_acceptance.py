@@ -8,6 +8,7 @@ through module-scoped fixtures so the suite stays fast.
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
@@ -16,7 +17,8 @@ from scheme_forge.cyclo import CycloInt
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
-                                HermitianMatrixSpace, CyclicProductSpace)
+                                HermitianMatrixSpace, CyclicProductSpace,
+                                DEFAULT_SIZE_BOUND)
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator)
@@ -24,8 +26,10 @@ from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (duality_report, pairing_table,
                                   character_profile, constancy_test,
                                   spectrum)
-from scheme_forge.cli import check_report, main
+from scheme_forge.cli import (check_report, load_action, main, read_config,
+                              write_report)
 
+from test_cli import WriteRecorder
 from test_space import index_of_entries
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -409,3 +413,79 @@ def test_reports_match_golden_digests(command, tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert (code, digest) == GOLDEN_REPORTS[command]
+
+# sha256 of the stdout of each dual command of GOLDEN_REPORTS (run with
+# --out, so the eigenmatrix tables and the PASS/FAIL line), recorded before
+# render_eigenmatrix built each distinct cell text once
+GOLDEN_DUAL_STDOUT = {
+    "dual configs/alternating4_f2.json":
+        "b8b79003c2076aea6798c8d949cc9a19c4ba08386eff020342055bb02b723d86",
+    "dual configs/bilinear22_f2.json":
+        "0461a10a3c068e5d014e8657795f9acd7ab0dfda6695baead0bf08382756bea4",
+    "dual configs/central_z8.json":
+        "83ab4188e67817b5fe95fc52ad013b5c077608bce953e471dd900f95ea3cc9ef",
+    "dual configs/cyclotomic2_f5.json":
+        "e4a1776ba310dedc70b24cc9767a3e5a1f34ff578fca2670e25a5bde4c69f00f",
+    "dual configs/hamming2_f2.json":
+        "9a6b469e47f4dafd8943d4f3234383190b0988c2dc3463af8b2d0f4001004bc2",
+    "dual configs/hamming4_f3.json":
+        "860f8281a07df9ce5f444449c99e6450cca93d8119f565a00258680cab31d8aa",
+    "dual configs/her2_f4.json":
+        "f159dacdd62e04d43110c684d3fa1c77ef40ca90606447da9ad6b80d04c62ec1",
+    "dual configs/symmetric2_f3.json":
+        "060e1c7a9ea1f6296fd19fd86bbea2814442f4cfee15b31081d3e65f5e6ec53c",
+    "dual configs/symmetric2_f5.json":
+        "d789cabc709cb2d7939d04eecb6eaf80c1b70538f5f6903328b3d74de415d71f",
+    "dual configs/wh11_f2.json":
+        "ffa26ad8c68b779b15509aabc62dbd51ff1906ddb782cf830ee42dab292a76aa",
+    "dual configs/wh12_f2.json":
+        "99850eea83ef3cd6ce6869abb107edb6304f40e2c42a04a47357f0e4c529bb9c",
+    "dual configs/wh21_f2.json":
+        "37ed8a15f245bf4a3280990077edcede345e74a44aaf23ef38d2fa0edeaeb777",
+    "dual configs/wh21_f2.json configs/wh12_f2.json":
+        "37ed8a15f245bf4a3280990077edcede345e74a44aaf23ef38d2fa0edeaeb777",
+    "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
+        "006573b12fcb147a90e8d4de7ee9d62b3562c65c080427a7ae8950797c085cb0",
+    "dual perfbench/configs/central_z16xz8.json --matrix-bound 64":
+        "a3347b3728ea7cc042bdc00a5ab6e556857ed8cc9d5909162631f448c30f0d0d",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_DUAL_STDOUT)
+def test_dual_stdout_matches_golden_digests(command, tmp_path, capsys):
+    argv = [os.path.join(ROOT, tok) if tok.endswith(".json") else tok
+            for tok in command.split()]
+    main(argv + ["--out", str(tmp_path / "report.json")])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_DUAL_STDOUT[command]
+
+
+def test_phi_64_certificate_matches_golden_digests(tmp_path, capsys,
+                                                   monkeypatch):
+    """The dual certificate of the central action on Z_128 (d = 7,
+    phi(128) = 64, 0.69 MB): each Krein entry is 1,096 characters at its
+    depth.  Its --out bytes and stdout match digests recorded before the
+    encoder memoized entries that long, its text is json.dumps's, and it
+    is written in pieces of at most 64 KiB."""
+    config = tmp_path / "central_z128.json"
+    config.write_text(json.dumps({
+        "space": {"kind": "cyclic_product", "moduli": [128]},
+        "action": {"family": "central"}}))
+    path = tmp_path / "report.json"
+    code = main(["dual", str(config), "--out", str(path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "5a06700cb66c55d3490a45dae541d3e6c2cbfaf772e98fe684a98e8d4d022abb",
+        "c55d032f44c600fa967ac7beda1fd2e1c5a9d68d186b668807f352eace3b9202")
+    report = json.loads(path.read_text())
+    assert len(json.dumps(report["krein"][1][1][1], sort_keys=True,
+                          indent=2).replace("\n", "\n" + "  " * 4)) == 1096
+    _, genset = load_action(read_config(str(config)), DEFAULT_SIZE_BOUND)
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    write_report(duality_report(genset).to_json(), None)
+    assert recorder.getvalue() == path.read_text() == \
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert max(recorder.sizes) <= 64 * 1024

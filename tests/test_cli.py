@@ -342,3 +342,52 @@ def test_write_report_streams_a_large_certificate(monkeypatch):
     assert recorder.getvalue() == want
     assert len(want) > 7 * 10 ** 6
     assert max(recorder.sizes) <= 64 * 1024
+
+
+def large_entry():
+    """A dict whose text is 1-4 KiB at depths 2 and 3, shaped like a Krein
+    entry: an order, a coefficient list and a float pair."""
+    entry = {"order": 128, "coeffs": list(range(-90, 90)),
+             "approx": [0.1, -2.5]}
+    for depth in (2, 3):
+        text = json.dumps(entry, indent=2).replace("\n", "\n" + "  " * depth)
+        assert 1024 < len(text) <= 4096
+    return entry
+
+
+def shared_report(entry):
+    """entry 2,000 times in one list, then at the same depth among new
+    siblings (scalars, fresh dicts and lists), and one level deeper."""
+    mixed = []
+    for i in range(40):
+        mixed += [entry, entry, {"new": i}, i, entry, [entry, "x"], entry]
+    return {"a": [entry] * 2000, "b": mixed, "c": [[entry] * 3] * 50}
+
+
+def test_write_report_streams_shared_large_entries(monkeypatch):
+    """A 1-4 KiB entry repeated in long lists, alone and among new
+    siblings, gives json.dumps's bytes in writes of at most 64 KiB."""
+    report = shared_report(large_entry())
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    cli.write_report(report, None)
+    assert recorder.getvalue() == \
+        json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert max(recorder.sizes) <= 64 * 1024
+
+
+def test_write_report_encodes_a_shared_entry_once_per_depth(monkeypatch):
+    """Every occurrence of a 1-4 KiB entry after the first at its depth
+    reuses the first's text: _chunks runs on it once at depth 2 and once
+    at depth 3, not once per occurrence."""
+    entry = large_entry()
+    calls = {}
+    real = cli._chunks
+
+    def counted(obj, depth, memo):
+        calls[id(obj), depth] = calls.get((id(obj), depth), 0) + 1
+        return real(obj, depth, memo)
+
+    monkeypatch.setattr(cli, "_chunks", counted)
+    encoded(shared_report(entry))
+    assert (calls[id(entry), 2], calls[id(entry), 3]) == (1, 1)
