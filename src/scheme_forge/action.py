@@ -1,15 +1,20 @@
 """Group actions given by generating sets of additive automorphisms of X.
 
 Each built-in family materializes a small generating set as point
-permutations; orbits are computed by breadth-first closure (the full group
-is never stored).  Adjoint images iota(g) are defined generator-by-generator
+permutations; orbits are an array closure over them (the full group is
+never stored).  Adjoint images iota(g) are defined generator-by-generator
 following the family's structural rule and verified against the pairing.
 
-A field family's map (v -> M v, or A -> left A right) runs on the entry
-arrays of all points at once through the field's index tables
-(FieldSpec.matmul).  Each permutation comes from the formula on every
-point, never from basis images and linearity, so verify_additive stays a
-real test of condition (3).
+Maps and partitions are numpy index arrays, converted only by the
+constructors of Generator and OrbitPartition: a generator's F_q matrices
+(`data`) hold element indices (FieldElement.index), so an adjoint is A.T,
+or conj_index[A.T] for Hermitian forms; `Generator.perm[x]` is g(x); and
+`OrbitPartition.class_of[x]` is the class of x, each class an ascending
+array of points.  A field family's map (v -> M v, or A -> left A right)
+runs on the entry arrays of all points at once through the field's index
+tables (FieldSpec.matmul).  Each permutation comes from the formula on
+every point, never from basis images and linearity, so verify_additive
+stays a real test of condition (3).
 """
 
 from __future__ import annotations
@@ -25,64 +30,47 @@ from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
                     FormsSpace, AlternatingMatrixSpace, SymmetricMatrixSpace,
                     HermitianMatrixSpace)
 
-VECTOR_MATRIX_FAMILIES = ("cyclotomic", "hamming", "weak_hamming",
-                          "weak_hamming_dual")
-
-
-# -- small matrix helpers over a FieldSpec ---------------------------------
-
-def mat_identity(k, field):
-    z, o = field.zero(), field.one()
-    return tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
-
-def mat_transpose(A):
-    return tuple(zip(*A))
-
-def mat_conj_transpose(A, space):
-    return tuple(tuple(space.conj(A[j][i]) for j in range(len(A)))
-                 for i in range(len(A[0])))
-
-def index_matrix(A):
-    """A matrix of FieldElements as an array of element indices."""
-    return np.array([[a.index for a in row] for row in A])
-
 
 def gl_generators(k, field):
-    """A classical generating set of GL(k, q): the k-cycle permutation
+    """A classical generating set of GL(k, q), as element-index arrays
+    (0 and 1 are the indices of zero and one): the k-cycle permutation
     matrix, one elementary transvection, and diag(w, 1, ..., 1) for a
     primitive w (omitted when q = 2 or k admits no such map)."""
-    z, o = field.zero(), field.one()
+    eye = np.eye(k, dtype=np.intp)
     gens = []
     if k >= 2:
-        cycle = tuple(tuple(o if i == (j + 1) % k else z for j in range(k))
-                      for i in range(k))
-        gens.append(("cycle", cycle))
-        transvection = tuple(tuple(
-            o if i == j else (o if (i, j) == (0, 1) else z)
-            for j in range(k)) for i in range(k))
+        gens.append(("cycle", np.roll(eye, 1, axis=0)))
+        transvection = eye.copy()
+        transvection[0, 1] = 1
         gens.append(("transvection", transvection))
     if field.q > 2:
-        w = field.primitive_element()
-        diag = tuple(tuple(
-            (w if i == 0 else o) if i == j else z for j in range(k))
-            for i in range(k))
+        diag = eye.copy()
+        diag[0, 0] = field.primitive_element().index
         gens.append(("diag_primitive", diag))
     return gens
 
 
 class Generator:
-    """One generating automorphism: a materialized point permutation plus
-    the structured data its adjoint rule needs."""
+    """One generating automorphism: a materialized point permutation (an
+    index array, perm[x] = g(x)) plus the structured data its adjoint
+    rule needs."""
 
     __slots__ = ("name", "perm", "data")
 
     def __init__(self, name, perm, data):
         self.name = name
-        self.perm = tuple(perm)
+        self.perm = np.asarray(perm)
         self.data = data
 
     def __repr__(self):
         return "Generator(%s)" % self.name
+
+
+def _is_permutation(perm, size):
+    """perm lists every point of range(size) once (a sort, not np.unique,
+    whose first call imports numpy.ma)."""
+    return len(perm) == size and np.array_equal(np.sort(perm),
+                                                np.arange(size))
 
 
 class GeneratorSet:
@@ -95,7 +83,7 @@ class GeneratorSet:
         for g in self.generators:
             if g.perm[0] != 0:
                 raise IntegrityError("generator %s does not fix 0" % g.name)
-            if len(set(g.perm)) != space.size:
+            if not _is_permutation(g.perm, space.size):
                 raise IntegrityError("generator %s is not a bijection" % g.name)
 
     def verify_additive(self):
@@ -116,67 +104,80 @@ class GeneratorSet:
 
 
 class OrbitPartition:
-    """Classes of the orbit partition, class 0 = {0}, the rest ordered by
-    minimal point index."""
+    """Classes of the orbit partition, class 0 = {0}: `class_of` holds
+    int32 labels (intersection_tensor packs label pairs in int32), and
+    `classes[i]` the points of class i, by default read off class_of in
+    ascending order, so that classes[i][0] is the least point."""
 
-    def __init__(self, class_of, classes):
-        self.class_of = class_of
-        self.classes = classes
-        self.d = len(classes) - 1
+    def __init__(self, class_of, classes=None):
+        self.class_of = np.asarray(class_of, dtype=np.int32)
+        if classes is None:
+            sizes = np.bincount(self.class_of)
+            order = np.argsort(self.class_of, kind="stable")
+            classes = np.split(order, np.cumsum(sizes)[:-1])
+        self.classes = [np.asarray(cls) for cls in classes]
+        self.d = len(self.classes) - 1
 
     @property
     def sizes(self):
         return [len(c) for c in self.classes]
 
 
+def orbit_labels(perms, size):
+    """The least point of the orbit of every point under the group that
+    the permutations generate, as an index array.
+
+    Each round lowers every label to the least label over the point and
+    its images under each permutation and its inverse, then jumps
+    pointers (label = label[label]).  Labels only fall, and label[x] is
+    always a point of the orbit of x with label[y] <= y for every y, so
+    the least point c of an orbit keeps label c.  At the fixed point each
+    label is at most its neighbours', hence constant on the orbit, hence
+    c throughout."""
+    label = np.arange(size)
+    maps = []
+    for perm in perms:
+        inverse = np.empty_like(label)
+        inverse[perm] = label
+        maps += [perm, inverse]
+    while True:
+        lowered = label.copy()
+        for perm in maps:
+            np.minimum(lowered, label[perm], out=lowered)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
 def orbits(genset: GeneratorSet) -> OrbitPartition:
+    """The orbit partition, classes ordered by poset weight (weak-Hamming
+    families), by rank (matrix spaces) or by least point, ties broken by
+    least point; the orbit of 0 must be {0}."""
     space = genset.space
-    n = space.size
-    seen = [False] * n
-    raw = []
-    perms = [g.perm for g in genset.generators]
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for perm in perms:
-                    y = perm[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        raw.append(sorted(comp))
+    label = orbit_labels([g.perm for g in genset.generators], space.size)
+    least = np.flatnonzero(label == np.arange(space.size)).tolist()
     if genset.poset is not None:
         # weak-Hamming classes are weight spheres; label by poset weight so
         # class j of the action and of its dual-poset partner correspond
-        raw.sort(key=lambda c: (genset.poset.weight(space.coords_of(c[0])),
-                                c[0]))
+        least.sort(key=lambda x: (genset.poset.weight(space.coords_of(x)), x))
     elif isinstance(space, (FullMatrixSpace, FormsSpace)):
         # forms schemes label classes by rank (alternating: rank/2, which
         # sorts the same way); ties broken by minimal point index
-        raw.sort(key=lambda c: (oracles.matrix_rank(
-            space.materialize(c[0]), space.field), c[0]))
-    else:
-        raw.sort(key=lambda c: c[0])
-    if raw[0] != [0]:
+        least.sort(key=lambda x: (oracles.matrix_rank(
+            space.materialize(x), space.field), x))
+    position = np.empty(space.size, dtype=np.intp)
+    position[least] = np.arange(len(least))
+    partition = OrbitPartition(position[label])
+    if least[0] != 0 or len(partition.classes[0]) != 1:
         raise IntegrityError("orbit of 0 is not {0}")
-    class_of = [0] * n
-    for ci, comp in enumerate(raw):
-        for x in comp:
-            class_of[x] = ci
-    return OrbitPartition(class_of, raw)
+    return partition
 
 
 def check_condition_4(partition: OrbitPartition, space: AbelianSpace):
     """Negation-closure of every class; returns (ok, witness), the witness
     the least point whose negation lies in another class."""
-    class_of = np.asarray(partition.class_of)
+    class_of = partition.class_of
     moved = np.flatnonzero(class_of[space.neg(np.arange(space.size))]
                            != class_of)
     if len(moved):
@@ -187,7 +188,7 @@ def check_condition_4(partition: OrbitPartition, space: AbelianSpace):
 def check_condition_6(partition: OrbitPartition, space: AbelianSpace):
     """The involution j(i) with -O_i = O_{j(i)}, verified exhaustively.
     Returns the pairing list, or None if negation is not class-coherent."""
-    class_of = np.asarray(partition.class_of)
+    class_of = partition.class_of
     negated = class_of[space.neg(np.arange(space.size))]
     pairing = negated[[cls[0] for cls in partition.classes]]
     if (pairing[class_of] != negated).any() \
@@ -200,7 +201,6 @@ def _additivity_witness(space, perm):
     """The first (x, e_i) in row-major order with perm(x + e_i) !=
     perm(x) + perm(e_i), e_i running over the digit basis; None if there
     is none."""
-    perm = np.asarray(perm)
     points = np.arange(space.size)[:, None]
     basis = space.basis
     bad = perm[space.add(points, basis)] != space.add(perm[points],
@@ -214,6 +214,11 @@ def _additivity_witness(space, perm):
 # -- family constructors -----------------------------------------------------
 
 
+def _adjoint_matrix(space, family, A):
+    """A^T, or for Hermitian forms the conjugate transpose A*."""
+    return space.conj_index[A.T] if family == "hermitian" else A.T
+
+
 def _field_map(space, family, name, data):
     """The Generator `name` with `data`, its permutation the family's
     formula evaluated on every point of X at once: {"matrix": M} is
@@ -223,15 +228,13 @@ def _field_map(space, family, name, data):
     field = space.field
     X = space.entries(np.arange(space.size))
     if "matrix" in data:
-        images = field.matmul(index_matrix(data["matrix"]), X[..., None])
-        images = images[..., 0]
+        images = field.matmul(data["matrix"], X[..., None])[..., 0]
     else:
         alpha = data["alpha"]
-        left = (mat_conj_transpose(alpha, space) if family == "hermitian"
-                else mat_transpose(alpha))
-        images = field.matmul(field.matmul(index_matrix(left), X),
-                              index_matrix(data.get("beta", alpha)))
-    return Generator(name, space.points_of(images, name).tolist(), data)
+        images = field.matmul(
+            field.matmul(_adjoint_matrix(space, family, alpha), X),
+            data.get("beta", alpha))
+    return Generator(name, space.points_of(images, name), data)
 
 
 def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
@@ -255,12 +258,9 @@ def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
 
 def _build_central(space, params):
     nu = space.character_order
-    gens = []
-    for u in range(2, nu):
-        if math.gcd(u, nu) != 1:
-            continue
-        perm = space.scalar_mul(np.arange(space.size), u).tolist()
-        gens.append(Generator("mul_%d" % u, perm, {"unit": u}))
+    gens = [Generator("mul_%d" % u, space.scalar_mul(np.arange(space.size), u),
+                      {"unit": u})
+            for u in range(2, nu) if math.gcd(u, nu) == 1]
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
 
@@ -271,9 +271,9 @@ def _build_cyclotomic(space, params):
     q = space.field.q
     if q % 2 == 0 or d < 1 or (q - 1) % (2 * d) != 0:
         raise UsageError("cyclotomic classes need odd q with 2d | q-1")
-    w = space.field.primitive_element()
+    w_d = space.field.primitive_element() ** d
     gen = _field_map(space, "cyclotomic", "mul_w^%d" % d,
-                     {"matrix": ((w ** d,),)})
+                     {"matrix": np.array([[w_d.index]])})
     return GeneratorSet(space, "cyclotomic", {"d": d}, [gen])
 
 
@@ -282,7 +282,7 @@ def _build_bilinear(space, params):
         raise UsageError("bilinear actions live on full matrix spaces")
     field = space.field
     m, n = space.m, space.n
-    Im, In = mat_identity(m, field), mat_identity(n, field)
+    Im, In = np.eye(m, dtype=np.intp), np.eye(n, dtype=np.intp)
     gens = [_field_map(space, "bilinear", "left_" + name,
                        {"alpha": alpha, "beta": In})
             for name, alpha in gl_generators(m, field)]
@@ -311,23 +311,18 @@ def _build_congruence(space, family, params):
 def _hamming_block_generators(space, block, tag):
     """Monomial generators of the Hamming group on the given coordinate
     block (1-based coords): adjacent transpositions plus one primitive
-    scaling, returned as n x n matrices."""
+    scaling, returned as n x n element-index arrays."""
     field = space.field
-    n = space.n
-    z, o = field.zero(), field.one()
+    eye = np.eye(space.n, dtype=np.intp)
     gens = []
     for a, b in zip(block, block[1:]):
-        M = [[o if i == j else z for j in range(n)] for i in range(n)]
-        i0, j0 = a - 1, b - 1
-        M[i0][i0] = M[j0][j0] = z
-        M[i0][j0] = M[j0][i0] = o
-        gens.append(("%sswap_%d_%d" % (tag, a, b), tuple(map(tuple, M))))
+        swap = eye.copy()
+        swap[[a - 1, b - 1]] = swap[[b - 1, a - 1]]
+        gens.append(("%sswap_%d_%d" % (tag, a, b), swap))
     if field.q > 2:
-        w = field.primitive_element()
-        i0 = block[0] - 1
-        M = [[o if i == j else z for j in range(n)] for i in range(n)]
-        M[i0][i0] = w
-        gens.append(("%sscale_%d" % (tag, block[0]), tuple(map(tuple, M))))
+        scale = eye.copy()
+        scale[block[0] - 1, block[0] - 1] = field.primitive_element().index
+        gens.append(("%sscale_%d" % (tag, block[0]), scale))
     return gens
 
 
@@ -351,8 +346,6 @@ def _build_weak_hamming(space, family, params):
         poset = poset.dual()
     if poset.n != space.n:
         raise UsageError("level sizes must sum to the space dimension")
-    field = space.field
-    z, o = field.zero(), field.one()
     mats = []
     for s in range(1, poset.t + 1):
         mats.extend(_hamming_block_generators(space, poset.block(s),
@@ -361,21 +354,22 @@ def _build_weak_hamming(space, family, params):
         for s2 in range(1, s):
             i = poset.block(s)[0]
             l = poset.block(s2)[0]
-            M = [[o if a == b else z for b in range(space.n)]
-                 for a in range(space.n)]
-            M[l - 1][i - 1] = o  # e_i -> e_i + e_l, a level-s -> level-s2 bleed
-            mats.append(("bleed_%d_to_%d" % (i, l), tuple(map(tuple, M))))
+            M = np.eye(space.n, dtype=np.intp)
+            M[l - 1, i - 1] = 1  # e_i -> e_i + e_l, a level-s -> level-s2 bleed
+            mats.append(("bleed_%d_to_%d" % (i, l), M))
     gens = [_field_map(space, family, name, {"matrix": M})
             for name, M in mats]
     return GeneratorSet(space, family, {"levels": levels}, gens, poset=poset)
 
 
 def _build_custom(space, params):
-    perms = params["generators"]
     gens = []
-    for k, perm in enumerate(perms):
-        if sorted(perm) != list(range(space.size)):
+    for k, perm in enumerate(params["generators"]):
+        perm = np.array(perm)
+        if not _is_permutation(perm, space.size):
             raise UsageError("custom generator %d is not a permutation of X" % k)
+        if perm[0] != 0:
+            raise UsageError("custom generator %d does not fix 0" % k)
         gens.append(Generator("custom_%d" % k, perm, {}))
     gs = GeneratorSet(space, "custom", {}, gens)
     ok, witness = gs.verify_additive()
@@ -397,41 +391,27 @@ class AdjointMap:
 
 
 def adjoint_map(genset: GeneratorSet) -> AdjointMap:
+    """iota(g) for every generator: g itself for central actions, else
+    the family's formula on the adjoint of each matrix of g; a
+    weak-Hamming adjoint must preserve the dual poset's weight."""
     space = genset.space
     family = genset.family
     if family == "custom":
         raise UsageError("custom actions carry no built-in adjoint map")
-    images = []
-    codomain = family
     if family == "central":
         images = [Generator("adj_" + g.name, g.perm, dict(g.data))
                   for g in genset.generators]
-    elif family in VECTOR_MATRIX_FAMILIES:
-        if family == "weak_hamming":
-            codomain = "weak_hamming_dual"
-        elif family == "weak_hamming_dual":
-            codomain = "weak_hamming"
-        dual_poset = genset.poset.dual() if genset.poset is not None else None
-        for g in genset.generators:
-            ig = _field_map(space, family, "adj_" + g.name,
-                            {"matrix": mat_transpose(g.data["matrix"])})
-            if dual_poset is not None:
-                _assert_preserves_weight(space, ig.perm, dual_poset, g.name)
-            images.append(ig)
-    elif family == "bilinear":
-        images = [_field_map(space, family, "adj_" + g.name,
-                             {"alpha": mat_transpose(g.data["alpha"]),
-                              "beta": mat_transpose(g.data["beta"])})
-                  for g in genset.generators]
-    elif family in ("alternating", "symmetric", "hermitian"):
-        for g in genset.generators:
-            alpha = g.data["alpha"]
-            a2 = (mat_conj_transpose(alpha, space) if family == "hermitian"
-                  else mat_transpose(alpha))
-            images.append(_field_map(space, family, "adj_" + g.name,
-                                     {"alpha": a2}))
     else:
-        raise UsageError("no adjoint rule for family %r" % family)
+        images = [_field_map(space, family, "adj_" + g.name,
+                             {key: _adjoint_matrix(space, family, A)
+                              for key, A in g.data.items()})
+                  for g in genset.generators]
+    if genset.poset is not None:
+        for g, ig in zip(genset.generators, images):
+            _assert_preserves_weight(space, ig.perm, genset.poset.dual(),
+                                     g.name)
+    codomain = {"weak_hamming": "weak_hamming_dual",
+                "weak_hamming_dual": "weak_hamming"}.get(family, family)
     return AdjointMap(genset, images, codomain)
 
 
@@ -439,7 +419,7 @@ def _assert_preserves_weight(space, perm, poset, name):
     """Raise IntegrityError unless w(perm(x)) = w(x) for every point x,
     the poset weights read off the nonzero entries of all points."""
     weights = poset.weights(space.entries(np.arange(space.size)) != 0)
-    if (weights[list(perm)] != weights).any():
+    if (weights[perm] != weights).any():
         raise IntegrityError(
             "adjoint of %s does not preserve the dual poset weight" % name)
 
@@ -462,9 +442,8 @@ def verify_adjoint(adjoint: AdjointMap):
             witness = _additivity_witness(space, h.perm)
             if witness is not None:
                 return False, (h.name,) + witness
-        perm, iperm = np.asarray(g.perm), np.asarray(ig.perm)
-        bad = (space.pairing_exponent(perm[basis][:, None], basis)
-               != space.pairing_exponent(basis[:, None], iperm[basis]))
+        bad = (space.pairing_exponent(g.perm[basis][:, None], basis)
+               != space.pairing_exponent(basis[:, None], ig.perm[basis]))
         if bad.any():
             x, y = divmod(int(bad.argmax()), len(basis))
             return False, (g.name, int(basis[x]), int(basis[y]))

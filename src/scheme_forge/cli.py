@@ -242,7 +242,7 @@ def check_report(space, genset, verify_representatives):
     report["condition_4"] = ok4
     if not ok4:
         report["condition_4_witness"] = {
-            "class": partition.class_of[witness],
+            "class": int(partition.class_of[witness]),
             "point": space.serialize_point(witness),
             "negation": space.serialize_point(space.neg(witness)),
         }

@@ -112,7 +112,7 @@ def constancy_test(partition_G, profile):
         rows = np.flatnonzero(differs.any(axis=1))
         if len(rows) and (witness is None or rows[0] < witness[1]):
             j = int(rows[0])
-            witness = (i, j, cls[0], cls[int(np.argmax(differs[j]))])
+            witness = (i, j, int(cls[0]), int(cls[np.argmax(differs[j])]))
     if witness is not None:
         return False, None, witness
     reps = [cls[0] for cls in partition_G.classes]

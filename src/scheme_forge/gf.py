@@ -58,13 +58,16 @@ class FieldSpec:
     """A finite field F_{p^e} with a fixed polynomial basis."""
 
     def __init__(self, p, e=1, modulus=None, q_bound=DEFAULT_Q_BOUND):
-        if not is_prime(p):
+        # q_bound first: no trial division of a large p, and p ** e only
+        # for e within q_bound's bit length (2^e > q_bound past it)
+        if p <= q_bound and not is_prime(p):
             raise UsageError("p = %r is not prime" % (p,))
         if e < 1:
             raise UsageError("extension degree must be >= 1")
+        if p > q_bound or e > q_bound.bit_length() or p ** e > q_bound:
+            raise ResourceLimitError("q = %d^%d exceeds bound %d"
+                                     % (p, e, q_bound))
         q = p ** e
-        if q > q_bound:
-            raise ResourceLimitError("q = %d exceeds bound %d" % (q, q_bound))
         self.p = p
         self.e = e
         self.q = q

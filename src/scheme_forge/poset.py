@@ -77,9 +77,6 @@ class WeakOrderPoset:
         return "WeakOrderPoset(levels=%s, level_of=%s)" % (
             list(self.levels), list(self.level_of))
 
-    def to_config(self):
-        return {"levels": list(self.levels), "level_of": list(self.level_of)}
-
 
 def _nonzero(v):
     if hasattr(v, "is_zero"):

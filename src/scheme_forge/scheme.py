@@ -43,7 +43,7 @@ class TranslationScheme:
         return self.partition.class_of[self.space.sub(y, x)]
 
     def representative(self, i):
-        return self.partition.classes[i][0]
+        return int(self.partition.classes[i][0])
 
     # -- intersection numbers ------------------------------------------------
 
@@ -71,7 +71,7 @@ class TranslationScheme:
         sizes = self.partition.sizes
         report["partition"] = (sum(sizes) == space.size
                                and all(s > 0 for s in sizes))
-        report["diagonal"] = self.partition.classes[0] == [0]
+        report["diagonal"] = self.partition.classes[0].tolist() == [0]
         ok, witness = check_condition_4(self.partition, space)
         report["symmetry"] = ok
         if not ok:
@@ -158,11 +158,11 @@ def intersection_tensor(space, partition, verify_representatives):
     whose counts differ from the first representative's, when the counts
     depend on u."""
     d = partition.d
-    class_of = np.asarray(partition.class_of, dtype=np.int32)
+    class_of = partition.class_of
     points = np.arange(space.size)
     tensor = np.empty((d + 1,) * 3, dtype=np.int64)
     for k, cls in enumerate(partition.classes):
-        reps = np.asarray(cls if verify_representatives else cls[:1])
+        reps = cls if verify_representatives else cls[:1]
         pairs = class_of[space.sub(reps[:, None], points)]
         pairs *= d + 1
         pairs += class_of

@@ -56,6 +56,20 @@ from .gf import FieldSpec
 DEFAULT_SIZE_BOUND = 4096
 
 
+def check_size(kw, *factors):
+    """|X|, the product of base ** exponent over the (base, exponent)
+    `factors`; raises ResourceLimitError once a partial product passes
+    the size bound in the constructor keywords `kw`, before the space
+    builds anything, naming the bound: |X| may be too long to print."""
+    bound, size = kw.get("size_bound", DEFAULT_SIZE_BOUND), 1
+    for base, exponent in factors:
+        for _ in range(exponent):
+            size *= base
+            if size > bound:
+                raise ResourceLimitError("|X| exceeds size bound %d" % bound)
+    return size
+
+
 class AbelianSpace:
     """X = Z_{r_1} x ... x Z_{r_N} on digit vectors.
 
@@ -72,10 +86,8 @@ class AbelianSpace:
                  size_bound=DEFAULT_SIZE_BOUND):
         # the trivial group gets one digit of radix 1, so D has a column
         radices = tuple(r for digits in coord_radices for r in digits) or (1,)
-        size = math.prod(radices)
-        if size > size_bound:
-            raise ResourceLimitError(
-                "|X| = %d exceeds size bound %d" % (size, size_bound))
+        size = check_size({"size_bound": size_bound},
+                          *((r, 1) for r in radices))
         if math.gcd(lambda_multiplier, character_order) != 1:
             raise UsageError("lambda multiplier must be a unit mod %d"
                              % character_order)
@@ -316,6 +328,7 @@ class VectorSpace(FieldSpace):
     def __init__(self, n, field: FieldSpec, **kw):
         if n < 1:
             raise UsageError("n must be >= 1")
+        check_size(kw, (field.q, n))
         self.n = n
         block = _trace_block(field.elements(), field.p, field.e, _trace)
         super().__init__((n,), field, [block] * n, **kw)
@@ -327,6 +340,7 @@ class FullMatrixSpace(FieldSpace):
     kind = "matrix_full"
 
     def __init__(self, m, n, field: FieldSpec, **kw):
+        check_size(kw, (field.q, m * n))
         self.m = m
         self.n = n
         block = _trace_block(field.elements(), field.p, field.e, _trace)
@@ -388,6 +402,7 @@ class AlternatingMatrixSpace(FormsSpace):
     form = "alternating"
 
     def __init__(self, m, field: FieldSpec, **kw):
+        check_size(kw, (field.q, m * (m - 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         block = _trace_block(field.elements(), field.p, field.e, _trace)
         super().__init__(m, field, positions, [block] * len(positions),
@@ -405,6 +420,7 @@ class SymmetricMatrixSpace(FormsSpace):
     def __init__(self, m, field: FieldSpec, **kw):
         if field.p == 2:
             raise UsageError("symmetric forms spaces require odd q")
+        check_size(kw, (field.q, m * (m + 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i, m)]
         els, p = field.elements(), field.p
         blocks = [_trace_block(els, p, field.e,
@@ -422,7 +438,8 @@ class HermitianMatrixSpace(FormsSpace):
     *A = A.  The pairing tr(AB) lands in F_q and is fed to the base-field
     trace, keeping the character order at p: a diagonal coordinate carries
     Tr_{F_q/F_p}(ab), an upper one Tr_{F_q^2/F_p}(a conj(b)).  A diagonal
-    coordinate k stands for the entry _subfield[k].
+    coordinate k stands for the entry _subfield[k]; conj_index[a] is
+    the index of conj(a).
     """
 
     kind = "matrix_hermitian"
@@ -433,6 +450,7 @@ class HermitianMatrixSpace(FormsSpace):
             raise UsageError("Hermitian spaces need an even-degree field F_{q^2}")
         self.base_f = field.e // 2
         self.base_q = field.p ** self.base_f
+        check_size(kw, (self.base_q, m), (field.q, m * (m - 1) // 2))
         els = field.elements()
         self._subfield = tuple(
             a for a in els if (a ** self.base_q).coeffs == a.coeffs)
@@ -449,9 +467,10 @@ class HermitianMatrixSpace(FormsSpace):
                             lambda a, b: (a * b).subfield_trace(self.base_f))
         upper_block = _trace_block(els, p, field.e,
                                    lambda a, b: (a * self.conj(b)).trace())
+        self.conj_index = np.array([self.conj(a).index for a in els])
         super().__init__(m, field, [(i, i) for i in range(m)] + upper,
                          [diag] * m + [upper_block] * len(upper),
-                         np.array([self.conj(a).index for a in els]), **kw)
+                         self.conj_index, **kw)
 
     def conj(self, a):
         return a ** self.base_q
@@ -477,6 +496,7 @@ class CyclicProductSpace(GramSpace):
         moduli = tuple(int(m) for m in moduli)
         if not moduli or any(m < 2 for m in moduli):
             raise UsageError("cyclic_product needs moduli >= 2")
+        check_size(kw, *((mi, 1) for mi in moduli))
         self.moduli = moduli
         m = math.lcm(*moduli)
         super().__init__([((mi,), ((m // mi,),)) for mi in moduli], m, **kw)

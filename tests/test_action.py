@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,12 +13,12 @@ from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace)
+from scheme_forge.duality import duality_report
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator,
                                  GeneratorSet, gl_generators,
-                                 mat_identity, mat_transpose,
-                                 mat_conj_transpose, _field_map)
+                                 _field_map)
 
 from test_space import SPACES, ORACLE_SPACES, TupleDigits, index_of_entries
 from test_poset import sphere_sizes
@@ -30,6 +31,33 @@ PERFBENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir,
 
 def classes_as_sets(partition):
     return {frozenset(c) for c in partition.classes}
+
+
+# -- oracles: generator matrices as FieldElements, for the per-point loops
+
+def mat_identity(k, field):
+    z, o = field.zero(), field.one()
+    return tuple(tuple(o if i == j else z for j in range(k)) for i in range(k))
+
+
+def mat_transpose(A):
+    return tuple(zip(*A))
+
+
+def mat_conj_transpose(A, space):
+    return tuple(tuple(space.conj(A[j][i]) for j in range(len(A)))
+                 for i in range(len(A[0])))
+
+
+def index_matrix(A):
+    """A matrix of FieldElements as an array of element indices."""
+    return np.array([[a.index for a in row] for row in A])
+
+
+def element_matrix(field, A):
+    """An array of element indices as a matrix of FieldElements."""
+    els = field.elements()
+    return tuple(tuple(els[a] for a in row) for row in A)
 
 
 def test_central_z8_orbits():
@@ -80,7 +108,8 @@ def test_gl_generators_are_invertible():
         field = FieldSpec(q, e)
         for k in (2, 3):
             for name, M in gl_generators(k, field):
-                assert oracles.matrix_rank(M, field) == k, name
+                assert oracles.matrix_rank(element_matrix(field, M),
+                                           field) == k, name
 
 
 def test_bilinear_rank_classes():
@@ -201,12 +230,12 @@ def test_basis_pairs_catch_extension_field_adjoint():
     genset = build_action(sp, "hamming")
     adj = adjoint_map(genset)
     g = genset.generators[0]
-    M = mat_transpose(g.data["matrix"])
+    M = mat_transpose(element_matrix(sp.field, g.data["matrix"]))
     one = sp.field.one()
     bad = tuple(tuple(a + one if i == j else a for j, a in enumerate(row))
                 for i, row in enumerate(M))
     images = [Generator(adj.images[0].name, loop_matvec(sp, bad),
-                        {"matrix": bad})] + adj.images[1:]
+                        {"matrix": index_matrix(bad)})] + adj.images[1:]
     corrupted = AdjointMap(genset, images, "hamming")
     assert g.name == "swap_1_2"
     assert loop_verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
@@ -345,6 +374,56 @@ def loop_condition_6(partition, space):
     return pairing
 
 
+def bfs_orbits(genset):
+    """The orbit partition by breadth-first search from each unseen
+    point, classes sorted by the key of `orbits` on their least point."""
+    space = genset.space
+    n = space.size
+    seen = [False] * n
+    raw = []
+    perms = [g.perm.tolist() for g in genset.generators]
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for perm in perms:
+                    y = perm[x]
+                    if not seen[y]:
+                        seen[y] = True
+                        comp.append(y)
+                        nxt.append(y)
+            frontier = nxt
+        raw.append(sorted(comp))
+    if genset.poset is not None:
+        raw.sort(key=lambda c: (genset.poset.weight(space.coords_of(c[0])),
+                                c[0]))
+    elif space.kind in ("matrix_full", "matrix_alternating",
+                        "matrix_symmetric", "matrix_hermitian"):
+        raw.sort(key=lambda c: (oracles.matrix_rank(
+            space.materialize(c[0]), space.field), c[0]))
+    else:
+        raw.sort(key=lambda c: c[0])
+    class_of = [0] * n
+    for ci, comp in enumerate(raw):
+        for x in comp:
+            class_of[x] = ci
+    return class_of, raw
+
+
+def assert_orbits_match_bfs(genset):
+    """orbits gives the BFS oracle's class labels and classes."""
+    part = orbits(genset)
+    class_of, classes = bfs_orbits(genset)
+    assert part.class_of.tolist() == class_of
+    assert [c.tolist() for c in part.classes] == classes
+    return part
+
+
 def natural_actions(space):
     """The built-in actions that live on `space`, with their parameters."""
     kind = space.kind
@@ -363,9 +442,10 @@ def natural_actions(space):
 
 def assert_sweeps_match_loops(genset):
     """verify_additive, conditions (4) and (6) and verify_adjoint give the
-    loop oracles' verdicts; condition witnesses are equal, and additivity
-    and adjoint witnesses, which may name another pair than the loops',
-    must be real violations."""
+    loop oracles' verdicts and orbits the BFS oracle's partition;
+    condition witnesses are equal, and additivity and adjoint witnesses,
+    which may name another pair than the loops', must be real
+    violations."""
     space = genset.space
     ok, witness = genset.verify_additive()
     assert ok == loop_verify_additive(genset)[0]
@@ -373,7 +453,7 @@ def assert_sweeps_match_loops(genset):
         name, x, y = witness
         perm = {g.name: g.perm for g in genset.generators}[name]
         assert perm[space.add(x, y)] != space.add(perm[x], perm[y])
-    part = orbits(genset)
+    part = assert_orbits_match_bfs(genset)
     assert check_condition_4(part, space) == loop_condition_4(part, space)
     assert check_condition_6(part, space) == loop_condition_6(part, space)
     if genset.family != "custom":
@@ -457,9 +537,11 @@ def loop_congruence(space, left, right):
 
 
 def loop_perm(space, family, data):
-    """The permutation of a generator or adjoint image, from its data by
-    the family's formula: v -> M v, or A -> alpha^T A beta (alpha* A alpha
-    for Hermitian forms, beta = alpha for every forms family)."""
+    """The permutation of a generator or adjoint image, from its data
+    (element-index arrays, read as FieldElements) by the family's
+    formula: v -> M v, or A -> alpha^T A beta (alpha* A alpha for
+    Hermitian forms, beta = alpha for every forms family)."""
+    data = {key: element_matrix(space.field, A) for key, A in data.items()}
     if "matrix" in data:
         return loop_matvec(space, data["matrix"])
     alpha = data["alpha"]
@@ -535,11 +617,13 @@ def test_image_outside_forms_space_raises(space, alpha, beta):
     IntegrityError naming the map and the first point whose image is not
     a form, where the per-point encoders projected to the upper triangle
     or raised KeyError."""
-    gens = dict(gl_generators(space.m, space.field))
+    gens = {name: element_matrix(space.field, M)
+            for name, M in gl_generators(space.m, space.field)}
     gens["identity"] = mat_identity(space.m, space.field)
     a, b = gens[alpha], gens[beta]
     with pytest.raises(IntegrityError) as info:
-        _field_map(space, "bilinear", "bad_map", {"alpha": a, "beta": b})
+        _field_map(space, "bilinear", "bad_map",
+                   {"alpha": index_matrix(a), "beta": index_matrix(b)})
     message = str(info.value)
     assert message.startswith("bad_map maps point ")
     assert message.endswith("is not %s" % space.form)
@@ -601,15 +685,17 @@ def invertible(draw, field, k):
 
 @st.composite
 def random_maps(draw):
-    """A space and the data of a random map of its family: a matrix for
-    vector spaces, alpha and beta for full matrices, alpha for forms."""
+    """A space and the data of a random map of its family, as
+    element-index arrays: a matrix for vector spaces, alpha and beta for
+    full matrices, alpha for forms."""
     space = draw(st.sampled_from(PROPERTY_SPACES))
     if space.kind == "vector":
-        return space, {"matrix": draw(invertible(space.field, space.n))}
-    data = {"alpha": draw(invertible(space.field, space.m))}
+        data = {"matrix": draw(invertible(space.field, space.n))}
+    else:
+        data = {"alpha": draw(invertible(space.field, space.m))}
     if space.kind == "matrix_full":
         data["beta"] = draw(invertible(space.field, space.n))
-    return space, data
+    return space, {key: index_matrix(M) for key, M in data.items()}
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -622,3 +708,63 @@ def test_array_perm_matches_loop_on_random_maps(case):
     family = {"matrix_hermitian": "hermitian"}.get(space.kind, space.kind)
     got = _field_map(space, family, "g", data).perm
     assert list(got) == loop_perm(space, family, data)
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-5] for f in os.listdir(PERFBENCH_CONFIGS) if f.endswith(".json")))
+def test_orbits_match_bfs_on_perfbench_configs(name):
+    with open(os.path.join(PERFBENCH_CONFIGS, name + ".json")) as fh:
+        cfg = json.load(fh)
+    _, genset = cli.load_action(cfg, 4096)
+    assert_orbits_match_bfs(genset)
+
+
+@st.composite
+def generator_subsets(draw):
+    """A built-in action on a small space with a random subset of its
+    generators and adjoint images as the generating set."""
+    space = draw(st.sampled_from(PROPERTY_SPACES + [
+        CyclicProductSpace((4, 6)), CyclicProductSpace((2, 2, 8))]))
+    family, params = draw(st.sampled_from(natural_actions(space)))
+    genset = build_action(space, family, **params)
+    pool = genset.generators + adjoint_map(genset).images
+    chosen = draw(st.lists(st.sampled_from(pool), max_size=4) if pool
+                  else st.just([]))
+    return GeneratorSet(space, family, params, chosen, poset=genset.poset)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(generator_subsets())
+def test_orbits_match_bfs_on_random_generator_subsets(genset):
+    """The array closure of orbits equals the breadth-first oracle on
+    generating sets that need not generate the family's group."""
+    assert_orbits_match_bfs(genset)
+
+
+@st.composite
+def weak_orders(draw):
+    """Level sizes of a weak order on F_2^n (n <= 6) or F_3^n (n <= 4),
+    and which of the two weak-Hamming families acts."""
+    q = draw(st.sampled_from([2, 3]))
+    levels = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)
+                  .filter(lambda ls: q ** sum(ls) <= 81))
+    family = draw(st.sampled_from(["weak_hamming", "weak_hamming_dual"]))
+    return q, levels, family
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(weak_orders())
+def test_weak_hamming_on_random_levels(case):
+    """For random weak-order levels over F_2 and F_3: orbits equals the
+    breadth-first oracle, the valencies are the poset's sphere sizes, the
+    duality certificate passes, and it is a self-duality exactly when the
+    levels read the same reversed."""
+    q, levels, family = case
+    space = VectorSpace(sum(levels), FieldSpec(q))
+    genset = build_action(space, family, levels=levels)
+    part = assert_orbits_match_bfs(genset)
+    assert part.sizes == sphere_sizes(genset.poset, q)
+    cert = duality_report(genset)
+    assert cert.passed, cert.checks
+    assert cert.valencies == part.sizes
+    assert (cert.mode == "self") == (levels == levels[::-1])

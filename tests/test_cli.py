@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def cfg(name):
@@ -151,6 +153,9 @@ HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
     (HAMMING, {"family": "hamming", "bogus": 1}, "unknown key(s) 'bogus'"),
     ({"kind": ["vector"]}, {"family": "hamming"}, "needs a 'kind' of"),
     (HAMMING, {"family": "nope"}, "unknown action family"),
+    ({"kind": "cyclic_product", "moduli": [5]},
+     {"family": "custom", "generators": [[1, 2, 3, 4, 0]]},
+     "custom generator 0 does not fix 0"),
 ])
 def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
                                      message):
@@ -161,10 +166,42 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
         assert code == 2 and "config error" in err and message in err
 
 
-def test_size_bound_exit_3(capsys):
+# configs past the bounds on q and |X| that hung, or ended in a traceback,
+# before the bounds were checked ahead of building anything: trial
+# division of a prime near 2^61, an |X| of more than 4300 digits (past
+# Python's int-to-str limit in the message) and per-coordinate blocks for
+# 9 million entries
+OVERSIZED = {
+    "prime 2^61 - 1": {"kind": "vector", "n": 1,
+                       "field": {"p": 2305843009213693951}},
+    "vector 2^200000": {"kind": "vector", "n": 200000, "field": {"p": 2}},
+    "moduli 2 x 20000": {"kind": "cyclic_product", "moduli": [2] * 20000},
+    "matrix 3000 x 3000": {"kind": "matrix_full", "m": 3000, "n": 3000,
+                           "field": {"p": 2}},
+}
+
+
+def test_size_bound_exit_3(capsys, tmp_path):
+    """An |X| or q past its bound exits 3 with a message naming the
+    bound.  Each OVERSIZED case runs in a child interpreter, so that a
+    regression fails on the timeout instead of hanging the suite."""
     code, _, err = run(["check", cfg("hamming4_f3"), "--size-bound", "10"],
                        capsys)
     assert code == 3 and "resource limit" in err
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    family = {"vector": "hamming", "cyclic_product": "central",
+              "matrix_full": "bilinear"}
+    path = tmp_path / "big.json"
+    for name, space in OVERSIZED.items():
+        path.write_text(json.dumps({
+            "space": space, "action": {"family": family[space["kind"]]}}))
+        proc = subprocess.run([sys.executable, "-m", "scheme_forge.cli",
+                               "check", str(path)], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 3, (name, proc.stderr)
+        assert proc.stderr.startswith("resource limit: "), name
+        assert "exceeds" in proc.stderr and "bound" in proc.stderr, name
 
 
 def test_reports_are_byte_deterministic(capsys, tmp_path):

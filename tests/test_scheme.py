@@ -32,7 +32,7 @@ def adjacency_matrix(sch, i, matrix_bound=DEFAULT_MATRIX_BOUND):
             "|X| = %d exceeds the matrix bound %d" % (n, matrix_bound))
     points = np.arange(n)
     diff = sch.space.sub(points, points[:, None])  # [x][y] = y - x
-    return (np.asarray(sch.partition.class_of)[diff] == i).astype(np.int64)
+    return (sch.partition.class_of[diff] == i).astype(np.int64)
 
 
 def make_scheme(space, family, **params):
