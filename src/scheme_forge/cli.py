@@ -20,6 +20,8 @@ from contextlib import nullcontext
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from .errors import (UsageError, ConfigError, ResourceLimitError,
                      IntegrityError)
 from .space import space_from_config, check_keys, DEFAULT_SIZE_BOUND
@@ -74,6 +76,10 @@ def load_action(cfg, size_bound):
 # memoized (a Krein entry with phi(m) = 64 coefficients is 1,096 at its
 # depth); a container's pending text is written out once it grows past.
 MEMO_CHARS = 1 << 12
+# An integer array's text is written in pieces of at most this many
+# characters, so a write, with the pending text of at most MEMO_CHARS
+# before it, stays within 64 KiB.
+ARRAY_CHARS = 1 << 15
 
 
 def _scalar_text(value):
@@ -106,6 +112,65 @@ def _key_text(key):
     return encode_basestring_ascii(text)
 
 
+def _array_rows(texts, shape, depth):
+    """The texts of the rows (axis-0 entries) of an array of the given
+    shape, nested `depth` containers deep, from the flat list of its
+    element texts in row-major order: joined level by level, innermost
+    first, one str.join per list."""
+    for axis in range(len(shape) - 1, 0, -1):
+        size = shape[axis]
+        if size == 0:
+            texts = ["[]"] * math.prod(shape[:axis])
+            continue
+        inner = "\n" + "  " * (depth + axis + 1)
+        pattern = "[" + inner + "%s\n" + "  " * (depth + axis) + "]"
+        texts = [pattern % text for text in
+                 map(("," + inner).join, zip(*[iter(texts)] * size))]
+    return texts
+
+
+def _array_chunks(A, depth):
+    """Yield the text of the integer ndarray A, nested `depth`
+    containers deep, as json.dumps(A.tolist(), indent=2) spells it.
+
+    When the values span a range no wider than the array, each value in
+    it gets one text, which every entry of that value reuses; otherwise
+    each entry is int.__repr__'d.  The array is written a block of rows
+    along its first axis at a time, blocks of about ARRAY_CHARS
+    characters, each block's text cut into pieces of at most that."""
+    if A.ndim == 0:
+        yield int.__repr__(int(A))
+        return
+    if A.shape[0] == 0:
+        yield "[]"
+        return
+    low, high = (int(A.min()), int(A.max())) if A.size else (0, 0)
+    if high - low < A.size:
+        table = np.array([int.__repr__(v) for v in range(low, high + 1)],
+                         dtype=object)
+
+        def texts(block):
+            return table[(block - low).ravel()].tolist()
+    else:
+        def texts(block):
+            return list(map(int.__repr__, block.ravel().tolist()))
+    # an entry takes its text, a comma and its indentation
+    width = max(len(int.__repr__(low)), len(int.__repr__(high)))
+    row_chars = max(A[0].size, 1) * (width + 2 * (depth + A.ndim) + 2)
+    step = max(1, ARRAY_CHARS // row_chars)
+    inner = "\n" + "  " * (depth + 1)
+    sep = "," + inner
+    text = "[" + inner
+    for start in range(0, len(A), step):
+        block = A[start:start + step]
+        text += sep.join(_array_rows(texts(block), block.shape, depth))
+        if start + step >= len(A):
+            text += "\n" + "  " * depth + "]"
+        for cut in range(0, len(text), ARRAY_CHARS):
+            yield text[cut:cut + ARRAY_CHARS]
+        text = sep
+
+
 def _chunks(obj, depth, memo):
     """Yield the text of obj, nested `depth` containers deep, as
     json.dumps(sort_keys=True, indent=2) spells it.
@@ -117,10 +182,15 @@ def _chunks(obj, depth, memo):
     A list of plain ints is one str.join.  A list looks all its children
     up in memo[depth + 1] at once, and when every one is there it is
     written with one sep.join per slice of about MEMO_CHARS characters.
-    Otherwise the pending text is yielded whenever it passes MEMO_CHARS."""
+    Otherwise the pending text is yielded whenever it passes MEMO_CHARS.
+    An integer ndarray is written as its tolist() would be, by
+    _array_chunks."""
     text = _scalar_text(obj)
     if text is not None:
         yield text
+        return
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        yield from _array_chunks(obj, depth)
         return
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
@@ -189,7 +259,8 @@ def write_report(report, out_path):
 
     The encoder takes str, int, float, bool and None scalars (ASCII
     escaping, float repr, NaN and Infinity spelled as json spells them)
-    and dict, list and tuple containers, dict keys sorted.  Each shared
+    and dict, list and tuple containers, dict keys sorted, and integer
+    numpy arrays, which it writes as their tolist().  Each shared
     entry is encoded once, whatever its size up to MEMO_CHARS: the text
     of a container that stays within MEMO_CHARS is memoized by depth and
     id, depth because indentation depends on it, identity because the

@@ -5,26 +5,35 @@ the m-th cyclotomic polynomial, with plain Python integers as coefficients,
 so every ring identity in the package is checked with zero tolerance.
 
 Matrices and tensors of elements are contracted as integer arrays of
-power-basis coefficients, shape (..., phi(m)) (`coeff_array`,
-`contract`): a product of two elements is bilinear in their coefficients,
-through the structure constants M[a, b, :] = coefficients of z^a z^b, so
-one einsum "...X,...Y,XYZ->...Z" computes a whole contraction.  Every
-such table is read off the reduction matrix R[k, :] = coefficients of
-z^k, k < m (`reduction_matrix`).
+power-basis coefficients (`coeff_array`, `contract`): a product of two
+elements is bilinear in their coefficients, through the structure
+constants M[a, b, :] = coefficients of z^a z^b, so one einsum
+"...X,...Y,XYZ->...Z" computes a whole contraction.  Every such table is
+read off the reduction matrix R[k, :] = coefficients of z^k, k < m
+(`reduction_matrix`).
 
-A contraction runs only over the coefficients that can be nonzero: A and
-B are sliced to their nonzero coefficient columns (their support), M to
-those rows and to its nonzero output columns, and the result is scattered
-back into phi(m) columns.  Central actions, whose eigenmatrices are
-rational integers, contract one column instead of phi(m).  A dropped
-column holds only zeros, so it adds only zero products: the sliced
-contraction has the same sums, and the count of its products times the
-largest absolute entries of the sliced A, B and M bounds every partial
-sum, in any summation order.  The contraction runs in int64 only when that
-bound, in Python integers, is below 2^63, and with Python integers
-(dtype=object) otherwise, so it is exact either way.  It follows a fixed
-pairwise path, A with B over the element indices and then the result
-with M, rather than one einsum picks.
+A full-width array has all phi(m) coefficients on its last axis.  A
+support-width array is a pair (A, cols): A[..., c] holds the coefficient
+of z^cols[c], and every coefficient outside the sorted index array cols
+is zero.  cols always starts with 0, the constant term, so A[..., 0] is
+the rational-integer part and `nonzero` and `equals_integers` read A as
+they read a full-width array (which is the pair with cols = 0..phi-1).
+`sliced` cuts a full-width array to its support; `widen` puts the
+columns back, only where CycloInt objects or JSON entries are built.
+
+`contract` and `conjugate_array` take and return support-width arrays.
+A contraction runs only over the columns of its operands, with M cut to
+those rows and to its nonzero output columns, which are the result's
+columns; nothing is scattered back into phi(m) columns.  Central actions,
+whose eigenmatrices are rational integers, contract one column instead
+of phi(m) from start to end.  A dropped column holds only zeros, so it
+adds only zero products: the sliced contraction has the same sums, and
+the count of its products times the largest absolute entries of the
+sliced A, B and M bounds every partial sum, in any summation order.  The
+contraction runs in int64 only when that bound, in Python integers, is
+below 2^63, and with Python integers (dtype=object) otherwise, so it is
+exact either way.  It follows a fixed pairwise path, A with B over the
+element indices and then the result with M, rather than one einsum picks.
 """
 
 from __future__ import annotations
@@ -280,12 +289,11 @@ def coeff_array(entries):
         return np.array(nested, dtype=object)
 
 
-def integer_array(values, m):
-    """Coefficient array of an array of rational integers in Z[zeta_m]."""
+def integer_array(values):
+    """Support-width array of an array of rational integers: the one
+    column of constant terms."""
     values = np.asarray(values)
-    out = np.zeros(values.shape + (euler_phi(m),), dtype=values.dtype)
-    out[..., 0] = values
-    return out
+    return values[..., None], np.zeros(1, dtype=np.intp)
 
 
 def nonzero(A):
@@ -320,9 +328,36 @@ def cyclo_entries(A, m):
                  for i in range(0, len(flat), n)], A.shape[:-1])
 
 
-def _support(A):
-    """Indices of the coefficient columns of A that hold a nonzero entry."""
-    return np.flatnonzero(nonzero(A.reshape(-1, A.shape[-1]).T))
+def _columns(nonzero_columns):
+    """Sorted indices of the True entries of a column mask, with the
+    constant column 0 always among them."""
+    nonzero_columns[0] = True
+    return np.flatnonzero(nonzero_columns)
+
+
+def sliced(A):
+    """A full-width coefficient array as a support-width array: cut to
+    the columns that hold a nonzero entry, and column 0."""
+    cols = _columns(nonzero(A.reshape(-1, A.shape[-1]).T))
+    return A[..., cols], cols
+
+
+def widen(A, cols, target):
+    """The support-width array (A, cols) at the columns `target`, a
+    sorted superset of cols (np.arange(phi(m)) for full width): zero in
+    every column not in cols."""
+    out = np.zeros(A.shape[:-1] + (len(target),), dtype=A.dtype)
+    out[..., np.searchsorted(target, cols)] = A
+    return out
+
+
+def equal(X, Y):
+    """Whether two support-width arrays hold the same elements."""
+    (A, ka), (B, kb) = X, Y
+    if not np.array_equal(ka, kb):
+        cols = np.union1d(ka, kb)
+        A, B = widen(A, ka, cols), widen(B, kb, cols)
+    return np.array_equal(A, B)
 
 
 def _max_abs(A):
@@ -343,42 +378,35 @@ def _exact_einsum(spec, operands, bound):
                      dtype=object, optimize=path)
 
 
-def _scatter(R, columns, n):
-    """R into the given `columns` of a zero array with n coefficients."""
-    out = np.zeros(R.shape[:-1] + (n,), dtype=R.dtype)
-    out[..., columns] = R
-    return out
-
-
-def contract(spec, A, B, m):
-    """Exact einsum over Z[zeta_m] of two coefficient arrays.
+def contract(spec, X, Y, m):
+    """Exact einsum over Z[zeta_m] of two support-width arrays.
 
     `spec` is an einsum specification over element indices in lowercase
-    letters, e.g. "ik,kj->ij" for a matrix product; A and B carry one more
-    trailing axis, the phi(m) coefficients, and so does the result.  Only
-    the supports of A and B are contracted (module docstring)."""
+    letters, e.g. "ik,kj->ij" for a matrix product; the coefficient
+    arrays of X = (A, ka) and Y = (B, kb) carry one more trailing axis,
+    their columns, and so does the result, a support-width array whose
+    columns are those z^a z^b can reach for a in ka, b in kb (module
+    docstring)."""
+    (A, ka), (B, kb) = X, Y
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    M = structure_constants(m)
-    ka, kb = _support(A), _support(B)
-    M = M[np.ix_(ka, kb)]
-    kz = _support(M)
-    A, B, M = A[..., ka], B[..., kb], M[..., kz]
+    M = structure_constants(m)[np.ix_(ka, kb)]
+    kz = _columns(M.any(axis=(0, 1)))
+    M = M[..., kz]
     sizes = dict(zip(sa + sb, A.shape[:-1] + B.shape[:-1]))
     terms = math.prod(n for c, n in sizes.items() if c not in out) \
         * len(ka) * len(kb)
     bound = terms * _max_abs(A) * _max_abs(B) * _max_abs(M)
-    return _scatter(_exact_einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out),
-                                  (A, B, M), bound), kz, euler_phi(m))
+    return _exact_einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out), (A, B, M),
+                         bound), kz
 
 
-def conjugate_array(A, m):
-    """Entrywise image of a coefficient array under zeta -> zeta^(-1),
-    contracted over the support of A (module docstring)."""
-    ka = _support(A)
+def conjugate_array(X, m):
+    """Entrywise image of a support-width array under zeta -> zeta^(-1),
+    a support-width array (module docstring)."""
+    A, ka = X
     C = conjugation_matrix(m)[ka]
-    kz = _support(C)
-    A, C = A[..., ka], C[:, kz]
+    kz = _columns(C.any(axis=0))
+    C = C[:, kz]
     bound = len(ka) * _max_abs(A) * _max_abs(C)
-    return _scatter(_exact_einsum("...X,XZ->...Z", (A, C), bound), kz,
-                    euler_phi(m))
+    return _exact_einsum("...X,XZ->...Z", (A, C), bound), kz

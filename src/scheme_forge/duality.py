@@ -55,15 +55,18 @@ structure constants of Z[zeta_m], over the nonzero coefficients only:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
-                    equals_integers, nest, nonzero, reduction_matrix,
-                    contract, conjugate_array)
+                    equals_integers, nonzero, reduction_matrix, euler_phi,
+                    sliced, widen, equal, contract, conjugate_array)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
-from .space import pairing_table, PAIRING_BLOCK_ROWS
+from .space import (pairing_table, check_tensor_size, PAIRING_BLOCK_ROWS,
+                    DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
@@ -121,30 +124,23 @@ def constancy_test(partition_G, profile):
 
 # -- contractions over Z[zeta_m] ----------------------------------------------
 
-def spectrum(P, Q):
-    """The product P Q of two matrices of CycloInt, exact: the spectrum
-    of a certificate's P and Q as nested CycloInt."""
-    m = Q[0][0].order
-    return cyclo_entries(contract("ik,kj->ij", coeff_array(P),
-                                  coeff_array(Q), m), m)
-
-
 def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size, m):
-    """Exact checks tying the coefficient arrays P and Q (and their
+    """Exact checks tying the support-width arrays P and Q (and their
     product PQ) over Z[zeta_m] together; returns a report dict."""
     report = {}
     report["PQ_is_nI"] = bool(equals_integers(
-        PQ, size * np.eye(len(Q), dtype=np.int64)).all())
-    report["Q_col0_ones"] = bool(equals_integers(Q[:, 0], 1).all())
+        PQ[0], size * np.eye(len(Q[0]), dtype=np.int64)).all())
+    report["Q_col0_ones"] = bool(equals_integers(Q[0][:, 0], 1).all())
     report["Q_row0_multiplicities"] = bool(
-        equals_integers(Q[0], multiplicities).all())
-    report["P_row0_valencies"] = bool(equals_integers(P[0], valencies).all())
+        equals_integers(Q[0][0], multiplicities).all())
+    report["P_row0_valencies"] = bool(
+        equals_integers(P[0][0], valencies).all())
     Qc = conjugate_array(Q, m)
-    report["entries_real"] = (np.array_equal(Qc, Q)
-                              and np.array_equal(conjugate_array(P, m), P))
+    report["entries_real"] = (equal(Qc, Q)
+                              and equal(conjugate_array(P, m), P))
     # sum_i v_i Q[i][j] conj Q[i][j'] = delta_jj' |X| m_j
-    weighted = contract("i,ij->ij", integer_array(valencies, m), Q, m)
-    gram = contract("ij,ik->jk", weighted, Qc, m)
+    weighted = contract("i,ij->ij", integer_array(valencies), Q, m)
+    gram, _ = contract("ij,ik->jk", weighted, Qc, m)
     report["row_orthogonality"] = bool(equals_integers(
         gram, np.diag([size * k for k in multiplicities])).all())
     report["all_pass"] = all(v for k, v in report.items() if k != "all_pass")
@@ -222,44 +218,51 @@ def sigma_permutation(spectrum, size):
 
 # -- Krein parameters ------------------------------------------------------------
 
-def krein_parameters(P, Q, size, m):
+def krein_parameters(P, Q, size, m, size_bound=DEFAULT_SIZE_BOUND):
     """q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j], exact, for the
-    coefficient arrays P and Q over Z[zeta_m].
+    support-width arrays P and Q over Z[zeta_m].
 
     This solves the Hadamard-product expansion of E_i o E_j in the
     idempotent basis, using PQ = |X| I in place of a linear solve.  The
-    tensor is two contractions of coefficient arrays (cyclo.contract); a
-    sum that |X| does not divide raises IntegrityError.  Nonnegativity is
-    decided exactly for rational-integer entries and by the rigorous float
-    lower bound (>= KREIN_FLOAT_FLOOR) of CycloInt.approx for the others.
-    Returns (coefficient array T[i, j, k], flags dict)."""
-    T = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
-    inexact = np.argwhere(nonzero(T % size))
-    if len(inexact):
+    tensor is two contractions of support-width arrays (cyclo.contract),
+    and stays at their width; a (d + 1)^3 tensor past the bound
+    check_tensor_size derives from `size_bound` raises ResourceLimitError
+    before any is allocated, and a sum that |X| does not divide raises
+    IntegrityError.  Nonnegativity is decided exactly for rational-integer
+    entries and by the rigorous float lower bound (>= KREIN_FLOAT_FLOOR)
+    of CycloInt.approx for the others, the only entries widened to phi(m)
+    coefficients.  Returns (support-width array T[i, j, k], flags dict)."""
+    check_tensor_size(len(Q[0]) - 1, size_bound)
+    T, cols = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
+    inexact = nonzero(T % size)
+    if inexact.any():
         raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
                              "sum not divisible by |X| = %d"
-                             % (tuple(map(int, inexact[0])), size))
-    T = T // size
-    rational = ~nonzero(T[..., 1:])
-    ints = T[..., 0][rational]
+                             % (tuple(map(int, np.argwhere(inexact)[0])),
+                                size))
+    del inexact
+    T //= size
+    irrational = nonzero(T[..., 1:])
+    ints = T[..., 0][~irrational]
     lows = [float(v) for v in ints[ints < 0]]
-    for coeffs in T[~rational].tolist():
+    for coeffs in widen(T[irrational], cols,
+                        np.arange(euler_phi(m))).tolist():
         val, err = CycloInt(m, tuple(coeffs), reduce=False).approx()
         if val.real - err < KREIN_FLOAT_FLOOR:
             lows.append(val.real - err)
-    flags = {"real": np.array_equal(conjugate_array(T, m), T),
+    flags = {"real": equal(conjugate_array((T, cols), m), (T, cols)),
              "nonnegative": not lows}
     if lows:
         flags["worst_value"] = min(lows)
-    return T, flags
+    return (T, cols), flags
 
 
 def krein_equals_intersection(krein, p_tensor):
     """Exact tensor equality q_ij^k == p_ij^k (dual intersection numbers)
-    of the Krein coefficient array and the nested-list p_tensor."""
-    differ = np.argwhere(~equals_integers(krein, p_tensor))
-    if len(differ):
-        return False, tuple(map(int, differ[0]))
+    of the support-width Krein array and the integer array p_tensor."""
+    differ = ~equals_integers(krein[0], p_tensor)
+    if differ.any():
+        return False, tuple(map(int, np.argwhere(differ)[0]))
     return True, None
 
 
@@ -267,31 +270,30 @@ def krein_equals_intersection(krein, p_tensor):
 
 
 def shared_json(arrays, m):
-    """Each coefficient array over Z[zeta_m] as nested lists of
+    """Each support-width array over Z[zeta_m] as nested lists of
     CycloInt.to_json() dicts, one dict per distinct element across all
-    the arrays.  Their coefficient rows, cut to the columns where any row
-    is nonzero, are grouped by a lexsort and a diff of the sorted rows."""
+    the arrays.  Their coefficient rows, at the union of the arrays'
+    columns, are grouped by a lexsort and a diff of the sorted rows; only
+    the distinct rows are widened to phi(m) coefficients."""
     if not arrays:
         return []
-    flat = [A.reshape(-1, A.shape[-1]) for A in arrays]
-    cols = np.flatnonzero(np.any([nonzero(R.T) for R in flat], axis=0))
-    rows = np.concatenate([R[:, cols] for R in flat])
+    cols = functools.reduce(np.union1d, [k for _, k in arrays])
+    rows = np.concatenate([widen(A, k, cols).reshape(-1, len(cols))
+                           for A, k in arrays])
     order = np.lexsort(rows.T)
     ranked = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     group = np.empty(len(rows), dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    distinct = np.zeros((int(first.sum()), flat[0].shape[1]),
-                        dtype=rows.dtype)
-    distinct[:, cols] = ranked[first]
-    entries = [CycloInt(m, tuple(coeffs), reduce=False).to_json()
-               for coeffs in distinct.tolist()]
+    distinct = widen(ranked[first], cols, np.arange(euler_phi(m)))
+    entries = np.fromiter(
+        (CycloInt(m, tuple(coeffs), reduce=False).to_json()
+         for coeffs in distinct.tolist()), dtype=object, count=len(distinct))
     out, start = [], 0
-    for A in arrays:
+    for A, _ in arrays:
         stop = start + A[..., 0].size
-        out.append(nest([entries[g] for g in group[start:stop].tolist()],
-                        A.shape[:-1]))
+        out.append(entries[group[start:stop]].reshape(A.shape[:-1]).tolist())
         start = stop
     return out
 
@@ -325,7 +327,7 @@ class DualityCertificate:
         once."""
         names = [k for k in ("Q", "P", "krein")
                  if getattr(self, k) is not None]
-        arrays = [coeff_array(getattr(self, k)) if k != "krein"
+        arrays = [sliced(coeff_array(getattr(self, k))) if k != "krein"
                   else self.krein for k in names]
         parts = dict(zip(names, shared_json(arrays,
                                             self.space.character_order)))
@@ -386,6 +388,9 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.fail("class_counts_match", (part_G.d, part_Gc.d))
         return cert
     cert.checks["class_counts_match"] = True
+    # every stage from P and Q on is (d + 1)^2 CycloInts or (d + 1)^3
+    # work: past the tensor bound, stop before any of it
+    check_tensor_size(part_G.d, space.size_bound)
 
     scheme_G = TranslationScheme(space, part_G, label=gens_G.label())
     scheme_Gc = scheme_G if gens_Gc is None else \
@@ -423,9 +428,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     m = space.character_order
     cert.Q = cyclo_entries(F_Q, m)
     cert.P = cyclo_entries(F_P, m)
-    PQ = contract("ik,kj->ij", F_P, F_Q, m)
+    P, Q = sliced(F_P), sliced(F_Q)
+    PQ = contract("ik,kj->ij", P, Q, m)
 
-    eig = verify_eigen_identities(F_P, F_Q, PQ,
+    eig = verify_eigen_identities(P, Q, PQ,
                                   scheme_G.valencies, cert.multiplicities,
                                   space.size, m)
     cert.checks["eigen_identities"] = eig["all_pass"]
@@ -437,10 +443,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
             scheme_G.valencies == cert.multiplicities
 
     if space.size <= matrix_bound:
-        idem = verify_idempotents(space, profile_Q, constancy_G, PQ)
+        idem = verify_idempotents(space, profile_Q, constancy_G, PQ[0])
         cert.checks["idempotents"] = idem["all_pass"]
         cert.checks["idempotent_detail"] = idem
-        sigma, ok, witness = sigma_permutation(PQ, space.size)
+        sigma, ok, witness = sigma_permutation(PQ[0], space.size)
         cert.sigma = sigma
         cert.checks["sigma_identity"] = ok and sigma == list(range(part_G.d + 1))
         if not ok:
@@ -449,7 +455,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.notes.append("idempotents not materialized (|X| above matrix "
                           "bound); certificate rests on constancy + PQ = |X|I")
 
-    krein, flags = krein_parameters(F_P, F_Q, space.size, m)
+    # the |X|-sized table and profiles are done with: freed, they do not
+    # add to the peak that the (d + 1)^3 Krein contraction sets at large d
+    del table, profile_Q, profile_P, constancy_G
+    krein, flags = krein_parameters(P, Q, space.size, m, space.size_bound)
     cert.krein = krein
     cert.krein_flags = flags
     cert.checks["krein_real"] = flags["real"]

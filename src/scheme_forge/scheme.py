@@ -15,7 +15,8 @@ import numpy as np
 from .errors import IntegrityError
 from .action import OrbitPartition, check_condition_4
 from .space import (AbelianSpace, FullMatrixSpace, AlternatingMatrixSpace,
-                    SymmetricMatrixSpace, HermitianMatrixSpace)
+                    SymmetricMatrixSpace, HermitianMatrixSpace,
+                    check_tensor_size)
 from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
@@ -48,7 +49,7 @@ class TranslationScheme:
     # -- intersection numbers ------------------------------------------------
 
     def intersection_numbers(self, verify_representatives=None):
-        """(d+1)^3 tensor p[i][j][k] (see `intersection_tensor`); with
+        """(d+1)^3 int64 array p[i, j, k] (see `intersection_tensor`); with
         verification on, every u in X_k must give the same counts.  The
         tensor is kept, so a later call reuses it unless it asks for a
         verification the kept tensor did not have."""
@@ -145,9 +146,11 @@ def _diag_rep(space, entries):
 
 
 def intersection_tensor(space, partition, verify_representatives):
-    """p[i][j][k] = #{z : z in X_j, u - z in X_i} for u in X_k, as nested
-    lists, for the representatives u of each class k (all of X_k when
-    verifying, else its first point).
+    """p[i, j, k] = #{z : z in X_j, u - z in X_i} for u in X_k, an int64
+    array, for the representatives u of each class k (all of X_k when
+    verifying, else its first point).  A (d + 1)^3 array past the tensor
+    bound of the space's size bound (check_tensor_size) raises
+    ResourceLimitError before it is allocated.
 
     For the representatives of class k, the points u - z, for every z,
     form one index array built digit by digit (in the index dtype of the
@@ -158,6 +161,7 @@ def intersection_tensor(space, partition, verify_representatives):
     whose counts differ from the first representative's, when the counts
     depend on u."""
     d = partition.d
+    check_tensor_size(d, space.size_bound)
     class_of = partition.class_of
     points = np.arange(space.size)
     tensor = np.empty((d + 1,) * 3, dtype=np.int64)
@@ -174,4 +178,4 @@ def intersection_tensor(space, partition, verify_representatives):
                 "of class %d (u=%d vs u=%d)" % (k, reps[0], reps[differ[0]]))
         tensor[:, :, k] = np.bincount(pairs[0], minlength=(d + 1) ** 2
                                       ).reshape(d + 1, d + 1)
-    return tensor.tolist()
+    return tensor

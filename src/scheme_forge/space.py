@@ -70,6 +70,26 @@ def check_size(kw, *factors):
     return size
 
 
+def check_tensor_size(d, size_bound):
+    """Raise ResourceLimitError, naming the bound, when a (d + 1)^3
+    tensor (intersection numbers, Krein parameters) would have more than
+    size_bound^2 entries: the bound on |X| bounds how many classes a
+    tensor over them may have, before one is allocated."""
+    entries, bound = (d + 1) ** 3, size_bound ** 2
+    if entries > bound:
+        raise ResourceLimitError(
+            "a (d + 1)^3 tensor of %d entries (d = %d) exceeds the tensor "
+            "bound %d, the size bound %d squared"
+            % (entries, d, bound, size_bound))
+
+
+def check_dimensions(**dims):
+    """Raise UsageError naming the first dimension below 1."""
+    for name, value in dims.items():
+        if value < 1:
+            raise UsageError("%s must be >= 1" % name)
+
+
 class AbelianSpace:
     """X = Z_{r_1} x ... x Z_{r_N} on digit vectors.
 
@@ -110,6 +130,7 @@ class AbelianSpace:
         self.digits = self._columns.T
         self.basis = self.place[np.array(radices) > 1]
         self.size = size
+        self.size_bound = size_bound
         self.character_order = character_order
         self.lambda_multiplier = lambda_multiplier
 
@@ -326,8 +347,7 @@ class VectorSpace(FieldSpace):
     kind = "vector"
 
     def __init__(self, n, field: FieldSpec, **kw):
-        if n < 1:
-            raise UsageError("n must be >= 1")
+        check_dimensions(n=n)
         check_size(kw, (field.q, n))
         self.n = n
         block = _trace_block(field.elements(), field.p, field.e, _trace)
@@ -340,6 +360,7 @@ class FullMatrixSpace(FieldSpace):
     kind = "matrix_full"
 
     def __init__(self, m, n, field: FieldSpec, **kw):
+        check_dimensions(m=m, n=n)
         check_size(kw, (field.q, m * n))
         self.m = m
         self.n = n
@@ -402,6 +423,7 @@ class AlternatingMatrixSpace(FormsSpace):
     form = "alternating"
 
     def __init__(self, m, field: FieldSpec, **kw):
+        check_dimensions(m=m)
         check_size(kw, (field.q, m * (m - 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
         block = _trace_block(field.elements(), field.p, field.e, _trace)
@@ -420,6 +442,7 @@ class SymmetricMatrixSpace(FormsSpace):
     def __init__(self, m, field: FieldSpec, **kw):
         if field.p == 2:
             raise UsageError("symmetric forms spaces require odd q")
+        check_dimensions(m=m)
         check_size(kw, (field.q, m * (m + 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i, m)]
         els, p = field.elements(), field.p
@@ -448,6 +471,7 @@ class HermitianMatrixSpace(FormsSpace):
     def __init__(self, m, field: FieldSpec, **kw):
         if field.e % 2 != 0:
             raise UsageError("Hermitian spaces need an even-degree field F_{q^2}")
+        check_dimensions(m=m)
         self.base_f = field.e // 2
         self.base_q = field.p ** self.base_f
         check_size(kw, (self.base_q, m), (field.q, m * (m - 1) // 2))

@@ -24,12 +24,12 @@ from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  verify_adjoint, AdjointMap, Generator)
 from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (duality_report, pairing_table,
-                                  character_profile, constancy_test,
-                                  spectrum)
+                                  character_profile, constancy_test)
 from scheme_forge.cli import (check_report, load_action, main, read_config,
                               write_report)
 
 from test_cli import WriteRecorder
+from test_duality import spectrum
 from test_space import index_of_entries
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -156,6 +157,18 @@ HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
     ({"kind": "cyclic_product", "moduli": [5]},
      {"family": "custom", "generators": [[1, 2, 3, 4, 0]]},
      "custom generator 0 does not fix 0"),
+    ({"kind": "matrix_full", "m": -1, "n": 2, "field": {"p": 2}},
+     {"family": "bilinear"}, "m must be >= 1"),
+    ({"kind": "matrix_full", "m": 2, "n": 0, "field": {"p": 2}},
+     {"family": "bilinear"}, "n must be >= 1"),
+    ({"kind": "vector", "n": 0, "field": {"p": 2}}, {"family": "hamming"},
+     "n must be >= 1"),
+    ({"kind": "matrix_alternating", "m": 0, "field": {"p": 2}},
+     {"family": "alternating"}, "m must be >= 1"),
+    ({"kind": "matrix_symmetric", "m": -2, "field": {"p": 3}},
+     {"family": "symmetric"}, "m must be >= 1"),
+    ({"kind": "matrix_hermitian", "m": 0, "field": {"p": 2, "e": 2}},
+     {"family": "hermitian"}, "m must be >= 1"),
 ])
 def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
                                      message):
@@ -166,39 +179,54 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
         assert code == 2 and "config error" in err and message in err
 
 
-# configs past the bounds on q and |X| that hung, or ended in a traceback,
-# before the bounds were checked ahead of building anything: trial
-# division of a prime near 2^61, an |X| of more than 4300 digits (past
-# Python's int-to-str limit in the message) and per-coordinate blocks for
-# 9 million entries
+# configs past the bounds on q, |X| and d that hung, or ended in a
+# traceback, before the bounds were checked ahead of building anything:
+# trial division of a prime near 2^61, an |X| of more than 4300 digits
+# (past Python's int-to-str limit in the message), per-coordinate blocks
+# for 9 million entries, and d = 4095 classes (no generators, so every
+# point is its own class), whose 4096^3 intersection tensor is 512 GiB
 OVERSIZED = {
-    "prime 2^61 - 1": {"kind": "vector", "n": 1,
-                       "field": {"p": 2305843009213693951}},
-    "vector 2^200000": {"kind": "vector", "n": 200000, "field": {"p": 2}},
-    "moduli 2 x 20000": {"kind": "cyclic_product", "moduli": [2] * 20000},
-    "matrix 3000 x 3000": {"kind": "matrix_full", "m": 3000, "n": 3000,
-                           "field": {"p": 2}},
+    "prime 2^61 - 1": ({"kind": "vector", "n": 1,
+                        "field": {"p": 2305843009213693951}},
+                       {"family": "hamming"}),
+    "vector 2^200000": ({"kind": "vector", "n": 200000, "field": {"p": 2}},
+                        {"family": "hamming"}),
+    "moduli 2 x 20000": ({"kind": "cyclic_product", "moduli": [2] * 20000},
+                         {"family": "central"}),
+    "matrix 3000 x 3000": ({"kind": "matrix_full", "m": 3000, "n": 3000,
+                            "field": {"p": 2}}, {"family": "bilinear"}),
+    "d = 4095": ({"kind": "vector", "n": 12, "field": {"p": 2}},
+                 {"family": "custom", "generators": []}),
 }
+
+# address space of each child interpreter: room for numpy and the largest
+# array a bounded run allocates, so that a regression allocating a huge
+# tensor fails at once instead of exhausting the machine
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,
+                                            CHILD_ADDRESS_SPACE))
 
 
 def test_size_bound_exit_3(capsys, tmp_path):
-    """An |X| or q past its bound exits 3 with a message naming the
-    bound.  Each OVERSIZED case runs in a child interpreter, so that a
-    regression fails on the timeout instead of hanging the suite."""
+    """An |X|, q or d past its bound exits 3 with a message naming the
+    bound.  Each OVERSIZED case runs in a child interpreter under an
+    address-space cap, so that a regression fails on the timeout or the
+    cap instead of hanging the suite or exhausting memory."""
     code, _, err = run(["check", cfg("hamming4_f3"), "--size-bound", "10"],
                        capsys)
     assert code == 3 and "resource limit" in err
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    family = {"vector": "hamming", "cyclic_product": "central",
-              "matrix_full": "bilinear"}
     path = tmp_path / "big.json"
-    for name, space in OVERSIZED.items():
-        path.write_text(json.dumps({
-            "space": space, "action": {"family": family[space["kind"]]}}))
+    for name, (space, action) in OVERSIZED.items():
+        path.write_text(json.dumps({"space": space, "action": action}))
         proc = subprocess.run([sys.executable, "-m", "scheme_forge.cli",
                                "check", str(path)], capture_output=True,
-                              text=True, env=env, timeout=60)
+                              text=True, env=env, timeout=60,
+                              preexec_fn=limit_address_space)
         assert proc.returncode == 3, (name, proc.stderr)
         assert proc.stderr.startswith("resource limit: "), name
         assert "exceeds" in proc.stderr and "bound" in proc.stderr, name
@@ -268,7 +296,8 @@ def test_krein_integrity_failure_exits_1(capsys, monkeypatch):
     4 q_ij^k with q_ij^k != 0 mod 5."""
     real = duality.krein_parameters
     monkeypatch.setattr(duality, "krein_parameters",
-                        lambda P, Q, size, m: real(P, Q, size + 1, m))
+                        lambda P, Q, size, *bound: real(P, Q, size + 1,
+                                                        *bound))
     code, _, err = run(["dual", cfg("hamming2_f2")], capsys)
     assert code == 1
     assert err.startswith("integrity failure: Krein parameter")

@@ -11,7 +11,8 @@ import sympy
 from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
                                 coeff_array, cyclo_entries, contract,
                                 conjugate_array, reduction_matrix,
-                                structure_constants, conjugation_matrix)
+                                structure_constants, conjugation_matrix,
+                                sliced, widen, equal)
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
 
@@ -19,6 +20,12 @@ ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
 def from_exponent_counts(m, counts):
     """Sum of counts[k] * zeta_m^k; counts is a length-m sequence."""
     return CycloInt(m, list(counts))
+
+
+def full_width(X, m):
+    """A support-width array (A, cols) as a full-width array."""
+    A, cols = X
+    return widen(A, cols, np.arange(euler_phi(m)))
 
 
 def unsliced_contract(spec, A, B, m, dtype=object):
@@ -174,11 +181,13 @@ def test_contract_matches_scalar_products(m):
 
     A = [[rand() for _ in range(3)] for _ in range(2)]
     B = [[rand() for _ in range(2)] for _ in range(3)]
-    AB = contract("ik,kj->ij", coeff_array(A), coeff_array(B), m)
-    assert cyclo_entries(AB, m) == [
+    AB = contract("ik,kj->ij", sliced(coeff_array(A)), sliced(coeff_array(B)),
+                  m)
+    assert cyclo_entries(full_width(AB, m), m) == [
         [sum((A[i][k] * B[k][j] for k in range(3)), CycloInt.zero(m))
          for j in range(2)] for i in range(2)]
-    assert cyclo_entries(conjugate_array(coeff_array(A), m), m) == \
+    conj = conjugate_array(sliced(coeff_array(A)), m)
+    assert cyclo_entries(full_width(conj, m), m) == \
         [[a.conjugate() for a in row] for row in A]
 
 
@@ -220,8 +229,9 @@ SLICING_CASES = [(m, seed) for m in (5, 8, 12, 16) for seed in range(4)]
 @pytest.mark.parametrize("m,seed", SLICING_CASES)
 def test_sliced_contract_matches_unsliced(m, seed):
     """Random operands with random zero coefficient columns: contract
-    and conjugate_array equal the unsliced einsum on every spec the
-    pipeline uses."""
+    and conjugate_array of their support-width arrays equal the unsliced
+    einsum on every spec the pipeline uses, and hold only columns that
+    z^a z^b (or z^-a) can reach, and column 0."""
     rng = np.random.default_rng(seed)
     n = euler_phi(m)
 
@@ -235,26 +245,34 @@ def test_sliced_contract_matches_unsliced(m, seed):
                          ("li,lj->lij", (3, 2), (3, 2)),
                          ("kl,lij->ijk", (2, 3), (3, 2, 2))):
         A, B = operand(sa), operand(sb)
-        out = contract(spec, A, B, m)
-        assert out.dtype == np.int64
-        assert out.tolist() == unsliced_contract(spec, A, B, m).tolist()
-        assert conjugate_array(A, m).tolist() == \
+        (X, ka), (Y, kb) = sliced(A), sliced(B)
+        assert ka[0] == kb[0] == 0 and not A[..., np.setdiff1d(range(n), ka)
+                                           ].any()
+        out, kz = contract(spec, (X, ka), (Y, kb), m)
+        assert out.dtype == np.int64 and out.shape[-1] == len(kz)
+        reach = structure_constants(m)[np.ix_(ka, kb)].any(axis=(0, 1))
+        assert kz.tolist() == sorted(set(np.flatnonzero(reach)) | {0})
+        assert full_width((out, kz), m).tolist() == \
+            unsliced_contract(spec, A, B, m).tolist()
+        assert full_width(conjugate_array((X, ka), m), m).tolist() == \
             unsliced_conjugate(A, m).tolist()
 
 
 @pytest.mark.parametrize("m", [5, 8, 12])
 def test_contract_all_zero_operand(m):
-    """An operand with no nonzero column has an empty support: the
-    result is all zeros of the full shape, as unsliced."""
+    """An operand with no nonzero column is sliced to column 0 alone:
+    the result is all zeros, as unsliced."""
     n = euler_phi(m)
     rng = np.random.default_rng(m)
     A = np.zeros((3, 3, n), dtype=np.int64)
     B = random_coeffs(rng, (3, 3), n, [])
+    assert sliced(A)[1].tolist() == [0]
     for X, Y in ((A, B), (B, A), (A, A)):
-        out = contract("ik,kj->ij", X, Y, m)
+        out = full_width(contract("ik,kj->ij", sliced(X), sliced(Y), m), m)
         assert out.shape == (3, 3, n) and not out.any()
         assert out.tolist() == unsliced_contract("ik,kj->ij", X, Y, m).tolist()
-    assert conjugate_array(A, m).tolist() == A.tolist()
+    assert full_width(conjugate_array(sliced(A), m), m).tolist() == \
+        A.tolist()
 
 
 @pytest.mark.parametrize("m", [5, 8, 12, 16])
@@ -267,12 +285,13 @@ def test_contract_lone_power_columns(m):
         for b in range(n):
             A = random_coeffs(rng, (2, 3), n, [k for k in range(n) if k != a])
             B = random_coeffs(rng, (3, 2), n, [k for k in range(n) if k != b])
-            out = contract("ik,kj->ij", A, B, m)
+            out = full_width(contract("ik,kj->ij", sliced(A), sliced(B), m),
+                             m)
             assert out.tolist() == unsliced_contract("ik,kj->ij", A, B,
                                                      m).tolist()
             assert not out[..., ~structure_constants(m)[a, b].astype(bool)
                            ].any()
-        assert conjugate_array(A, m).tolist() == \
+        assert full_width(conjugate_array(sliced(A), m), m).tolist() == \
             unsliced_conjugate(A, m).tolist()
 
 
@@ -293,10 +312,27 @@ def test_contract_object_branch_after_slicing(m):
                                                                   2 ** 40)
         return A
     A, B = big((3, 3)), big((3, 3))
-    out = contract("ik,kj->ij", A, B, m)
-    assert out.dtype == object
+    out = contract("ik,kj->ij", sliced(A), sliced(B), m)
+    assert out[0].dtype == object
+    out = full_width(out, m)
     assert out.tolist() == unsliced_contract("ik,kj->ij", A, B, m).tolist()
     assert max(abs(c) for c in out.ravel().tolist()) >= 2 ** 63
-    conj = conjugate_array(out, m)
-    assert conj.dtype == object
-    assert conj.tolist() == unsliced_conjugate(out, m).tolist()
+    conj = conjugate_array(sliced(out), m)
+    assert conj[0].dtype == object
+    assert full_width(conj, m).tolist() == unsliced_conjugate(out, m).tolist()
+
+
+@pytest.mark.parametrize("m", [5, 8, 12])
+def test_equal_aligns_columns(m):
+    """Two support-width arrays are equal exactly when their full-width
+    arrays are, whatever columns each carries."""
+    n = euler_phi(m)
+    rng = np.random.default_rng(m)
+    A = random_coeffs(rng, (3, 2), n, range(1, n, 2))
+    wide = (A, np.arange(n))
+    assert equal(sliced(A), wide) and equal(wide, sliced(A))
+    B = A.copy()
+    B[1, 1, n - 1] += 1
+    assert not equal(sliced(A), sliced(B)) and not equal(sliced(B), wide)
+    assert equal(sliced(np.zeros_like(A)), (np.zeros((3, 2, 1), int),
+                                            np.zeros(1, int)))

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from scheme_forge import cli
 from scheme_forge import cyclo, duality
 from scheme_forge.cyclo import (CycloInt, coeff_array, cyclo_entries,
-                                contract, conjugate_array)
+                                contract, conjugate_array, sliced)
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
@@ -21,11 +22,11 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
                                   verify_idempotents, sigma_permutation,
                                   krein_parameters, krein_equals_intersection,
-                                  duality_report, spectrum,
+                                  duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
-                        from_exponent_counts, unsliced_contract,
+                        from_exponent_counts, full_width, unsliced_contract,
                         unsliced_conjugate)
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -48,6 +49,15 @@ def _cyclo_matmul(A, B):
             row.append(acc)
         out.append(row)
     return out
+
+
+def spectrum(P, Q):
+    """The product P Q of two matrices of CycloInt through
+    cyclo.contract, as nested CycloInt."""
+    m = Q[0][0].order
+    PQ = contract("ik,kj->ij", sliced(coeff_array(P)), sliced(coeff_array(Q)),
+                  m)
+    return cyclo_entries(full_width(PQ, m), m)
 
 
 def loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
@@ -124,15 +134,14 @@ def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
     m = Q[0][0].order
     PQ = _cyclo_matmul(P, Q)
     assert spectrum(P, Q) == PQ
-    Pa, Qa = coeff_array(P), coeff_array(Q)
+    Pa, Qa = sliced(coeff_array(P)), sliced(coeff_array(Q))
     PQa = contract("ik,kj->ij", Pa, Qa, m)
-    assert cyclo_entries(PQa, m) == PQ
     eigen = loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size)
     assert verify_eigen_identities(Pa, Qa, PQa, valencies, multiplicities,
                                    size, m) == eigen
     krein = loop_krein_parameters(P, Q, size)
     tensor, flags = krein_parameters(Pa, Qa, size, m)
-    assert (cyclo_entries(tensor, m), flags) == krein
+    assert (cyclo_entries(full_width(tensor, m), m), flags) == krein
     return eigen, krein
 
 
@@ -341,8 +350,9 @@ def spectral_parts(space, part_G, part_Gc, table):
     profile_P = character_profile(space, part_G.classes, table)
     ok, P, _ = constancy_test(part_Gc, profile_P)
     assert constancy[0] and ok
-    return profile_Q, constancy, contract("ik,kj->ij", P, constancy[1],
-                                          space.character_order)
+    return profile_Q, constancy, contract(
+        "ik,kj->ij", sliced(P), sliced(constancy[1]),
+        space.character_order)[0]
 
 
 def ints(F):
@@ -439,12 +449,13 @@ def test_weak_hamming_11_F_matrix():
 def test_eigen_identities(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
+    F = sliced(F)
     rep = verify_eigen_identities(F, F, contract("ik,kj->ij", F, F, 2),
                                   part.sizes, part.sizes, sp.size, 2)
     assert rep["all_pass"]
     # corrupt one entry: identities must fail
-    bad = F.copy()
-    bad[1, 1] = [5]
+    bad = F[0].copy(), F[1]
+    bad[0][1, 1] = [5]
     rep = verify_eigen_identities(bad, F, contract("ik,kj->ij", bad, F, 2),
                                   part.sizes, part.sizes, sp.size, 2)
     assert not rep["all_pass"]
@@ -584,7 +595,7 @@ def test_gram_matrix_must_be_symmetric():
 def test_krein_equals_intersection_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
-    krein, flags = krein_parameters(F, F, sp.size, 2)
+    krein, flags = krein_parameters(sliced(F), sliced(F), sp.size, 2)
     assert flags["real"] and flags["nonnegative"]
     sch = TranslationScheme(sp, part)
     ok, witness = krein_equals_intersection(
@@ -594,7 +605,7 @@ def test_krein_equals_intersection_hamming22(hamming22):
     for i in range(part.d + 1):
         for j in range(part.d + 1):
             want = part.sizes[i] if i == j else 0
-            assert krein[i, j, 0].tolist() == [want]
+            assert full_width(krein, 2)[i, j, 0].tolist() == [want]
 
 
 def test_krein_sign_exact_for_integer_entries(monkeypatch):
@@ -606,18 +617,19 @@ def test_krein_sign_exact_for_integer_entries(monkeypatch):
     monkeypatch.setattr(CycloInt, "approx", None)  # any float use fails
     for value, nonnegative in ((-1, False), (0, True), (1, True)):
         tensor, flags = krein_parameters(
-            coeff_array([[CycloInt.integer(m, value)]]),
-            coeff_array([[one]]), 1, m)
-        assert cyclo_entries(tensor, m) == [[[CycloInt.integer(m, value)]]]
+            sliced(coeff_array([[CycloInt.integer(m, value)]])),
+            sliced(coeff_array([[one]])), 1, m)
+        assert cyclo_entries(full_width(tensor, m), m) == \
+            [[[CycloInt.integer(m, value)]]]
         assert flags["real"] and flags["nonnegative"] is nonnegative
         assert flags.get("worst_value") == (None if nonnegative else -1.0)
     monkeypatch.undo()
     z = lambda k: CycloInt.root_of_unity(m, k)
-    Q = coeff_array([[one]])
-    _, flags = krein_parameters(coeff_array([[z(2) + z(3)]]), Q, 1,
+    Q = sliced(coeff_array([[one]]))
+    _, flags = krein_parameters(sliced(coeff_array([[z(2) + z(3)]])), Q, 1,
                                 m)  # -1.618...
     assert not flags["nonnegative"] and flags["worst_value"] < -1.6
-    _, flags = krein_parameters(coeff_array([[z(1) + z(4)]]), Q, 1,
+    _, flags = krein_parameters(sliced(coeff_array([[z(1) + z(4)]])), Q, 1,
                                 m)  # 0.618...
     assert flags["nonnegative"]
 
@@ -691,7 +703,8 @@ def assert_certificate_matches_loops(cert):
     eigen, krein = assert_contractions_match_loops(
         cert.P, cert.Q, cert.space.size, cert.valencies, cert.multiplicities)
     assert cert.checks["eigen_detail"] == eigen
-    assert (cyclo_entries(cert.krein, cert.space.character_order),
+    m = cert.space.character_order
+    assert (cyclo_entries(full_width(cert.krein, m), m),
             cert.krein_flags) == krein
 
 
@@ -758,15 +771,16 @@ def test_contract_object_branch_is_exact():
 
     P = [[big() for _ in range(3)] for _ in range(3)]
     Q = [[big() for _ in range(3)] for _ in range(3)]
-    A, B = coeff_array(P), coeff_array(Q)
-    assert A.dtype == np.int64
+    A, B = sliced(coeff_array(P)), sliced(coeff_array(Q))
+    assert A[0].dtype == np.int64
     out = contract("ik,kj->ij", A, B, m)
-    assert out.dtype == object
-    assert out.tolist() == coeff_array(_cyclo_matmul(P, Q)).tolist()
+    assert out[0].dtype == object
+    assert full_width(out, m).tolist() == \
+        coeff_array(_cyclo_matmul(P, Q)).tolist()
     tensor, flags = krein_parameters(A, B, 1, m)
     want = loop_krein_parameters(P, Q, 1)
-    assert (cyclo_entries(tensor, m), flags) == want
-    assert max(abs(c) for c in tensor.ravel().tolist()) >= 2 ** 63
+    assert (cyclo_entries(full_width(tensor, m), m), flags) == want
+    assert max(abs(c) for c in tensor[0].ravel().tolist()) >= 2 ** 63
 
 
 @pytest.mark.parametrize("e", range(28, 34))
@@ -775,16 +789,17 @@ def test_int64_only_below_the_bound(e):
     with every entry -2^e has 2 * 2^e * 2^e = 2^(2e+1) as its bound, which
     its entries attain; int64 exactly when that is below 2^63."""
     A = np.full((2, 2, 1), -2 ** e, dtype=object)
-    out = contract("ik,kj->ij", A, A, 1)
+    out, cols = contract("ik,kj->ij", sliced(A), sliced(A), 1)
     assert (out.dtype == np.int64) is (2 * e + 1 < 63)
+    assert cols.tolist() == [0]
     assert out.tolist() == np.full((2, 2, 1), 2 ** (2 * e + 1)).tolist()
-    assert conjugate_array(A, 1).tolist() == A.tolist()
+    assert conjugate_array(sliced(A), 1)[0].tolist() == A.tolist()
 
 
 def test_krein_inexact_division_raises_integrity_error():
     """P = Q = [[1]] with |X| = 2: q_00^0 = 1/2 is not an algebraic
     integer; the error names (i, j, k)."""
-    one = coeff_array([[CycloInt.integer(5, 1)]])
+    one = sliced(coeff_array([[CycloInt.integer(5, 1)]]))
     with pytest.raises(IntegrityError, match=r"\(0, 0, 0\)"):
         krein_parameters(one, one, 2, 5)
 
@@ -810,7 +825,8 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
     def recorded(calls, fn):
         def wrapper(*args):
             out = fn(*args)
-            calls.append((args, out))
+            # a copy: krein_parameters divides its tensor in place
+            calls.append((args, (out[0].copy(), out[1])))
             return out
         return wrapper
 
@@ -824,11 +840,46 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
     assert cert.passed and len(cert.Q) == 36
     assert [args[0] for args, _ in contracts] == [
         "ik,kj->ij", "i,ij->ij", "ij,ik->jk", "li,lj->lij", "kl,lij->ijk"]
-    for args, out in contracts:
-        assert np.array_equal(out, unsliced_contract(*args, dtype=np.float64))
+    for (spec, X, Y, m), out in contracts:
+        assert [k.tolist() for k in (X[1], Y[1], out[1])] == [[0]] * 3
+        assert np.array_equal(full_width(out, m), unsliced_contract(
+            spec, full_width(X, m), full_width(Y, m), m, dtype=np.float64))
     assert len(conjugates) == 3
-    for args, out in conjugates:
-        assert np.array_equal(out, unsliced_conjugate(*args, dtype=np.float64))
+    for (X, m), out in conjugates:
+        assert out[1].tolist() == [0]
+        assert np.array_equal(full_width(out, m), unsliced_conjugate(
+            full_width(X, m), m, dtype=np.float64))
+
+
+def test_central_krein_parameters_stay_one_coefficient_wide(monkeypatch):
+    """Central Z16 x Z20 (d = 35, phi(m) = 32): every array that
+    krein_parameters contracts, conjugates, divides or returns is one
+    coefficient wide, and its allocations peak below the size of one
+    (d + 1)^3 int64 tensor 8 coefficients wide, a quarter of a single
+    phi(m)-wide one."""
+    genset = build_action(CyclicProductSpace((16, 20)), "central")
+    cert = duality_report(genset)
+    P, Q = (sliced(coeff_array(M)) for M in (cert.P, cert.Q))
+    assert P[0].shape == Q[0].shape == (36, 36, 1)
+    widths = []
+    real_einsum = cyclo._exact_einsum
+
+    def recorded(spec, operands, bound):
+        out = real_einsum(spec, operands, bound)
+        widths.extend(np.shape(A)[-1] for A in operands + (out,))
+        return out
+
+    monkeypatch.setattr(cyclo, "_exact_einsum", recorded)
+    tracemalloc.start()
+    try:
+        (T, cols), flags = krein_parameters(P, Q, 320, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.shape == (36, 36, 36, 1) and cols.tolist() == [0]
+    assert len(widths) == 11 and set(widths) == {1}
+    assert flags == cert.krein_flags and np.array_equal(T, cert.krein[0])
+    assert peak < 8 * 36 ** 3 * T.itemsize
 
 
 def test_duality_report_builds_cycloints_only_for_P_and_Q(monkeypatch):
