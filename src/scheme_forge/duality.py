@@ -4,19 +4,24 @@ sigma permutation, Krein parameters, and the full self/cross pipeline.
 All identities are checked exactly in Z[zeta_m]; the only floating-point
 use is the advisory lower bound on Krein parameters that are not rational
 integers.  Every quantity of the pipeline is an integer array of
-power-basis coefficients, shape (..., phi(m)) (cyclo.py):
+power-basis coefficients (cyclo.py):
 
-  * the character profile, (dual classes, |X|, phi(m)): per class, one
-    exponent histogram per point, reduced by one m x phi(m) matrix;
-  * F = Q or P, (d + 1, d + 1, phi(m)): the profile at one
-    representative of each class, once constancy holds;
-  * the spectrum P Q and the Krein tensor, (d + 1, d + 1[, d + 1],
-    phi(m)).
+  * the character profile, full width (dual classes, |X|, phi(m)): per
+    class, one exponent histogram per point, reduced by one m x phi(m)
+    matrix;
+  * F = Q or P, full width (d + 1, d + 1, phi(m)): the profile at one
+    representative of each class, once constancy holds; from here on
+    each is a support-width array, cut to its nonzero columns (and the
+    constant column 0), one column for a central action;
+  * the spectrum P Q and the Krein tensor, support-width arrays of shape
+    (d + 1, d + 1[, d + 1], columns), the columns the products of P and
+    Q can reach.
 
 Every check is an array comparison of these.  CycloInt objects appear
 only at the certificate boundary: DualityCertificate.P and .Q are nested
-CycloInt, built once, and to_json makes one JSON entry per distinct
-coefficient row of P, Q and the Krein tensor.
+CycloInt, built once, DualityCertificate.krein stays a support-width
+array, and to_json makes one JSON entry per distinct element of P, Q and
+the Krein tensor, widening only those to phi(m) coefficients.
 
 Sigma and the idempotent products are read off the spectrum P Q.  The
 scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
@@ -42,8 +47,8 @@ AbelianSpace.verify_nondegenerate: every y != 0 pairs nontrivially with
 some x, which by biadditivity may be taken from the digit basis.
 
 The spectrum P Q, row orthogonality and the Krein tensor are contractions
-of coefficient arrays (cyclo.contract), each one exact einsum through the
-structure constants of Z[zeta_m], over the nonzero coefficients only:
+of support-width arrays (cyclo.contract), each one exact einsum through
+the structure constants of Z[zeta_m], over the carried columns only:
 
   * P Q is "ik,kj->ij";
   * row orthogonality weights the rows of Q by the valencies ("i,ij->ij")
@@ -353,7 +358,9 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
                    verify_representatives=None):
     """Run the full duality pipeline and assemble the certificate.
 
-    gens_Gc = None means self mode (the dual partition is G's own)."""
+    gens_Gc = None means self mode (the dual partition is G's own).  A
+    class count d past the tensor bound of the space's size bound raises
+    ResourceLimitError (space.check_tensor_size)."""
     space = gens_G.space
     mode = "self" if gens_Gc is None else "cross"
     auto_partner = False

@@ -5,7 +5,9 @@ The relation rule is (x, y) in R_i iff y - x lies in class i of the orbit
 partition; intersection numbers use the translated form
 p_ij^k = #{z : z in X_j, u - z in X_i} for a representative u of X_k, with
 optional re-computation over every representative as an integrity check;
-each class is an array sweep over the differences u - z.
+each class is an array sweep over the differences u - z.  The tensor is
+one int64 array from the sweep to the Krein comparison and the build
+report, which cli.write_report writes as JSON directly.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
@@ -457,3 +459,74 @@ def test_write_report_encodes_a_shared_entry_once_per_depth(monkeypatch):
     monkeypatch.setattr(cli, "_chunks", counted)
     encoded(shared_report(entry))
     assert (calls[id(entry), 2], calls[id(entry), 3]) == (1, 1)
+
+
+# int64 entries: small, negative, near -2^63 and 2^63 - 1, and anywhere
+INT64 = st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, -2 ** 63 + 3),
+                  st.integers(2 ** 63 - 4, 2 ** 63 - 1),
+                  st.integers(-2 ** 63, 2 ** 63 - 1))
+INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4,
+                                                   min_side=0, max_side=6),
+                        elements=INT64)
+
+
+@st.composite
+def array_trees(draw):
+    """Integer arrays in dicts and lists, at several depths, next to a
+    shared entry whose text is memoized at its depth."""
+    arrays = draw(st.lists(INT_ARRAYS, min_size=1, max_size=3))
+    shared = draw(st.sampled_from([{"order": 5, "coeffs": [1, -2, 0, 3]},
+                                   large_entry()]))
+    return {"a": arrays[0], "b": [shared, arrays[-1], shared, 7],
+            "c": [[shared, arrays], {"d": arrays[0], "e": shared}],
+            "f": [shared] * 3}
+
+
+def plain(obj):
+    """obj with every array as its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    return obj
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(INT_ARRAYS, array_trees()))
+def test_write_report_writes_integer_arrays_as_json_dumps(obj):
+    """An integer ndarray, alone or nested among memoized entries, is
+    written as json.dumps writes its tolist(), in writes of at most
+    64 KiB."""
+    recorder = WriteRecorder()
+    with contextlib.redirect_stdout(recorder):
+        cli.write_report(obj, None)
+    assert recorder.getvalue() == \
+        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+    assert max(recorder.sizes) <= 64 * 1024
+
+
+@pytest.mark.parametrize("low, high", [(0, 99), (-2 ** 63, 2 ** 63 - 1)])
+def test_write_report_streams_a_large_integer_array(low, high):
+    """A 60^3 array, with a value range narrower than the array (one text
+    per value) and wider (int.__repr__ per entry), inside a report: the
+    json.dumps bytes, in many writes of at most 64 KiB."""
+    A = np.random.default_rng(60).integers(low, high, size=(60, 60, 60),
+                                           endpoint=True)
+    report = {"p_tensor": A, "rest": [A[0], {"x": 1}]}
+    recorder = WriteRecorder()
+    with contextlib.redirect_stdout(recorder):
+        cli.write_report(report, None)
+    want = json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    assert recorder.getvalue() == want
+    assert max(recorder.sizes) <= 64 * 1024
+    assert len(recorder.sizes) > len(want) // (64 * 1024)
+
+
+def test_write_report_rejects_non_integer_arrays():
+    for bad in (np.zeros(2), np.array([True]), np.array(["a"])):
+        with pytest.raises(TypeError):
+            json.dumps(bad)
+        with pytest.raises(TypeError):
+            encoded({"a": bad})

@@ -1,8 +1,10 @@
 """Duality machinery: constancy, eigenmatrices, idempotents, Krein."""
 
+import functools
 import json
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -755,6 +757,111 @@ def test_contractions_match_loops_irrational(m, real):
                for plane in tensor for row in plane for q in row)
     assert flags["real"] is real
     assert not flags["nonnegative"] and flags["worst_value"] < 0
+
+
+# -- support-width arrays against the full-width einsum ------------------------
+
+def full_width_oracle(P, Q, valencies, size, m):
+    """From the full-width coefficient arrays P and Q, through the
+    unsliced einsum over all phi(m) coefficients: P Q, the Gram matrix
+    of row orthogonality, the Krein sums before the division by |X|, and
+    the Krein tensor with its `real` flag, or, when |X| does not divide
+    every sum, the (i, j, k) of the first that it does not."""
+    einsum = functools.partial(unsliced_contract, m=m, dtype=np.float64)
+    weights = np.zeros(Q.shape[1:], dtype=np.int64)
+    weights[:, 0] = valencies
+    gram = einsum("ij,ik->jk", einsum("i,ij->ij", weights, Q),
+                  unsliced_conjugate(Q, m, dtype=np.float64))
+    sums = einsum("kl,lij->ijk", P, einsum("li,lj->lij", Q, Q))
+    inexact = np.argwhere((sums % size != 0).any(axis=-1))
+    if len(inexact):
+        return einsum("ik,kj->ij", P, Q), gram, tuple(inexact[0]), None
+    krein = sums // size
+    real = np.array_equal(unsliced_conjugate(krein, m, dtype=np.float64),
+                          krein)
+    return einsum("ik,kj->ij", P, Q), gram, krein, real
+
+
+def assert_support_width_matches_full_width(P, Q, valencies,
+                                            multiplicities, size, m):
+    """P Q, row orthogonality, the Krein tensor, its `real` flag and the
+    integrity failure of an |X| + 1 that divides no sum, computed on
+    support-width arrays, equal the full-width oracle's; returns the
+    widths of P and Q."""
+    Ps, Qs = sliced(P), sliced(Q)
+    PQ, gram, krein, real = full_width_oracle(P, Q, valencies, size, m)
+    PQs = contract("ik,kj->ij", Ps, Qs, m)
+    assert np.array_equal(full_width(PQs, m), PQ)
+    weighted = contract("i,ij->ij", cyclo.integer_array(valencies), Qs, m)
+    grams = contract("ij,ik->jk", weighted, conjugate_array(Qs, m), m)
+    assert np.array_equal(full_width(grams, m), gram)
+    want = np.zeros_like(gram)
+    want[..., 0] = np.diag([size * k for k in multiplicities])
+    eigen = verify_eigen_identities(Ps, Qs, PQs, valencies, multiplicities,
+                                    size, m)
+    assert eigen["row_orthogonality"] is np.array_equal(gram, want)
+    tensor, flags = krein_parameters(Ps, Qs, size, m)
+    assert np.array_equal(full_width(tensor, m), krein)
+    assert flags["real"] is real
+    _, _, first, _ = full_width_oracle(P, Q, valencies, size + 1, m)
+    with pytest.raises(IntegrityError, match=re.escape(
+            "(i, j, k) = %s:" % (tuple(map(int, first)),))):
+        krein_parameters(Ps, Qs, size + 1, m)
+    return Ps[0].shape[-1], Qs[0].shape[-1]
+
+
+def central_16x20():
+    return build_action(CyclicProductSpace((16, 20)), "central"), None
+
+
+def config_actions(*names):
+    def actions():
+        return tuple(cli.load_action(cli.read_config(os.path.join(
+            CONFIGS, name + ".json")), 4096)[1] for name in names)
+    return actions
+
+
+SUPPORT_CASES = dict(
+    [(name, config_actions(name)) for name in SHIPPED
+     if name != "symmetric2_f3"]
+    + [("wh21_f2 x wh12_f2", config_actions("wh21_f2", "wh12_f2")),
+       ("wh12_f2 x wh21_f2", config_actions("wh12_f2", "wh21_f2")),
+       ("central Z16 x Z20", central_16x20)])
+
+
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+def test_support_width_matches_full_width(case):
+    """Every shipped config with eigenmatrices (symmetric(2)/F_3 fails
+    condition (4) first), both weak-Hamming cross orders and central
+    Z16 x Z20 (phi(m) = 32, one column): the support-width computation
+    equals the full-width einsum.  cyclotomic(2)/F_5 and symmetric(2)/F_5
+    carry three of the four columns of Z[zeta_5]; her(2)/F_4 pairs into
+    Z[zeta_2], one column."""
+    actions = SUPPORT_CASES[case]()
+    cert = duality_report(*actions)
+    assert cert.passed
+    m = cert.space.character_order
+    widths = assert_support_width_matches_full_width(
+        coeff_array(cert.P), coeff_array(cert.Q), cert.valencies,
+        cert.multiplicities, cert.space.size, m)
+    wide = {"cyclotomic2_f5": (3, 3), "symmetric2_f5": (3, 3)}
+    assert widths == wide.get(case, (1, 1))
+
+
+@pytest.mark.parametrize("m", [5, 12])
+def test_support_width_matches_full_width_complex(m):
+    """Random complex P and Q (P scaled by |X| = 3): a `real` flag that
+    is false, irrational Krein parameters, and the integrity failure
+    with |X| = 4."""
+    rng = random.Random(m)
+    Q = [[random_cyclo(rng, m, False) for _ in range(4)] for _ in range(4)]
+    P = [[3 * random_cyclo(rng, m, False) for _ in range(4)]
+         for _ in range(4)]
+    Pa, Qa = coeff_array(P), coeff_array(Q)
+    _, _, krein, real = full_width_oracle(Pa, Qa, [1, 2, 3, 4], 3, m)
+    assert real is False and krein[..., 1:].any()
+    assert assert_support_width_matches_full_width(
+        Pa, Qa, [1, 2, 3, 4], [4, 3, 2, 1], 3, m) > (1, 1)
 
 
 def test_contract_object_branch_is_exact():
