@@ -351,11 +351,17 @@ def widen(A, cols, target):
     return out
 
 
+def union_columns(*cols):
+    """The sorted union of column index arrays (a bincount: np.union1d
+    would import numpy.ma, a megabyte of resident memory)."""
+    return np.flatnonzero(np.bincount(np.concatenate(cols)))
+
+
 def equal(X, Y):
     """Whether two support-width arrays hold the same elements."""
     (A, ka), (B, kb) = X, Y
     if not np.array_equal(ka, kb):
-        cols = np.union1d(ka, kb)
+        cols = union_columns(ka, kb)
         A, B = widen(A, ka, cols), widen(B, kb, cols)
     return np.array_equal(A, B)
 

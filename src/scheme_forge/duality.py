@@ -60,13 +60,12 @@ the structure constants of Z[zeta_m], over the carried columns only:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
                     equals_integers, nonzero, reduction_matrix, euler_phi,
-                    sliced, widen, equal, contract, conjugate_array)
+                    sliced, widen, equal, union_columns, contract,
+                    conjugate_array)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
@@ -245,7 +244,6 @@ def krein_parameters(P, Q, size, m, size_bound=DEFAULT_SIZE_BOUND):
                              "sum not divisible by |X| = %d"
                              % (tuple(map(int, np.argwhere(inexact)[0])),
                                 size))
-    del inexact
     T //= size
     irrational = nonzero(T[..., 1:])
     ints = T[..., 0][~irrational]
@@ -282,7 +280,7 @@ def shared_json(arrays, m):
     the distinct rows are widened to phi(m) coefficients."""
     if not arrays:
         return []
-    cols = functools.reduce(np.union1d, [k for _, k in arrays])
+    cols = union_columns(*(k for _, k in arrays))
     rows = np.concatenate([widen(A, k, cols).reshape(-1, len(cols))
                            for A, k in arrays])
     order = np.lexsort(rows.T)
@@ -464,7 +462,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
 
     # the |X|-sized table and profiles are done with: freed, they do not
     # add to the peak that the (d + 1)^3 Krein contraction sets at large d
-    del table, profile_Q, profile_P, constancy_G
+    del table, profile_Q, profile_P
     krein, flags = krein_parameters(P, Q, space.size, m, space.size_bound)
     cert.krein = krein
     cert.krein_flags = flags
