@@ -203,7 +203,8 @@ OVERSIZED = {
 
 # address space of each child interpreter: room for numpy and the largest
 # array a bounded run allocates, so that a regression allocating a huge
-# tensor fails at once instead of exhausting the machine
+# tensor fails at once instead of exhausting the machine.  The children
+# run one BLAS thread, as each thread reserves tens of MB of it.
 CHILD_ADDRESS_SPACE = 2 << 30
 
 
@@ -220,8 +221,9 @@ def test_size_bound_exit_3(capsys, tmp_path):
     code, _, err = run(["check", cfg("hamming4_f3"), "--size-bound", "10"],
                        capsys)
     assert code == 3 and "resource limit" in err
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     path = tmp_path / "big.json"
     for name, (space, action) in OVERSIZED.items():
         path.write_text(json.dumps({"space": space, "action": action}))
