@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 duality/axiom failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -378,7 +379,11 @@ def cmd_dual(args):
     return 0 if cert.passed else 1
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built on first use and kept: parse_args
+    reads it without changing it, and each call starts from a fresh
+    namespace of the defaults."""
     parser = argparse.ArgumentParser(
         prog="scheme-forge",
         description="translation association schemes from group actions")
@@ -412,8 +417,7 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -7,9 +7,10 @@ so every ring identity in the package is checked with zero tolerance.
 Matrices and tensors of elements are contracted as integer arrays of
 power-basis coefficients (`coeff_array`, `contract`): a product of two
 elements is bilinear in their coefficients, through the structure
-constants M[a, b, :] = coefficients of z^a z^b, so one einsum
-"...X,...Y,XYZ->...Z" computes a whole contraction.  Every such table is
-read off the reduction matrix R[k, :] = coefficients of z^k, k < m
+constants M[a, b, :] = coefficients of z^a z^b, so a whole contraction
+is a product over the element indices for each pair of coefficient
+columns, followed by one product with M.  Every such table is read off
+the reduction matrix R[k, :] = coefficients of z^k, k < m
 (`reduction_matrix`).
 
 A full-width array has all phi(m) coefficients on its last axis.  A
@@ -29,11 +30,14 @@ whose eigenmatrices are rational integers, contract one column instead
 of phi(m) from start to end.  A dropped column holds only zeros, so it
 adds only zero products: the sliced contraction has the same sums, and
 the count of its products times the largest absolute entries of the
-sliced A, B and M bounds every partial sum, in any summation order.  The
-contraction runs in int64 only when that bound, in Python integers, is
-below 2^63, and with Python integers (dtype=object) otherwise, so it is
-exact either way.  It follows a fixed pairwise path, A with B over the
-element indices and then the result with M, rather than one einsum picks.
+sliced A, B and M bounds every partial sum, in any summation order.
+Both steps, A with B over the element indices for every pair of columns
+and then the result with M, are one batched matmul each, `exact_matmul`,
+which picks its dtype from that bound, computed in Python integers:
+float64 (BLAS) below 2^53, int64 below 2^63, Python integers
+(dtype=object) otherwise, so it is exact in every case.  The character
+profile and the pairing table (duality.py, space.py) take their float64
+products through the same function.
 """
 
 from __future__ import annotations
@@ -366,33 +370,57 @@ def equal(X, Y):
     return np.array_equal(A, B)
 
 
-def _max_abs(A):
+def max_abs(A):
+    """The largest absolute entry of an integer array, as a Python int
+    (at least 1, so that it can scale a bound)."""
     return max(int(A.max(initial=0)), -int(A.min(initial=0)), 1)
 
 
-def _exact_einsum(spec, operands, bound):
-    """np.einsum of integer arrays along the pairwise path that contracts
-    the first two operands, then the result with the next; `bound` must be
-    at least the sum of the absolute values of all the products the
-    contraction expands to, which bounds every partial sum in any
-    summation order.  int64 only below 2^63, Python integers otherwise."""
-    path = ["einsum_path"] + [(0, 1)] * (len(operands) - 1)
-    if bound < 2 ** 63:
-        return np.einsum(spec, *(np.asarray(A, dtype=np.int64)
-                                 for A in operands), optimize=path)
-    return np.einsum(spec, *(np.asarray(A, dtype=object) for A in operands),
-                     dtype=object, optimize=path)
+def exact_matmul(A, B, bound):
+    """A @ B of integer arrays (np.matmul, stacks broadcast), exact.
+
+    `bound` must be at least the sum of the absolute values of the
+    products that any one entry of the result expands to; it then bounds
+    every partial sum, in any summation order and any blocking.  Below
+    2^53 the product runs in float64, which numpy hands to BLAS: every
+    product and partial sum is an integer that float64 holds exactly, an
+    FMA included.  Below 2^63 it runs in int64, and on Python integers
+    (dtype=object) otherwise.  The result is int64, or Python integers
+    past 2^63."""
+    if bound < 2 ** 53:
+        A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
+        R = A @ B
+        # free the float64 operands (and integer ones passed in by a
+        # nested call) before the int64 result is made
+        del A, B
+        return R.astype(np.int64)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
+
+
+def _stack(A, letters, *groups):
+    """A coefficient array whose element axes are named by `letters` as
+    a coefficient-major stack of matrices: shape (columns, *groups), each
+    group of letters flattened to one axis, in that order."""
+    A = A.transpose([A.ndim - 1] + [letters.index(c)
+                                    for group in groups for c in group])
+    shape, axis = [A.shape[0]], 1
+    for group in groups:
+        shape.append(math.prod(A.shape[axis:axis + len(group)]))
+        axis += len(group)
+    return A.reshape(shape)
 
 
 def contract(spec, X, Y, m):
-    """Exact einsum over Z[zeta_m] of two support-width arrays.
+    """Exact contraction over Z[zeta_m] of two support-width arrays.
 
     `spec` is an einsum specification over element indices in lowercase
-    letters, e.g. "ik,kj->ij" for a matrix product; the coefficient
-    arrays of X = (A, ka) and Y = (B, kb) carry one more trailing axis,
-    their columns, and so does the result, a support-width array whose
-    columns are those z^a z^b can reach for a in ka, b in kb (module
-    docstring)."""
+    letters, e.g. "ik,kj->ij" for a matrix product, in which every letter
+    occurs once in each operand that has it, and in the output or in
+    both operands; the coefficient arrays of X = (A, ka) and Y = (B, kb)
+    carry one more trailing axis, their columns, and so does the result,
+    a support-width array whose columns are those z^a z^b can reach for
+    a in ka, b in kb (module docstring)."""
     (A, ka), (B, kb) = X, Y
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
@@ -402,17 +430,31 @@ def contract(spec, X, Y, m):
     sizes = dict(zip(sa + sb, A.shape[:-1] + B.shape[:-1]))
     terms = math.prod(n for c, n in sizes.items() if c not in out) \
         * len(ka) * len(kb)
-    bound = terms * _max_abs(A) * _max_abs(B) * _max_abs(M)
-    return _exact_einsum("%sX,%sY,XYZ->%sZ" % (sa, sb, out), (A, B, M),
-                         bound), kz
+    bound = terms * max_abs(A) * max_abs(B) * max_abs(M)
+    batch = [c for c in out if c in sa and c in sb]
+    inner = [c for c in sa if c in sb and c not in out]
+    rows = [c for c in out if c in sa and c not in sb]
+    cols = [c for c in out if c in sb and c not in sa]
+    lhs = _stack(A, sa, batch, rows, inner)[:, None]
+    rhs = _stack(B, sb, batch, inner, cols)[None]
+    # the products for every pair of columns, (ka, kb, batch, rows,
+    # cols), go straight into the product with M, which frees them once
+    # it has converted them
+    Z = exact_matmul(M.reshape(-1, len(kz)).T,
+                     exact_matmul(lhs, rhs, bound).reshape(
+                         len(ka) * len(kb), -1), bound)
+    order = batch + rows + cols
+    Z = Z.reshape((len(kz),) + tuple(sizes[c] for c in order))
+    return Z.transpose([1 + order.index(c) for c in out] + [0]), kz
 
 
 def conjugate_array(X, m):
     """Entrywise image of a support-width array under zeta -> zeta^(-1),
-    a support-width array (module docstring)."""
+    a support-width array (module docstring): A @ C, C the conjugation
+    matrix cut to the rows ka and its nonzero columns."""
     A, ka = X
     C = conjugation_matrix(m)[ka]
     kz = _columns(C.any(axis=0))
     C = C[:, kz]
-    bound = len(ka) * _max_abs(A) * _max_abs(C)
-    return _exact_einsum("...X,XZ->...Z", (A, C), bound), kz
+    bound = len(ka) * max_abs(A) * max_abs(C)
+    return exact_matmul(A, C, bound), kz

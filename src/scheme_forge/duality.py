@@ -47,8 +47,9 @@ AbelianSpace.verify_nondegenerate: every y != 0 pairs nontrivially with
 some x, which by biadditivity may be taken from the digit basis.
 
 The spectrum P Q, row orthogonality and the Krein tensor are contractions
-of support-width arrays (cyclo.contract), each one exact einsum through
-the structure constants of Z[zeta_m], over the carried columns only:
+of support-width arrays (cyclo.contract), each two exact matrix products
+(cyclo.exact_matmul), over the element indices and then through the
+structure constants of Z[zeta_m], over the carried columns only:
 
   * P Q is "ik,kj->ij";
   * row orthogonality weights the rows of Q by the valencies ("i,ij->ij")
@@ -62,10 +63,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import (CycloInt, coeff_array, cyclo_entries, integer_array,
+from .cyclo import (CycloInt, cyclo_entries, integer_array,
                     equals_integers, nonzero, reduction_matrix, euler_phi,
                     sliced, widen, equal, union_columns, contract,
-                    conjugate_array)
+                    conjugate_array, exact_matmul, max_abs)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
                      build_action)
@@ -86,13 +87,13 @@ def character_profile(space, dual_classes, table):
     T, PAIRING_BLOCK_ROWS rows at a time: one bincount of the exponents
     T[x][y] (offset by m y) adds the block to the exponent histogram of
     every y.  The histograms, (|X|, m), times the reduction matrix
-    R[k] = coefficients of zeta^k give the class's row of the profile.
-    That product runs in float64 (BLAS) and is exact: the histogram of y
-    sums to at most |X|, so every partial sum is an integer of at most
-    |X| max|R|, far below 2^53."""
+    R[k] = coefficients of zeta^k give the class's row of the profile,
+    through cyclo.exact_matmul: the histogram of y sums to the class
+    size, so that size times max|R| bounds every entry's products."""
     m = space.character_order
     n = space.size
-    R = reduction_matrix(m).astype(np.float64)
+    R = reduction_matrix(m)
+    bound_R = max_abs(R)
     offsets = np.arange(n, dtype=np.intp) * m
     profile = np.empty((len(dual_classes), n, R.shape[1]), dtype=np.int64)
     for j, cls in enumerate(dual_classes):
@@ -100,7 +101,8 @@ def character_profile(space, dual_classes, table):
         for start in range(0, len(cls), PAIRING_BLOCK_ROWS):
             block = table[cls[start:start + PAIRING_BLOCK_ROWS]] + offsets
             counts += np.bincount(block.ravel(), minlength=n * m)
-        profile[j] = counts.reshape(n, m).astype(np.float64) @ R
+        profile[j] = exact_matmul(counts.reshape(n, m), R,
+                                  len(cls) * bound_R)
     return profile
 
 
@@ -246,8 +248,7 @@ def krein_parameters(P, Q, size, m, size_bound=DEFAULT_SIZE_BOUND):
                                 size))
     T //= size
     irrational = nonzero(T[..., 1:])
-    ints = T[..., 0][~irrational]
-    lows = [float(v) for v in ints[ints < 0]]
+    lows = [float(v) for v in T[..., 0][~irrational & (T[..., 0] < 0)]]
     for coeffs in widen(T[irrational], cols,
                         np.arange(euler_phi(m))).tolist():
         val, err = CycloInt(m, tuple(coeffs), reduce=False).approx()
@@ -310,6 +311,9 @@ class DualityCertificate:
         self.witnesses = []
         self.Q = None
         self.P = None
+        # Q and P as support-width arrays, as the pipeline checked them
+        self.Q_array = None
+        self.P_array = None
         self.sigma = None
         self.valencies = None
         self.multiplicities = None
@@ -325,14 +329,12 @@ class DualityCertificate:
     def to_json(self):
         """The certificate as JSON-ready dicts and lists.  Each distinct
         element of P, Q and the Krein tensor becomes JSON once
-        (shared_json): equal entries share one dict, so CycloInt.approx()
-        runs once per value and cli.write_report encodes each shared dict
-        once."""
-        names = [k for k in ("Q", "P", "krein")
-                 if getattr(self, k) is not None]
-        arrays = [sliced(coeff_array(getattr(self, k))) if k != "krein"
-                  else self.krein for k in names]
-        parts = dict(zip(names, shared_json(arrays,
+        (shared_json, from their support-width arrays): equal entries
+        share one dict, so CycloInt.approx() runs once per value and
+        cli.write_report encodes each shared dict once."""
+        arrays = {"Q": self.Q_array, "P": self.P_array, "krein": self.krein}
+        names = [k for k, v in arrays.items() if v is not None]
+        parts = dict(zip(names, shared_json([arrays[k] for k in names],
                                             self.space.character_order)))
         return {
             "mode": self.mode,
@@ -434,6 +436,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.Q = cyclo_entries(F_Q, m)
     cert.P = cyclo_entries(F_P, m)
     P, Q = sliced(F_P), sliced(F_Q)
+    cert.P_array, cert.Q_array = P, Q
     PQ = contract("ik,kj->ij", P, Q, m)
 
     eig = verify_eigen_identities(P, Q, PQ,

@@ -243,6 +243,39 @@ def test_reports_are_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_back_to_back_calls_match_fresh_processes(capsys, tmp_path):
+    """main builds its parser once per process.  Back-to-back calls with
+    different subcommands and flags (--size-bound, --matrix-bound and
+    --no-verify-representatives, then none of them) give the exit code,
+    stdout, stderr and --out bytes of fresh processes, so no flag's value
+    leaks into the next call: a leaked --size-bound 50 would stop the
+    third call with exit 3, a leaked --matrix-bound 1 would drop its
+    idempotent checks."""
+    argvs = [["check", cfg("hamming4_f3"), "--size-bound", "50"],
+             ["dual", cfg("hamming2_f2"), "--matrix-bound", "1",
+              "--no-verify-representatives"],
+             ["dual", cfg("hamming4_f3")],
+             ["build", cfg("hamming2_f2")]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    fresh = [subprocess.Popen(
+        [sys.executable, "-m", "scheme_forge.cli", *argv,
+         "--out", str(tmp_path / ("fresh%d.json" % i))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for i, argv in enumerate(argvs)]
+    for i, (argv, proc) in enumerate(zip(argvs, fresh)):
+        out = tmp_path / ("call%d.json" % i)
+        code, stdout, stderr = run(argv + ["--out", str(out)], capsys)
+        want = proc.communicate(timeout=60)
+        assert (code, stdout, stderr) == (proc.returncode,) + want, argv
+        if code != 3:
+            assert out.read_bytes() == \
+                (tmp_path / ("fresh%d.json" % i)).read_bytes(), argv
+    assert [proc.returncode for proc in fresh] == [3, 0, 0, 0]
+    assert "idempotent_detail" in json.loads(
+        (tmp_path / "call2.json").read_text())["checks"]
+
+
 def test_each_command_computes_once(capsys, monkeypatch):
     """build and self-mode dual compute the intersection tensor once, with
     representative verification (the idempotent and sigma checks, on at

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+from scheme_forge import cyclo
 from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
                                 coeff_array, cyclo_entries, contract,
                                 conjugate_array, reduction_matrix,
@@ -320,6 +321,71 @@ def test_contract_object_branch_after_slicing(m):
     conj = conjugate_array(sliced(out), m)
     assert conj[0].dtype == object
     assert full_width(conj, m).tolist() == unsliced_conjugate(out, m).tolist()
+
+
+# -- the exact kernel's dtype tiers against Python integers ------------------
+
+PIPELINE_SPECS = [("ik,kj->ij", (2, 3), (3, 2)), ("i,ij->ij", (3,), (3, 2)),
+                  ("ij,ik->jk", (3, 2), (3, 2)),
+                  ("li,lj->lij", (2, 3), (2, 3)),
+                  ("kl,lij->ijk", (2, 3), (3, 2, 2))]
+
+
+def tier(bound):
+    """The dtype exact_matmul computes in for a bound: 0 for float64,
+    1 for int64, 2 for Python integers."""
+    return (bound >= 2 ** 53) + (bound >= 2 ** 63)
+
+
+def odd_near(edge, k, above):
+    """The odd a with k a^2 nearest below (or above) edge, a power of 2."""
+    a = math.isqrt(edge // k) + above
+    return a + (1 if above else -1) if a % 2 == 0 else a
+
+
+def operand(shape, value):
+    return np.full(shape + (1,), value,
+                   dtype=np.int64 if abs(value) < 2 ** 63 else object)
+
+
+@pytest.mark.parametrize("edge", [2 ** 53, 2 ** 63])
+@pytest.mark.parametrize("above", [False, True])
+def test_exact_matmul_tiers_match_python_integers(edge, above, monkeypatch):
+    """Over Z (m = 1, M = [[[1]]]), every spec the pipeline contracts
+    with every entry of A equal to -a and every entry of B to a, a odd:
+    each result entry is -K a^2, K the contracted size (1 or 3), as large
+    as contract's bound, which a puts just below or just above 2^53 or
+    2^63; conjugate_array likewise with entries -(edge -+ 1).
+    Every result equals the Python-integer einsum.  Above 2^53 these odd
+    entries are not float64 numbers and above 2^63 not int64 ones, so a
+    tier used past its edge fails; the spy asserts that each bound
+    reaches the tier on its side of the edge."""
+    bounds = []
+    real = cyclo.exact_matmul
+
+    def spy(A, B, bound):
+        bounds.append(bound)
+        return real(A, B, bound)
+
+    monkeypatch.setattr(cyclo, "exact_matmul", spy)
+    want = tier(edge) - (not above)
+    for spec, sa, sb in PIPELINE_SPECS:
+        ins, out = spec.split("->")
+        k = 3 if set(ins) - {","} - set(out) else 1
+        a = odd_near(edge, k, above)
+        A, B = operand(sa, -a), operand(sb, a)
+        bounds.clear()
+        got, cols = contract(spec, sliced(A), sliced(B), 1)
+        assert cols.tolist() == [0]
+        assert got.tolist() == unsliced_contract(spec, A, B, 1).tolist()
+        assert abs(got.ravel()[0]) == k * a * a
+        assert [tier(b) for b in bounds] == [want, want], spec
+        assert got.dtype == (object if want == 2 else np.int64)
+    A = operand((2, 3), -(edge + 1 if above else edge - 1))
+    bounds.clear()
+    got, cols = conjugate_array(sliced(A), 1)
+    assert got.tolist() == unsliced_conjugate(A, 1).tolist()
+    assert [tier(b) for b in bounds] == [want]
 
 
 @pytest.mark.parametrize("m", [5, 8, 12])

@@ -913,19 +913,32 @@ def test_krein_inexact_division_raises_integrity_error():
 
 # -- the array pipeline at many classes over a large cyclotomic field ----------
 
+def element_axes_only(shapes, d):
+    """Whether every axis of the given exact_matmul shapes has length 1
+    or a power of d + 1.  contract and conjugate_array give each
+    coefficient axis an axis of its own in some operand or result, and
+    no coefficient axis is longer than phi(m) < d + 1, so this holds
+    only when every coefficient axis has length 1."""
+    powers = {(d + 1) ** k for k in range(4)}
+    return all(n in powers for shape in shapes for n in shape)
+
+
 def test_central_16x20_contracts_one_coefficient(monkeypatch):
     """Central Z16 x Z20 (|X| = 320, d = 35, m = 80, phi(m) = 32) has
-    rational-integer P and Q (Ramanujan sums): every exact einsum of its
-    duality_report runs on coefficient axes of length 1, and every
-    contraction and conjugate equals the unsliced einsum over all 32
-    coefficients."""
-    real_einsum = cyclo._exact_einsum
+    rational-integer P and Q (Ramanujan sums): every exact_matmul that
+    contract and conjugate_array run in its duality_report, two per
+    contraction and one per conjugate, has operands and a result one
+    coefficient wide, and every contraction and conjugate equals the
+    unsliced einsum over all 32 coefficients."""
+    real_matmul = cyclo.exact_matmul
+    kernel = []
 
-    def one_coefficient(spec, operands, bound):
-        shapes = [np.shape(A) for A in operands]
-        assert all(shape[-1] == 1 for shape in shapes[:-1]), (spec, shapes)
-        assert set(shapes[-1]) == {1}, (spec, shapes)
-        return real_einsum(spec, operands, bound)
+    def one_coefficient(A, B, bound):
+        out = real_matmul(A, B, bound)
+        shapes = [np.shape(X) for X in (A, B, out)]
+        assert element_axes_only(shapes, 35), shapes
+        kernel.append(shapes)
+        return out
 
     contracts, conjugates = [], []
 
@@ -937,7 +950,7 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(cyclo, "_exact_einsum", one_coefficient)
+    monkeypatch.setattr(cyclo, "exact_matmul", one_coefficient)
     monkeypatch.setattr(duality, "contract",
                         recorded(contracts, duality.contract))
     monkeypatch.setattr(duality, "conjugate_array",
@@ -951,7 +964,7 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
         assert [k.tolist() for k in (X[1], Y[1], out[1])] == [[0]] * 3
         assert np.array_equal(full_width(out, m), unsliced_contract(
             spec, full_width(X, m), full_width(Y, m), m, dtype=np.float64))
-    assert len(conjugates) == 3
+    assert len(conjugates) == 3 and len(kernel) == 2 * 5 + 3
     for (X, m), out in conjugates:
         assert out[1].tolist() == [0]
         assert np.array_equal(full_width(out, m), unsliced_conjugate(
@@ -968,15 +981,15 @@ def test_central_krein_parameters_stay_one_coefficient_wide(monkeypatch):
     cert = duality_report(genset)
     P, Q = (sliced(coeff_array(M)) for M in (cert.P, cert.Q))
     assert P[0].shape == Q[0].shape == (36, 36, 1)
-    widths = []
-    real_einsum = cyclo._exact_einsum
+    shapes = []
+    real_matmul = cyclo.exact_matmul
 
-    def recorded(spec, operands, bound):
-        out = real_einsum(spec, operands, bound)
-        widths.extend(np.shape(A)[-1] for A in operands + (out,))
+    def recorded(A, B, bound):
+        out = real_matmul(A, B, bound)
+        shapes.extend(np.shape(X) for X in (A, B, out))
         return out
 
-    monkeypatch.setattr(cyclo, "_exact_einsum", recorded)
+    monkeypatch.setattr(cyclo, "exact_matmul", recorded)
     tracemalloc.start()
     try:
         (T, cols), flags = krein_parameters(P, Q, 320, 80)
@@ -984,7 +997,7 @@ def test_central_krein_parameters_stay_one_coefficient_wide(monkeypatch):
     finally:
         tracemalloc.stop()
     assert T.shape == (36, 36, 36, 1) and cols.tolist() == [0]
-    assert len(widths) == 11 and set(widths) == {1}
+    assert len(shapes) == 3 * (2 * 2 + 1) and element_axes_only(shapes, 35)
     assert flags == cert.krein_flags and np.array_equal(T, cert.krein[0])
     assert peak < 8 * 36 ** 3 * T.itemsize
 

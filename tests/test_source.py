@@ -47,3 +47,17 @@ def test_traced_names_resolve():
         if not found:
             missing.append("%s.%s" % (module, path))
     assert not missing, "traced names that do not resolve: %s" % missing
+
+
+def test_no_einsum_calls():
+    """Every contraction in src goes through cyclo.exact_matmul, whose
+    dtype follows a proven bound; np.einsum (and einsum_path) stays in
+    the test oracles."""
+    paths = sorted(SRC.glob("*.py"))
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", ""))
+             .startswith("einsum")]
+    assert not found, "einsum calls in src: %s" % found
