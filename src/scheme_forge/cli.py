@@ -5,7 +5,8 @@ Subcommands:
     scheme-forge build <config.json> [--out r.json]
     scheme-forge dual <a.json> [<b.json>] [--out c.json]
 
-Exit codes: 0 success, 1 duality/axiom failure, 2 config error,
+Exit codes: 0 success, 1 duality/axiom failure, 2 config error or a
+malformed flag (a --size-bound below 1, a negative --matrix-bound),
 3 resource bound exceeded.
 """
 
@@ -15,10 +16,11 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 from collections import defaultdict
 from contextlib import nullcontext
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -42,8 +44,9 @@ def read_config(path):
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     except ValueError as exc:
         raise ConfigError("malformed JSON in %s: %s" % (path, exc))
-    if not isinstance(cfg, dict) or "space" not in cfg or "action" not in cfg:
+    if not isinstance(cfg, dict):
         raise ConfigError('config must be an object with "space" and "action"')
+    check_keys(cfg, ("space", "action"), (), "config")
     return cfg
 
 
@@ -77,7 +80,7 @@ def load_action(cfg, size_bound):
 # memoized (a Krein entry with phi(m) = 64 coefficients is 1,096 at its
 # depth); a container's pending text is written out once it grows past.
 MEMO_CHARS = 1 << 12
-# An integer array's text is written in pieces of at most this many
+# An ndarray's text is written in pieces of at most about this many
 # characters, so a write, with the pending text of at most MEMO_CHARS
 # before it, stays within 64 KiB.
 ARRAY_CHARS = 1 << 15
@@ -130,43 +133,88 @@ def _array_rows(texts, shape, depth):
     return texts
 
 
-def _array_chunks(A, depth):
-    """Yield the text of the integer ndarray A, nested `depth`
-    containers deep, as json.dumps(A.tolist(), indent=2) spells it.
+def _array_chunks(A, depth, memo):
+    """Yield the text of the ndarray A, an integer array or an object
+    array of JSON values, nested `depth` containers deep, as
+    json.dumps(A.tolist(), sort_keys=True, indent=2) spells it.
 
-    When the values span a range no wider than the array, each value in
-    it gets one text, which every entry of that value reuses; otherwise
-    each entry is int.__repr__'d.  The array is written a block of rows
-    along its first axis at a time, blocks of about ARRAY_CHARS
-    characters, each block's text cut into pieces of at most that."""
+    Each distinct entry gets one text, at depth + A.ndim, which every
+    entry holding it reuses, looked up with C-level map calls:
+      * integers, when their values span a range no wider than the
+        array: one text per value in the range, looked up by value;
+        otherwise each entry is int.__repr__'d;
+      * objects, told apart by identity (the array keeps them alive):
+        each is encoded once by _chunks, or its text taken from memo.
+    _array_blocks then writes the rows."""
     if A.ndim == 0:
-        yield int.__repr__(int(A))
+        yield from _chunks(A.tolist(), depth, memo)
         return
+    if A.dtype == object:
+        cells = A.ravel().tolist()
+        level = memo[depth + A.ndim]
+        table = {}
+        for key, value in dict(zip(map(id, cells), cells)).items():
+            text = level.get(key)
+            if text is None:
+                text = "".join(_chunks(value, depth + A.ndim, memo))
+            table[key] = text
+        width = max(map(len, table.values()), default=2)
+
+        def texts(block):
+            return list(map(table.__getitem__,
+                            map(id, block.ravel().tolist())))
+    else:
+        low, high = (int(A.min()), int(A.max())) if A.size else (0, 0)
+        width = max(len(int.__repr__(low)), len(int.__repr__(high)))
+        if high - low < A.size:
+            values = np.array([int.__repr__(v) for v in range(low, high + 1)],
+                              dtype=object)
+
+            def texts(block):
+                return values[(block - low).ravel()].tolist()
+        else:
+            def texts(block):
+                return list(map(int.__repr__, block.ravel().tolist()))
+    yield from _array_blocks(A, depth, texts, width)
+
+
+def _array_blocks(A, depth, texts, width):
+    """Yield the text of the ndarray A (ndim >= 1), nested `depth`
+    containers deep, from texts(block), the flat list of the texts, each
+    at most `width` characters, of a block's entries in row-major order.
+
+    The rows along the first axis are written a block of about
+    ARRAY_CHARS characters at a time, joined by _array_rows.  When a
+    row's text may be longer than ARRAY_CHARS, each row is written the
+    same way, one level down, so no text built is much longer than
+    ARRAY_CHARS; an entry's own text longer than that is cut into
+    pieces."""
     if A.shape[0] == 0:
         yield "[]"
         return
-    low, high = (int(A.min()), int(A.max())) if A.size else (0, 0)
-    if high - low < A.size:
-        table = np.array([int.__repr__(v) for v in range(low, high + 1)],
-                         dtype=object)
-
-        def texts(block):
-            return table[(block - low).ravel()].tolist()
-    else:
-        def texts(block):
-            return list(map(int.__repr__, block.ravel().tolist()))
-    # an entry takes its text, a comma and its indentation
-    width = max(len(int.__repr__(low)), len(int.__repr__(high)))
-    row_chars = max(A[0].size, 1) * (width + 2 * (depth + A.ndim) + 2)
-    step = max(1, ARRAY_CHARS // row_chars)
+    # a bound on a row's text: an entry takes its text, a comma and its
+    # indentation, a list its brackets, their indentation and a comma
+    pad = 2 * (depth + A.ndim) + 2
+    lists = 1 + sum(accumulate(A.shape[1:-1], operator.mul))
+    row_chars = math.prod(A.shape[1:]) * (width + pad) + lists * 2 * pad
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
+    close = "\n" + "  " * depth + "]"
     text = "[" + inner
+    if row_chars > ARRAY_CHARS and A.ndim > 1:
+        for row in A:
+            chunks = _array_blocks(row, depth + 1, texts, width)
+            yield text + next(chunks)
+            yield from chunks
+            text = sep
+        yield close
+        return
+    step = max(1, ARRAY_CHARS // row_chars)
     for start in range(0, len(A), step):
         block = A[start:start + step]
         text += sep.join(_array_rows(texts(block), block.shape, depth))
         if start + step >= len(A):
-            text += "\n" + "  " * depth + "]"
+            text += close
         for cut in range(0, len(text), ARRAY_CHARS):
             yield text[cut:cut + ARRAY_CHARS]
         text = sep
@@ -184,14 +232,14 @@ def _chunks(obj, depth, memo):
     up in memo[depth + 1] at once, and when every one is there it is
     written with one sep.join per slice of about MEMO_CHARS characters.
     Otherwise the pending text is yielded whenever it passes MEMO_CHARS.
-    An integer ndarray is written as its tolist() would be, by
-    _array_chunks."""
+    An integer or object ndarray is written as its tolist() would be,
+    by _array_chunks."""
     text = _scalar_text(obj)
     if text is not None:
         yield text
         return
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
-        yield from _array_chunks(obj, depth)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iuO":
+        yield from _array_chunks(obj, depth, memo)
         return
     inner = "\n" + "  " * (depth + 1)
     sep = "," + inner
@@ -261,15 +309,18 @@ def write_report(report, out_path):
     The encoder takes str, int, float, bool and None scalars (ASCII
     escaping, float repr, NaN and Infinity spelled as json spells them)
     and dict, list and tuple containers, dict keys sorted, and integer
-    numpy arrays, which it writes as their tolist().  Each shared
-    entry is encoded once, whatever its size up to MEMO_CHARS: the text
-    of a container that stays within MEMO_CHARS is memoized by depth and
-    id, depth because indentation depends on it, identity because the
-    report keeps every container alive while it is written (a list of
-    plain ints is not memoized: one str.join re-encodes it).  A list
+    and object numpy arrays, which it writes as their tolist().  Each
+    shared entry is encoded once, whatever its size up to MEMO_CHARS: the
+    text of a container that stays within MEMO_CHARS is memoized by depth
+    and id, depth because indentation depends on it, identity because
+    the report keeps every container alive while it is written (a list
+    of plain ints is not memoized: one str.join re-encodes it).  A list
     whose entries are all encoded already is written with C-level joins,
     and a container's pending text is written once it passes MEMO_CHARS,
-    so the whole text is never held."""
+    so the whole text is never held.  An array's distinct entries are
+    encoded once each, whatever their size (the certificate's P, Q and
+    Krein tensor are object arrays of a few shared dicts), and its rows
+    are joined in blocks of about ARRAY_CHARS characters."""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
         for text in _chunks(report, 0, defaultdict(dict)):
             fh.write(text)
@@ -277,15 +328,16 @@ def write_report(report, out_path):
 
 
 def render_eigenmatrix(name, M):
-    """TSV table: exact cyclotomic entry plus 6-decimal approximation,
-    the cell text of each distinct entry built once."""
-    cells = {}
-    for c in chain.from_iterable(M):
-        if c not in cells:
-            cells[c] = "%s (%.*f)" % (c.render(), APPROX_DIGITS,
-                                      c.approx()[0].real)
-    return "\n".join([name] + ["\t".join(map(cells.__getitem__, row))
-                               for row in M])
+    """TSV table: exact cyclotomic entry plus 6-decimal approximation.
+    The cell text is built once per distinct object of the nested lists
+    M and looked up by identity: the certificate's P and Q hold one
+    CycloInt per distinct value (duality.distinct_elements)."""
+    cells = list(chain.from_iterable(M))
+    texts = {key: "%s (%.*f)" % (c.render(), APPROX_DIGITS,
+                                 c.approx()[0].real)
+             for key, c in dict(zip(map(id, cells), cells)).items()}
+    return "\n".join([name] + ["\t".join(map(texts.__getitem__,
+                                             map(id, row))) for row in M])
 
 
 def check_report(space, genset, verify_representatives):
@@ -379,6 +431,21 @@ def cmd_dual(args):
     return 0 if cert.passed else 1
 
 
+def at_least(low):
+    """An argparse type: an int of at least `low`, so that an
+    out-of-range bound exits 2 with a usage message."""
+    def bound(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    return bound
+
+
 @functools.cache
 def make_parser():
     """The argument parser, built on first use and kept: parse_args
@@ -391,7 +458,7 @@ def make_parser():
 
     def common(p):
         p.add_argument("--out", default=None, help="write JSON report here")
-        p.add_argument("--size-bound", type=int,
+        p.add_argument("--size-bound", type=at_least(1),
                        default=DEFAULT_SIZE_BOUND, dest="size_bound")
         p.add_argument("--no-verify-representatives", action="store_false",
                        dest="verify_representatives", default=None)
@@ -410,7 +477,7 @@ def make_parser():
     p_dual.add_argument("config")
     p_dual.add_argument("config_b", nargs="?", default=None)
     common(p_dual)
-    p_dual.add_argument("--matrix-bound", type=int,
+    p_dual.add_argument("--matrix-bound", type=at_least(0),
                         default=DEFAULT_MATRIX_BOUND, dest="matrix_bound")
     p_dual.set_defaults(func=cmd_dual)
     return parser

@@ -313,25 +313,6 @@ def equals_integers(A, values):
     return (A[..., 0] == values) & ~nonzero(A[..., 1:])
 
 
-def nest(flat, shape):
-    """A flat list as nested lists of the given shape (ndim >= 1)."""
-    for size in reversed(shape[1:]):
-        flat = [flat[i:i + size] for i in range(0, len(flat), size)]
-    return flat
-
-
-def cyclo_entries(A, m):
-    """Inverse of coeff_array for ndim >= 2: nested lists of CycloInt of
-    order m.  The coefficients are read as one flat list: a nested
-    tolist() makes one short-lived list per entry among the entries'
-    tuples, which left 1.7 MB more resident memory after a 30^3 tensor
-    over Z[zeta_16]."""
-    n = A.shape[-1]
-    flat = A.reshape(-1).tolist()
-    return nest([CycloInt(m, tuple(flat[i:i + n]), reduce=False)
-                 for i in range(0, len(flat), n)], A.shape[:-1])
-
-
 def _columns(nonzero_columns):
     """Sorted indices of the True entries of a column mask, with the
     constant column 0 always among them."""

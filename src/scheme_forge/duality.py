@@ -18,10 +18,13 @@ power-basis coefficients (cyclo.py):
     Q can reach.
 
 Every check is an array comparison of these.  CycloInt objects appear
-only at the certificate boundary: DualityCertificate.P and .Q are nested
-CycloInt, built once, DualityCertificate.krein stays a support-width
-array, and to_json makes one JSON entry per distinct element of P, Q and
-the Krein tensor, widening only those to phi(m) coefficients.
+only at the certificate boundary, one per distinct value
+(distinct_elements): DualityCertificate.P and .Q are nested lists of
+CycloInt in which every entry of a value is the same object, and
+DualityCertificate.krein stays a support-width array.  to_json gives P,
+Q and the Krein tensor as object ndarrays of one shared JSON entry per
+distinct element, widening only those to phi(m) coefficients, and
+cli.write_report encodes each entry once.
 
 Sigma and the idempotent products are read off the spectrum P Q.  The
 scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import (CycloInt, cyclo_entries, integer_array,
+from .cyclo import (CycloInt, integer_array,
                     equals_integers, nonzero, reduction_matrix, euler_phi,
                     sliced, widen, equal, union_columns, contract,
                     conjugate_array, exact_matmul, max_abs)
@@ -240,13 +243,16 @@ def krein_parameters(P, Q, size, m, size_bound=DEFAULT_SIZE_BOUND):
     coefficients.  Returns (support-width array T[i, j, k], flags dict)."""
     check_tensor_size(len(Q[0]) - 1, size_bound)
     T, cols = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
-    inexact = nonzero(T % size)
+    # one floor division; the quotient times |X| gives back every sum
+    # that |X| divides (numpy's int64 remainder is several times slower)
+    quotient = T // size
+    inexact = (quotient * size != T).any(axis=-1)
     if inexact.any():
         raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
                              "sum not divisible by |X| = %d"
                              % (tuple(map(int, np.argwhere(inexact)[0])),
                                 size))
-    T //= size
+    T = quotient
     irrational = nonzero(T[..., 1:])
     lows = [float(v) for v in T[..., 0][~irrational & (T[..., 0] < 0)]]
     for coeffs in widen(T[irrational], cols,
@@ -273,14 +279,14 @@ def krein_equals_intersection(krein, p_tensor):
 # -- the full pipeline -------------------------------------------------------------
 
 
-def shared_json(arrays, m):
-    """Each support-width array over Z[zeta_m] as nested lists of
-    CycloInt.to_json() dicts, one dict per distinct element across all
-    the arrays.  Their coefficient rows, at the union of the arrays'
+def distinct_elements(arrays, m):
+    """The distinct elements of support-width arrays over Z[zeta_m]:
+    (elements, codes), elements a 1-d object array of CycloInt, one per
+    distinct element across all the arrays, and for each array an intp
+    array of its shape without the coefficient axis, the index of each
+    entry's element.  The coefficient rows, at the union of the arrays'
     columns, are grouped by a lexsort and a diff of the sorted rows; only
     the distinct rows are widened to phi(m) coefficients."""
-    if not arrays:
-        return []
     cols = union_columns(*(k for _, k in arrays))
     rows = np.concatenate([widen(A, k, cols).reshape(-1, len(cols))
                            for A, k in arrays])
@@ -290,16 +296,29 @@ def shared_json(arrays, m):
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     group = np.empty(len(rows), dtype=np.intp)
     group[order] = np.cumsum(first) - 1
-    distinct = widen(ranked[first], cols, np.arange(euler_phi(m)))
-    entries = np.fromiter(
-        (CycloInt(m, tuple(coeffs), reduce=False).to_json()
-         for coeffs in distinct.tolist()), dtype=object, count=len(distinct))
-    out, start = [], 0
+    distinct = widen(ranked[first], cols, np.arange(euler_phi(m))).tolist()
+    elements = np.fromiter((CycloInt(m, tuple(coeffs), reduce=False)
+                            for coeffs in distinct), dtype=object,
+                           count=len(distinct))
+    codes, start = [], 0
     for A, _ in arrays:
         stop = start + A[..., 0].size
-        out.append(entries[group[start:stop]].reshape(A.shape[:-1]).tolist())
+        codes.append(group[start:stop].reshape(A.shape[:-1]))
         start = stop
-    return out
+    return elements, codes
+
+
+def shared_json(arrays, m):
+    """Each support-width array over Z[zeta_m] as an object ndarray of
+    CycloInt.to_json() dicts, of its shape without the coefficient axis:
+    one dict per distinct element across all the arrays
+    (distinct_elements), which every entry holding that element shares."""
+    if not arrays:
+        return []
+    elements, codes = distinct_elements(arrays, m)
+    entries = np.fromiter((c.to_json() for c in elements), dtype=object,
+                          count=len(elements))
+    return [entries[code] for code in codes]
 
 
 class DualityCertificate:
@@ -327,11 +346,14 @@ class DualityCertificate:
             self.witnesses.append({"check": check, "witness": witness})
 
     def to_json(self):
-        """The certificate as JSON-ready dicts and lists.  Each distinct
-        element of P, Q and the Krein tensor becomes JSON once
-        (shared_json, from their support-width arrays): equal entries
-        share one dict, so CycloInt.approx() runs once per value and
-        cli.write_report encodes each shared dict once."""
+        """The certificate as JSON-ready dicts, lists and ndarrays.  P, Q
+        and the Krein tensor are object ndarrays of shape (d + 1, d + 1)
+        and (d + 1, d + 1, d + 1) whose entries are CycloInt.to_json()
+        dicts, one per distinct element (shared_json, from their
+        support-width arrays) shared by every entry that holds it: so
+        CycloInt.approx() runs once per value, and cli.write_report,
+        which writes an ndarray as its tolist(), encodes each distinct
+        dict once.  json.dumps needs the arrays' tolist()."""
         arrays = {"Q": self.Q_array, "P": self.P_array, "krein": self.krein}
         names = [k for k, v in arrays.items() if v is not None]
         parts = dict(zip(names, shared_json([arrays[k] for k in names],
@@ -433,10 +455,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         return cert
 
     m = space.character_order
-    cert.Q = cyclo_entries(F_Q, m)
-    cert.P = cyclo_entries(F_P, m)
     P, Q = sliced(F_P), sliced(F_Q)
     cert.P_array, cert.Q_array = P, Q
+    elements, (codes_Q, codes_P) = distinct_elements([Q, P], m)
+    cert.Q, cert.P = elements[codes_Q].tolist(), elements[codes_P].tolist()
     PQ = contract("ik,kj->ij", P, Q, m)
 
     eig = verify_eigen_identities(P, Q, PQ,

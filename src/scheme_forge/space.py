@@ -539,6 +539,8 @@ def _is_int_list(v):
 # The type of each config key, wherever it appears: (description, test).
 # "kind" and "family" are checked on their own, before the other keys.
 KEY_TYPES = {
+    "space": ("an object", lambda v: isinstance(v, dict)),
+    "action": ("an object", lambda v: isinstance(v, dict)),
     "field": ("an object", lambda v: isinstance(v, dict)),
     "n": ("an integer", _is_int), "m": ("an integer", _is_int),
     "p": ("an integer", _is_int), "e": ("an integer", _is_int),

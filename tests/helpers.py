@@ -1,0 +1,30 @@
+"""Helpers shared by the test modules."""
+
+import numpy as np
+
+from scheme_forge.cyclo import CycloInt
+
+
+def plain(obj):
+    """obj with every array as its tolist(): what json.dumps takes of a
+    report or certificate that holds ndarrays."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def cyclo_entries(A, m):
+    """Inverse of coeff_array for ndim >= 2: nested lists of CycloInt of
+    order m, one object per entry (the oracle for the shared objects of
+    duality.distinct_elements)."""
+    n = A.shape[-1]
+    flat = A.reshape(-1).tolist()
+    entries = [CycloInt(m, tuple(flat[i:i + n]), reduce=False)
+               for i in range(0, len(flat), n)]
+    for size in reversed(A.shape[1:-1]):
+        entries = [entries[i:i + size] for i in range(0, len(entries), size)]
+    return entries

@@ -17,6 +17,8 @@ from hypothesis.extra import numpy as hnp
 from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
 
+from helpers import plain
+
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -179,6 +181,54 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
     for command in ("check", "build", "dual"):
         code, _, err = run([command, str(bad)], capsys)
         assert code == 2 and "config error" in err and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", cfg("hamming2_f2"), "--size-bound", "0"],
+     "argument --size-bound: must be at least 1, got 0"),
+    (["build", cfg("hamming2_f2"), "--size-bound", "-5"],
+     "argument --size-bound: must be at least 1, got -5"),
+    (["dual", cfg("hamming2_f2"), "--size-bound", "-1"],
+     "argument --size-bound: must be at least 1, got -1"),
+    (["dual", cfg("hamming2_f2"), "--matrix-bound", "-1"],
+     "argument --matrix-bound: must be at least 0, got -1"),
+    (["dual", cfg("hamming2_f2"), "--matrix-bound", "x"],
+     "argument --matrix-bound: invalid int value: 'x'"),
+])
+def test_out_of_range_bounds_exit_2(argv, message, capsys):
+    """A --size-bound below 1 or a negative --matrix-bound exits 2 with a
+    message naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_least_bounds_accepted(capsys):
+    """--size-bound 1 parses (and |X| = 4 exceeds it: exit 3), and
+    --matrix-bound 0 parses (and materializes no idempotent)."""
+    code, _, err = run(["check", cfg("hamming2_f2"), "--size-bound", "1"],
+                       capsys)
+    assert code == 3 and "resource limit" in err
+    code, out, _ = run(["dual", cfg("hamming2_f2"), "--matrix-bound", "0"],
+                       capsys)
+    assert code == 0 and "idempotent_detail" not in json.loads(
+        out.split("\nQ\n")[0])["checks"]
+
+
+def test_unknown_config_key_exit_2(capsys, tmp_path):
+    """A top-level config key other than "space" and "action" exits 2
+    with a message, in either config of dual, as an unknown space or
+    action key does."""
+    with open(cfg("hamming2_f2")) as fh:
+        good = json.load(fh)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(good, extra=1)))
+    for argv in (["check", str(bad)], ["build", str(bad)],
+                 ["dual", str(bad)], ["dual", cfg("hamming2_f2"), str(bad)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert err == "config error: config: unknown key(s) 'extra'\n", argv
 
 
 # configs past the bounds on q, |X| and d that hung, or ended in a
@@ -441,7 +491,7 @@ def test_write_report_streams_a_large_certificate(monkeypatch):
     recorder = WriteRecorder()
     monkeypatch.setattr(sys, "stdout", recorder)
     cli.write_report(cert, None)
-    want = json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    want = json.dumps(plain(cert), sort_keys=True, indent=2) + "\n"
     assert recorder.getvalue() == want
     assert len(want) > 7 * 10 ** 6
     assert max(recorder.sizes) <= 64 * 1024
@@ -517,17 +567,6 @@ def array_trees(draw):
             "f": [shared] * 3}
 
 
-def plain(obj):
-    """obj with every array as its tolist()."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [plain(v) for v in obj]
-    return obj
-
-
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.one_of(INT_ARRAYS, array_trees()))
 def test_write_report_writes_integer_arrays_as_json_dumps(obj):
@@ -557,6 +596,92 @@ def test_write_report_streams_a_large_integer_array(low, high):
     assert recorder.getvalue() == want
     assert max(recorder.sizes) <= 64 * 1024
     assert len(recorder.sizes) > len(want) // (64 * 1024)
+
+
+def object_array(pool, codes):
+    """An object array of the shape of `codes` whose entry is
+    pool[code]: equal codes share one object."""
+    A = np.empty(codes.size, dtype=object)
+    for i, code in enumerate(codes.ravel().tolist()):
+        A[i] = pool[code]
+    return A.reshape(codes.shape)
+
+
+# JSON values an object array holds: containers, shared by several entries
+ENTRIES = st.one_of(st.lists(SCALARS, max_size=4),
+                    st.dictionaries(st.text(max_size=3), SCALARS, max_size=3),
+                    TREES)
+
+
+@st.composite
+def object_array_trees(draw):
+    """Object arrays of 1-4 dimensions, zero-length axes among them,
+    whose entries, drawn from a pool of dicts, lists and scalars, repeat;
+    or a few 1-4 KiB entries, or a list longer than ARRAY_CHARS, in an
+    array whose leading row is longer than ARRAY_CHARS.  Each sits in a tree next
+    to an integer array and to its own entries at the entries' depth and
+    elsewhere, which memoizes them."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
+        shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                      max_side=5))
+    else:
+        big = large_entry()
+        pool = [big, dict(big, order=7), ["x"] * 4000][
+            :draw(st.integers(1, 3))]
+        shape = draw(st.sampled_from([(2, 12), (1, 3, 12), (2, 2, 1, 10)]))
+    codes = draw(hnp.arrays(np.intp, shape,
+                            elements=st.integers(0, len(pool) - 1)))
+    A = object_array(pool, codes)
+    ints = draw(INT_ARRAYS)
+    # A's entries are A.ndim + 2 containers deep in "a"
+    nested = pool
+    for _ in range(A.ndim):
+        nested = [nested]
+    return {"a": [A, ints], "b": nested, "c": [pool, A], "d": A}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(object_array_trees(),
+                 object_array_trees().map(lambda tree: tree["d"])))
+def test_write_report_writes_object_arrays_as_json_dumps(obj):
+    """An object ndarray of JSON values, alone or in a tree among integer
+    arrays and memoized copies of its entries, is written as json.dumps
+    writes its tolist(), in writes of at most 64 KiB."""
+    recorder = WriteRecorder()
+    with contextlib.redirect_stdout(recorder):
+        cli.write_report(obj, None)
+    assert recorder.getvalue() == \
+        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+    assert max(recorder.sizes) <= 64 * 1024
+
+
+def test_write_report_encodes_each_distinct_array_entry_once(monkeypatch):
+    """A 30^3 object array holding five Krein-like dicts: _chunks encodes
+    each dict once, although the array's rows, each longer than
+    ARRAY_CHARS, are written one level down, by one _array_blocks call
+    each; the text is json.dumps's."""
+    pool = [{"order": 16, "coeffs": [k] * 8, "approx": [k / 3, 0.0]}
+            for k in range(5)]
+    codes = np.random.default_rng(30).integers(0, 5, size=(30, 30, 30))
+    report = {"krein": object_array(pool, codes)}
+    calls, blocks = {}, []
+    real_chunks, real_blocks = cli._chunks, cli._array_blocks
+
+    def counted(obj, depth, memo):
+        calls[id(obj)] = calls.get(id(obj), 0) + 1
+        return real_chunks(obj, depth, memo)
+
+    def recorded(A, depth, texts, width):
+        blocks.append(A.shape)
+        return real_blocks(A, depth, texts, width)
+
+    monkeypatch.setattr(cli, "_chunks", counted)
+    monkeypatch.setattr(cli, "_array_blocks", recorded)
+    assert encoded(report) == \
+        json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    assert [calls[id(entry)] for entry in pool] == [1] * 5
+    assert blocks == [(30, 30, 30)] + [(30, 30)] * 30
 
 
 def test_write_report_rejects_non_integer_arrays():

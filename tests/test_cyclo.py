@@ -10,10 +10,12 @@ import sympy
 
 from scheme_forge import cyclo
 from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
-                                coeff_array, cyclo_entries, contract,
+                                coeff_array, contract,
                                 conjugate_array, reduction_matrix,
                                 structure_constants, conjugation_matrix,
                                 sliced, widen, equal)
+
+from helpers import cyclo_entries
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
 

@@ -12,8 +12,8 @@ import pytest
 
 from scheme_forge import cli
 from scheme_forge import cyclo, duality
-from scheme_forge.cyclo import (CycloInt, coeff_array, cyclo_entries,
-                                contract, conjugate_array, sliced)
+from scheme_forge.cyclo import (CycloInt, coeff_array, contract,
+                                conjugate_array, sliced)
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
@@ -27,6 +27,7 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
+from helpers import cyclo_entries
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
                         unsliced_conjugate)
@@ -720,6 +721,37 @@ def test_contractions_match_loops(name):
     assert_certificate_matches_loops(duality_report(genset))
 
 
+CROSS_PAIR = "cross wh21_f2 wh12_f2"
+
+
+@pytest.mark.parametrize("name", SHIPPED + [CROSS_PAIR])
+def test_eigenmatrices_hold_one_cycloint_per_value(name):
+    """cert.P and cert.Q, on every shipped config and the cross pair, equal
+    the nested CycloInt of their full-width coefficient arrays, and every
+    entry of a value, in P or Q, is one shared CycloInt object."""
+    configs = name.split()[1:] if name == CROSS_PAIR else [name]
+    space, genset = None, []
+    for config in configs:
+        with open(os.path.join(CONFIGS, config + ".json")) as fh:
+            cfg = json.load(fh)
+        if space is None:
+            space, gens = cli.load_action(cfg, 4096)
+        else:
+            gens = cli.action_from_config(space, cfg["action"])
+        genset.append(gens)
+    cert = duality_report(*genset)
+    if cert.Q is None:
+        assert not cert.checks["condition_4_G"]
+        return
+    m = space.character_order
+    assert cert.P == cyclo_entries(full_width(cert.P_array, m), m)
+    assert cert.Q == cyclo_entries(full_width(cert.Q_array, m), m)
+    objects = {}
+    for c in (c for M in (cert.P, cert.Q) for row in M for c in row):
+        objects.setdefault(c, set()).add(id(c))
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
 def test_contractions_match_loops_cross_and_degenerate():
     sp = VectorSpace(3, FieldSpec(2))
     assert_certificate_matches_loops(duality_report(
@@ -757,6 +789,43 @@ def test_contractions_match_loops_irrational(m, real):
                for plane in tensor for row in plane for q in row)
     assert flags["real"] is real
     assert not flags["nonnegative"] and flags["worst_value"] < 0
+
+
+def test_krein_parameters_names_the_first_sum_not_divisible():
+    """For each size, krein_parameters divides every Krein sum exactly or
+    raises IntegrityError naming the first (i, j, k), in row-major order,
+    whose sum the size does not divide: checked against the scalar sums
+    of random complex P and Q over Z[zeta_12], whose coefficients are of
+    both signs.  P is 6 times a random matrix but for P[2][1], and Q[1][0]
+    is a multiple of 6, so 2, 3 and 6 divide every sum but some with k = 2
+    and i, j >= 1."""
+    rng = random.Random(12)
+    m, d = 12, 3
+    Q = [[random_cyclo(rng, m, False) for _ in range(d + 1)]
+         for _ in range(d + 1)]
+    P = [[6 * random_cyclo(rng, m, False) for _ in range(d + 1)]
+         for _ in range(d + 1)]
+    P[2][1] = P[2][1] + CycloInt.integer(m, 1)
+    Q[1][0] = 6 * Q[1][0]
+    sums, _ = loop_krein_parameters(P, Q, 1)
+    Pa, Qa = sliced(coeff_array(P)), sliced(coeff_array(Q))
+    outcomes = set()
+    for size in range(1, 13):
+        bad = [(i, j, k) for i in range(d + 1) for j in range(d + 1)
+               for k in range(d + 1)
+               if any(c % size for c in sums[i][j][k].coeffs)]
+        if not bad:
+            tensor, flags = krein_parameters(Pa, Qa, size, m)
+            assert (cyclo_entries(full_width(tensor, m), m), flags) == \
+                loop_krein_parameters(P, Q, size)
+        else:
+            with pytest.raises(IntegrityError) as exc:
+                krein_parameters(Pa, Qa, size, m)
+            assert str(exc.value) == (
+                "Krein parameter q_ij^k at (i, j, k) = %s: sum not "
+                "divisible by |X| = %d" % (bad[0], size))
+        outcomes.add(bad[0] if bad else None)
+    assert outcomes == {None, (0, 0, 0), (1, 1, 2)}
 
 
 # -- support-width arrays against the full-width einsum ------------------------
