@@ -8,6 +8,9 @@ Subcommands:
 Exit codes: 0 success, 1 duality/axiom failure, 2 config error or a
 malformed flag (a --size-bound below 1, a negative --matrix-bound),
 3 resource bound exceeded.
+
+Reports are streamed by write_report, byte for byte json.dumps; its one
+memo holds the text of each distinct object entry of an ndarray.
 """
 
 from __future__ import annotations
@@ -76,13 +79,12 @@ def load_action(cfg, size_bound):
     return space, action_from_config(space, cfg["action"])
 
 
-# A container whose text stays within about this many characters is
-# memoized (a Krein entry with phi(m) = 64 coefficients is 1,096 at its
-# depth); a container's pending text is written out once it grows past.
-MEMO_CHARS = 1 << 12
-# An ndarray's text is written in pieces of at most about this many
-# characters, so a write, with the pending text of at most MEMO_CHARS
-# before it, stays within 64 KiB.
+# A container's pending text is written out once it grows past this
+# many characters.
+FLUSH_CHARS = 1 << 12
+# An ndarray's or an int list's text is written in pieces of at most
+# about this many characters, so a write, with the pending text of at
+# most FLUSH_CHARS before it, stays within 64 KiB.
 ARRAY_CHARS = 1 << 15
 
 
@@ -144,7 +146,8 @@ def _array_chunks(A, depth, memo):
         array: one text per value in the range, looked up by value;
         otherwise each entry is int.__repr__'d;
       * objects, told apart by identity (the array keeps them alive):
-        each is encoded once by _chunks, or its text taken from memo.
+        each is encoded once by _chunks into memo[depth + A.ndim], where
+        any array at that depth finds it (the certificate's P and Q).
     _array_blocks then writes the rows."""
     if A.ndim == 0:
         yield from _chunks(A.tolist(), depth, memo)
@@ -152,16 +155,14 @@ def _array_chunks(A, depth, memo):
     if A.dtype == object:
         cells = A.ravel().tolist()
         level = memo[depth + A.ndim]
-        table = {}
-        for key, value in dict(zip(map(id, cells), cells)).items():
-            text = level.get(key)
-            if text is None:
-                text = "".join(_chunks(value, depth + A.ndim, memo))
-            table[key] = text
-        width = max(map(len, table.values()), default=2)
+        distinct = dict(zip(map(id, cells), cells))
+        for key, value in distinct.items():
+            if key not in level:
+                level[key] = "".join(_chunks(value, depth + A.ndim, memo))
+        width = max((len(level[key]) for key in distinct), default=2)
 
         def texts(block):
-            return list(map(table.__getitem__,
+            return list(map(level.__getitem__,
                             map(id, block.ravel().tolist())))
     else:
         low, high = (int(A.min()), int(A.max())) if A.size else (0, 0)
@@ -224,16 +225,11 @@ def _chunks(obj, depth, memo):
     """Yield the text of obj, nested `depth` containers deep, as
     json.dumps(sort_keys=True, indent=2) spells it.
 
-    memo[depth] maps id(container) to the text of a container at that
-    depth whose text stayed within MEMO_CHARS; the parent reuses it for
-    every later occurrence of the container at that depth, so each
-    shared entry is encoded once whatever its size up to that limit.
-    A list of plain ints is one str.join.  A list looks all its children
-    up in memo[depth + 1] at once, and when every one is there it is
-    written with one sep.join per slice of about MEMO_CHARS characters.
-    Otherwise the pending text is yielded whenever it passes MEMO_CHARS.
-    An integer or object ndarray is written as its tolist() would be,
-    by _array_chunks."""
+    A container's children are encoded in order and its pending text is
+    yielded whenever it passes FLUSH_CHARS.  A list of plain ints is one
+    str.join, yielded in pieces of at most ARRAY_CHARS.  An integer or
+    object ndarray is written as its tolist() would be, by _array_chunks;
+    memo is its table of object-cell texts, memo[depth][id(cell)]."""
     text = _scalar_text(obj)
     if text is not None:
         yield text
@@ -257,32 +253,17 @@ def _chunks(obj, depth, memo):
         yield brackets
         return
     close = "\n" + "  " * depth + brackets[1]
-    level = memo[depth + 1]
     if lead is None:
         if set(map(type, values)) == {int}:
-            yield "[" + inner + sep.join(map(int.__repr__, values)) + close
-            return
-        texts = list(map(level.get, map(id, values)))
-        if None not in texts:
-            # every child already encoded: C-level joins of about
-            # MEMO_CHARS characters each
-            step = max(1, MEMO_CHARS // (max(map(len, texts)) + len(sep)))
-            text = "[" + inner + sep.join(texts[:step])
-            for start in range(step, len(texts), step):
-                yield text
-                text = sep + sep.join(texts[start:start + step])
-            text += close
-            if len(texts) <= step:
-                memo[depth][id(obj)] = text
-            yield text
+            text = "[" + inner + sep.join(map(int.__repr__, values)) + close
+            for cut in range(0, len(text), ARRAY_CHARS):
+                yield text[cut:cut + ARRAY_CHARS]
             return
         lead = [sep] * len(values)
     lead[0] = brackets[0] + lead[0][1:]  # the bracket, not a comma
-    pending, size, whole = [], 0, True
+    pending, size = [], 0
     for head, value in zip(lead, values):
         text = _scalar_text(value)
-        if text is None:
-            text = level.get(id(value))
         if text is None:
             pending.append(head)
             size += len(head)
@@ -292,14 +273,11 @@ def _chunks(obj, depth, memo):
         for text in chunks:
             pending.append(text)
             size += len(text)
-            if size > MEMO_CHARS:
+            if size > FLUSH_CHARS:
                 yield "".join(pending)
-                pending, size, whole = [], 0, False
+                pending, size = [], 0
     pending.append(close)
-    text = "".join(pending)
-    if whole:
-        memo[depth][id(obj)] = text
-    yield text
+    yield "".join(pending)
 
 
 def write_report(report, out_path):
@@ -309,18 +287,15 @@ def write_report(report, out_path):
     The encoder takes str, int, float, bool and None scalars (ASCII
     escaping, float repr, NaN and Infinity spelled as json spells them)
     and dict, list and tuple containers, dict keys sorted, and integer
-    and object numpy arrays, which it writes as their tolist().  Each
-    shared entry is encoded once, whatever its size up to MEMO_CHARS: the
-    text of a container that stays within MEMO_CHARS is memoized by depth
-    and id, depth because indentation depends on it, identity because
-    the report keeps every container alive while it is written (a list
-    of plain ints is not memoized: one str.join re-encodes it).  A list
-    whose entries are all encoded already is written with C-level joins,
-    and a container's pending text is written once it passes MEMO_CHARS,
-    so the whole text is never held.  An array's distinct entries are
-    encoded once each, whatever their size (the certificate's P, Q and
-    Krein tensor are object arrays of a few shared dicts), and its rows
-    are joined in blocks of about ARRAY_CHARS characters."""
+    and object numpy arrays, which it writes as their tolist().  A
+    container's pending text is written once it passes FLUSH_CHARS, a
+    list of plain ints or an array's in pieces of at most about
+    ARRAY_CHARS, so the whole text is never held.  An array's distinct
+    entries are encoded once each, and an object entry's text is kept by
+    depth and identity, depth because indentation depends on it,
+    identity because the report keeps every entry alive while it is
+    written: arrays at one depth that share entries (the certificate's
+    P and Q) encode each once."""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
         for text in _chunks(report, 0, defaultdict(dict)):
             fh.write(text)

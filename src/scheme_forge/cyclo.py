@@ -5,7 +5,7 @@ the m-th cyclotomic polynomial, with plain Python integers as coefficients,
 so every ring identity in the package is checked with zero tolerance.
 
 Matrices and tensors of elements are contracted as integer arrays of
-power-basis coefficients (`coeff_array`, `contract`): a product of two
+power-basis coefficients (`contract`): a product of two
 elements is bilinear in their coefficients, through the structure
 constants M[a, b, :] = coefficients of z^a z^b, so a whole contraction
 is a product over the element indices for each pair of coefficient
@@ -278,19 +278,6 @@ def conjugation_matrix(m):
     C = reduction_matrix(m)[-np.arange(euler_phi(m)) % m]
     C.setflags(write=False)
     return C
-
-
-def coeff_array(entries):
-    """Nested lists of CycloInt -> integer array of their coefficients,
-    shape (..., phi(m)); int64 when every coefficient fits, else Python
-    integers."""
-    def coeffs(e):
-        return e.coeffs if isinstance(e, CycloInt) else [coeffs(x) for x in e]
-    nested = coeffs(entries)
-    try:
-        return np.array(nested, dtype=np.int64)
-    except OverflowError:
-        return np.array(nested, dtype=object)
 
 
 def integer_array(values):

@@ -17,16 +17,16 @@ power-basis coefficients (cyclo.py):
     (d + 1, d + 1[, d + 1], columns), the columns the products of P and
     Q can reach.
 
-Every check is an array comparison of these.  CycloInt objects appear
-only at the certificate boundary, one per distinct value
-(distinct_elements): DualityCertificate.P and .Q are nested lists of
-CycloInt in which every entry of a value is the same object, and
-DualityCertificate.krein stays a support-width array.  to_json gives P,
-Q and the Krein tensor as object ndarrays of one shared JSON entry per
-distinct element, widening only those to phi(m) coefficients, and
-cli.write_report encodes each entry once.
+Every check is an array comparison of these.  Once the constancy tests
+hold, dual keeps only P, Q, P Q, the Krein tensor and, at its end, one
+table of their distinct values (distinct_elements): one CycloInt per
+value, the only entries widened to phi(m), and a code array per
+quantity.  DualityCertificate.P and .Q index it as nested lists, so
+every entry of a value is one object; to_json indexes one JSON dict per
+value the same way, and cli.write_report encodes each dict once.
 
-Sigma and the idempotent products are read off the spectrum P Q.  The
+N_0 = J and sum N_j = |X| I are read off Q (verify_idempotents); sigma
+and the idempotent products are read off the spectrum P Q.  The
 scaled idempotent N_i (entries f_i(a - b), f_i(y) = sum of <y, x> over the
 dual class Y_i) commutes with translations, so each character
 chi_x = <., x> is an eigenvector: N_i chi_x = lambda_i(x) chi_x with
@@ -158,31 +158,28 @@ def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size, m):
 
 # -- idempotents and sigma, from the spectrum ---------------------------------
 
-def verify_idempotents(space, profile, constancy, spectrum):
+def verify_idempotents(space, Q, spectrum):
     """Exact checks of the idempotent properties, in the scaled form
-    N_j = |X| E_j with N_j[a][b] = f_j(a-b).
+    N_j = |X| E_j with N_j[a][b] = f_j(a-b), from the support-width Q.
 
-    N_0 = J and sum_j N_j = |X| I are checked on the whole profile;
-    Bose-Mesner membership is `constancy`, the result of
-    constancy_test(G partition, profile); the products
-    N_i N_j = delta_ij |X| N_i are read off the spectrum P Q when the
-    pairing is nondegenerate (module docstring), and fail with a
-    `degenerate_witness` point otherwise.  `dense_products` repeats that
-    verdict for |X| <= DENSE_IDEMPOTENT_BOUND.
+    The pipeline reaches this check only once constancy_G holds: f_j is
+    then Q[k][j] on all of the class X_k, the classes cover X, and
+    X_0 = {0} (orbits).  So N_0 = J (f_0 = 1) iff Q's first column is all
+    1; sum_j N_j = |X| I (sum_j f_j(y) = |X| at y = 0, else 0) iff Q's row
+    sums are |X|, 0, ..., 0; and Bose-Mesner membership holds, as
+    N_j = sum_k Q[k][j] A_k.  The products N_i N_j = delta_ij |X| N_i
+    are read off the spectrum P Q when the pairing is nondegenerate
+    (module docstring), and fail with a `degenerate_witness` point
+    otherwise.  `dense_products` repeats that verdict for
+    |X| <= DENSE_IDEMPOTENT_BOUND.
     """
     n = space.size
     report = {}
 
-    report["E0_is_J"] = bool(equals_integers(profile[0], 1).all())
-    identity = np.zeros(n, dtype=np.int64)
-    identity[0] = n
-    report["sum_is_identity"] = bool(
-        equals_integers(profile.sum(axis=0), identity).all())
-
-    ok, _, witness = constancy
-    report["bose_mesner_membership"] = ok
-    if not ok:
-        report["bose_mesner_witness"] = witness
+    report["E0_is_J"] = bool(equals_integers(Q[0][:, 0], 1).all())
+    report["sum_is_identity"] = bool(equals_integers(
+        Q[0].sum(axis=1), n * (np.arange(len(Q[0])) == 0)).all())
+    report["bose_mesner_membership"] = True
 
     full = equals_integers(spectrum, n)
     nondegenerate, degenerate = space.verify_nondegenerate()
@@ -308,19 +305,6 @@ def distinct_elements(arrays, m):
     return elements, codes
 
 
-def shared_json(arrays, m):
-    """Each support-width array over Z[zeta_m] as an object ndarray of
-    CycloInt.to_json() dicts, of its shape without the coefficient axis:
-    one dict per distinct element across all the arrays
-    (distinct_elements), which every entry holding that element shares."""
-    if not arrays:
-        return []
-    elements, codes = distinct_elements(arrays, m)
-    entries = np.fromiter((c.to_json() for c in elements), dtype=object,
-                          count=len(elements))
-    return [entries[code] for code in codes]
-
-
 class DualityCertificate:
     def __init__(self, mode, space):
         self.mode = mode
@@ -330,14 +314,15 @@ class DualityCertificate:
         self.witnesses = []
         self.Q = None
         self.P = None
-        # Q and P as support-width arrays, as the pipeline checked them
-        self.Q_array = None
-        self.P_array = None
         self.sigma = None
         self.valencies = None
         self.multiplicities = None
         self.krein = None
         self.krein_flags = None
+        # one CycloInt per distinct value of Q, P and the Krein tensor, and
+        # the three code arrays into it (distinct_elements)
+        self.elements = None
+        self.codes = None
         self.notes = []
 
     def fail(self, check, witness=None):
@@ -346,18 +331,19 @@ class DualityCertificate:
             self.witnesses.append({"check": check, "witness": witness})
 
     def to_json(self):
-        """The certificate as JSON-ready dicts, lists and ndarrays.  P, Q
+        """The certificate as JSON-ready dicts, lists and ndarrays.  Q, P
         and the Krein tensor are object ndarrays of shape (d + 1, d + 1)
-        and (d + 1, d + 1, d + 1) whose entries are CycloInt.to_json()
-        dicts, one per distinct element (shared_json, from their
-        support-width arrays) shared by every entry that holds it: so
-        CycloInt.approx() runs once per value, and cli.write_report,
-        which writes an ndarray as its tolist(), encodes each distinct
-        dict once.  json.dumps needs the arrays' tolist()."""
-        arrays = {"Q": self.Q_array, "P": self.P_array, "krein": self.krein}
-        names = [k for k, v in arrays.items() if v is not None]
-        parts = dict(zip(names, shared_json([arrays[k] for k in names],
-                                            self.space.character_order)))
+        and (d + 1, d + 1, d + 1), the certificate's code arrays indexing
+        one CycloInt.to_json() dict per distinct element, which every
+        entry holding that element shares: so CycloInt.approx() runs once
+        per value, and cli.write_report, which writes an ndarray as its
+        tolist(), encodes each distinct dict once.  json.dumps needs the
+        arrays' tolist()."""
+        Q = P = krein = None
+        if self.elements is not None:
+            entries = np.fromiter((c.to_json() for c in self.elements),
+                                  dtype=object, count=len(self.elements))
+            Q, P, krein = (entries[code] for code in self.codes)
         return {
             "mode": self.mode,
             "pass": self.passed,
@@ -365,10 +351,10 @@ class DualityCertificate:
             "size": self.space.size,
             "valencies": self.valencies,
             "multiplicities": self.multiplicities,
-            "Q": parts.get("Q"),
-            "P": parts.get("P"),
+            "Q": Q,
+            "P": P,
             "sigma": self.sigma,
-            "krein": parts.get("krein"),
+            "krein": krein,
             "krein_flags": self.krein_flags,
             "checks": self.checks,
             "witnesses": self.witnesses,
@@ -438,27 +424,25 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.checks["adjoint"] = None
         cert.notes.append("no adjoint witness: %s" % exc)
 
-    table = pairing_table(space)
-    profile_Q = character_profile(space, part_Gc.classes, table)
-    constancy_G = constancy_test(part_G, profile_Q)
-    ok, F_Q, witness = constancy_G
-    cert.checks["constancy_G"] = ok
-    if not ok:
-        cert.fail("constancy_G", witness)
-        return cert
-    profile_P = profile_Q if gens_Gc is None else \
-        character_profile(space, part_G.classes, table)
-    ok, F_P, witness = constancy_test(part_Gc, profile_P)
-    cert.checks["constancy_G_check"] = ok
-    if not ok:
-        cert.fail("constancy_G_check", witness)
-        return cert
-
+    # Q from the profile of the dual classes, P from that of G's (the
+    # same profile when there is no second action)
+    table, profile, eigenmatrices = pairing_table(space), None, []
+    for name, part, dual in (("G", part_G, part_Gc),
+                             ("G_check", part_Gc, part_G)):
+        if profile is None or gens_Gc is not None:
+            profile = character_profile(space, dual.classes, table)
+        ok, F, witness = constancy_test(part, profile)
+        cert.checks["constancy_" + name] = ok
+        if not ok:
+            cert.fail("constancy_" + name, witness)
+            return cert
+        eigenmatrices.append(sliced(F))
+    # from here on every check reads P, Q and their products: the
+    # |X|-sized table and profile are freed, so they do not add to the
+    # peak that the (d + 1)^3 Krein contraction sets at large d
+    del table, profile, F
+    Q, P = eigenmatrices
     m = space.character_order
-    P, Q = sliced(F_P), sliced(F_Q)
-    cert.P_array, cert.Q_array = P, Q
-    elements, (codes_Q, codes_P) = distinct_elements([Q, P], m)
-    cert.Q, cert.P = elements[codes_Q].tolist(), elements[codes_P].tolist()
     PQ = contract("ik,kj->ij", P, Q, m)
 
     eig = verify_eigen_identities(P, Q, PQ,
@@ -468,12 +452,12 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.checks["eigen_detail"] = eig
 
     if mode == "self":
-        cert.checks["P_equals_Q"] = np.array_equal(F_P, F_Q)
+        cert.checks["P_equals_Q"] = equal(P, Q)
         cert.checks["valencies_equal_multiplicities"] = \
             scheme_G.valencies == cert.multiplicities
 
     if space.size <= matrix_bound:
-        idem = verify_idempotents(space, profile_Q, constancy_G, PQ[0])
+        idem = verify_idempotents(space, Q, PQ[0])
         cert.checks["idempotents"] = idem["all_pass"]
         cert.checks["idempotent_detail"] = idem
         sigma, ok, witness = sigma_permutation(PQ[0], space.size)
@@ -485,9 +469,6 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.notes.append("idempotents not materialized (|X| above matrix "
                           "bound); certificate rests on constancy + PQ = |X|I")
 
-    # the |X|-sized table and profiles are done with: freed, they do not
-    # add to the peak that the (d + 1)^3 Krein contraction sets at large d
-    del table, profile_Q, profile_P
     krein, flags = krein_parameters(P, Q, space.size, m, space.size_bound)
     cert.krein = krein
     cert.krein_flags = flags
@@ -502,6 +483,12 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     # intersection numbers with representative verification (axiom iv)
     axioms = scheme_G.verify_axioms(verify_representatives)
     cert.checks["axioms_G"] = axioms["all_pass"]
+
+    # the schemes and their (d + 1)^3 intersection tensors are done with:
+    # freed, they do not add to the peak of the distinct-value grouping
+    del scheme_G, scheme_Gc, p_dual
+    cert.elements, cert.codes = distinct_elements([Q, P, krein], m)
+    cert.Q, cert.P = (cert.elements[code].tolist() for code in cert.codes[:2])
 
     required = [v for k, v in cert.checks.items()
                 if isinstance(v, bool)]

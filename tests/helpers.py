@@ -17,6 +17,19 @@ def plain(obj):
     return obj
 
 
+def coeff_array(entries):
+    """Nested lists of CycloInt -> integer array of their coefficients,
+    shape (..., phi(m)); int64 when every coefficient fits, else Python
+    integers (the inverse of cyclo_entries)."""
+    def coeffs(e):
+        return e.coeffs if isinstance(e, CycloInt) else [coeffs(x) for x in e]
+    nested = coeffs(entries)
+    try:
+        return np.array(nested, dtype=np.int64)
+    except OverflowError:
+        return np.array(nested, dtype=object)
+
+
 def cyclo_entries(A, m):
     """Inverse of coeff_array for ndim >= 2: nested lists of CycloInt of
     order m, one object per entry (the oracle for the shared objects of

@@ -397,14 +397,14 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
-@pytest.mark.parametrize("memo_chars", [3, 1 << 16])
-def test_write_report_streams_the_dumps_bytes(memo_chars, capsys, tmp_path,
+@pytest.mark.parametrize("flush_chars", [3, 1 << 16])
+def test_write_report_streams_the_dumps_bytes(flush_chars, capsys, tmp_path,
                                               monkeypatch):
     """The streamed report, to a file and to stdout, is byte for byte
     json.dumps(report, sort_keys=True, indent=2) + "\\n", both when every
-    container passes MEMO_CHARS and is written in pieces and when the
-    whole report stays within it and is memoized."""
-    monkeypatch.setattr(cli, "MEMO_CHARS", memo_chars)
+    container passes FLUSH_CHARS and is written in pieces and when the
+    whole report stays within it and is written at once."""
+    monkeypatch.setattr(cli, "FLUSH_CHARS", flush_chars)
     report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
               "c": [[True, False]] * 5, "d": "end"}
     want = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -444,7 +444,7 @@ TREES = st.recursive(
 @st.composite
 def shared_trees(draw):
     """A tree holding one container at two depths and twice at one depth,
-    and, as it grows, container texts above the memo and flush size."""
+    and, as it grows, container texts above the flush size."""
     shared = draw(st.lists(TREES, min_size=1, max_size=3))
     other = draw(TREES)
     long = [shared] * draw(st.integers(0, 20))
@@ -529,11 +529,20 @@ def test_write_report_streams_shared_large_entries(monkeypatch):
     assert max(recorder.sizes) <= 64 * 1024
 
 
-def test_write_report_encodes_a_shared_entry_once_per_depth(monkeypatch):
-    """Every occurrence of a 1-4 KiB entry after the first at its depth
-    reuses the first's text: _chunks runs on it once at depth 2 and once
-    at depth 3, not once per occurrence."""
+def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
+        monkeypatch):
+    """One dict held by two object arrays at the same depth, as the
+    certificate's P and Q hold a value, is encoded once: the second
+    array takes its text from the first's.  A third array one level
+    deeper encodes it once more, at its own indentation."""
     entry = large_entry()
+    other = {"order": 1, "coeffs": [2]}
+    pool = [entry, other]
+    codes = np.random.default_rng(2).integers(0, 2, size=(4, 4))
+    codes[0, 0] = 0
+    report = {"P": object_array(pool, codes),
+              "Q": object_array(pool, codes.T),
+              "deeper": [object_array(pool, codes)]}
     calls = {}
     real = cli._chunks
 
@@ -542,8 +551,25 @@ def test_write_report_encodes_a_shared_entry_once_per_depth(monkeypatch):
         return real(obj, depth, memo)
 
     monkeypatch.setattr(cli, "_chunks", counted)
-    encoded(shared_report(entry))
-    assert (calls[id(entry), 2], calls[id(entry), 3]) == (1, 1)
+    assert encoded(report) == \
+        json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    assert (calls[id(entry), 3], calls[id(entry), 4]) == (1, 1)
+    assert (calls[id(other), 3], calls[id(other), 4]) == (1, 1)
+
+
+@pytest.mark.parametrize("values", [list(range(4000)),
+                                    [3 ** 90, -2 ** 63] * 2000])
+def test_write_report_cuts_a_long_int_list(values):
+    """A list of plain ints, whose text is one str.join, six containers
+    deep: the json.dumps bytes, in writes of at most 64 KiB."""
+    report = {"a": [[[[[values]]]]], "b": values}
+    recorder = WriteRecorder()
+    with contextlib.redirect_stdout(recorder):
+        cli.write_report(report, None)
+    want = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert recorder.getvalue() == want
+    assert max(recorder.sizes) <= 64 * 1024
+    assert len(want) > 64 * 1024
 
 
 # int64 entries: small, negative, near -2^63 and 2^63 - 1, and anywhere
@@ -558,7 +584,7 @@ INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4,
 @st.composite
 def array_trees(draw):
     """Integer arrays in dicts and lists, at several depths, next to a
-    shared entry whose text is memoized at its depth."""
+    shared entry."""
     arrays = draw(st.lists(INT_ARRAYS, min_size=1, max_size=3))
     shared = draw(st.sampled_from([{"order": 5, "coeffs": [1, -2, 0, 3]},
                                    large_entry()]))
@@ -570,7 +596,7 @@ def array_trees(draw):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.one_of(INT_ARRAYS, array_trees()))
 def test_write_report_writes_integer_arrays_as_json_dumps(obj):
-    """An integer ndarray, alone or nested among memoized entries, is
+    """An integer ndarray, alone or nested among shared entries, is
     written as json.dumps writes its tolist(), in writes of at most
     64 KiB."""
     recorder = WriteRecorder()
@@ -617,18 +643,18 @@ ENTRIES = st.one_of(st.lists(SCALARS, max_size=4),
 def object_array_trees(draw):
     """Object arrays of 1-4 dimensions, zero-length axes among them,
     whose entries, drawn from a pool of dicts, lists and scalars, repeat;
-    or a few 1-4 KiB entries, or a list longer than ARRAY_CHARS, in an
-    array whose leading row is longer than ARRAY_CHARS.  Each sits in a tree next
-    to an integer array and to its own entries at the entries' depth and
-    elsewhere, which memoizes them."""
+    or a few 1-4 KiB entries, or lists of strings or ints longer than
+    ARRAY_CHARS, in an array whose leading row is longer than
+    ARRAY_CHARS.  Each sits in a tree next to an integer array and to
+    its own entries at the entries' depth and elsewhere."""
     if draw(st.booleans()):
         pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
         shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
                                       max_side=5))
     else:
         big = large_entry()
-        pool = [big, dict(big, order=7), ["x"] * 4000][
-            :draw(st.integers(1, 3))]
+        pool = [big, dict(big, order=7), ["x"] * 4000,
+                list(range(4000))][:draw(st.integers(1, 4))]
         shape = draw(st.sampled_from([(2, 12), (1, 3, 12), (2, 2, 1, 10)]))
     codes = draw(hnp.arrays(np.intp, shape,
                             elements=st.integers(0, len(pool) - 1)))
@@ -646,7 +672,7 @@ def object_array_trees(draw):
                  object_array_trees().map(lambda tree: tree["d"])))
 def test_write_report_writes_object_arrays_as_json_dumps(obj):
     """An object ndarray of JSON values, alone or in a tree among integer
-    arrays and memoized copies of its entries, is written as json.dumps
+    arrays and copies of its entries, is written as json.dumps
     writes its tolist(), in writes of at most 64 KiB."""
     recorder = WriteRecorder()
     with contextlib.redirect_stdout(recorder):

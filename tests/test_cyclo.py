@@ -10,12 +10,11 @@ import sympy
 
 from scheme_forge import cyclo
 from scheme_forge.cyclo import (CycloInt, cyclotomic_polynomial, euler_phi,
-                                coeff_array, contract,
-                                conjugate_array, reduction_matrix,
+                                contract, conjugate_array, reduction_matrix,
                                 structure_constants, conjugation_matrix,
                                 sliced, widen, equal)
 
-from helpers import cyclo_entries
+from helpers import coeff_array, cyclo_entries
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 12]
 

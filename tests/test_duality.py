@@ -12,8 +12,7 @@ import pytest
 
 from scheme_forge import cli
 from scheme_forge import cyclo, duality
-from scheme_forge.cyclo import (CycloInt, coeff_array, contract,
-                                conjugate_array, sliced)
+from scheme_forge.cyclo import CycloInt, contract, conjugate_array, sliced
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
@@ -27,7 +26,7 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
-from helpers import cyclo_entries
+from helpers import coeff_array, cyclo_entries
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
                         unsliced_conjugate)
@@ -468,7 +467,7 @@ def test_idempotents_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     sch = TranslationScheme(sp, part)
     _, constancy, spectrum = spectral_parts(sp, part, part, table)
-    rep = verify_idempotents(sp, profile, constancy, spectrum)
+    rep = verify_idempotents(sp, sliced(constancy[1]), spectrum)
     assert rep["all_pass"]
     assert rep["dense_products"]  # |X| = 4 is under the dense bound
     assert rep == sweep_verify_idempotents(sp, sch, cyclo_profile(sp, profile))
@@ -483,10 +482,24 @@ def test_idempotents_hamming22(hamming22):
             for j in range(part.d + 1):
                 acc = acc + mats[j][a][b]
             assert acc == CycloInt.integer(2, n if a == b else 0)
+    # f_0 raised by 1 on the class X_1, in Q and on every point of X_1 in
+    # the profile: N_0 != J and the sums miss |X| I, in both readings
+    F = constancy[1]
+    bad_Q = F.copy()
+    bad_Q[1, 0] += 1
+    bad_profile = profile.copy()
+    bad_profile[0, part.classes[1]] += 1
+    bad_spectrum = contract("ik,kj->ij", sliced(F), sliced(bad_Q), 2)[0]
+    rep = verify_idempotents(sp, sliced(bad_Q), bad_spectrum)
+    assert not (rep["E0_is_J"] or rep["sum_is_identity"])
+    assert rep == sweep_verify_idempotents(sp, sch,
+                                           cyclo_profile(sp, bad_profile))
 
 
 def test_idempotents_fail_on_split_partition(hamming22):
-    """Bose-Mesner membership fails when the dual partition is not dual.
+    """Bose-Mesner membership fails when the dual partition is not dual:
+    the constancy test that guards verify_idempotents in the pipeline
+    fails, as the sweep oracle's membership check does.
 
     The spectrum depends on the dual classes only: lambda_i(x) sums f_i
     against a character, whatever partition f_i is constant on.  Here it is
@@ -497,12 +510,12 @@ def test_idempotents_fail_on_split_partition(hamming22):
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
     bad_profile = character_profile(sp, bad.classes, table)
     _, _, spectrum = spectral_parts(sp, bad, bad, table)
-    rep = verify_idempotents(sp, bad_profile,
-                             constancy_test(part, bad_profile), spectrum)
-    assert not rep["bose_mesner_membership"]
-    assert not rep["all_pass"]
+    ok, _, witness = constancy_test(part, bad_profile)
     bad_profile = cyclo_profile(sp, bad_profile)
-    assert rep == sweep_verify_idempotents(sp, sch, bad_profile)
+    sweep = sweep_verify_idempotents(sp, sch, bad_profile)
+    assert not ok and not sweep["bose_mesner_membership"]
+    assert witness == sweep["bose_mesner_witness"]
+    assert not sweep["all_pass"]
     assert sigma_permutation(spectrum, sp.size) == \
         sweep_sigma_permutation(sp, bad, bad_profile, table)
 
@@ -727,8 +740,9 @@ CROSS_PAIR = "cross wh21_f2 wh12_f2"
 @pytest.mark.parametrize("name", SHIPPED + [CROSS_PAIR])
 def test_eigenmatrices_hold_one_cycloint_per_value(name):
     """cert.P and cert.Q, on every shipped config and the cross pair, equal
-    the nested CycloInt of their full-width coefficient arrays, and every
-    entry of a value, in P or Q, is one shared CycloInt object."""
+    the nested CycloInt of the full-width F that constancy_test gives on
+    the character profiles, and every entry of a value, in P or Q, is one
+    shared CycloInt object."""
     configs = name.split()[1:] if name == CROSS_PAIR else [name]
     space, genset = None, []
     for config in configs:
@@ -744,12 +758,48 @@ def test_eigenmatrices_hold_one_cycloint_per_value(name):
         assert not cert.checks["condition_4_G"]
         return
     m = space.character_order
-    assert cert.P == cyclo_entries(full_width(cert.P_array, m), m)
-    assert cert.Q == cyclo_entries(full_width(cert.Q_array, m), m)
+    part_G, part_Gc = orbits(genset[0]), orbits(dual_action(*genset))
+    table = pairing_table(space)
+    for M, part, dual in ((cert.Q, part_G, part_Gc),
+                          (cert.P, part_Gc, part_G)):
+        profile = character_profile(space, dual.classes, table)
+        ok, F, _ = constancy_test(part, profile)
+        assert ok and M == cyclo_entries(F, m)
     objects = {}
     for c in (c for M in (cert.P, cert.Q) for row in M for c in row):
         objects.setdefault(c, set()).add(id(c))
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+@pytest.mark.parametrize("name", ["hamming4_f3", "cyclotomic2_f5",
+                                  "her2_f4"])
+def test_one_distinct_table_per_duality_report(name, monkeypatch):
+    """duality_report groups distinct values once, over Q, P and the Krein
+    tensor together, and to_json indexes that one table: every cell of a
+    value, in Q, P or krein, is one shared dict object, and some value
+    sits in all three."""
+    calls = []
+    real = duality.distinct_elements
+
+    def counted(arrays, m):
+        calls.append(len(arrays))
+        return real(arrays, m)
+
+    monkeypatch.setattr(duality, "distinct_elements", counted)
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        _, genset = cli.load_action(json.load(fh), 4096)
+    cert = duality_report(genset)
+    assert cert.passed and calls == [3]
+    j = cert.to_json()
+    assert calls == [3]
+    ids, places = {}, {}
+    for key in ("Q", "P", "krein"):
+        for cell in j[key].ravel().tolist():
+            text = json.dumps(cell, sort_keys=True)
+            ids.setdefault(text, set()).add(id(cell))
+            places.setdefault(text, set()).add(key)
+    assert all(len(group) == 1 for group in ids.values())
+    assert {"Q", "P", "krein"} in places.values()
 
 
 def test_contractions_match_loops_cross_and_degenerate():

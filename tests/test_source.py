@@ -61,3 +61,33 @@ def test_no_einsum_calls():
              and getattr(node.func, "attr", getattr(node.func, "id", ""))
              .startswith("einsum")]
     assert not found, "einsum calls in src: %s" % found
+
+
+def test_every_definition_has_a_use():
+    """Every module-level function or class of src/scheme_forge is named
+    somewhere in src outside its own definition, listed in the package's
+    __all__, or wrapped by the benchmark tracer: code with no caller in
+    src belongs in the tests, as an oracle, or nowhere."""
+    tracer = load_tracer()
+    wrapped = {path.split(".")[0] for _, path, _ in
+               tracer.SPANS + tracer.COUNTERS}
+    exported = set(importlib.import_module("scheme_forge").__all__)
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, top.name))
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            # a definition's own body (recursion) does not count
+            names.discard(getattr(top, "name", None))
+            used |= names
+    unused = ["%s:%s" % (module, name) for module, name in defined
+              if name not in used | exported | wrapped]
+    assert not unused, "definitions with no use in src: %s" % unused
