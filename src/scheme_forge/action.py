@@ -429,7 +429,8 @@ def verify_adjoint(adjoint: AdjointMap):
 
     g and iota(g) must first pass the digit-basis additivity check of
     verify_additive (a failure returns its witness, named after the map
-    that failed).  Then both sides are biadditive in (x, y), so the pairs
+    that failed; iota(g) is skipped when it reuses g's array, as central
+    adjoints do).  Then both sides are biadditive in (x, y), so the pairs
     of digit basis vectors decide the identity for all of X x X, one
     array comparison per generator; lambda is a unit, so it is left out.
     The witness is (g.name, x, y) at the first mismatching basis pair in
@@ -438,7 +439,7 @@ def verify_adjoint(adjoint: AdjointMap):
     space = genset.space
     basis = space.basis
     for g, ig in zip(genset.generators, adjoint.images):
-        for h in (g, ig):
+        for h in (g,) if ig.perm is g.perm else (g, ig):
             witness = _additivity_witness(space, h.perm)
             if witness is not None:
                 return False, (h.name,) + witness

@@ -10,7 +10,7 @@ malformed flag (a --size-bound below 1, a negative --matrix-bound),
 3 resource bound exceeded.
 
 Reports are streamed by write_report, byte for byte json.dumps; its one
-memo holds the text of each distinct object entry of an ndarray.
+memo holds the value texts of the certificate's coded arrays, per depth.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
-from collections import defaultdict
 from contextlib import nullcontext
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -34,7 +32,7 @@ from .space import space_from_config, check_keys, DEFAULT_SIZE_BOUND
 from .action import (build_action, orbits, check_condition_4,
                      check_condition_6)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
-from .duality import duality_report
+from .duality import duality_report, CodedArray
 
 APPROX_DIGITS = 6
 
@@ -118,107 +116,97 @@ def _key_text(key):
     return encode_basestring_ascii(text)
 
 
-def _array_rows(texts, shape, depth):
-    """The texts of the rows (axis-0 entries) of an array of the given
-    shape, nested `depth` containers deep, from the flat list of its
-    element texts in row-major order: joined level by level, innermost
-    first, one str.join per list."""
-    for axis in range(len(shape) - 1, 0, -1):
-        size = shape[axis]
-        if size == 0:
-            texts = ["[]"] * math.prod(shape[:axis])
-            continue
-        inner = "\n" + "  " * (depth + axis + 1)
-        pattern = "[" + inner + "%s\n" + "  " * (depth + axis) + "]"
-        texts = [pattern % text for text in
-                 map(("," + inner).join, zip(*[iter(texts)] * size))]
-    return texts
-
-
 def _array_chunks(A, depth, memo):
-    """Yield the text of the ndarray A, an integer array or an object
-    array of JSON values, nested `depth` containers deep, as
-    json.dumps(A.tolist(), sort_keys=True, indent=2) spells it.
-
-    Each distinct entry gets one text, at depth + A.ndim, which every
-    entry holding it reuses, looked up with C-level map calls:
-      * integers, when their values span a range no wider than the
-        array: one text per value in the range, looked up by value;
-        otherwise each entry is int.__repr__'d;
-      * objects, told apart by identity (the array keeps them alive):
-        each is encoded once by _chunks into memo[depth + A.ndim], where
-        any array at that depth finds it (the certificate's P and Q).
-    _array_blocks then writes the rows."""
-    if A.ndim == 0:
+    """Yield the text of A, an integer ndarray or a CodedArray, nested
+    `depth` containers deep, as json.dumps(A.tolist(), sort_keys=True,
+    indent=2) spells it.  Each distinct entry gets one text, which its
+    cells take by one C-level take per block: each value in a CodedArray
+    is encoded by _chunks once per depth, into memo[id(A.values), depth +
+    ndim], the table of all coded arrays of those values at that depth (P
+    and Q); integers in a range no wider than the array get one text per
+    value in it, others are int.__repr__'d cell by cell."""
+    codes = A.codes if isinstance(A, CodedArray) else A
+    if codes.ndim == 0 or codes.size == 0:
         yield from _chunks(A.tolist(), depth, memo)
         return
-    if A.dtype == object:
-        cells = A.ravel().tolist()
-        level = memo[depth + A.ndim]
-        distinct = dict(zip(map(id, cells), cells))
-        for key, value in distinct.items():
-            if key not in level:
-                level[key] = "".join(_chunks(value, depth + A.ndim, memo))
-        width = max((len(level[key]) for key in distinct), default=2)
-
-        def texts(block):
-            return list(map(level.__getitem__,
-                            map(id, block.ravel().tolist())))
+    flat, low = codes.ravel(), 0
+    if codes is not A:
+        table = memo.setdefault((id(A.values), depth + codes.ndim),
+                                np.empty(len(A.values), dtype=object))
+        present = np.bincount(flat, minlength=len(table)).nonzero()[0]
+        for code in present.tolist():
+            if table[code] is None:
+                table[code] = "".join(_chunks(A.values[code],
+                                              depth + codes.ndim, memo))
+        width = max(map(len, table[present].tolist()))
     else:
-        low, high = (int(A.min()), int(A.max())) if A.size else (0, 0)
+        low, high = int(A.min()), int(A.max())
         width = max(len(int.__repr__(low)), len(int.__repr__(high)))
-        if high - low < A.size:
-            values = np.array([int.__repr__(v) for v in range(low, high + 1)],
-                              dtype=object)
+        table = np.array([int.__repr__(v) for v in range(low, high + 1)],
+                         dtype=object) if high - low < A.size else None
 
-            def texts(block):
-                return values[(block - low).ravel()].tolist()
-        else:
-            def texts(block):
-                return list(map(int.__repr__, block.ravel().tolist()))
-    yield from _array_blocks(A, depth, texts, width)
+    def texts(start, stop):
+        if table is None:
+            return list(map(int.__repr__, flat[start:stop].tolist()))
+        return table[flat[start:stop] - low]
+    yield from _array_blocks(codes.shape, depth, width, texts)
 
 
-def _array_blocks(A, depth, texts, width):
-    """Yield the text of the ndarray A (ndim >= 1), nested `depth`
-    containers deep, from texts(block), the flat list of the texts, each
-    at most `width` characters, of a block's entries in row-major order.
+@functools.cache
+def _list_texts(depth, k):
+    """(first, seps, last) of a k-axis array nested `depth` deep: first
+    starts the k lists, seps[t] ends t lists (innermost first), writes a
+    comma and starts t lists, last ends the k lists."""
+    ind = ["\n" + "  " * (depth + a) for a in range(k + 1)]
+    ends = [ind[a] + "]" for a in range(k - 1, -1, -1)]
+    starts = [ind[a] + "[" for a in range(k)]
+    seps = tuple("".join(ends[:t]) + "," + "".join(starts[k - t:]) + ind[k]
+                 for t in range(k))
+    return "[" + "".join(starts[1:]) + ind[k], seps, "".join(ends)
 
-    The rows along the first axis are written a block of about
-    ARRAY_CHARS characters at a time, joined by _array_rows.  When a
-    row's text may be longer than ARRAY_CHARS, each row is written the
-    same way, one level down, so no text built is much longer than
-    ARRAY_CHARS; an entry's own text longer than that is cut into
-    pieces."""
-    if A.shape[0] == 0:
-        yield "[]"
-        return
-    # a bound on a row's text: an entry takes its text, a comma and its
-    # indentation, a list its brackets, their indentation and a comma
-    pad = 2 * (depth + A.ndim) + 2
-    lists = 1 + sum(accumulate(A.shape[1:-1], operator.mul))
-    row_chars = math.prod(A.shape[1:]) * (width + pad) + lists * 2 * pad
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    close = "\n" + "  " * depth + "]"
-    text = "[" + inner
-    if row_chars > ARRAY_CHARS and A.ndim > 1:
-        for row in A:
-            chunks = _array_blocks(row, depth + 1, texts, width)
-            yield text + next(chunks)
-            yield from chunks
-            text = sep
-        yield close
-        return
-    step = max(1, ARRAY_CHARS // row_chars)
-    for start in range(0, len(A), step):
-        block = A[start:start + step]
-        text += sep.join(_array_rows(texts(block), block.shape, depth))
-        if start + step >= len(A):
-            text += close
-        for cut in range(0, len(text), ARRAY_CHARS):
-            yield text[cut:cut + ARRAY_CHARS]
-        text = sep
+
+def _array_blocks(shape, depth, width, texts):
+    """Yield the text of an array of the given shape (no zero-length
+    axis), nested `depth` containers deep, from texts(start, stop), the
+    texts, of at most `width` characters, of its cells start to stop.
+
+    A unit is an entry along the outermost axis whose text fits in
+    ARRAY_CHARS (a cell when none does); a block, as many units of one
+    entry along the axis above as fit, is its cell texts interleaved
+    with the separators before them, joined once (and cut into pieces
+    when one cell is longer than ARRAY_CHARS)."""
+    k = len(shape)
+    first, seps, last = _list_texts(depth, k)
+    # a unit is an entry along axis; chars bounds its text but its head
+    axis, unit, chars = k - 1, 1, width
+    while axis:
+        grown = chars * shape[axis] + len(seps[k - 1 - axis]) * (
+            shape[axis] - 1)
+        if grown + len(seps[-1]) > ARRAY_CHARS:
+            break
+        axis, unit, chars = axis - 1, unit * shape[axis], grown
+    step = min(shape[axis], max(1, ARRAY_CHARS // (chars + len(seps[-1]))))
+    step *= unit
+    # the separators before a block's cells but its first
+    between = []
+    for t, size in enumerate(reversed((step // unit,) + shape[axis + 1:])):
+        between += ([seps[t]] + between) * (size - 1)
+    out = np.empty(2 * step, dtype=object)
+    out[2::2] = between
+    # the first starts as many lists as entries along an axis it starts
+    entries = [math.prod(shape[a:]) for a in range(1, k)]
+    out[0] = first
+    for group in range(0, math.prod(shape), shape[axis] * unit):
+        end = group + shape[axis] * unit
+        for start in range(group, end, step):
+            if start:
+                out[0] = seps[sum(start % size == 0 for size in entries)]
+            n = min(start + step, end) - start
+            out[1:2 * n:2] = texts(start, start + n)
+            text = "".join(out[:2 * n].tolist())
+            for cut in range(0, len(text), ARRAY_CHARS):
+                yield text[cut:cut + ARRAY_CHARS]
+    yield last
 
 
 def _chunks(obj, depth, memo):
@@ -227,14 +215,15 @@ def _chunks(obj, depth, memo):
 
     A container's children are encoded in order and its pending text is
     yielded whenever it passes FLUSH_CHARS.  A list of plain ints is one
-    str.join, yielded in pieces of at most ARRAY_CHARS.  An integer or
-    object ndarray is written as its tolist() would be, by _array_chunks;
-    memo is its table of object-cell texts, memo[depth][id(cell)]."""
+    str.join, yielded in pieces of at most ARRAY_CHARS.  An integer
+    ndarray or a CodedArray is written as its tolist() would be, by
+    _array_chunks, whose table of value texts memo holds."""
     text = _scalar_text(obj)
     if text is not None:
         yield text
         return
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iuO":
+    if isinstance(obj, CodedArray) or (isinstance(obj, np.ndarray)
+                                       and obj.dtype.kind in "iu"):
         yield from _array_chunks(obj, depth, memo)
         return
     inner = "\n" + "  " * (depth + 1)
@@ -286,18 +275,15 @@ def write_report(report, out_path):
 
     The encoder takes str, int, float, bool and None scalars (ASCII
     escaping, float repr, NaN and Infinity spelled as json spells them)
-    and dict, list and tuple containers, dict keys sorted, and integer
-    and object numpy arrays, which it writes as their tolist().  A
+    and dict, list and tuple containers, dict keys sorted, integer numpy
+    arrays and CodedArrays, which it writes as their tolist().  A
     container's pending text is written once it passes FLUSH_CHARS, a
     list of plain ints or an array's in pieces of at most about
-    ARRAY_CHARS, so the whole text is never held.  An array's distinct
-    entries are encoded once each, and an object entry's text is kept by
-    depth and identity, depth because indentation depends on it,
-    identity because the report keeps every entry alive while it is
-    written: arrays at one depth that share entries (the certificate's
-    P and Q) encode each once."""
+    ARRAY_CHARS, so the whole text is never held.  A CodedArray's value
+    texts are kept by depth, on which indentation depends, and by the
+    identity of its value list, which the report keeps alive."""
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        for text in _chunks(report, 0, defaultdict(dict)):
+        for text in _chunks(report, 0, {}):
             fh.write(text)
         fh.write("\n")
 
@@ -390,7 +376,9 @@ def cmd_dual(args):
     gens_Gc = None
     if args.config_b:
         cfg_b = read_config(args.config_b)
-        if cfg_b["space"] != cfg_a["space"]:
+        # compared as built, so a default spelled out is the same space
+        if space_from_config(cfg_b["space"], args.size_bound).to_config() \
+                != space.to_config():
             raise ConfigError("the two configs must describe the same space")
         # built on the shared space object so point indices coincide
         gens_Gc = action_from_config(space, cfg_b["action"])

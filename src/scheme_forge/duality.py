@@ -22,8 +22,9 @@ hold, dual keeps only P, Q, P Q, the Krein tensor and, at its end, one
 table of their distinct values (distinct_elements): one CycloInt per
 value, the only entries widened to phi(m), and a code array per
 quantity.  DualityCertificate.P and .Q index it as nested lists, so
-every entry of a value is one object; to_json indexes one JSON dict per
-value the same way, and cli.write_report encodes each dict once.
+every entry of a value is one object; to_json gives Q, P and the Krein
+tensor as CodedArrays, the code arrays and one shared list of JSON
+dicts, one per value, which cli.write_report encodes once per depth.
 
 N_0 = J and sum N_j = |X| I are read off Q (verify_idempotents); sigma
 and the idempotent products are read off the spectrum P Q.  The
@@ -158,25 +159,25 @@ def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size, m):
 
 # -- idempotents and sigma, from the spectrum ---------------------------------
 
-def verify_idempotents(space, Q, spectrum):
+def verify_idempotents(space, Q, spectrum, Q_col0_ones):
     """Exact checks of the idempotent properties, in the scaled form
     N_j = |X| E_j with N_j[a][b] = f_j(a-b), from the support-width Q.
 
     The pipeline reaches this check only once constancy_G holds: f_j is
     then Q[k][j] on all of the class X_k, the classes cover X, and
     X_0 = {0} (orbits).  So N_0 = J (f_0 = 1) iff Q's first column is all
-    1; sum_j N_j = |X| I (sum_j f_j(y) = |X| at y = 0, else 0) iff Q's row
-    sums are |X|, 0, ..., 0; and Bose-Mesner membership holds, as
-    N_j = sum_k Q[k][j] A_k.  The products N_i N_j = delta_ij |X| N_i
-    are read off the spectrum P Q when the pairing is nondegenerate
-    (module docstring), and fail with a `degenerate_witness` point
-    otherwise.  `dense_products` repeats that verdict for
-    |X| <= DENSE_IDEMPOTENT_BOUND.
+    1 (Q_col0_ones of verify_eigen_identities); sum_j N_j = |X| I
+    (sum_j f_j(y) = |X| at y = 0, else 0) iff Q's row sums are |X|, 0,
+    ..., 0; and Bose-Mesner membership holds, as N_j = sum_k Q[k][j] A_k.
+    The products N_i N_j = delta_ij |X| N_i are read off the spectrum
+    P Q when the pairing is nondegenerate (module docstring), and fail
+    with a `degenerate_witness` point otherwise.  `dense_products`
+    repeats that verdict for |X| <= DENSE_IDEMPOTENT_BOUND.
     """
     n = space.size
     report = {}
 
-    report["E0_is_J"] = bool(equals_integers(Q[0][:, 0], 1).all())
+    report["E0_is_J"] = Q_col0_ones
     report["sum_is_identity"] = bool(equals_integers(
         Q[0].sum(axis=1), n * (np.arange(len(Q[0])) == 0)).all())
     report["bose_mesner_membership"] = True
@@ -305,6 +306,20 @@ def distinct_elements(arrays, m):
     return elements, codes
 
 
+class CodedArray:
+    """An array of JSON values: an int code array into a list of values,
+    which the certificate's arrays share.  As with an ndarray, json.dumps
+    takes only its tolist(), nested lists in which every cell of a value
+    is one object; cli.write_report writes it from the codes."""
+
+    def __init__(self, codes, values):
+        self.codes, self.values = codes, values
+
+    def tolist(self):
+        table = np.fromiter(self.values, dtype=object, count=len(self.values))
+        return table[self.codes].tolist()
+
+
 class DualityCertificate:
     def __init__(self, mode, space):
         self.mode = mode
@@ -331,19 +346,15 @@ class DualityCertificate:
             self.witnesses.append({"check": check, "witness": witness})
 
     def to_json(self):
-        """The certificate as JSON-ready dicts, lists and ndarrays.  Q, P
-        and the Krein tensor are object ndarrays of shape (d + 1, d + 1)
-        and (d + 1, d + 1, d + 1), the certificate's code arrays indexing
-        one CycloInt.to_json() dict per distinct element, which every
-        entry holding that element shares: so CycloInt.approx() runs once
-        per value, and cli.write_report, which writes an ndarray as its
-        tolist(), encodes each distinct dict once.  json.dumps needs the
-        arrays' tolist()."""
+        """The certificate as JSON-ready dicts, lists and arrays.  Q, P
+        and the Krein tensor are CodedArrays of the certificate's code
+        arrays into one shared list of CycloInt.to_json() dicts, one per
+        distinct element, so CycloInt.approx() runs once per value.
+        json.dumps needs the arrays' tolist()."""
         Q = P = krein = None
         if self.elements is not None:
-            entries = np.fromiter((c.to_json() for c in self.elements),
-                                  dtype=object, count=len(self.elements))
-            Q, P, krein = (entries[code] for code in self.codes)
+            entries = [c.to_json() for c in self.elements]
+            Q, P, krein = (CodedArray(code, entries) for code in self.codes)
         return {
             "mode": self.mode,
             "pass": self.passed,
@@ -424,14 +435,14 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.checks["adjoint"] = None
         cert.notes.append("no adjoint witness: %s" % exc)
 
-    # Q from the profile of the dual classes, P from that of G's (the
-    # same profile when there is no second action)
+    # Q from the profile of the dual classes, P from that of G's; with no
+    # second action both tests are one test of one profile, run once
     table, profile, eigenmatrices = pairing_table(space), None, []
     for name, part, dual in (("G", part_G, part_Gc),
                              ("G_check", part_Gc, part_G)):
         if profile is None or gens_Gc is not None:
             profile = character_profile(space, dual.classes, table)
-        ok, F, witness = constancy_test(part, profile)
+            ok, F, witness = constancy_test(part, profile)
         cert.checks["constancy_" + name] = ok
         if not ok:
             cert.fail("constancy_" + name, witness)
@@ -457,7 +468,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
             scheme_G.valencies == cert.multiplicities
 
     if space.size <= matrix_bound:
-        idem = verify_idempotents(space, Q, PQ[0])
+        idem = verify_idempotents(space, Q, PQ[0], eig["Q_col0_ones"])
         cert.checks["idempotents"] = idem["all_pass"]
         cert.checks["idempotent_detail"] = idem
         sigma, ok, witness = sigma_permutation(PQ[0], space.size)

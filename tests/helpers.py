@@ -3,12 +3,13 @@
 import numpy as np
 
 from scheme_forge.cyclo import CycloInt
+from scheme_forge.duality import CodedArray
 
 
 def plain(obj):
-    """obj with every array as its tolist(): what json.dumps takes of a
-    report or certificate that holds ndarrays."""
-    if isinstance(obj, np.ndarray):
+    """obj with every array, ndarray or CodedArray, as its tolist(): what
+    json.dumps takes of a report or certificate that holds arrays."""
+    if isinstance(obj, (np.ndarray, CodedArray)):
         return obj.tolist()
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}

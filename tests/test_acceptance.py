@@ -5,7 +5,9 @@ on Krein parameters, which uses -1e-9.  Expensive pipeline runs are shared
 through module-scoped fixtures so the suite stays fast.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -66,7 +68,9 @@ FAMILIES = [
 
 # sha256 of json.dumps(cert.to_json(), sort_keys=True) for each family's
 # self-mode certificate, recorded before the integer-digit core replaced
-# the per-space FieldElement group law and pairing
+# the per-space FieldElement group law and pairing.  tests/regen_golden.py
+# prints this table, GOLDEN_REPORTS and GOLDEN_DUAL_STDOUT from the
+# current code.
 GOLDEN_CERTIFICATES = {
     "central/Z_8":
         "306aa580fb01e1fc632a7f65c2aa0900512767db5ce04cefc06c81bb8c14b77b",
@@ -305,13 +309,30 @@ def test_criterion_9_krein_flags(certificates):
                 + ("" if not failures else "; failed: %s" % failures))
 
 
-def test_certificates_match_golden_digests(certificates):
-    def digest(cert):
-        text = json.dumps(plain(cert.to_json()), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
+def certificate_digest(cert):
+    """The GOLDEN_CERTIFICATES digest of a certificate."""
+    text = json.dumps(plain(cert.to_json()), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
+
+def command_digests(command, out_path):
+    """(exit code, sha256 of the --out bytes, sha256 of stdout) of a
+    command of GOLDEN_REPORTS, run with --out out_path; stdout and stderr
+    are captured."""
+    argv = [os.path.join(ROOT, tok) if tok.endswith(".json") else tok
+            for tok in command.split()]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--out", str(out_path)])
+    with open(out_path, "rb") as fh:
+        report = hashlib.sha256(fh.read()).hexdigest()
+    return code, report, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_certificates_match_golden_digests(certificates):
     changed = [name for name, cert in certificates.items()
-               if digest(cert) != GOLDEN_CERTIFICATES[name]]
+               if certificate_digest(cert) != GOLDEN_CERTIFICATES[name]]
     assert not changed, "certificates changed: %s" % changed
 
 
@@ -408,13 +429,8 @@ GOLDEN_REPORTS = {
 
 
 @pytest.mark.parametrize("command", GOLDEN_REPORTS)
-def test_reports_match_golden_digests(command, tmp_path, capsys):
-    path = tmp_path / "report.json"
-    argv = [os.path.join(ROOT, tok) if tok.endswith(".json") else tok
-            for tok in command.split()]
-    code = main(argv + ["--out", str(path)])
-    capsys.readouterr()
-    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+def test_reports_match_golden_digests(command, tmp_path):
+    code, digest, _ = command_digests(command, tmp_path / "report.json")
     assert (code, digest) == GOLDEN_REPORTS[command]
 
 # sha256 of the stdout of each dual command of GOLDEN_REPORTS (run with
@@ -455,12 +471,8 @@ GOLDEN_DUAL_STDOUT = {
 
 
 @pytest.mark.parametrize("command", GOLDEN_DUAL_STDOUT)
-def test_dual_stdout_matches_golden_digests(command, tmp_path, capsys):
-    argv = [os.path.join(ROOT, tok) if tok.endswith(".json") else tok
-            for tok in command.split()]
-    main(argv + ["--out", str(tmp_path / "report.json")])
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == \
+def test_dual_stdout_matches_golden_digests(command, tmp_path):
+    assert command_digests(command, tmp_path / "report.json")[2] == \
         GOLDEN_DUAL_STDOUT[command]
 
 

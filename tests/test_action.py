@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scheme_forge import cli, oracles
+from scheme_forge import action as action_module
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
@@ -203,6 +204,29 @@ def test_adjoint_verifies_for_all_families():
         adj = adjoint_map(build_action(sp, family, **params))
         ok, witness = verify_adjoint(adj)
         assert ok, (family, witness)
+
+
+def test_adjoint_sharing_its_map_is_checked_for_additivity_once(
+        monkeypatch):
+    """The central adjoint reuses each generator's permutation array:
+    verify_adjoint checks that array's additivity once per generator.
+    A family whose images are new arrays (bilinear) checks both maps."""
+    calls = []
+    real = action_module._additivity_witness
+
+    def counted(space, perm):
+        calls.append(perm)
+        return real(space, perm)
+
+    monkeypatch.setattr(action_module, "_additivity_witness", counted)
+    for sp, family, maps in ((CyclicProductSpace((16, 8)), "central", 1),
+                             (FullMatrixSpace(2, 2, FieldSpec(2)),
+                              "bilinear", 2)):
+        genset = build_action(sp, family)
+        adj = adjoint_map(genset)
+        calls.clear()
+        assert verify_adjoint(adj) == (True, None)
+        assert len(calls) == maps * len(genset.generators)
 
 
 def assert_adjoint_witness_violates(adjoint, witness):

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from scheme_forge import cli, duality, scheme
 from scheme_forge.cli import main
+from scheme_forge.duality import CodedArray
 
 from helpers import plain
 
@@ -105,6 +106,38 @@ def test_space_mismatch_exit_2(capsys):
     code, _, err = run(["dual", cfg("hamming2_f2"), cfg("hamming4_f3")],
                        capsys)
     assert code == 2 and "config error" in err
+
+
+@pytest.mark.parametrize("field, extra, same", [
+    ({"e": 1}, {}, True),
+    ({}, {"lambda_multiplier": 1}, True),
+    ({"e": 1}, {"lambda_multiplier": 1}, True),
+    ({"p": 3}, {}, False),
+    ({"e": 2}, {}, False),
+])
+def test_dual_pair_compares_the_spaces_as_built(field, extra, same, capsys,
+                                                tmp_path):
+    """dual a.json b.json takes b's space as a's when both build the same
+    space: wh12's space with a default spelled out ("e": 1 in the field,
+    "lambda_multiplier": 1) gives the bytes of the plain wh21 x wh12
+    pair; another field still exits 2."""
+    with open(cfg("wh12_f2")) as fh:
+        config = json.load(fh)
+    config["space"]["field"].update(field)
+    config["space"].update(extra)
+    edited = tmp_path / "wh12.json"
+    edited.write_text(json.dumps(config))
+    plain_out, edited_out = tmp_path / "plain.json", tmp_path / "edited.json"
+    assert main(["dual", cfg("wh21_f2"), cfg("wh12_f2"),
+                 "--out", str(plain_out)]) == 0
+    want = capsys.readouterr().out
+    code, out, err = run(["dual", cfg("wh21_f2"), str(edited),
+                          "--out", str(edited_out)], capsys)
+    if same:
+        assert (code, out, err) == (0, want, "")
+        assert edited_out.read_bytes() == plain_out.read_bytes()
+    else:
+        assert code == 2 and "must describe the same space" in err
 
 
 def test_bad_cyclotomic_config_exit_2(capsys, tmp_path):
@@ -531,18 +564,20 @@ def test_write_report_streams_shared_large_entries(monkeypatch):
 
 def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
         monkeypatch):
-    """One dict held by two object arrays at the same depth, as the
-    certificate's P and Q hold a value, is encoded once: the second
+    """One dict shared by two coded arrays at the same depth, as the
+    certificate's P and Q share a value, is encoded once: the second
     array takes its text from the first's.  A third array one level
-    deeper encodes it once more, at its own indentation."""
+    deeper encodes it once more, at its own indentation.  A value that
+    no array holds is never encoded."""
     entry = large_entry()
     other = {"order": 1, "coeffs": [2]}
-    pool = [entry, other]
+    absent = {"order": 3, "coeffs": [4]}
+    pool = [entry, other, absent]
     codes = np.random.default_rng(2).integers(0, 2, size=(4, 4))
-    codes[0, 0] = 0
-    report = {"P": object_array(pool, codes),
-              "Q": object_array(pool, codes.T),
-              "deeper": [object_array(pool, codes)]}
+    codes[0, 0], codes[0, 1] = 0, 1
+    report = {"P": CodedArray(codes, pool),
+              "Q": CodedArray(codes.T, pool),
+              "deeper": [CodedArray(codes, pool)]}
     calls = {}
     real = cli._chunks
 
@@ -555,6 +590,7 @@ def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
         json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
     assert (calls[id(entry), 3], calls[id(entry), 4]) == (1, 1)
     assert (calls[id(other), 3], calls[id(other), 4]) == (1, 1)
+    assert id(absent) not in {key for key, _ in calls}
 
 
 @pytest.mark.parametrize("values", [list(range(4000)),
@@ -611,7 +647,8 @@ def test_write_report_writes_integer_arrays_as_json_dumps(obj):
 def test_write_report_streams_a_large_integer_array(low, high):
     """A 60^3 array, with a value range narrower than the array (one text
     per value) and wider (int.__repr__ per entry), inside a report: the
-    json.dumps bytes, in many writes of at most 64 KiB."""
+    json.dumps bytes, in many writes of at most 64 KiB.  The array's own
+    pieces are whole blocks of at most ARRAY_CHARS, none cut in a cell."""
     A = np.random.default_rng(60).integers(low, high, size=(60, 60, 60),
                                            endpoint=True)
     report = {"p_tensor": A, "rest": [A[0], {"x": 1}]}
@@ -622,31 +659,27 @@ def test_write_report_streams_a_large_integer_array(low, high):
     assert recorder.getvalue() == want
     assert max(recorder.sizes) <= 64 * 1024
     assert len(recorder.sizes) > len(want) // (64 * 1024)
+    pieces = list(cli._array_chunks(A, 1, {}))
+    assert max(map(len, pieces)) <= cli.ARRAY_CHARS
+    assert not [i for i, text in enumerate(pieces[:-1])
+                if not text[-1].isdigit()]
 
 
-def object_array(pool, codes):
-    """An object array of the shape of `codes` whose entry is
-    pool[code]: equal codes share one object."""
-    A = np.empty(codes.size, dtype=object)
-    for i, code in enumerate(codes.ravel().tolist()):
-        A[i] = pool[code]
-    return A.reshape(codes.shape)
-
-
-# JSON values an object array holds: containers, shared by several entries
+# JSON values a coded array holds: containers, shared by several entries
 ENTRIES = st.one_of(st.lists(SCALARS, max_size=4),
                     st.dictionaries(st.text(max_size=3), SCALARS, max_size=3),
                     TREES)
 
 
 @st.composite
-def object_array_trees(draw):
-    """Object arrays of 1-4 dimensions, zero-length axes among them,
+def coded_array_trees(draw):
+    """Coded arrays of 1-4 dimensions, zero-length axes among them,
     whose entries, drawn from a pool of dicts, lists and scalars, repeat;
     or a few 1-4 KiB entries, or lists of strings or ints longer than
     ARRAY_CHARS, in an array whose leading row is longer than
-    ARRAY_CHARS.  Each sits in a tree next to an integer array and to
-    its own entries at the entries' depth and elsewhere."""
+    ARRAY_CHARS.  Each sits in a tree next to an integer array, to a
+    second array of the same pool at the same depth and to its own
+    entries at the entries' depth and elsewhere."""
     if draw(st.booleans()):
         pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
         shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
@@ -658,22 +691,24 @@ def object_array_trees(draw):
         shape = draw(st.sampled_from([(2, 12), (1, 3, 12), (2, 2, 1, 10)]))
     codes = draw(hnp.arrays(np.intp, shape,
                             elements=st.integers(0, len(pool) - 1)))
-    A = object_array(pool, codes)
+    A = CodedArray(codes, pool)
     ints = draw(INT_ARRAYS)
-    # A's entries are A.ndim + 2 containers deep in "a"
+    # A's entries are A.codes.ndim + 2 containers deep in "a"
     nested = pool
-    for _ in range(A.ndim):
+    for _ in range(codes.ndim):
         nested = [nested]
-    return {"a": [A, ints], "b": nested, "c": [pool, A], "d": A}
+    return {"a": [A, ints], "b": nested, "c": [pool, A],
+            "d": A, "e": CodedArray(codes[::-1], pool)}
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(object_array_trees(),
-                 object_array_trees().map(lambda tree: tree["d"])))
-def test_write_report_writes_object_arrays_as_json_dumps(obj):
-    """An object ndarray of JSON values, alone or in a tree among integer
-    arrays and copies of its entries, is written as json.dumps
-    writes its tolist(), in writes of at most 64 KiB."""
+@given(st.one_of(coded_array_trees(),
+                 coded_array_trees().map(lambda tree: tree["d"])))
+def test_write_report_writes_coded_arrays_as_json_dumps(obj):
+    """A coded array of JSON values, alone or in a tree among integer
+    arrays, another coded array of its values and copies of its entries,
+    is written as json.dumps writes its tolist(), in writes of at most
+    64 KiB."""
     recorder = WriteRecorder()
     with contextlib.redirect_stdout(recorder):
         cli.write_report(obj, None)
@@ -683,35 +718,54 @@ def test_write_report_writes_object_arrays_as_json_dumps(obj):
 
 
 def test_write_report_encodes_each_distinct_array_entry_once(monkeypatch):
-    """A 30^3 object array holding five Krein-like dicts: _chunks encodes
-    each dict once, although the array's rows, each longer than
-    ARRAY_CHARS, are written one level down, by one _array_blocks call
-    each; the text is json.dumps's."""
+    """A 30^3 coded array holding five Krein-like dicts: _chunks encodes
+    each dict once, although the array's rows are each longer than
+    ARRAY_CHARS, and the array is written in blocks of whole cells of at
+    most ARRAY_CHARS each, no text cut; the text is json.dumps's."""
     pool = [{"order": 16, "coeffs": [k] * 8, "approx": [k / 3, 0.0]}
             for k in range(5)]
     codes = np.random.default_rng(30).integers(0, 5, size=(30, 30, 30))
-    report = {"krein": object_array(pool, codes)}
-    calls, blocks = {}, []
-    real_chunks, real_blocks = cli._chunks, cli._array_blocks
+    report = {"krein": CodedArray(codes, pool)}
+    calls, pieces = {}, []
+    real_chunks, real_array = cli._chunks, cli._array_chunks
 
     def counted(obj, depth, memo):
         calls[id(obj)] = calls.get(id(obj), 0) + 1
         return real_chunks(obj, depth, memo)
 
-    def recorded(A, depth, texts, width):
-        blocks.append(A.shape)
-        return real_blocks(A, depth, texts, width)
+    def recorded(A, depth, memo):
+        for text in real_array(A, depth, memo):
+            pieces.append(text)
+            yield text
 
     monkeypatch.setattr(cli, "_chunks", counted)
-    monkeypatch.setattr(cli, "_array_blocks", recorded)
+    monkeypatch.setattr(cli, "_array_chunks", recorded)
     assert encoded(report) == \
         json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
     assert [calls[id(entry)] for entry in pool] == [1] * 5
-    assert blocks == [(30, 30, 30)] + [(30, 30)] * 30
+    assert max(map(len, pieces)) <= cli.ARRAY_CHARS
+    assert not [i for i, text in enumerate(pieces[:-1])
+                if not text.endswith("}")]
+    assert len(pieces) > 27000 * 150 // cli.ARRAY_CHARS
+
+
+def test_coded_arrays_are_not_json_values():
+    """json.dumps raises on a CodedArray, as on an ndarray, and takes
+    its tolist(): the nested lists of its values, one object per value."""
+    pool = [{"a": 1}, [2]]
+    A = CodedArray(np.array([[0, 1, 0]]), pool)
+    with pytest.raises(TypeError):
+        json.dumps({"Q": A})
+    cells = A.tolist()
+    assert cells == [[{"a": 1}, [2], {"a": 1}]]
+    assert cells[0][0] is cells[0][2] is pool[0]
 
 
 def test_write_report_rejects_non_integer_arrays():
-    for bad in (np.zeros(2), np.array([True]), np.array(["a"])):
+    """Float, bool, str and object ndarrays raise, as in json.dumps; JSON
+    values in an array come as a CodedArray."""
+    for bad in (np.zeros(2), np.array([True]), np.array(["a"]),
+                np.array([{"a": 1}, 2], dtype=object)):
         with pytest.raises(TypeError):
             json.dumps(bad)
         with pytest.raises(TypeError):

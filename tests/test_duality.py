@@ -463,11 +463,21 @@ def test_eigen_identities(hamming22):
     assert not rep["all_pass"]
 
 
+def idempotents(space, part, Q, spectrum):
+    """verify_idempotents as duality_report runs it: E0_is_J is the
+    Q_col0_ones verdict of verify_eigen_identities on the same Q (given
+    as P too; Q_col0_ones reads Q only)."""
+    m = space.character_order
+    eigen = verify_eigen_identities(Q, Q, contract("ik,kj->ij", Q, Q, m),
+                                    part.sizes, part.sizes, space.size, m)
+    return verify_idempotents(space, Q, spectrum, eigen["Q_col0_ones"])
+
+
 def test_idempotents_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     sch = TranslationScheme(sp, part)
     _, constancy, spectrum = spectral_parts(sp, part, part, table)
-    rep = verify_idempotents(sp, sliced(constancy[1]), spectrum)
+    rep = idempotents(sp, part, sliced(constancy[1]), spectrum)
     assert rep["all_pass"]
     assert rep["dense_products"]  # |X| = 4 is under the dense bound
     assert rep == sweep_verify_idempotents(sp, sch, cyclo_profile(sp, profile))
@@ -490,7 +500,7 @@ def test_idempotents_hamming22(hamming22):
     bad_profile = profile.copy()
     bad_profile[0, part.classes[1]] += 1
     bad_spectrum = contract("ik,kj->ij", sliced(F), sliced(bad_Q), 2)[0]
-    rep = verify_idempotents(sp, sliced(bad_Q), bad_spectrum)
+    rep = idempotents(sp, part, sliced(bad_Q), bad_spectrum)
     assert not (rep["E0_is_J"] or rep["sum_is_identity"])
     assert rep == sweep_verify_idempotents(sp, sch,
                                            cyclo_profile(sp, bad_profile))
@@ -775,9 +785,10 @@ def test_eigenmatrices_hold_one_cycloint_per_value(name):
                                   "her2_f4"])
 def test_one_distinct_table_per_duality_report(name, monkeypatch):
     """duality_report groups distinct values once, over Q, P and the Krein
-    tensor together, and to_json indexes that one table: every cell of a
-    value, in Q, P or krein, is one shared dict object, and some value
-    sits in all three."""
+    tensor together, and to_json codes all three into that one table:
+    the three coded arrays share one value list, every cell of a value,
+    in Q, P or krein, is one shared dict object, and some value sits in
+    all three."""
     calls = []
     real = duality.distinct_elements
 
@@ -792,14 +803,47 @@ def test_one_distinct_table_per_duality_report(name, monkeypatch):
     assert cert.passed and calls == [3]
     j = cert.to_json()
     assert calls == [3]
+    assert j["Q"].values is j["P"].values is j["krein"].values
     ids, places = {}, {}
     for key in ("Q", "P", "krein"):
-        for cell in j[key].ravel().tolist():
+        for cell in np.array(j[key].tolist(), dtype=object).ravel():
             text = json.dumps(cell, sort_keys=True)
             ids.setdefault(text, set()).add(id(cell))
             places.setdefault(text, set()).add(key)
     assert all(len(group) == 1 for group in ids.values())
     assert {"Q", "P", "krein"} in places.values()
+
+
+@pytest.mark.parametrize("names, tests", [
+    (("hamming4_f3",), 1),
+    (("wh11_f2",), 2),
+    (("wh21_f2", "wh12_f2"), 2),
+])
+def test_constancy_is_tested_once_per_distinct_test(names, tests,
+                                                    monkeypatch):
+    """With no second action (hamming4_f3), constancy_G and
+    constancy_G_check are one test of one profile: duality_report runs
+    constancy_test once and fills both keys, in their order.  The
+    weak-Hamming dual poset (wh11) and a cross pair run two tests."""
+    calls = []
+    real = duality.constancy_test
+
+    def counted(part, profile):
+        calls.append(part)
+        return real(part, profile)
+
+    monkeypatch.setattr(duality, "constancy_test", counted)
+    configs = []
+    for name in names:
+        with open(os.path.join(CONFIGS, name + ".json")) as fh:
+            configs.append(json.load(fh))
+    space, genset = cli.load_action(configs[0], 4096)
+    cert = duality_report(genset, *(cli.action_from_config(space, c["action"])
+                                    for c in configs[1:]))
+    assert cert.passed and len(calls) == tests
+    keys = [key for key in cert.checks if key.startswith("constancy_")]
+    assert keys == ["constancy_G", "constancy_G_check"]
+    assert cert.checks["constancy_G"] is cert.checks["constancy_G_check"]
 
 
 def test_contractions_match_loops_cross_and_degenerate():

@@ -91,3 +91,15 @@ def test_every_definition_has_a_use():
     unused = ["%s:%s" % (module, name) for module, name in defined
               if name not in used | exported | wrapped]
     assert not unused, "definitions with no use in src: %s" % unused
+
+
+def test_regen_golden_renders_the_committed_tables():
+    """tests/regen_golden.py prints each golden table in the form that
+    tests/test_acceptance.py holds it: rendered from the committed
+    values, each table is verbatim in that module's source."""
+    import regen_golden
+    import test_acceptance as golden
+    source = pathlib.Path(golden.__file__).read_text()
+    for name in ("GOLDEN_CERTIFICATES", "GOLDEN_REPORTS",
+                 "GOLDEN_DUAL_STDOUT"):
+        assert regen_golden.render(name, getattr(golden, name)) in source
