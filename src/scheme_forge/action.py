@@ -117,6 +117,8 @@ class OrbitPartition:
             classes = np.split(order, np.cumsum(sizes)[:-1])
         self.classes = [np.asarray(cls) for cls in classes]
         self.d = len(self.classes) - 1
+        # (space, check_condition_4's result on it), once it has run
+        self._condition_4 = (None, None)
 
     @property
     def sizes(self):
@@ -176,13 +178,15 @@ def orbits(genset: GeneratorSet) -> OrbitPartition:
 
 def check_condition_4(partition: OrbitPartition, space: AbelianSpace):
     """Negation-closure of every class; returns (ok, witness), the witness
-    the least point whose negation lies in another class."""
-    class_of = partition.class_of
-    moved = np.flatnonzero(class_of[space.neg(np.arange(space.size))]
-                           != class_of)
-    if len(moved):
-        return False, int(moved[0])
-    return True, None
+    the least point whose negation lies in another class.  The result is
+    kept on the partition, so each (partition, space) is swept once."""
+    if partition._condition_4[0] is not space:
+        class_of = partition.class_of
+        moved = np.flatnonzero(class_of[space.neg(np.arange(space.size))]
+                               != class_of)
+        partition._condition_4 = space, ((False, int(moved[0])) if len(moved)
+                                         else (True, None))
+    return partition._condition_4[1]
 
 
 def check_condition_6(partition: OrbitPartition, space: AbelianSpace):

@@ -142,12 +142,14 @@ def _array_chunks(A, depth, memo):
     else:
         low, high = int(A.min()), int(A.max())
         width = max(len(int.__repr__(low)), len(int.__repr__(high)))
-        table = np.array([int.__repr__(v) for v in range(low, high + 1)],
-                         dtype=object) if high - low < A.size else None
+        table = np.fromiter(map(int.__repr__, range(low, high + 1)),
+                            dtype=object, count=high - low + 1
+                            ) if high - low < A.size else None
 
     def texts(start, stop):
         if table is None:
-            return list(map(int.__repr__, flat[start:stop].tolist()))
+            return np.fromiter(map(int.__repr__, flat[start:stop].tolist()),
+                               dtype=object, count=stop - start)
         return table[flat[start:stop] - low]
     yield from _array_blocks(codes.shape, depth, width, texts)
 
@@ -172,9 +174,11 @@ def _array_blocks(shape, depth, width, texts):
 
     A unit is an entry along the outermost axis whose text fits in
     ARRAY_CHARS (a cell when none does); a block, as many units of one
-    entry along the axis above as fit, is its cell texts interleaved
-    with the separators before them, joined once (and cut into pieces
-    when one cell is longer than ARRAY_CHARS)."""
+    entry along the axis above as fit, is its cell texts (or, when no
+    cell is longer than the separator between two, its innermost rows or
+    its piece of one, each one str.join) interleaved with the separators
+    before them, joined once (and cut into pieces when one cell is longer
+    than ARRAY_CHARS)."""
     k = len(shape)
     first, seps, last = _list_texts(depth, k)
     # a unit is an entry along axis; chars bounds its text but its head
@@ -187,11 +191,14 @@ def _array_blocks(shape, depth, width, texts):
         axis, unit, chars = axis - 1, unit * shape[axis], grown
     step = min(shape[axis], max(1, ARRAY_CHARS // (chars + len(seps[-1]))))
     step *= unit
-    # the separators before a block's cells but its first
+    # a long cell's text is copied once: it is not joined into a row first
+    joined = int(width <= len(seps[0]) and shape[-1] > 1)
+    levels = ((step // unit,) + shape[axis + 1:])[:k - axis - joined]
+    # the separators before a block's rows (cells) but its first
     between = []
-    for t, size in enumerate(reversed((step // unit,) + shape[axis + 1:])):
+    for t, size in enumerate(reversed(levels), joined):
         between += ([seps[t]] + between) * (size - 1)
-    out = np.empty(2 * step, dtype=object)
+    out = np.empty(2 * len(between) + 2, dtype=object)
     out[2::2] = between
     # the first starts as many lists as entries along an axis it starts
     entries = [math.prod(shape[a:]) for a in range(1, k)]
@@ -202,8 +209,12 @@ def _array_blocks(shape, depth, width, texts):
             if start:
                 out[0] = seps[sum(start % size == 0 for size in entries)]
             n = min(start + step, end) - start
-            out[1:2 * n:2] = texts(start, start + n)
-            text = "".join(out[:2 * n].tolist())
+            cells = texts(start, start + n)
+            if joined:
+                cells = list(map(seps[0].join, cells.reshape(
+                    -1, min(n, shape[-1])).tolist()))
+            out[1:2 * len(cells):2] = cells
+            text = "".join(out[:2 * len(cells)].tolist())
             for cut in range(0, len(text), ARRAY_CHARS):
                 yield text[cut:cut + ARRAY_CHARS]
     yield last

@@ -146,8 +146,8 @@ def verify_eigen_identities(P, Q, PQ, valencies, multiplicities, size, m):
     report["P_row0_valencies"] = bool(
         equals_integers(P[0][0], valencies).all())
     Qc = conjugate_array(Q, m)
-    report["entries_real"] = (equal(Qc, Q)
-                              and equal(conjugate_array(P, m), P))
+    report["entries_real"] = (equal(Qc, Q) and equal(
+        Qc if P is Q else conjugate_array(P, m), P))
     # sum_i v_i Q[i][j] conj Q[i][j'] = delta_jj' |X| m_j
     weighted = contract("i,ij->ij", integer_array(valencies), Q, m)
     gram, _ = contract("ij,ik->jk", weighted, Qc, m)
@@ -436,18 +436,20 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
         cert.notes.append("no adjoint witness: %s" % exc)
 
     # Q from the profile of the dual classes, P from that of G's; with no
-    # second action both tests are one test of one profile, run once
+    # second action both tests are one test of one profile, run once, and
+    # P is Q, one array
     table, profile, eigenmatrices = pairing_table(space), None, []
     for name, part, dual in (("G", part_G, part_Gc),
                              ("G_check", part_Gc, part_G)):
         if profile is None or gens_Gc is not None:
             profile = character_profile(space, dual.classes, table)
             ok, F, witness = constancy_test(part, profile)
+            eigenmatrix = sliced(F) if ok else None
         cert.checks["constancy_" + name] = ok
         if not ok:
             cert.fail("constancy_" + name, witness)
             return cert
-        eigenmatrices.append(sliced(F))
+        eigenmatrices.append(eigenmatrix)
     # from here on every check reads P, Q and their products: the
     # |X|-sized table and profile are freed, so they do not add to the
     # peak that the (d + 1)^3 Krein contraction sets at large d

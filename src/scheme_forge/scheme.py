@@ -155,7 +155,7 @@ def intersection_tensor(space, partition, verify_representatives):
     ResourceLimitError before it is allocated.
 
     For the representatives of class k, the points u - z, for every z,
-    form one index array built digit by digit (in the index dtype of the
+    form one index array of table gathers (in the index dtype of the
     space, see AbelianSpace.__init__), and the class pairs (i, j) of
     (u - z, z) one int32 array.  Two representatives give the same counts
     iff their sorted rows of pairs are equal, and one bincount of the

@@ -10,11 +10,17 @@ of radix m_i.
 
 The digits of all points form one numpy array D (|X| x N, row x = d(x));
 with the radices r_i and the place weights w_i = r_{i+1} ... r_N, a point
-is x = sum_i d_i(x) w_i.  The group law is one digit-by-digit array
-sweep: `add`, `neg`, `sub` and `scalar_mul` combine column i of D at the
-given points, reduce mod r_i and weight by w_i.  They take a point index
-or integer index arrays, which broadcast against each other, so a sweep
-over X (or over X x X) is one call; index arrays stay in int32 whenever
+is x = sum_i d_i(x) w_i.  The group law is table gathers, with no carry:
+the digits fall into blocks of consecutive digits, each while prod
+(2 r_i - 1) <= max(4 |X|, 4096), so every table has O(|X|) entries.  In
+a block, the spread S(x) = sum_i d_i(x) W_i, W_i the product of 2 r_j - 1
+over the later digits j of the block, keeps each digit sum of
+S(x) + S(y) whole, and a sum table T maps it to sum_i (d_i(x) + d_i(y)
+mod r_i) w_i, the block's share of x + y.  `add` sums T[S(x) + S(y)]
+over the blocks, `sub` the same with the spread of -y, `neg` is one
+gather and `scalar_mul` a sweep of D.  They take a point index or integer
+index arrays, which broadcast against each other, so a sweep over X (or
+over X x X) is one call; index arrays stay in int32 whenever
 N max(|X|, m)^2 < 2^31 (see AbelianSpace.__init__), else int64.
 
 The pairing is one bilinear form: <x,y> = zeta_m^k with
@@ -43,6 +49,7 @@ the group law, the pairing or the actions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -90,6 +97,31 @@ def check_dimensions(**dims):
             raise UsageError("%s must be >= 1" % name)
 
 
+def _law_blocks(columns, radices, place, limit):
+    """The blocks of the group law on the digit columns D^T (module
+    docstring), each while prod (2 r_i - 1) <= limit: (T, S, S of -x)."""
+    spans, blocks, start = [2 * r - 1 for r in radices], [], 0
+    negated = -columns % np.array(radices, dtype=place.dtype)[:, None]
+    while start < len(radices):
+        stop = start + 1
+        while stop < len(spans) and math.prod(spans[start:stop + 1]) <= limit:
+            stop += 1
+        weights = np.array([math.prod(spans[i + 1:stop])
+                            for i in range(start, stop)], dtype=place.dtype)
+        # T at digits u_i is the share of the digits u_i mod r_i: the
+        # block's own shares, wrapped around along each axis
+        rs = radices[start:stop]
+        table = (np.arange(math.prod(rs), dtype=place.dtype)
+                 * place[stop - 1]).reshape(rs)
+        for axis, r in enumerate(rs):
+            table = np.concatenate(
+                [table, table[(slice(None),) * axis + (slice(r - 1),)]], axis)
+        blocks.append((table.ravel(), weights @ columns[start:stop],
+                       weights @ negated[start:stop]))
+        start = stop
+    return blocks
+
+
 class AbelianSpace:
     """X = Z_{r_1} x ... x Z_{r_N} on digit vectors.
 
@@ -124,10 +156,13 @@ class AbelianSpace:
         self._exponent = math.lcm(*radices)
         self.place = np.array([math.prod(radices[i + 1:])
                                for i in range(len(radices))], dtype=dtype)
-        # column i of D is contiguous: the group law runs digit by digit
-        self._columns = np.indices(radices, dtype).reshape(len(radices),
-                                                           size)
-        self.digits = self._columns.T
+        # D^T is C-contiguous: the pairing table and the law read its rows
+        self.digits = np.indices(radices, dtype).reshape(len(radices),
+                                                         size).T
+        self._radices = np.array(radices, dtype=dtype)
+        self._blocks = _law_blocks(self.digits.T, radices, self.place,
+                                   max(4 * size, 4096))
+        self._neg = sum(table[negated] for table, _, negated in self._blocks)
         self.basis = self.place[np.array(radices) > 1]
         self.size = size
         self.size_bound = size_bound
@@ -160,31 +195,29 @@ class AbelianSpace:
     # Each operation takes point indices or integer index arrays (which
     # broadcast against each other) and returns an index or an index array.
 
-    def _digitwise(self, op, *points):
-        """The point(s) whose digit i is op(digit i of each of `points`)
-        mod r_i, built digit by digit in the dtype of `place`."""
-        out = 0
-        for col, r, w in zip(self._columns, self.radices, self.place):
-            digit = op(*(col[x] for x in points))
-            digit %= r
-            digit *= w
-            out += digit  # in place once out is an array
+    def _law(self, x, y, which):
+        """The sum over the blocks of T[S(x) + S(y)] (which = 1) or of
+        T[S(x) + S(-y)] (which = 2)."""
+        out = functools.reduce(operator.iadd, (
+            block[0][block[1][x] + block[which][y]] for block in self._blocks))
         return out if np.ndim(out) else int(out)
 
     def add(self, x, y):
-        return self._digitwise(operator.add, x, y)
+        return self._law(x, y, 1)
 
     def neg(self, x):
-        return self._digitwise(operator.neg, x)
+        out = self._neg[x]
+        return out if np.ndim(out) else int(out)
 
     def sub(self, x, y):
         """x - y."""
-        return self._digitwise(operator.sub, x, y)
+        return self._law(x, y, 2)
 
     def scalar_mul(self, x, u):
         """u * x for an integer u."""
         u %= self._exponent
-        return self._digitwise(lambda d: d * u, x)
+        out = self.digits[x] * u % self._radices @ self.place
+        return out if np.ndim(out) else int(out)
 
     # -- pairing (subclasses define pairing_exponent) -------------------------
 

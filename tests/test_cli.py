@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scheme_forge import cli, duality, scheme
+from scheme_forge.action import build_action, orbits, check_condition_4
 from scheme_forge.cli import main
 from scheme_forge.duality import CodedArray
+from scheme_forge.space import AbelianSpace, CyclicProductSpace
 
 from helpers import plain
 
@@ -396,6 +398,34 @@ def test_each_command_computes_once(capsys, monkeypatch):
     assert cross["build_action"] == 2
 
 
+def test_condition_4_is_swept_once_per_partition(capsys, monkeypatch):
+    """Condition (4), which the report, TranslationScheme and both
+    verify_axioms calls read, sweeps the negation of X once per
+    partition: once in build and self-mode dual, once per action in a
+    cross dual.  A second space of the same partition sweeps again."""
+    negations = []
+
+    def counted(self, x):
+        negations.append(self)
+        return real(self, x)
+
+    real = AbelianSpace.neg
+    monkeypatch.setattr(AbelianSpace, "neg", counted)
+    for argv, sweeps in ((["build", cfg("hamming4_f3")], 1),
+                         (["dual", cfg("hamming4_f3")], 1),
+                         (["dual", cfg("wh21_f2"), cfg("wh12_f2")], 2)):
+        negations.clear()
+        assert run(argv, capsys)[0] == 0
+        assert len(negations) == sweeps, argv
+    space = CyclicProductSpace((8,))
+    partition = orbits(build_action(space, "central"))
+    other = CyclicProductSpace((8,))
+    negations.clear()
+    for sp in (space, space, other, other):
+        assert check_condition_4(partition, sp) == (True, None)
+    assert negations == [space, other]
+
+
 @pytest.mark.parametrize("command", ["check", "build"])
 def test_matrix_bound_is_a_dual_flag(command, capsys):
     """Only dual reads --matrix-bound; check and build reject it."""
@@ -641,6 +671,28 @@ def test_write_report_writes_integer_arrays_as_json_dumps(obj):
     assert recorder.getvalue() == \
         json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
     assert max(recorder.sizes) <= 64 * 1024
+
+
+@pytest.mark.parametrize("A", [
+    np.arange(500), np.array([], dtype=np.int64), np.array([-7]),
+    np.random.default_rng(1).integers(-2 ** 63, 2 ** 63, 40, dtype=np.int64),
+    np.arange(-20000, 20000, 3),
+    np.random.default_rng(2).integers(-2 ** 40, 2 ** 40, 4000),
+], ids=["500", "empty", "one", "wide", "long", "long-wide"])
+def test_write_report_writes_one_dimensional_integer_arrays(A):
+    """A 1-d integer array, alone and nested, short, empty, of one cell,
+    of values too far apart for a text table and with a text longer than
+    ARRAY_CHARS, is written as json.dumps writes its tolist(), its own
+    pieces at most ARRAY_CHARS long and never cut in a number."""
+    for obj in (A, {"a": A}, [[A, {"b": [A, 1]}], A]):
+        assert encoded(obj) == \
+            json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+    if A.size:
+        pieces = list(cli._array_chunks(A, 2, {}))
+        assert max(map(len, pieces)) <= cli.ARRAY_CHARS
+        assert all(text[-1].isdigit() for text in pieces[:-1])
+        if A.size > 1000:
+            assert len(pieces) > 2
 
 
 @pytest.mark.parametrize("low, high", [(0, 99), (-2 ** 63, 2 ** 63 - 1)])

@@ -846,6 +846,48 @@ def test_constancy_is_tested_once_per_distinct_test(names, tests,
     assert cert.checks["constancy_G"] is cert.checks["constancy_G_check"]
 
 
+@pytest.mark.parametrize("names, one", [
+    (("hamming4_f3",), True),
+    (("central_z8",), True),
+    (("wh11_f2",), False),
+    (("wh21_f2", "wh12_f2"), False),
+])
+def test_self_mode_P_is_Q(names, one, monkeypatch):
+    """With no second action, P and Q are one array, which
+    verify_eigen_identities conjugates once for entries_real; the dual
+    poset of wh11 and a cross pair have two.  The report and the P_equals_Q
+    key are those of two copies of the array."""
+    seen = []
+    real = duality.verify_eigen_identities
+
+    def recorded(P, Q, *rest):
+        conjugated = []
+
+        def counted(A, m):
+            conjugated.append(A)
+            return conjugate_array(A, m)
+
+        monkeypatch.setattr(duality, "conjugate_array", counted)
+        report = real(P, Q, *rest)
+        monkeypatch.setattr(duality, "conjugate_array", conjugate_array)
+        copy = (P[0].copy(), P[1].copy())
+        assert report == real(copy, Q, *rest)
+        seen.append((P is Q, len(conjugated)))
+        return report
+
+    monkeypatch.setattr(duality, "verify_eigen_identities", recorded)
+    configs = []
+    for name in names:
+        with open(os.path.join(CONFIGS, name + ".json")) as fh:
+            configs.append(json.load(fh))
+    space, genset = cli.load_action(configs[0], 4096)
+    cert = duality_report(genset, *(cli.action_from_config(space, c["action"])
+                                    for c in configs[1:]))
+    assert cert.passed
+    assert seen == [(one, 1 if one else 2)]
+    assert cert.checks.get("P_equals_Q", True)
+
+
 def test_contractions_match_loops_cross_and_degenerate():
     sp = VectorSpace(3, FieldSpec(2))
     assert_certificate_matches_loops(duality_report(
@@ -1090,9 +1132,10 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
     """Central Z16 x Z20 (|X| = 320, d = 35, m = 80, phi(m) = 32) has
     rational-integer P and Q (Ramanujan sums): every exact_matmul that
     contract and conjugate_array run in its duality_report, two per
-    contraction and one per conjugate, has operands and a result one
-    coefficient wide, and every contraction and conjugate equals the
-    unsliced einsum over all 32 coefficients."""
+    contraction and one per conjugate (of Q, which P is in self mode,
+    and of the Krein tensor), has operands and a result one coefficient
+    wide, and every contraction and conjugate equals the unsliced einsum
+    over all 32 coefficients."""
     real_matmul = cyclo.exact_matmul
     kernel = []
 
@@ -1127,7 +1170,7 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
         assert [k.tolist() for k in (X[1], Y[1], out[1])] == [[0]] * 3
         assert np.array_equal(full_width(out, m), unsliced_contract(
             spec, full_width(X, m), full_width(Y, m), m, dtype=np.float64))
-    assert len(conjugates) == 3 and len(kernel) == 2 * 5 + 3
+    assert len(conjugates) == 2 and len(kernel) == 2 * 5 + 2
     for (X, m), out in conjugates:
         assert out[1].tolist() == [0]
         assert np.array_equal(full_width(out, m), unsliced_conjugate(

@@ -1,11 +1,14 @@
 """Vertex spaces: group structure, indexing, and pairing axioms."""
 
+import functools
 import itertools
 import math
 from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from scheme_forge.cyclo import CycloInt
 from scheme_forge.errors import UsageError, ResourceLimitError
@@ -226,6 +229,110 @@ def assert_matches_tuple_oracle(space, units=(0, 1, 2, 3, -1, -5, 1000)):
 ], ids=lambda s: repr(s))
 def test_array_core_matches_tuple_oracle(space):
     assert_matches_tuple_oracle(space)
+
+
+# the table group law: every field-space kind, a single Z_4096 digit (an
+# 8191-entry sum table) and F_2^13, whose law needs two blocks
+LAW_SPACES = [s for s in ORACLE_SPACES if s.kind != "cyclic_product"] + [
+    CyclicProductSpace((4096,)),
+    VectorSpace(13, FieldSpec(2), size_bound=2 ** 13),
+]
+
+
+@functools.cache
+def law_oracle(space):
+    return TupleDigits(space)
+
+
+@st.composite
+def law_cases(draw):
+    """A space (one of LAW_SPACES, or a random cyclic product of up to
+    4096 points, mixed radices among them) and two index arrays of one
+    integer dtype and broadcastable shapes, 0-d among them."""
+    space = draw(st.one_of(st.sampled_from(LAW_SPACES), st.one_of(
+        st.lists(st.integers(2, 16), min_size=1, max_size=3),
+        st.tuples(st.integers(2, 4096)),
+        st.tuples(st.integers(2, 64), st.integers(2, 64)),
+    ).map(CyclicProductSpace)))
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, max_dims=3, max_side=4)).input_shapes
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    x, y = (draw(hnp.arrays(dtype, shape,
+                            elements=st.integers(0, space.size - 1)))
+            for shape in shapes)
+    return space, x, y
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(law_cases())
+def test_table_law_matches_tuple_oracle(case):
+    """add, sub and neg equal the digit-by-digit tuple oracle's on random
+    points in broadcast shapes."""
+    space, x, y = case
+    oracle = law_oracle(space) if space in LAW_SPACES else TupleDigits(space)
+    bx, by = np.broadcast_arrays(x, y)
+    pairs = list(zip(bx.ravel().tolist(), by.ravel().tolist()))
+    for name in ("add", "sub"):
+        got = getattr(space, name)(x, y)
+        assert np.shape(got) == bx.shape
+        assert np.ravel(got).tolist() == [getattr(oracle, name)(a, b)
+                                          for a, b in pairs], name
+    got = space.neg(x)
+    assert np.shape(got) == x.shape
+    assert np.ravel(got).tolist() == [oracle.neg(a) for a in
+                                      x.ravel().tolist()]
+
+
+# space -> (constructor, blocks of its law, or None)
+LINEAR_SIZE_SPACES = {
+    "trivial": (lambda: AlternatingMatrixSpace(1, FieldSpec(2)), 1),
+    "Z4096": (lambda: CyclicProductSpace((4096,)), 1),
+    "Z2^12": (lambda: CyclicProductSpace((2,) * 12), 2),
+    "F2^13": (lambda: VectorSpace(13, FieldSpec(2), size_bound=2 ** 13), 2),
+    "Z3xZ5xZ7xZ11xZ13": (lambda: CyclicProductSpace(
+        (3, 5, 7, 11, 13), size_bound=15015), 2),
+    "Z2xZ4096xZ2": (lambda: CyclicProductSpace((2, 4096, 2),
+                                               size_bound=2 ** 14), 2),
+    "F2^4x4": (lambda: FullMatrixSpace(4, 4, FieldSpec(2),
+                                       size_bound=2 ** 16), 2),
+    **{"oracle%d" % i: (lambda s=s: s, None)
+       for i, s in enumerate(ORACLE_SPACES)},
+}
+
+
+@pytest.mark.parametrize("make, blocks", LINEAR_SIZE_SPACES.values(),
+                         ids=LINEAR_SIZE_SPACES)
+def test_table_law_has_linear_size(make, blocks):
+    """The law's tables (a sum table and two spread tables per block, and
+    the negation table) hold at most 16 |X| + 16384 entries, up to
+    |X| = 2^16; the blocks are as many as their bound allows."""
+    space = make()
+    entries = space._neg.size + sum(table.size for block in space._blocks
+                                    for table in block)
+    assert entries <= 16 * space.size + 16384
+    if blocks is not None:
+        assert len(space._blocks) == blocks
+
+
+@pytest.mark.parametrize("space, dtype", [
+    (VectorSpace(2, FieldSpec(3)), np.int32),
+    (CyclicProductSpace((256, 256), size_bound=2 ** 16), np.int64),
+], ids=["int32", "int64"])
+def test_table_law_keeps_the_index_dtype(space, dtype):
+    """Index arrays of any integer dtype give arrays in the dtype of
+    `place`; scalar points, Python or numpy, give ints."""
+    assert space.place.dtype == dtype
+    n = space.size
+    for index_dtype in (np.int32, np.int64, np.intp):
+        x = np.arange(n, dtype=index_dtype)
+        for got in (space.add(x, x[::-1]), space.sub(x[:, None], x[:3]),
+                    space.neg(x)):
+            assert got.dtype == dtype
+    for a, b in ((1, n - 1), (np.int64(1), np.int32(n - 1))):
+        assert type(space.add(a, b)) is int
+        assert type(space.sub(a, b)) is int
+        assert type(space.neg(a)) is int
+    assert space.add(n - 1, space.neg(n - 1)) == 0 == space.sub(1, 1)
 
 
 def test_index_of_rejects_out_of_range_coordinates():
