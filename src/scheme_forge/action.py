@@ -384,6 +384,11 @@ def _build_custom(space, params):
 
 # -- adjoints ---------------------------------------------------------------
 
+# The family of an adjoint's codomain: a weak-Hamming action's adjoints
+# act on the dual poset; every other family is its own.
+DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
+               "weak_hamming_dual": "weak_hamming"}
+
 
 class AdjointMap:
     """Per-generator adjoint images, aligned with the source generators."""
@@ -414,9 +419,7 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
         for g, ig in zip(genset.generators, images):
             _assert_preserves_weight(space, ig.perm, genset.poset.dual(),
                                      g.name)
-    codomain = {"weak_hamming": "weak_hamming_dual",
-                "weak_hamming_dual": "weak_hamming"}.get(family, family)
-    return AdjointMap(genset, images, codomain)
+    return AdjointMap(genset, images, DUAL_FAMILY.get(family, family))
 
 
 def _assert_preserves_weight(space, perm, poset, name):

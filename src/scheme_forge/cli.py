@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 duality/axiom failure, 2 config error or a
 malformed flag (a --size-bound below 1, a negative --matrix-bound),
 3 resource bound exceeded.
 
-Reports are streamed by write_report, byte for byte json.dumps; its one
-memo holds the value texts of the certificate's coded arrays, per depth.
+json.dumps(sort_keys=True, indent=2) writes every report; write_report's
+own code writes only the integer arrays and the certificate's coded
+arrays, one text per distinct entry, in pieces.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -77,67 +78,35 @@ def load_action(cfg, size_bound):
     return space, action_from_config(space, cfg["action"])
 
 
-# A container's pending text is written out once it grows past this
-# many characters.
-FLUSH_CHARS = 1 << 12
-# An ndarray's or an int list's text is written in pieces of at most
-# about this many characters, so a write, with the pending text of at
-# most FLUSH_CHARS before it, stays within 64 KiB.
+# The report's text outside its arrays, and each array's, is written in
+# pieces of at most about this many characters, so a write stays within
+# 64 KiB.
 ARRAY_CHARS = 1 << 15
 
 
-def _scalar_text(value):
-    """The JSON text of a str, None, bool, int or float (checked in the
-    order json checks them); None for any other value."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    return None
-
-
-def _key_text(key):
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
-        raise TypeError("keys must be str, int, float, bool or None, not %s"
-                        % type(key).__name__)
-    return encode_basestring_ascii(text)
-
-
 def _array_chunks(A, depth, memo):
-    """Yield the text of A, an integer ndarray or a CodedArray, nested
-    `depth` containers deep, as json.dumps(A.tolist(), sort_keys=True,
-    indent=2) spells it.  Each distinct entry gets one text, which its
-    cells take by one C-level take per block: each value in a CodedArray
-    is encoded by _chunks once per depth, into memo[id(A.values), depth +
-    ndim], the table of all coded arrays of those values at that depth (P
-    and Q); integers in a range no wider than the array get one text per
-    value in it, others are int.__repr__'d cell by cell."""
+    """Yield the text of A, an integer ndarray or a CodedArray of at least
+    one axis and no zero-length one, nested `depth` containers deep, as
+    json.dumps(A.tolist(), sort_keys=True, indent=2) spells it.  Each
+    distinct entry gets one text, which its cells take by one C-level
+    take per block: each value of a CodedArray that A holds is encoded
+    by json.dumps once per value list, into memo[id(A.values)], and
+    fitted to A's depth by one str.replace; integers in a range no wider
+    than the array get one text per value in it, others are
+    int.__repr__'d cell by cell."""
     codes = A.codes if isinstance(A, CodedArray) else A
-    if codes.ndim == 0 or codes.size == 0:
-        yield from _chunks(A.tolist(), depth, memo)
-        return
     flat, low = codes.ravel(), 0
     if codes is not A:
-        table = memo.setdefault((id(A.values), depth + codes.ndim),
-                                np.empty(len(A.values), dtype=object))
-        present = np.bincount(flat, minlength=len(table)).nonzero()[0]
+        encoded = memo.setdefault(id(A.values),
+                                  np.empty(len(A.values), dtype=object))
+        present = np.bincount(flat, minlength=len(encoded)).nonzero()[0]
+        indent = "\n" + "  " * (depth + codes.ndim)
+        table = np.empty(len(encoded), dtype=object)
         for code in present.tolist():
-            if table[code] is None:
-                table[code] = "".join(_chunks(A.values[code],
-                                              depth + codes.ndim, memo))
+            if encoded[code] is None:
+                encoded[code] = json.dumps(A.values[code], sort_keys=True,
+                                           indent=2)
+            table[code] = encoded[code].replace("\n", indent)
         width = max(map(len, table[present].tolist()))
     else:
         low, high = int(A.min()), int(A.max())
@@ -220,83 +189,47 @@ def _array_blocks(shape, depth, width, texts):
     yield last
 
 
-def _chunks(obj, depth, memo):
-    """Yield the text of obj, nested `depth` containers deep, as
-    json.dumps(sort_keys=True, indent=2) spells it.
-
-    A container's children are encoded in order and its pending text is
-    yielded whenever it passes FLUSH_CHARS.  A list of plain ints is one
-    str.join, yielded in pieces of at most ARRAY_CHARS.  An integer
-    ndarray or a CodedArray is written as its tolist() would be, by
-    _array_chunks, whose table of value texts memo holds."""
-    text = _scalar_text(obj)
-    if text is not None:
-        yield text
-        return
-    if isinstance(obj, CodedArray) or (isinstance(obj, np.ndarray)
-                                       and obj.dtype.kind in "iu"):
-        yield from _array_chunks(obj, depth, memo)
-        return
-    inner = "\n" + "  " * (depth + 1)
-    sep = "," + inner
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        lead = [sep + _key_text(key) + ": " for key, _ in items]
-        values = [value for _, value in items]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        lead, values, brackets = None, obj, "[]"
-    else:
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % type(obj).__name__)
-    if not values:
-        yield brackets
-        return
-    close = "\n" + "  " * depth + brackets[1]
-    if lead is None:
-        if set(map(type, values)) == {int}:
-            text = "[" + inner + sep.join(map(int.__repr__, values)) + close
-            for cut in range(0, len(text), ARRAY_CHARS):
-                yield text[cut:cut + ARRAY_CHARS]
-            return
-        lead = [sep] * len(values)
-    lead[0] = brackets[0] + lead[0][1:]  # the bracket, not a comma
-    pending, size = [], 0
-    for head, value in zip(lead, values):
-        text = _scalar_text(value)
-        if text is None:
-            pending.append(head)
-            size += len(head)
-            chunks = _chunks(value, depth + 1, memo)
-        else:
-            chunks = (head + text,)
-        for text in chunks:
-            pending.append(text)
-            size += len(text)
-            if size > FLUSH_CHARS:
-                yield "".join(pending)
-                pending, size = [], 0
-    pending.append(close)
-    yield "".join(pending)
-
-
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
-    out_path, or to stdout, byte for byte, streamed.
+    out_path, or to stdout, byte for byte.
 
-    The encoder takes str, int, float, bool and None scalars (ASCII
-    escaping, float repr, NaN and Infinity spelled as json spells them)
-    and dict, list and tuple containers, dict keys sorted, integer numpy
-    arrays and CodedArrays, which it writes as their tolist().  A
-    container's pending text is written once it passes FLUSH_CHARS, a
-    list of plain ints or an array's in pieces of at most about
-    ARRAY_CHARS, so the whole text is never held.  A CodedArray's value
-    texts are kept by depth, on which indentation depends, and by the
-    identity of its value list, which the report keeps alive."""
+    json.dumps writes the report; its default hook turns each integer
+    ndarray and CodedArray with a cell into a placeholder string, a token
+    drawn afresh from os.urandom, each empty or 0-d one into its
+    tolist(), and raises TypeError, as json does, on any other value.
+    The text is written in pieces of at most ARRAY_CHARS, each placeholder
+    replaced by the text of its array from _array_chunks, nested as deep
+    as the placeholder's line is indented.  A CodedArray's value texts
+    are kept by the identity of its value list, which the report keeps
+    alive."""
+    token = os.urandom(16).hex()
+    arrays = []
+
+    def placeholder(obj):
+        codes = obj.codes if isinstance(obj, CodedArray) else obj
+        if not (isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"):
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(obj).__name__)
+        if codes.ndim == 0 or codes.size == 0:
+            return obj.tolist()
+        arrays.append(obj)
+        return token
+
+    text = json.dumps(report, sort_keys=True, indent=2, default=placeholder)
+    memo = {}
     with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        for text in _chunks(report, 0, {}):
-            fh.write(text)
+        for head, A in zip(text.split('"%s"' % token), arrays + [None]):
+            for cut in range(0, len(head), ARRAY_CHARS):
+                fh.write(head[cut:cut + ARRAY_CHARS])
+            if A is not None:
+                line = head[head.rfind("\n") + 1:]
+                depth = (len(line) - len(line.lstrip(" "))) // 2
+                for chunk in _array_chunks(A, depth, memo):
+                    fh.write(chunk)
         fh.write("\n")
+    # json's pure-Python encoder (indent) leaves a reference cycle that
+    # keeps placeholder, and so the arrays, until the collector runs
+    arrays.clear()
 
 
 def render_eigenmatrix(name, M):

@@ -24,7 +24,7 @@ value, the only entries widened to phi(m), and a code array per
 quantity.  DualityCertificate.P and .Q index it as nested lists, so
 every entry of a value is one object; to_json gives Q, P and the Krein
 tensor as CodedArrays, the code arrays and one shared list of JSON
-dicts, one per value, which cli.write_report encodes once per depth.
+dicts, one per value, which cli.write_report encodes once each.
 
 N_0 = J and sum N_j = |X| I are read off Q (verify_idempotents); sigma
 and the idempotent products are read off the spectrum P Q.  The
@@ -73,7 +73,7 @@ from .cyclo import (CycloInt, integer_array,
                     conjugate_array, exact_matmul, max_abs)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
-                     build_action)
+                     build_action, DUAL_FAMILY)
 from .space import (pairing_table, check_tensor_size, PAIRING_BLOCK_ROWS,
                     DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
@@ -386,9 +386,8 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     if gens_Gc is None and gens_G.poset is not None:
         # the dual partition of a weak-Hamming scheme lives on the dual
         # poset; palindromic level vectors keep this a self-duality
-        partner = {"weak_hamming": "weak_hamming_dual",
-                   "weak_hamming_dual": "weak_hamming"}[gens_G.family]
-        gens_Gc = build_action(space, partner, **gens_G.params)
+        gens_Gc = build_action(space, DUAL_FAMILY[gens_G.family],
+                               **gens_G.params)
         levels = gens_G.poset.levels
         mode = "self" if tuple(levels) == tuple(reversed(levels)) else "cross"
         auto_partner = True
@@ -500,7 +499,11 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     # the schemes and their (d + 1)^3 intersection tensors are done with:
     # freed, they do not add to the peak of the distinct-value grouping
     del scheme_G, scheme_Gc, p_dual
-    cert.elements, cert.codes = distinct_elements([Q, P, krein], m)
+    # in self mode P is Q: its rows are grouped once and share Q's codes
+    cert.elements, cert.codes = distinct_elements(
+        [Q, krein] if P is Q else [Q, P, krein], m)
+    if P is Q:
+        cert.codes.insert(1, cert.codes[0])
     cert.Q, cert.P = (cert.elements[code].tolist() for code in cert.codes[:2])
 
     required = [v for k, v in cert.checks.items()

@@ -71,6 +71,10 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.q = q
+        if modulus is not None:
+            modulus = tuple(c % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise UsageError("modulus must be monic of degree e")
         if e == 1:
             self.modulus = (0, 1)  # unused; t - 0 placeholder
         else:
@@ -79,9 +83,6 @@ class FieldSpec:
                 if modulus is None:
                     raise UsageError(
                         "no built-in modulus for q = %d^%d; supply one" % (p, e))
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise UsageError("modulus must be monic of degree e")
             if not self._is_irreducible(modulus, p):
                 raise UsageError("modulus %r is reducible over F_%d" % (modulus, p))
             self.modulus = modulus

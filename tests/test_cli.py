@@ -1,6 +1,7 @@
 """CLI: exit codes, report shapes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +210,8 @@ HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
      {"family": "symmetric"}, "m must be >= 1"),
     ({"kind": "matrix_hermitian", "m": 0, "field": {"p": 2, "e": 2}},
      {"family": "hermitian"}, "m must be >= 1"),
+    ({"kind": "vector", "n": 2, "field": {"p": 2, "modulus": [1, 1, 1]}},
+     {"family": "hamming"}, "modulus must be monic of degree e"),
 ])
 def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
                                      message):
@@ -460,14 +464,9 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
-@pytest.mark.parametrize("flush_chars", [3, 1 << 16])
-def test_write_report_streams_the_dumps_bytes(flush_chars, capsys, tmp_path,
-                                              monkeypatch):
-    """The streamed report, to a file and to stdout, is byte for byte
-    json.dumps(report, sort_keys=True, indent=2) + "\\n", both when every
-    container passes FLUSH_CHARS and is written in pieces and when the
-    whole report stays within it and is written at once."""
-    monkeypatch.setattr(cli, "FLUSH_CHARS", flush_chars)
+def test_write_report_streams_the_dumps_bytes(capsys, tmp_path):
+    """The report, to a file and to stdout, is byte for byte
+    json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
     report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
               "c": [[True, False]] * 5, "d": "end"}
     want = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -592,13 +591,26 @@ def test_write_report_streams_shared_large_entries(monkeypatch):
     assert max(recorder.sizes) <= 64 * 1024
 
 
+def counted_dumps(monkeypatch):
+    """Replace json.dumps by a wrapper that counts its calls per first
+    argument, by identity; return the counts."""
+    calls, real = {}, json.dumps
+
+    def counted(obj, *args, **kwargs):
+        calls[id(obj)] = calls.get(id(obj), 0) + 1
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    return calls
+
+
 def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
         monkeypatch):
     """One dict shared by two coded arrays at the same depth, as the
-    certificate's P and Q share a value, is encoded once: the second
-    array takes its text from the first's.  A third array one level
-    deeper encodes it once more, at its own indentation.  A value that
-    no array holds is never encoded."""
+    certificate's P and Q share a value, and by a third array one level
+    deeper, is encoded by json.dumps once: each array fits that text to
+    its own indentation.  A value that no array holds is never
+    encoded."""
     entry = large_entry()
     other = {"order": 1, "coeffs": [2]}
     absent = {"order": 3, "coeffs": [4]}
@@ -608,19 +620,50 @@ def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
     report = {"P": CodedArray(codes, pool),
               "Q": CodedArray(codes.T, pool),
               "deeper": [CodedArray(codes, pool)]}
-    calls = {}
-    real = cli._chunks
+    want = json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    calls = counted_dumps(monkeypatch)
+    assert encoded(report) == want
+    assert (calls[id(entry)], calls[id(other)]) == (1, 1)
+    assert id(absent) not in calls
 
-    def counted(obj, depth, memo):
-        calls[id(obj), depth] = calls.get((id(obj), depth), 0) + 1
-        return real(obj, depth, memo)
 
-    monkeypatch.setattr(cli, "_chunks", counted)
+def test_write_report_keeps_no_array_alive():
+    """A report's arrays are freed with the report, without waiting for
+    the cyclic collector: the reference cycle that json's pure-Python
+    encoder leaves behind holds no array."""
+    A = np.arange(12).reshape(3, 4)
+    ref = weakref.ref(A)
+    gc.disable()
+    try:
+        encoded({"a": A, "b": [CodedArray(A % 2, [{"x": 1}, [2]])]})
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_write_report_writes_placeholder_lookalikes_verbatim(monkeypatch):
+    """Strings and keys shaped like write_report's placeholders, the
+    token of an earlier write among them, next to integer and coded
+    arrays, are written as json.dumps writes them: each write draws its
+    own token."""
+    tokens, real = [], os.urandom
+
+    def recorded(n):
+        tokens.append(real(n).hex())
+        return bytes.fromhex(tokens[-1])
+
+    monkeypatch.setattr(os, "urandom", recorded)
+    A = np.arange(6).reshape(2, 3)
+    encoded({"a": A})
+    old, = tokens
+    pool = [{"order": 2, "coeffs": [old]}, old]
+    report = {old: A, "a": [old, A, '"%s"' % old, A],
+              "b": {"0" * len(old): CodedArray(A % 2, pool), "c": old},
+              "d": [CodedArray(A.T % 2, pool), old + "1", '"' + old]}
     assert encoded(report) == \
         json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
-    assert (calls[id(entry), 3], calls[id(entry), 4]) == (1, 1)
-    assert (calls[id(other), 3], calls[id(other), 4]) == (1, 1)
-    assert id(absent) not in {key for key, _ in calls}
+    assert len(tokens) == 2 and tokens[1] != old
 
 
 @pytest.mark.parametrize("values", [list(range(4000)),
@@ -723,43 +766,33 @@ ENTRIES = st.one_of(st.lists(SCALARS, max_size=4),
                     TREES)
 
 
+def coded_array_tree(A, ints):
+    """A in a tree next to an integer array, to a second array of its
+    values at the same depth and to its own values at the values' depth
+    and elsewhere."""
+    # A's entries are A.codes.ndim + 2 containers deep in "a"
+    nested = A.values
+    for _ in range(A.codes.ndim):
+        nested = [nested]
+    return {"a": [A, ints], "b": nested, "c": [A.values, A],
+            "d": A, "e": CodedArray(A.codes[::-1], A.values)}
+
+
 @st.composite
 def coded_array_trees(draw):
     """Coded arrays of 1-4 dimensions, zero-length axes among them,
-    whose entries, drawn from a pool of dicts, lists and scalars, repeat;
-    or a few 1-4 KiB entries, or lists of strings or ints longer than
-    ARRAY_CHARS, in an array whose leading row is longer than
-    ARRAY_CHARS.  Each sits in a tree next to an integer array, to a
-    second array of the same pool at the same depth and to its own
-    entries at the entries' depth and elsewhere."""
-    if draw(st.booleans()):
-        pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
-        shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
-                                      max_side=5))
-    else:
-        big = large_entry()
-        pool = [big, dict(big, order=7), ["x"] * 4000,
-                list(range(4000))][:draw(st.integers(1, 4))]
-        shape = draw(st.sampled_from([(2, 12), (1, 3, 12), (2, 2, 1, 10)]))
+    whose entries, drawn from a pool of dicts, lists and scalars, repeat,
+    each in a coded_array_tree."""
+    pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
+                                  max_side=5))
     codes = draw(hnp.arrays(np.intp, shape,
                             elements=st.integers(0, len(pool) - 1)))
-    A = CodedArray(codes, pool)
-    ints = draw(INT_ARRAYS)
-    # A's entries are A.codes.ndim + 2 containers deep in "a"
-    nested = pool
-    for _ in range(codes.ndim):
-        nested = [nested]
-    return {"a": [A, ints], "b": nested, "c": [pool, A],
-            "d": A, "e": CodedArray(codes[::-1], pool)}
+    return coded_array_tree(CodedArray(codes, pool), draw(INT_ARRAYS))
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(coded_array_trees(),
-                 coded_array_trees().map(lambda tree: tree["d"])))
-def test_write_report_writes_coded_arrays_as_json_dumps(obj):
-    """A coded array of JSON values, alone or in a tree among integer
-    arrays, another coded array of its values and copies of its entries,
-    is written as json.dumps writes its tolist(), in writes of at most
+def assert_written_as_json_dumps(obj):
+    """write_report gives json.dumps's text of obj, in writes of at most
     64 KiB."""
     recorder = WriteRecorder()
     with contextlib.redirect_stdout(recorder):
@@ -769,31 +802,55 @@ def test_write_report_writes_coded_arrays_as_json_dumps(obj):
     assert max(recorder.sizes) <= 64 * 1024
 
 
+@settings(max_examples=75, deadline=None, database=None)
+@given(st.one_of(coded_array_trees(),
+                 coded_array_trees().map(lambda tree: tree["d"])))
+def test_write_report_writes_coded_arrays_as_json_dumps(obj):
+    """A coded array of JSON values, alone or in a tree among integer
+    arrays, another coded array of its values and copies of its entries,
+    is written as json.dumps writes its tolist(), in writes of at most
+    64 KiB."""
+    assert_written_as_json_dumps(obj)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 12), (1, 3, 12), (2, 2, 1, 10)])
+def test_write_report_writes_large_coded_entries_as_json_dumps(shape, size):
+    """A pool of `size` of: two 1-4 KiB entries and lists of strings and
+    of ints longer than ARRAY_CHARS, every one held by a coded array
+    whose leading row is longer than ARRAY_CHARS, alone and in a
+    coded_array_tree: json.dumps's text, in writes of at most 64 KiB."""
+    big = large_entry()
+    pool = [big, dict(big, order=7), ["x"] * 4000, list(range(4000))][:size]
+    rng = np.random.default_rng(size * 10 + len(shape))
+    codes = rng.integers(0, size, size=shape)
+    codes.flat[:size] = range(size)
+    ints = rng.integers(-2 ** 63, 2 ** 63, size=(3, 4), dtype=np.int64)
+    tree = coded_array_tree(CodedArray(codes, pool), ints)
+    for obj in (tree, tree["d"]):
+        assert_written_as_json_dumps(obj)
+
+
 def test_write_report_encodes_each_distinct_array_entry_once(monkeypatch):
-    """A 30^3 coded array holding five Krein-like dicts: _chunks encodes
-    each dict once, although the array's rows are each longer than
-    ARRAY_CHARS, and the array is written in blocks of whole cells of at
-    most ARRAY_CHARS each, no text cut; the text is json.dumps's."""
+    """A 30^3 coded array holding five Krein-like dicts: json.dumps
+    encodes each dict once, although the array's rows are each longer
+    than ARRAY_CHARS, and the array is written in blocks of whole cells
+    of at most ARRAY_CHARS each, no text cut; the text is json.dumps's."""
     pool = [{"order": 16, "coeffs": [k] * 8, "approx": [k / 3, 0.0]}
             for k in range(5)]
     codes = np.random.default_rng(30).integers(0, 5, size=(30, 30, 30))
     report = {"krein": CodedArray(codes, pool)}
-    calls, pieces = {}, []
-    real_chunks, real_array = cli._chunks, cli._array_chunks
-
-    def counted(obj, depth, memo):
-        calls[id(obj)] = calls.get(id(obj), 0) + 1
-        return real_chunks(obj, depth, memo)
+    want = json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    pieces, real_array = [], cli._array_chunks
 
     def recorded(A, depth, memo):
         for text in real_array(A, depth, memo):
             pieces.append(text)
             yield text
 
-    monkeypatch.setattr(cli, "_chunks", counted)
     monkeypatch.setattr(cli, "_array_chunks", recorded)
-    assert encoded(report) == \
-        json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+    calls = counted_dumps(monkeypatch)
+    assert encoded(report) == want
     assert [calls[id(entry)] for entry in pool] == [1] * 5
     assert max(map(len, pieces)) <= cli.ARRAY_CHARS
     assert not [i for i, text in enumerate(pieces[:-1])
