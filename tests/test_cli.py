@@ -464,9 +464,14 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
-def test_write_report_streams_the_dumps_bytes(capsys, tmp_path):
+@pytest.mark.parametrize("array_chars", [3, 1 << 16])
+def test_write_report_streams_the_dumps_bytes(array_chars, capsys, tmp_path,
+                                              monkeypatch):
     """The report, to a file and to stdout, is byte for byte
-    json.dumps(report, sort_keys=True, indent=2) + "\\n"."""
+    json.dumps(report, sort_keys=True, indent=2) + "\\n", both when its
+    text passes ARRAY_CHARS and is written in pieces and when it stays
+    within it and is written at once."""
+    monkeypatch.setattr(cli, "ARRAY_CHARS", array_chars)
     report = {"b": [1, {"z": None, "a": [0.5, "xé"]}], "a": {},
               "c": [[True, False]] * 5, "d": "end"}
     want = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -475,6 +480,12 @@ def test_write_report_streams_the_dumps_bytes(capsys, tmp_path):
     assert path.read_bytes() == want.encode()
     cli.write_report(report, None)
     assert capsys.readouterr().out == want
+    out = WriteRecorder()
+    with contextlib.redirect_stdout(out):
+        cli.write_report(report, None)
+    assert out.getvalue() == want
+    assert max(out.sizes) <= array_chars
+    assert (len(out.sizes) > 2) == (len(want) > array_chars)
 
 
 def encoded(obj):
