@@ -11,10 +11,12 @@ constructors of Generator and OrbitPartition: a generator's F_q matrices
 or conj_index[A.T] for Hermitian forms; `Generator.perm[x]` is g(x); and
 `OrbitPartition.class_of[x]` is the class of x, each class an ascending
 array of points.  A field family's map (v -> M v, or A -> left A right)
-runs on the entry arrays of all points at once through the field's index
-tables (FieldSpec.matmul).  Each permutation comes from the formula on
-every point, never from basis images and linearity, so verify_additive
-stays a real test of condition (3).
+runs on the entry arrays of the digit basis points through the field's
+index tables (FieldSpec.matmul), and its permutation is the linear
+extension of those N images, one exact matrix product over the digit
+array (_field_map).  So a built-in permutation is additive by
+construction; verify_additive still sweeps it, and is the real test of
+condition (3) for custom generators.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 from . import oracles
+from .cyclo import exact_matmul
 from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
@@ -224,13 +227,18 @@ def _adjoint_matrix(space, family, A):
 
 
 def _field_map(space, family, name, data):
-    """The Generator `name` with `data`, its permutation the family's
-    formula evaluated on every point of X at once: {"matrix": M} is
-    v -> M v, {"alpha": a, "beta": b} is A -> a^T A b, and b = a when
-    there is no "beta" (A -> a* A a for Hermitian forms).  Raises
-    IntegrityError when an image is not in X."""
+    """The Generator `name` with `data`: {"matrix": M} is v -> M v,
+    {"alpha": a, "beta": b} is A -> a^T A b, and b = a when there is no
+    "beta" (A -> a* A a for Hermitian forms).  The formula runs on the
+    digit basis e_i only, and raises IntegrityError when an image is not
+    in X.  Every digit of a field space has radix p, so the basis has one
+    point per digit, and the map, additive, is its linear extension: the
+    digits of g(x) are sum_i d_i(x) d(g(e_i)) mod p, one exact matrix
+    product (each sum at most N (p - 1)^2).  X is a group, so these
+    images are in X too."""
     field = space.field
-    X = space.entries(np.arange(space.size))
+    basis = space.basis
+    X = space.entries(basis)
     if "matrix" in data:
         images = field.matmul(data["matrix"], X[..., None])[..., 0]
     else:
@@ -238,7 +246,11 @@ def _field_map(space, family, name, data):
         images = field.matmul(
             field.matmul(_adjoint_matrix(space, family, alpha), X),
             data.get("beta", alpha))
-    return Generator(name, space.points_of(images, name), data)
+    images = space.points_of(images, name, basis)
+    D = space.digits
+    digits = exact_matmul(D, D[images], len(basis) * (field.p - 1) ** 2)
+    return Generator(name, (digits % field.p @ space.place).astype(D.dtype),
+                     data)
 
 
 def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
@@ -416,19 +428,14 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
                               for key, A in g.data.items()})
                   for g in genset.generators]
     if genset.poset is not None:
+        # an adjoint must preserve the weight of the dual poset
+        weights = genset.poset.dual().weights(
+            space.entries(np.arange(space.size)) != 0)
         for g, ig in zip(genset.generators, images):
-            _assert_preserves_weight(space, ig.perm, genset.poset.dual(),
-                                     g.name)
+            if (weights[ig.perm] != weights).any():
+                raise IntegrityError("adjoint of %s does not preserve the "
+                                     "dual poset weight" % g.name)
     return AdjointMap(genset, images, DUAL_FAMILY.get(family, family))
-
-
-def _assert_preserves_weight(space, perm, poset, name):
-    """Raise IntegrityError unless w(perm(x)) = w(x) for every point x,
-    the poset weights read off the nonzero entries of all points."""
-    weights = poset.weights(space.entries(np.arange(space.size)) != 0)
-    if (weights[perm] != weights).any():
-        raise IntegrityError(
-            "adjoint of %s does not preserve the dual poset weight" % name)
 
 
 def verify_adjoint(adjoint: AdjointMap):

@@ -6,25 +6,48 @@ use is the advisory lower bound on Krein parameters that are not rational
 integers.  Every quantity of the pipeline is an integer array of
 power-basis coefficients (cyclo.py):
 
-  * the character profile, full width (dual classes, |X|, phi(m)): per
-    class, one exponent histogram per point, reduced by one m x phi(m)
-    matrix;
-  * F = Q or P, full width (d + 1, d + 1, phi(m)): the profile at one
-    representative of each class, once constancy holds; from here on
-    each is a support-width array, cut to its nonzero columns (and the
-    constant column 0), one column for a central action;
+  * F = Q or P, full width (d + 1, d + 1, phi(m)): F[i][j] = f_j at
+    the first point of class X_i, one exponent histogram per (class,
+    dual class) reduced by one m x phi(m) matrix; from here on each is
+    a support-width array, cut to its nonzero columns (and the constant
+    column 0), one column for a central action;
   * the spectrum P Q and the Krein tensor, support-width arrays of shape
     (d + 1, d + 1[, d + 1], columns), the columns the products of P and
     Q can reach.
 
-Every check is an array comparison of these.  Once the constancy tests
-hold, dual keeps only P, Q, P Q, the Krein tensor and, at its end, one
-table of their distinct values (distinct_elements): one CycloInt per
-value, the only entries widened to phi(m), and a code array per
-quantity.  DualityCertificate.P and .Q index it as nested lists, so
-every entry of a value is one object; to_json gives Q, P and the Krein
-tensor as CodedArrays, the code arrays and one shared list of JSON
-dicts, one per value, which cli.write_report encodes once each.
+Every check is an array comparison of these.
+
+F is only the eigenmatrix once f_j(y) = sum of <y, x> over the dual
+class Y_j is constant on each class X_i (constancy_G for Q, and
+constancy_G_check, with the roles of the partitions swapped, for P).
+The paper's adjoint lemma proves it.  Let every generator g of G have an
+adjoint iota(g), <gy, x> = <y, iota(g) x> for all x and y
+(verify_adjoint), that is a permutation of X mapping each Y_j into, so
+onto, itself (keeps_classes).  Then
+
+    f_j(gy) = sum_{x in Y_j} <y, iota(g) x> = sum_{x' in Y_j} <y, x'>
+            = f_j(y),
+
+so f_j is constant on each orbit of the group the generators make, and
+F[i][j] is f_j at one point of X_i (lemma_eigenmatrix): d + 1 rows of
+the pairing table, O(d |X|) work.  With a second action, or the dual
+poset's partner of a weak-Hamming action, constancy_G_check is proved
+the same way from that action's adjoints against G's classes.  When the
+premise fails (a custom action has no adjoint map; an adjoint fails
+verify_adjoint or moves a point to another dual class), the exhaustive
+test runs: the character profile, full width (dual classes, |X|,
+phi(m)), from the |X| x |X| pairing table, one exponent histogram per
+point and class, compared across each class by constancy_test, whose
+witness names the first point where f_j differs.
+
+Once the constancy tests hold, dual keeps only P, Q, P Q, the Krein
+tensor and, at its end, one table of their distinct values
+(distinct_elements): one CycloInt per value, the only entries widened
+to phi(m), and a code array per quantity.  DualityCertificate.P and .Q
+index it as nested lists, so every entry of a value is one object;
+to_json gives Q, P and the Krein tensor as CodedArrays, the code arrays
+and one shared list of JSON dicts, one per value, which
+cli.write_report encodes once each.
 
 N_0 = J and sum N_j = |X| I are read off Q (verify_idempotents); sigma
 and the idempotent products are read off the spectrum P Q.  The
@@ -73,9 +96,9 @@ from .cyclo import (CycloInt, integer_array,
                     conjugate_array, exact_matmul, max_abs)
 from .errors import UsageError, IntegrityError
 from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
-                     build_action, DUAL_FAMILY)
-from .space import (pairing_table, check_tensor_size, PAIRING_BLOCK_ROWS,
-                    DEFAULT_SIZE_BOUND)
+                     build_action, DUAL_FAMILY, _is_permutation)
+from .space import (pairing_table, pairing_rows, check_tensor_size,
+                    PAIRING_BLOCK_ROWS, DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
@@ -130,6 +153,49 @@ def constancy_test(partition_G, profile):
         return False, None, witness
     reps = [cls[0] for cls in partition_G.classes]
     return True, profile[:, reps].transpose(1, 0, 2), None
+
+
+def verified_adjoint(genset):
+    """adjoint_map(genset) when verify_adjoint passes on it, else None
+    (a custom action carries no adjoint map)."""
+    try:
+        adjoint = adjoint_map(genset)
+    except UsageError:
+        return None
+    return adjoint if verify_adjoint(adjoint)[0] else None
+
+
+def keeps_classes(adjoint, dual):
+    """The rest of the adjoint lemma's premise (module docstring): every
+    image iota(g) is a permutation of X that maps each class of the
+    partition `dual` onto itself."""
+    class_of = dual.class_of
+    return all(_is_permutation(ig.perm, len(class_of))
+               and (class_of[ig.perm] == class_of).all()
+               for ig in adjoint.images)
+
+
+def lemma_eigenmatrix(space, partition, dual):
+    """F[i, j] = f_j at the first point of class X_i, f_j(y) the sum of
+    <y, x> over the class Y_j of `dual`: constancy_test's F, shape
+    (d + 1, dual classes, phi(m)), for a partition on whose classes the
+    adjoint lemma has proved each f_j constant.
+
+    The pairing is symmetric, so the exponents are the pairing-table
+    rows of the d + 1 representatives (pairing_rows); one bincount keyed
+    by (representative, dual class, exponent) gives every exponent
+    histogram, and the reduction matrix R turns them into coefficients
+    through cyclo.exact_matmul, each histogram summing to its class size,
+    so the largest class times max|R| bounds every entry's products."""
+    m = space.character_order
+    R = reduction_matrix(m)
+    reps = np.array([cls[0] for cls in partition.classes])
+    width = dual.d + 1
+    keys = (np.arange(len(reps))[:, None] * width + dual.class_of) * m
+    keys += pairing_rows(space, reps)
+    counts = np.bincount(keys.ravel(), minlength=len(reps) * width * m)
+    F = exact_matmul(counts.reshape(-1, m), R, max(dual.sizes) * max_abs(R))
+    return F.reshape(len(reps), width, -1)
 
 
 # -- contractions over Z[zeta_m] ----------------------------------------------
@@ -423,26 +489,38 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
-    # adjoint witness (sufficient for constancy, verified independently)
+    # the adjoint witness, verified independently: once its images keep
+    # the dual classes, it proves constancy_G (the adjoint lemma)
+    adjoint_G = None
     try:
         adj = adjoint_map(gens_G)
         ok, witness = verify_adjoint(adj)
         cert.checks["adjoint"] = ok
-        if not ok:
+        if ok:
+            adjoint_G = adj
+        else:
             cert.fail("adjoint", witness)
     except UsageError as exc:
         cert.checks["adjoint"] = None
         cert.notes.append("no adjoint witness: %s" % exc)
 
-    # Q from the profile of the dual classes, P from that of G's; with no
-    # second action both tests are one test of one profile, run once, and
-    # P is Q, one array
-    table, profile, eigenmatrices = pairing_table(space), None, []
+    # Q from f_j over the dual classes, P from f_j over G's: each by the
+    # adjoint lemma (for P, the second action's adjoints against G's
+    # classes) when its premise holds, else by the exhaustive test of the
+    # character profile; with no second action both tests are one test,
+    # run once, and P is Q, one array
+    table, eigenmatrices = None, []
     for name, part, dual in (("G", part_G, part_Gc),
                              ("G_check", part_Gc, part_G)):
-        if profile is None or gens_Gc is not None:
-            profile = character_profile(space, dual.classes, table)
-            ok, F, witness = constancy_test(part, profile)
+        if not eigenmatrices or gens_Gc is not None:
+            adj = adjoint_G if name == "G" else verified_adjoint(gens_Gc)
+            if adj is not None and keeps_classes(adj, dual):
+                ok, F = True, lemma_eigenmatrix(space, part, dual)
+            else:
+                if table is None:
+                    table = pairing_table(space)
+                ok, F, witness = constancy_test(
+                    part, character_profile(space, dual.classes, table))
             eigenmatrix = sliced(F) if ok else None
         cert.checks["constancy_" + name] = ok
         if not ok:
@@ -450,9 +528,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
             return cert
         eigenmatrices.append(eigenmatrix)
     # from here on every check reads P, Q and their products: the
-    # |X|-sized table and profile are freed, so they do not add to the
-    # peak that the (d + 1)^3 Krein contraction sets at large d
-    del table, profile, F
+    # |X| x |X| table, when the exhaustive test built one, is freed, so
+    # it does not add to the peak that the (d + 1)^3 Krein contraction
+    # sets at large d
+    del table, F
     Q, P = eigenmatrices
     m = space.character_order
     PQ = contract("ik,kj->ij", P, Q, m)

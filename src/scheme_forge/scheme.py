@@ -144,7 +144,7 @@ def _diag_rep(space, entries):
     mat = np.zeros((1, space.m, space.m), dtype=np.intp)
     for i, v in enumerate(entries):
         mat[0, i, i] = v.index
-    return int(space.points_of(mat, "diag")[0])
+    return int(space.points_of(mat, "diag", [0])[0])
 
 
 def intersection_tensor(space, partition, verify_representatives):

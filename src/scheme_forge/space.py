@@ -31,10 +31,11 @@ where the N x N Gram matrix B is built once per space.  For field spaces B
 is block diagonal, one block per free coordinate, holding an F_p-bilinear
 trace form on that coordinate's digit basis; for cyclic products it is
 diag(m/m_i).  `pairing_exponent` returns k before the lambda multiplier,
-for indices or index arrays; `pairing_table` is the whole table
-(D . B . D^T) lambda mod m as one matrix product; `inner_product` wraps
-one exponent in a CycloInt.  Biadditivity lets a check quantified over
-all y use the digit basis vectors e_i (the points w_i) instead.
+for indices or index arrays; `pairing_rows` is the rows of the table
+(D . B . D^T) lambda mod m at some points as one matrix product, and
+`pairing_table` all of it; `inner_product` wraps one exponent in a
+CycloInt.  Biadditivity lets a check quantified over all y use the
+digit basis vectors e_i (the points w_i) instead.
 
 Coordinates (`coords_of`, `coords_array`, `index_of`, `serialize_point`)
 group the digits of one field coordinate back into a field-element index.
@@ -42,9 +43,10 @@ The field spaces decode index arrays of points to arrays of the element
 indices of their vector or matrix entries (`entries`) and encode such
 arrays back to points (`points_of`, which raises IntegrityError for a
 matrix outside X); the action families evaluate their formulas on these
-arrays through the field's index tables.  `materialize` gives one point
-as FieldElements, for rank labels.  No FieldElement arithmetic runs in
-the group law, the pairing or the actions.
+arrays, at the digit basis, through the field's index tables.
+`materialize` gives one point as FieldElements, for rank labels.  No
+FieldElement arithmetic runs in the group law, the pairing or the
+actions.
 """
 
 from __future__ import annotations
@@ -294,10 +296,11 @@ class GramSpace(AbelianSpace):
 PAIRING_BLOCK_ROWS = 128
 
 
-def pairing_table(space):
-    """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
-    (D . B . D^T) lambda mod m, in the smallest integer dtype holding
-    m - 1.
+def pairing_rows(space, points):
+    """The rows T[x] of the pairing table (pairing_table) at the index
+    array `points`: the lambda-scaled pairing exponents of each of them
+    with every point of X, an array (len(points), |X|) in the smallest
+    integer dtype holding m - 1.
 
     The product is cyclo.exact_matmul, in float64 through BLAS (an
     integer matmul gets none) while its bound, N (m - 1)(max r_i - 1) for
@@ -308,12 +311,12 @@ def pairing_table(space):
     space (AbelianSpace.__init__ sizes it to hold the products), where
     the division is faster than in int64."""
     m = space.character_order
-    rows = space._gram_rows * (space.lambda_multiplier % m) % m
+    rows = space._gram_rows[points] * (space.lambda_multiplier % m) % m
     cols = space.digits.T
     bound = cols.shape[0] * max_abs(rows) * max_abs(cols)
-    table = np.empty((space.size, space.size),
+    table = np.empty((len(rows), space.size),
                      dtype=np.min_scalar_type(m - 1))
-    for start in range(0, space.size, PAIRING_BLOCK_ROWS):
+    for start in range(0, len(rows), PAIRING_BLOCK_ROWS):
         block = exact_matmul(rows[start:start + PAIRING_BLOCK_ROWS], cols,
                              bound).astype(space.place.dtype)
         # block mod m, with numpy's floor_divide by a scalar, which is
@@ -321,6 +324,12 @@ def pairing_table(space):
         block -= block // m * m
         table[start:start + PAIRING_BLOCK_ROWS] = block
     return table
+
+
+def pairing_table(space):
+    """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
+    (D . B . D^T) lambda mod m: pairing_rows at every point."""
+    return pairing_rows(space, np.arange(space.size))
 
 
 def _trace_block(elements, p, f, form):
@@ -347,7 +356,8 @@ class FieldSpace(GramSpace):
     """F_q vectors or matrices of the given `shape`, one free coordinate
     (an element index) per entry, row-major.  `entries(points)` decodes
     an index array of points to element-index arrays of shape
-    points.shape + shape; `points_of(entries, name)` encodes them back."""
+    points.shape + shape; `points_of(entries, name, sources)` encodes
+    them back."""
 
     def __init__(self, shape, field: FieldSpec, blocks, **kw):
         self.shape = shape
@@ -359,9 +369,10 @@ class FieldSpace(GramSpace):
         return self.coords_array(points).reshape(np.shape(points)
                                                  + self.shape)
 
-    def points_of(self, entries, name):
+    def points_of(self, entries, name, sources):
         """The points with these entries; `name` names the map that made
-        them, for the error of a subclass that finds one outside X."""
+        them and sources[k] the point whose image row k is, for the error
+        of a subclass that finds one outside X."""
         coords = entries.reshape(entries.shape[:-len(self.shape)] + (-1,))
         return coords @ self._coord_place
 
@@ -432,15 +443,15 @@ class FormsSpace(FieldSpace):
     def entries(self, points):
         return self._form(self._to_entries(self.coords_array(points)))
 
-    def points_of(self, entries, name):
-        """As FieldSpace.points_of, for a stack of matrices (row x the
-        image of point x).  Raises IntegrityError, naming the first point
-        whose image is not a form of this space, unless every matrix is
-        rebuilt exactly from its free entries."""
+    def points_of(self, entries, name, sources):
+        """As FieldSpace.points_of, for a stack of matrices (row k the
+        image of point sources[k]).  Raises IntegrityError, naming the
+        source of the first row that is not a form of this space, unless
+        every matrix is rebuilt exactly from its free entries."""
         values = entries[..., self._rows, self._cols]
         bad = (self._form(values) != entries).any(axis=(-2, -1))
         if bad.any():
-            x = int(bad.argmax())
+            x = int(sources[bad.argmax()])
             raise IntegrityError(
                 "%s maps point %d %s to a matrix that is not %s"
                 % (name, x, self.serialize_point(x), self.form))

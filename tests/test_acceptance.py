@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from scheme_forge import oracles
+from scheme_forge import duality, oracles
 from scheme_forge.cyclo import CycloInt
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
@@ -474,6 +474,51 @@ GOLDEN_DUAL_STDOUT = {
 def test_dual_stdout_matches_golden_digests(command, tmp_path):
     assert command_digests(command, tmp_path / "report.json")[2] == \
         GOLDEN_DUAL_STDOUT[command]
+
+
+def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
+                                                         monkeypatch):
+    """Built-in actions prove constancy by the adjoint lemma, from the
+    pairing rows of the class representatives alone: with
+    duality.pairing_table made to raise, every dual command of
+    GOLDEN_REPORTS gives its golden exit code, --out bytes and stdout,
+    and the cross pair in the other order gives the bytes of the
+    exhaustive path (the lemma's premise made to fail).  The dual of a
+    custom action, which has no adjoint map, builds the table once."""
+    def refuse(space):
+        raise AssertionError("pairing_table called")
+
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(duality, "pairing_table", refuse)
+    for command in GOLDEN_REPORTS:
+        if command.startswith("dual "):
+            code, digest, out = command_digests(command, report)
+            assert (code, digest) == GOLDEN_REPORTS[command], command
+            assert out == GOLDEN_DUAL_STDOUT[command], command
+    swapped = "dual configs/wh12_f2.json configs/wh21_f2.json"
+    lemma = command_digests(swapped, report)
+    monkeypatch.undo()
+    monkeypatch.setattr(duality, "keeps_classes", lambda adjoint, dual: False)
+    assert command_digests(swapped, report) == lemma
+
+    monkeypatch.undo()
+    tables = []
+    real = duality.pairing_table
+
+    def counted(space):
+        tables.append(space)
+        return real(space)
+
+    monkeypatch.setattr(duality, "pairing_table", counted)
+    cfg = read_config(os.path.join(ROOT, "configs", "hamming2_f2.json"))
+    _, genset = load_action(cfg, DEFAULT_SIZE_BOUND)
+    cfg["action"] = {"family": "custom", "generators": [
+        g.perm.tolist() for g in genset.generators]}
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["dual", str(config), "--out", str(report)]) == 0
+    assert len(tables) == 1
 
 
 def test_phi_64_certificate_matches_golden_digests(tmp_path, capsys,

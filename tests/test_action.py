@@ -11,6 +11,7 @@ from scheme_forge import cli, oracles
 from scheme_forge import action as action_module
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
+from scheme_forge.poset import WeakOrderPoset
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace)
@@ -305,6 +306,31 @@ def test_weak_hamming_adjoint_lands_in_dual():
     assert adj.codomain_family == "weak_hamming_dual"
 
 
+def test_adjoint_map_checks_dual_poset_weights_once(monkeypatch):
+    """adjoint_map reads the dual poset weight of every point once, for
+    all of its generators, and raises IntegrityError when an image does
+    not preserve it: here the adjoints of weak_hamming(2, 1) with A in
+    place of A^T, so the bleeds run up the dual poset."""
+    calls = []
+    real = WeakOrderPoset.weights
+
+    def counted(self, nonzero):
+        calls.append(nonzero.shape)
+        return real(self, nonzero)
+
+    monkeypatch.setattr(WeakOrderPoset, "weights", counted)
+    sp = VectorSpace(3, FieldSpec(2))
+    genset = build_action(sp, "weak_hamming", levels=[2, 1])
+    calls.clear()
+    adjoint_map(genset)
+    assert calls == [(sp.size, 3)] and len(genset.generators) > 1
+    monkeypatch.setattr(action_module, "_adjoint_matrix",
+                        lambda space, family, A: A)
+    with pytest.raises(IntegrityError, match="does not preserve the dual "
+                                             "poset weight"):
+        adjoint_map(genset)
+
+
 def test_corrupted_adjoint_fails_with_witness():
     sp = VectorSpace(2, FieldSpec(2))
     genset = build_action(sp, "hamming")
@@ -576,7 +602,29 @@ def loop_perm(space, family, data):
     return loop_congruence(space, left, data.get("beta", alpha))
 
 
+def formula_perm(space, family, data):
+    """The permutation of a generator or adjoint image, its family's
+    formula evaluated on every point of X at once through the field's
+    index tables: the oracle of _field_map, which evaluates it on the
+    digit basis only and extends linearly."""
+    field = space.field
+    points = np.arange(space.size)
+    X = space.entries(points)
+    if "matrix" in data:
+        images = field.matmul(data["matrix"], X[..., None])[..., 0]
+    else:
+        alpha = data["alpha"]
+        images = field.matmul(
+            field.matmul(action_module._adjoint_matrix(space, family, alpha),
+                         X), data.get("beta", alpha))
+    return space.points_of(images, "oracle", points)
+
+
 def assert_perms_match_loops(genset):
+    """Every generator and adjoint image, the linear extension of its
+    digit-basis images, equals both oracles on every point: the per-point
+    loop and the all-points formula.  Central maps are scalar
+    multiplications, with no field formula."""
     if genset.family == "central":
         return
     space = genset.space
@@ -584,6 +632,8 @@ def assert_perms_match_loops(genset):
     for g in genset.generators + adj.images:
         assert list(g.perm) == loop_perm(space, genset.family, g.data), \
             g.name
+        assert np.array_equal(
+            g.perm, formula_perm(space, genset.family, g.data)), g.name
 
 
 # more extension-field kinds, beside those of ORACLE_SPACES
@@ -607,10 +657,16 @@ def test_array_perms_match_loops_on_spaces(space):
     for name in ("bilinear24_f2", "hamming5_f3")],
     ids=os.path.basename)
 def test_array_perms_match_loops_on_configs(path):
+    """Every shipped config and every perfbench config with a field
+    family, and a weak-Hamming action's dual-poset partner."""
     with open(path) as fh:
         cfg = json.load(fh)
-    _, genset = cli.load_action(cfg, 4096)
+    space, genset = cli.load_action(cfg, 4096)
     assert_perms_match_loops(genset)
+    if genset.poset is not None:
+        assert_perms_match_loops(build_action(
+            space, action_module.DUAL_FAMILY[genset.family],
+            **genset.params))
 
 
 def is_form(space, A):
@@ -638,9 +694,11 @@ def is_form(space, A):
 ], ids=["alternating", "symmetric", "hermitian"])
 def test_image_outside_forms_space_raises(space, alpha, beta):
     """A -> alpha^T A beta, not a congruence of the space's forms, raises
-    IntegrityError naming the map and the first point whose image is not
-    a form, where the per-point encoders projected to the upper triangle
-    or raised KeyError."""
+    IntegrityError naming the map and the first digit-basis point whose
+    image is not a form, every earlier basis point's image a form, where
+    the per-point encoders projected to the upper triangle or raised
+    KeyError.  The formula runs on the basis only: X is a group, so the
+    basis images decide whether every image is a form."""
     gens = {name: element_matrix(space.field, M)
             for name, M in gl_generators(space.m, space.field)}
     gens["identity"] = mat_identity(space.m, space.field)
@@ -652,10 +710,13 @@ def test_image_outside_forms_space_raises(space, alpha, beta):
     assert message.startswith("bad_map maps point ")
     assert message.endswith("is not %s" % space.form)
     x = int(message.split()[3])
+    basis = space.basis.tolist()
+    assert x in basis
+    k = basis.index(x)
     images = [mat_mul(mat_mul(mat_transpose(a), space.materialize(y),
                               space.field), b, space.field)
-              for y in range(x + 1)]
-    assert [is_form(space, A) for A in images] == [True] * x + [False]
+              for y in basis[:k + 1]]
+    assert [is_form(space, A) for A in images] == [True] * k + [False]
 
 
 @pytest.mark.parametrize("config, size", [("bilinear24_f2", 256),

@@ -17,7 +17,8 @@ from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
                                 CyclicProductSpace)
-from scheme_forge.action import build_action, orbits, OrbitPartition
+from scheme_forge.action import (build_action, orbits, OrbitPartition,
+                                 adjoint_map, AdjointMap, Generator)
 from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
@@ -26,7 +27,7 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
-from helpers import coeff_array, cyclo_entries
+from helpers import coeff_array, cyclo_entries, plain
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
                         unsliced_conjugate)
@@ -818,17 +819,35 @@ def test_one_distinct_table_per_duality_report(name, monkeypatch):
     assert {"Q", "P", "krein"} in places.values()
 
 
-@pytest.mark.parametrize("names, tests", [
-    (("hamming4_f3",), 1),
-    (("wh11_f2",), 2),
-    (("wh21_f2", "wh12_f2"), 2),
-])
-def test_constancy_is_tested_once_per_distinct_test(names, tests,
-                                                    monkeypatch):
-    """With no second action (hamming4_f3), constancy_G and
-    constancy_G_check are one test of one profile: duality_report runs
-    constancy_test once and fills both keys, in their order.  The
-    weak-Hamming dual poset (wh11) and a cross pair run two tests."""
+PERFBENCH_CONFIGS = os.path.join(CONFIGS, os.pardir, "perfbench", "configs")
+
+
+def load_actions(names):
+    """The actions of the configs `names`, all on the first one's space: a
+    shipped config, or "perfbench/<config>"; a name "custom:<config>"
+    gives that config's action as a custom action of the same point
+    permutations, which carries no adjoint map."""
+    space, gensets = None, []
+    for name in names:
+        custom = name.startswith("custom:")
+        name = name.split(":")[-1]
+        folder = PERFBENCH_CONFIGS if name.startswith("perfbench/") \
+            else CONFIGS
+        with open(os.path.join(folder, name.split("/")[-1] + ".json")) as fh:
+            cfg = json.load(fh)
+        if space is None:
+            space = cli.load_action(cfg, 4096)[0]
+        genset = cli.action_from_config(space, cfg["action"])
+        if custom:
+            genset = build_action(space, "custom", generators=[
+                g.perm.tolist() for g in genset.generators])
+        gensets.append(genset)
+    return space, gensets
+
+
+def counted_constancy_tests(monkeypatch):
+    """The partitions that duality.constancy_test, the exhaustive test,
+    is run on from here on."""
     calls = []
     real = duality.constancy_test
 
@@ -837,17 +856,142 @@ def test_constancy_is_tested_once_per_distinct_test(names, tests,
         return real(part, profile)
 
     monkeypatch.setattr(duality, "constancy_test", counted)
-    configs = []
-    for name in names:
-        with open(os.path.join(CONFIGS, name + ".json")) as fh:
-            configs.append(json.load(fh))
-    space, genset = cli.load_action(configs[0], 4096)
-    cert = duality_report(genset, *(cli.action_from_config(space, c["action"])
-                                    for c in configs[1:]))
+    return calls
+
+
+@pytest.mark.parametrize("names, tests", [
+    (("hamming4_f3",), 0),
+    (("wh11_f2",), 0),
+    (("wh21_f2", "wh12_f2"), 0),
+    (("wh12_f2", "wh21_f2"), 0),
+    (("custom:hamming4_f3",), 1),
+    (("custom:wh21_f2", "custom:wh12_f2"), 2),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_constancy_is_tested_once_per_distinct_test(names, tests,
+                                                    monkeypatch):
+    """Built-in actions prove constancy by the adjoint lemma and run no
+    exhaustive test: with no second action (hamming4_f3), for the
+    weak-Hamming dual poset (wh11) and for the cross pair in both orders.
+    A custom action has no adjoint map: with no second action
+    constancy_G and constancy_G_check are one exhaustive test of one
+    profile, run once, and a cross pair runs two.  Either way both keys
+    are filled, in their order."""
+    calls = counted_constancy_tests(monkeypatch)
+    _, gensets = load_actions(names)
+    cert = duality_report(*gensets)
     assert cert.passed and len(calls) == tests
     keys = [key for key in cert.checks if key.startswith("constancy_")]
     assert keys == ["constancy_G", "constancy_G_check"]
     assert cert.checks["constancy_G"] is cert.checks["constancy_G_check"]
+
+
+def exhaustive_F(space, part, dual):
+    """constancy_test's (ok, F, witness) on the character profile of the
+    dual classes, from the whole pairing table."""
+    return constancy_test(part, character_profile(space, dual.classes,
+                                                  pairing_table(space)))
+
+
+LEMMA_CASES = [(name,) for name in SHIPPED] + [
+    ("perfbench/" + f[:-5],) for f in sorted(os.listdir(PERFBENCH_CONFIGS))
+    if f.endswith(".json")] + [("wh21_f2", "wh12_f2"), ("wh12_f2", "wh21_f2")]
+
+
+@pytest.mark.parametrize("names", LEMMA_CASES, ids="-".join)
+def test_lemma_eigenmatrices_match_exhaustive_test(names):
+    """On every shipped and perfbench config and the cross pair in both
+    orders, the premise of the adjoint lemma holds for each side's action
+    against the other's classes, and the lemma's Q and P, read off the
+    pairing rows of the representatives alone, equal the F of the
+    exhaustive constancy test of the character profile."""
+    space, gensets = load_actions(names)
+    gens_G, gens_Gc = gensets[0], dual_action(*gensets)
+    part_G, part_Gc = orbits(gens_G), orbits(gens_Gc)
+    for gens, part, dual in ((gens_G, part_G, part_Gc),
+                             (gens_Gc, part_Gc, part_G)):
+        adjoint = duality.verified_adjoint(gens)
+        assert adjoint is not None and duality.keeps_classes(adjoint, dual)
+        ok, F, _ = exhaustive_F(space, part, dual)
+        assert ok and np.array_equal(
+            duality.lemma_eigenmatrix(space, part, dual), F)
+
+
+def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
+    """weak_hamming(2, 1) against itself is not a dual pair: its adjoints
+    are verified but do not keep its own classes, so the exhaustive test
+    runs, once, and gives its witness.  A verified adjoint with one image
+    moved out of a dual class falls back too, to the same report."""
+    calls = counted_constancy_tests(monkeypatch)
+    space, (gens, again) = load_actions(("wh21_f2", "wh21_f2"))
+    part = orbits(gens)
+    assert duality.verified_adjoint(gens) is not None
+    cert = duality_report(gens, again)
+    assert len(calls) == 1 and not cert.checks["constancy_G"]
+    assert cert.witnesses == [{"check": "constancy_G", "witness":
+                               exhaustive_F(space, part, orbits(again))[2]}]
+
+    space, (genset,) = load_actions(("hamming4_f3",))
+    want = duality_report(genset).to_json()
+    part = orbits(genset)
+    real = duality.adjoint_map
+
+    def moved(gens):
+        """The adjoint map with its first image followed by a swap of
+        two points of different classes."""
+        adjoint = real(gens)
+        perm = adjoint.images[0].perm.copy()
+        a, b = 1, int(np.flatnonzero(part.class_of != part.class_of[1])[1])
+        perm[[a, b]] = perm[[b, a]]
+        adjoint.images[0] = Generator("moved", perm, {})
+        return adjoint
+
+    monkeypatch.setattr(duality, "adjoint_map", moved)
+    monkeypatch.setattr(duality, "verify_adjoint", lambda adj: (True, None))
+    calls.clear()
+    assert plain(duality_report(genset).to_json()) == plain(want)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("names", [("hamming4_f3",),
+                                   ("wh21_f2", "wh12_f2")], ids="-".join)
+def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
+    """An adjoint map whose first image is the identity keeps every class
+    and is a permutation, but fails verify_adjoint: verified_adjoint
+    gives None, and each constancy key goes to the exhaustive test, which
+    passes, while the adjoint key fails."""
+    calls = counted_constancy_tests(monkeypatch)
+    real = duality.adjoint_map
+
+    def identity_first(gens):
+        adjoint = real(gens)
+        adjoint.images[0] = Generator(
+            "identity", np.arange(gens.space.size), {})
+        return adjoint
+
+    monkeypatch.setattr(duality, "adjoint_map", identity_first)
+    _, gensets = load_actions(names)
+    assert duality.verified_adjoint(gensets[0]) is None
+    cert = duality_report(*gensets)
+    assert cert.checks["adjoint"] is False
+    assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
+    assert len(calls) == len(names)
+
+
+def test_keeps_classes_needs_permutations_that_keep_every_class():
+    """keeps_classes holds for the adjoint map of hamming(4)/F_3 against
+    its classes, and fails for an image that moves a point to another
+    class, or maps every point to the least point of its class (a map
+    that keeps each class but is no permutation)."""
+    space, (genset,) = load_actions(("hamming4_f3",))
+    part = orbits(genset)
+    adjoint = adjoint_map(genset)
+    assert duality.keeps_classes(adjoint, part)
+    least = np.array([cls[0] for cls in part.classes])[part.class_of]
+    outside = (adjoint.images[0].perm + 1) % space.size
+    for perm in (least, outside):
+        images = [Generator("bad", perm, {})] + adjoint.images[1:]
+        assert not duality.keeps_classes(
+            AdjointMap(genset, images, "hamming"), part)
 
 
 @pytest.mark.parametrize("names, one", [
