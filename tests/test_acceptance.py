@@ -336,10 +336,23 @@ def test_certificates_match_golden_digests(certificates):
     assert not changed, "certificates changed: %s" % changed
 
 
+# The dual commands of GOLDEN_REPORTS that prove constancy by the
+# exhaustive test of the whole pairing table: custom actions, which carry
+# no adjoint map (the generators of hamming4_f3, wh21_f2 and wh12_f2 as
+# point permutations), and wh21_f2 against itself, whose adjoints do not
+# keep its own classes (constancy fails, exit 1).
+EXHAUSTIVE_DUALS = [
+    "dual tests/configs/custom_hamming4_f3.json",
+    "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json",
+    "dual configs/wh21_f2.json configs/wh21_f2.json",
+]
+
 # (exit code, sha256 of the --out JSON bytes) of each CLI command on the
 # shipped configs, the cross pair and the perfbench stretch configs (the
 # same argv as perfbench/workloads.py), recorded before generator and
-# adjoint materialization moved from FieldElement loops to index tables
+# adjoint materialization moved from FieldElement loops to index tables;
+# those of EXHAUSTIVE_DUALS before that test and the adjoint lemma's
+# eigenmatrix shared one character-sum kernel
 GOLDEN_REPORTS = {
     "check configs/alternating4_f2.json":
         (0, "5cedc148a72c6335238e22d1483650c52b3e49666ea9e8fe2413a05ea8e10fd1"),
@@ -415,6 +428,12 @@ GOLDEN_REPORTS = {
         (0, "5b4e4938755bed145c3247eb436eced118076e1f27ab65f9494d67c62cb50f9e"),
     "dual configs/wh21_f2.json configs/wh12_f2.json":
         (0, "3225d0fe9b574220dbd7e6221c1906005405d130edcdcb80aa970dd84f5be8d8"),
+    "dual tests/configs/custom_hamming4_f3.json":
+        (0, "5e3836d9c4279eb8ae6bcd3f08489d7487675d5f0a225bd739a191924691171b"),
+    "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
+        (0, "7ebc3037ab2638524de126d82d482c661f7555ba1f4bc4c5191c71dac6506863"),
+    "dual configs/wh21_f2.json configs/wh21_f2.json":
+        (1, "b230e0a93bb56b8c7f0e9ee98a43cab05926e6bb52382c14e9742d1e8f9c0c0b"),
     "build perfbench/configs/bilinear24_f2.json":
         (0, "2991631e4a6a9e36a0ac5203f2383bfd29c35e0390c97c3cf5d83257c0976e85"),
     "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
@@ -463,6 +482,12 @@ GOLDEN_DUAL_STDOUT = {
         "37ed8a15f245bf4a3280990077edcede345e74a44aaf23ef38d2fa0edeaeb777",
     "dual configs/wh21_f2.json configs/wh12_f2.json":
         "37ed8a15f245bf4a3280990077edcede345e74a44aaf23ef38d2fa0edeaeb777",
+    "dual tests/configs/custom_hamming4_f3.json":
+        "860f8281a07df9ce5f444449c99e6450cca93d8119f565a00258680cab31d8aa",
+    "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
+        "8596d066356c25cec2027205c0eae28390f48eeef875e403960bc6bd97da77cd",
+    "dual configs/wh21_f2.json configs/wh21_f2.json":
+        "8d55331d4b93a8d868268b53af8c7c6f3b35f7bbeafacc0ae87c4d6d1d89bea6",
     "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
         "006573b12fcb147a90e8d4de7ee9d62b3562c65c080427a7ae8950797c085cb0",
     "dual perfbench/configs/central_z16xz8.json --matrix-bound 64":
@@ -481,17 +506,17 @@ def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
     """Built-in actions prove constancy by the adjoint lemma, from the
     pairing rows of the class representatives alone: with
     duality.pairing_table made to raise, every dual command of
-    GOLDEN_REPORTS gives its golden exit code, --out bytes and stdout,
-    and the cross pair in the other order gives the bytes of the
-    exhaustive path (the lemma's premise made to fail).  The dual of a
-    custom action, which has no adjoint map, builds the table once."""
+    GOLDEN_REPORTS but EXHAUSTIVE_DUALS gives its golden exit code, --out
+    bytes and stdout, and the cross pair in the other order gives the
+    bytes of the exhaustive path (the lemma's premise made to fail).  Each
+    command of EXHAUSTIVE_DUALS builds the table once."""
     def refuse(space):
         raise AssertionError("pairing_table called")
 
     report = tmp_path / "report.json"
     monkeypatch.setattr(duality, "pairing_table", refuse)
     for command in GOLDEN_REPORTS:
-        if command.startswith("dual "):
+        if command.startswith("dual ") and command not in EXHAUSTIVE_DUALS:
             code, digest, out = command_digests(command, report)
             assert (code, digest) == GOLDEN_REPORTS[command], command
             assert out == GOLDEN_DUAL_STDOUT[command], command
@@ -510,15 +535,11 @@ def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
         return real(space)
 
     monkeypatch.setattr(duality, "pairing_table", counted)
-    cfg = read_config(os.path.join(ROOT, "configs", "hamming2_f2.json"))
-    _, genset = load_action(cfg, DEFAULT_SIZE_BOUND)
-    cfg["action"] = {"family": "custom", "generators": [
-        g.perm.tolist() for g in genset.generators]}
-    config = tmp_path / "custom.json"
-    config.write_text(json.dumps(cfg))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["dual", str(config), "--out", str(report)]) == 0
-    assert len(tables) == 1
+    for command in EXHAUSTIVE_DUALS:
+        tables.clear()
+        assert command_digests(command, report) == (
+            *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
+        assert len(tables) == 1, command
 
 
 def test_phi_64_certificate_matches_golden_digests(tmp_path, capsys,
