@@ -253,26 +253,7 @@ def _field_map(space, family, name, data):
                      data)
 
 
-def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
-    """Materialize the generating set of a built-in family on `space`."""
-    if family == "central":
-        return _build_central(space, params)
-    if family == "cyclotomic":
-        return _build_cyclotomic(space, params)
-    if family == "bilinear":
-        return _build_bilinear(space, params)
-    if family in ("alternating", "symmetric", "hermitian"):
-        return _build_congruence(space, family, params)
-    if family == "hamming":
-        return _build_hamming(space, params)
-    if family in ("weak_hamming", "weak_hamming_dual"):
-        return _build_weak_hamming(space, family, params)
-    if family == "custom":
-        return _build_custom(space, params)
-    raise UsageError("unknown action family %r" % family)
-
-
-def _build_central(space, params):
+def _build_central(space, family, params):
     nu = space.character_order
     gens = [Generator("mul_%d" % u, space.scalar_mul(np.arange(space.size), u),
                       {"unit": u})
@@ -280,7 +261,7 @@ def _build_central(space, params):
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
 
-def _build_cyclotomic(space, params):
+def _build_cyclotomic(space, family, params):
     if not isinstance(space, VectorSpace) or space.n != 1:
         raise UsageError("cyclotomic actions live on X = (F_q, +)")
     d = int(params["d"])
@@ -293,7 +274,7 @@ def _build_cyclotomic(space, params):
     return GeneratorSet(space, "cyclotomic", {"d": d}, [gen])
 
 
-def _build_bilinear(space, params):
+def _build_bilinear(space, family, params):
     if not isinstance(space, FullMatrixSpace):
         raise UsageError("bilinear actions live on full matrix spaces")
     field = space.field
@@ -342,7 +323,7 @@ def _hamming_block_generators(space, block, tag):
     return gens
 
 
-def _build_hamming(space, params):
+def _build_hamming(space, family, params):
     if not isinstance(space, VectorSpace):
         raise UsageError("hamming actions live on vector spaces")
     n = int(params.get("n", space.n))
@@ -378,7 +359,7 @@ def _build_weak_hamming(space, family, params):
     return GeneratorSet(space, family, {"levels": levels}, gens, poset=poset)
 
 
-def _build_custom(space, params):
+def _build_custom(space, family, params):
     gens = []
     for k, perm in enumerate(params["generators"]):
         perm = np.array(perm)
@@ -394,10 +375,34 @@ def _build_custom(space, params):
     return gs
 
 
+# Action family -> (constructor, required parameter keys, optional ones);
+# a config's action accepts no other key but "family".  Each constructor
+# takes (space, family, params).
+FAMILIES = {
+    "central": (_build_central, (), ()),
+    "cyclotomic": (_build_cyclotomic, ("d",), ()),
+    "bilinear": (_build_bilinear, (), ()),
+    "alternating": (_build_congruence, (), ()),
+    "symmetric": (_build_congruence, (), ()),
+    "hermitian": (_build_congruence, (), ()),
+    "hamming": (_build_hamming, (), ("n",)),
+    "weak_hamming": (_build_weak_hamming, ("levels",), ()),
+    "weak_hamming_dual": (_build_weak_hamming, ("levels",), ()),
+    "custom": (_build_custom, ("generators",), ()),
+}
+
+
+def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
+    """Materialize the generating set of a family of FAMILIES on `space`."""
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise UsageError("unknown action family %r" % family)
+    return FAMILIES[family][0](space, family, params)
+
+
 # -- adjoints ---------------------------------------------------------------
 
-# The family of an adjoint's codomain: a weak-Hamming action's adjoints
-# act on the dual poset; every other family is its own.
+# The family on the dual poset of each weak-Hamming family: its adjoints
+# act there, and duality_report takes its orbits as the dual partition.
 DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
                "weak_hamming_dual": "weak_hamming"}
 
@@ -405,10 +410,9 @@ DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
 class AdjointMap:
     """Per-generator adjoint images, aligned with the source generators."""
 
-    def __init__(self, source: GeneratorSet, images, codomain_family):
+    def __init__(self, source: GeneratorSet, images):
         self.source = source
         self.images = list(images)
-        self.codomain_family = codomain_family
 
 
 def adjoint_map(genset: GeneratorSet) -> AdjointMap:
@@ -435,7 +439,7 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
             if (weights[ig.perm] != weights).any():
                 raise IntegrityError("adjoint of %s does not preserve the "
                                      "dual poset weight" % g.name)
-    return AdjointMap(genset, images, DUAL_FAMILY.get(family, family))
+    return AdjointMap(genset, images)
 
 
 def verify_adjoint(adjoint: AdjointMap):

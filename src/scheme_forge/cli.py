@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (UsageError, ConfigError, ResourceLimitError,
                      IntegrityError)
 from .space import space_from_config, check_keys, DEFAULT_SIZE_BOUND
-from .action import (build_action, orbits, check_condition_4,
+from .action import (FAMILIES, build_action, orbits, check_condition_4,
                      check_condition_6)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 from .duality import duality_report, CodedArray
@@ -52,24 +52,14 @@ def read_config(path):
     return cfg
 
 
-# Action family -> (required, optional) parameter keys; no other key but
-# "family" is accepted.
-ACTION_KEYS = {
-    "central": ((), ()), "bilinear": ((), ()), "alternating": ((), ()),
-    "symmetric": ((), ()), "hermitian": ((), ()), "hamming": ((), ("n",)),
-    "cyclotomic": (("d",), ()), "custom": (("generators",), ()),
-    "weak_hamming": (("levels",), ()), "weak_hamming_dual": (("levels",), ()),
-}
-
-
 def action_from_config(space, action_cfg):
     if not isinstance(action_cfg, dict) or "family" not in action_cfg:
         raise ConfigError('action must be an object with a "family" key')
     family = action_cfg["family"]
-    if not isinstance(family, str) or family not in ACTION_KEYS:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ConfigError("unknown action family %r" % (family,))
     params = {k: v for k, v in action_cfg.items() if k != "family"}
-    check_keys(params, *ACTION_KEYS[family], "action " + family)
+    check_keys(params, *FAMILIES[family][1:], "action " + family)
     return build_action(space, family, **params)
 
 

@@ -7,10 +7,9 @@ integers.  Every quantity of the pipeline is an integer array of
 power-basis coefficients (cyclo.py):
 
   * F = Q or P, full width (d + 1, d + 1, phi(m)): F[i][j] = f_j at
-    the first point of class X_i, one exponent histogram per (class,
-    dual class) reduced by one m x phi(m) matrix; from here on each is
-    a support-width array, cut to its nonzero columns (and the constant
-    column 0), one column for a central action;
+    the first point of class X_i (character_profile, below); from here
+    on each is a support-width array, cut to its nonzero columns (and
+    the constant column 0), one column for a central action;
   * the spectrum P Q and the Krein tensor, support-width arrays of shape
     (d + 1, d + 1[, d + 1], columns), the columns the products of P and
     Q can reach.
@@ -29,16 +28,21 @@ onto, itself (keeps_classes).  Then
             = f_j(y),
 
 so f_j is constant on each orbit of the group the generators make, and
-F[i][j] is f_j at one point of X_i (lemma_eigenmatrix): d + 1 rows of
-the pairing table, O(d |X|) work.  With a second action, or the dual
+F[i][j] is f_j at one point of X_i.  With a second action, or the dual
 poset's partner of a weak-Hamming action, constancy_G_check is proved
 the same way from that action's adjoints against G's classes.  When the
 premise fails (a custom action has no adjoint map; an adjoint fails
 verify_adjoint or moves a point to another dual class), the exhaustive
-test runs: the character profile, full width (dual classes, |X|,
-phi(m)), from the |X| x |X| pairing table, one exponent histogram per
-point and class, compared across each class by constancy_test, whose
-witness names the first point where f_j differs.
+test runs: constancy_test compares f_j across each class at every point
+of X, and its witness names the first point where f_j differs.
+
+One kernel, character_profile, computes f_j for both: given pairing-table
+rows, point-major, it returns f_j at each row's point, shape (rows, dual
+classes, phi(m)), as one exponent histogram per (row, dual class) from
+one bincount, reduced by one m x phi(m) matrix.  The lemma gives it the
+d + 1 rows of the class representatives (pairing_rows), O(d |X|) work,
+and its profile is F; the exhaustive test gives it the whole |X| x |X|
+pairing table.
 
 Once the constancy tests hold, dual keeps only P, Q, P Q, the Krein
 tensor and, at its end, one table of their distinct values
@@ -106,36 +110,38 @@ KREIN_FLOAT_FLOOR = -1e-9
 DENSE_IDEMPOTENT_BOUND = 32
 
 
-def character_profile(space, dual_classes, table):
-    """profile[j, y] = coefficients of the sum over x in dual class j of
-    <y, x>, an int64 array of shape (classes, |X|, phi(m)).
+def character_profile(space, dual, rows):
+    """profile[r, j] = coefficients of f_j(y) = sum of <y, x> over the
+    class Y_j of the partition `dual`, y the point of the pairing-table
+    row rows[r] (pairing_rows or pairing_table): an int64 array of shape
+    (len(rows), dual classes, phi(m)).
 
-    The pairing is symmetric, so the class is a gather of whole rows of
-    T, PAIRING_BLOCK_ROWS rows at a time: one bincount of the exponents
-    T[x][y] (offset by m y) adds the block to the exponent histogram of
-    every y.  The histograms, (|X|, m), times the reduction matrix
-    R[k] = coefficients of zeta^k give the class's row of the profile,
-    through cyclo.exact_matmul: the histogram of y sums to the class
-    size, so that size times max|R| bounds every entry's products."""
+    PAIRING_BLOCK_ROWS rows at a time, one bincount keyed by (row, dual
+    class, exponent) gives every exponent histogram of the block, and the
+    reduction matrix R, R[k] = coefficients of zeta^k, turns them into
+    coefficients through cyclo.exact_matmul: each histogram sums to its
+    class size, so the largest class times max|R| bounds every entry's
+    products."""
     m = space.character_order
-    n = space.size
     R = reduction_matrix(m)
-    bound_R = max_abs(R)
-    offsets = np.arange(n, dtype=np.intp) * m
-    profile = np.empty((len(dual_classes), n, R.shape[1]), dtype=np.int64)
-    for j, cls in enumerate(dual_classes):
-        counts = np.zeros(n * m, dtype=np.intp)
-        for start in range(0, len(cls), PAIRING_BLOCK_ROWS):
-            block = table[cls[start:start + PAIRING_BLOCK_ROWS]] + offsets
-            counts += np.bincount(block.ravel(), minlength=n * m)
-        profile[j] = exact_matmul(counts.reshape(n, m), R,
-                                  len(cls) * bound_R)
+    bound = max(dual.sizes) * max_abs(R)
+    width = dual.d + 1
+    profile = np.empty((len(rows), width, R.shape[1]), dtype=np.int64)
+    keys = (np.arange(min(len(rows), PAIRING_BLOCK_ROWS))[:, None] * width
+            + dual.class_of) * m
+    for start in range(0, len(rows), PAIRING_BLOCK_ROWS):
+        block = rows[start:start + PAIRING_BLOCK_ROWS]
+        counts = np.bincount((keys[:len(block)] + block).ravel(),
+                             minlength=len(block) * width * m)
+        profile[start:start + len(block)] = exact_matmul(
+            counts.reshape(-1, m), R, bound).reshape(len(block), width, -1)
     return profile
 
 
 def constancy_test(partition_G, profile):
     """Theorem check: each f_j constant on each class X_i, one array
-    comparison per class against its first point.
+    comparison per class against its first point, on the character
+    profile of every point of X.
 
     Returns (ok, F, witness); on pass F[i, j] is the common value, a
     coefficient array of shape (d + 1, dual classes, phi(m)); on fail the
@@ -143,26 +149,28 @@ def constancy_test(partition_G, profile):
     of X_i: the first failure in the order j, then i, then y along X_i."""
     witness = None
     for i, cls in enumerate(partition_G.classes):
-        values = profile[:, cls]
-        differs = (values != values[:, :1]).any(axis=-1)
-        rows = np.flatnonzero(differs.any(axis=1))
-        if len(rows) and (witness is None or rows[0] < witness[1]):
-            j = int(rows[0])
-            witness = (i, j, int(cls[0]), int(cls[np.argmax(differs[j])]))
+        values = profile[cls]
+        differs = (values != values[:1]).any(axis=-1)
+        cols = np.flatnonzero(differs.any(axis=0))
+        if len(cols) and (witness is None or cols[0] < witness[1]):
+            j = int(cols[0])
+            witness = (i, j, int(cls[0]), int(cls[np.argmax(differs[:, j])]))
     if witness is not None:
         return False, None, witness
-    reps = [cls[0] for cls in partition_G.classes]
-    return True, profile[:, reps].transpose(1, 0, 2), None
+    return True, profile[[cls[0] for cls in partition_G.classes]], None
 
 
 def verified_adjoint(genset):
-    """adjoint_map(genset) when verify_adjoint passes on it, else None
-    (a custom action carries no adjoint map)."""
+    """(adjoint, verdict, detail): the adjoint map of `genset` with
+    verify_adjoint's verdict True and detail None; None, False and the
+    witness of verify_adjoint when it fails; None, None and the reason
+    when the action carries no adjoint map (a custom action)."""
     try:
         adjoint = adjoint_map(genset)
-    except UsageError:
-        return None
-    return adjoint if verify_adjoint(adjoint)[0] else None
+    except UsageError as exc:
+        return None, None, str(exc)
+    ok, witness = verify_adjoint(adjoint)
+    return (adjoint if ok else None), ok, witness
 
 
 def keeps_classes(adjoint, dual):
@@ -173,29 +181,6 @@ def keeps_classes(adjoint, dual):
     return all(_is_permutation(ig.perm, len(class_of))
                and (class_of[ig.perm] == class_of).all()
                for ig in adjoint.images)
-
-
-def lemma_eigenmatrix(space, partition, dual):
-    """F[i, j] = f_j at the first point of class X_i, f_j(y) the sum of
-    <y, x> over the class Y_j of `dual`: constancy_test's F, shape
-    (d + 1, dual classes, phi(m)), for a partition on whose classes the
-    adjoint lemma has proved each f_j constant.
-
-    The pairing is symmetric, so the exponents are the pairing-table
-    rows of the d + 1 representatives (pairing_rows); one bincount keyed
-    by (representative, dual class, exponent) gives every exponent
-    histogram, and the reduction matrix R turns them into coefficients
-    through cyclo.exact_matmul, each histogram summing to its class size,
-    so the largest class times max|R| bounds every entry's products."""
-    m = space.character_order
-    R = reduction_matrix(m)
-    reps = np.array([cls[0] for cls in partition.classes])
-    width = dual.d + 1
-    keys = (np.arange(len(reps))[:, None] * width + dual.class_of) * m
-    keys += pairing_rows(space, reps)
-    counts = np.bincount(keys.ravel(), minlength=len(reps) * width * m)
-    F = exact_matmul(counts.reshape(-1, m), R, max(dual.sizes) * max_abs(R))
-    return F.reshape(len(reps), width, -1)
 
 
 # -- contractions over Z[zeta_m] ----------------------------------------------
@@ -491,36 +476,33 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
 
     # the adjoint witness, verified independently: once its images keep
     # the dual classes, it proves constancy_G (the adjoint lemma)
-    adjoint_G = None
-    try:
-        adj = adjoint_map(gens_G)
-        ok, witness = verify_adjoint(adj)
-        cert.checks["adjoint"] = ok
-        if ok:
-            adjoint_G = adj
-        else:
-            cert.fail("adjoint", witness)
-    except UsageError as exc:
-        cert.checks["adjoint"] = None
-        cert.notes.append("no adjoint witness: %s" % exc)
+    adjoint_G, verdict, detail = verified_adjoint(gens_G)
+    cert.checks["adjoint"] = verdict
+    if verdict is None:
+        cert.notes.append("no adjoint witness: %s" % detail)
+    elif not verdict:
+        cert.fail("adjoint", detail)
 
     # Q from f_j over the dual classes, P from f_j over G's: each by the
     # adjoint lemma (for P, the second action's adjoints against G's
-    # classes) when its premise holds, else by the exhaustive test of the
-    # character profile; with no second action both tests are one test,
-    # run once, and P is Q, one array
+    # classes) from the pairing rows of the representatives when its
+    # premise holds, else by the exhaustive test of the character profile
+    # of the whole pairing table; with no second action both tests are
+    # one test, run once, and P is Q, one array
     table, eigenmatrices = None, []
     for name, part, dual in (("G", part_G, part_Gc),
                              ("G_check", part_Gc, part_G)):
         if not eigenmatrices or gens_Gc is not None:
-            adj = adjoint_G if name == "G" else verified_adjoint(gens_Gc)
+            adj = adjoint_G if name == "G" else verified_adjoint(gens_Gc)[0]
             if adj is not None and keeps_classes(adj, dual):
-                ok, F = True, lemma_eigenmatrix(space, part, dual)
+                reps = [cls[0] for cls in part.classes]
+                ok, F = True, character_profile(space, dual,
+                                                pairing_rows(space, reps))
             else:
                 if table is None:
                     table = pairing_table(space)
                 ok, F, witness = constancy_test(
-                    part, character_profile(space, dual.classes, table))
+                    part, character_profile(space, dual, table))
             eigenmatrix = sliced(F) if ok else None
         cert.checks["constancy_" + name] = ok
         if not ok:

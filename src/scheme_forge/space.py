@@ -33,9 +33,8 @@ trace form on that coordinate's digit basis; for cyclic products it is
 diag(m/m_i).  `pairing_exponent` returns k before the lambda multiplier,
 for indices or index arrays; `pairing_rows` is the rows of the table
 (D . B . D^T) lambda mod m at some points as one matrix product, and
-`pairing_table` all of it; `inner_product` wraps one exponent in a
-CycloInt.  Biadditivity lets a check quantified over all y use the
-digit basis vectors e_i (the points w_i) instead.
+`pairing_table` all of it.  Biadditivity lets a check quantified over
+all y use the digit basis vectors e_i (the points w_i) instead.
 
 Coordinates (`coords_of`, `coords_array`, `index_of`, `serialize_point`)
 group the digits of one field coordinate back into a field-element index.
@@ -57,7 +56,7 @@ import operator
 
 import numpy as np
 
-from .cyclo import CycloInt, exact_matmul, max_abs
+from .cyclo import exact_matmul, max_abs
 from .errors import (UsageError, ConfigError, ResourceLimitError,
                      IntegrityError)
 from .gf import FieldSpec
@@ -222,10 +221,6 @@ class AbelianSpace:
         return out if np.ndim(out) else int(out)
 
     # -- pairing (subclasses define pairing_exponent) -------------------------
-
-    def inner_product(self, x, y):
-        k = self.pairing_exponent(x, y) * self.lambda_multiplier
-        return CycloInt.root_of_unity(self.character_order, k)
 
     def verify_nondegenerate(self):
         """Inner product axiom (iii): x != 0 implies <x,y> != 1 for some y.

@@ -198,7 +198,7 @@ def test_criterion_5_adjoint_soundness(gensets, certificates):
     adj = adjoint_map(genset)
     perm = list(adj.images[0].perm)
     perm[1], perm[2] = perm[2], perm[1]
-    bad = AdjointMap(genset, [Generator("bad", perm, {})], "hamming")
+    bad = AdjointMap(genset, [Generator("bad", perm, {})])
     failed, witness = verify_adjoint(bad)
     if failed or witness is None:
         ok = False

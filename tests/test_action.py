@@ -261,7 +261,7 @@ def test_basis_pairs_catch_extension_field_adjoint():
                 for i, row in enumerate(M))
     images = [Generator(adj.images[0].name, loop_matvec(sp, bad),
                         {"matrix": index_matrix(bad)})] + adj.images[1:]
-    corrupted = AdjointMap(genset, images, "hamming")
+    corrupted = AdjointMap(genset, images)
     assert g.name == "swap_1_2"
     assert loop_verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
     ok, (name, x, y) = verify_adjoint(corrupted)
@@ -278,7 +278,7 @@ def test_adjoint_mismatch_on_a_later_basis_vector():
     sp = CyclicProductSpace((2, 2))
     genset = GeneratorSet(sp, "custom", {},
                           [Generator("id", [0, 1, 2, 3], {})])
-    bad = AdjointMap(genset, [Generator("bad", [0, 1, 3, 2], {})], "custom")
+    bad = AdjointMap(genset, [Generator("bad", [0, 1, 3, 2], {})])
     assert sp.basis.tolist() == [2, 1]
     assert verify_adjoint(bad) == (False, ("id", 1, 2))
     assert loop_verify_adjoint(bad) == (False, ("id", 1, 2))
@@ -291,7 +291,7 @@ def test_basis_pairs_require_additive_adjoint():
     genset = build_action(sp, "central")
     adj = adjoint_map(genset)
     images = [Generator("adj_bad", [0, 2, 1, 4, 3], {})] + adj.images[1:]
-    bad = AdjointMap(genset, images, "central")
+    bad = AdjointMap(genset, images)
     ok, (name, x, y) = verify_adjoint(bad)
     assert not ok and name == "adj_bad"
     perm = images[0].perm
@@ -299,11 +299,30 @@ def test_basis_pairs_require_additive_adjoint():
     assert not loop_verify_adjoint(bad)[0]
 
 
+@pytest.mark.parametrize("family", ["nope", ["hamming"], None])
+def test_build_action_rejects_unknown_family(family):
+    """A family that is not a key of FAMILIES, or not a string, raises
+    UsageError naming it."""
+    with pytest.raises(UsageError, match="unknown action family"):
+        build_action(VectorSpace(2, FieldSpec(2)), family)
+
+
 def test_weak_hamming_adjoint_lands_in_dual():
+    """Every adjoint image of weak_hamming(2, 1) keeps the weight of the
+    dual poset, point by point, while some image moves a point to
+    another weight of the action's own poset: the adjoints act on the
+    dual poset."""
     sp = VectorSpace(3, FieldSpec(2))
     genset = build_action(sp, "weak_hamming", levels=[2, 1])
     adj = adjoint_map(genset)
-    assert adj.codomain_family == "weak_hamming_dual"
+
+    def weights(poset):
+        return np.array([poset.weight(sp.materialize(x))
+                         for x in range(sp.size)])
+
+    dual, own = weights(genset.poset.dual()), weights(genset.poset)
+    assert all((dual[ig.perm] == dual).all() for ig in adj.images)
+    assert any((own[ig.perm] != own).any() for ig in adj.images)
 
 
 def test_adjoint_map_checks_dual_poset_weights_once(monkeypatch):
@@ -339,7 +358,7 @@ def test_corrupted_adjoint_fails_with_witness():
     # swap the adjoint's action on two nonzero points
     perm = list(adj.images[0].perm)
     perm[1], perm[2] = perm[2], perm[1]
-    bad = AdjointMap(genset, [Generator("bad", perm, {})], "hamming")
+    bad = AdjointMap(genset, [Generator("bad", perm, {})])
     ok, witness = verify_adjoint(bad)
     assert not ok
     assert witness[0] == g.name and len(witness) == 3
@@ -546,7 +565,7 @@ def test_sweeps_match_loops_on_failing_fixtures():
     adj = adjoint_map(genset)
     perm = list(adj.images[0].perm)
     perm[1], perm[2] = perm[2], perm[1]
-    bad = AdjointMap(genset, [Generator("bad", perm, {})], "hamming")
+    bad = AdjointMap(genset, [Generator("bad", perm, {})])
     ok, witness = verify_adjoint(bad)
     assert not ok and not loop_verify_adjoint(bad)[0]
     assert_adjoint_witness_violates(bad, witness)

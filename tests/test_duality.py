@@ -16,9 +16,10 @@ from scheme_forge.cyclo import CycloInt, contract, conjugate_array, sliced
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
-                                CyclicProductSpace)
+                                CyclicProductSpace, pairing_rows)
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
-                                 adjoint_map, AdjointMap, Generator)
+                                 adjoint_map, verify_adjoint, AdjointMap,
+                                 Generator)
 from scheme_forge.scheme import TranslationScheme
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
@@ -153,16 +154,18 @@ def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
 # Reference oracles for the spectral checks in duality.py: O(d^2 |X|^2)
 # products in Z[zeta_m] that multiply the scaled idempotents and apply them
 # to characters point by point, with no appeal to the spectrum.  Their
-# character profile is nested CycloInt, profile[j][y].
+# character profile is nested CycloInt, one list per dual class,
+# profile[j][y] = f_j(y).
 
 def cyclo_profile(space, profile):
-    """The coefficient-array profile as nested CycloInt."""
-    return cyclo_entries(profile, space.character_order)
+    """The point-major coefficient-array profile of character_profile,
+    as the oracles' nested CycloInt profile[j][y]."""
+    return cyclo_entries(profile.transpose(1, 0, 2), space.character_order)
 
 
 def loop_character_profile(space, dual_classes, table):
-    """character_profile from whole columns of the table, one CycloInt
-    exponent histogram per (dual class, point)."""
+    """The oracles' profile[j][y] from whole columns of the table, one
+    CycloInt exponent histogram per (dual class, point)."""
     m = space.character_order
     return [[from_exponent_counts(m, np.bincount(table[cls, y], minlength=m))
              for y in range(space.size)] for cls in dual_classes]
@@ -326,8 +329,7 @@ def sweep_certificate(gens_G, gens_Gc=None):
     part_G = orbits(gens_G)
     part_Gc = orbits(dual_action(gens_G, gens_Gc))
     table = pairing_table(space)
-    profile = cyclo_profile(space, character_profile(space, part_Gc.classes,
-                                                     table))
+    profile = cyclo_profile(space, character_profile(space, part_Gc, table))
     idem = sweep_verify_idempotents(space, TranslationScheme(space, part_G),
                                     profile)
     sigma, _, witness = sweep_sigma_permutation(space, part_Gc, profile,
@@ -348,9 +350,9 @@ def spectral_parts(space, part_G, part_Gc, table):
     """(profile, constancy_G result, spectrum P Q) as duality_report
     computes them, as coefficient arrays; both constancy tests must
     pass."""
-    profile_Q = character_profile(space, part_Gc.classes, table)
+    profile_Q = character_profile(space, part_Gc, table)
     constancy = constancy_test(part_G, profile_Q)
-    profile_P = character_profile(space, part_G.classes, table)
+    profile_P = character_profile(space, part_G, table)
     ok, P, _ = constancy_test(part_Gc, profile_P)
     assert constancy[0] and ok
     return profile_Q, constancy, contract(
@@ -370,7 +372,7 @@ def hamming22():
     genset = build_action(sp, "hamming")
     part = orbits(genset)
     table = pairing_table(sp)
-    profile = character_profile(sp, part.classes, table)
+    profile = character_profile(sp, part, table)
     return sp, genset, part, table, profile
 
 
@@ -386,18 +388,23 @@ def test_constancy_and_F_hamming22(hamming22):
                                   "central_z8", "wh21_f2"])
 def test_character_profile_matches_loop(name, block_rows, monkeypatch):
     """The blocked exponent histograms, reduced by one matrix, equal one
-    CycloInt per (dual class, point) from whole table columns, whatever
-    the block size."""
+    CycloInt per (point, dual class) from whole table columns, whatever
+    the block size; the pairing rows of some points give the profile's
+    rows at those points."""
     monkeypatch.setattr(duality, "PAIRING_BLOCK_ROWS", block_rows)
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         space, genset = cli.load_action(json.load(fh), 4096)
-    classes = orbits(genset).classes
+    dual = orbits(genset)
     table = pairing_table(space)
-    profile = character_profile(space, classes, table)
-    assert profile.shape == (len(classes), space.size,
+    profile = character_profile(space, dual, table)
+    assert profile.shape == (space.size, len(dual.classes),
                              len(CycloInt.zero(space.character_order).coeffs))
     assert cyclo_profile(space, profile) == \
-        loop_character_profile(space, classes, table)
+        loop_character_profile(space, dual.classes, table)
+    points = np.array([0, space.size - 1, 1, space.size - 1])
+    assert np.array_equal(
+        character_profile(space, dual, pairing_rows(space, points)),
+        profile[points])
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -420,9 +427,10 @@ def test_constancy_witness_matches_loop(seed):
     part = OrbitPartition(class_of, classes)
     values = np.array([[[rng.randint(-2, 2) for _ in range(4)]
                         for _ in classes] for _ in range(3)])
-    profile = values[:, class_of].copy()
+    profile = values[:, class_of].transpose(1, 0, 2).copy()
     for _ in range(rng.randint(0, 3)):
-        profile[rng.randrange(3), rng.randrange(n), rng.randrange(4)] += 1
+        j, y, c = rng.randrange(3), rng.randrange(n), rng.randrange(4)
+        profile[y, j, c] += 1
     assert_constancy_matches_loop(sp, part, profile)
 
 
@@ -430,7 +438,7 @@ def test_constancy_witness_on_split_class(hamming22):
     """Splitting the weight-1 class of H(2,2) breaks constancy."""
     sp, genset, part, table, profile = hamming22
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
-    bad_profile = character_profile(sp, bad.classes, table)
+    bad_profile = character_profile(sp, bad, table)
     ok, F, witness = assert_constancy_matches_loop(sp, part, bad_profile)
     assert not ok
     i, j, y0, y1 = witness
@@ -443,7 +451,7 @@ def test_weak_hamming_11_F_matrix():
     part = orbits(build_action(sp, "weak_hamming", levels=[1, 1]))
     dual = orbits(build_action(sp, "weak_hamming_dual", levels=[1, 1]))
     table = pairing_table(sp)
-    profile = character_profile(sp, dual.classes, table)
+    profile = character_profile(sp, dual, table)
     ok, F, _ = assert_constancy_matches_loop(sp, part, profile)
     assert ok
     assert ints(F) == [[1, 1, 2], [1, 1, -2], [1, -1, 0]]
@@ -499,7 +507,7 @@ def test_idempotents_hamming22(hamming22):
     bad_Q = F.copy()
     bad_Q[1, 0] += 1
     bad_profile = profile.copy()
-    bad_profile[0, part.classes[1]] += 1
+    bad_profile[part.classes[1], 0] += 1
     bad_spectrum = contract("ik,kj->ij", sliced(F), sliced(bad_Q), 2)[0]
     rep = idempotents(sp, part, sliced(bad_Q), bad_spectrum)
     assert not (rep["E0_is_J"] or rep["sum_is_identity"])
@@ -519,7 +527,7 @@ def test_idempotents_fail_on_split_partition(hamming22):
     sp, genset, part, table, profile = hamming22
     sch = TranslationScheme(sp, part)
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
-    bad_profile = character_profile(sp, bad.classes, table)
+    bad_profile = character_profile(sp, bad, table)
     _, _, spectrum = spectral_parts(sp, bad, bad, table)
     ok, _, witness = constancy_test(part, bad_profile)
     bad_profile = cyclo_profile(sp, bad_profile)
@@ -773,7 +781,7 @@ def test_eigenmatrices_hold_one_cycloint_per_value(name):
     table = pairing_table(space)
     for M, part, dual in ((cert.Q, part_G, part_Gc),
                           (cert.P, part_Gc, part_G)):
-        profile = character_profile(space, dual.classes, table)
+        profile = character_profile(space, dual, table)
         ok, F, _ = constancy_test(part, profile)
         assert ok and M == cyclo_entries(F, m)
     objects = {}
@@ -885,10 +893,42 @@ def test_constancy_is_tested_once_per_distinct_test(names, tests,
     assert cert.checks["constancy_G"] is cert.checks["constancy_G_check"]
 
 
+@pytest.mark.parametrize("names, rows", [
+    (("hamming4_f3",), [5]),
+    (("wh21_f2", "wh12_f2"), [4, 4]),
+    (("custom:hamming4_f3",), [81]),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+def test_every_eigenmatrix_comes_from_character_profile(names, rows,
+                                                        monkeypatch):
+    """duality_report reads Q, and P when it is not Q, off
+    character_profile, once per eigenmatrix: a built-in action with no
+    second action makes one call, on the d + 1 pairing rows of its class
+    representatives; the cross pair makes two; a custom action makes one,
+    on the |X| rows of the whole pairing table, and its F is the profile
+    at the representatives."""
+    calls = []
+    real = duality.character_profile
+
+    def recorded(space, dual, table_rows):
+        profile = real(space, dual, table_rows)
+        calls.append((len(table_rows), profile))
+        return profile
+
+    monkeypatch.setattr(duality, "character_profile", recorded)
+    space, gensets = load_actions(names)
+    cert = duality_report(*gensets)
+    assert cert.passed and [n for n, _ in calls] == rows
+    parts = (orbits(gensets[0]), orbits(dual_action(*gensets)))
+    for (n, profile), M, part in zip(calls, (cert.Q, cert.P), parts):
+        reps = [cls[0] for cls in part.classes]
+        F = profile if n == len(reps) else profile[reps]
+        assert M == cyclo_entries(F, space.character_order)
+
+
 def exhaustive_F(space, part, dual):
     """constancy_test's (ok, F, witness) on the character profile of the
     dual classes, from the whole pairing table."""
-    return constancy_test(part, character_profile(space, dual.classes,
+    return constancy_test(part, character_profile(space, dual,
                                                   pairing_table(space)))
 
 
@@ -901,19 +941,21 @@ LEMMA_CASES = [(name,) for name in SHIPPED] + [
 def test_lemma_eigenmatrices_match_exhaustive_test(names):
     """On every shipped and perfbench config and the cross pair in both
     orders, the premise of the adjoint lemma holds for each side's action
-    against the other's classes, and the lemma's Q and P, read off the
-    pairing rows of the representatives alone, equal the F of the
-    exhaustive constancy test of the character profile."""
+    against the other's classes, and the lemma's Q and P, the character
+    profile of the pairing rows of the representatives alone, equal the
+    F of the exhaustive constancy test of the whole table's profile."""
     space, gensets = load_actions(names)
     gens_G, gens_Gc = gensets[0], dual_action(*gensets)
     part_G, part_Gc = orbits(gens_G), orbits(gens_Gc)
     for gens, part, dual in ((gens_G, part_G, part_Gc),
                              (gens_Gc, part_Gc, part_G)):
-        adjoint = duality.verified_adjoint(gens)
-        assert adjoint is not None and duality.keeps_classes(adjoint, dual)
+        adjoint, verdict, witness = duality.verified_adjoint(gens)
+        assert (verdict, witness) == (True, None)
+        assert duality.keeps_classes(adjoint, dual)
         ok, F, _ = exhaustive_F(space, part, dual)
-        assert ok and np.array_equal(
-            duality.lemma_eigenmatrix(space, part, dual), F)
+        reps = [cls[0] for cls in part.classes]
+        assert ok and np.array_equal(character_profile(
+            space, dual, pairing_rows(space, reps)), F)
 
 
 def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
@@ -924,7 +966,7 @@ def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
     calls = counted_constancy_tests(monkeypatch)
     space, (gens, again) = load_actions(("wh21_f2", "wh21_f2"))
     part = orbits(gens)
-    assert duality.verified_adjoint(gens) is not None
+    assert duality.verified_adjoint(gens)[0] is not None
     cert = duality_report(gens, again)
     assert len(calls) == 1 and not cert.checks["constancy_G"]
     assert cert.witnesses == [{"check": "constancy_G", "witness":
@@ -957,8 +999,9 @@ def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
 def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
     """An adjoint map whose first image is the identity keeps every class
     and is a permutation, but fails verify_adjoint: verified_adjoint
-    gives None, and each constancy key goes to the exhaustive test, which
-    passes, while the adjoint key fails."""
+    gives no map, the verdict False and verify_adjoint's witness, and
+    each constancy key goes to the exhaustive test, which passes, while
+    the adjoint key fails with that witness."""
     calls = counted_constancy_tests(monkeypatch)
     real = duality.adjoint_map
 
@@ -970,9 +1013,12 @@ def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
 
     monkeypatch.setattr(duality, "adjoint_map", identity_first)
     _, gensets = load_actions(names)
-    assert duality.verified_adjoint(gensets[0]) is None
+    adjoint, verdict, witness = duality.verified_adjoint(gensets[0])
+    assert adjoint is None and verdict is False
+    assert witness == verify_adjoint(identity_first(gensets[0]))[1]
     cert = duality_report(*gensets)
     assert cert.checks["adjoint"] is False
+    assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
     assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
     assert len(calls) == len(names)
 
@@ -991,7 +1037,7 @@ def test_keeps_classes_needs_permutations_that_keep_every_class():
     for perm in (least, outside):
         images = [Generator("bad", perm, {})] + adjoint.images[1:]
         assert not duality.keeps_classes(
-            AdjointMap(genset, images, "hamming"), part)
+            AdjointMap(genset, images), part)
 
 
 @pytest.mark.parametrize("names, one", [

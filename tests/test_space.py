@@ -17,7 +17,8 @@ from scheme_forge import space as space_module
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
-                                GramSpace, pairing_table, space_from_config)
+                                GramSpace, pairing_rows, pairing_table,
+                                space_from_config)
 
 SPACES = [
     VectorSpace(2, FieldSpec(2)),
@@ -376,12 +377,22 @@ def test_pairing_axioms_exhaustive(space):
     assert ok, witness
 
 
+def inner_product(space, x, y):
+    """<x, y> as a CycloInt: zeta_m to the lambda-scaled pairing
+    exponent of x and y."""
+    k = space.pairing_exponent(x, y) * space.lambda_multiplier
+    return CycloInt.root_of_unity(space.character_order, k)
+
+
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
 def test_inner_product_is_root_of_unity(space):
+    """Each pairing row holds, at every y, the power of zeta_m that is
+    <x, y>."""
     m = space.character_order
-    v = space.inner_product(1 % space.size, 1 % space.size)
-    k = space.pairing_exponent(1 % space.size, 1 % space.size)
-    assert v == CycloInt.root_of_unity(m, k)
+    rows = pairing_rows(space, np.arange(space.size)).tolist()
+    assert [[CycloInt.root_of_unity(m, k) for k in row] for row in rows] \
+        == [[inner_product(space, x, y) for y in range(space.size)]
+            for x in range(space.size)]
 
 
 def test_vector_pairing_against_hand_values():
@@ -429,12 +440,15 @@ def test_cyclic_product_pairing():
 
 
 def test_lambda_multiplier():
+    """pairing_rows, where the pipeline applies the multiplier, scales
+    every exponent by it; pairing_exponent leaves it out."""
     sp = VectorSpace(1, FieldSpec(5), lambda_multiplier=2)
     base = VectorSpace(1, FieldSpec(5))
     for x in range(5):
-        for y in range(5):
-            assert sp.inner_product(x, y) == CycloInt.root_of_unity(
-                5, 2 * base.pairing_exponent(x, y))
+        assert pairing_rows(sp, [x])[0].tolist() == [
+            2 * base.pairing_exponent(x, y) % 5 for y in range(5)]
+        assert [sp.pairing_exponent(x, y) for y in range(5)] == \
+            [base.pairing_exponent(x, y) for y in range(5)]
     with pytest.raises(UsageError):
         VectorSpace(1, FieldSpec(5), lambda_multiplier=5)
 
