@@ -417,8 +417,7 @@ class AdjointMap:
 
 def adjoint_map(genset: GeneratorSet) -> AdjointMap:
     """iota(g) for every generator: g itself for central actions, else
-    the family's formula on the adjoint of each matrix of g; a
-    weak-Hamming adjoint must preserve the dual poset's weight."""
+    the family's formula on the adjoint of each matrix of g."""
     space = genset.space
     family = genset.family
     if family == "custom":
@@ -431,14 +430,6 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
                              {key: _adjoint_matrix(space, family, A)
                               for key, A in g.data.items()})
                   for g in genset.generators]
-    if genset.poset is not None:
-        # an adjoint must preserve the weight of the dual poset
-        weights = genset.poset.dual().weights(
-            space.entries(np.arange(space.size)) != 0)
-        for g, ig in zip(genset.generators, images):
-            if (weights[ig.perm] != weights).any():
-                raise IntegrityError("adjoint of %s does not preserve the "
-                                     "dual poset weight" % g.name)
     return AdjointMap(genset, images)
 
 

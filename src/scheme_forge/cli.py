@@ -5,9 +5,9 @@ Subcommands:
     scheme-forge build <config.json> [--out r.json]
     scheme-forge dual <a.json> [<b.json>] [--out c.json]
 
-Exit codes: 0 success, 1 duality/axiom failure, 2 config error or a
-malformed flag (a --size-bound below 1, a negative --matrix-bound),
-3 resource bound exceeded.
+Exit codes: 0 success, 1 duality/axiom failure, 2 config error, an
+--out that cannot be written or a malformed flag (a --size-bound below
+1, a negative --matrix-bound), 3 resource bound exceeded.
 
 json.dumps(sort_keys=True, indent=2) writes every report; write_report's
 own code writes only the integer arrays and the certificate's coded
@@ -181,7 +181,8 @@ def _array_blocks(shape, depth, width, texts):
 
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
-    out_path, or to stdout, byte for byte.
+    out_path, or to stdout, byte for byte; an out_path that cannot be
+    opened for writing raises ConfigError.
 
     json.dumps writes the report; its default hook turns each integer
     ndarray and CodedArray with a cell into a placeholder string, a token
@@ -207,7 +208,11 @@ def write_report(report, out_path):
 
     text = json.dumps(report, sort_keys=True, indent=2, default=placeholder)
     memo = {}
-    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+    try:
+        out = open(out_path, "w") if out_path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError("cannot write report %s: %s" % (out_path, exc))
+    with out as fh:
         for head, A in zip(text.split('"%s"' % token), arrays + [None]):
             for cut in range(0, len(head), ARRAY_CHARS):
                 fh.write(head[cut:cut + ARRAY_CHARS])
@@ -235,7 +240,7 @@ def render_eigenmatrix(name, M):
                                              map(id, row))) for row in M])
 
 
-def check_report(space, genset, verify_representatives):
+def check_report(space, genset):
     """Conditions (3)/(4)/(6), orbits, scheme axioms.
 
     Returns (report, code, scheme): scheme is the checked TranslationScheme,
@@ -273,7 +278,7 @@ def check_report(space, genset, verify_representatives):
         report["status"] = "not_a_scheme"
         return report, 1, None
     scheme = TranslationScheme(space, partition, label=genset.label())
-    axioms = scheme.verify_axioms(verify_representatives)
+    axioms = scheme.verify_axioms()
     report["axioms"] = axioms
     report["status"] = "symmetric_scheme"
     all_ok = (report["condition_3_additive"]
@@ -284,8 +289,7 @@ def check_report(space, genset, verify_representatives):
 def cmd_check(args):
     cfg = read_config(args.config)
     space, genset = load_action(cfg, args.size_bound)
-    report, code, _ = check_report(space, genset,
-                                   args.verify_representatives)
+    report, code, _ = check_report(space, genset)
     write_report(report, args.out)
     return code
 
@@ -293,12 +297,11 @@ def cmd_check(args):
 def cmd_build(args):
     cfg = read_config(args.config)
     space, genset = load_action(cfg, args.size_bound)
-    report, code, scheme = check_report(space, genset,
-                                        args.verify_representatives)
+    report, code, scheme = check_report(space, genset)
     if report["status"] != "symmetric_scheme" or code != 0:
         write_report(report, args.out)
         return code if code else 1
-    full = scheme.to_report(genset.family, args.verify_representatives)
+    full = scheme.to_report(genset.family)
     full["check"] = report
     write_report(full, args.out)
     return 0
@@ -317,8 +320,7 @@ def cmd_dual(args):
         # built on the shared space object so point indices coincide
         gens_Gc = action_from_config(space, cfg_b["action"])
     cert = duality_report(gens_G, gens_Gc=gens_Gc,
-                          matrix_bound=args.matrix_bound,
-                          verify_representatives=args.verify_representatives)
+                          matrix_bound=args.matrix_bound)
     write_report(cert.to_json(), args.out)
     if cert.Q is not None:
         sys.stdout.write(render_eigenmatrix("Q", cert.Q) + "\n")
@@ -357,8 +359,6 @@ def make_parser():
         p.add_argument("--out", default=None, help="write JSON report here")
         p.add_argument("--size-bound", type=at_least(1),
                        default=DEFAULT_SIZE_BOUND, dest="size_bound")
-        p.add_argument("--no-verify-representatives", action="store_false",
-                       dest="verify_representatives", default=None)
 
     p_check = sub.add_parser("check", help="verify scheme preconditions/axioms")
     p_check.add_argument("config")

@@ -424,8 +424,7 @@ class DualityCertificate:
         }
 
 
-def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
-                   verify_representatives=None):
+def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     """Run the full duality pipeline and assemble the certificate.
 
     gens_Gc = None means self mode (the dual partition is G's own).  A
@@ -445,8 +444,9 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert = DualityCertificate(mode, space)
     if auto_partner:
         cert.notes.append("dual partition taken from the dual poset")
+    # compared as built: equal configs index their points alike
     if gens_Gc is not None and gens_Gc.space is not space \
-            and gens_Gc.space.size != space.size:
+            and gens_Gc.space.to_config() != space.to_config():
         raise UsageError("the two actions must share the vertex space")
 
     part_G = orbits(gens_G)
@@ -547,14 +547,14 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND,
     cert.krein_flags = flags
     cert.checks["krein_real"] = flags["real"]
     cert.checks["krein_nonnegative"] = flags["nonnegative"]
-    p_dual = scheme_Gc.intersection_numbers(verify_representatives)
+    p_dual = scheme_Gc.intersection_numbers()
     ok, witness = krein_equals_intersection(krein, p_dual)
     cert.checks["krein_equals_dual_intersection"] = ok
     if not ok:
         cert.fail("krein_equals_dual_intersection", witness)
 
-    # intersection numbers with representative verification (axiom iv)
-    axioms = scheme_G.verify_axioms(verify_representatives)
+    # the axioms, intersection numbers (iv) included
+    axioms = scheme_G.verify_axioms()
     cert.checks["axioms_G"] = axioms["all_pass"]
 
     # the schemes and their (d + 1)^3 intersection tensors are done with:

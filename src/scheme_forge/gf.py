@@ -2,10 +2,10 @@
 
 Elements are coefficient tuples (constant term first) reduced mod a monic
 irreducible modulus of degree e over F_p.  Everything is immutable and
-desk-scale: q is capped (default 256) and the irreducibility of the modulus
-is verified by exhaustive trial division.  For array work a FieldSpec
-tabulates its addition, multiplication (through discrete logarithms)
-and negation on element indices once (`tables`, `matmul`).
+desk-scale: q is capped at DEFAULT_Q_BOUND (256) and the irreducibility
+of the modulus is verified by exhaustive trial division.  For array work
+a FieldSpec tabulates its addition, multiplication (through discrete
+logarithms) and negation on element indices once (`tables`, `matmul`).
 """
 
 from __future__ import annotations
@@ -57,16 +57,17 @@ def _poly_mod(coeffs, modulus, p):
 class FieldSpec:
     """A finite field F_{p^e} with a fixed polynomial basis."""
 
-    def __init__(self, p, e=1, modulus=None, q_bound=DEFAULT_Q_BOUND):
-        # q_bound first: no trial division of a large p, and p ** e only
-        # for e within q_bound's bit length (2^e > q_bound past it)
-        if p <= q_bound and not is_prime(p):
+    def __init__(self, p, e=1, modulus=None):
+        # the bound first: no trial division of a large p, and p ** e only
+        # for e within the bound's bit length (2^e > the bound past it)
+        if p <= DEFAULT_Q_BOUND and not is_prime(p):
             raise UsageError("p = %r is not prime" % (p,))
         if e < 1:
             raise UsageError("extension degree must be >= 1")
-        if p > q_bound or e > q_bound.bit_length() or p ** e > q_bound:
+        if (p > DEFAULT_Q_BOUND or e > DEFAULT_Q_BOUND.bit_length()
+                or p ** e > DEFAULT_Q_BOUND):
             raise ResourceLimitError("q = %d^%d exceeds bound %d"
-                                     % (p, e, q_bound))
+                                     % (p, e, DEFAULT_Q_BOUND))
         q = p ** e
         self.p = p
         self.e = e

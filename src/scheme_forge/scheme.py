@@ -3,11 +3,13 @@ numbers, and the axiom verification report.
 
 The relation rule is (x, y) in R_i iff y - x lies in class i of the orbit
 partition; intersection numbers use the translated form
-p_ij^k = #{z : z in X_j, u - z in X_i} for a representative u of X_k, with
-optional re-computation over every representative as an integrity check;
-each class is an array sweep over the differences u - z.  The tensor is
-one int64 array from the sweep to the Krein comparison and the build
-report, which cli.write_report writes as JSON directly.
+p_ij^k = #{z : z in X_j, u - z in X_i} for a representative u of X_k.
+The classes are orbits of additive automorphisms, so the counts do not
+depend on u: up to REPRESENTATIVE_VERIFY_BOUND points every u is swept
+to check it, above it only the first.  Each class is an array sweep over
+the differences u - z.  The tensor is one int64 array from the sweep to
+the Krein comparison and the build report, which cli.write_report
+writes as JSON directly.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import numpy as np
 
 from .errors import IntegrityError
 from .action import OrbitPartition, check_condition_4
-from .space import (AbelianSpace, FullMatrixSpace, AlternatingMatrixSpace,
-                    SymmetricMatrixSpace, HermitianMatrixSpace,
-                    check_tensor_size)
+from .space import AbelianSpace, check_tensor_size
 from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
@@ -39,35 +39,26 @@ class TranslationScheme:
         self.valencies = partition.sizes
         self.label = label
         self._p_tensor = None
-        self._p_verified = False
 
     def relation(self, x, y):
         """Class index of (x, y), i.e. class of y - x."""
         return self.partition.class_of[self.space.sub(y, x)]
 
-    def representative(self, i):
-        return int(self.partition.classes[i][0])
-
     # -- intersection numbers ------------------------------------------------
 
-    def intersection_numbers(self, verify_representatives=None):
-        """(d+1)^3 int64 array p[i, j, k] (see `intersection_tensor`); with
-        verification on, every u in X_k must give the same counts.  The
-        tensor is kept, so a later call reuses it unless it asks for a
-        verification the kept tensor did not have."""
-        if verify_representatives is None:
-            verify_representatives = self.space.size <= REPRESENTATIVE_VERIFY_BOUND
-        if self._p_tensor is not None and (self._p_verified
-                                           or not verify_representatives):
-            return self._p_tensor
-        self._p_tensor = intersection_tensor(self.space, self.partition,
-                                             verify_representatives)
-        self._p_verified = verify_representatives
+    def intersection_numbers(self):
+        """(d+1)^3 int64 array p[i, j, k], computed once and kept, from
+        every u in X_k up to REPRESENTATIVE_VERIFY_BOUND points
+        (`intersection_tensor`)."""
+        if self._p_tensor is None:
+            self._p_tensor = intersection_tensor(
+                self.space, self.partition,
+                self.space.size <= REPRESENTATIVE_VERIFY_BOUND)
         return self._p_tensor
 
     # -- verification -----------------------------------------------------------
 
-    def verify_axioms(self, verify_representatives=None):
+    def verify_axioms(self):
         """Report on the association scheme axioms (i)-(iv)."""
         space = self.space
         report = {}
@@ -80,7 +71,7 @@ class TranslationScheme:
         if not ok:
             report["symmetry_witness"] = witness
         try:
-            self.intersection_numbers(verify_representatives)
+            self.intersection_numbers()
             report["intersection_numbers"] = True
         except IntegrityError as exc:
             report["intersection_numbers"] = False
@@ -92,24 +83,21 @@ class TranslationScheme:
 
     # -- semantic class labels ----------------------------------------------
 
-    def class_labels(self, family=None):
-        """Human-readable labels per class where the family defines them:
-        Hamming weight, matrix rank, or (rank, type) for symmetric forms."""
+    def class_labels(self, family):
+        """Human-readable labels per class where the action family defines
+        them: Hamming weight, matrix rank, or (rank, type) for symmetric
+        forms."""
         space = self.space
         labels = ["0"] + ["class_%d" % i for i in range(1, self.d + 1)]
         if family in ("hamming", "weak_hamming", "weak_hamming_dual"):
             for i in range(1, self.d + 1):
                 labels[i] = "weight_%d" % i
-        elif family in ("bilinear", "hermitian", "alternating") or (
-                family is None and isinstance(space, (
-                    FullMatrixSpace, HermitianMatrixSpace,
-                    AlternatingMatrixSpace))):
-            for i in range(1, self.d + 1):
-                r = oracles.matrix_rank(space.materialize(
-                    self.representative(i)), space.field)
+        elif family in ("bilinear", "hermitian", "alternating"):
+            for i, cls in enumerate(self.partition.classes[1:], 1):
+                r = oracles.matrix_rank(space.materialize(int(cls[0])),
+                                        space.field)
                 labels[i] = "rank_%d" % r
-        elif family == "symmetric" or (
-                family is None and isinstance(space, SymmetricMatrixSpace)):
+        elif family == "symmetric":
             labels = self._symmetric_labels(labels)
         return labels
 
@@ -126,16 +114,15 @@ class TranslationScheme:
                 labels[cm] = "(%d,-)" % r
         return labels
 
-    def to_report(self, family=None, verify_representatives=None):
-        tensor = self.intersection_numbers(verify_representatives)
+    def to_report(self, family):
         return {
             "label": self.label,
             "size": self.space.size,
             "d": self.d,
             "valencies": self.valencies,
             "class_labels": self.class_labels(family),
-            "p_tensor": tensor,
-            "axioms": self.verify_axioms(verify_representatives=False),
+            "p_tensor": self.intersection_numbers(),
+            "axioms": self.verify_axioms(),
         }
 
 

@@ -119,7 +119,7 @@ def report_line(criterion, ok, detail):
 def test_criterion_1_axiom_suite(gensets):
     failures = []
     for name, genset in gensets.items():
-        report, code, _ = check_report(genset.space, genset, True)
+        report, code, _ = check_report(genset.space, genset)
         if code != 0 or report["status"] != "symmetric_scheme":
             failures.append(name)
     report_line(1, not failures,
@@ -221,7 +221,7 @@ def test_criterion_6_condition_6_branch():
                   and space.neg(d10) == d20)
     pairing = check_condition_6(part, space)
     cert = duality_report(genset)
-    report, code, _ = check_report(space, genset, True)
+    report, code, _ = check_report(space, genset)
     ok = (not ok4 and witness_ok and pairing is not None
           and not cert.passed and cert.Q is None
           and code == 0 and report["status"] == "commutative_non_symmetric")

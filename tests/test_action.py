@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scheme_forge import cli, oracles
+from scheme_forge import cli, duality, oracles
 from scheme_forge import action as action_module
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
-from scheme_forge.poset import WeakOrderPoset
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace)
@@ -325,29 +324,36 @@ def test_weak_hamming_adjoint_lands_in_dual():
     assert any((own[ig.perm] != own).any() for ig in adj.images)
 
 
-def test_adjoint_map_checks_dual_poset_weights_once(monkeypatch):
-    """adjoint_map reads the dual poset weight of every point once, for
-    all of its generators, and raises IntegrityError when an image does
-    not preserve it: here the adjoints of weak_hamming(2, 1) with A in
-    place of A^T, so the bleeds run up the dual poset."""
-    calls = []
-    real = WeakOrderPoset.weights
-
-    def counted(self, nonzero):
-        calls.append(nonzero.shape)
-        return real(self, nonzero)
-
-    monkeypatch.setattr(WeakOrderPoset, "weights", counted)
-    sp = VectorSpace(3, FieldSpec(2))
-    genset = build_action(sp, "weak_hamming", levels=[2, 1])
-    calls.clear()
-    adjoint_map(genset)
-    assert calls == [(sp.size, 3)] and len(genset.generators) > 1
+def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
+    """The adjoint lemma's premise has one proof, verify_adjoint and
+    keeps_classes: with A in place of A^T, the adjoints of
+    weak_hamming(2, 1) move points off the dual poset's weights, and
+    adjoint_map returns them unchecked; dual records adjoint false with
+    verify_adjoint's witness, builds the pairing table once and proves
+    constancy by the exhaustive test."""
     monkeypatch.setattr(action_module, "_adjoint_matrix",
                         lambda space, family, A: A)
-    with pytest.raises(IntegrityError, match="does not preserve the dual "
-                                             "poset weight"):
-        adjoint_map(genset)
+    tables = []
+    real = duality.pairing_table
+
+    def counted(space):
+        tables.append(space)
+        return real(space)
+
+    monkeypatch.setattr(duality, "pairing_table", counted)
+    sp = VectorSpace(3, FieldSpec(2))
+    genset = build_action(sp, "weak_hamming", levels=[2, 1])
+    adj = adjoint_map(genset)
+    weights = np.array([genset.poset.dual().weight(sp.materialize(x))
+                        for x in range(sp.size)])
+    assert any((weights[ig.perm] != weights).any() for ig in adj.images)
+    ok, witness = verify_adjoint(adj)
+    assert not ok
+    cert = duality_report(genset)
+    assert cert.checks["adjoint"] is False
+    assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
+    assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
+    assert tables == [sp]
 
 
 def test_corrupted_adjoint_fails_with_witness():

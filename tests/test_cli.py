@@ -334,15 +334,13 @@ def test_reports_are_byte_deterministic(capsys, tmp_path):
 
 def test_back_to_back_calls_match_fresh_processes(capsys, tmp_path):
     """main builds its parser once per process.  Back-to-back calls with
-    different subcommands and flags (--size-bound, --matrix-bound and
-    --no-verify-representatives, then none of them) give the exit code,
-    stdout, stderr and --out bytes of fresh processes, so no flag's value
-    leaks into the next call: a leaked --size-bound 50 would stop the
-    third call with exit 3, a leaked --matrix-bound 1 would drop its
-    idempotent checks."""
+    different subcommands and flags (--size-bound, --matrix-bound, then
+    neither) give the exit code, stdout, stderr and --out bytes of fresh
+    processes, so no flag's value leaks into the next call: a leaked
+    --size-bound 50 would stop the third call with exit 3, a leaked
+    --matrix-bound 1 would drop its idempotent checks."""
     argvs = [["check", cfg("hamming4_f3"), "--size-bound", "50"],
-             ["dual", cfg("hamming2_f2"), "--matrix-bound", "1",
-              "--no-verify-representatives"],
+             ["dual", cfg("hamming2_f2"), "--matrix-bound", "1"],
              ["dual", cfg("hamming4_f3")],
              ["build", cfg("hamming2_f2")]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -365,13 +363,27 @@ def test_back_to_back_calls_match_fresh_processes(capsys, tmp_path):
         (tmp_path / "call2.json").read_text())["checks"]
 
 
+def recorded_verify_flags(monkeypatch):
+    """The verify_representatives argument of every intersection_tensor
+    call from here on."""
+    flags = []
+    real = scheme.intersection_tensor
+
+    def recorded(space, partition, verify_representatives):
+        flags.append(verify_representatives)
+        return real(space, partition, verify_representatives)
+
+    monkeypatch.setattr(scheme, "intersection_tensor", recorded)
+    return flags
+
+
 def test_each_command_computes_once(capsys, monkeypatch):
     """build and self-mode dual compute the intersection tensor once, with
     representative verification (the idempotent and sigma checks, on at
     the default matrix bound, compute none), build finds the orbits once,
     and a cross dual builds each action once."""
     counts = {"orbits": 0, "build_action": 0}
-    tensors = []
+    tensors = recorded_verify_flags(monkeypatch)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -379,12 +391,6 @@ def test_each_command_computes_once(capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def recorded(space, partition, verify_representatives):
-        tensors.append(verify_representatives)
-        return real(space, partition, verify_representatives)
-
-    real = scheme.intersection_tensor
-    monkeypatch.setattr(scheme, "intersection_tensor", recorded)
     for name in ("orbits", "build_action"):
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
 
@@ -400,6 +406,51 @@ def test_each_command_computes_once(capsys, monkeypatch):
     assert dual["tensors"] == [True]
     cross = counts_of(["dual", cfg("wh21_f2"), cfg("wh12_f2")])
     assert cross["build_action"] == 2
+
+
+@pytest.mark.parametrize("n, flags, verified", [
+    (10, [], [True]), (11, ["--size-bound", "2048"], [False])])
+def test_representatives_are_verified_up_to_the_bound(n, flags, verified,
+                                                      capsys, monkeypatch,
+                                                      tmp_path):
+    """build of hamming on F_2^n sweeps every representative of each class
+    for the intersection numbers while |X| is at most
+    REPRESENTATIVE_VERIFY_BOUND (F_2^10), and only the first above it
+    (F_2^11)."""
+    assert 2 ** 10 == scheme.REPRESENTATIVE_VERIFY_BOUND
+    flags_seen = recorded_verify_flags(monkeypatch)
+    path = tmp_path / "hamming.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "vector", "n": n, "field": {"p": 2}},
+        "action": {"family": "hamming"}}))
+    code, out, _ = run(["build", str(path)] + flags, capsys)
+    assert code == 0 and json.loads(out)["axioms"]["all_pass"]
+    assert flags_seen == verified
+
+
+@pytest.mark.parametrize("command", ["check", "build", "dual"])
+def test_verify_representatives_flag_is_gone(command, capsys):
+    """No flag switches the representative sweep: the old
+    --no-verify-representatives is an unrecognized argument."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg("hamming2_f2"), "--no-verify-representatives"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-verify-representatives" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "dual"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_out_exits_2(command, target, capsys, tmp_path):
+    """An --out in a missing directory, or naming a directory, ends in
+    exit 2 with a message, not a traceback."""
+    out = tmp_path / "missing" / "x.json" if target == "missing" \
+        else tmp_path
+    code, stdout, err = run([command, cfg("hamming2_f2"), "--out", str(out)],
+                            capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("config error: cannot write report %s: " % out)
+    assert "Traceback" not in err
 
 
 def test_condition_4_is_swept_once_per_partition(capsys, monkeypatch):

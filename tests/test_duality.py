@@ -603,6 +603,26 @@ def test_spectral_checks_match_sweeps_cross_pair():
     assert_matches_sweeps(cert, gG, gD)
 
 
+def test_duality_report_needs_one_space():
+    """The two actions must act on one space, compared as built: Z_4 and
+    F_2^2 have the same size but are different spaces."""
+    with pytest.raises(UsageError, match="must share the vertex space"):
+        duality_report(build_action(CyclicProductSpace((4,)), "central"),
+                       build_action(VectorSpace(2, FieldSpec(2)), "hamming"))
+
+
+def test_equal_spaces_give_the_shared_space_certificate():
+    """Actions on two equal but distinct space objects give the
+    certificate of the same actions on one shared space object."""
+    sp, other = VectorSpace(3, FieldSpec(2)), VectorSpace(3, FieldSpec(2))
+    gG = build_action(sp, "weak_hamming", levels=[2, 1])
+    shared = duality_report(gG, build_action(sp, "weak_hamming_dual",
+                                             levels=[2, 1]))
+    apart = duality_report(gG, build_action(other, "weak_hamming_dual",
+                                            levels=[2, 1]))
+    assert shared.passed and plain(apart.to_json()) == plain(shared.to_json())
+
+
 def degenerate_space():
     """Z_3 x Z_3 with B = diag(1, 0): the point (0, 1) pairs trivially with
     everything."""

@@ -63,7 +63,7 @@ def test_intersection_tensor_consistency():
     ]
     for sp, family, params in cases:
         sch = make_scheme(sp, family, **params)
-        p = sch.intersection_numbers(verify_representatives=True)
+        p = sch.intersection_numbers()
         d, v = sch.d, sch.valencies
         for i in range(d + 1):
             for j in range(d + 1):
@@ -113,7 +113,7 @@ def test_representative_verification_catches_bad_partition():
     sp, part = bad_z8_partition()
     sch = TranslationScheme(sp, part)
     with pytest.raises(IntegrityError):
-        sch.intersection_numbers(verify_representatives=True)
+        sch.intersection_numbers()
 
 
 def test_class_labels():

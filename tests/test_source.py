@@ -103,3 +103,28 @@ def test_regen_golden_renders_the_committed_tables():
     for name in ("GOLDEN_CERTIFICATES", "GOLDEN_REPORTS",
                  "GOLDEN_DUAL_STDOUT"):
         assert regen_golden.render(name, getattr(golden, name)) in source
+
+
+def test_every_cli_flag_is_read():
+    """Every dest that cli.make_parser creates by add_argument is read as
+    args.<dest> somewhere in cli.py: a flag that no command reads would
+    be accepted and then ignored."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    parser = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "make_parser")
+    dests = set()
+    for node in ast.walk(parser):
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None) == "add_argument":
+            dest = {kw.arg: kw.value.value for kw in node.keywords
+                    if kw.arg == "dest"}.get("dest")
+            dests.add(dest or node.args[0].value.lstrip("-")
+                      .replace("-", "_"))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert dests >= {"config", "config_b", "out", "size_bound",
+                     "matrix_bound"}
+    assert not dests - read, "flags no command reads: %s" % sorted(
+        dests - read)
