@@ -15,8 +15,11 @@ runs on the entry arrays of the digit basis points through the field's
 index tables (FieldSpec.matmul), and its permutation is the linear
 extension of those N images, one exact matrix product over the digit
 array (_field_map).  So a built-in permutation is additive by
-construction; verify_additive still sweeps it, and is the real test of
-condition (3) for custom generators.
+construction, and its Generator says so (`additive`): verify_additive
+and verify_adjoint sweep only the unmarked maps, custom generators and
+hand-built images, for which the sweep is the real test of condition
+(3).  An adjoint whose data equal its generator's (a symmetric matrix, a
+central unit) reuses the generator's permutation array.
 """
 
 from __future__ import annotations
@@ -56,14 +59,17 @@ def gl_generators(k, field):
 class Generator:
     """One generating automorphism: a materialized point permutation (an
     index array, perm[x] = g(x)) plus the structured data its adjoint
-    rule needs."""
+    rule needs.  `additive` is set only by the constructors whose map is
+    additive by construction, _field_map and the central x -> ux; every
+    other map is left to the additivity sweep."""
 
-    __slots__ = ("name", "perm", "data")
+    __slots__ = ("name", "perm", "data", "additive")
 
-    def __init__(self, name, perm, data):
+    def __init__(self, name, perm, data, additive=False):
         self.name = name
         self.perm = np.asarray(perm)
         self.data = data
+        self.additive = additive
 
     def __repr__(self):
         return "Generator(%s)" % self.name
@@ -90,13 +96,18 @@ class GeneratorSet:
                 raise IntegrityError("generator %s is not a bijection" % g.name)
 
     def verify_additive(self):
-        """Check g(x + e_i) = g(x) + g(e_i) for every generator g, every
-        point x and every digit basis vector e_i, O(N |X|) per generator.
-        The e_i generate X, so induction on the length of y as a word in
-        them gives g(x + y) = g(x) + g(y) for all x and y.  Returns (ok,
-        witness), the witness a violating (g.name, x, y)."""
+        """Condition (3), g(x + y) = g(x) + g(y) for every generator g and
+        all x and y.  A generator marked `additive` holds it by
+        construction: a _field_map permutation gives g(x) the digits
+        sum_i d_i(x) d(g(e_i)) mod p, a linear function of the digits of
+        x, each of radix p, so of x; a central one is x -> ux.  Any other
+        generator is swept: g(x + e_i) = g(x) + g(e_i) for every point x
+        and every digit basis vector e_i, O(N |X|); the e_i generate X, so
+        induction on the length of y as a word in them gives the rest.
+        Returns (ok, witness), the witness a violating (g.name, x, y)."""
         for g in self.generators:
-            witness = _additivity_witness(self.space, g.perm)
+            witness = None if g.additive else _additivity_witness(self.space,
+                                                                  g.perm)
             if witness is not None:
                 return False, (g.name,) + witness
         return True, None
@@ -222,7 +233,10 @@ def _additivity_witness(space, perm):
 
 
 def _adjoint_matrix(space, family, A):
-    """A^T, or for Hermitian forms the conjugate transpose A*."""
+    """A^T, or for Hermitian forms the conjugate transpose A*; a central
+    unit is its own adjoint, as <ux, y> = <x, uy>."""
+    if family == "central":
+        return A
     return space.conj_index[A.T] if family == "hermitian" else A.T
 
 
@@ -250,13 +264,13 @@ def _field_map(space, family, name, data):
     D = space.digits
     digits = exact_matmul(D, D[images], len(basis) * (field.p - 1) ** 2)
     return Generator(name, (digits % field.p @ space.place).astype(D.dtype),
-                     data)
+                     data, additive=True)
 
 
 def _build_central(space, family, params):
     nu = space.character_order
     gens = [Generator("mul_%d" % u, space.scalar_mul(np.arange(space.size), u),
-                      {"unit": u})
+                      {"unit": u}, additive=True)
             for u in range(2, nu) if math.gcd(u, nu) == 1]
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
@@ -416,40 +430,47 @@ class AdjointMap:
 
 
 def adjoint_map(genset: GeneratorSet) -> AdjointMap:
-    """iota(g) for every generator: g itself for central actions, else
-    the family's formula on the adjoint of each matrix of g."""
+    """iota(g) for every generator: the family's formula on the adjoint
+    of each matrix of g.  When those data equal g's, iota(g) is g, and
+    its image reuses g's permutation array and `additive` mark instead of
+    materializing the map again: every central unit, the Hamming swaps
+    and scalings, the cyclotomic map, and the symmetric matrices of
+    gl_generators (a 2-cycle, a diagonal)."""
     space = genset.space
     family = genset.family
     if family == "custom":
         raise UsageError("custom actions carry no built-in adjoint map")
-    if family == "central":
-        images = [Generator("adj_" + g.name, g.perm, dict(g.data))
-                  for g in genset.generators]
-    else:
-        images = [_field_map(space, family, "adj_" + g.name,
-                             {key: _adjoint_matrix(space, family, A)
-                              for key, A in g.data.items()})
-                  for g in genset.generators]
+    images = []
+    for g in genset.generators:
+        data = {key: _adjoint_matrix(space, family, A)
+                for key, A in g.data.items()}
+        if all(np.array_equal(A, g.data[key]) for key, A in data.items()):
+            images.append(Generator("adj_" + g.name, g.perm, data,
+                                    g.additive))
+        else:
+            images.append(_field_map(space, family, "adj_" + g.name, data))
     return AdjointMap(genset, images)
 
 
 def verify_adjoint(adjoint: AdjointMap):
     """Check <gx, y> = <x, iota(g) y> for every generator.
 
-    g and iota(g) must first pass the digit-basis additivity check of
-    verify_additive (a failure returns its witness, named after the map
-    that failed; iota(g) is skipped when it reuses g's array, as central
-    adjoints do).  Then both sides are biadditive in (x, y), so the pairs
-    of digit basis vectors decide the identity for all of X x X, one
-    array comparison per generator; lambda is a unit, so it is left out.
-    The witness is (g.name, x, y) at the first mismatching basis pair in
+    g and iota(g) must first be additive: a map marked `additive` is so
+    by construction (GeneratorSet.verify_additive), and any other gets
+    that method's digit-basis sweep (a failure returns its witness, named
+    after the map that failed; iota(g) is skipped when it reuses g's
+    array).  Then both sides are biadditive in (x, y), so the pairs of
+    digit basis vectors decide the identity for all of X x X, one array
+    comparison per generator; lambda is a unit, so it is left out.  The
+    witness is (g.name, x, y) at the first mismatching basis pair in
     row-major order."""
     genset = adjoint.source
     space = genset.space
     basis = space.basis
     for g, ig in zip(genset.generators, adjoint.images):
         for h in (g,) if ig.perm is g.perm else (g, ig):
-            witness = _additivity_witness(space, h.perm)
+            witness = None if h.additive else _additivity_witness(space,
+                                                                  h.perm)
             if witness is not None:
                 return False, (h.name,) + witness
         bad = (space.pairing_exponent(g.perm[basis][:, None], basis)

@@ -181,8 +181,8 @@ def _array_blocks(shape, depth, width, texts):
 
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
-    out_path, or to stdout, byte for byte; an out_path that cannot be
-    opened for writing raises ConfigError.
+    out_path, or to stdout, byte for byte; an OSError from opening,
+    writing or closing raises ConfigError.
 
     json.dumps writes the report; its default hook turns each integer
     ndarray and CodedArray with a cell into a placeholder string, a token
@@ -210,18 +210,19 @@ def write_report(report, out_path):
     memo = {}
     try:
         out = open(out_path, "w") if out_path else nullcontext(sys.stdout)
+        with out as fh:
+            for head, A in zip(text.split('"%s"' % token), arrays + [None]):
+                for cut in range(0, len(head), ARRAY_CHARS):
+                    fh.write(head[cut:cut + ARRAY_CHARS])
+                if A is not None:
+                    line = head[head.rfind("\n") + 1:]
+                    depth = (len(line) - len(line.lstrip(" "))) // 2
+                    for chunk in _array_chunks(A, depth, memo):
+                        fh.write(chunk)
+            fh.write("\n")
     except OSError as exc:
-        raise ConfigError("cannot write report %s: %s" % (out_path, exc))
-    with out as fh:
-        for head, A in zip(text.split('"%s"' % token), arrays + [None]):
-            for cut in range(0, len(head), ARRAY_CHARS):
-                fh.write(head[cut:cut + ARRAY_CHARS])
-            if A is not None:
-                line = head[head.rfind("\n") + 1:]
-                depth = (len(line) - len(line.lstrip(" "))) // 2
-                for chunk in _array_chunks(A, depth, memo):
-                    fh.write(chunk)
-        fh.write("\n")
+        raise ConfigError("cannot write report %s: %s"
+                          % (out_path or "to stdout", exc))
     # json's pure-Python encoder (indent) leaves a reference cycle that
     # keeps placeholder, and so the arrays, until the collector runs
     arrays.clear()

@@ -176,11 +176,12 @@ def verified_adjoint(genset):
 def keeps_classes(adjoint, dual):
     """The rest of the adjoint lemma's premise (module docstring): every
     image iota(g) is a permutation of X that maps each class of the
-    partition `dual` onto itself."""
+    partition `dual` onto itself.  An image that reuses g's array is a
+    permutation already: GeneratorSet checked g."""
     class_of = dual.class_of
-    return all(_is_permutation(ig.perm, len(class_of))
+    return all((ig.perm is g.perm or _is_permutation(ig.perm, len(class_of)))
                and (class_of[ig.perm] == class_of).all()
-               for ig in adjoint.images)
+               for g, ig in zip(adjoint.source.generators, adjoint.images))
 
 
 # -- contractions over Z[zeta_m] ----------------------------------------------

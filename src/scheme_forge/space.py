@@ -130,7 +130,8 @@ class AbelianSpace:
     `digits` is the |X| x N array D whose row x is d(x), `radices` the r_i
     and `place` the place weights, so x = D[x] . place.  `basis` lists the
     digit basis vectors e_i (the points place[i], r_i > 1), which generate
-    X.  Subclasses define `pairing_exponent`.
+    X.  Subclasses define `pairing_exponent` and `_gram_rows`, whose row
+    x is d(x) . B mod m (GramSpace).
     """
 
     kind = None
@@ -225,13 +226,15 @@ class AbelianSpace:
     def verify_nondegenerate(self):
         """Inner product axiom (iii): x != 0 implies <x,y> != 1 for some y.
         The pairing exponent is biadditive, so y ranges over the digit
-        basis, and lambda is a unit, so it is left out.  Returns (ok,
-        witness_or_None), the witness the least degenerate x."""
-        points = np.arange(1, self.size)
-        k = self.pairing_exponent(points[:, None], self.basis)
-        degenerate = np.flatnonzero(~k.any(axis=1))
+        basis, and lambda is a unit, so it is left out.  <x, e_i> has the
+        exponent d(x) . B . e_i, the entry of the Gram rows d(x) . B mod m
+        at the digit of e_i: the verdict reads one (|X|, N) slice of
+        them.  Returns (ok, witness_or_None), the witness the least
+        degenerate x."""
+        rows = self._gram_rows[1:, self._radices > 1]
+        degenerate = np.flatnonzero(~rows.any(axis=1))
         if len(degenerate):
-            return False, int(points[degenerate[0]])
+            return False, int(degenerate[0]) + 1
         return True, None
 
     # -- misc ---------------------------------------------------------------
@@ -277,8 +280,11 @@ class GramSpace(AbelianSpace):
         if ((gram - gram.T) % m).any():
             raise UsageError("the Gram matrix must be symmetric mod %d" % m)
         self.gram = gram
-        # row x is d(x) . B mod m, so a pairing is one dot product
-        self._gram_rows = self.digits @ gram % m
+        # row x is d(x) . B mod m, so a pairing is one dot product; the
+        # product gets BLAS through exact_matmul, an integer one none
+        bound = n * (max(self.radices) - 1) * (m - 1)
+        self._gram_rows = (exact_matmul(self.digits, gram, bound)
+                           % m).astype(gram.dtype)
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""

@@ -28,6 +28,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = sorted(f[:-5] for f in os.listdir(CONFIGS) if f.endswith(".json"))
 PERFBENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir,
                                  "perfbench", "configs")
+CUSTOM_CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 
 
 def classes_as_sets(partition):
@@ -206,27 +207,45 @@ def test_adjoint_verifies_for_all_families():
         assert ok, (family, witness)
 
 
-def test_adjoint_sharing_its_map_is_checked_for_additivity_once(
-        monkeypatch):
-    """The central adjoint reuses each generator's permutation array:
-    verify_adjoint checks that array's additivity once per generator.
-    A family whose images are new arrays (bilinear) checks both maps."""
-    calls = []
+def counted_sweeps(monkeypatch):
+    """The permutation arrays that the additivity sweep,
+    action._additivity_witness, runs on from here on."""
+    swept = []
     real = action_module._additivity_witness
 
     def counted(space, perm):
-        calls.append(perm)
+        swept.append(perm)
         return real(space, perm)
 
     monkeypatch.setattr(action_module, "_additivity_witness", counted)
-    for sp, family, maps in ((CyclicProductSpace((16, 8)), "central", 1),
-                             (FullMatrixSpace(2, 2, FieldSpec(2)),
-                              "bilinear", 2)):
-        genset = build_action(sp, family)
-        adj = adjoint_map(genset)
-        calls.clear()
+    return swept
+
+
+def test_adjoint_sharing_its_map_is_checked_for_additivity_once(
+        monkeypatch):
+    """verify_adjoint sweeps only the maps not marked additive, each
+    array once.  A built-in family sweeps none: the central images reuse
+    their generators' arrays, the bilinear ones are new arrays, and all
+    of them are additive by construction.  Unmarked generators on
+    Z_2 x Z_2 are swept once when the image reuses the generator's array
+    (the self-adjoint swap) and twice when it is a new array."""
+    swept = counted_sweeps(monkeypatch)
+    for sp, family in ((CyclicProductSpace((16, 8)), "central"),
+                       (FullMatrixSpace(2, 2, FieldSpec(2)), "bilinear")):
+        adj = adjoint_map(build_action(sp, family))
+        swept.clear()
         assert verify_adjoint(adj) == (True, None)
-        assert len(calls) == maps * len(genset.generators)
+        assert swept == []
+    swap, identity = [0, 2, 1, 3], [0, 1, 2, 3]
+    genset = GeneratorSet(CyclicProductSpace((2, 2)), "custom", {},
+                          [Generator("swap", swap, {}),
+                           Generator("id", identity, {})])
+    adj = AdjointMap(genset, [
+        Generator("adj_swap", genset.generators[0].perm, {}),
+        Generator("adj_id", identity, {})])
+    swept.clear()
+    assert verify_adjoint(adj) == (True, None)
+    assert [perm.tolist() for perm in swept] == [swap, identity, identity]
 
 
 def assert_adjoint_witness_violates(adjoint, witness):
@@ -692,6 +711,116 @@ def test_array_perms_match_loops_on_configs(path):
         assert_perms_match_loops(build_action(
             space, action_module.DUAL_FAMILY[genset.family],
             **genset.params))
+
+
+def config_paths():
+    """Every shipped config and every perfbench config."""
+    return [os.path.join(CONFIGS, name + ".json") for name in SHIPPED] + [
+        os.path.join(PERFBENCH_CONFIGS, f)
+        for f in sorted(os.listdir(PERFBENCH_CONFIGS)) if f.endswith(".json")]
+
+
+def config_actions(path):
+    """The action of a config and, for a weak-Hamming action, its
+    dual-poset partner."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    space, genset = cli.load_action(cfg, 4096)
+    if genset.poset is None:
+        return [genset]
+    return [genset, build_action(space,
+                                 action_module.DUAL_FAMILY[genset.family],
+                                 **genset.params)]
+
+
+def assert_built_in_maps_are_additive(genset):
+    """Every generator and adjoint image of a built-in action is marked
+    additive, and the additivity sweep, the oracle of that construction,
+    finds no violation on any of them."""
+    for h in genset.generators + adjoint_map(genset).images:
+        assert h.additive, h.name
+        assert action_module._additivity_witness(genset.space,
+                                                 h.perm) is None, h.name
+
+
+@pytest.mark.parametrize("path", config_paths(), ids=os.path.basename)
+def test_built_in_maps_pass_the_sweep_on_configs(path):
+    for genset in config_actions(path):
+        assert_built_in_maps_are_additive(genset)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_built_in_maps_pass_the_sweep_on_spaces(space):
+    for family, params in natural_actions(space):
+        assert_built_in_maps_are_additive(build_action(space, family,
+                                                       **params))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_commands_sweep_no_map(name, monkeypatch, capsys):
+    """check, build and dual of a shipped config run the additivity sweep
+    on no map: every generator and adjoint image is additive by
+    construction."""
+    swept = counted_sweeps(monkeypatch)
+    for command in ("check", "build", "dual"):
+        assert cli.main([command, os.path.join(CONFIGS, name + ".json")]) \
+            in (0, 1)
+    capsys.readouterr()
+    assert swept == []
+
+
+@pytest.mark.parametrize("name", sorted(
+    f[:-5] for f in os.listdir(CUSTOM_CONFIGS) if f.endswith(".json")))
+def test_custom_commands_sweep_each_generator(name, monkeypatch, capsys):
+    """A custom action is swept generator by generator, in order: once
+    when it is built and once more by check_report (check and build);
+    dual builds it only, as a custom action has no adjoint map."""
+    path = os.path.join(CUSTOM_CONFIGS, name + ".json")
+    with open(path) as fh:
+        generators = json.load(fh)["action"]["generators"]
+    swept = counted_sweeps(monkeypatch)
+    for command, times in (("check", 2), ("build", 2), ("dual", 1)):
+        swept.clear()
+        assert cli.main([command, path]) in (0, 1)
+        assert [perm.tolist() for perm in swept] == generators * times
+    capsys.readouterr()
+
+
+# a space of each family with self-adjoint generators
+REUSE_CASES = [
+    (VectorSpace(2, FieldSpec(3)), "hamming", {}),
+    (VectorSpace(1, FieldSpec(5)), "cyclotomic", {"d": 2}),
+    (FullMatrixSpace(2, 2, FieldSpec(3)), "bilinear", {}),
+    (AlternatingMatrixSpace(2, FieldSpec(3)), "alternating", {}),
+    (SymmetricMatrixSpace(2, FieldSpec(3)), "symmetric", {}),
+    (HermitianMatrixSpace(2, FieldSpec(2, 2)), "hermitian", {}),
+    (VectorSpace(3, FieldSpec(2)), "weak_hamming", {"levels": [2, 1]}),
+    (VectorSpace(3, FieldSpec(2)), "weak_hamming_dual", {"levels": [2, 1]}),
+    (CyclicProductSpace((4, 6)), "central", {}),
+]
+
+
+@pytest.mark.parametrize("space, family, params", REUSE_CASES,
+                         ids=[case[1] for case in REUSE_CASES])
+def test_reused_adjoint_arrays_equal_their_recomputation(space, family,
+                                                         params):
+    """adjoint_map reuses g's array exactly when iota(g) has g's data, and
+    the reused array equals, value for value and in dtype, the map built
+    afresh from those data: _field_map, or scalar_mul for a central
+    unit.  Every family here reuses at least one array."""
+    genset = build_action(space, family, **params)
+    adj = adjoint_map(genset)
+    reused = 0
+    for g, ig in zip(genset.generators, adj.images):
+        same = all(np.array_equal(A, g.data[key])
+                   for key, A in ig.data.items())
+        assert (ig.perm is g.perm) == same, g.name
+        fresh = (space.scalar_mul(np.arange(space.size), ig.data["unit"])
+                 if family == "central"
+                 else _field_map(space, family, ig.name, ig.data).perm)
+        assert np.array_equal(ig.perm, fresh) and ig.perm.dtype == fresh.dtype
+        reused += same
+    assert reused
 
 
 def is_form(space, A):

@@ -453,6 +453,20 @@ def test_unwritable_out_exits_2(command, target, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("command", ["check", "build", "dual"])
+def test_failed_write_exits_2(command, capsys):
+    """An --out that opens but takes no bytes (/dev/full: every write, or
+    the flush at close, fails with ENOSPC) ends in exit 2 with a message,
+    not a traceback, and dual prints no table."""
+    code, stdout, err = run([command, cfg("hamming2_f2"), "--out",
+                             "/dev/full"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("config error: cannot write report /dev/full: ")
+    assert "No space left on device" in err and "Traceback" not in err
+
+
 def test_condition_4_is_swept_once_per_partition(capsys, monkeypatch):
     """Condition (4), which the report, TranslationScheme and both
     verify_axioms calls read, sweeps the negation of X once per

@@ -20,7 +20,7 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  adjoint_map, verify_adjoint, AdjointMap,
                                  Generator)
-from scheme_forge.scheme import TranslationScheme
+from scheme_forge.scheme import TranslationScheme, intersection_tensor
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
                                   verify_idempotents, sigma_permutation,
@@ -976,6 +976,30 @@ def test_lemma_eigenmatrices_match_exhaustive_test(names):
         reps = [cls[0] for cls in part.classes]
         assert ok and np.array_equal(character_profile(
             space, dual, pairing_rows(space, reps)), F)
+
+
+@pytest.mark.parametrize("names", LEMMA_CASES, ids="-".join)
+def test_bannai_ito_intersection_numbers_match_the_tensor(names):
+    """Bannai-Ito's p_ij^k = (1/(|X| k_k)) sum_l m_l P_li P_lj conj(P_lk),
+    contracted over Z[zeta_m] from the certified P (rows the dual
+    classes, columns the classes of G), equals intersection_tensor on
+    every shipped and perfbench config and the cross pair.  A config with
+    no certified P (classes not closed under negation) has condition (4)
+    failing instead."""
+    space, gensets = load_actions(names)
+    cert = duality_report(*gensets)
+    if cert.P is None:
+        assert not cert.checks["condition_4_G"]
+        return
+    m = space.character_order
+    P = sliced(coeff_array(cert.P))
+    weighted = contract("l,li->li", cyclo.integer_array(cert.multiplicities),
+                        P, m)
+    products = contract("li,lj->lij", weighted, P, m)
+    T, _ = contract("lij,lk->ijk", products, conjugate_array(P, m), m)
+    tensor = intersection_tensor(space, orbits(gensets[0]), False)
+    assert cyclo.equals_integers(
+        T, space.size * np.array(cert.valencies) * tensor).all()
 
 
 def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):

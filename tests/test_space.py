@@ -2,7 +2,9 @@
 
 import functools
 import itertools
+import json
 import math
+import os
 from operator import mul
 
 import numpy as np
@@ -500,6 +502,72 @@ def test_pairing_table_matches_int64_product(space, monkeypatch):
         table = pairing_table(space)
         assert table.dtype == np.min_scalar_type(m - 1)
         assert np.array_equal(table, want)
+
+
+# -- oracle: the pairing-form broadcast that the Gram-row slice replaced ------
+
+def pairing_form_nondegenerate(space):
+    """verify_nondegenerate by the pairing form: the exponent of every
+    x != 0 with every digit basis vector through pairing_exponent, one
+    (|X|, N, N) broadcast; (ok, the least degenerate x or None)."""
+    points = np.arange(1, space.size)
+    k = space.pairing_exponent(points[:, None], space.basis)
+    degenerate = np.flatnonzero(~k.any(axis=1))
+    if len(degenerate):
+        return False, int(points[degenerate[0]])
+    return True, None
+
+
+CONFIG_FOLDERS = [os.path.join(os.path.dirname(__file__), os.pardir, folder)
+                  for folder in ("configs", os.path.join("perfbench",
+                                                         "configs"))]
+CONFIG_PATHS = [os.path.join(folder, f) for folder in CONFIG_FOLDERS
+                for f in sorted(os.listdir(folder)) if f.endswith(".json")]
+
+
+def config_space(path):
+    with open(path) as fh:
+        return space_from_config(json.load(fh)["space"])
+
+
+def assert_gram_rows_match_oracles(space):
+    """verify_nondegenerate equals the pairing-form oracle, verdict and
+    witness, and the Gram rows, a float64 product, equal the int64
+    product D . B mod m in the space's index dtype."""
+    assert space.verify_nondegenerate() == pairing_form_nondegenerate(space)
+    want = space.digits @ space.gram % space.character_order
+    assert space._gram_rows.dtype == want.dtype
+    assert np.array_equal(space._gram_rows, want)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_gram_rows_match_oracles_on_spaces(space):
+    assert_gram_rows_match_oracles(space)
+
+
+@pytest.mark.parametrize("path", CONFIG_PATHS, ids=os.path.basename)
+def test_gram_rows_match_oracles_on_configs(path):
+    assert_gram_rows_match_oracles(config_space(path))
+
+
+@pytest.mark.parametrize("blocks, m, witness", [
+    # a block that is 0 mod m: x = (0, 1), the least point
+    ([((5,), ((1,),)), ((5,), ((5,),))], 5, 1),
+    # the Z_2 digit pairs to 0 mod 4: x = (1, 0), after nondegenerate x
+    ([((2,), ((0,),)), ((4,), ((1,),))], 4, 4),
+    # a nonzero singular block over F_2: x = (1, 1)
+    ([((2, 2), ((1, 1), (1, 1)))], 2, 3),
+    # a zero block between two others: x = (0, 1, 0)
+    ([((3,), ((1,),)), ((3,), ((0,),)), ((3,), ((2,),))], 3, 3),
+], ids=["zero-block", "late-witness", "singular-block", "middle-block"])
+def test_degenerate_gram_matrix_gives_the_least_witness(blocks, m, witness):
+    """On a degenerate Gram matrix the Gram-row slice fails with the least
+    degenerate point, as the pairing-form oracle and the exhaustive scan
+    of every pair do."""
+    space = GramSpace(blocks, m)
+    assert space.verify_nondegenerate() == (False, witness)
+    assert pairing_form_nondegenerate(space) == (False, witness)
+    assert TupleDigits(space).verify_nondegenerate() == (False, witness)
 
 
 def test_bad_configs_rejected():
