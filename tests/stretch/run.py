@@ -56,7 +56,9 @@ def run_one(src, stdout_path, argv):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("names", nargs="*")
     parser.add_argument("--src", default=SRC)
     parser.add_argument("--out-dir", default=None)
@@ -67,6 +69,10 @@ def main():
     if args.one:
         run_one(src, args.one[0], args.one[1:])
         return
+    unknown = set(args.names) - {name for _, name, _ in COMMANDS}
+    if unknown:
+        parser.error("no stretch config named %s"
+                     % ", ".join(sorted(unknown)))
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="stretch-")
     os.makedirs(out_dir, exist_ok=True)
     print("%-6s %-16s %4s %9s %8s" % ("cmd", "config", "exit", "seconds",
