@@ -119,9 +119,10 @@ class GeneratorSet:
 
 class OrbitPartition:
     """Classes of the orbit partition, class 0 = {0}: `class_of` holds
-    int32 labels (intersection_tensor packs label pairs in int32), and
-    `classes[i]` the points of class i, by default read off class_of in
-    ascending order, so that classes[i][0] is the least point."""
+    int32 labels (intersection_tensor codes label pairs in uint16 or
+    int64), and `classes[i]` the points of class i, by default read off
+    class_of in ascending order, so that classes[i][0] is the least
+    point."""
 
     def __init__(self, class_of, classes=None):
         self.class_of = np.asarray(class_of, dtype=np.int32)
@@ -268,10 +269,19 @@ def _field_map(space, family, name, data):
 
 
 def _build_central(space, family, params):
+    """x -> ux for units u of Z_nu, nu the character order: a unit joins,
+    in increasing order, only when the group of the units before it lacks
+    it, so the generators are few (2 and 7 for nu = 15, 3 and 5 for
+    nu = 16 and 64) and generate every unit, with the same orbits."""
     nu = space.character_order
+    units, group = [], {1}
+    for u in range(2, nu):
+        if math.gcd(u, nu) == 1 and u not in group:
+            units.append(u)
+            while not group.issuperset(more := {g * u % nu for g in group}):
+                group |= more
     gens = [Generator("mul_%d" % u, space.scalar_mul(np.arange(space.size), u),
-                      {"unit": u}, additive=True)
-            for u in range(2, nu) if math.gcd(u, nu) == 1]
+                      {"unit": u}, additive=True) for u in units]
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
 

@@ -6,13 +6,15 @@ partition; intersection numbers use the translated form
 p_ij^k = #{z : z in X_j, u - z in X_i} for a representative u of X_k.
 The classes are orbits of additive automorphisms, so the counts do not
 depend on u: up to REPRESENTATIVE_VERIFY_BOUND points every u is swept
-to check it, above it only the first.  Each class is an array sweep over
-the differences u - z.  The tensor is one int64 array from the sweep to
-the Krein comparison and the build report, which cli.write_report
-writes as JSON directly.
+to check it, above it only the first.  One array pass covers the
+differences u - z of every representative of every class.  The tensor
+is one int64 array from the sweep to the Krein comparison and the build
+report, which cli.write_report writes as JSON directly.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -134,37 +136,71 @@ def _diag_rep(space, entries):
     return int(space.points_of(mat, "diag", [0])[0])
 
 
+def difference_rows(space, reps):
+    """u - z for every u of the index array `reps` (rows) and every z in
+    X (columns, in index order), an index array (len(reps), |X|).
+
+    X splits into the points A of its leading digits and B of its
+    trailing ones, X = A x B with |A| + |B| least.  With z = a + b and
+    u = u_A + u_B so split, u - z = (u_A - a) + (u_B - b), and the two
+    differences have no digit in common: the rows are one broadcast sum
+    of two calls of the law, of shapes (len(reps), |A|) and
+    (len(reps), |B|), each no larger than the output.  A space of one
+    digit has no such split, and its rows are one call of the law on
+    every pair."""
+    radices, size = space.radices, space.size
+    if len(radices) == 1:
+        return space.sub(reps[:, None], np.arange(size))
+    lead = min((math.prod(radices[:s]) for s in range(1, len(radices))),
+               key=lambda a: a + size // a)
+    trail = size // lead
+    low = reps % trail
+    rows_a = space.sub((reps - low)[:, None], np.arange(0, size, trail))
+    rows_b = space.sub(low[:, None], np.arange(trail))
+    # the sum in intp, which take reads without a converted copy
+    return (rows_a.astype(np.intp)[:, :, None] + rows_b[:, None, :]
+            ).reshape(len(reps), size)
+
+
 def intersection_tensor(space, partition, verify_representatives):
-    """p[i, j, k] = #{z : z in X_j, u - z in X_i} for u in X_k, an int64
-    array, for the representatives u of each class k (all of X_k when
-    verifying, else its first point).  A (d + 1)^3 array past the tensor
-    bound of the space's size bound (check_tensor_size) raises
+    """p[i, j, k] = #{z : z in X_j, u - z in X_i} for u in X_k, a
+    C-ordered int64 array, for the representatives u of each class k (all
+    of X_k when verifying, else its first point).  A (d + 1)^3 array past
+    the tensor bound of the space's size bound (check_tensor_size) raises
     ResourceLimitError before it is allocated.
 
-    For the representatives of class k, the points u - z, for every z,
-    form one index array of table gathers (in the index dtype of the
-    space, see AbelianSpace.__init__), and the class pairs (i, j) of
-    (u - z, z) one int32 array.  Two representatives give the same counts
-    iff their sorted rows of pairs are equal, and one bincount of the
-    first row gives the counts.  Raises IntegrityError, naming the first u
-    whose counts differ from the first representative's, when the counts
-    depend on u."""
+    One pass over every representative of every class, in listed order:
+    the points u - z (difference_rows) give the class pair (i, j) of
+    (u - z, z), coded i (d + 1) + j by one take of the class labels, in
+    uint16 when (d + 1)^2 codes fit, else int64.  Two representatives
+    give the same counts iff their sorted rows of codes are equal; every
+    sorted row is compared with its class's first, and one bincount of
+    the first rows, with k as the last digit of the code, gives the
+    tensor.  Raises IntegrityError, naming the first u (in the first
+    class, in listed order) whose counts differ from its class's first
+    representative's, when the counts depend on u."""
     d = partition.d
     check_tensor_size(d, space.size_bound)
-    class_of = partition.class_of
-    points = np.arange(space.size)
-    tensor = np.empty((d + 1,) * 3, dtype=np.int64)
-    for k, cls in enumerate(partition.classes):
-        reps = cls if verify_representatives else cls[:1]
-        pairs = class_of[space.sub(reps[:, None], points)]
-        pairs *= d + 1
-        pairs += class_of
-        pairs.sort(axis=1)
-        differ = np.flatnonzero((pairs != pairs[0]).any(axis=1))
-        if len(differ):
-            raise IntegrityError(
-                "intersection numbers depend on the representative "
-                "of class %d (u=%d vs u=%d)" % (k, reps[0], reps[differ[0]]))
-        tensor[:, :, k] = np.bincount(pairs[0], minlength=(d + 1) ** 2
-                                      ).reshape(d + 1, d + 1)
-    return tensor
+    n = d + 1
+    reps = [cls if verify_representatives else cls[:1]
+            for cls in partition.classes]
+    counts = [len(r) for r in reps]
+    reps = np.concatenate(reps)
+    labels = partition.class_of.astype(np.uint16 if n * n <= 1 << 16
+                                       else np.int64)
+    # every difference is a point: "clip" only skips the bounds check
+    pairs = (labels * n).take(difference_rows(space, reps), mode="clip")
+    pairs += labels
+    pairs.sort(axis=1)
+    starts = np.cumsum([0] + counts[:-1])
+    first = pairs[starts]
+    differ = np.flatnonzero(
+        (pairs != np.repeat(first, counts, axis=0)).any(axis=1))
+    if len(differ):
+        k = int(np.searchsorted(starts, differ[0], side="right")) - 1
+        raise IntegrityError(
+            "intersection numbers depend on the representative "
+            "of class %d (u=%d vs u=%d)"
+            % (k, reps[starts[k]], reps[differ[0]]))
+    codes = first.astype(np.int64) * n + np.arange(n)[:, None]
+    return np.bincount(codes.ravel(), minlength=n ** 3).reshape(n, n, n)

@@ -1,6 +1,7 @@
 """Actions, orbits, conditions (3)/(4)/(6), and adjoint maps."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -19,7 +20,7 @@ from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator,
                                  GeneratorSet, gl_generators,
-                                 _field_map)
+                                 _field_map, orbit_labels)
 
 from test_space import SPACES, ORACLE_SPACES, TupleDigits, index_of_entries
 from test_poset import sphere_sizes
@@ -65,10 +66,37 @@ def element_matrix(field, A):
 def test_central_z8_orbits():
     sp = CyclicProductSpace((8,))
     part = orbits(build_action(sp, "central"))
-    # units {3, 5, 7} acting on Z_8: orbits split by gcd with 8
+    # units 3 and 5 (and so 7) acting on Z_8: orbits split by gcd with 8
     assert classes_as_sets(part) == {frozenset({0}), frozenset({4}),
                                      frozenset({2, 6}),
                                      frozenset({1, 3, 5, 7})}
+
+
+@pytest.mark.parametrize("moduli, units", [
+    ((15, 15), [2, 7]), ((16, 8), [3, 5]), ((64, 64), [3, 5]), ((2,), []),
+    ((12, 18), [5, 7])])
+def test_central_generators_are_greedy_units(moduli, units):
+    genset = build_action(CyclicProductSpace(moduli), "central")
+    assert [g.data["unit"] for g in genset.generators] == units
+    assert [g.name for g in genset.generators] == ["mul_%d" % u
+                                                   for u in units]
+
+
+def test_central_unit_generators_give_the_orbits_of_all_units():
+    """For nu in 2..64 the orbits of the greedy units on Z_nu, and on
+    Z_nu x Z_2 when nu is even, are those of every unit.  The orbit of 1
+    in Z_nu is the group the units generate, so that group is the whole
+    unit group."""
+    for nu in range(2, 65):
+        units = [u for u in range(1, nu) if math.gcd(u, nu) == 1]
+        for sp in [CyclicProductSpace((nu,))] + (
+                [CyclicProductSpace((nu, 2))] if nu % 2 == 0 else []):
+            points = np.arange(sp.size)
+            every = orbit_labels([sp.scalar_mul(points, u) for u in units],
+                                 sp.size)
+            gens = build_action(sp, "central").generators
+            assert np.array_equal(
+                orbit_labels([g.perm for g in gens], sp.size), every), nu
 
 
 def test_cyclotomic_f5_orbits():

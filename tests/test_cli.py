@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -573,29 +574,36 @@ KEYS = [st.text(), st.integers(), st.floats(), st.booleans(), st.none()]
 TREES = st.recursive(
     SCALARS,
     lambda children: st.one_of(
-        st.lists(children, max_size=6),
-        st.lists(children, max_size=6).map(tuple),
-        *(st.dictionaries(keys, children, max_size=6) for keys in KEYS)),
-    max_leaves=20)
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in KEYS)),
+    max_leaves=10)
+
+# the piece size of a drawn write: small enough that small trees and
+# arrays are written in many pieces and blocks, or the real one
+PIECE_CHARS = st.sampled_from([24, 1 << 15])
 
 
 @st.composite
 def shared_trees(draw):
     """A tree holding one container at two depths and twice at one depth,
-    and, as it grows, container texts above the flush size."""
+    and, as it grows, container texts above a small piece size."""
     shared = draw(st.lists(TREES, min_size=1, max_size=3))
     other = draw(TREES)
-    long = [shared] * draw(st.integers(0, 20))
+    long = [shared] * draw(st.integers(0, 8))
     return {"a": shared, "b": [other, [shared, shared], {"c": shared}],
             "d": long, "e": other}
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(TREES, shared_trees()))
-def test_write_report_matches_json_dumps(obj):
+@given(st.one_of(TREES, shared_trees()), PIECE_CHARS)
+def test_write_report_matches_json_dumps(obj, chars):
     """The encoder gives json.dumps(obj, sort_keys=True, indent=2) exactly,
-    on random trees of every JSON type, NaN and infinities included."""
-    assert encoded(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    on random trees of every JSON type, NaN and infinities included, with
+    ARRAY_CHARS set to `chars`."""
+    with mock.patch.object(cli, "ARRAY_CHARS", chars):
+        assert encoded(obj) == \
+            json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def test_write_report_rejects_what_json_rejects():
@@ -616,6 +624,17 @@ class WriteRecorder(io.StringIO):
     def write(self, text):
         self.sizes.append(len(text))
         return super().write(text)
+
+
+def assert_written_as_json_dumps(obj):
+    """write_report gives json.dumps's text of obj, in writes of at most
+    64 KiB."""
+    recorder = WriteRecorder()
+    with contextlib.redirect_stdout(recorder):
+        cli.write_report(obj, None)
+    assert recorder.getvalue() == \
+        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
+    assert max(recorder.sizes) <= 64 * 1024
 
 
 def test_write_report_streams_a_large_certificate(monkeypatch):
@@ -762,7 +781,7 @@ INT64 = st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, -2 ** 63 + 3),
                   st.integers(2 ** 63 - 4, 2 ** 63 - 1),
                   st.integers(-2 ** 63, 2 ** 63 - 1))
 INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4,
-                                                   min_side=0, max_side=6),
+                                                   min_side=0, max_side=3),
                         elements=INT64)
 
 
@@ -779,17 +798,13 @@ def array_trees(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(INT_ARRAYS, array_trees()))
-def test_write_report_writes_integer_arrays_as_json_dumps(obj):
+@given(st.one_of(INT_ARRAYS, array_trees()), PIECE_CHARS)
+def test_write_report_writes_integer_arrays_as_json_dumps(obj, chars):
     """An integer ndarray, alone or nested among shared entries, is
     written as json.dumps writes its tolist(), in writes of at most
-    64 KiB."""
-    recorder = WriteRecorder()
-    with contextlib.redirect_stdout(recorder):
-        cli.write_report(obj, None)
-    assert recorder.getvalue() == \
-        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
-    assert max(recorder.sizes) <= 64 * 1024
+    64 KiB, with ARRAY_CHARS set to `chars`."""
+    with mock.patch.object(cli, "ARRAY_CHARS", chars):
+        assert_written_as_json_dumps(obj)
 
 
 @pytest.mark.parametrize("A", [
@@ -836,6 +851,54 @@ def test_write_report_streams_a_large_integer_array(low, high):
                 if not text[-1].isdigit()]
 
 
+def array_pieces(A, depth):
+    """The pieces _array_chunks writes A in, nested `depth` deep."""
+    return list(cli._array_chunks(A, depth, {}))
+
+
+def test_array_blocks_join_rows_of_short_cells():
+    """Cells no longer than the separator between two are joined into
+    rows first, and a one-column array's are not: the text is
+    json.dumps's."""
+    for A, depth in ((np.arange(24).reshape(2, 3, 4) % 7, 2),
+                     (np.arange(6).reshape(6, 1), 1)):
+        assert len(str(A.max())) <= len(cli._list_texts(depth, A.ndim)[1][0])
+        assert_written_as_json_dumps({"a": [A] if depth == 2 else A})
+
+
+def test_array_blocks_cut_a_cell_longer_than_a_piece(monkeypatch):
+    """With ARRAY_CHARS = 64, each cell of a coded array of two 200-odd
+    character values is cut into pieces of at most 64: more pieces than
+    cells, and the text is json.dumps's."""
+    monkeypatch.setattr(cli, "ARRAY_CHARS", 64)
+    pool = [list(range(40)), {"k": "x" * 200}]
+    A = CodedArray(np.array([[0, 1, 1], [1, 0, 0]]), pool)
+    pieces = array_pieces(A, 1)
+    assert min(len(json.dumps(v, indent=2)) for v in pool) > 64
+    assert len(pieces) > A.codes.size and max(map(len, pieces)) <= 64
+    assert_written_as_json_dumps({"a": A, "b": [A]})
+
+
+def test_array_blocks_write_many_blocks_of_whole_cells(monkeypatch):
+    """With ARRAY_CHARS = 64, a 4 x 5 x 6 array of 1-3 digit values is
+    written in many blocks, each at most 64 characters and ending in a
+    whole cell."""
+    monkeypatch.setattr(cli, "ARRAY_CHARS", 64)
+    A = np.random.default_rng(4).integers(-99, 999, size=(4, 5, 6))
+    pieces = array_pieces(A, 2)
+    assert len(pieces) > 10 and max(map(len, pieces)) <= 64
+    assert all(text[-1].isdigit() for text in pieces[:-1])
+    assert_written_as_json_dumps({"p": {"q": A}})
+
+
+def test_array_blocks_write_an_array_at_depth_0():
+    """An integer and a coded array that are the whole report, nested no
+    container deep."""
+    A = np.arange(-5, 7).reshape(3, 4)
+    assert_written_as_json_dumps(A)
+    assert_written_as_json_dumps(CodedArray(A % 2, [{"a": [1, 2]}, "b"]))
+
+
 # JSON values a coded array holds: containers, shared by several entries
 ENTRIES = st.one_of(st.lists(SCALARS, max_size=4),
                     st.dictionaries(st.text(max_size=3), SCALARS, max_size=3),
@@ -861,32 +924,23 @@ def coded_array_trees(draw):
     each in a coded_array_tree."""
     pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
-                                  max_side=5))
+                                  max_side=3))
     codes = draw(hnp.arrays(np.intp, shape,
                             elements=st.integers(0, len(pool) - 1)))
     return coded_array_tree(CodedArray(codes, pool), draw(INT_ARRAYS))
 
 
-def assert_written_as_json_dumps(obj):
-    """write_report gives json.dumps's text of obj, in writes of at most
-    64 KiB."""
-    recorder = WriteRecorder()
-    with contextlib.redirect_stdout(recorder):
-        cli.write_report(obj, None)
-    assert recorder.getvalue() == \
-        json.dumps(plain(obj), sort_keys=True, indent=2) + "\n"
-    assert max(recorder.sizes) <= 64 * 1024
-
-
 @settings(max_examples=75, deadline=None, database=None)
 @given(st.one_of(coded_array_trees(),
-                 coded_array_trees().map(lambda tree: tree["d"])))
-def test_write_report_writes_coded_arrays_as_json_dumps(obj):
+                 coded_array_trees().map(lambda tree: tree["d"])),
+       PIECE_CHARS)
+def test_write_report_writes_coded_arrays_as_json_dumps(obj, chars):
     """A coded array of JSON values, alone or in a tree among integer
     arrays, another coded array of its values and copies of its entries,
     is written as json.dumps writes its tolist(), in writes of at most
-    64 KiB."""
-    assert_written_as_json_dumps(obj)
+    64 KiB, with ARRAY_CHARS set to `chars`."""
+    with mock.patch.object(cli, "ARRAY_CHARS", chars):
+        assert_written_as_json_dumps(obj)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 from scheme_forge.errors import IntegrityError, ResourceLimitError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
-                                SymmetricMatrixSpace, CyclicProductSpace,
-                                pairing_table)
+                                AlternatingMatrixSpace, SymmetricMatrixSpace,
+                                CyclicProductSpace, pairing_table)
 from scheme_forge import cli
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  check_condition_4)
 from scheme_forge.scheme import (TranslationScheme, intersection_tensor,
-                                 DEFAULT_MATRIX_BOUND)
+                                 difference_rows, DEFAULT_MATRIX_BOUND)
 
 from test_action import SHIPPED, CONFIGS, natural_actions
 from test_space import SPACES, TupleDigits, assert_matches_tuple_oracle
@@ -236,6 +236,69 @@ def test_intersection_tensor_matches_sweep_on_bad_partition():
         assert_tensor_matches_sweep(sp, part)
     sp = VectorSpace(4, FieldSpec(3))
     assert_tensor_matches_sweep(sp, orbits(build_action(sp, "hamming")))
+
+
+def test_intersection_tensor_names_the_first_u_of_the_first_bad_class():
+    """A partition of Z_18 whose classes 2, 3 and 4 all depend on u: the
+    error names the oracle's u, the third of class 2 (row 5 of the pass),
+    although classes 3 and 4 differ already at their second u."""
+    sp = CyclicProductSpace((18,))
+    classes = [[0], [3, 15], [14, 4, 1, 17], [12, 7, 6, 11, 9],
+               [2, 10, 8, 16, 13, 5]]
+    class_of = np.zeros(18, dtype=int)
+    for k, cls in enumerate(classes):
+        class_of[cls] = k
+    part = OrbitPartition(class_of, classes)
+    want = "intersection numbers depend on the representative of class 2 " \
+           "(u=14 vs u=1)"
+    assert outcome(sweep_intersection_numbers, sp, part, True) == want
+    assert_tensor_matches_sweep(sp, part)
+
+
+DIFFERENCE_SPACES = SPACES + [
+    CyclicProductSpace((12, 18)),
+    CyclicProductSpace((2, 3, 5, 7)),
+    AlternatingMatrixSpace(1, FieldSpec(2)),  # the trivial group
+    VectorSpace(3, FieldSpec(2, 2)),
+]
+
+
+@pytest.mark.parametrize("space", DIFFERENCE_SPACES, ids=repr)
+def test_difference_rows_match_the_law(space):
+    """Every row u - z, u in X in a shuffled order, equals one call of the
+    law on every pair: split into leading and trailing digits, or not."""
+    points = np.arange(space.size)
+    reps = np.random.default_rng(space.size).permutation(space.size)
+    assert np.array_equal(difference_rows(space, reps),
+                          space.sub(reps[:, None], points))
+
+
+def test_difference_rows_of_one_digit():
+    """Z_4096, one digit and no split, at the first points of the central
+    classes, as intersection_tensor takes them above the verify bound."""
+    space = CyclicProductSpace((4096,))
+    reps = np.array([cls[0] for cls in
+                     orbits(build_action(space, "central")).classes])
+    assert np.array_equal(difference_rows(space, reps),
+                          space.sub(reps[:, None], np.arange(4096)))
+
+
+def test_intersection_tensor_of_many_classes_codes_pairs_in_int64():
+    """The singleton partition of Z_257: (d + 1)^2 = 257^2 pair codes do
+    not fit uint16 (they would wrap), so they are int64, and p_ij^k is 1
+    iff i + j = k mod 257.  The tensor holds |X|^2 ones in all, so it is
+    1 at those (i, j, k) and 0 elsewhere."""
+    n = 257
+    assert n * n > 1 << 16
+    space = CyclicProductSpace((n,), size_bound=n * n)
+    part = OrbitPartition(np.arange(n))
+    i, j = np.indices((n, n))
+    for verify in (True, False):
+        tensor = intersection_tensor(space, part, verify)
+        assert tensor.dtype == np.int64 and tensor.flags.c_contiguous
+        assert tensor.sum() == n * n
+        assert (tensor[i, j, (i + j) % n] == 1).all()
+        del tensor  # 136 MB
 
 
 @st.composite
