@@ -339,11 +339,13 @@ def test_certificates_match_golden_digests(certificates):
 # The dual commands of GOLDEN_REPORTS that prove constancy by the
 # exhaustive test of the whole pairing table: custom actions, which carry
 # no adjoint map (the generators of hamming4_f3, wh21_f2 and wh12_f2 as
-# point permutations), and wh21_f2 against itself, whose adjoints do not
-# keep its own classes (constancy fails, exit 1).
+# point permutations; custom wh21_f2 alone fails constancy, exit 1), and
+# wh21_f2 against itself, whose adjoints do not keep its own classes
+# (constancy fails, exit 1).
 EXHAUSTIVE_DUALS = [
     "dual tests/configs/custom_hamming4_f3.json",
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json",
+    "dual tests/configs/custom_wh21_f2.json",
     "dual configs/wh21_f2.json configs/wh21_f2.json",
 ]
 
@@ -432,6 +434,8 @@ GOLDEN_REPORTS = {
         (0, "5e3836d9c4279eb8ae6bcd3f08489d7487675d5f0a225bd739a191924691171b"),
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
         (0, "7ebc3037ab2638524de126d82d482c661f7555ba1f4bc4c5191c71dac6506863"),
+    "dual tests/configs/custom_wh21_f2.json":
+        (1, "b1dca841c7c21589e37cb32f94ed1619fb79dbc041da0e23c5790092b5588512"),
     "dual configs/wh21_f2.json configs/wh21_f2.json":
         (1, "b230e0a93bb56b8c7f0e9ee98a43cab05926e6bb52382c14e9742d1e8f9c0c0b"),
     "build perfbench/configs/bilinear24_f2.json":
@@ -486,6 +490,8 @@ GOLDEN_DUAL_STDOUT = {
         "860f8281a07df9ce5f444449c99e6450cca93d8119f565a00258680cab31d8aa",
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
         "8596d066356c25cec2027205c0eae28390f48eeef875e403960bc6bd97da77cd",
+    "dual tests/configs/custom_wh21_f2.json":
+        "060e1c7a9ea1f6296fd19fd86bbea2814442f4cfee15b31081d3e65f5e6ec53c",
     "dual configs/wh21_f2.json configs/wh21_f2.json":
         "8d55331d4b93a8d868268b53af8c7c6f3b35f7bbeafacc0ae87c4d6d1d89bea6",
     "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
