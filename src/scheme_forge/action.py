@@ -2,28 +2,24 @@
 
 Each built-in family materializes a small generating set as point
 permutations; orbits are an array closure over them (the full group is
-never stored).  Adjoint images iota(g) are defined generator-by-generator
-following the family's structural rule and verified against the pairing.
+never stored).  Every generator's adjoint iota(g), custom ones included,
+has one rule: its digit basis images are read off the pairing
+(AbelianSpace.adjoint_images), and verify_adjoint checks them.
 
-Maps and partitions are numpy index arrays, converted only by the
-constructors of Generator and OrbitPartition: a generator's F_q matrices
-(`data`) hold element indices (FieldElement.index), so an adjoint is A.T,
-or conj_index[A.T] for Hermitian forms; `Generator.perm[x]` is g(x); and
-`OrbitPartition.class_of[x]` is the class of x, each class an ascending
-array of points.  A field family's map (v -> M v, or A -> left A right)
-runs on the entry arrays of the digit basis points through the field's
-index tables (FieldSpec.matmul), and its permutation is the linear
-extension of those N images, one exact matrix product over the digit
-array (_field_map).  So a built-in permutation is additive by
-construction, and its Generator says so (`additive`): verify_additive
-and verify_adjoint sweep only the unmarked maps, custom generators and
-hand-built images, for which the sweep is the real test of condition
-(3).  An adjoint whose data equal its generator's (a symmetric matrix, a
-central unit) reuses the generator's permutation array.
+Maps and partitions are numpy index arrays: a generator's F_q matrices
+(`data`) hold element indices (FieldElement.index), `Generator.perm[x]`
+is g(x), and `OrbitPartition.class_of[x]` the class of x, each class an
+ascending array of points.  A field family's formula runs on the entry
+arrays of the digit basis points through the field's index tables
+(FieldSpec.matmul).  A built-in map and an adjoint are the linear
+extensions of their basis images (_linear_map), additive by
+construction and marked so: verify_additive and verify_adjoint sweep
+only unmarked maps, custom generators and hand-built images.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -58,10 +54,9 @@ def gl_generators(k, field):
 
 class Generator:
     """One generating automorphism: a materialized point permutation (an
-    index array, perm[x] = g(x)) plus the structured data its adjoint
-    rule needs.  `additive` is set only by the constructors whose map is
-    additive by construction, _field_map and the central x -> ux; every
-    other map is left to the additivity sweep."""
+    index array, perm[x] = g(x)) plus the data of its family's formula.
+    `additive` is set only by _linear_map, and kept by an adjoint that
+    reuses g's array; any other map is left to the additivity sweep."""
 
     __slots__ = ("name", "perm", "data", "additive")
 
@@ -96,15 +91,12 @@ class GeneratorSet:
                 raise IntegrityError("generator %s is not a bijection" % g.name)
 
     def verify_additive(self):
-        """Condition (3), g(x + y) = g(x) + g(y) for every generator g and
-        all x and y.  A generator marked `additive` holds it by
-        construction: a _field_map permutation gives g(x) the digits
-        sum_i d_i(x) d(g(e_i)) mod p, a linear function of the digits of
-        x, each of radix p, so of x; a central one is x -> ux.  Any other
-        generator is swept: g(x + e_i) = g(x) + g(e_i) for every point x
-        and every digit basis vector e_i, O(N |X|); the e_i generate X, so
-        induction on the length of y as a word in them gives the rest.
-        Returns (ok, witness), the witness a violating (g.name, x, y)."""
+        """Condition (3), g(x + y) = g(x) + g(y) for all generators g and
+        points x, y: by construction for a map marked `additive`
+        (_linear_map), else by a sweep of g(x + e_i) = g(x) + g(e_i) over
+        every point x and digit basis vector e_i, O(N |X|) (the e_i
+        generate X: induct on y as a word in them).  Returns (ok,
+        witness), the witness a violating (g.name, x, y)."""
         for g in self.generators:
             witness = None if g.additive else _additivity_witness(self.space,
                                                                   g.perm)
@@ -233,24 +225,29 @@ def _additivity_witness(space, perm):
 # -- family constructors -----------------------------------------------------
 
 
-def _adjoint_matrix(space, family, A):
-    """A^T, or for Hermitian forms the conjugate transpose A*; a central
-    unit is its own adjoint, as <ux, y> = <x, uy>."""
-    if family == "central":
-        return A
-    return space.conj_index[A.T] if family == "hermitian" else A.T
+def _linear_map(space, name, images, data):
+    """The Generator `name` with `data` mapping x = sum_j d_j(x) e_j to
+    sum_j d_j(x) images[j]: digits sum_j d_j(x) d(images[j]) mod r, one
+    exact matrix product (sums at most N (max r - 1)^2; the trivial
+    group's radix-1 digit has no basis vector).  The one constructor that
+    marks a map `additive`, as each caller proves r_j images[j] = 0 (a
+    carry out of digit j drops it): a field radix is p; a central image
+    is u e_j; r_j times an adjoint image pairs with each e_i as
+    <g(e_i), r_j e_j> = 1, so is 0 by nondegeneracy (adjoint_images).
+    The adjoint identity needs g additive: verify_adjoint sweeps it."""
+    D = space.digits
+    digits = exact_matmul(D[:, :len(images)], D[images],
+                          len(images) * (max(space.radices) - 1) ** 2)
+    perm = (digits % space._radices @ space.place).astype(D.dtype)
+    return Generator(name, perm, data, additive=True)
 
 
 def _field_map(space, family, name, data):
     """The Generator `name` with `data`: {"matrix": M} is v -> M v,
-    {"alpha": a, "beta": b} is A -> a^T A b, and b = a when there is no
-    "beta" (A -> a* A a for Hermitian forms).  The formula runs on the
-    digit basis e_i only, and raises IntegrityError when an image is not
-    in X.  Every digit of a field space has radix p, so the basis has one
-    point per digit, and the map, additive, is its linear extension: the
-    digits of g(x) are sum_i d_i(x) d(g(e_i)) mod p, one exact matrix
-    product (each sum at most N (p - 1)^2).  X is a group, so these
-    images are in X too."""
+    {"alpha": a, "beta": b} is A -> a^T A b, b = a without "beta" (a* A a,
+    a* the conjugate transpose, for Hermitian forms).  The formula runs on
+    the digit basis only, raising IntegrityError for an image outside X,
+    and the map is their linear extension (_linear_map)."""
     field = space.field
     basis = space.basis
     X = space.entries(basis)
@@ -258,14 +255,10 @@ def _field_map(space, family, name, data):
         images = field.matmul(data["matrix"], X[..., None])[..., 0]
     else:
         alpha = data["alpha"]
-        images = field.matmul(
-            field.matmul(_adjoint_matrix(space, family, alpha), X),
-            data.get("beta", alpha))
-    images = space.points_of(images, name, basis)
-    D = space.digits
-    digits = exact_matmul(D, D[images], len(basis) * (field.p - 1) ** 2)
-    return Generator(name, (digits % field.p @ space.place).astype(D.dtype),
-                     data, additive=True)
+        left = space.conj_index[alpha.T] if family == "hermitian" else alpha.T
+        images = field.matmul(field.matmul(left, X), data.get("beta", alpha))
+    return _linear_map(space, name, space.points_of(images, name, basis),
+                       data)
 
 
 def _build_central(space, family, params):
@@ -280,8 +273,8 @@ def _build_central(space, family, params):
             units.append(u)
             while not group.issuperset(more := {g * u % nu for g in group}):
                 group |= more
-    gens = [Generator("mul_%d" % u, space.scalar_mul(np.arange(space.size), u),
-                      {"unit": u}, additive=True) for u in units]
+    gens = [_linear_map(space, "mul_%d" % u, space.scalar_mul(space.basis, u),
+                        {"unit": u}) for u in units]
     return GeneratorSet(space, "central", {"nu": nu, **params}, gens)
 
 
@@ -431,34 +424,26 @@ DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
                "weak_hamming_dual": "weak_hamming"}
 
 
-class AdjointMap:
-    """Per-generator adjoint images, aligned with the source generators."""
-
-    def __init__(self, source: GeneratorSet, images):
-        self.source = source
-        self.images = list(images)
+# iota of each generator of `source`, or None for a degenerate pairing
+AdjointMap = collections.namedtuple("AdjointMap", "source images")
 
 
 def adjoint_map(genset: GeneratorSet) -> AdjointMap:
-    """iota(g) for every generator: the family's formula on the adjoint
-    of each matrix of g.  When those data equal g's, iota(g) is g, and
-    its image reuses g's permutation array and `additive` mark instead of
-    materializing the map again: every central unit, the Hamming swaps
-    and scalings, the cyclotomic map, and the symmetric matrices of
-    gl_generators (a 2-cycle, a diagonal)."""
-    space = genset.space
-    family = genset.family
-    if family == "custom":
-        raise UsageError("custom actions carry no built-in adjoint map")
-    images = []
-    for g in genset.generators:
-        data = {key: _adjoint_matrix(space, family, A)
-                for key, A in g.data.items()}
-        if all(np.array_equal(A, g.data[key]) for key, A in data.items()):
-            images.append(Generator("adj_" + g.name, g.perm, data,
-                                    g.additive))
-        else:
-            images.append(_field_map(space, family, "adj_" + g.name, data))
+    """iota(g) for every generator g, of any family: the linear extension
+    (_linear_map) of the basis images read off the pairing from g's
+    (AbelianSpace.adjoint_images).  When they are g's own, iota(g) is g
+    and reuses g's array and mark: every central unit, the Hamming swaps
+    and scalings, the cyclotomic map, the symmetric matrices of
+    gl_generators.  A degenerate pairing gives no images."""
+    space, gens = genset.space, genset.generators
+    forward = np.array([g.perm[space.basis] for g in gens], dtype=np.intp
+                       ).reshape(len(gens), len(space.basis))
+    backward = space.adjoint_images(forward)
+    if backward is None:
+        return AdjointMap(genset, None)
+    images = [Generator("adj_" + g.name, g.perm, {}, g.additive) if same
+              else _linear_map(space, "adj_" + g.name, b, {}) for g, same, b
+              in zip(gens, (forward == backward).all(axis=1), backward)]
     return AdjointMap(genset, images)
 
 
@@ -466,17 +451,19 @@ def verify_adjoint(adjoint: AdjointMap):
     """Check <gx, y> = <x, iota(g) y> for every generator.
 
     g and iota(g) must first be additive: a map marked `additive` is so
-    by construction (GeneratorSet.verify_additive), and any other gets
-    that method's digit-basis sweep (a failure returns its witness, named
-    after the map that failed; iota(g) is skipped when it reuses g's
-    array).  Then both sides are biadditive in (x, y), so the pairs of
-    digit basis vectors decide the identity for all of X x X, one array
-    comparison per generator; lambda is a unit, so it is left out.  The
-    witness is (g.name, x, y) at the first mismatching basis pair in
-    row-major order."""
+    by construction, and any other gets GeneratorSet.verify_additive's
+    sweep (a failure returns its witness, named after the map that
+    failed; iota(g) is skipped when it reuses g's array).  Then both
+    sides are biadditive, so the digit basis pairs decide the identity on
+    X x X, one array comparison per generator; lambda, a unit, is left
+    out.  The witness is (g.name, x, y) at the first mismatching basis
+    pair in row-major order; with no images, ("degenerate pairing", x),
+    x that of AbelianSpace.verify_nondegenerate."""
     genset = adjoint.source
     space = genset.space
     basis = space.basis
+    if adjoint.images is None:
+        return False, ("degenerate pairing", space.verify_nondegenerate()[1])
     for g, ig in zip(genset.generators, adjoint.images):
         for h in (g,) if ig.perm is g.perm else (g, ig):
             witness = None if h.additive else _additivity_witness(space,

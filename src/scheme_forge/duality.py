@@ -30,11 +30,12 @@ onto, itself (keeps_classes).  Then
 so f_j is constant on each orbit of the group the generators make, and
 F[i][j] is f_j at one point of X_i.  With a second action, or the dual
 poset's partner of a weak-Hamming action, constancy_G_check is proved
-the same way from that action's adjoints against G's classes.  When the
-premise fails (a custom action has no adjoint map; an adjoint fails
-verify_adjoint or moves a point to another dual class), the exhaustive
-test runs: constancy_test compares f_j across each class at every point
-of X, and its witness names the first point where f_j differs.
+the same way from that action's adjoints against G's classes, read off
+the pairing for every action (adjoint_map).  Only when the premise fails
+(verify_adjoint fails, as on a degenerate pairing, or an adjoint moves a
+point to another dual class) does the exhaustive test run: constancy_test
+compares f_j across each class at every point of X, and its witness
+names the first point where f_j differs.
 
 One kernel, character_profile, computes f_j for both: given pairing-table
 rows, point-major, it returns f_j at each row's point, shape (rows, dual
@@ -161,14 +162,9 @@ def constancy_test(partition_G, profile):
 
 
 def verified_adjoint(genset):
-    """(adjoint, verdict, detail): the adjoint map of `genset` with
-    verify_adjoint's verdict True and detail None; None, False and the
-    witness of verify_adjoint when it fails; None, None and the reason
-    when the action carries no adjoint map (a custom action)."""
-    try:
-        adjoint = adjoint_map(genset)
-    except UsageError as exc:
-        return None, None, str(exc)
+    """(adjoint, verdict, witness): the adjoint map of `genset` if
+    verify_adjoint passes, else None, and verify_adjoint's result."""
+    adjoint = adjoint_map(genset)
     ok, witness = verify_adjoint(adjoint)
     return (adjoint if ok else None), ok, witness
 
@@ -475,14 +471,10 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
-    # the adjoint witness, verified independently: once its images keep
-    # the dual classes, it proves constancy_G (the adjoint lemma)
-    adjoint_G, verdict, detail = verified_adjoint(gens_G)
+    adjoint_G, verdict, witness = verified_adjoint(gens_G)
     cert.checks["adjoint"] = verdict
-    if verdict is None:
-        cert.notes.append("no adjoint witness: %s" % detail)
-    elif not verdict:
-        cert.fail("adjoint", detail)
+    if not verdict:
+        cert.fail("adjoint", witness)
 
     # Q from f_j over the dual classes, P from f_j over G's: each by the
     # adjoint lemma (for P, the second action's adjoints against G's
@@ -568,9 +560,5 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
         cert.codes.insert(1, cert.codes[0])
     cert.Q, cert.P = (cert.elements[code].tolist() for code in cert.codes[:2])
 
-    required = [v for k, v in cert.checks.items()
-                if isinstance(v, bool)]
-    cert.passed = all(required)
-    if cert.checks.get("adjoint") is None and cert.passed:
-        cert.notes.append("dual (no adjoint witness)")
+    cert.passed = all(v for v in cert.checks.values() if isinstance(v, bool))
     return cert

@@ -237,6 +237,29 @@ class AbelianSpace:
             return False, int(degenerate[0]) + 1
         return True, None
 
+    def adjoint_images(self, images):
+        """iota(e_j) at images[..., j] for the adjoints iota of maps g
+        with g(e_i) = images[..., i]; None for a degenerate pairing
+        (lambda, a unit, is left out).  As r_k e_k = 0, the Gram row
+        entries at digit k are multiples of c_k = m / gcd(m, r_k) (1 on a
+        field space), and the quotients are the digits of a point psi(x).
+        If the pairing is nondegenerate each r_k divides m (<e_k, .> has
+        order r_k), so psi is additive with kernel {0}; else psi misses
+        the points with digit k >= gcd(m, r_k) for some k, or kills some
+        x != 0.  A point psi misses keeps 0 in the scatter, and 0 does not
+        map back.  iota(e_j) is the h with <e_i, h> = <g(e_i), e_j> for all
+        i: B is symmetric, so psi(h) has digit i <g(e_i), e_j> / c_i."""
+        m, rows = self.character_order, self._gram_rows
+        steps = m // np.gcd(m, self._radices)
+        psi = (rows // steps if (steps > 1).any() else rows) @ self.place
+        inverse = np.zeros_like(psi)
+        inverse[psi] = np.arange(self.size, dtype=psi.dtype)
+        if not np.array_equal(psi[inverse], np.arange(self.size)):
+            return None
+        live = self._radices > 1
+        exponents = np.swapaxes(rows[images][..., live], -1, -2)
+        return inverse[exponents // steps[live] @ self.place[live]]
+
     # -- misc ---------------------------------------------------------------
 
     def serialize_point(self, x):

@@ -11,12 +11,17 @@ NAME keeps the commands of the configs so named (bilinear45_f2, ...); with
 no NAME every command runs.  --src runs the package of another checkout.
 Each report and each stdout go to --out-dir, which is kept, so that two
 checkouts can be compared with cmp; without it they go to a temporary
-directory that is removed.  The dual of central_z64xz64 writes a 4.3 GB
-certificate, bilinear45_f2 (|X| = 2^20) needs about 1 GB.
+directory that is removed.  A config named custom_NAME is the action of
+NAME as a custom action, its generators as point permutations: it is
+written to that directory at run time by the package of --src (about
+300 KB for hamming8_f3), and is not kept in this folder.  The dual of
+central_z64xz64 writes a 4.3 GB certificate, bilinear45_f2 (|X| = 2^20)
+needs about 1 GB.
 """
 
 import argparse
 import contextlib
+import json
 import os
 import resource
 import shutil
@@ -30,11 +35,13 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 
 # (command, config, flags): a space above the default size bound of 4096
 # points needs its own --size-bound.  The two builds at 1024 points, the
-# representative verify bound, sweep every representative.
+# representative verify bound, sweep every representative.  The custom
+# action proves constancy by the adjoint lemma, as hamming8_f3 does.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),
     ("dual", "hamming8_f3", ["--size-bound", "6561"]),
+    ("dual", "custom_hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "alternating6_f2", ["--size-bound", "32768"]),
     ("build", "bilinear44_f2", ["--size-bound", "65536"]),
     ("dual", "bilinear44_f2", ["--size-bound", "65536"]),
@@ -58,6 +65,24 @@ def run_one(src, stdout_path, argv):
     print("%d %.3f %.0f" % (code, seconds, peak))
 
 
+def write_custom(src, name, path, flags):
+    """Write to `path` the config of the action of stretch config `name`
+    as a custom action: its space, and its generators as point
+    permutations, built by the package in `src` under the --size-bound
+    of `flags`."""
+    sys.path.insert(0, src)
+    from scheme_forge import cli
+    with open(os.path.join(HERE, name + ".json")) as fh:
+        cfg = json.load(fh)
+    bound = int(flags[flags.index("--size-bound") + 1]) \
+        if "--size-bound" in flags else 4096
+    _, genset = cli.load_action(cfg, bound)
+    with open(path, "w") as fh:
+        json.dump({"space": cfg["space"], "action": {
+            "family": "custom",
+            "generators": [g.perm.tolist() for g in genset.generators]}}, fh)
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -78,26 +103,29 @@ def main():
                      % ", ".join(sorted(unknown)))
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="stretch-")
     os.makedirs(out_dir, exist_ok=True)
-    print("%-6s %-16s %4s %9s %8s" % ("cmd", "config", "exit", "seconds",
+    print("%-6s %-18s %4s %9s %8s" % ("cmd", "config", "exit", "seconds",
                                       "peak_MB"), flush=True)
     try:
         for command, name, flags in COMMANDS:
             if args.names and name not in args.names:
                 continue
             stem = os.path.join(out_dir, "%s_%s" % (command, name))
-            argv = [command, os.path.join(HERE, name + ".json"), *flags,
-                    "--out", stem + ".json"]
+            config = os.path.join(HERE, name + ".json")
+            if name.startswith("custom_"):
+                config = os.path.join(out_dir, name + ".json")
+                write_custom(src, name[len("custom_"):], config, flags)
+            argv = [command, config, *flags, "--out", stem + ".json"]
             result = subprocess.run(
                 [sys.executable, __file__, "--src", src, "--one",
                  stem + ".stdout", *argv],
                 capture_output=True, text=True)
             if result.returncode:
                 sys.stderr.write(result.stderr)
-                print("%-6s %-16s failed (exit %d)"
+                print("%-6s %-18s failed (exit %d)"
                       % (command, name, result.returncode), flush=True)
                 continue
             code, seconds, peak = result.stdout.split()
-            print("%-6s %-16s %4s %9s %8s" % (command, name, code, seconds,
+            print("%-6s %-18s %4s %9s %8s" % (command, name, code, seconds,
                                               peak), flush=True)
     finally:
         if args.out_dir is None:

@@ -14,7 +14,8 @@ from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
-                                HermitianMatrixSpace, CyclicProductSpace)
+                                HermitianMatrixSpace, CyclicProductSpace,
+                                GramSpace)
 from scheme_forge.duality import duality_report
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
@@ -373,13 +374,14 @@ def test_weak_hamming_adjoint_lands_in_dual():
 
 def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
     """The adjoint lemma's premise has one proof, verify_adjoint and
-    keeps_classes: with A in place of A^T, the adjoints of
-    weak_hamming(2, 1) move points off the dual poset's weights, and
-    adjoint_map returns them unchecked; dual records adjoint false with
-    verify_adjoint's witness, builds the pairing table once and proves
-    constancy by the exhaustive test."""
-    monkeypatch.setattr(action_module, "_adjoint_matrix",
-                        lambda space, family, A: A)
+    keeps_classes: with g(e_i) in place of the basis images read off the
+    pairing (A in place of A^T), the adjoints of weak_hamming(2, 1) move
+    points off the dual poset's weights, and adjoint_map returns them
+    unchecked; dual records adjoint false with verify_adjoint's witness,
+    builds the pairing table once and proves constancy by the exhaustive
+    test."""
+    monkeypatch.setattr(GramSpace, "adjoint_images",
+                        lambda space, images: images)
     tables = []
     real = duality.pairing_table
 
@@ -424,8 +426,10 @@ def test_custom_family():
     part = orbits(genset)
     assert classes_as_sets(part) == {frozenset({0}), frozenset({1, 4}),
                                      frozenset({2, 3})}
-    with pytest.raises(UsageError):
-        adjoint_map(genset)
+    # -x is its own adjoint, read off the pairing like any other map's
+    adj = adjoint_map(genset)
+    assert adj.images[0].perm is genset.generators[0].perm
+    assert verify_adjoint(adj) == (True, None)
     with pytest.raises(UsageError):
         build_action(sp, "custom", generators=[[0, 1, 1, 3, 4]])
     shift = [(x + 1) % 5 for x in range(5)]  # not additive, moves 0
@@ -578,12 +582,11 @@ def assert_sweeps_match_loops(genset):
     part = assert_orbits_match_bfs(genset)
     assert check_condition_4(part, space) == loop_condition_4(part, space)
     assert check_condition_6(part, space) == loop_condition_6(part, space)
-    if genset.family != "custom":
-        adj = adjoint_map(genset)
-        ok, witness = verify_adjoint(adj)
-        assert ok == loop_verify_adjoint(adj)[0]
-        if not ok:
-            assert_adjoint_witness_violates(adj, witness)
+    adj = adjoint_map(genset)
+    ok, witness = verify_adjoint(adj)
+    assert ok == loop_verify_adjoint(adj)[0]
+    if not ok:
+        assert_adjoint_witness_violates(adj, witness)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -674,38 +677,74 @@ def loop_perm(space, family, data):
     return loop_congruence(space, left, data.get("beta", alpha))
 
 
+def family_adjoint(space, family, data):
+    """The data of iota(g) by the rule of g's family, the oracle of the
+    adjoint read off the pairing: a central unit is its own adjoint
+    (<ux, y> = <x, uy>), and every other matrix A of g goes to A^T, or
+    for Hermitian forms to the conjugate transpose conj_index[A^T]."""
+    if family == "central":
+        return dict(data)
+    return {key: space.conj_index[A.T] if family == "hermitian" else A.T
+            for key, A in data.items()}
+
+
 def formula_perm(space, family, data):
-    """The permutation of a generator or adjoint image, its family's
-    formula evaluated on every point of X at once through the field's
-    index tables: the oracle of _field_map, which evaluates it on the
-    digit basis only and extends linearly."""
-    field = space.field
+    """The permutation of a map of a family from its data, the formula
+    evaluated on every point of X at once (through the field's index
+    tables; a central unit by scalar_mul): the oracle of _field_map,
+    which evaluates it on the digit basis only and extends linearly."""
     points = np.arange(space.size)
+    if family == "central":
+        return space.scalar_mul(points, data["unit"])
+    field = space.field
     X = space.entries(points)
     if "matrix" in data:
         images = field.matmul(data["matrix"], X[..., None])[..., 0]
     else:
         alpha = data["alpha"]
-        images = field.matmul(
-            field.matmul(action_module._adjoint_matrix(space, family, alpha),
-                         X), data.get("beta", alpha))
+        left = family_adjoint(space, family, {"alpha": alpha})["alpha"]
+        images = field.matmul(field.matmul(left, X),
+                              data.get("beta", alpha))
     return space.points_of(images, "oracle", points)
 
 
+def assert_adjoints_follow_the_family_rule(genset, same_data=True):
+    """adjoint_map's image of every generator g, read off the pairing,
+    equals on every point the map of family_adjoint's data, in g's dtype,
+    and reuses g's array exactly when that map is g; with same_data, as
+    on every built-in generating set, exactly when family_adjoint gives
+    g's own data, as the family rule reused it."""
+    space = genset.space
+    for g, ig in zip(genset.generators, adjoint_map(genset).images):
+        data = family_adjoint(space, genset.family, g.data)
+        want = formula_perm(space, genset.family, data)
+        assert np.array_equal(ig.perm, want), g.name
+        assert ig.perm.dtype == g.perm.dtype and ig.additive, g.name
+        reused = np.array_equal(want, g.perm)
+        if same_data:
+            assert reused == all(np.array_equal(A, g.data[key])
+                                 for key, A in data.items()), g.name
+        assert (ig.perm is g.perm) == reused, g.name
+
+
 def assert_perms_match_loops(genset):
-    """Every generator and adjoint image, the linear extension of its
-    digit-basis images, equals both oracles on every point: the per-point
-    loop and the all-points formula.  Central maps are scalar
-    multiplications, with no field formula."""
+    """Every generator, the linear extension of its digit-basis images,
+    equals both oracles on every point: the per-point loop and the
+    all-points formula; every adjoint image follows the family rule.
+    Central maps are scalar multiplications, with no field formula."""
+    assert_adjoints_follow_the_family_rule(genset)
     if genset.family == "central":
         return
     space = genset.space
-    adj = adjoint_map(genset)
-    for g in genset.generators + adj.images:
+    for g in genset.generators:
         assert list(g.perm) == loop_perm(space, genset.family, g.data), \
             g.name
         assert np.array_equal(
             g.perm, formula_perm(space, genset.family, g.data)), g.name
+    for g in genset.generators:
+        data = family_adjoint(space, genset.family, g.data)
+        assert formula_perm(space, genset.family, data).tolist() == \
+            loop_perm(space, genset.family, data), g.name
 
 
 # more extension-field kinds, beside those of ORACLE_SPACES
@@ -739,6 +778,82 @@ def test_array_perms_match_loops_on_configs(path):
         assert_perms_match_loops(build_action(
             space, action_module.DUAL_FAMILY[genset.family],
             **genset.params))
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(PERFBENCH_CONFIGS, name + ".json")
+    for name in ("central_z15xz15", "central_z16xz8")], ids=os.path.basename)
+def test_central_adjoints_follow_the_family_rule_on_configs(path):
+    """The perfbench central actions, beside the field families of
+    test_array_perms_match_loops_on_configs: every unit is its own
+    adjoint, and its image reuses its array."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    assert_adjoints_follow_the_family_rule(cli.load_action(cfg, 4096)[1])
+
+
+def shear(space, k, l, t):
+    """The additive automorphism that adds t d_l(x) to digit k (k != l)
+    of a cyclic product, t r_l = 0 mod r_k, as a permutation list."""
+    D = space.digits.copy()
+    D[:, k] = (D[:, k] + t * D[:, l]) % space.radices[k]
+    return (D @ space.place).tolist()
+
+
+# (moduli, lambda, shears (k, l, t)): on Z_2 x Z_4, B = diag(2, 1), the
+# adjoint of (a, b) -> (a + b, b) is (a, b) -> (a, b + 2a)
+SHEARS = [
+    ((2, 4), 1, [(0, 1, 1), (1, 0, 2)]),
+    ((2, 4), 3, [(0, 1, 1), (1, 0, 2)]),
+    ((12, 18), 5, [(0, 1, 2), (1, 0, 3), (0, 1, 4)]),
+    ((4, 8, 2), 1, [(0, 1, 1), (1, 2, 4), (2, 0, 1), (1, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("moduli, lam, shears", SHEARS,
+                         ids=lambda v: str(v).replace(" ", ""))
+def test_custom_shears_of_mixed_radices_have_gram_adjoints(moduli, lam,
+                                                           shears):
+    """A custom action of shears of mixed radices has adjoints read off
+    the pairing that pass verify_adjoint and the pair-by-pair loop, whose
+    images pass the additivity sweep (their `additive` mark is proved,
+    not swept), and whose adjoints are the shears again: iota(iota(g)) =
+    g.  Some adjoint is not its shear, so an image is materialized."""
+    space = CyclicProductSpace(moduli, lambda_multiplier=lam)
+    genset = build_action(space, "custom", generators=[
+        shear(space, *s) for s in shears])
+    adj = adjoint_map(genset)
+    assert verify_adjoint(adj) == (True, None)
+    assert loop_verify_adjoint(adj) == (True, None)
+    for ig in adj.images:
+        assert ig.additive
+        assert action_module._additivity_witness(space, ig.perm) is None
+    assert any(ig.perm is not g.perm
+               for g, ig in zip(genset.generators, adj.images))
+    twice = adjoint_map(GeneratorSet(space, "custom", {}, adj.images))
+    for g, iig in zip(genset.generators, twice.images):
+        assert np.array_equal(iig.perm, g.perm), g.name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_maps_of_the_trivial_group_extend_linearly(p, tmp_path, capsys):
+    """Alternating 1 x 1 matrices are the trivial group, whose one digit
+    has radix 1 and no basis vector, so a linear extension reads no
+    digit column.  Every map and adjoint is [0], and check, build and
+    dual pass, over F_3 with the one generator diag(w) of
+    gl_generators."""
+    space = AlternatingMatrixSpace(1, FieldSpec(p))
+    genset = build_action(space, "alternating")
+    assert len(genset.generators) == (p > 2)
+    for g in genset.generators + adjoint_map(genset).images:
+        assert g.perm.tolist() == [0]
+    path = tmp_path / "alternating1.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "matrix_alternating", "m": 1, "field": {"p": p}},
+        "action": {"family": "alternating"}}))
+    for command in ("check", "build", "dual"):
+        assert cli.main([command, str(path)]) == 0, command
+    capsys.readouterr()
 
 
 def config_paths():
@@ -801,13 +916,13 @@ def test_shipped_commands_sweep_no_map(name, monkeypatch, capsys):
     f[:-5] for f in os.listdir(CUSTOM_CONFIGS) if f.endswith(".json")))
 def test_custom_commands_sweep_each_generator(name, monkeypatch, capsys):
     """A custom action is swept generator by generator, in order: once
-    when it is built and once more by check_report (check and build);
-    dual builds it only, as a custom action has no adjoint map."""
+    when it is built and once more by check_report (check and build), or
+    by verify_adjoint (dual), which sweeps g before it trusts iota(g)."""
     path = os.path.join(CUSTOM_CONFIGS, name + ".json")
     with open(path) as fh:
         generators = json.load(fh)["action"]["generators"]
     swept = counted_sweeps(monkeypatch)
-    for command, times in (("check", 2), ("build", 2), ("dual", 1)):
+    for command, times in (("check", 2), ("build", 2), ("dual", 2)):
         swept.clear()
         assert cli.main([command, path]) in (0, 1)
         assert [perm.tolist() for perm in swept] == generators * times
@@ -832,21 +947,24 @@ REUSE_CASES = [
                          ids=[case[1] for case in REUSE_CASES])
 def test_reused_adjoint_arrays_equal_their_recomputation(space, family,
                                                          params):
-    """adjoint_map reuses g's array exactly when iota(g) has g's data, and
-    the reused array equals, value for value and in dtype, the map built
-    afresh from those data: _field_map, or scalar_mul for a central
-    unit.  Every family here reuses at least one array."""
+    """adjoint_map reuses g's array exactly when iota(g) is g, and the
+    array equals, value for value and in dtype, the map built afresh from
+    the family rule's data (family_adjoint): _field_map, or scalar_mul
+    for a central unit.  Every family here reuses at least one array.
+    Equal maps need not have equal data: on alternating(2)/F_3 the
+    transvection T is the identity map (T^T A T = det(T) A), so its
+    adjoint, of data T^T, reuses its array."""
     genset = build_action(space, family, **params)
     adj = adjoint_map(genset)
     reused = 0
     for g, ig in zip(genset.generators, adj.images):
-        same = all(np.array_equal(A, g.data[key])
-                   for key, A in ig.data.items())
-        assert (ig.perm is g.perm) == same, g.name
-        fresh = (space.scalar_mul(np.arange(space.size), ig.data["unit"])
+        data = family_adjoint(space, family, g.data)
+        fresh = (space.scalar_mul(np.arange(space.size), data["unit"])
                  if family == "central"
-                 else _field_map(space, family, ig.name, ig.data).perm)
+                 else _field_map(space, family, ig.name, data).perm)
         assert np.array_equal(ig.perm, fresh) and ig.perm.dtype == fresh.dtype
+        same = np.array_equal(fresh, g.perm)
+        assert (ig.perm is g.perm) == same, g.name
         reused += same
     assert reused
 
@@ -970,11 +1088,15 @@ def random_maps(draw):
 def test_array_perm_matches_loop_on_random_maps(case):
     """For random invertible matrices over F_2, F_3, F_4 and F_9, the
     array permutation of v -> M v, A -> alpha^T A beta and the congruences
-    equals the per-point oracle loop's."""
+    equals the per-point oracle loop's, and its adjoint, read off the
+    pairing, is the map of the family rule's data (which may differ from
+    g's and give g's map: a Hermitian scalar of norm 1)."""
     space, data = case
     family = {"matrix_hermitian": "hermitian"}.get(space.kind, space.kind)
-    got = _field_map(space, family, "g", data).perm
-    assert list(got) == loop_perm(space, family, data)
+    g = _field_map(space, family, "g", data)
+    assert list(g.perm) == loop_perm(space, family, data)
+    assert_adjoints_follow_the_family_rule(
+        GeneratorSet(space, family, {}, [g]), same_data=False)
 
 
 @pytest.mark.parametrize("name", sorted(

@@ -2,13 +2,17 @@
 
 import functools
 import json
+import math
 import os
 import random
 import re
 import tracemalloc
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scheme_forge import cli
 from scheme_forge import cyclo, duality
@@ -29,6 +33,7 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
 from helpers import coeff_array, cyclo_entries, plain
+from test_space import DEGENERATE_GRAMS, DEGENERATE_IDS
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
                         unsliced_conjugate)
@@ -642,6 +647,36 @@ def test_degenerate_pairing_fails_duality_report():
     assert_matches_sweeps(cert, genset)
 
 
+@pytest.mark.parametrize("blocks, m, witness", DEGENERATE_GRAMS,
+                         ids=DEGENERATE_IDS)
+def test_degenerate_pairing_reads_off_no_adjoint(blocks, m, witness,
+                                                 monkeypatch):
+    """On a degenerate Gram matrix psi is no permutation, and the space
+    reads off no adjoint: adjoint_images gives None, never a gather
+    through a hole of psi^-1.  For a custom action (x -> -x),
+    verified_adjoint gives no map, the verdict False and the least
+    degenerate point, and duality_report records that witness and falls
+    back to the exhaustive test: it builds the pairing table once."""
+    space = GramSpace(blocks, m)
+    assert space.adjoint_images(space.basis) is None
+    genset = build_action(space, "custom", generators=[
+        space.neg(np.arange(space.size)).tolist()])
+    want = ("degenerate pairing", witness)
+    assert duality.verified_adjoint(genset) == (None, False, want)
+    tables = []
+    real = duality.pairing_table
+
+    def counted(space):
+        tables.append(space)
+        return real(space)
+
+    monkeypatch.setattr(duality, "pairing_table", counted)
+    cert = duality_report(genset)
+    assert cert.checks["adjoint"] is False and not cert.passed
+    assert cert.witnesses[0] == {"check": "adjoint", "witness": want}
+    assert "constancy_G" in cert.checks and tables == [space]
+
+
 def test_gram_matrix_must_be_symmetric():
     with pytest.raises(UsageError):
         GramSpace([((3, 3), ((1, 1), (0, 1)))], 3)
@@ -854,7 +889,7 @@ def load_actions(names):
     """The actions of the configs `names`, all on the first one's space: a
     shipped config, or "perfbench/<config>"; a name "custom:<config>"
     gives that config's action as a custom action of the same point
-    permutations, which carries no adjoint map."""
+    permutations."""
     space, gensets = None, []
     for name in names:
         custom = name.startswith("custom:")
@@ -892,18 +927,17 @@ def counted_constancy_tests(monkeypatch):
     (("wh11_f2",), 0),
     (("wh21_f2", "wh12_f2"), 0),
     (("wh12_f2", "wh21_f2"), 0),
-    (("custom:hamming4_f3",), 1),
-    (("custom:wh21_f2", "custom:wh12_f2"), 2),
+    (("custom:hamming4_f3",), 0),
+    (("custom:wh21_f2", "custom:wh12_f2"), 0),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
 def test_constancy_is_tested_once_per_distinct_test(names, tests,
                                                     monkeypatch):
-    """Built-in actions prove constancy by the adjoint lemma and run no
+    """Actions prove constancy by the adjoint lemma and run no
     exhaustive test: with no second action (hamming4_f3), for the
-    weak-Hamming dual poset (wh11) and for the cross pair in both orders.
-    A custom action has no adjoint map: with no second action
-    constancy_G and constancy_G_check are one exhaustive test of one
-    profile, run once, and a cross pair runs two.  Either way both keys
-    are filled, in their order."""
+    weak-Hamming dual poset (wh11) and for the cross pair in both orders,
+    built-in or custom (adjoints read off the pairing).  Either way both
+    keys are filled, in their order.  (test_failed_premise_falls_back_to_
+    the_exhaustive_test counts the exhaustive test.)"""
     calls = counted_constancy_tests(monkeypatch)
     _, gensets = load_actions(names)
     cert = duality_report(*gensets)
@@ -916,16 +950,18 @@ def test_constancy_is_tested_once_per_distinct_test(names, tests,
 @pytest.mark.parametrize("names, rows", [
     (("hamming4_f3",), [5]),
     (("wh21_f2", "wh12_f2"), [4, 4]),
-    (("custom:hamming4_f3",), [81]),
+    (("custom:hamming4_f3",), [5]),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
 def test_every_eigenmatrix_comes_from_character_profile(names, rows,
                                                         monkeypatch):
     """duality_report reads Q, and P when it is not Q, off
-    character_profile, once per eigenmatrix: a built-in action with no
-    second action makes one call, on the d + 1 pairing rows of its class
-    representatives; the cross pair makes two; a custom action makes one,
-    on the |X| rows of the whole pairing table, and its F is the profile
-    at the representatives."""
+    character_profile, once per eigenmatrix: an action with no second
+    action, built-in or custom, makes one call, on the d + 1 pairing rows
+    of its class representatives; the cross pair makes two.  (A failed
+    premise makes one, on the |X| rows of the whole pairing table, and
+    its F is the profile at the representatives:
+    test_failed_premise_falls_back_to_the_exhaustive_test gives it the
+    same report.)"""
     calls = []
     real = duality.character_profile
 
@@ -1000,6 +1036,100 @@ def test_bannai_ito_intersection_numbers_match_the_tensor(names):
     tensor = intersection_tensor(space, orbits(gensets[0]), False)
     assert cyclo.equals_integers(
         T, space.size * np.array(cert.valencies) * tensor).all()
+
+
+def random_automorphism(draw, space):
+    """A random additive automorphism phi of X, as an index array: a
+    composition of elementary maps on the digits, each additive and
+    invertible: a unit times digit k, t d_l(x) added to digit k (t r_l =
+    0 mod r_k, k != l), a swap of two digits of one radix."""
+    D = space.digits.copy()
+    radices = space.radices
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["scale", "shear", "swap"]))
+        k, l = (draw(st.integers(0, len(radices) - 1)) for _ in range(2))
+        r = radices[k]
+        if kind == "scale":
+            D[:, k] = D[:, k] * draw(st.sampled_from(
+                [u for u in range(1, r) if math.gcd(u, r) == 1])) % r
+        elif kind == "shear" and k != l:
+            t = draw(st.integers(1, r)) * (r // math.gcd(r, radices[l]))
+            D[:, k] = (D[:, k] + t * D[:, l]) % r
+        elif kind == "swap" and r == radices[l]:
+            D[:, [k, l]] = D[:, [l, k]]
+    return D @ space.place
+
+
+def table_adjoint(space, phi):
+    """iota(phi) from the whole pairing table, the oracle of the adjoint
+    read off the pairing: iota(phi)(x) is the point z whose column of
+    the table, y -> <y, z>, is y -> <phi(y), x>."""
+    columns = np.ascontiguousarray(pairing_table(space).T)
+    point = {row.tobytes(): z for z, row in enumerate(columns)}
+    return np.array([point[columns[x][phi].tobytes()]
+                     for x in range(space.size)])
+
+
+def inverse_of(perm):
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
+    return inverse
+
+
+def coded(cert, key):
+    """The array `key` of a certificate's JSON as an object array of the
+    JSON dicts of its entries."""
+    return np.array(plain(cert.to_json())[key], dtype=object)
+
+
+METAMORPHIC_CASES = [(name,) for name in SHIPPED] + [
+    ("perfbench/" + f[:-5],) for f in sorted(os.listdir(PERFBENCH_CONFIGS))
+    if f.endswith(".json")]
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.data())
+def test_conjugated_custom_actions_give_the_same_certificate(data):
+    """Relabelling X by a random additive automorphism phi changes no
+    scheme.  A shipped or perfbench action G, conjugated to phi G phi^-1
+    and passed as a custom action, with its dual action H conjugated to
+    psi^-1 H psi, psi = iota(phi) (so that the characters of the dual
+    classes psi^-1(Y_j) are those of Y_j, moved by phi), gives the
+    valencies, multiplicities, P, Q and Krein tensor of the certificate
+    of G, with class i of G relabelled to the class of phi(X_i) and dual
+    class j to that of psi^-1(Y_j).  Its adjoints, read off the pairing,
+    keep the moved classes, so it builds no pairing table."""
+    names = data.draw(st.sampled_from(METAMORPHIC_CASES), label="config")
+    space, (genset,) = load_actions(names)
+    phi = random_automorphism(data.draw, space)
+    psi = table_adjoint(space, phi)
+    phi_inv, psi_inv = inverse_of(phi), inverse_of(psi)
+    dual = dual_action(genset)
+    moved = build_action(space, "custom", generators=[
+        phi[g.perm[phi_inv]].tolist() for g in genset.generators])
+    moved_dual = build_action(space, "custom", generators=[
+        psi_inv[h.perm[psi]].tolist() for h in dual.generators])
+    want = duality_report(genset)
+
+    def refuse(space):
+        raise AssertionError("pairing_table called")
+
+    with mock.patch.object(duality, "pairing_table", refuse):
+        got = duality_report(moved, moved_dual)
+    assert got.passed == want.passed
+    if want.P is None:
+        assert not got.checks["condition_4_G"]
+        return
+    assert got.checks["adjoint"] is True
+    parts = [orbits(gens) for gens in (genset, dual, moved, moved_dual)]
+    pi = parts[2].class_of[phi[[cls[0] for cls in parts[0].classes]]]
+    sigma = parts[3].class_of[psi_inv[[cls[0] for cls in parts[1].classes]]]
+    assert [got.valencies[i] for i in pi] == want.valencies
+    assert [got.multiplicities[j] for j in sigma] == want.multiplicities
+    assert (coded(got, "Q")[np.ix_(pi, sigma)] == coded(want, "Q")).all()
+    assert (coded(got, "P")[np.ix_(sigma, pi)] == coded(want, "P")).all()
+    assert (coded(got, "krein")[np.ix_(sigma, sigma, sigma)]
+            == coded(want, "krein")).all()
 
 
 def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):

@@ -550,7 +550,8 @@ def test_gram_rows_match_oracles_on_configs(path):
     assert_gram_rows_match_oracles(config_space(path))
 
 
-@pytest.mark.parametrize("blocks, m, witness", [
+# (GramSpace blocks, m, the least degenerate point) of degenerate pairings
+DEGENERATE_GRAMS = [
     # a block that is 0 mod m: x = (0, 1), the least point
     ([((5,), ((1,),)), ((5,), ((5,),))], 5, 1),
     # the Z_2 digit pairs to 0 mod 4: x = (1, 0), after nondegenerate x
@@ -559,7 +560,13 @@ def test_gram_rows_match_oracles_on_configs(path):
     ([((2, 2), ((1, 1), (1, 1)))], 2, 3),
     # a zero block between two others: x = (0, 1, 0)
     ([((3,), ((1,),)), ((3,), ((0,),)), ((3,), ((2,),))], 3, 3),
-], ids=["zero-block", "late-witness", "singular-block", "middle-block"])
+]
+DEGENERATE_IDS = ["zero-block", "late-witness", "singular-block",
+                  "middle-block"]
+
+
+@pytest.mark.parametrize("blocks, m, witness", DEGENERATE_GRAMS,
+                         ids=DEGENERATE_IDS)
 def test_degenerate_gram_matrix_gives_the_least_witness(blocks, m, witness):
     """On a degenerate Gram matrix the Gram-row slice fails with the least
     degenerate point, as the pairing-form oracle and the exhaustive scan
