@@ -4,7 +4,8 @@ Each built-in family materializes a small generating set as point
 permutations; orbits are an array closure over them (the full group is
 never stored).  Every generator's adjoint iota(g), custom ones included,
 has one rule: its digit basis images are read off the pairing
-(AbelianSpace.adjoint_images), and verify_adjoint checks them.
+(AbelianSpace.adjoint_images), and verify_adjoint checks them; those of
+a weak-Hamming action act on the dual poset (duality_report).
 
 Maps and partitions are numpy index arrays: a generator's F_q matrices
 (`data`) hold element indices (FieldElement.index), `Generator.perm[x]`
@@ -13,8 +14,8 @@ ascending array of points.  A field family's formula runs on the entry
 arrays of the digit basis points through the field's index tables
 (FieldSpec.matmul).  A built-in map and an adjoint are the linear
 extensions of their basis images (_linear_map), additive by
-construction and marked so: verify_additive and verify_adjoint sweep
-only unmarked maps, custom generators and hand-built images.
+construction and marked so, as is a custom generator once _build_custom
+has swept it: verify_additive and verify_adjoint sweep hand-built maps.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def gl_generators(k, field):
 class Generator:
     """One generating automorphism: a materialized point permutation (an
     index array, perm[x] = g(x)) plus the data of its family's formula.
-    `additive` is set only by _linear_map, and kept by an adjoint that
-    reuses g's array; any other map is left to the additivity sweep."""
+    `additive` is set by _linear_map and by _build_custom's sweep, and
+    kept by an adjoint that reuses g's array; any other map is swept."""
 
     __slots__ = ("name", "perm", "data", "additive")
 
@@ -92,8 +93,8 @@ class GeneratorSet:
 
     def verify_additive(self):
         """Condition (3), g(x + y) = g(x) + g(y) for all generators g and
-        points x, y: by construction for a map marked `additive`
-        (_linear_map), else by a sweep of g(x + e_i) = g(x) + g(e_i) over
+        points x, y: by its mark for a map marked `additive` (_linear_map,
+        _build_custom), else by a sweep of g(x + e_i) = g(x) + g(e_i) over
         every point x and digit basis vector e_i, O(N |X|) (the e_i
         generate X: induct on y as a word in them).  Returns (ok,
         witness), the witness a violating (g.name, x, y)."""
@@ -389,6 +390,8 @@ def _build_custom(space, family, params):
     ok, witness = gs.verify_additive()
     if not ok:
         raise UsageError("custom generator violates additivity at %s" % (witness,))
+    for g in gens:
+        g.additive = True
     return gs
 
 
@@ -418,12 +421,6 @@ def build_action(space: AbelianSpace, family, **params) -> GeneratorSet:
 
 # -- adjoints ---------------------------------------------------------------
 
-# The family on the dual poset of each weak-Hamming family: its adjoints
-# act there, and duality_report takes its orbits as the dual partition.
-DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
-               "weak_hamming_dual": "weak_hamming"}
-
-
 # iota of each generator of `source`, or None for a degenerate pairing
 AdjointMap = collections.namedtuple("AdjointMap", "source images")
 
@@ -451,7 +448,7 @@ def verify_adjoint(adjoint: AdjointMap):
     """Check <gx, y> = <x, iota(g) y> for every generator.
 
     g and iota(g) must first be additive: a map marked `additive` is so
-    by construction, and any other gets GeneratorSet.verify_additive's
+    (Generator), and any other gets GeneratorSet.verify_additive's
     sweep (a failure returns its witness, named after the map that
     failed; iota(g) is skipped when it reuses g's array).  Then both
     sides are biadditive, so the digit basis pairs decide the identity on

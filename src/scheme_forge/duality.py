@@ -28,14 +28,16 @@ onto, itself (keeps_classes).  Then
             = f_j(y),
 
 so f_j is constant on each orbit of the group the generators make, and
-F[i][j] is f_j at one point of X_i.  With a second action, or the dual
-poset's partner of a weak-Hamming action, constancy_G_check is proved
-the same way from that action's adjoints against G's classes, read off
-the pairing for every action (adjoint_map).  Only when the premise fails
-(verify_adjoint fails, as on a degenerate pairing, or an adjoint moves a
-point to another dual class) does the exhaustive test run: constancy_test
-compares f_j across each class at every point of X, and its witness
-names the first point where f_j differs.
+F[i][j] is f_j at one point of X_i.  With a second action, or the
+adjoint images, on the dual poset, of a weak-Hamming action in self mode,
+constancy_G_check is proved the same way from that action's adjoints
+against G's classes: read off the pairing (adjoint_map), or, for the
+images, G's generators, iota(iota(g)) = g as the pairing is symmetric.
+Only when the premise fails (verify_adjoint fails, as on a degenerate
+pairing, or an adjoint moves a point to another dual class) does the
+exhaustive test run: constancy_test compares f_j across each class at
+every point of X, and its witness names the first point where f_j
+differs.
 
 One kernel, character_profile, computes f_j for both: given pairing-table
 rows, point-major, it returns f_j at each row's point, shape (rows, dual
@@ -100,8 +102,8 @@ from .cyclo import (CycloInt, integer_array,
                     sliced, widen, equal, union_columns, contract,
                     conjugate_array, exact_matmul, max_abs)
 from .errors import UsageError, IntegrityError
-from .action import (orbits, check_condition_4, adjoint_map, verify_adjoint,
-                     build_action, DUAL_FAMILY, _is_permutation)
+from .action import (GeneratorSet, AdjointMap, orbits, check_condition_4,
+                     adjoint_map, verify_adjoint, _is_permutation)
 from .space import (pairing_table, pairing_rows, check_tensor_size,
                     PAIRING_BLOCK_ROWS, DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
@@ -159,14 +161,6 @@ def constancy_test(partition_G, profile):
     if witness is not None:
         return False, None, witness
     return True, profile[[cls[0] for cls in partition_G.classes]], None
-
-
-def verified_adjoint(genset):
-    """(adjoint, verdict, witness): the adjoint map of `genset` if
-    verify_adjoint passes, else None, and verify_adjoint's result."""
-    adjoint = adjoint_map(genset)
-    ok, witness = verify_adjoint(adjoint)
-    return (adjoint if ok else None), ok, witness
 
 
 def keeps_classes(adjoint, dual):
@@ -424,22 +418,22 @@ class DualityCertificate:
 def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     """Run the full duality pipeline and assemble the certificate.
 
-    gens_Gc = None means self mode (the dual partition is G's own).  A
-    class count d past the tensor bound of the space's size bound raises
-    ResourceLimitError (space.check_tensor_size)."""
+    gens_Gc = None means self mode: the dual partition is G's own, or the
+    orbits of a weak-Hamming action's adjoints.  A class count d past the
+    tensor bound of the space's size bound raises ResourceLimitError
+    (space.check_tensor_size)."""
     space = gens_G.space
-    mode = "self" if gens_Gc is None else "cross"
-    auto_partner = False
+    cert = DualityCertificate("self" if gens_Gc is None else "cross", space)
+    adjoint_G = partner = None
     if gens_Gc is None and gens_G.poset is not None:
-        # the dual partition of a weak-Hamming scheme lives on the dual
-        # poset; palindromic level vectors keep this a self-duality
-        gens_Gc = build_action(space, DUAL_FAMILY[gens_G.family],
-                               **gens_G.params)
+        # the dual partition of a weak-Hamming scheme: the orbits of G's
+        # adjoints, on the dual poset; palindromic level vectors keep
+        # this a self-duality
+        adjoint_G = adjoint_map(gens_G)
+        gens_Gc = partner = GeneratorSet(
+            space, "adjoint", {}, adjoint_G.images, poset=gens_G.poset.dual())
         levels = gens_G.poset.levels
-        mode = "self" if tuple(levels) == tuple(reversed(levels)) else "cross"
-        auto_partner = True
-    cert = DualityCertificate(mode, space)
-    if auto_partner:
+        cert.mode = "self" if levels == levels[::-1] else "cross"
         cert.notes.append("dual partition taken from the dual poset")
     # compared as built: equal configs index their points alike
     if gens_Gc is not None and gens_Gc.space is not space \
@@ -465,16 +459,25 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     # work: past the tensor bound, stop before any of it
     check_tensor_size(part_G.d, space.size_bound)
 
-    scheme_G = TranslationScheme(space, part_G, label=gens_G.label())
+    scheme_G = TranslationScheme(space, part_G)
     scheme_Gc = scheme_G if gens_Gc is None else \
-        TranslationScheme(space, part_Gc, label=gens_Gc.label())
+        TranslationScheme(space, part_Gc)
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
-    adjoint_G, verdict, witness = verified_adjoint(gens_G)
+    adjoint_G = adjoint_map(gens_G) if adjoint_G is None else adjoint_G
+    verdict, witness = verify_adjoint(adjoint_G)
     cert.checks["adjoint"] = verdict
     if not verdict:
         cert.fail("adjoint", witness)
+    # each side's adjoint map, None where verify_adjoint fails; the
+    # partner's are G's generators (module docstring)
+    adjoints = [adjoint_G if verdict else None, None]
+    if partner is not None and verdict:
+        adjoints[1] = AdjointMap(partner, gens_G.generators)
+    elif partner is None and gens_Gc is not None:
+        adjoint_Gc = adjoint_map(gens_Gc)
+        adjoints[1] = adjoint_Gc if verify_adjoint(adjoint_Gc)[0] else None
 
     # Q from f_j over the dual classes, P from f_j over G's: each by the
     # adjoint lemma (for P, the second action's adjoints against G's
@@ -483,10 +486,9 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     # of the whole pairing table; with no second action both tests are
     # one test, run once, and P is Q, one array
     table, eigenmatrices = None, []
-    for name, part, dual in (("G", part_G, part_Gc),
-                             ("G_check", part_Gc, part_G)):
+    for name, part, dual, adj in (("G", part_G, part_Gc, adjoints[0]),
+                                  ("G_check", part_Gc, part_G, adjoints[1])):
         if not eigenmatrices or gens_Gc is not None:
-            adj = adjoint_G if name == "G" else verified_adjoint(gens_Gc)[0]
             if adj is not None and keeps_classes(adj, dual):
                 reps = [cls[0] for cls in part.classes]
                 ok, F = True, character_profile(space, dual,
@@ -517,7 +519,7 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     cert.checks["eigen_identities"] = eig["all_pass"]
     cert.checks["eigen_detail"] = eig
 
-    if mode == "self":
+    if cert.mode == "self":
         cert.checks["P_equals_Q"] = equal(P, Q)
         cert.checks["valencies_equal_multiplicities"] = \
             scheme_G.valencies == cert.multiplicities

@@ -2,8 +2,21 @@
 
 import numpy as np
 
+from scheme_forge.action import build_action
 from scheme_forge.cyclo import CycloInt
 from scheme_forge.duality import CodedArray
+
+# each weak-Hamming family and the family on its dual poset
+DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
+               "weak_hamming_dual": "weak_hamming"}
+
+
+def poset_partner(genset):
+    """The weak-Hamming family on the dual poset of `genset`'s, built by
+    name: the oracle of the dual partition that duality_report reads off
+    the adjoint images of a weak-Hamming action in self mode."""
+    return build_action(genset.space, DUAL_FAMILY[genset.family],
+                        **genset.params)
 
 
 def plain(obj):

@@ -36,13 +36,15 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 # (command, config, flags): a space above the default size bound of 4096
 # points needs its own --size-bound.  The two builds at 1024 points, the
 # representative verify bound, sweep every representative.  The custom
-# action proves constancy by the adjoint lemma, as hamming8_f3 does.
+# action proves constancy by the adjoint lemma, as hamming8_f3 does.  The
+# weak-Hamming dual takes its dual partition from the adjoint images.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),
     ("dual", "hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "custom_hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "alternating6_f2", ["--size-bound", "32768"]),
+    ("dual", "wh10_6_f2", ["--size-bound", "65536"]),
     ("build", "bilinear44_f2", ["--size-bound", "65536"]),
     ("dual", "bilinear44_f2", ["--size-bound", "65536"]),
     ("build", "bilinear45_f2", ["--size-bound", "1048576"]),

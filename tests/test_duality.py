@@ -23,7 +23,7 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
                                 CyclicProductSpace, pairing_rows)
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  adjoint_map, verify_adjoint, AdjointMap,
-                                 Generator)
+                                 Generator, FAMILIES)
 from scheme_forge.scheme import TranslationScheme, intersection_tensor
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
@@ -32,7 +32,7 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
-from helpers import coeff_array, cyclo_entries, plain
+from helpers import coeff_array, cyclo_entries, plain, poset_partner
 from test_space import DEGENERATE_GRAMS, DEGENERATE_IDS
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
@@ -321,9 +321,7 @@ def sweep_sigma_permutation(space, dual_partition, profile, table):
 def dual_action(genset, gens_Gc=None):
     """The action whose orbits duality_report takes as dual classes."""
     if gens_Gc is None and genset.poset is not None:
-        partner = {"weak_hamming": "weak_hamming_dual",
-                   "weak_hamming_dual": "weak_hamming"}[genset.family]
-        return build_action(genset.space, partner, **genset.params)
+        return poset_partner(genset)
     return genset if gens_Gc is None else gens_Gc
 
 
@@ -654,15 +652,18 @@ def test_degenerate_pairing_reads_off_no_adjoint(blocks, m, witness,
     """On a degenerate Gram matrix psi is no permutation, and the space
     reads off no adjoint: adjoint_images gives None, never a gather
     through a hole of psi^-1.  For a custom action (x -> -x),
-    verified_adjoint gives no map, the verdict False and the least
-    degenerate point, and duality_report records that witness and falls
-    back to the exhaustive test: it builds the pairing table once."""
+    adjoint_map gives no images and verify_adjoint the verdict False and
+    the least degenerate point, and duality_report records that witness
+    and falls back to the exhaustive test: it builds the pairing table
+    once."""
     space = GramSpace(blocks, m)
     assert space.adjoint_images(space.basis) is None
     genset = build_action(space, "custom", generators=[
         space.neg(np.arange(space.size)).tolist()])
     want = ("degenerate pairing", witness)
-    assert duality.verified_adjoint(genset) == (None, False, want)
+    adjoint = adjoint_map(genset)
+    assert adjoint.images is None
+    assert verify_adjoint(adjoint) == (False, want)
     tables = []
     real = duality.pairing_table
 
@@ -1005,8 +1006,8 @@ def test_lemma_eigenmatrices_match_exhaustive_test(names):
     part_G, part_Gc = orbits(gens_G), orbits(gens_Gc)
     for gens, part, dual in ((gens_G, part_G, part_Gc),
                              (gens_Gc, part_Gc, part_G)):
-        adjoint, verdict, witness = duality.verified_adjoint(gens)
-        assert (verdict, witness) == (True, None)
+        adjoint = adjoint_map(gens)
+        assert verify_adjoint(adjoint) == (True, None)
         assert duality.keeps_classes(adjoint, dual)
         ok, F, _ = exhaustive_F(space, part, dual)
         reps = [cls[0] for cls in part.classes]
@@ -1140,7 +1141,7 @@ def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
     calls = counted_constancy_tests(monkeypatch)
     space, (gens, again) = load_actions(("wh21_f2", "wh21_f2"))
     part = orbits(gens)
-    assert duality.verified_adjoint(gens)[0] is not None
+    assert verify_adjoint(adjoint_map(gens)) == (True, None)
     cert = duality_report(gens, again)
     assert len(calls) == 1 and not cert.checks["constancy_G"]
     assert cert.witnesses == [{"check": "constancy_G", "witness":
@@ -1172,10 +1173,9 @@ def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
                                    ("wh21_f2", "wh12_f2")], ids="-".join)
 def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
     """An adjoint map whose first image is the identity keeps every class
-    and is a permutation, but fails verify_adjoint: verified_adjoint
-    gives no map, the verdict False and verify_adjoint's witness, and
-    each constancy key goes to the exhaustive test, which passes, while
-    the adjoint key fails with that witness."""
+    and is a permutation, but fails verify_adjoint, and each constancy
+    key goes to the exhaustive test, which passes, while the adjoint key
+    fails with verify_adjoint's witness."""
     calls = counted_constancy_tests(monkeypatch)
     real = duality.adjoint_map
 
@@ -1187,14 +1187,109 @@ def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
 
     monkeypatch.setattr(duality, "adjoint_map", identity_first)
     _, gensets = load_actions(names)
-    adjoint, verdict, witness = duality.verified_adjoint(gensets[0])
-    assert adjoint is None and verdict is False
-    assert witness == verify_adjoint(identity_first(gensets[0]))[1]
+    verdict, witness = verify_adjoint(identity_first(gensets[0]))
+    assert verdict is False
     cert = duality_report(*gensets)
     assert cert.checks["adjoint"] is False
     assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
     assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
     assert len(calls) == len(names)
+
+
+class DualPartitionBuilt(Exception):
+    """Cuts duality_report short once its second partition is built."""
+
+
+def self_dual_partition(genset):
+    """(partner, partition): the generator set whose orbits
+    duality_report takes as the dual partition of `genset` in self mode,
+    and those orbits, the argument and the result of its second orbits
+    call; the report stops there."""
+    calls = []
+    real = duality.orbits
+
+    def spy(gens):
+        calls.append((gens, real(gens)))
+        if len(calls) == 2:
+            raise DualPartitionBuilt
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(duality, "orbits", spy)
+        with pytest.raises(DualPartitionBuilt):
+            duality_report(genset)
+    return calls[1]
+
+
+def compositions(n):
+    """Every list of positive integers that sums to n."""
+    if n == 0:
+        return [[]]
+    return [[k] + rest for k in range(1, n + 1)
+            for rest in compositions(n - k)]
+
+
+@pytest.mark.parametrize("p, e, lam", [(2, 1, 1), (2, 2, 1), (3, 1, 1),
+                                       (3, 1, 2), (5, 1, 1), (5, 1, 2)])
+def test_partner_orbits_match_the_dual_family(p, e, lam):
+    """On both weak-Hamming families over every level vector of F_q^n,
+    n <= 4, for q = 2, 3, 4, 5 and the multipliers 1 and 2 where 2 is a
+    unit (the shipped weak-Hamming configs among them), the self-mode
+    partner is the adjoint images, and its orbits are, label for label,
+    those of the family on the dual poset built by name
+    (helpers.poset_partner)."""
+    for n in range(1, 5):
+        space = VectorSpace(n, FieldSpec(p, e), lambda_multiplier=lam)
+        for levels in compositions(n):
+            for family in ("weak_hamming", "weak_hamming_dual"):
+                genset = build_action(space, family, levels=levels)
+                partner, part = self_dual_partition(genset)
+                assert [g.perm.tolist() for g in partner.generators] == [
+                    ig.perm.tolist() for ig in adjoint_map(genset).images]
+                assert np.array_equal(part.class_of,
+                                      orbits(poset_partner(genset)).class_of)
+
+
+@pytest.mark.parametrize("name", ["wh11_f2", "wh12_f2", "wh21_f2"])
+def test_weak_hamming_self_dual_reads_one_adjoint_map(name, monkeypatch):
+    """A weak-Hamming dual in self mode builds no second action and reads
+    one adjoint map, G's: the partner's generators are its images, and
+    their adjoints are G's generators."""
+    _, (genset,) = load_actions((name,))
+    adjoints, builds = [], []
+    real = duality.adjoint_map
+
+    def counted_adjoint(gens):
+        adjoints.append(gens)
+        return real(gens)
+
+    def counted_build(build):
+        def counted(space, family, params):
+            builds.append(family)
+            return build(space, family, params)
+        return counted
+
+    monkeypatch.setattr(duality, "adjoint_map", counted_adjoint)
+    for family, (build, required, optional) in list(FAMILIES.items()):
+        monkeypatch.setitem(FAMILIES, family,
+                            (counted_build(build), required, optional))
+    cert = duality_report(genset)
+    assert cert.passed and adjoints == [genset] and builds == []
+
+
+def test_partner_premise_needs_the_verified_adjoint(monkeypatch):
+    """The partner's adjoints, G's generators, are a premise only through
+    G's verified identity: with verify_adjoint failing, both constancy
+    keys of a weak-Hamming self dual go to the exhaustive test, which
+    passes, and the adjoint key fails."""
+    calls = counted_constancy_tests(monkeypatch)
+    monkeypatch.setattr(duality, "verify_adjoint",
+                        lambda adjoint: (False, ("forced", 0, 0)))
+    _, (genset,) = load_actions(("wh21_f2",))
+    cert = duality_report(genset)
+    assert cert.checks["adjoint"] is False and not cert.passed
+    assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
+    assert len(calls) == 2
 
 
 def test_keeps_classes_needs_permutations_that_keep_every_class():
