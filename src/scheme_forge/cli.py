@@ -6,8 +6,9 @@ Subcommands:
     scheme-forge dual <a.json> [<b.json>] [--out c.json]
 
 Exit codes: 0 success, 1 duality/axiom failure, 2 config error, an
---out that cannot be written or a malformed flag (a --size-bound below
-1, a negative --matrix-bound), 3 resource bound exceeded.
+--out or a stdout that cannot be written or a malformed flag (a
+--size-bound below 1, a negative --matrix-bound), 3 resource bound
+exceeded.
 
 json.dumps(sort_keys=True, indent=2) writes every report; write_report's
 own code writes only the integer arrays and the certificate's coded
@@ -69,9 +70,10 @@ def load_action(cfg, size_bound):
 
 
 # The report's text outside its arrays, and each array's, is written in
-# pieces of at most about this many characters, so a write stays within
-# 64 KiB.
-ARRAY_CHARS = 1 << 15
+# pieces of at most this many characters, so a write stays within 64 KiB;
+# an --out file is opened with a 256 KiB buffer, about four pieces per
+# write(2).
+ARRAY_CHARS = 1 << 16
 
 
 def _array_chunks(A, depth, memo):
@@ -182,7 +184,8 @@ def _array_blocks(shape, depth, width, texts):
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
     out_path, or to stdout, byte for byte; an OSError from opening,
-    writing or closing raises ConfigError.
+    writing, flushing or closing raises ConfigError (_stdout_failed's
+    for stdout).
 
     json.dumps writes the report; its default hook turns each integer
     ndarray and CodedArray with a cell into a placeholder string, a token
@@ -209,7 +212,8 @@ def write_report(report, out_path):
     text = json.dumps(report, sort_keys=True, indent=2, default=placeholder)
     memo = {}
     try:
-        out = open(out_path, "w") if out_path else nullcontext(sys.stdout)
+        out = open(out_path, "w", buffering=1 << 18) if out_path \
+            else nullcontext(sys.stdout)
         with out as fh:
             for head, A in zip(text.split('"%s"' % token), arrays + [None]):
                 for cut in range(0, len(head), ARRAY_CHARS):
@@ -220,12 +224,30 @@ def write_report(report, out_path):
                     for chunk in _array_chunks(A, depth, memo):
                         fh.write(chunk)
             fh.write("\n")
+            fh.flush()
     except OSError as exc:
-        raise ConfigError("cannot write report %s: %s"
-                          % (out_path or "to stdout", exc))
+        if not out_path:
+            raise _stdout_failed("report", exc)
+        raise ConfigError("cannot write report %s: %s" % (out_path, exc))
     # json's pure-Python encoder (indent) leaves a reference cycle that
     # keeps placeholder, and so the arrays, until the collector runs
     arrays.clear()
+
+
+def _stdout_failed(what, exc):
+    """The ConfigError for `what`, whose write or flush to stdout raised
+    exc.  A stdout with a file descriptor is first pointed at os.devnull,
+    so that what the failed write left in its buffer goes there at the
+    interpreter's exit flush, instead of failing again (exit 120)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # an in-process caller's text buffer
+        pass
+    else:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return ConfigError("cannot write %s to stdout: %s" % (what, exc))
 
 
 def render_eigenmatrix(name, M):
@@ -323,11 +345,15 @@ def cmd_dual(args):
     cert = duality_report(gens_G, gens_Gc=gens_Gc,
                           matrix_bound=args.matrix_bound)
     write_report(cert.to_json(), args.out)
-    if cert.Q is not None:
-        sys.stdout.write(render_eigenmatrix("Q", cert.Q) + "\n")
-        sys.stdout.write(render_eigenmatrix("P", cert.P) + "\n")
-    sys.stdout.write("duality: %s (%s)\n"
-                     % ("PASS" if cert.passed else "FAIL", cert.mode))
+    try:
+        if cert.Q is not None:
+            sys.stdout.write(render_eigenmatrix("Q", cert.Q) + "\n")
+            sys.stdout.write(render_eigenmatrix("P", cert.P) + "\n")
+        sys.stdout.write("duality: %s (%s)\n"
+                         % ("PASS" if cert.passed else "FAIL", cert.mode))
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _stdout_failed("the eigenmatrices and verdict", exc)
     return 0 if cert.passed else 1
 
 

@@ -237,6 +237,19 @@ class AbelianSpace:
             return False, int(degenerate[0]) + 1
         return True, None
 
+    @functools.cached_property
+    def _psi_inverse(self):
+        """(psi^-1, the c_k) of adjoint_images, or None for a degenerate
+        pairing: computed over X once per space and kept."""
+        m, rows = self.character_order, self._gram_rows
+        steps = m // np.gcd(m, self._radices)
+        psi = (rows // steps if (steps > 1).any() else rows) @ self.place
+        inverse = np.zeros_like(psi)
+        inverse[psi] = np.arange(self.size, dtype=psi.dtype)
+        if not np.array_equal(psi[inverse], np.arange(self.size)):
+            return None
+        return inverse, steps
+
     def adjoint_images(self, images):
         """iota(e_j) at images[..., j] for the adjoints iota of maps g
         with g(e_i) = images[..., i]; None for a degenerate pairing
@@ -249,15 +262,11 @@ class AbelianSpace:
         x != 0.  A point psi misses keeps 0 in the scatter, and 0 does not
         map back.  iota(e_j) is the h with <e_i, h> = <g(e_i), e_j> for all
         i: B is symmetric, so psi(h) has digit i <g(e_i), e_j> / c_i."""
-        m, rows = self.character_order, self._gram_rows
-        steps = m // np.gcd(m, self._radices)
-        psi = (rows // steps if (steps > 1).any() else rows) @ self.place
-        inverse = np.zeros_like(psi)
-        inverse[psi] = np.arange(self.size, dtype=psi.dtype)
-        if not np.array_equal(psi[inverse], np.arange(self.size)):
+        if self._psi_inverse is None:
             return None
+        inverse, steps = self._psi_inverse
         live = self._radices > 1
-        exponents = np.swapaxes(rows[images][..., live], -1, -2)
+        exponents = np.swapaxes(self._gram_rows[images][..., live], -1, -2)
         return inverse[exponents // steps[live] @ self.place[live]]
 
     # -- misc ---------------------------------------------------------------

@@ -14,9 +14,9 @@ checkouts can be compared with cmp; without it they go to a temporary
 directory that is removed.  A config named custom_NAME is the action of
 NAME as a custom action, its generators as point permutations: it is
 written to that directory at run time by the package of --src (about
-300 KB for hamming8_f3), and is not kept in this folder.  The dual of
-central_z64xz64 writes a 4.3 GB certificate, bilinear45_f2 (|X| = 2^20)
-needs about 1 GB.
+300 KB for hamming8_f3), and is not kept in this folder.  The duals of
+central_z32xz32 and central_z64xz64 write certificates of 326 MB and
+4.3 GB, bilinear45_f2 (|X| = 2^20) needs about 1 GB.
 """
 
 import argparse
@@ -35,12 +35,15 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 
 # (command, config, flags): a space above the default size bound of 4096
 # points needs its own --size-bound.  The two builds at 1024 points, the
-# representative verify bound, sweep every representative.  The custom
-# action proves constancy by the adjoint lemma, as hamming8_f3 does.  The
-# weak-Hamming dual takes its dual partition from the adjoint images.
+# representative verify bound, sweep every representative.  The central
+# duals time the report writer on a mid-size and a large certificate.
+# The custom action proves constancy by the adjoint lemma, as hamming8_f3
+# does.  The weak-Hamming dual takes its dual partition from the adjoint
+# images.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),
+    ("dual", "central_z32xz32", []),
     ("dual", "hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "custom_hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "alternating6_f2", ["--size-bound", "32768"]),

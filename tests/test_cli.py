@@ -1,6 +1,7 @@
 """CLI: exit codes, report shapes, determinism."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -21,7 +22,7 @@ from scheme_forge import cli, duality, scheme
 from scheme_forge.action import build_action, orbits, check_condition_4
 from scheme_forge.cli import main
 from scheme_forge.duality import CodedArray
-from scheme_forge.space import AbelianSpace, CyclicProductSpace
+from scheme_forge.space import AbelianSpace, CyclicProductSpace, GramSpace
 
 from helpers import plain
 
@@ -468,6 +469,42 @@ def test_failed_write_exits_2(command, capsys):
     assert "No space left on device" in err and "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [["build", "hamming2_f2"],
+                                  ["dual", "hamming2_f2"],
+                                  ["dual", "hamming2_f2", "--out"]],
+                         ids=["build", "dual", "dual-out"])
+def test_failed_stdout_write_exits_2(argv, unbuffered, tmp_path):
+    """A stdout that takes no bytes (/dev/full), block-buffered or
+    unbuffered (PYTHONUNBUFFERED), ends in exit 2 with a message: the
+    report, or dual's tables and verdict after an --out report, is
+    flushed where its error is caught, and nothing is left for the
+    interpreter's exit flush (exit 120 and "Exception ignored")."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = [argv[0], cfg(argv[1])]
+    if argv[2:]:
+        args += ["--out", str(tmp_path / "r.json")]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "scheme_forge.cli",
+                               *args], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write ")
+    assert " to stdout: " in proc.stderr
+    assert "No space left on device" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    if argv[2:]:
+        report = (tmp_path / "r.json").read_text()
+        assert json.loads(report)["checks"]
+
+
 def test_condition_4_is_swept_once_per_partition(capsys, monkeypatch):
     """Condition (4), which the report, TranslationScheme and both
     verify_axioms calls read, sweeps the negation of X once per
@@ -494,6 +531,34 @@ def test_condition_4_is_swept_once_per_partition(capsys, monkeypatch):
     for sp in (space, space, other, other):
         assert check_condition_4(partition, sp) == (True, None)
     assert negations == [space, other]
+
+
+def test_psi_inverse_is_computed_once_per_space(capsys, monkeypatch):
+    """AbelianSpace.adjoint_images keeps psi^-1, or the degenerate
+    verdict, on the space: the cross pair wh21/wh12 reads the adjoints of
+    both actions on one space and computes psi^-1 once, a self dual once,
+    and a degenerate pairing gives None from one computation."""
+    computed = []
+    real = AbelianSpace._psi_inverse.func
+
+    def counted(self):
+        computed.append(self)
+        return real(self)
+
+    kept = functools.cached_property(counted)
+    kept.__set_name__(AbelianSpace, "_psi_inverse")
+    monkeypatch.setattr(AbelianSpace, "_psi_inverse", kept)
+    for argv in (["dual", cfg("wh21_f2"), cfg("wh12_f2")],
+                 ["dual", cfg("wh21_f2")], ["dual", cfg("hamming4_f3")]):
+        computed.clear()
+        assert run(argv, capsys)[0] == 0
+        assert len(computed) == 1, argv
+    computed.clear()
+    degenerate = GramSpace([((5,), ((1,),)), ((5,), ((5,),))], 5)
+    basis = degenerate.basis[None, :]
+    assert degenerate.adjoint_images(basis) is None
+    assert degenerate.adjoint_images(basis) is None
+    assert computed == [degenerate]
 
 
 @pytest.mark.parametrize("command", ["check", "build"])
@@ -580,8 +645,9 @@ TREES = st.recursive(
     max_leaves=10)
 
 # the piece size of a drawn write: small enough that small trees and
-# arrays are written in many pieces and blocks, or the real one
-PIECE_CHARS = st.sampled_from([24, 1 << 15])
+# arrays are written in many pieces and blocks, half the real one, or the
+# real one
+PIECE_CHARS = st.sampled_from([24, 1 << 15, 1 << 16])
 
 
 @st.composite
@@ -640,7 +706,8 @@ def assert_written_as_json_dumps(obj):
 def test_write_report_streams_a_large_certificate(monkeypatch):
     """The dual certificate of the central action on Z16 x Z8 (7.6 MB of
     text) is written in pieces of at most 64 KiB whose bytes are
-    json.dumps's: the encoder never holds the whole text."""
+    json.dumps's: the encoder never holds the whole text.  The pieces
+    are fewer than 32 KiB pieces would be: most are near 64 KiB."""
     config = os.path.join(CONFIGS, os.pardir, "perfbench", "configs",
                           "central_z16xz8.json")
     _, genset = cli.load_action(cli.read_config(config), 4096)
@@ -652,6 +719,7 @@ def test_write_report_streams_a_large_certificate(monkeypatch):
     assert recorder.getvalue() == want
     assert len(want) > 7 * 10 ** 6
     assert max(recorder.sizes) <= 64 * 1024
+    assert len(recorder.sizes) < len(want) // (32 * 1024)
 
 
 def large_entry():
