@@ -35,9 +35,13 @@ Both steps, A with B over the element indices for every pair of columns
 and then the result with M, are one batched matmul each, `exact_matmul`,
 which picks its dtype from that bound, computed in Python integers:
 float64 (BLAS) below 2^53, int64 below 2^63, Python integers
-(dtype=object) otherwise, so it is exact in every case.  The character
-profile and the pairing table (duality.py, space.py) take their float64
-products through the same function.
+(dtype=object) otherwise, so it is exact in every case.  A rank-1
+product, inner dimension 1, is the broadcast product of its operands,
+int64 below 2^63 and Python integers otherwise, with no float64 round
+trip: the outer product "li,lj->lij", the product with M when ka and kb
+are one column each, and the conjugation of a one-column array.  The
+character profile and the pairing table (duality.py, space.py) take
+their float64 products through the same function.
 """
 
 from __future__ import annotations
@@ -317,7 +321,9 @@ def sliced(A):
 def widen(A, cols, target):
     """The support-width array (A, cols) at the columns `target`, a
     sorted superset of cols (np.arange(phi(m)) for full width): zero in
-    every column not in cols."""
+    every column not in cols; A itself when cols is all of target."""
+    if len(cols) == len(target):
+        return A
     out = np.zeros(A.shape[:-1] + (len(target),), dtype=A.dtype)
     out[..., np.searchsorted(target, cols)] = A
     return out
@@ -349,13 +355,17 @@ def exact_matmul(A, B, bound):
 
     `bound` must be at least the sum of the absolute values of the
     products that any one entry of the result expands to; it then bounds
-    every partial sum, in any summation order and any blocking.  Below
-    2^53 the product runs in float64, which numpy hands to BLAS: every
-    product and partial sum is an integer that float64 holds exactly, an
-    FMA included.  Below 2^63 it runs in int64, and on Python integers
-    (dtype=object) otherwise.  The result is int64, or Python integers
-    past 2^63."""
-    if bound < 2 ** 53:
+    every partial sum, in any summation order and any blocking.  When
+    both operands are at least 2-d and the inner dimension is 1, the
+    product is the broadcast A * B, which has no sums: int64 below 2^63,
+    Python integers otherwise.  Else, below 2^53 the product runs in
+    float64, which numpy hands to BLAS: every product and partial sum is
+    an integer that float64 holds exactly, an FMA included.  Below 2^63
+    it runs in int64, and on Python integers (dtype=object) otherwise.
+    The result is int64, or Python integers past 2^63."""
+    rank_1 = (np.ndim(A) >= 2 and np.ndim(B) >= 2
+              and np.shape(A)[-1] == np.shape(B)[-2] == 1)
+    if bound < 2 ** 53 and not rank_1:
         A, B = np.asarray(A, dtype=np.float64), np.asarray(B, dtype=np.float64)
         R = A @ B
         # free the float64 operands (and integer ones passed in by a
@@ -363,7 +373,8 @@ def exact_matmul(A, B, bound):
         del A, B
         return R.astype(np.int64)
     dtype = np.int64 if bound < 2 ** 63 else object
-    return np.asarray(A, dtype=dtype) @ np.asarray(B, dtype=dtype)
+    A, B = np.asarray(A, dtype=dtype), np.asarray(B, dtype=dtype)
+    return A * B if rank_1 else A @ B
 
 
 def _stack(A, letters, *groups):
@@ -379,6 +390,19 @@ def _stack(A, letters, *groups):
     return A.reshape(shape)
 
 
+@functools.cache
+def _cut_constants(m, ka, kb):
+    """The structure constants of Z[zeta_m] cut to the rows ka, kb (tuples
+    of column indices) and to their nonzero output columns kz, with kz
+    and max|M|."""
+    M = structure_constants(m)[np.ix_(ka, kb)]
+    kz = _columns(M.any(axis=(0, 1)))
+    M = M[..., kz]
+    M.setflags(write=False)
+    kz.setflags(write=False)
+    return M, kz, max_abs(M)
+
+
 def contract(spec, X, Y, m):
     """Exact contraction over Z[zeta_m] of two support-width arrays.
 
@@ -392,13 +416,11 @@ def contract(spec, X, Y, m):
     (A, ka), (B, kb) = X, Y
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    M = structure_constants(m)[np.ix_(ka, kb)]
-    kz = _columns(M.any(axis=(0, 1)))
-    M = M[..., kz]
+    M, kz, max_m = _cut_constants(m, tuple(ka.tolist()), tuple(kb.tolist()))
     sizes = dict(zip(sa + sb, A.shape[:-1] + B.shape[:-1]))
     terms = math.prod(n for c, n in sizes.items() if c not in out) \
         * len(ka) * len(kb)
-    bound = terms * max_abs(A) * max_abs(B) * max_abs(M)
+    bound = terms * max_abs(A) * max_abs(B) * max_m
     batch = [c for c in out if c in sa and c in sb]
     inner = [c for c in sa if c in sb and c not in out]
     rows = [c for c in out if c in sa and c not in sb]

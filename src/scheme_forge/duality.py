@@ -95,6 +95,8 @@ structure constants of Z[zeta_m], over the carried columns only:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .cyclo import (CycloInt, integer_array,
@@ -109,6 +111,8 @@ from .space import (pairing_table, pairing_rows, check_tensor_size,
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
+# cells of the exponent histograms of one block of character_profile
+PROFILE_BLOCK_CELLS = 1 << 18
 # |X| up to which the idempotent report also carries `dense_products`
 DENSE_IDEMPOTENT_BOUND = 32
 
@@ -119,21 +123,24 @@ def character_profile(space, dual, rows):
     row rows[r] (pairing_rows or pairing_table): an int64 array of shape
     (len(rows), dual classes, phi(m)).
 
-    PAIRING_BLOCK_ROWS rows at a time, one bincount keyed by (row, dual
-    class, exponent) gives every exponent histogram of the block, and the
+    A block of rows at a time, one bincount keyed by (row, dual class,
+    exponent) gives every exponent histogram of the block, and the
     reduction matrix R, R[k] = coefficients of zeta^k, turns them into
     coefficients through cyclo.exact_matmul: each histogram sums to its
     class size, so the largest class times max|R| bounds every entry's
-    products."""
+    products.  A block is PAIRING_BLOCK_ROWS rows, or fewer, so that its
+    histograms, and their float64 copy, hold at most PROFILE_BLOCK_CELLS
+    cells."""
     m = space.character_order
     R = reduction_matrix(m)
     bound = max(dual.sizes) * max_abs(R)
     width = dual.d + 1
+    step = max(1, min(PAIRING_BLOCK_ROWS, PROFILE_BLOCK_CELLS // (width * m)))
     profile = np.empty((len(rows), width, R.shape[1]), dtype=np.int64)
-    keys = (np.arange(min(len(rows), PAIRING_BLOCK_ROWS))[:, None] * width
+    keys = (np.arange(min(len(rows), step))[:, None] * width
             + dual.class_of) * m
-    for start in range(0, len(rows), PAIRING_BLOCK_ROWS):
-        block = rows[start:start + PAIRING_BLOCK_ROWS]
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
         counts = np.bincount((keys[:len(block)] + block).ravel(),
                              minlength=len(block) * width * m)
         profile[start:start + len(block)] = exact_matmul(
@@ -324,19 +331,40 @@ def distinct_elements(arrays, m):
     (elements, codes), elements a 1-d object array of CycloInt, one per
     distinct element across all the arrays, and for each array an intp
     array of its shape without the coefficient axis, the index of each
-    entry's element.  The coefficient rows, at the union of the arrays'
-    columns, are grouped by a lexsort and a diff of the sorted rows; only
-    the distinct rows are widened to phi(m) coefficients."""
+    entry's element.  Each coefficient row, at the union of the arrays'
+    columns, is packed into one mixed-radix key, the last column the most
+    significant digit, each digit offset from its column's minimum: int64
+    when the product of the column spans is below 2^63, Python integers
+    otherwise.  The sorted distinct keys order the elements as their rows
+    read from the last column; each entry's code is its key's place
+    among them, and only the distinct rows are decoded and widened to
+    phi(m) coefficients."""
     cols = union_columns(*(k for _, k in arrays))
     rows = np.concatenate([widen(A, k, cols).reshape(-1, len(cols))
                            for A, k in arrays])
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(len(rows), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    distinct = widen(ranked[first], cols, np.arange(euler_phi(m))).tolist()
+    low = rows.min(axis=0)
+    offsets = low.tolist()
+    spans = [hi - lo + 1 for hi, lo in zip(rows.max(axis=0).tolist(), offsets)]
+    dtype = np.int64 if math.prod(spans) < 2 ** 63 else object
+    if dtype is object:
+        rows = rows.astype(object)
+    keys = (rows[:, -1] - offsets[-1]).astype(dtype, copy=False)
+    for c in reversed(range(len(cols) - 1)):
+        keys *= spans[c]
+        keys += (rows[:, c] - offsets[c]).astype(dtype, copy=False)
+    # the keys replace the rows: at large d they are the Krein tensor's
+    # size, and freeing them lowers the peak of the sort
+    del rows
+    unique = np.sort(keys)
+    first = np.ones(len(unique), dtype=bool)
+    first[1:] = unique[1:] != unique[:-1]
+    unique = unique[first]
+    group = np.searchsorted(unique, keys)
+    digits = np.empty((len(unique), len(cols)), dtype=dtype)
+    for c in range(len(cols)):
+        digits[:, c] = unique % spans[c]
+        unique = unique // spans[c]
+    distinct = widen(digits + low, cols, np.arange(euler_phi(m))).tolist()
     elements = np.fromiter((CycloInt(m, tuple(coeffs), reduce=False)
                             for coeffs in distinct), dtype=object,
                            count=len(distinct))

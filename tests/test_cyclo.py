@@ -360,12 +360,16 @@ def test_exact_matmul_tiers_match_python_integers(edge, above, monkeypatch):
     Every result equals the Python-integer einsum.  Above 2^53 these odd
     entries are not float64 numbers and above 2^63 not int64 ones, so a
     tier used past its edge fails; the spy asserts that each bound
-    reaches the tier on its side of the edge."""
-    bounds = []
+    reaches the tier on its side of the edge.  The float64 edge is
+    proved by the first product of the three specs with K = 3, over the
+    element indices, inner dimension 3: every other product here has
+    inner dimension 1 and is computed in integers (the rank-1 rule)."""
+    bounds, inner = [], []
     real = cyclo.exact_matmul
 
     def spy(A, B, bound):
         bounds.append(bound)
+        inner.append(np.shape(A)[-1])
         return real(A, B, bound)
 
     monkeypatch.setattr(cyclo, "exact_matmul", spy)
@@ -376,17 +380,61 @@ def test_exact_matmul_tiers_match_python_integers(edge, above, monkeypatch):
         a = odd_near(edge, k, above)
         A, B = operand(sa, -a), operand(sb, a)
         bounds.clear()
+        inner.clear()
         got, cols = contract(spec, sliced(A), sliced(B), 1)
         assert cols.tolist() == [0]
         assert got.tolist() == unsliced_contract(spec, A, B, 1).tolist()
         assert abs(got.ravel()[0]) == k * a * a
         assert [tier(b) for b in bounds] == [want, want], spec
+        assert inner == [k, 1], spec
         assert got.dtype == (object if want == 2 else np.int64)
     A = operand((2, 3), -(edge + 1 if above else edge - 1))
     bounds.clear()
     got, cols = conjugate_array(sliced(A), 1)
     assert got.tolist() == unsliced_conjugate(A, 1).tolist()
     assert [tier(b) for b in bounds] == [want]
+
+
+RANK_1_SHAPES = [((2, 1, 3, 1), (1, 4, 1, 5)), ((3, 1), (2, 1, 4)),
+                 ((2, 5, 1), (1, 1))]
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("sa,sb", RANK_1_SHAPES)
+def test_exact_matmul_rank_1_matches_python_integers(sa, sb, above):
+    """A product with inner dimension 1 of operands at least 2-d, stacks
+    broadcast: entries a, +-a, +-(a - 2), +-(a - 4), a odd and a^2, the bound,
+    just below or just above 2^63.  The result equals np.matmul on Python
+    integers, int64 below the edge and Python integers above it, where
+    the odd products are not int64 numbers."""
+    a = odd_near(2 ** 63, 1, above)
+    rng = np.random.default_rng(len(sa) + above)
+
+    def entries(shape):
+        X = rng.choice((-1, 1), shape) * (a - 2 * rng.integers(0, 3, shape))
+        X.flat[0] = a
+        return X
+
+    A, B = entries(sa), entries(sb)
+    got = cyclo.exact_matmul(A, B, a * a)
+    want = A.astype(object) @ B.astype(object)
+    assert got.dtype == (object if above else np.int64)
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+    assert max(abs(v) for v in got.ravel().tolist()) == a * a
+
+
+@pytest.mark.parametrize("sa,sb", [((1,), (1, 4)), ((4, 1), (1,)),
+                                   ((1,), (3, 1, 2))])
+def test_exact_matmul_one_dimensional_operand_takes_matmul(sa, sb):
+    """A 1-d operand, inner dimension 1, keeps np.matmul's shape, which
+    the broadcast product would not: its axis is dropped from the
+    result."""
+    A = np.arange(2, 2 + math.prod(sa)).reshape(sa)
+    B = np.arange(-3, -3 + math.prod(sb)).reshape(sb)
+    for bound in (2 ** 20, 2 ** 60, 2 ** 70):
+        got = cyclo.exact_matmul(A, B, bound)
+        assert got.shape == np.matmul(A, B).shape
+        assert got.tolist() == np.matmul(A, B).tolist()
 
 
 @pytest.mark.parametrize("m", [5, 8, 12])

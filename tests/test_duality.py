@@ -410,6 +410,39 @@ def test_character_profile_matches_loop(name, block_rows, monkeypatch):
         profile[points])
 
 
+@pytest.mark.parametrize("rows_per_block", [0, 1, 3])
+@pytest.mark.parametrize("name", ["hamming4_f3", "central_z8", "wh21_f2"])
+def test_character_profile_blocks_hold_the_cell_bound(name, rows_per_block,
+                                                      monkeypatch):
+    """With PROFILE_BLOCK_CELLS set to that many rows of histograms (0:
+    fewer than one row, which still takes one row per block), every
+    bincount of character_profile holds at most that many rows'
+    histograms, at least one, and the profile equals the one-block
+    profile."""
+    with open(os.path.join(CONFIGS, name + ".json")) as fh:
+        space, genset = cli.load_action(json.load(fh), 4096)
+    dual = orbits(genset)
+    table = pairing_table(space)
+    want = character_profile(space, dual, table)
+    row_cells = len(dual.classes) * space.character_order
+    monkeypatch.setattr(duality, "PROFILE_BLOCK_CELLS",
+                        rows_per_block * row_cells)
+    cells = []
+    real = np.bincount
+
+    def counted(keys, minlength):
+        cells.append(minlength)
+        return real(keys, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    got = character_profile(space, dual, table)
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+    step = max(rows_per_block, 1)
+    assert len(cells) == -(-space.size // step)
+    assert max(cells) == step * row_cells
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_constancy_witness_matches_loop(seed):
     """Random profiles constant on random classes, with a few entries
@@ -844,6 +877,69 @@ def test_eigenmatrices_hold_one_cycloint_per_value(name):
     for c in (c for M in (cert.P, cert.Q) for row in M for c in row):
         objects.setdefault(c, set()).add(id(c))
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+def distinct_case(kind, m):
+    """Support-width arrays over Z[zeta_m] for distinct_elements: random
+    rows, with repeats, drawn from a small pool, whose columns differ
+    between the arrays."""
+    rng = np.random.default_rng([m, len(kind)])
+    n = cyclo.euler_phi(m)
+    if kind == "one row":
+        return [sliced(np.array([[-3] + [0] * (n - 2) + [5]]))]
+    if kind == "all equal":
+        return [sliced(np.full((4, 3, n), -2)), sliced(np.full((2, n), -2))]
+    if kind == "small":
+        pool = rng.integers(-4, 4, size=(9, n), endpoint=True)
+    elif kind == "spans past 2^63":
+        # every column spans about 2^40: their product passes 2^63
+        pool = rng.integers(-2 ** 39, 2 ** 39, size=(9, n))
+    elif kind == "object rows":
+        # Python integers past 2^63, with negative ones
+        pool = rng.integers(-9, 9, size=(9, n), endpoint=True).astype(object)
+        pool *= 2 ** 70
+        pool += rng.integers(-3, 3, size=(9, n))
+    else:
+        # "object rows, narrow spans": every entry near 2^70, so the
+        # spans, with no zero, multiply to less than 2^63
+        pool = 2 ** 70 + rng.integers(-3, 3, size=(9, n)).astype(object)
+    narrow = kind.endswith("narrow spans")
+    if not narrow:
+        pool[rng.integers(0, 9, size=n), np.arange(n)] = 0
+    arrays = []
+    for shape, zero in (((3, 4), [1]), ((5,), []), ((2, 2, 3), [0, n - 1])):
+        A = pool[rng.integers(0, 9, size=shape)]
+        A[..., [] if narrow else zero] = 0
+        arrays.append(sliced(A))
+    return arrays
+
+
+DISTINCT_KINDS = ["small", "spans past 2^63", "object rows",
+                  "object rows, narrow spans", "one row", "all equal"]
+
+
+@pytest.mark.parametrize("m", [5, 8, 12])
+@pytest.mark.parametrize("kind", DISTINCT_KINDS)
+def test_distinct_elements_match_a_row_dict_oracle(kind, m):
+    """Against a dict keyed by each entry's full-width coefficient tuple:
+    two codes, in one array or two, are equal exactly when their rows
+    are, each code's element is its row widened to phi(m), and the
+    elements come sorted by their coefficients read from the last."""
+    arrays = distinct_case(kind, m)
+    elements, codes = duality.distinct_elements(arrays, m)
+    oracle = {}
+    rows = [tuple(row) for X in arrays
+            for row in full_width(X, m).reshape(-1, cyclo.euler_phi(m))
+            .tolist()]
+    flat = np.concatenate([c.ravel() for c in codes]).tolist()
+    assert [c.shape for c in codes] == [A.shape[:-1] for A, _ in arrays]
+    for row, code in zip(rows, flat):
+        assert oracle.setdefault(row, code) == code
+        assert elements[code] == CycloInt(m, row, reduce=False)
+    assert len(set(oracle.values())) == len(oracle) == len(elements)
+    order = [tuple(reversed(e.coeffs)) for e in elements]
+    assert order == sorted(order)
+    assert all(type(c) is int for e in elements for c in e.coeffs)
 
 
 @pytest.mark.parametrize("name", ["hamming4_f3", "cyclotomic2_f5",
