@@ -356,11 +356,12 @@ def _build_weak_hamming(space, family, params):
     if not isinstance(space, VectorSpace):
         raise UsageError("weak_hamming actions live on vector spaces")
     levels = tuple(int(v) for v in params["levels"])
+    # before the poset lists a level per coordinate
+    if sum(levels) != space.n:
+        raise UsageError("level sizes must sum to the space dimension")
     poset = WeakOrderPoset(levels)
     if family == "weak_hamming_dual":
         poset = poset.dual()
-    if poset.n != space.n:
-        raise UsageError("level sizes must sum to the space dimension")
     mats = []
     for s in range(1, poset.t + 1):
         mats.extend(_hamming_block_generators(space, poset.block(s),

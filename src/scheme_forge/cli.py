@@ -45,7 +45,8 @@ def read_config(path):
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise ConfigError("malformed JSON in %s: %s" % (path, exc))
     if not isinstance(cfg, dict):
         raise ConfigError('config must be an object with "space" and "action"')

@@ -39,13 +39,13 @@ exhaustive test run: constancy_test compares f_j across each class at
 every point of X, and its witness names the first point where f_j
 differs.
 
-One kernel, character_profile, computes f_j for both: given pairing-table
-rows, point-major, it returns f_j at each row's point, shape (rows, dual
-classes, phi(m)), as one exponent histogram per (row, dual class) from
-one bincount, reduced by one m x phi(m) matrix.  The lemma gives it the
-d + 1 rows of the class representatives (pairing_rows), O(d |X|) work,
-and its profile is F; the exhaustive test gives it the whole |X| x |X|
-pairing table.
+One kernel, character_profile, computes f_j for both, at the points it
+is given, a block at a time: their pairing rows (pairing_rows), one
+exponent histogram per (point, dual class) from one bincount, and one
+m x phi(m) reduction matrix.  The lemma gives it the d + 1 class
+representatives, O(d |X|) work, and its profile is F; the exhaustive
+test gives it every point of X, O(|X|^2) work that holds one block of
+the |X| x |X| pairing table at a time (space.BLOCK_CELLS).
 
 Once the constancy tests hold, dual keeps only P, Q, P Q, the Krein
 tensor and, at its end, one table of their distinct values
@@ -106,41 +106,40 @@ from .cyclo import (CycloInt, integer_array,
 from .errors import UsageError, IntegrityError
 from .action import (GeneratorSet, AdjointMap, orbits, check_condition_4,
                      adjoint_map, verify_adjoint, _is_permutation)
+# pairing_table is no stage of dual; the package exports it from here
 from .space import (pairing_table, pairing_rows, check_tensor_size,
-                    PAIRING_BLOCK_ROWS, DEFAULT_SIZE_BOUND)
+                    BLOCK_CELLS, DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
 KREIN_FLOAT_FLOOR = -1e-9
-# cells of the exponent histograms of one block of character_profile
-PROFILE_BLOCK_CELLS = 1 << 18
 # |X| up to which the idempotent report also carries `dense_products`
 DENSE_IDEMPOTENT_BOUND = 32
 
 
-def character_profile(space, dual, rows):
+def character_profile(space, dual, points):
     """profile[r, j] = coefficients of f_j(y) = sum of <y, x> over the
-    class Y_j of the partition `dual`, y the point of the pairing-table
-    row rows[r] (pairing_rows or pairing_table): an int64 array of shape
-    (len(rows), dual classes, phi(m)).
+    class Y_j of the partition `dual`, y = points[r]: an int64 array of
+    shape (len(points), dual classes, phi(m)).
 
-    A block of rows at a time, one bincount keyed by (row, dual class,
-    exponent) gives every exponent histogram of the block, and the
-    reduction matrix R, R[k] = coefficients of zeta^k, turns them into
+    A block of points at a time, pairing_rows gives their rows of the
+    pairing table, one bincount keyed by (row, dual class, exponent)
+    gives every exponent histogram of the block, and the reduction
+    matrix R, R[k] = coefficients of zeta^k, turns them into
     coefficients through cyclo.exact_matmul: each histogram sums to its
     class size, so the largest class times max|R| bounds every entry's
-    products.  A block is PAIRING_BLOCK_ROWS rows, or fewer, so that its
-    histograms, and their float64 copy, hold at most PROFILE_BLOCK_CELLS
-    cells."""
+    products.  A block is BLOCK_CELLS // max(|X|, (d + 1) m) points, at
+    least one, so that its pairing rows and its histograms, and their
+    float64 copies, hold at most BLOCK_CELLS cells each."""
     m = space.character_order
     R = reduction_matrix(m)
     bound = max(dual.sizes) * max_abs(R)
     width = dual.d + 1
-    step = max(1, min(PAIRING_BLOCK_ROWS, PROFILE_BLOCK_CELLS // (width * m)))
-    profile = np.empty((len(rows), width, R.shape[1]), dtype=np.int64)
-    keys = (np.arange(min(len(rows), step))[:, None] * width
+    step = max(1, BLOCK_CELLS // max(space.size, width * m))
+    profile = np.empty((len(points), width, R.shape[1]), dtype=np.int64)
+    keys = (np.arange(min(len(points), step))[:, None] * width
             + dual.class_of) * m
-    for start in range(0, len(rows), step):
-        block = rows[start:start + step]
+    for start in range(0, len(points), step):
+        block = pairing_rows(space, points[start:start + step])
         counts = np.bincount((keys[:len(block)] + block).ravel(),
                              minlength=len(block) * width * m)
         profile[start:start + len(block)] = exact_matmul(
@@ -509,34 +508,28 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
 
     # Q from f_j over the dual classes, P from f_j over G's: each by the
     # adjoint lemma (for P, the second action's adjoints against G's
-    # classes) from the pairing rows of the representatives when its
-    # premise holds, else by the exhaustive test of the character profile
-    # of the whole pairing table; with no second action both tests are
-    # one test, run once, and P is Q, one array
-    table, eigenmatrices = None, []
+    # classes), the character profile of the representatives, when its
+    # premise holds, else by the exhaustive test of the profile of every
+    # point; with no second action both tests are one test, run once,
+    # and P is Q, one array
+    eigenmatrices = []
     for name, part, dual, adj in (("G", part_G, part_Gc, adjoints[0]),
                                   ("G_check", part_Gc, part_G, adjoints[1])):
         if not eigenmatrices or gens_Gc is not None:
             if adj is not None and keeps_classes(adj, dual):
-                reps = [cls[0] for cls in part.classes]
-                ok, F = True, character_profile(space, dual,
-                                                pairing_rows(space, reps))
+                ok, F = True, character_profile(
+                    space, dual, [cls[0] for cls in part.classes])
             else:
-                if table is None:
-                    table = pairing_table(space)
-                ok, F, witness = constancy_test(
-                    part, character_profile(space, dual, table))
+                ok, F, witness = constancy_test(part, character_profile(
+                    space, dual, np.arange(space.size)))
             eigenmatrix = sliced(F) if ok else None
         cert.checks["constancy_" + name] = ok
         if not ok:
             cert.fail("constancy_" + name, witness)
             return cert
         eigenmatrices.append(eigenmatrix)
-    # from here on every check reads P, Q and their products: the
-    # |X| x |X| table, when the exhaustive test built one, is freed, so
-    # it does not add to the peak that the (d + 1)^3 Krein contraction
-    # sets at large d
-    del table, F
+    # the full-width F would add to the peak of the Krein contraction
+    del F
     Q, P = eigenmatrices
     m = space.character_order
     PQ = contract("ik,kj->ij", P, Q, m)

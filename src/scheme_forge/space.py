@@ -325,8 +325,9 @@ class GramSpace(AbelianSpace):
         return k if np.ndim(k) else int(k)
 
 
-# rows of the pairing table per float64 product (4 MB at |X| = 4096)
-PAIRING_BLOCK_ROWS = 128
+# cells of one block: of the pairing rows of one float64 product (4 MB),
+# and of the exponent histograms of one block of duality.character_profile
+BLOCK_CELLS = 1 << 19
 
 
 def pairing_rows(space, points):
@@ -339,29 +340,31 @@ def pairing_rows(space, points):
     integer matmul gets none) while its bound, N (m - 1)(max r_i - 1) for
     N digits, is below 2^53: it is under 12 * 4096^2 < 2^28 for |X| <=
     DEFAULT_SIZE_BOUND (N <= 12 digits, m <= |X|).  It runs
-    PAIRING_BLOCK_ROWS rows at a time, so that the temporaries stay
-    small, and each block is reduced mod m in the index dtype of the
-    space (AbelianSpace.__init__ sizes it to hold the products), where
-    the division is faster than in int64."""
+    BLOCK_CELLS // |X| rows at a time, at least one, so that the
+    temporaries stay small, and each block is reduced mod m in the index
+    dtype of the space (AbelianSpace.__init__ sizes it to hold the
+    products), where the division is faster than in int64."""
     m = space.character_order
     rows = space._gram_rows[points] * (space.lambda_multiplier % m) % m
     cols = space.digits.T
     bound = cols.shape[0] * max_abs(rows) * max_abs(cols)
     table = np.empty((len(rows), space.size),
                      dtype=np.min_scalar_type(m - 1))
-    for start in range(0, len(rows), PAIRING_BLOCK_ROWS):
-        block = exact_matmul(rows[start:start + PAIRING_BLOCK_ROWS], cols,
+    step = max(1, BLOCK_CELLS // space.size)
+    for start in range(0, len(rows), step):
+        block = exact_matmul(rows[start:start + step], cols,
                              bound).astype(space.place.dtype)
         # block mod m, with numpy's floor_divide by a scalar, which is
         # about three times faster than its remainder
         block -= block // m * m
-        table[start:start + PAIRING_BLOCK_ROWS] = block
+        table[start:start + step] = block
     return table
 
 
 def pairing_table(space):
     """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
-    (D . B . D^T) lambda mod m: pairing_rows at every point."""
+    (D . B . D^T) lambda mod m: pairing_rows at every point.  Public API
+    and the tests' oracle: no command builds it."""
     return pairing_rows(space, np.arange(space.size))
 
 

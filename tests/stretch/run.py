@@ -39,7 +39,9 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 # duals time the report writer on a mid-size and a large certificate.
 # The custom action proves constancy by the adjoint lemma, as hamming8_f3
 # does.  The weak-Hamming dual takes its dual partition from the adjoint
-# images.
+# images.  As a custom action in self mode its adjoints do not keep its
+# own classes: the failed premise runs the exhaustive test on all 2^14
+# points of wh8_6_f2.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),
@@ -48,6 +50,7 @@ COMMANDS = [
     ("dual", "custom_hamming8_f3", ["--size-bound", "6561"]),
     ("dual", "alternating6_f2", ["--size-bound", "32768"]),
     ("dual", "wh10_6_f2", ["--size-bound", "65536"]),
+    ("dual", "custom_wh8_6_f2", ["--size-bound", "16384"]),
     ("build", "bilinear44_f2", ["--size-bound", "65536"]),
     ("dual", "bilinear44_f2", ["--size-bound", "65536"]),
     ("build", "bilinear45_f2", ["--size-bound", "1048576"]),

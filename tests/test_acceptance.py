@@ -20,7 +20,7 @@ from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
-                                DEFAULT_SIZE_BOUND)
+                                BLOCK_CELLS, DEFAULT_SIZE_BOUND)
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator)
@@ -508,18 +508,19 @@ def test_dual_stdout_matches_golden_digests(command, tmp_path):
 def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
                                                          monkeypatch):
     """Built-in actions, and custom ones (their adjoints read off the
-    pairing), prove constancy by the adjoint lemma, from the pairing
-    rows of the class representatives alone: with
-    duality.pairing_table made to raise, every dual command of
-    GOLDEN_REPORTS but EXHAUSTIVE_DUALS gives its golden exit code, --out
-    bytes and stdout, and the cross pair in the other order gives the
-    bytes of the exhaustive path (the lemma's premise made to fail).  Each
-    command of EXHAUSTIVE_DUALS builds the table once."""
-    def refuse(space):
-        raise AssertionError("pairing_table called")
+    pairing), prove constancy by the adjoint lemma, from the character
+    profile of the class representatives alone: with
+    duality.constancy_test, the exhaustive test, made to raise, every
+    dual command of GOLDEN_REPORTS but EXHAUSTIVE_DUALS gives its golden
+    exit code, --out bytes and stdout, and the cross pair in the other
+    order gives the bytes of the exhaustive path (the lemma's premise
+    made to fail).  Each command of EXHAUSTIVE_DUALS runs the exhaustive
+    test once."""
+    def refuse(part, profile):
+        raise AssertionError("constancy_test called")
 
     report = tmp_path / "report.json"
-    monkeypatch.setattr(duality, "pairing_table", refuse)
+    monkeypatch.setattr(duality, "constancy_test", refuse)
     for command in GOLDEN_REPORTS:
         if command.startswith("dual ") and command not in EXHAUSTIVE_DUALS:
             code, digest, out = command_digests(command, report)
@@ -532,19 +533,57 @@ def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
     assert command_digests(swapped, report) == lemma
 
     monkeypatch.undo()
-    tables = []
-    real = duality.pairing_table
+    tests = []
+    real = duality.constancy_test
 
-    def counted(space):
-        tables.append(space)
-        return real(space)
+    def counted(part, profile):
+        tests.append(part)
+        return real(part, profile)
 
-    monkeypatch.setattr(duality, "pairing_table", counted)
+    monkeypatch.setattr(duality, "constancy_test", counted)
     for command in EXHAUSTIVE_DUALS:
-        tables.clear()
+        tests.clear()
         assert command_digests(command, report) == (
             *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
-        assert len(tables) == 1, command
+        assert len(tests) == 1, command
+
+
+def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):
+    """No dual command of GOLDEN_REPORTS, EXHAUSTIVE_DUALS included,
+    calls pairing_table: with it made to raise, each gives its golden
+    exit code, --out bytes and stdout.  character_profile asks
+    pairing_rows for one block of points at a time, at most
+    BLOCK_CELLS // max(|X|, (d + 1) m) and at least one, and on every
+    golden config its points, the d + 1 class representatives or every
+    point of X, are one block: one pairing_rows call of all of them."""
+    def refuse(space):
+        raise AssertionError("pairing_table called")
+
+    calls = []
+    real_profile, real_rows = duality.character_profile, duality.pairing_rows
+
+    def profile(space, dual, points):
+        width = len(dual.classes)
+        calls.append((len(points), space.size, max(1, BLOCK_CELLS // max(
+            space.size, width * space.character_order)), []))
+        return real_profile(space, dual, points)
+
+    def rows(space, points):
+        calls[-1][3].append(len(points))
+        return real_rows(space, points)
+
+    monkeypatch.setattr(duality, "pairing_table", refuse)
+    monkeypatch.setattr(duality, "character_profile", profile)
+    monkeypatch.setattr(duality, "pairing_rows", rows)
+    report = tmp_path / "report.json"
+    for command in GOLDEN_REPORTS:
+        if command.startswith("dual "):
+            assert command_digests(command, report) == (
+                *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
+    # both paths ran: the lemma's and the exhaustive test's
+    assert {points == size for points, size, _, _ in calls} == {True, False}
+    for points, _, block, blocks in calls:
+        assert points <= block and blocks == [points]
 
 
 def test_phi_64_certificate_matches_golden_digests(tmp_path, capsys,

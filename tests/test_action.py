@@ -379,20 +379,20 @@ def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
     pairing (A in place of A^T), the adjoints of weak_hamming(2, 1) move
     points off the dual poset's weights, and adjoint_map returns them
     unchecked; dual records adjoint false with verify_adjoint's witness
-    and builds the pairing table once, for the exhaustive test.  Its dual
-    partition then comes from those unverified images, so the constancy
-    verdicts are left to test_adjoint_failing_verification_is_no_premise,
-    whose exhaustive test passes on a failed premise."""
+    and runs the exhaustive test, once.  Its dual partition then comes
+    from those unverified images, so the constancy verdicts are left to
+    test_adjoint_failing_verification_is_no_premise, whose exhaustive
+    test passes on a failed premise."""
     monkeypatch.setattr(GramSpace, "adjoint_images",
                         lambda space, images: images)
-    tables = []
-    real = duality.pairing_table
+    tests = []
+    real = duality.constancy_test
 
-    def counted(space):
-        tables.append(space)
-        return real(space)
+    def counted(part, profile):
+        tests.append(part)
+        return real(part, profile)
 
-    monkeypatch.setattr(duality, "pairing_table", counted)
+    monkeypatch.setattr(duality, "constancy_test", counted)
     sp = VectorSpace(3, FieldSpec(2))
     genset = build_action(sp, "weak_hamming", levels=[2, 1])
     adj = adjoint_map(genset)
@@ -404,7 +404,7 @@ def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
     cert = duality_report(genset)
     assert cert.checks["adjoint"] is False
     assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
-    assert not cert.passed and tables == [sp]
+    assert not cert.passed and len(tests) == 1
 
 
 def test_corrupted_adjoint_fails_with_witness():

@@ -164,6 +164,13 @@ def test_malformed_config_exit_2(capsys, tmp_path):
     empty.write_text("{}")
     code, _, _ = run(["check", str(empty)], capsys)
     assert code == 2
+    # nested past the parser's recursion limit, alone and as the second
+    # config of dual
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    for argv in (["check", str(deep)], ["dual", cfg("hamming2_f2"), str(deep)]):
+        code, _, err = run(argv, capsys)
+        assert code == 2 and "malformed JSON" in err
 
 
 HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
@@ -214,6 +221,11 @@ HAMMING = {"kind": "vector", "n": 2, "field": {"p": 2}}
      {"family": "hermitian"}, "m must be >= 1"),
     ({"kind": "vector", "n": 2, "field": {"p": 2, "modulus": [1, 1, 1]}},
      {"family": "hamming"}, "modulus must be monic of degree e"),
+    (HAMMING, {"family": "weak_hamming", "levels": [10 ** 19]},
+     "level sizes must sum to the space dimension"),
+    ({"kind": "vector", "n": 3, "field": {"p": 2}},
+     {"family": "weak_hamming", "levels": [10 ** 19, -10 ** 19 + 3]},
+     "levels must be positive integers"),
 ])
 def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
                                      message):

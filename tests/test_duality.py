@@ -20,7 +20,7 @@ from scheme_forge.cyclo import CycloInt, contract, conjugate_array, sliced
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
-                                CyclicProductSpace, pairing_rows)
+                                CyclicProductSpace)
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  adjoint_map, verify_adjoint, AdjointMap,
                                  Generator, FAMILIES)
@@ -332,7 +332,8 @@ def sweep_certificate(gens_G, gens_Gc=None):
     part_G = orbits(gens_G)
     part_Gc = orbits(dual_action(gens_G, gens_Gc))
     table = pairing_table(space)
-    profile = cyclo_profile(space, character_profile(space, part_Gc, table))
+    profile = cyclo_profile(space, character_profile(
+        space, part_Gc, np.arange(space.size)))
     idem = sweep_verify_idempotents(space, TranslationScheme(space, part_G),
                                     profile)
     sigma, _, witness = sweep_sigma_permutation(space, part_Gc, profile,
@@ -349,13 +350,14 @@ def assert_matches_sweeps(cert, gens_G, gens_Gc=None):
     assert sigma_witnesses == ([] if witness is None else [witness])
 
 
-def spectral_parts(space, part_G, part_Gc, table):
+def spectral_parts(space, part_G, part_Gc):
     """(profile, constancy_G result, spectrum P Q) as duality_report
     computes them, as coefficient arrays; both constancy tests must
     pass."""
-    profile_Q = character_profile(space, part_Gc, table)
+    points = np.arange(space.size)
+    profile_Q = character_profile(space, part_Gc, points)
     constancy = constancy_test(part_G, profile_Q)
-    profile_P = character_profile(space, part_G, table)
+    profile_P = character_profile(space, part_G, points)
     ok, P, _ = constancy_test(part_Gc, profile_P)
     assert constancy[0] and ok
     return profile_Q, constancy, contract(
@@ -375,7 +377,7 @@ def hamming22():
     genset = build_action(sp, "hamming")
     part = orbits(genset)
     table = pairing_table(sp)
-    profile = character_profile(sp, part, table)
+    profile = character_profile(sp, part, np.arange(sp.size))
     return sp, genset, part, table, profile
 
 
@@ -390,57 +392,64 @@ def test_constancy_and_F_hamming22(hamming22):
 @pytest.mark.parametrize("name", ["hamming4_f3", "cyclotomic2_f5", "her2_f4",
                                   "central_z8", "wh21_f2"])
 def test_character_profile_matches_loop(name, block_rows, monkeypatch):
-    """The blocked exponent histograms, reduced by one matrix, equal one
-    CycloInt per (point, dual class) from whole table columns, whatever
-    the block size; the pairing rows of some points give the profile's
-    rows at those points."""
-    monkeypatch.setattr(duality, "PAIRING_BLOCK_ROWS", block_rows)
+    """The blocked exponent histograms of every point, reduced by one
+    matrix, equal one CycloInt per (point, dual class) from whole columns
+    of the pairing table, whatever the block size (BLOCK_CELLS set to
+    that many points' cells); the profile of some points, repeats
+    included, is the profile's rows at those points."""
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         space, genset = cli.load_action(json.load(fh), 4096)
     dual = orbits(genset)
-    table = pairing_table(space)
-    profile = character_profile(space, dual, table)
+    monkeypatch.setattr(duality, "BLOCK_CELLS", block_rows * max(
+        space.size, len(dual.classes) * space.character_order))
+    profile = character_profile(space, dual, np.arange(space.size))
     assert profile.shape == (space.size, len(dual.classes),
                              len(CycloInt.zero(space.character_order).coeffs))
     assert cyclo_profile(space, profile) == \
-        loop_character_profile(space, dual.classes, table)
+        loop_character_profile(space, dual.classes, pairing_table(space))
     points = np.array([0, space.size - 1, 1, space.size - 1])
-    assert np.array_equal(
-        character_profile(space, dual, pairing_rows(space, points)),
-        profile[points])
+    assert np.array_equal(character_profile(space, dual, points),
+                          profile[points])
 
 
 @pytest.mark.parametrize("rows_per_block", [0, 1, 3])
 @pytest.mark.parametrize("name", ["hamming4_f3", "central_z8", "wh21_f2"])
 def test_character_profile_blocks_hold_the_cell_bound(name, rows_per_block,
                                                       monkeypatch):
-    """With PROFILE_BLOCK_CELLS set to that many rows of histograms (0:
-    fewer than one row, which still takes one row per block), every
-    bincount of character_profile holds at most that many rows'
-    histograms, at least one, and the profile equals the one-block
-    profile."""
+    """With BLOCK_CELLS set to that many points' cells, the larger of
+    |X| (a pairing row) and (d + 1) m (its histograms), or 0 (fewer than
+    one point, which still takes one point per block), every block of
+    character_profile holds at most that many points, at least one: one
+    pairing_rows call and one bincount each, and the profile equals the
+    one-block profile."""
     with open(os.path.join(CONFIGS, name + ".json")) as fh:
         space, genset = cli.load_action(json.load(fh), 4096)
     dual = orbits(genset)
-    table = pairing_table(space)
-    want = character_profile(space, dual, table)
-    row_cells = len(dual.classes) * space.character_order
-    monkeypatch.setattr(duality, "PROFILE_BLOCK_CELLS",
-                        rows_per_block * row_cells)
-    cells = []
-    real = np.bincount
+    points = np.arange(space.size)
+    want = character_profile(space, dual, points)
+    hist_cells = len(dual.classes) * space.character_order
+    monkeypatch.setattr(duality, "BLOCK_CELLS",
+                        rows_per_block * max(space.size, hist_cells))
+    cells, rows = [], []
+    real, real_rows = np.bincount, duality.pairing_rows
 
     def counted(keys, minlength):
         cells.append(minlength)
         return real(keys, minlength=minlength)
 
+    def counted_rows(space, block):
+        rows.append(len(block))
+        return real_rows(space, block)
+
     monkeypatch.setattr(np, "bincount", counted)
-    got = character_profile(space, dual, table)
+    monkeypatch.setattr(duality, "pairing_rows", counted_rows)
+    got = character_profile(space, dual, points)
     monkeypatch.undo()
     assert np.array_equal(got, want)
     step = max(rows_per_block, 1)
-    assert len(cells) == -(-space.size // step)
-    assert max(cells) == step * row_cells
+    assert len(cells) == len(rows) == -(-space.size // step)
+    assert max(rows) == step and sum(rows) == space.size
+    assert max(cells) == step * hist_cells
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -474,7 +483,7 @@ def test_constancy_witness_on_split_class(hamming22):
     """Splitting the weight-1 class of H(2,2) breaks constancy."""
     sp, genset, part, table, profile = hamming22
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
-    bad_profile = character_profile(sp, bad, table)
+    bad_profile = character_profile(sp, bad, np.arange(sp.size))
     ok, F, witness = assert_constancy_matches_loop(sp, part, bad_profile)
     assert not ok
     i, j, y0, y1 = witness
@@ -486,8 +495,7 @@ def test_weak_hamming_11_F_matrix():
     sp = VectorSpace(2, FieldSpec(2))
     part = orbits(build_action(sp, "weak_hamming", levels=[1, 1]))
     dual = orbits(build_action(sp, "weak_hamming_dual", levels=[1, 1]))
-    table = pairing_table(sp)
-    profile = character_profile(sp, dual, table)
+    profile = character_profile(sp, dual, np.arange(sp.size))
     ok, F, _ = assert_constancy_matches_loop(sp, part, profile)
     assert ok
     assert ints(F) == [[1, 1, 2], [1, 1, -2], [1, -1, 0]]
@@ -521,7 +529,7 @@ def idempotents(space, part, Q, spectrum):
 def test_idempotents_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     sch = TranslationScheme(sp, part)
-    _, constancy, spectrum = spectral_parts(sp, part, part, table)
+    _, constancy, spectrum = spectral_parts(sp, part, part)
     rep = idempotents(sp, part, sliced(constancy[1]), spectrum)
     assert rep["all_pass"]
     assert rep["dense_products"]  # |X| = 4 is under the dense bound
@@ -563,8 +571,8 @@ def test_idempotents_fail_on_split_partition(hamming22):
     sp, genset, part, table, profile = hamming22
     sch = TranslationScheme(sp, part)
     bad = OrbitPartition([0, 1, 2, 3], [[0], [1], [2], [3]])
-    bad_profile = character_profile(sp, bad, table)
-    _, _, spectrum = spectral_parts(sp, bad, bad, table)
+    bad_profile = character_profile(sp, bad, np.arange(sp.size))
+    _, _, spectrum = spectral_parts(sp, bad, bad)
     ok, _, witness = constancy_test(part, bad_profile)
     bad_profile = cyclo_profile(sp, bad_profile)
     sweep = sweep_verify_idempotents(sp, sch, bad_profile)
@@ -577,7 +585,7 @@ def test_idempotents_fail_on_split_partition(hamming22):
 
 def test_sigma_identity(hamming22):
     sp, genset, part, table, profile = hamming22
-    _, _, spectrum = spectral_parts(sp, part, part, table)
+    _, _, spectrum = spectral_parts(sp, part, part)
     sigma, ok, witness = sigma_permutation(spectrum, sp.size)
     assert ok and sigma == [0, 1, 2] and witness is None
     assert (sigma, ok, witness) == \
@@ -687,8 +695,7 @@ def test_degenerate_pairing_reads_off_no_adjoint(blocks, m, witness,
     through a hole of psi^-1.  For a custom action (x -> -x),
     adjoint_map gives no images and verify_adjoint the verdict False and
     the least degenerate point, and duality_report records that witness
-    and falls back to the exhaustive test: it builds the pairing table
-    once."""
+    and falls back to the exhaustive test, once."""
     space = GramSpace(blocks, m)
     assert space.adjoint_images(space.basis) is None
     genset = build_action(space, "custom", generators=[
@@ -697,18 +704,11 @@ def test_degenerate_pairing_reads_off_no_adjoint(blocks, m, witness,
     adjoint = adjoint_map(genset)
     assert adjoint.images is None
     assert verify_adjoint(adjoint) == (False, want)
-    tables = []
-    real = duality.pairing_table
-
-    def counted(space):
-        tables.append(space)
-        return real(space)
-
-    monkeypatch.setattr(duality, "pairing_table", counted)
+    calls = counted_constancy_tests(monkeypatch)
     cert = duality_report(genset)
     assert cert.checks["adjoint"] is False and not cert.passed
     assert cert.witnesses[0] == {"check": "adjoint", "witness": want}
-    assert "constancy_G" in cert.checks and tables == [space]
+    assert "constancy_G" in cert.checks and len(calls) == 1
 
 
 def test_gram_matrix_must_be_symmetric():
@@ -867,10 +867,9 @@ def test_eigenmatrices_hold_one_cycloint_per_value(name):
         return
     m = space.character_order
     part_G, part_Gc = orbits(genset[0]), orbits(dual_action(*genset))
-    table = pairing_table(space)
     for M, part, dual in ((cert.Q, part_G, part_Gc),
                           (cert.P, part_Gc, part_G)):
-        profile = character_profile(space, dual, table)
+        profile = character_profile(space, dual, np.arange(space.size))
         ok, F, _ = constancy_test(part, profile)
         assert ok and M == cyclo_entries(F, m)
     objects = {}
@@ -1053,18 +1052,18 @@ def test_every_eigenmatrix_comes_from_character_profile(names, rows,
                                                         monkeypatch):
     """duality_report reads Q, and P when it is not Q, off
     character_profile, once per eigenmatrix: an action with no second
-    action, built-in or custom, makes one call, on the d + 1 pairing rows
-    of its class representatives; the cross pair makes two.  (A failed
-    premise makes one, on the |X| rows of the whole pairing table, and
-    its F is the profile at the representatives:
+    action, built-in or custom, makes one call, on the d + 1 class
+    representatives; the cross pair makes two.  (A failed premise makes
+    one, on every point of X, and its F is the profile at the
+    representatives:
     test_failed_premise_falls_back_to_the_exhaustive_test gives it the
     same report.)"""
     calls = []
     real = duality.character_profile
 
-    def recorded(space, dual, table_rows):
-        profile = real(space, dual, table_rows)
-        calls.append((len(table_rows), profile))
+    def recorded(space, dual, points):
+        profile = real(space, dual, points)
+        calls.append((len(points), profile))
         return profile
 
     monkeypatch.setattr(duality, "character_profile", recorded)
@@ -1080,9 +1079,9 @@ def test_every_eigenmatrix_comes_from_character_profile(names, rows,
 
 def exhaustive_F(space, part, dual):
     """constancy_test's (ok, F, witness) on the character profile of the
-    dual classes, from the whole pairing table."""
+    dual classes at every point of X."""
     return constancy_test(part, character_profile(space, dual,
-                                                  pairing_table(space)))
+                                                  np.arange(space.size)))
 
 
 LEMMA_CASES = [(name,) for name in SHIPPED] + [
@@ -1095,8 +1094,8 @@ def test_lemma_eigenmatrices_match_exhaustive_test(names):
     """On every shipped and perfbench config and the cross pair in both
     orders, the premise of the adjoint lemma holds for each side's action
     against the other's classes, and the lemma's Q and P, the character
-    profile of the pairing rows of the representatives alone, equal the
-    F of the exhaustive constancy test of the whole table's profile."""
+    profile of the representatives alone, equal the F of the exhaustive
+    constancy test of the profile of every point."""
     space, gensets = load_actions(names)
     gens_G, gens_Gc = gensets[0], dual_action(*gensets)
     part_G, part_Gc = orbits(gens_G), orbits(gens_Gc)
@@ -1107,8 +1106,7 @@ def test_lemma_eigenmatrices_match_exhaustive_test(names):
         assert duality.keeps_classes(adjoint, dual)
         ok, F, _ = exhaustive_F(space, part, dual)
         reps = [cls[0] for cls in part.classes]
-        assert ok and np.array_equal(character_profile(
-            space, dual, pairing_rows(space, reps)), F)
+        assert ok and np.array_equal(character_profile(space, dual, reps), F)
 
 
 @pytest.mark.parametrize("names", LEMMA_CASES, ids="-".join)
@@ -1195,7 +1193,7 @@ def test_conjugated_custom_actions_give_the_same_certificate(data):
     valencies, multiplicities, P, Q and Krein tensor of the certificate
     of G, with class i of G relabelled to the class of phi(X_i) and dual
     class j to that of psi^-1(Y_j).  Its adjoints, read off the pairing,
-    keep the moved classes, so it builds no pairing table."""
+    keep the moved classes, so it runs no exhaustive test."""
     names = data.draw(st.sampled_from(METAMORPHIC_CASES), label="config")
     space, (genset,) = load_actions(names)
     phi = random_automorphism(data.draw, space)
@@ -1208,10 +1206,10 @@ def test_conjugated_custom_actions_give_the_same_certificate(data):
         psi_inv[h.perm[psi]].tolist() for h in dual.generators])
     want = duality_report(genset)
 
-    def refuse(space):
-        raise AssertionError("pairing_table called")
+    def refuse(part, profile):
+        raise AssertionError("constancy_test called")
 
-    with mock.patch.object(duality, "pairing_table", refuse):
+    with mock.patch.object(duality, "constancy_test", refuse):
         got = duality_report(moved, moved_dual)
     assert got.passed == want.passed
     if want.P is None:

@@ -490,15 +490,15 @@ def test_to_config_keeps_lambda_multiplier():
 
 @pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: repr(s))
 def test_pairing_table_matches_int64_product(space, monkeypatch):
-    """The float64 product, in blocks of the default row count and in
+    """The float64 product, in blocks of the default cell count and in
     blocks of 3 rows (a ragged last block included), equals the int64
     product (D . B mod m) lambda mod m . D^T mod m."""
     m = space.character_order
     rows = space._gram_rows.astype(np.int64) * (space.lambda_multiplier
                                                 % m) % m
     want = rows @ space.digits.T.astype(np.int64) % m
-    for block_rows in (space_module.PAIRING_BLOCK_ROWS, 3):
-        monkeypatch.setattr(space_module, "PAIRING_BLOCK_ROWS", block_rows)
+    for cells in (space_module.BLOCK_CELLS, 3 * space.size):
+        monkeypatch.setattr(space_module, "BLOCK_CELLS", cells)
         table = pairing_table(space)
         assert table.dtype == np.min_scalar_type(m - 1)
         assert np.array_equal(table, want)
