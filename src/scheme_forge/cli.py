@@ -337,8 +337,11 @@ def cmd_dual(args):
     gens_Gc = None
     if args.config_b:
         cfg_b = read_config(args.config_b)
-        # compared as built, so a default spelled out is the same space
-        if space_from_config(cfg_b["space"], args.size_bound).to_config() \
+        # built only when its JSON is not a's, then compared as built, so
+        # a default spelled out is the same space
+        if json.dumps(cfg_b["space"], sort_keys=True) != json.dumps(
+                cfg_a["space"], sort_keys=True) and space_from_config(
+                cfg_b["space"], args.size_bound).to_config() \
                 != space.to_config():
             raise ConfigError("the two configs must describe the same space")
         # built on the shared space object so point indices coincide

@@ -19,33 +19,34 @@ Every check is an array comparison of these.
 F is only the eigenmatrix once f_j(y) = sum of <y, x> over the dual
 class Y_j is constant on each class X_i (constancy_G for Q, and
 constancy_G_check, with the roles of the partitions swapped, for P).
-The paper's adjoint lemma proves it.  Let every generator g of G have an
-adjoint iota(g), <gy, x> = <y, iota(g) x> for all x and y
-(verify_adjoint), that is a permutation of X mapping each Y_j into, so
-onto, itself (keeps_classes).  Then
+The paper's adjoint lemma decides it, both ways.  Let every generator g
+of G have an adjoint iota(g), <gy, x> = <y, iota(g) x> for all x and y
+(verify_adjoint), that is a permutation of X.  Then
 
-    f_j(gy) = sum_{x in Y_j} <y, iota(g) x> = sum_{x' in Y_j} <y, x'>
-            = f_j(y),
+    f_j(gy) = sum_{x in Y_j} <y, iota(g) x> = sum_{x in iota(g) Y_j} <y, x>.
 
-so f_j is constant on each orbit of the group the generators make, and
-F[i][j] is f_j at one point of X_i.  With a second action, or the
+If iota(g) maps each Y_j into, so onto, itself (keeps_classes), that is
+f_j(y): f_j is constant on each orbit of the group the generators make,
+and F[i][j] is f_j at one point of X_i.  Conversely, if f_j(gy) = f_j(y)
+for all y, the characters <., x> summed over iota(g) Y_j and over Y_j are
+one function; over a nondegenerate pairing distinct characters are
+linearly independent (Delsarte 1973), so iota(g) Y_j = Y_j.  adjoint_map
+reads adjoints off a nondegenerate pairing only, so a point that a
+verified iota(g) moves out of its dual class witnesses that constancy
+fails, and no profile is computed.  With a second action, or the
 adjoint images, on the dual poset, of a weak-Hamming action in self mode,
-constancy_G_check is proved the same way from that action's adjoints
+constancy_G_check is decided the same way from that action's adjoints
 against G's classes: read off the pairing (adjoint_map), or, for the
 images, G's generators, iota(iota(g)) = g as the pairing is symmetric.
-Only when the premise fails (verify_adjoint fails, as on a degenerate
-pairing, or an adjoint moves a point to another dual class) does the
-exhaustive test run: constancy_test compares f_j across each class at
-every point of X, and its witness names the first point where f_j
-differs.
 
 One kernel, character_profile, computes f_j for both, at the points it
 is given, a block at a time: their pairing rows (pairing_rows), one
 exponent histogram per (point, dual class) from one bincount, and one
 m x phi(m) reduction matrix.  The lemma gives it the d + 1 class
 representatives, O(d |X|) work, and its profile is F; the exhaustive
-test gives it every point of X, O(|X|^2) work that holds one block of
-the |X| x |X| pairing table at a time (space.BLOCK_CELLS).
+test, where no verified adjoint has permutation images (Python API only),
+gives it every point of X, O(|X|^2) work that holds one block of the
+|X| x |X| pairing table at a time (space.BLOCK_CELLS).
 
 Once the constancy tests hold, dual keeps only P, Q, P Q, the Krein
 tensor and, at its end, one table of their distinct values
@@ -170,14 +171,18 @@ def constancy_test(partition_G, profile):
 
 
 def keeps_classes(adjoint, dual):
-    """The rest of the adjoint lemma's premise (module docstring): every
-    image iota(g) is a permutation of X that maps each class of the
-    partition `dual` onto itself.  An image that reuses g's array is a
-    permutation already: GeneratorSet checked g."""
-    class_of = dual.class_of
-    return all((ig.perm is g.perm or _is_permutation(ig.perm, len(class_of)))
-               and (class_of[ig.perm] == class_of).all()
-               for g, ig in zip(adjoint.source.generators, adjoint.images))
+    """The adjoint lemma's verdict (module docstring) for a verified
+    adjoint with permutation images: None when every image iota(g) maps
+    each class of `dual` onto itself, else (iota(g).name, j, x, iota(g) x)
+    for the first image that does not, x the least point it moves out of
+    its class Y_j, the points as coordinates."""
+    class_of, space = dual.class_of, adjoint.source.space
+    for ig in adjoint.images:
+        moved = class_of[ig.perm] != class_of
+        if moved.any():
+            x = int(moved.argmax())
+            return (ig.name, int(class_of[x]), space.serialize_point(x),
+                    space.serialize_point(ig.perm[x]))
 
 
 # -- contractions over Z[zeta_m] ----------------------------------------------
@@ -506,19 +511,21 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
         adjoint_Gc = adjoint_map(gens_Gc)
         adjoints[1] = adjoint_Gc if verify_adjoint(adjoint_Gc)[0] else None
 
-    # Q from f_j over the dual classes, P from f_j over G's: each by the
-    # adjoint lemma (for P, the second action's adjoints against G's
-    # classes), the character profile of the representatives, when its
-    # premise holds, else by the exhaustive test of the profile of every
-    # point; with no second action both tests are one test, run once,
-    # and P is Q, one array
+    # Q from f_j over the dual classes, P from f_j over G's, each decided
+    # by the adjoint lemma (for P, the second action's adjoints against
+    # G's classes) when its images are permutations (GeneratorSet checked
+    # any that reuses g's array), else by the exhaustive test; with no
+    # second action both tests are one test, run once, and P is Q
     eigenmatrices = []
     for name, part, dual, adj in (("G", part_G, part_Gc, adjoints[0]),
                                   ("G_check", part_Gc, part_G, adjoints[1])):
         if not eigenmatrices or gens_Gc is not None:
-            if adj is not None and keeps_classes(adj, dual):
-                ok, F = True, character_profile(
-                    space, dual, [cls[0] for cls in part.classes])
+            if adj is not None and all(
+                    ig.perm is g.perm or _is_permutation(ig.perm, space.size)
+                    for g, ig in zip(adj.source.generators, adj.images)):
+                ok = (witness := keeps_classes(adj, dual)) is None
+                F = character_profile(space, dual, [
+                    cls[0] for cls in part.classes]) if ok else None
             else:
                 ok, F, witness = constancy_test(part, character_profile(
                     space, dual, np.arange(space.size)))

@@ -40,8 +40,8 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 # The custom action proves constancy by the adjoint lemma, as hamming8_f3
 # does.  The weak-Hamming dual takes its dual partition from the adjoint
 # images.  As a custom action in self mode its adjoints do not keep its
-# own classes: the failed premise runs the exhaustive test on all 2^14
-# points of wh8_6_f2.
+# own classes: constancy of wh8_6_f2 (2^14 points) fails with the adjoint
+# lemma's witness, and no point's character profile is computed.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),

@@ -12,6 +12,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from scheme_forge import duality, oracles
@@ -20,7 +21,7 @@ from scheme_forge.gf import FieldSpec
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
-                                BLOCK_CELLS, DEFAULT_SIZE_BOUND)
+                                GramSpace, BLOCK_CELLS, DEFAULT_SIZE_BOUND)
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  check_condition_6, adjoint_map,
                                  verify_adjoint, AdjointMap, Generator)
@@ -33,7 +34,7 @@ from scheme_forge.cli import (check_report, load_action, main, read_config,
 from helpers import plain
 from test_cli import WriteRecorder
 from test_duality import spectrum
-from test_space import index_of_entries
+from test_space import DEGENERATE_GRAMS, index_of_entries
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -336,12 +337,13 @@ def test_certificates_match_golden_digests(certificates):
     assert not changed, "certificates changed: %s" % changed
 
 
-# The dual commands of GOLDEN_REPORTS that prove constancy by the
-# exhaustive test of the whole pairing table: the adjoints of wh21_f2 do
-# not keep its own classes, as a built-in action against itself or as a
-# custom action (its generators as point permutations) in self mode, so
-# the lemma's premise fails, and so does constancy (exit 1).
-EXHAUSTIVE_DUALS = [
+# The dual commands of GOLDEN_REPORTS whose constancy fails: the adjoints
+# of wh21_f2, verified, do not keep its own classes, as a built-in action
+# against itself or as a custom action (its generators as point
+# permutations) in self mode, so by the converse of the adjoint lemma
+# constancy_G fails (exit 1) with keeps_classes' witness, and no
+# character profile is computed.
+FAILED_PREMISE_DUALS = [
     "dual tests/configs/custom_wh21_f2.json",
     "dual configs/wh21_f2.json configs/wh21_f2.json",
 ]
@@ -350,9 +352,9 @@ EXHAUSTIVE_DUALS = [
 # shipped configs, the cross pair and the perfbench stretch configs (the
 # same argv as perfbench/workloads.py), recorded before generator and
 # adjoint materialization moved from FieldElement loops to index tables;
-# those of EXHAUSTIVE_DUALS before that test and the adjoint lemma's
-# eigenmatrix shared one character-sum kernel; those of the three custom
-# commands since custom actions read their adjoints off the pairing
+# those of FAILED_PREMISE_DUALS since the adjoint lemma's witness fails
+# their constancy; those of the three custom commands since custom
+# actions read their adjoints off the pairing
 GOLDEN_REPORTS = {
     "check configs/alternating4_f2.json":
         (0, "5cedc148a72c6335238e22d1483650c52b3e49666ea9e8fe2413a05ea8e10fd1"),
@@ -433,9 +435,9 @@ GOLDEN_REPORTS = {
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
         (0, "40a018b6affccb31a65e693c0aa32c2a465c7d94af233c60192168bc22b066d8"),
     "dual tests/configs/custom_wh21_f2.json":
-        (1, "808191d3be6f476e01bcaf3ed52475e837abac92cb933a0bc80b965b0e9adbe7"),
+        (1, "820c5004bcbb27340b710967c12d6f7048a30dd0c3ddb29aa9098c62699cf1d0"),
     "dual configs/wh21_f2.json configs/wh21_f2.json":
-        (1, "b230e0a93bb56b8c7f0e9ee98a43cab05926e6bb52382c14e9742d1e8f9c0c0b"),
+        (1, "3d52de032b711718b595e548e547702797e7a93c45fe6f16bf0fd4cbf3c33c79"),
     "build perfbench/configs/bilinear24_f2.json":
         (0, "2991631e4a6a9e36a0ac5203f2383bfd29c35e0390c97c3cf5d83257c0976e85"),
     "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
@@ -507,55 +509,39 @@ def test_dual_stdout_matches_golden_digests(command, tmp_path):
 
 def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
                                                          monkeypatch):
-    """Built-in actions, and custom ones (their adjoints read off the
-    pairing), prove constancy by the adjoint lemma, from the character
+    """Every action of a dual command of GOLDEN_REPORTS, built-in or
+    custom (adjoints read off the pairing), has a verified adjoint, and
+    the adjoint lemma decides constancy both ways, from the character
     profile of the class representatives alone: with
-    duality.constancy_test, the exhaustive test, made to raise, every
-    dual command of GOLDEN_REPORTS but EXHAUSTIVE_DUALS gives its golden
-    exit code, --out bytes and stdout, and the cross pair in the other
-    order gives the bytes of the exhaustive path (the lemma's premise
-    made to fail).  Each command of EXHAUSTIVE_DUALS runs the exhaustive
-    test once."""
+    duality.constancy_test, the exhaustive test, made to raise, each
+    gives its golden exit code, --out bytes and stdout.  Those of
+    FAILED_PREMISE_DUALS fail constancy_G with keeps_classes' witness,
+    which names an adjoint image first."""
     def refuse(part, profile):
         raise AssertionError("constancy_test called")
 
     report = tmp_path / "report.json"
     monkeypatch.setattr(duality, "constancy_test", refuse)
     for command in GOLDEN_REPORTS:
-        if command.startswith("dual ") and command not in EXHAUSTIVE_DUALS:
+        if command.startswith("dual "):
             code, digest, out = command_digests(command, report)
             assert (code, digest) == GOLDEN_REPORTS[command], command
             assert out == GOLDEN_DUAL_STDOUT[command], command
-    swapped = "dual configs/wh12_f2.json configs/wh21_f2.json"
-    lemma = command_digests(swapped, report)
-    monkeypatch.undo()
-    monkeypatch.setattr(duality, "keeps_classes", lambda adjoint, dual: False)
-    assert command_digests(swapped, report) == lemma
-
-    monkeypatch.undo()
-    tests = []
-    real = duality.constancy_test
-
-    def counted(part, profile):
-        tests.append(part)
-        return real(part, profile)
-
-    monkeypatch.setattr(duality, "constancy_test", counted)
-    for command in EXHAUSTIVE_DUALS:
-        tests.clear()
-        assert command_digests(command, report) == (
-            *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
-        assert len(tests) == 1, command
+            if command in FAILED_PREMISE_DUALS:
+                (witness,) = json.loads(report.read_text())["witnesses"]
+                assert witness["check"] == "constancy_G", command
+                assert witness["witness"][0].startswith("adj_"), command
 
 
 def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):
-    """No dual command of GOLDEN_REPORTS, EXHAUSTIVE_DUALS included,
-    calls pairing_table: with it made to raise, each gives its golden
-    exit code, --out bytes and stdout.  character_profile asks
-    pairing_rows for one block of points at a time, at most
-    BLOCK_CELLS // max(|X|, (d + 1) m) and at least one, and on every
-    golden config its points, the d + 1 class representatives or every
-    point of X, are one block: one pairing_rows call of all of them."""
+    """No dual command of GOLDEN_REPORTS, nor the exhaustive test that
+    the Python API reaches on a degenerate pairing, calls pairing_table:
+    with it made to raise, each command gives its golden exit code,
+    --out bytes and stdout.  character_profile asks pairing_rows for one
+    block of points at a time, at most BLOCK_CELLS // max(|X|, (d + 1) m)
+    and at least one, and on every golden config its points, the d + 1
+    class representatives, are one block, as are every point of X on the
+    degenerate pairing: one pairing_rows call of all of them."""
     def refuse(space):
         raise AssertionError("pairing_table called")
 
@@ -580,8 +566,12 @@ def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):
         if command.startswith("dual "):
             assert command_digests(command, report) == (
                 *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
-    # both paths ran: the lemma's and the exhaustive test's
-    assert {points == size for points, size, _, _ in calls} == {True, False}
+    assert all(points < size for points, size, _, _ in calls)
+    # the exhaustive path: a degenerate pairing reads off no adjoint
+    space = GramSpace(*DEGENERATE_GRAMS[0][:2])
+    duality_report(build_action(space, "custom", generators=[
+        space.neg(np.arange(space.size)).tolist()]))
+    assert calls[-1][:2] == (space.size, space.size)
     for points, _, block, blocks in calls:
         assert points <= block and blocks == [points]
 

@@ -120,13 +120,15 @@ def test_space_mismatch_exit_2(capsys):
     ({"e": 1}, {"lambda_multiplier": 1}, True),
     ({"p": 3}, {}, False),
     ({"e": 2}, {}, False),
+    ({}, {}, True),
 ])
 def test_dual_pair_compares_the_spaces_as_built(field, extra, same, capsys,
-                                                tmp_path):
+                                                tmp_path, monkeypatch):
     """dual a.json b.json takes b's space as a's when both build the same
     space: wh12's space with a default spelled out ("e": 1 in the field,
     "lambda_multiplier": 1) gives the bytes of the plain wh21 x wh12
-    pair; another field still exits 2."""
+    pair; another field still exits 2.  b's space is built only when its
+    JSON is not a's: the plain pair builds one space."""
     with open(cfg("wh12_f2")) as fh:
         config = json.load(fh)
     config["space"]["field"].update(field)
@@ -137,8 +139,17 @@ def test_dual_pair_compares_the_spaces_as_built(field, extra, same, capsys,
     assert main(["dual", cfg("wh21_f2"), cfg("wh12_f2"),
                  "--out", str(plain_out)]) == 0
     want = capsys.readouterr().out
+    builds = []
+    real = cli.space_from_config
+
+    def counted(*args, **kwargs):
+        builds.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "space_from_config", counted)
     code, out, err = run(["dual", cfg("wh21_f2"), str(edited),
                           "--out", str(edited_out)], capsys)
+    assert len(builds) == (1 if not field and not extra else 2)
     if same:
         assert (code, out, err) == (0, want, "")
         assert edited_out.read_bytes() == plain_out.read_bytes()

@@ -979,19 +979,20 @@ def test_one_distinct_table_per_duality_report(name, monkeypatch):
 
 
 PERFBENCH_CONFIGS = os.path.join(CONFIGS, os.pardir, "perfbench", "configs")
+TEST_CONFIGS = os.path.join(os.path.dirname(__file__), "configs")
 
 
 def load_actions(names):
     """The actions of the configs `names`, all on the first one's space: a
-    shipped config, or "perfbench/<config>"; a name "custom:<config>"
-    gives that config's action as a custom action of the same point
-    permutations."""
+    shipped config, "perfbench/<config>" or "tests/<config>" (of
+    tests/configs); a name "custom:<config>" gives that config's action
+    as a custom action of the same point permutations."""
     space, gensets = None, []
     for name in names:
         custom = name.startswith("custom:")
         name = name.split(":")[-1]
-        folder = PERFBENCH_CONFIGS if name.startswith("perfbench/") \
-            else CONFIGS
+        folder = {"perfbench": PERFBENCH_CONFIGS, "tests": TEST_CONFIGS}.get(
+            name.split("/")[0], CONFIGS)
         with open(os.path.join(folder, name.split("/")[-1] + ".json")) as fh:
             cfg = json.load(fh)
         if space is None:
@@ -1032,8 +1033,8 @@ def test_constancy_is_tested_once_per_distinct_test(names, tests,
     exhaustive test: with no second action (hamming4_f3), for the
     weak-Hamming dual poset (wh11) and for the cross pair in both orders,
     built-in or custom (adjoints read off the pairing).  Either way both
-    keys are filled, in their order.  (test_failed_premise_falls_back_to_
-    the_exhaustive_test counts the exhaustive test.)"""
+    keys are filled, in their order.  (test_converse_of_the_adjoint_lemma
+    checks the lemma's verdict against the exhaustive test.)"""
     calls = counted_constancy_tests(monkeypatch)
     _, gensets = load_actions(names)
     cert = duality_report(*gensets)
@@ -1053,11 +1054,11 @@ def test_every_eigenmatrix_comes_from_character_profile(names, rows,
     """duality_report reads Q, and P when it is not Q, off
     character_profile, once per eigenmatrix: an action with no second
     action, built-in or custom, makes one call, on the d + 1 class
-    representatives; the cross pair makes two.  (A failed premise makes
-    one, on every point of X, and its F is the profile at the
-    representatives:
-    test_failed_premise_falls_back_to_the_exhaustive_test gives it the
-    same report.)"""
+    representatives; the cross pair makes two.  (The lemma's failed
+    verdict makes none: test_failed_premise_fails_constancy_with_the_
+    lemma_witness; an adjoint that fails verify_adjoint makes one per
+    key, on every point of X: test_adjoint_failing_verification_is_no_
+    premise.)"""
     calls = []
     real = duality.character_profile
 
@@ -1103,7 +1104,7 @@ def test_lemma_eigenmatrices_match_exhaustive_test(names):
                              (gens_Gc, part_Gc, part_G)):
         adjoint = adjoint_map(gens)
         assert verify_adjoint(adjoint) == (True, None)
-        assert duality.keeps_classes(adjoint, dual)
+        assert duality.keeps_classes(adjoint, dual) is None
         ok, F, _ = exhaustive_F(space, part, dual)
         reps = [cls[0] for cls in part.classes]
         assert ok and np.array_equal(character_profile(space, dual, reps), F)
@@ -1227,40 +1228,51 @@ def test_conjugated_custom_actions_give_the_same_certificate(data):
             == coded(want, "krein")).all()
 
 
-def test_failed_premise_falls_back_to_the_exhaustive_test(monkeypatch):
+def test_failed_premise_fails_constancy_with_the_lemma_witness(
+        monkeypatch):
     """weak_hamming(2, 1) against itself is not a dual pair: its adjoints
-    are verified but do not keep its own classes, so the exhaustive test
-    runs, once, and gives its witness.  A verified adjoint with one image
-    moved out of a dual class falls back too, to the same report."""
+    are verified but do not keep its own classes, so constancy_G fails
+    with keeps_classes' witness, and no exhaustive test runs.  A verified
+    adjoint with one image that moves a point out of a dual class is a
+    premise that the converse takes at its word: that image's witness
+    fails constancy_G, though the exhaustive test would pass."""
     calls = counted_constancy_tests(monkeypatch)
     space, (gens, again) = load_actions(("wh21_f2", "wh21_f2"))
-    part = orbits(gens)
-    assert verify_adjoint(adjoint_map(gens)) == (True, None)
+    adjoint = adjoint_map(gens)
+    assert verify_adjoint(adjoint) == (True, None)
+    witness = duality.keeps_classes(adjoint, orbits(again))
+    assert witness is not None
+    assert not exhaustive_F(space, orbits(gens), orbits(again))[0]
     cert = duality_report(gens, again)
-    assert len(calls) == 1 and not cert.checks["constancy_G"]
-    assert cert.witnesses == [{"check": "constancy_G", "witness":
-                               exhaustive_F(space, part, orbits(again))[2]}]
+    assert not calls and not cert.checks["constancy_G"]
+    assert cert.witnesses == [{"check": "constancy_G", "witness": witness}]
+    assert cert.Q is None
 
     space, (genset,) = load_actions(("hamming4_f3",))
-    want = duality_report(genset).to_json()
     part = orbits(genset)
+    assert exhaustive_F(space, part, part)[0]
     real = duality.adjoint_map
+    a, b = 1, int(np.flatnonzero(part.class_of != part.class_of[1])[1])
 
     def moved(gens):
         """The adjoint map with its first image followed by a swap of
-        two points of different classes."""
+        the points a and b, of different classes."""
         adjoint = real(gens)
         perm = adjoint.images[0].perm.copy()
-        a, b = 1, int(np.flatnonzero(part.class_of != part.class_of[1])[1])
         perm[[a, b]] = perm[[b, a]]
         adjoint.images[0] = Generator("moved", perm, {})
         return adjoint
 
     monkeypatch.setattr(duality, "adjoint_map", moved)
     monkeypatch.setattr(duality, "verify_adjoint", lambda adj: (True, None))
-    calls.clear()
-    assert plain(duality_report(genset).to_json()) == plain(want)
-    assert len(calls) == 1
+    cert = duality_report(genset)
+    perm = moved(genset).images[0].perm
+    x = min(y for y in range(space.size)
+            if part.class_of[perm[y]] != part.class_of[y])
+    assert not calls and not cert.checks["constancy_G"]
+    assert cert.witnesses == [{"check": "constancy_G", "witness": (
+        "moved", int(part.class_of[x]), space.serialize_point(x),
+        space.serialize_point(perm[x]))}]
 
 
 @pytest.mark.parametrize("names", [("hamming4_f3",),
@@ -1386,21 +1398,122 @@ def test_partner_premise_needs_the_verified_adjoint(monkeypatch):
     assert len(calls) == 2
 
 
-def test_keeps_classes_needs_permutations_that_keep_every_class():
-    """keeps_classes holds for the adjoint map of hamming(4)/F_3 against
-    its classes, and fails for an image that moves a point to another
-    class, or maps every point to the least point of its class (a map
-    that keeps each class but is no permutation)."""
+def test_keeps_classes_needs_permutations_that_keep_every_class(
+        monkeypatch):
+    """keeps_classes gives None for the adjoint map of hamming(4)/F_3
+    against its classes, and for an image that moves points to another
+    class the witness of the least, in coordinates.  An image that keeps
+    each class but is no permutation (every point to the least point of
+    its class) leaves the verdict to the exhaustive test, whose report
+    is that of the true adjoints."""
     space, (genset,) = load_actions(("hamming4_f3",))
     part = orbits(genset)
     adjoint = adjoint_map(genset)
-    assert duality.keeps_classes(adjoint, part)
-    least = np.array([cls[0] for cls in part.classes])[part.class_of]
+    assert duality.keeps_classes(adjoint, part) is None
     outside = (adjoint.images[0].perm + 1) % space.size
-    for perm in (least, outside):
-        images = [Generator("bad", perm, {})] + adjoint.images[1:]
-        assert not duality.keeps_classes(
-            AdjointMap(genset, images), part)
+    moved = np.flatnonzero(part.class_of[outside] != part.class_of)
+    x = int(moved[0])
+    assert duality.keeps_classes(AdjointMap(genset, [
+        Generator("bad", outside, {})] + adjoint.images[1:]), part) == (
+        "bad", int(part.class_of[x]), space.serialize_point(x),
+        space.serialize_point(outside[x]))
+
+    want = plain(duality_report(genset).to_json())
+    least = np.array([cls[0] for cls in part.classes])[part.class_of]
+    real = duality.adjoint_map
+
+    def collapsed(gens):
+        adjoint = real(gens)
+        adjoint.images[0] = Generator("least", least, {})
+        return adjoint
+
+    calls = counted_constancy_tests(monkeypatch)
+    monkeypatch.setattr(duality, "adjoint_map", collapsed)
+    monkeypatch.setattr(duality, "verify_adjoint", lambda adj: (True, None))
+    assert plain(duality_report(genset).to_json()) == want
+    assert len(calls) == 1
+
+
+def assert_lemma_decides(space, adjoint, part, dual):
+    """The converse of the adjoint lemma (duality module docstring): for
+    a verified adjoint of the action of `part`, keeps_classes gives None
+    against the partition `dual` exactly when the exhaustive test finds
+    every f_j constant on each class of `part`; its witness's x lies in
+    Y_j and the image's iota(g) x does not."""
+    witness = duality.keeps_classes(adjoint, dual)
+    assert (witness is None) == exhaustive_F(space, part, dual)[0]
+    if witness is not None:
+        name, j, x, image = witness
+        x, image = space.index_of(x), space.index_of(image)
+        (ig,) = [ig for ig in adjoint.images if ig.name == name]
+        assert ig.perm[x] == image
+        assert dual.class_of[x] == j != dual.class_of[image]
+
+
+@functools.cache
+def space_text(name):
+    """The JSON of the space that config `name` builds (load_actions)."""
+    return json.dumps(load_actions((name,))[0].to_config(), sort_keys=True)
+
+
+CONVERSE_ACTIONS = [name for (name,) in METAMORPHIC_CASES] + [
+    "tests/" + f[:-5] for f in sorted(os.listdir(TEST_CONFIGS))]
+
+
+@pytest.mark.parametrize("name", CONVERSE_ACTIONS)
+def test_converse_of_the_adjoint_lemma(name):
+    """The adjoint lemma decides constancy both ways on every shipped,
+    perfbench and tests/configs action: against its own orbits, the
+    orbits of every other of these actions on an equal space, and its
+    poset partner's (assert_lemma_decides)."""
+    others = [other for other in CONVERSE_ACTIONS if other != name
+              and space_text(other) == space_text(name)]
+    space, (genset, *rest) = load_actions([name] + others)
+    adjoint = adjoint_map(genset)
+    assert verify_adjoint(adjoint) == (True, None)
+    part = orbits(genset)
+    partner = [poset_partner(genset)] if genset.poset is not None else []
+    for dual in [genset] + rest + partner:
+        assert_lemma_decides(space, adjoint, part, orbits(dual))
+
+
+CONVERSE_SPACES = [
+    lambda: CyclicProductSpace((2, 4)),
+    lambda: CyclicProductSpace((4, 6), lambda_multiplier=5),
+    lambda: CyclicProductSpace((3, 9)),
+    lambda: CyclicProductSpace((2, 2, 4)),
+    lambda: VectorSpace(2, FieldSpec(3), lambda_multiplier=2),
+    lambda: VectorSpace(2, FieldSpec(5), lambda_multiplier=3),
+]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
+    """The adjoint lemma decides constancy both ways for custom actions
+    G and H of random additive automorphisms (random_automorphism) on
+    mixed-radix cyclic products and field spaces with lambda != 1: H
+    random, G itself, G's adjoint images, or those and random maps
+    (assert_lemma_decides)."""
+    space = data.draw(st.sampled_from(CONVERSE_SPACES), label="space")()
+
+    def maps(label):
+        return [random_automorphism(data.draw, space) for _ in
+                range(data.draw(st.integers(1, 3), label=label))]
+
+    genset = build_action(space, "custom", generators=[
+        phi.tolist() for phi in maps("G")])
+    adjoint = adjoint_map(genset)
+    assert verify_adjoint(adjoint) == (True, None)
+    kind = data.draw(st.sampled_from(
+        ["random", "G", "adjoints", "adjoints and random"]), label="H")
+    images = [ig.perm for ig in adjoint.images]
+    H = {"random": [], "G": [g.perm for g in genset.generators],
+         "adjoints": images, "adjoints and random": images}[kind]
+    if kind.endswith("random"):
+        H = H + maps("H")
+    dual = build_action(space, "custom", generators=[h.tolist() for h in H])
+    assert_lemma_decides(space, adjoint, orbits(genset), orbits(dual))
 
 
 @pytest.mark.parametrize("names, one", [
