@@ -446,7 +446,8 @@ def adjoint_map(genset: GeneratorSet) -> AdjointMap:
 
 
 def verify_adjoint(adjoint: AdjointMap):
-    """Check <gx, y> = <x, iota(g) y> for every generator.
+    """Check <gx, y> = <x, iota(g) y> for every generator, over a
+    nondegenerate pairing: the adjoint lemma's premise (duality).
 
     g and iota(g) must first be additive: a map marked `additive` is so
     (Generator), and any other gets GeneratorSet.verify_additive's
@@ -455,22 +456,25 @@ def verify_adjoint(adjoint: AdjointMap):
     sides are biadditive, so the digit basis pairs decide the identity on
     X x X, one array comparison per generator; lambda, a unit, is left
     out.  The witness is (g.name, x, y) at the first mismatching basis
-    pair in row-major order; with no images, ("degenerate pairing", x),
-    x that of AbelianSpace.verify_nondegenerate."""
+    pair in row-major order; on a degenerate pairing, where adjoint_map
+    reads off no images, ("degenerate pairing", x), x that of
+    AbelianSpace.verify_nondegenerate.  Points are coordinates."""
     genset = adjoint.source
     space = genset.space
     basis = space.basis
-    if adjoint.images is None:
-        return False, ("degenerate pairing", space.verify_nondegenerate()[1])
+    if space._psi_inverse is None:
+        return False, ("degenerate pairing", space.serialize_point(
+            space.verify_nondegenerate()[1]))
     for g, ig in zip(genset.generators, adjoint.images):
         for h in (g,) if ig.perm is g.perm else (g, ig):
             witness = None if h.additive else _additivity_witness(space,
                                                                   h.perm)
             if witness is not None:
-                return False, (h.name,) + witness
+                return False, (h.name, *map(space.serialize_point, witness))
         bad = (space.pairing_exponent(g.perm[basis][:, None], basis)
                != space.pairing_exponent(basis[:, None], ig.perm[basis]))
         if bad.any():
             x, y = divmod(int(bad.argmax()), len(basis))
-            return False, (g.name, int(basis[x]), int(basis[y]))
+            return False, (g.name, space.serialize_point(int(basis[x])),
+                           space.serialize_point(int(basis[y])))
     return True, None

@@ -278,7 +278,9 @@ def check_report(space, genset):
     additive_ok, additive_witness = genset.verify_additive()
     report["condition_3_additive"] = additive_ok
     if not additive_ok:
-        report["condition_3_witness"] = list(additive_witness)
+        name, x, y = additive_witness
+        report["condition_3_witness"] = [name, space.serialize_point(x),
+                                         space.serialize_point(y)]
     nondeg_ok, nondeg_witness = space.verify_nondegenerate()
     report["pairing_nondegenerate"] = nondeg_ok
     if not nondeg_ok:

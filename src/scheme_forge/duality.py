@@ -19,9 +19,13 @@ Every check is an array comparison of these.
 F is only the eigenmatrix once f_j(y) = sum of <y, x> over the dual
 class Y_j is constant on each class X_i (constancy_G for Q, and
 constancy_G_check, with the roles of the partitions swapped, for P).
-The paper's adjoint lemma decides it, both ways.  Let every generator g
-of G have an adjoint iota(g), <gy, x> = <y, iota(g) x> for all x and y
-(verify_adjoint), that is a permutation of X.  Then
+The paper's adjoint lemma decides it, both ways.  Its premise is that
+every generator g of G has an adjoint iota(g), <gy, x> = <y, iota(g) x>
+for all x and y, over a nondegenerate pairing (verify_adjoint).  Such
+an iota(g) is a permutation of X: it is additive, and if iota(g) x = 0
+then <gy, x> = <y, 0> = 1 for all y, so <z, x> = 1 for every z, g
+being onto, and x = 0; an additive map with kernel {0} is injective,
+and on the finite group X a permutation.  Then
 
     f_j(gy) = sum_{x in Y_j} <y, iota(g) x> = sum_{x in iota(g) Y_j} <y, x>.
 
@@ -30,23 +34,21 @@ f_j(y): f_j is constant on each orbit of the group the generators make,
 and F[i][j] is f_j at one point of X_i.  Conversely, if f_j(gy) = f_j(y)
 for all y, the characters <., x> summed over iota(g) Y_j and over Y_j are
 one function; over a nondegenerate pairing distinct characters are
-linearly independent (Delsarte 1973), so iota(g) Y_j = Y_j.  adjoint_map
-reads adjoints off a nondegenerate pairing only, so a point that a
-verified iota(g) moves out of its dual class witnesses that constancy
-fails, and no profile is computed.  With a second action, or the
-adjoint images, on the dual poset, of a weak-Hamming action in self mode,
-constancy_G_check is decided the same way from that action's adjoints
-against G's classes: read off the pairing (adjoint_map), or, for the
-images, G's generators, iota(iota(g)) = g as the pairing is symmetric.
+linearly independent (Delsarte 1973), so iota(g) Y_j = Y_j.  So a point
+that a verified iota(g) moves out of its dual class witnesses that
+constancy fails, and no profile is computed; a side with no premise
+fails with the adjoint's own witness.  With a second action, or the
+adjoint images, on the dual poset, of a weak-Hamming action in self
+mode, constancy_G_check is decided the same way from that action's
+adjoints against G's classes: read off the pairing (adjoint_map), or,
+for the images, G's generators, through G's verified identity:
+iota(iota(g)) = g, as the pairing is symmetric.
 
-One kernel, character_profile, computes f_j for both, at the points it
-is given, a block at a time: their pairing rows (pairing_rows), one
-exponent histogram per (point, dual class) from one bincount, and one
-m x phi(m) reduction matrix.  The lemma gives it the d + 1 class
-representatives, O(d |X|) work, and its profile is F; the exhaustive
-test, where no verified adjoint has permutation images (Python API only),
-gives it every point of X, O(|X|^2) work that holds one block of the
-|X| x |X| pairing table at a time (space.BLOCK_CELLS).
+character_profile computes f_j at the points it is given, a block at a
+time: their pairing rows (pairing_rows), one exponent histogram per
+(point, dual class) from one bincount, and one m x phi(m) reduction
+matrix.  Given the d + 1 class representatives, O(d |X|) work, its
+profile is F.
 
 Once the constancy tests hold, dual keeps only P, Q, P Q, the Krein
 tensor and, at its end, one table of their distinct values
@@ -106,8 +108,8 @@ from .cyclo import (CycloInt, integer_array,
                     conjugate_array, exact_matmul, max_abs)
 from .errors import UsageError, IntegrityError
 from .action import (GeneratorSet, AdjointMap, orbits, check_condition_4,
-                     adjoint_map, verify_adjoint, _is_permutation)
-# pairing_table is no stage of dual; the package exports it from here
+                     adjoint_map, verify_adjoint)
+# pairing_table, no stage of dual, is exported from here as a test oracle
 from .space import (pairing_table, pairing_rows, check_tensor_size,
                     BLOCK_CELLS, DEFAULT_SIZE_BOUND)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
@@ -172,10 +174,10 @@ def constancy_test(partition_G, profile):
 
 def keeps_classes(adjoint, dual):
     """The adjoint lemma's verdict (module docstring) for a verified
-    adjoint with permutation images: None when every image iota(g) maps
-    each class of `dual` onto itself, else (iota(g).name, j, x, iota(g) x)
-    for the first image that does not, x the least point it moves out of
-    its class Y_j, the points as coordinates."""
+    adjoint, whose images are permutations: None when every image iota(g)
+    maps each class of `dual` onto itself, else (iota(g).name, j, x,
+    iota(g) x) for the first image that does not, x the least point it
+    moves out of its class Y_j, the points as coordinates."""
     class_of, space = dual.class_of, adjoint.source.space
     for ig in adjoint.images:
         moved = class_of[ig.perm] != class_of
@@ -502,41 +504,31 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     cert.checks["adjoint"] = verdict
     if not verdict:
         cert.fail("adjoint", witness)
-    # each side's adjoint map, None where verify_adjoint fails; the
-    # partner's are G's generators (module docstring)
-    adjoints = [adjoint_G if verdict else None, None]
-    if partner is not None and verdict:
-        adjoints[1] = AdjointMap(partner, gens_G.generators)
-    elif partner is None and gens_Gc is not None:
+    # each side's premise, (adjoint map, verify_adjoint's witness); the
+    # partner's adjoints are G's generators, through G's verified identity
+    premises = [(adjoint_G, witness)]
+    if partner is not None:
+        premises.append((AdjointMap(partner, gens_G.generators), witness))
+    elif gens_Gc is not None:
         adjoint_Gc = adjoint_map(gens_Gc)
-        adjoints[1] = adjoint_Gc if verify_adjoint(adjoint_Gc)[0] else None
+        premises.append((adjoint_Gc, verify_adjoint(adjoint_Gc)[1]))
 
     # Q from f_j over the dual classes, P from f_j over G's, each decided
-    # by the adjoint lemma (for P, the second action's adjoints against
-    # G's classes) when its images are permutations (GeneratorSet checked
-    # any that reuses g's array), else by the exhaustive test; with no
-    # second action both tests are one test, run once, and P is Q
+    # by the adjoint lemma; with no second action both tests are one
+    # test, run once, and P is Q
     eigenmatrices = []
-    for name, part, dual, adj in (("G", part_G, part_Gc, adjoints[0]),
-                                  ("G_check", part_Gc, part_G, adjoints[1])):
-        if not eigenmatrices or gens_Gc is not None:
-            if adj is not None and all(
-                    ig.perm is g.perm or _is_permutation(ig.perm, space.size)
-                    for g, ig in zip(adj.source.generators, adj.images)):
-                ok = (witness := keeps_classes(adj, dual)) is None
-                F = character_profile(space, dual, [
-                    cls[0] for cls in part.classes]) if ok else None
-            else:
-                ok, F, witness = constancy_test(part, character_profile(
-                    space, dual, np.arange(space.size)))
-            eigenmatrix = sliced(F) if ok else None
-        cert.checks["constancy_" + name] = ok
-        if not ok:
+    for name, part, dual, (adj, witness) in zip(
+            ("G", "G_check"), (part_G, part_Gc), (part_Gc, part_G), premises):
+        witness = keeps_classes(adj, dual) if witness is None else witness
+        if witness is not None:
             cert.fail("constancy_" + name, witness)
             return cert
-        eigenmatrices.append(eigenmatrix)
-    # the full-width F would add to the peak of the Krein contraction
-    del F
+        cert.checks["constancy_" + name] = True
+        eigenmatrices.append(sliced(character_profile(
+            space, dual, [cls[0] for cls in part.classes])))
+    if gens_Gc is None:
+        cert.checks["constancy_G_check"] = True
+        eigenmatrices *= 2
     Q, P = eigenmatrices
     m = space.character_order
     PQ = contract("ik,kj->ij", P, Q, m)

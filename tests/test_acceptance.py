@@ -534,14 +534,14 @@ def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
 
 
 def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):
-    """No dual command of GOLDEN_REPORTS, nor the exhaustive test that
-    the Python API reaches on a degenerate pairing, calls pairing_table:
-    with it made to raise, each command gives its golden exit code,
-    --out bytes and stdout.  character_profile asks pairing_rows for one
-    block of points at a time, at most BLOCK_CELLS // max(|X|, (d + 1) m)
-    and at least one, and on every golden config its points, the d + 1
-    class representatives, are one block, as are every point of X on the
-    degenerate pairing: one pairing_rows call of all of them."""
+    """No dual command of GOLDEN_REPORTS calls pairing_table: with it
+    made to raise, each command gives its golden exit code, --out bytes
+    and stdout.  character_profile asks pairing_rows for one block of
+    points at a time, at most BLOCK_CELLS // max(|X|, (d + 1) m) and at
+    least one, and on every golden config its points, the d + 1 class
+    representatives, are one block: one pairing_rows call of all of
+    them.  Through the Python API, a degenerate pairing has no adjoint,
+    so duality_report profiles no point at all."""
     def refuse(space):
         raise AssertionError("pairing_table called")
 
@@ -566,14 +566,14 @@ def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):
         if command.startswith("dual "):
             assert command_digests(command, report) == (
                 *GOLDEN_REPORTS[command], GOLDEN_DUAL_STDOUT[command]), command
-    assert all(points < size for points, size, _, _ in calls)
-    # the exhaustive path: a degenerate pairing reads off no adjoint
-    space = GramSpace(*DEGENERATE_GRAMS[0][:2])
-    duality_report(build_action(space, "custom", generators=[
-        space.neg(np.arange(space.size)).tolist()]))
-    assert calls[-1][:2] == (space.size, space.size)
+    assert calls and all(points < size for points, size, _, _ in calls)
     for points, _, block, blocks in calls:
         assert points <= block and blocks == [points]
+    profiled = len(calls)
+    space = GramSpace(*DEGENERATE_GRAMS[0][:2])
+    cert = duality_report(build_action(space, "custom", generators=[
+        space.neg(np.arange(space.size)).tolist()]))
+    assert cert.checks["constancy_G"] is False and len(calls) == profiled
 
 
 def test_phi_64_certificate_matches_golden_digests(tmp_path, capsys,

@@ -1,5 +1,6 @@
 """Actions, orbits, conditions (3)/(4)/(6), and adjoint maps."""
 
+import functools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scheme_forge import cli, duality, oracles
+from scheme_forge import cli, oracles
 from scheme_forge import action as action_module
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
@@ -279,11 +280,12 @@ def test_adjoint_sharing_its_map_is_checked_for_additivity_once(
 
 
 def assert_adjoint_witness_violates(adjoint, witness):
-    """A verify_adjoint witness (name, x, y) is real: either the named map
-    is not additive at (x, y), or the named generator g breaks
-    <gx, y> = <x, iota(g) y> there."""
+    """A verify_adjoint witness (name, x, y), x and y in coordinates, is
+    real: either the named map is not additive at (x, y), or the named
+    generator g breaks <gx, y> = <x, iota(g) y> there."""
     space = adjoint.source.space
     name, x, y = witness
+    x, y = space.index_of(x), space.index_of(y)
     for g, ig in zip(adjoint.source.generators, adjoint.images):
         for h in (g, ig):
             if (h.name == name and h.perm[space.add(x, y)]
@@ -314,6 +316,7 @@ def test_basis_pairs_catch_extension_field_adjoint():
     assert loop_verify_adjoint(corrupted) == (False, ("swap_1_2", 1, 2))
     ok, (name, x, y) = verify_adjoint(corrupted)
     assert not ok and name == "swap_1_2"
+    x, y = sp.index_of(x), sp.index_of(y)
     assert {x, y} <= set(sp.basis.tolist())
     assert (sp.pairing_exponent(g.perm[x], y)
             != sp.pairing_exponent(x, images[0].perm[y]))
@@ -322,13 +325,13 @@ def test_basis_pairs_catch_extension_field_adjoint():
 def test_adjoint_mismatch_on_a_later_basis_vector():
     """On Z_2 x Z_2 an additive adjoint (a, b) -> (a, a + b) of the
     identity agrees with it against the first basis vector (1, 0) and
-    differs against (0, 1); the witness is the loop's."""
+    differs against (0, 1); the witness is the loop's, in coordinates."""
     sp = CyclicProductSpace((2, 2))
     genset = GeneratorSet(sp, "custom", {},
                           [Generator("id", [0, 1, 2, 3], {})])
     bad = AdjointMap(genset, [Generator("bad", [0, 1, 3, 2], {})])
     assert sp.basis.tolist() == [2, 1]
-    assert verify_adjoint(bad) == (False, ("id", 1, 2))
+    assert verify_adjoint(bad) == (False, ("id", [0, 1], [1, 0]))
     assert loop_verify_adjoint(bad) == (False, ("id", 1, 2))
 
 
@@ -342,6 +345,7 @@ def test_basis_pairs_require_additive_adjoint():
     bad = AdjointMap(genset, images)
     ok, (name, x, y) = verify_adjoint(bad)
     assert not ok and name == "adj_bad"
+    x, y = sp.index_of(x), sp.index_of(y)
     perm = images[0].perm
     assert perm[sp.add(x, y)] != sp.add(perm[x], perm[y])
     assert not loop_verify_adjoint(bad)[0]
@@ -378,21 +382,11 @@ def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
     keeps_classes: with g(e_i) in place of the basis images read off the
     pairing (A in place of A^T), the adjoints of weak_hamming(2, 1) move
     points off the dual poset's weights, and adjoint_map returns them
-    unchecked; dual records adjoint false with verify_adjoint's witness
-    and runs the exhaustive test, once.  Its dual partition then comes
-    from those unverified images, so the constancy verdicts are left to
-    test_adjoint_failing_verification_is_no_premise, whose exhaustive
-    test passes on a failed premise."""
+    unchecked; dual records adjoint false with verify_adjoint's witness,
+    and constancy_G fails with it, as a side with no verified adjoint has
+    no premise."""
     monkeypatch.setattr(GramSpace, "adjoint_images",
                         lambda space, images: images)
-    tests = []
-    real = duality.constancy_test
-
-    def counted(part, profile):
-        tests.append(part)
-        return real(part, profile)
-
-    monkeypatch.setattr(duality, "constancy_test", counted)
     sp = VectorSpace(3, FieldSpec(2))
     genset = build_action(sp, "weak_hamming", levels=[2, 1])
     adj = adjoint_map(genset)
@@ -402,9 +396,9 @@ def test_adjoint_off_the_dual_poset_fails_verification(monkeypatch):
     ok, witness = verify_adjoint(adj)
     assert not ok
     cert = duality_report(genset)
-    assert cert.checks["adjoint"] is False
-    assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
-    assert not cert.passed and len(tests) == 1
+    assert cert.checks["adjoint"] is False and not cert.passed
+    assert cert.witnesses == [{"check": "adjoint", "witness": witness},
+                              {"check": "constancy_G", "witness": witness}]
 
 
 def test_corrupted_adjoint_fails_with_witness():
@@ -646,21 +640,27 @@ def mat_mul(A, B, field):
                  for i in range(len(A)))
 
 
+@functools.cache
+def materialized(space):
+    """Every point of `space` as FieldElements (materialize), built once
+    per space for every loop over it in this module."""
+    return [space.materialize(x) for x in range(space.size)]
+
+
 def loop_matvec(space, M):
     """v -> M v, point by point."""
     field = space.field
     return [index_of_entries(space, tuple(
-        sum((a * b for a, b in zip(row, space.materialize(x))),
-            field.zero()) for row in M))
-        for x in range(space.size)]
+        sum((a * b for a, b in zip(row, v)), field.zero()) for row in M))
+        for v in materialized(space)]
 
 
 def loop_congruence(space, left, right):
     """A -> left A right, point by point."""
     field = space.field
-    return [index_of_entries(space, mat_mul(
-        mat_mul(left, space.materialize(x), field), right, field))
-        for x in range(space.size)]
+    return [index_of_entries(space, mat_mul(mat_mul(left, A, field), right,
+                                            field))
+            for A in materialized(space)]
 
 
 def loop_perm(space, family, data):

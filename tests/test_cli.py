@@ -15,11 +15,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scheme_forge import cli, duality, scheme
-from scheme_forge.action import build_action, orbits, check_condition_4
+from scheme_forge.action import (build_action, orbits, check_condition_4,
+                                 Generator, GeneratorSet)
 from scheme_forge.cli import main
 from scheme_forge.duality import CodedArray
 from scheme_forge.space import AbelianSpace, CyclicProductSpace, GramSpace
@@ -247,6 +248,74 @@ def test_config_schema_errors_exit_2(capsys, tmp_path, space, action,
         assert code == 2 and "config error" in err and message in err
 
 
+# every shipped and perfbench config, the seeds of the config fuzzer
+FUZZ_CONFIGS = [os.path.join(folder, name) for folder in (
+    CONFIGS, os.path.join(CONFIGS, os.pardir, "perfbench", "configs"))
+    for name in sorted(os.listdir(folder)) if name.endswith(".json")]
+# values of a wrong type, and integers past every bound or below zero
+WRONG_TYPES = st.sampled_from([None, True, 2.5, "2", [], {}, [2], {"p": 2}])
+BAD_INTEGERS = st.one_of(st.sampled_from([2 ** 31, 2 ** 63, 10 ** 19,
+                                          10 ** 100]),
+                         st.integers(-10 ** 20, -1))
+
+
+def slots(node):
+    """Every (container, key) of a JSON tree, each container before its
+    children's."""
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    found = []
+    for key, child in children:
+        found += [(node, key)] + slots(child)
+    return found
+
+
+@st.composite
+def mutated_configs(draw):
+    """The text of a shipped or perfbench config after one to three
+    mutations, each at a random place of its tree: a key or entry
+    dropped, or its value replaced by one of a wrong type or by a huge or
+    negative integer."""
+    with open(draw(st.sampled_from(FUZZ_CONFIGS))) as fh:
+        config = json.load(fh)
+    for _ in range(draw(st.integers(1, 3))):
+        places = slots(config)
+        if not places:
+            break
+        node, key = draw(st.sampled_from(places))
+        kind = draw(st.sampled_from(["drop", "type", "integer"]))
+        if kind == "drop":
+            del node[key]
+        else:
+            # a copy: a later mutation may change it in place
+            node[key] = json.loads(json.dumps(draw(
+                WRONG_TYPES if kind == "type" else BAD_INTEGERS)))
+    return json.dumps(config)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_configs(), st.sampled_from(["check", "build", "dual"]))
+@example(json.dumps({"space": {"kind": "vector", "n": 2, "field": {"p": 2}},
+                     "action": {"family": "weak_hamming",
+                                "levels": [10 ** 19]}}), "dual")
+@example("[" * 200000, "check")
+def test_mutated_configs_end_in_an_exit_code(tmp_path_factory, text,
+                                             command):
+    """A fuzzed config, run through cli.main by check, build or dual,
+    ends in an exit code of 0 to 3, never an escaped exception, and an
+    exit of 2 or 3 comes with a message.  Its seeds are the two configs
+    that once ended in a traceback: a level of 10^19 and a config nested
+    past the JSON parser's depth."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), "--out", os.devnull])
+    assert code in (0, 1, 2, 3)
+    assert code < 2 or err.getvalue().startswith(
+        ("config error: ", "resource limit: "))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["check", cfg("hamming2_f2"), "--size-bound", "0"],
      "argument --size-bound: must be at least 1, got 0"),
@@ -348,6 +417,23 @@ def test_size_bound_exit_3(capsys, tmp_path):
         assert proc.returncode == 3, (name, proc.stderr)
         assert proc.stderr.startswith("resource limit: "), name
         assert "exceeds" in proc.stderr and "bound" in proc.stderr, name
+
+
+def test_condition_3_witness_is_in_coordinates():
+    """check_report gives a failed additivity witness as the map's name
+    and the points x and e_i in coordinates.  On Z_2 x Z_5 the map
+    (a, b) -> (a, h(b)) with h swapping 1, 2 and 3, 4 is additive along
+    the first digit, not the second: the first failure is at
+    x = e_i = (0, 1), as h(2) = 1 and h(1) + h(1) = 4."""
+    h = [0, 2, 1, 4, 3]
+    space = CyclicProductSpace((2, 5))
+    genset = GeneratorSet(space, "custom", {}, [Generator(
+        "custom_0", [5 * a + h[b] for a in range(2) for b in range(5)], {})])
+    report, _, _ = cli.check_report(space, genset)
+    assert report["condition_3_additive"] is False
+    assert report["condition_3_witness"] == ["custom_0", [0, 1], [0, 1]]
+    assert json.loads(json.dumps(report))["condition_3_witness"] == \
+        report["condition_3_witness"]
 
 
 def test_reports_are_byte_deterministic(capsys, tmp_path):
@@ -867,13 +953,30 @@ def test_write_report_cuts_a_long_int_list(values):
     assert len(want) > 64 * 1024
 
 
-# int64 entries: small, negative, near -2^63 and 2^63 - 1, and anywhere
-INT64 = st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, -2 ** 63 + 3),
-                  st.integers(2 ** 63 - 4, 2 ** 63 - 1),
-                  st.integers(-2 ** 63, 2 ** 63 - 1))
-INT_ARRAYS = hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=4,
-                                                   min_side=0, max_side=3),
-                        elements=INT64)
+# array shapes of 1-4 dimensions, zero-length axes among them, and the
+# seeds of the numpy generators that fill them: an array is built by numpy
+# from one drawn shape and seed, not drawn element by element, which took
+# most of these tests' time; hypothesis shrinks the shape and the seed, no
+# longer each element
+SHAPES = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+# the ranges of int64 entries: small, negative, near -2^63 and 2^63 - 1,
+# and anywhere
+INT64_RANGES = [(-3, 3), (-2 ** 63, -2 ** 63 + 3), (2 ** 63 - 4, 2 ** 63 - 1),
+                (-2 ** 63, 2 ** 63 - 1)]
+
+
+@st.composite
+def int_arrays(draw):
+    """An int64 array of a drawn shape, each entry from a range of
+    INT64_RANGES picked at random, by a generator of a drawn seed."""
+    shape, rng = draw(SHAPES), np.random.default_rng(draw(SEEDS))
+    return np.choose(rng.integers(len(INT64_RANGES), size=shape), [
+        rng.integers(low, high, shape, dtype=np.int64, endpoint=True)
+        for low, high in INT64_RANGES])
+
+
+INT_ARRAYS = int_arrays()
 
 
 @st.composite
@@ -1014,10 +1117,8 @@ def coded_array_trees(draw):
     whose entries, drawn from a pool of dicts, lists and scalars, repeat,
     each in a coded_array_tree."""
     pool = draw(st.lists(ENTRIES, min_size=1, max_size=5))
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=4, min_side=0,
-                                  max_side=3))
-    codes = draw(hnp.arrays(np.intp, shape,
-                            elements=st.integers(0, len(pool) - 1)))
+    codes = np.random.default_rng(draw(SEEDS)).integers(
+        len(pool), size=draw(SHAPES)).astype(np.intp)
     return coded_array_tree(CodedArray(codes, pool), draw(INT_ARRAYS))
 
 

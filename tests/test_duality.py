@@ -673,17 +673,44 @@ def degenerate_space():
     return GramSpace([((3,), ((1,),)), ((3,), ((0,),))], 3)
 
 
-def test_degenerate_pairing_fails_duality_report():
+def degenerate_Q():
+    """(space, central action, Q) on degenerate_space(): Q the nested
+    CycloInt of the exhaustive oracle's F, which finds every f_j constant
+    on each class though no adjoint exists."""
     sp = degenerate_space()
     genset = build_action(sp, "central")
+    part = orbits(genset)
+    ok, F, _ = exhaustive_F(sp, part, part)
+    assert ok
+    return sp, genset, cyclo_entries(F, sp.character_order)
+
+
+def test_degenerate_pairing_fails_duality_report():
+    """A degenerate pairing has no adjoint, the adjoint lemma's premise:
+    the adjoint key and constancy_G fail with the least degenerate
+    point, and the pipeline stops there, though the exhaustive oracle
+    would find constancy.  On that oracle's Q, verify_idempotents fails
+    orthogonality with the same point, as the sweeps do: orthogonality of
+    the N_i needs nondegeneracy; sigma and its witness are the sweeps'."""
+    sp, genset, Q = degenerate_Q()
     cert = duality_report(genset)
-    assert not cert.passed
-    idem = cert.checks["idempotent_detail"]
+    want = ("degenerate pairing", [0, 1])
+    assert not cert.passed and cert.Q is None
+    assert cert.checks["adjoint"] is False
+    assert cert.checks["constancy_G"] is False
+    assert cert.witnesses == [{"check": "adjoint", "witness": want},
+                              {"check": "constancy_G", "witness": want}]
+    assert "idempotent_detail" not in cert.checks
+    Qa = sliced(coeff_array(Q))
+    PQ = contract("ik,kj->ij", Qa, Qa, sp.character_order)
+    idem = verify_idempotents(sp, Qa, PQ[0], bool(
+        cyclo.equals_integers(Qa[0][:, 0], 1).all()))
     assert not idem["orthogonal_idempotents"]
-    assert idem["degenerate_witness"] == [0, 1]
-    # the sweeps agree: orthogonality of the N_i needs nondegeneracy
-    idem.pop("degenerate_witness")
-    assert_matches_sweeps(cert, genset)
+    assert idem.pop("degenerate_witness") == [0, 1]
+    sweep_idem, sigma, witness = sweep_certificate(genset)
+    assert idem == sweep_idem
+    got_sigma, _, got_witness = sigma_permutation(PQ[0], sp.size)
+    assert (got_sigma, got_witness) == (sigma, witness)
 
 
 @pytest.mark.parametrize("blocks, m, witness", DEGENERATE_GRAMS,
@@ -694,21 +721,25 @@ def test_degenerate_pairing_reads_off_no_adjoint(blocks, m, witness,
     reads off no adjoint: adjoint_images gives None, never a gather
     through a hole of psi^-1.  For a custom action (x -> -x),
     adjoint_map gives no images and verify_adjoint the verdict False and
-    the least degenerate point, and duality_report records that witness
-    and falls back to the exhaustive test, once."""
+    the least degenerate point, in coordinates, as does a hand-built
+    adjoint map of the true adjoint, -x, which passes every basis pair;
+    duality_report fails the adjoint key and constancy_G with that
+    witness and computes no character profile."""
     space = GramSpace(blocks, m)
     assert space.adjoint_images(space.basis) is None
     genset = build_action(space, "custom", generators=[
         space.neg(np.arange(space.size)).tolist()])
-    want = ("degenerate pairing", witness)
+    want = ("degenerate pairing", space.serialize_point(witness))
     adjoint = adjoint_map(genset)
     assert adjoint.images is None
     assert verify_adjoint(adjoint) == (False, want)
-    calls = counted_constancy_tests(monkeypatch)
+    assert verify_adjoint(AdjointMap(genset, genset.generators)) == (
+        False, want)
+    monkeypatch.setattr(duality, "character_profile", None)
     cert = duality_report(genset)
     assert cert.checks["adjoint"] is False and not cert.passed
-    assert cert.witnesses[0] == {"check": "adjoint", "witness": want}
-    assert "constancy_G" in cert.checks and len(calls) == 1
+    assert cert.witnesses == [{"check": "adjoint", "witness": want},
+                              {"check": "constancy_G", "witness": want}]
 
 
 def test_gram_matrix_must_be_symmetric():
@@ -1056,9 +1087,8 @@ def test_every_eigenmatrix_comes_from_character_profile(names, rows,
     action, built-in or custom, makes one call, on the d + 1 class
     representatives; the cross pair makes two.  (The lemma's failed
     verdict makes none: test_failed_premise_fails_constancy_with_the_
-    lemma_witness; an adjoint that fails verify_adjoint makes one per
-    key, on every point of X: test_adjoint_failing_verification_is_no_
-    premise.)"""
+    lemma_witness, as does an adjoint that fails verify_adjoint:
+    test_adjoint_failing_verification_is_no_premise.)"""
     calls = []
     real = duality.character_profile
 
@@ -1279,27 +1309,31 @@ def test_failed_premise_fails_constancy_with_the_lemma_witness(
                                    ("wh21_f2", "wh12_f2")], ids="-".join)
 def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
     """An adjoint map whose first image is the identity keeps every class
-    and is a permutation, but fails verify_adjoint, and each constancy
-    key goes to the exhaustive test, which passes, while the adjoint key
-    fails with verify_adjoint's witness."""
-    calls = counted_constancy_tests(monkeypatch)
+    and is a permutation, but fails verify_adjoint, so it is no premise,
+    though the exhaustive oracle finds constancy.  On the last action's
+    side (G's with no second action, else the second action's) the
+    constancy key fails with verify_adjoint's witness and the pipeline
+    stops; the adjoint key is G's own verdict."""
     real = duality.adjoint_map
+    space, gensets = load_actions(names)
 
     def identity_first(gens):
         adjoint = real(gens)
-        adjoint.images[0] = Generator(
-            "identity", np.arange(gens.space.size), {})
+        if gens is gensets[-1]:
+            adjoint.images[0] = Generator(
+                "identity", np.arange(gens.space.size), {})
         return adjoint
 
     monkeypatch.setattr(duality, "adjoint_map", identity_first)
-    _, gensets = load_actions(names)
-    verdict, witness = verify_adjoint(identity_first(gensets[0]))
+    verdict, witness = verify_adjoint(identity_first(gensets[-1]))
     assert verdict is False
+    key = "constancy_G" if len(names) == 1 else "constancy_G_check"
+    assert exhaustive_F(space, orbits(gensets[-1]), orbits(gensets[0]))[0]
     cert = duality_report(*gensets)
-    assert cert.checks["adjoint"] is False
-    assert cert.witnesses[0] == {"check": "adjoint", "witness": witness}
-    assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
-    assert len(calls) == len(names)
+    assert cert.checks["adjoint"] is (len(names) > 1) and not cert.passed
+    assert cert.checks[key] is False and cert.Q is None
+    assert cert.witnesses[-1] == {"check": key, "witness": witness}
+    assert len(cert.witnesses) == (2 if len(names) == 1 else 1)
 
 
 class DualPartitionBuilt(Exception):
@@ -1385,17 +1419,25 @@ def test_weak_hamming_self_dual_reads_one_adjoint_map(name, monkeypatch):
 
 def test_partner_premise_needs_the_verified_adjoint(monkeypatch):
     """The partner's adjoints, G's generators, are a premise only through
-    G's verified identity: with verify_adjoint failing, both constancy
-    keys of a weak-Hamming self dual go to the exhaustive test, which
-    passes, and the adjoint key fails."""
-    calls = counted_constancy_tests(monkeypatch)
-    monkeypatch.setattr(duality, "verify_adjoint",
-                        lambda adjoint: (False, ("forced", 0, 0)))
+    G's verified identity, which is verified once: a weak-Hamming self
+    dual calls verify_adjoint on G's adjoint map alone, and with it
+    failing, the adjoint key and constancy_G fail with its witness and
+    the pipeline stops before the partner's key."""
+    verified = []
+
+    def forced(adjoint):
+        verified.append(adjoint.source)
+        return False, ("forced", [0], [0])
+
     _, (genset,) = load_actions(("wh21_f2",))
+    monkeypatch.setattr(duality, "verify_adjoint", forced)
     cert = duality_report(genset)
+    assert verified == [genset]
     assert cert.checks["adjoint"] is False and not cert.passed
-    assert cert.checks["constancy_G"] and cert.checks["constancy_G_check"]
-    assert len(calls) == 2
+    assert cert.checks["constancy_G"] is False
+    assert "constancy_G_check" not in cert.checks
+    assert cert.witnesses[-1] == {"check": "constancy_G",
+                                  "witness": ("forced", [0], [0])}
 
 
 def test_keeps_classes_needs_permutations_that_keep_every_class(
@@ -1404,8 +1446,9 @@ def test_keeps_classes_needs_permutations_that_keep_every_class(
     against its classes, and for an image that moves points to another
     class the witness of the least, in coordinates.  An image that keeps
     each class but is no permutation (every point to the least point of
-    its class) leaves the verdict to the exhaustive test, whose report
-    is that of the true adjoints."""
+    its class) fails verify_adjoint, as a verified adjoint is a
+    permutation (duality module docstring): the adjoint key and
+    constancy_G fail with its witness, which names that image."""
     space, (genset,) = load_actions(("hamming4_f3",))
     part = orbits(genset)
     adjoint = adjoint_map(genset)
@@ -1418,7 +1461,6 @@ def test_keeps_classes_needs_permutations_that_keep_every_class(
         "bad", int(part.class_of[x]), space.serialize_point(x),
         space.serialize_point(outside[x]))
 
-    want = plain(duality_report(genset).to_json())
     least = np.array([cls[0] for cls in part.classes])[part.class_of]
     real = duality.adjoint_map
 
@@ -1427,11 +1469,14 @@ def test_keeps_classes_needs_permutations_that_keep_every_class(
         adjoint.images[0] = Generator("least", least, {})
         return adjoint
 
-    calls = counted_constancy_tests(monkeypatch)
+    assert duality.keeps_classes(collapsed(genset), part) is None
+    ok, witness = verify_adjoint(collapsed(genset))
+    assert not ok and witness[0] == "least"
     monkeypatch.setattr(duality, "adjoint_map", collapsed)
-    monkeypatch.setattr(duality, "verify_adjoint", lambda adj: (True, None))
-    assert plain(duality_report(genset).to_json()) == want
-    assert len(calls) == 1
+    cert = duality_report(genset)
+    assert not cert.passed and cert.Q is None
+    assert cert.witnesses == [{"check": "adjoint", "witness": witness},
+                              {"check": "constancy_G", "witness": witness}]
 
 
 def assert_lemma_decides(space, adjoint, part, dual):
@@ -1494,7 +1539,9 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
     G and H of random additive automorphisms (random_automorphism) on
     mixed-radix cyclic products and field spaces with lambda != 1: H
     random, G itself, G's adjoint images, or those and random maps
-    (assert_lemma_decides)."""
+    (assert_lemma_decides).  Every image of G's and of H's adjoint map,
+    which pass verify_adjoint, is a permutation of X, the premise's own
+    consequence (duality module docstring)."""
     space = data.draw(st.sampled_from(CONVERSE_SPACES), label="space")()
 
     def maps(label):
@@ -1514,6 +1561,39 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
         H = H + maps("H")
     dual = build_action(space, "custom", generators=[h.tolist() for h in H])
     assert_lemma_decides(space, adjoint, orbits(genset), orbits(dual))
+    adjoint_H = adjoint_map(dual)
+    assert verify_adjoint(adjoint_H) == (True, None)
+    for ig in adjoint.images + adjoint_H.images:
+        assert np.array_equal(np.sort(ig.perm), np.arange(space.size))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.data())
+def test_no_adjoint_map_is_a_premise_on_a_degenerate_pairing(data):
+    """On degenerate_space() any hand-built adjoint map of a custom
+    action of x -> -x and random additive automorphisms (classes closed
+    under negation), its images the generators themselves or random
+    automorphisms, fails verify_adjoint with the least degenerate point;
+    dual fails the adjoint key and constancy_G with that witness and
+    profiles no point."""
+    space = degenerate_space()
+    G = [space.neg(np.arange(space.size))] + [
+        random_automorphism(data.draw, space)
+        for _ in range(data.draw(st.integers(0, 2), label="G"))]
+    genset = build_action(space, "custom", generators=[g.tolist() for g in G])
+    own = data.draw(st.booleans(), label="own images")
+    images = [Generator("adj_%d" % k, g if own else
+                        random_automorphism(data.draw, space), {}, True)
+              for k, g in enumerate(G)]
+    adjoint = AdjointMap(genset, images)
+    want = ("degenerate pairing", [0, 1])
+    assert verify_adjoint(adjoint) == (False, want)
+    with mock.patch.object(duality, "adjoint_map", lambda gens: adjoint), \
+            mock.patch.object(duality, "character_profile", None):
+        cert = duality_report(genset)
+    assert cert.checks["adjoint"] is False and not cert.passed
+    assert cert.witnesses == [{"check": "adjoint", "witness": want},
+                              {"check": "constancy_G", "witness": want}]
 
 
 @pytest.mark.parametrize("names, one", [
@@ -1563,10 +1643,12 @@ def test_contractions_match_loops_cross_and_degenerate():
     assert_certificate_matches_loops(duality_report(
         build_action(sp, "weak_hamming", levels=[2, 1]),
         build_action(sp, "weak_hamming_dual", levels=[2, 1])))
-    # PQ != |X| I and failed row orthogonality
-    cert = duality_report(build_action(degenerate_space(), "central"))
-    assert not cert.checks["eigen_detail"]["row_orthogonality"]
-    assert_certificate_matches_loops(cert)
+    # PQ != |X| I and failed row orthogonality, on the exhaustive
+    # oracle's Q of a degenerate pairing, where dual stops at constancy
+    sp, genset, Q = degenerate_Q()
+    sizes = orbits(genset).sizes
+    eigen, _ = assert_contractions_match_loops(Q, Q, sp.size, sizes, sizes)
+    assert not eigen["PQ_is_nI"] and not eigen["row_orthogonality"]
 
 
 def random_cyclo(rng, m, real, bound=3):

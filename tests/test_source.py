@@ -93,6 +93,21 @@ def test_every_definition_has_a_use():
     assert not unused, "definitions with no use in src: %s" % unused
 
 
+def test_no_source_calls_the_test_oracles():
+    """constancy_test and pairing_table are defined in src only for the
+    tests and the benchmark tracer: no function of src calls them, so
+    the adjoint lemma stays the one proof of constancy and no command
+    builds the |X|^2 pairing table."""
+    oracles = {"constancy_test", "pairing_table"}
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             in oracles]
+    assert not found, "test oracles called in src: %s" % found
+
+
 def test_regen_golden_renders_the_committed_tables():
     """tests/regen_golden.py prints each golden table in the form that
     tests/test_acceptance.py holds it: rendered from the committed
