@@ -462,9 +462,9 @@ def verify_adjoint(adjoint: AdjointMap):
     genset = adjoint.source
     space = genset.space
     basis = space.basis
-    if space._psi_inverse is None:
-        return False, ("degenerate pairing", space.serialize_point(
-            space.verify_nondegenerate()[1]))
+    nondegenerate, x = space.verify_nondegenerate()
+    if not nondegenerate:
+        return False, ("degenerate pairing", space.serialize_point(x))
     for g, ig in zip(genset.generators, adjoint.images):
         for h in (g,) if ig.perm is g.perm else (g, ig):
             witness = None if h.additive else _additivity_witness(space,

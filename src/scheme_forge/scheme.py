@@ -68,10 +68,7 @@ class TranslationScheme:
         report["partition"] = (sum(sizes) == space.size
                                and all(s > 0 for s in sizes))
         report["diagonal"] = self.partition.classes[0].tolist() == [0]
-        ok, witness = check_condition_4(self.partition, space)
-        report["symmetry"] = ok
-        if not ok:
-            report["symmetry_witness"] = witness
+        report["symmetry"] = check_condition_4(self.partition, space)[0]
         try:
             self.intersection_numbers()
             report["intersection_numbers"] = True

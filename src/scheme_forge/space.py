@@ -30,8 +30,10 @@ The pairing is one bilinear form: <x,y> = zeta_m^k with
 where the N x N Gram matrix B is built once per space.  For field spaces B
 is block diagonal, one block per free coordinate, holding an F_p-bilinear
 trace form on that coordinate's digit basis; for cyclic products it is
-diag(m/m_i).  `pairing_exponent` returns k before the lambda multiplier,
-for indices or index arrays; `pairing_rows` is the rows of the table
+diag(m/m_i).  B is stored once, as one point psi(x) per point x
+(AbelianSpace): the Gram row d(x) . B mod m is d(psi(x)) . c, digit by
+digit.  `pairing_exponent` returns k before the lambda multiplier, for
+indices or index arrays; `pairing_rows` is the rows of the table
 (D . B . D^T) lambda mod m at some points as one matrix product, and
 `pairing_table` all of it.  Biadditivity lets a check quantified over
 all y use the digit basis vectors e_i (the points w_i) instead.
@@ -130,8 +132,9 @@ class AbelianSpace:
     `digits` is the |X| x N array D whose row x is d(x), `radices` the r_i
     and `place` the place weights, so x = D[x] . place.  `basis` lists the
     digit basis vectors e_i (the points place[i], r_i > 1), which generate
-    X.  Subclasses define `pairing_exponent` and `_gram_rows`, whose row
-    x is d(x) . B mod m (GramSpace).
+    X.  `_steps` holds c_k = m / gcd(m, r_k); subclasses define
+    `pairing_exponent` and `_psi`, which maps x to the point psi(x) of
+    digits <x, e_k> / c_k (GramSpace), the form X -> X^ of the pairing.
     """
 
     kind = None
@@ -162,6 +165,8 @@ class AbelianSpace:
         self.digits = np.indices(radices, dtype).reshape(len(radices),
                                                          size).T
         self._radices = np.array(radices, dtype=dtype)
+        self._steps = character_order // np.gcd(character_order,
+                                                 self._radices)
         self._blocks = _law_blocks(self.digits.T, radices, self.place,
                                    max(4 * size, 4096))
         self._neg = sum(table[negated] for table, _, negated in self._blocks)
@@ -221,53 +226,49 @@ class AbelianSpace:
         out = self.digits[x] * u % self._radices @ self.place
         return out if np.ndim(out) else int(out)
 
-    # -- pairing (subclasses define pairing_exponent) -------------------------
+    # -- pairing (subclasses define pairing_exponent and psi) ---------------
 
     def verify_nondegenerate(self):
         """Inner product axiom (iii): x != 0 implies <x,y> != 1 for some y.
         The pairing exponent is biadditive, so y ranges over the digit
-        basis, and lambda is a unit, so it is left out.  <x, e_i> has the
-        exponent d(x) . B . e_i, the entry of the Gram rows d(x) . B mod m
-        at the digit of e_i: the verdict reads one (|X|, N) slice of
-        them.  Returns (ok, witness_or_None), the witness the least
-        degenerate x."""
-        rows = self._gram_rows[1:, self._radices > 1]
-        degenerate = np.flatnonzero(~rows.any(axis=1))
+        basis, and lambda is a unit, so it is left out: x is degenerate
+        iff every <x, e_k> is 1, that is iff psi(x) = 0.  Returns (ok,
+        witness_or_None), the witness the least degenerate x."""
+        degenerate = np.flatnonzero(self._psi[1:] == 0)
         if len(degenerate):
             return False, int(degenerate[0]) + 1
         return True, None
 
     @functools.cached_property
     def _psi_inverse(self):
-        """(psi^-1, the c_k) of adjoint_images, or None for a degenerate
-        pairing: computed over X once per space and kept."""
-        m, rows = self.character_order, self._gram_rows
-        steps = m // np.gcd(m, self._radices)
-        psi = (rows // steps if (steps > 1).any() else rows) @ self.place
-        inverse = np.zeros_like(psi)
-        inverse[psi] = np.arange(self.size, dtype=psi.dtype)
-        if not np.array_equal(psi[inverse], np.arange(self.size)):
+        """psi^-1 of adjoint_images, computed once per space and kept, or
+        None for a degenerate pairing.  On a nondegenerate one each r_k
+        divides m (<e_k, .> has order r_k), so digit k of psi, <x, e_k> /
+        c_k, is additive mod m / c_k = r_k: psi is additive with kernel
+        {0} (verify_nondegenerate), so a permutation of the finite X."""
+        if not self.verify_nondegenerate()[0]:
             return None
-        return inverse, steps
+        inverse = np.empty_like(self._psi)
+        inverse[self._psi] = np.arange(self.size, dtype=self._psi.dtype)
+        return inverse
+
+    def _gram_row(self, x):
+        """d(x) . B mod m at a point or index array x: d(psi(x)) . c."""
+        return self.digits[self._psi[x]] * self._steps
 
     def adjoint_images(self, images):
-        """iota(e_j) at images[..., j] for the adjoints iota of maps g
-        with g(e_i) = images[..., i]; None for a degenerate pairing
-        (lambda, a unit, is left out).  As r_k e_k = 0, the Gram row
-        entries at digit k are multiples of c_k = m / gcd(m, r_k) (1 on a
-        field space), and the quotients are the digits of a point psi(x).
-        If the pairing is nondegenerate each r_k divides m (<e_k, .> has
-        order r_k), so psi is additive with kernel {0}; else psi misses
-        the points with digit k >= gcd(m, r_k) for some k, or kills some
-        x != 0.  A point psi misses keeps 0 in the scatter, and 0 does not
-        map back.  iota(e_j) is the h with <e_i, h> = <g(e_i), e_j> for all
-        i: B is symmetric, so psi(h) has digit i <g(e_i), e_j> / c_i."""
-        if self._psi_inverse is None:
+        """iota(e_k) at images[..., k] for the adjoints iota of additive
+        maps g with g(e_j) = images[..., j]; None for a degenerate pairing
+        (lambda, a unit, is left out).  iota(e_k) is the h with <e_j, h> =
+        <g(e_j), e_k> for all j: B is symmetric, so psi(h) has digit j
+        <g(e_j), e_k> / c_j, whole as r_j g(e_j) = 0 (c_k would not do:
+        the two differ on mixed radices such as Z_2 x Z_4)."""
+        inverse = self._psi_inverse
+        if inverse is None:
             return None
-        inverse, steps = self._psi_inverse
         live = self._radices > 1
-        exponents = np.swapaxes(self._gram_rows[images][..., live], -1, -2)
-        return inverse[exponents // steps[live] @ self.place[live]]
+        exponents = np.swapaxes(self._gram_row(images)[..., live], -1, -2)
+        return inverse[exponents // self._steps[live] @ self.place[live]]
 
     # -- misc ---------------------------------------------------------------
 
@@ -311,16 +312,19 @@ class GramSpace(AbelianSpace):
             at = end
         if ((gram - gram.T) % m).any():
             raise UsageError("the Gram matrix must be symmetric mod %d" % m)
+        if (self._radices[:, None] * gram % m).any():
+            raise UsageError("the Gram matrix must be well defined on the "
+                             "digits: r_i B_ij = 0 mod %d" % m)
         self.gram = gram
-        # row x is d(x) . B mod m, so a pairing is one dot product; the
-        # product gets BLAS through exact_matmul, an integer one none
+        # digit k of d(x) . B mod m is a multiple of c_k, as r_k B_jk = 0;
+        # the product gets BLAS through exact_matmul, an integer one none
         bound = n * (max(self.radices) - 1) * (m - 1)
-        self._gram_rows = (exact_matmul(self.digits, gram, bound)
-                           % m).astype(gram.dtype)
+        rows = exact_matmul(self.digits, gram, bound) % m
+        self._psi = (rows // self._steps @ self.place).astype(gram.dtype)
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""
-        k = ((self._gram_rows[x] * self.digits[y]).sum(axis=-1)
+        k = ((self._gram_row(x) * self.digits[y]).sum(axis=-1)
              % self.character_order)
         return k if np.ndim(k) else int(k)
 
@@ -345,7 +349,7 @@ def pairing_rows(space, points):
     dtype of the space (AbelianSpace.__init__ sizes it to hold the
     products), where the division is faster than in int64."""
     m = space.character_order
-    rows = space._gram_rows[points] * (space.lambda_multiplier % m) % m
+    rows = space._gram_row(points) * (space.lambda_multiplier % m) % m
     cols = space.digits.T
     bound = cols.shape[0] * max_abs(rows) * max_abs(cols)
     table = np.empty((len(rows), space.size),

@@ -9,7 +9,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scheme_forge.cyclo import CycloInt
@@ -492,11 +492,14 @@ def test_to_config_keeps_lambda_multiplier():
 def test_pairing_table_matches_int64_product(space, monkeypatch):
     """The float64 product, in blocks of the default cell count and in
     blocks of 3 rows (a ragged last block included), equals the int64
-    product (D . B mod m) lambda mod m . D^T mod m."""
+    product (D . B mod m) lambda mod m . D^T mod m, as do the Gram rows
+    read off psi, d(psi(x)) . c, in that product."""
     m = space.character_order
-    rows = space._gram_rows.astype(np.int64) * (space.lambda_multiplier
-                                                % m) % m
-    want = rows @ space.digits.T.astype(np.int64) % m
+    D = space.digits.astype(np.int64)
+    rows = D @ space.gram % m * (space.lambda_multiplier % m) % m
+    want = rows @ D.T % m
+    assert np.array_equal(gram_rows(space) * (space.lambda_multiplier % m)
+                          % m @ D.T % m, want)
     for cells in (space_module.BLOCK_CELLS, 3 * space.size):
         monkeypatch.setattr(space_module, "BLOCK_CELLS", cells)
         table = pairing_table(space)
@@ -504,7 +507,7 @@ def test_pairing_table_matches_int64_product(space, monkeypatch):
         assert np.array_equal(table, want)
 
 
-# -- oracle: the pairing-form broadcast that the Gram-row slice replaced ------
+# -- oracle: the pairing-form broadcast that the kernel of psi replaced ------
 
 def pairing_form_nondegenerate(space):
     """verify_nondegenerate by the pairing form: the exponent of every
@@ -530,14 +533,19 @@ def config_space(path):
         return space_from_config(json.load(fh)["space"])
 
 
+def gram_rows(space):
+    """The Gram rows d(x) . B mod m of every x, read off psi: d(psi(x)) . c."""
+    return space._gram_row(np.arange(space.size))
+
+
 def assert_gram_rows_match_oracles(space):
     """verify_nondegenerate equals the pairing-form oracle, verdict and
-    witness, and the Gram rows, a float64 product, equal the int64
-    product D . B mod m in the space's index dtype."""
+    witness, and the Gram rows read off psi, a float64 product, equal the
+    int64 product D . B mod m in the space's index dtype."""
     assert space.verify_nondegenerate() == pairing_form_nondegenerate(space)
     want = space.digits @ space.gram % space.character_order
-    assert space._gram_rows.dtype == want.dtype
-    assert np.array_equal(space._gram_rows, want)
+    assert space._psi.dtype == gram_rows(space).dtype == want.dtype
+    assert np.array_equal(gram_rows(space), want)
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
@@ -568,13 +576,99 @@ DEGENERATE_IDS = ["zero-block", "late-witness", "singular-block",
 @pytest.mark.parametrize("blocks, m, witness", DEGENERATE_GRAMS,
                          ids=DEGENERATE_IDS)
 def test_degenerate_gram_matrix_gives_the_least_witness(blocks, m, witness):
-    """On a degenerate Gram matrix the Gram-row slice fails with the least
-    degenerate point, as the pairing-form oracle and the exhaustive scan
-    of every pair do."""
+    """On a degenerate Gram matrix verify_nondegenerate fails with the
+    least nonzero point of the kernel of psi, the least degenerate point
+    of the pairing-form oracle and of the exhaustive scan of every pair."""
     space = GramSpace(blocks, m)
     assert space.verify_nondegenerate() == (False, witness)
     assert pairing_form_nondegenerate(space) == (False, witness)
     assert TupleDigits(space).verify_nondegenerate() == (False, witness)
+
+
+@pytest.mark.parametrize("blocks, m", [
+    ([((2,), ((1,),)), ((4,), ((1,),))], 4),  # 2 B_00 = 2 mod 4
+    ([((3,), ((1,),))], 2),  # 3 B_00 = 1 mod 2
+], ids=["Z2xZ4-mod-4", "Z3-mod-2"])
+def test_gram_matrix_must_be_well_defined_on_the_digits(blocks, m):
+    """d(x) . B . d(y) mod m depends on the digits only mod r_i when
+    r_i B_ij = 0 mod m; psi rests on it, so GramSpace rejects any other
+    Gram matrix, as it does an asymmetric one."""
+    with pytest.raises(UsageError, match="well defined"):
+        GramSpace(blocks, m)
+
+
+# the spaces of two or more digits, where |X| N entries outgrow |X|
+WIDE_SPACES = [s for s in ORACLE_SPACES if len(s.radices) > 1] + [
+    s for s in map(config_space, CONFIG_PATHS) if len(s.radices) > 1]
+
+
+@pytest.mark.parametrize("space", WIDE_SPACES, ids=lambda s: repr(s))
+def test_space_stores_the_pairing_as_psi(space):
+    """The pairing is stored once, as psi, one index per point: once its
+    adjoints are read, a space keeps no array of |X| N entries or more
+    but its digits D."""
+    space.adjoint_images(space.basis)
+    wide = [name for name, value in vars(space).items()
+            if isinstance(value, np.ndarray)
+            and value.size >= space.size * len(space.radices)]
+    assert wide == ["digits"]
+
+
+@st.composite
+def mixed_radix_grams(draw):
+    """(radices, m, Gram block) of Z_{r_1} x ... x Z_{r_N}: m a radix,
+    their lcm or twice it, and B symmetric and well defined on the
+    digits, B_ij a multiple of lcm(c_i, c_j), c_i = m / gcd(m, r_i); some
+    c_i differ.  The lcm is drawn twice as often, and a diagonal multiple
+    is not 0, so that about a third of the pairings are nondegenerate."""
+    radices = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6, 8]),
+                                  min_size=2, max_size=3)))
+    L = math.lcm(*radices)
+    m = draw(st.sampled_from([L, L, 2 * L, *radices]))
+    steps = [m // math.gcd(m, r) for r in radices]
+    assume(len(set(steps)) > 1)
+    B = [[0] * len(radices) for _ in radices]
+    for i, j in itertools.combinations_with_replacement(range(len(radices)),
+                                                          2):
+        B[i][j] = B[j][i] = (draw(st.integers(i == j, 3))
+                             * math.lcm(steps[i], steps[j]) % m)
+    return radices, m, B
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(mixed_radix_grams(), st.data())
+def test_psi_matches_brute_force_on_mixed_radices(gram, data):
+    """On mixed radices, where the c_k differ: the pairing read off psi
+    is the int64 table D . B . D^T mod m, verify_nondegenerate equals
+    the pairing-form oracle and the exhaustive scan of that table, and,
+    for a nondegenerate pairing, adjoint_images gives, for additive maps
+    g drawn by their basis images, the h with <g x, e_k> = <x, h> for
+    every x, found by a search of the table."""
+    radices, m, B = gram
+    space = GramSpace([(radices, B)], m)
+    D = space.digits.astype(np.int64)
+    table = D @ np.array(B) @ D.T % m
+    points = np.arange(space.size)
+    assert np.array_equal(space.pairing_exponent(points[:, None], points),
+                          table)
+    zero = np.flatnonzero(~table[1:].any(axis=1))
+    scan = (False, int(zero[0]) + 1) if len(zero) else (True, None)
+    assert space.verify_nondegenerate() == pairing_form_nondegenerate(
+        space) == scan
+    if not scan[0]:
+        assert space.adjoint_images(space.basis) is None
+        return
+    # g(e_j) has digit l a multiple of r_l / gcd(r_j, r_l), so r_j g(e_j)
+    # = 0 and g extends additively
+    r, n = np.array(radices), 2 * len(radices) ** 2
+    units = data.draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))
+    images = (np.reshape(units, (2, len(r), len(r)))
+              * (r // np.gcd(r[:, None], r)) % r @ space.place)
+    for g, got in zip(images, space.adjoint_images(images)):
+        gx = D @ space.digits[g] % r @ space.place
+        for k, e_k in enumerate(space.basis):
+            h = np.flatnonzero((table == table[gx, e_k][:, None]).all(axis=0))
+            assert h.tolist() == [got[k]]
 
 
 def test_bad_configs_rejected():
