@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 duality/axiom failure, 2 config error, an
 --size-bound below 1, a negative --matrix-bound), 3 resource bound
 exceeded.
 
-json.dumps(sort_keys=True, indent=2) writes every report; write_report's
-own code writes only the integer arrays and the certificate's coded
-arrays, one text per distinct entry, in pieces.
+write_report writes every report as json.dumps(sort_keys=True, indent=2)
+spells it, with an encoder of its own: json's indent path is its
+pure-Python one.  The integer arrays and the certificate's coded arrays
+are written one text per distinct entry, in pieces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -83,10 +85,10 @@ def _array_chunks(A, depth, memo):
     json.dumps(A.tolist(), sort_keys=True, indent=2) spells it.  Each
     distinct entry gets one text, which its cells take by one C-level
     take per block: each value of a CodedArray that A holds is encoded
-    by json.dumps once per value list, into memo[id(A.values)], and
-    fitted to A's depth by one str.replace; integers in a range no wider
-    than the array get one text per value in it, others are
-    int.__repr__'d cell by cell."""
+    by _text once per value list, into memo[id(A.values)], and fitted
+    to A's depth by one str.replace; integers in a range no wider than
+    the array get one text per value in it, others are int.__repr__'d
+    cell by cell."""
     codes = A.codes if isinstance(A, CodedArray) else A
     flat, low = codes.ravel(), 0
     if codes is not A:
@@ -97,8 +99,7 @@ def _array_chunks(A, depth, memo):
         table = np.empty(len(encoded), dtype=object)
         for code in present.tolist():
             if encoded[code] is None:
-                encoded[code] = json.dumps(A.values[code], sort_keys=True,
-                                           indent=2)
+                encoded[code] = _text(A.values[code])
             table[code] = encoded[code].replace("\n", indent)
         width = max(map(len, table[present].tolist()))
     else:
@@ -182,57 +183,127 @@ def _array_blocks(shape, depth, width, texts):
     yield last
 
 
+# float.__repr__'s spellings that json spells otherwise
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# json's spelling of a scalar, by its type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            float: _float_text, bool: ("false", "true").__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def _key_text(key):
+    """A dict key as json writes it: a string, or a number, bool or None
+    spelled as the JSON value and quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"%s"' % _text(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(key).__name__)
+
+
+def _encode(obj, depth, out):
+    """Append to `out` the text json.dumps(obj, sort_keys=True, indent=2)
+    gives obj nested `depth` containers deep: strs, and (array, depth)
+    for each integer ndarray and CodedArray with a cell, whose text
+    _array_chunks writes.  A dict's keys are sorted raw, an empty or 0-d
+    array is its tolist(), and a value or key json rejects raises
+    TypeError; a container that holds itself recurses until
+    RecursionError.  A list or dict of scalars of one type is spelled by
+    one map and one str.join."""
+    spell = _SCALARS.get(type(obj))
+    if spell is not None:
+        out.append(spell(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        heads, values, opening, closing = None, obj, "[", "]"
+        if isinstance(obj, dict):
+            keys = sorted(obj)
+            heads = [key + ": " for key in map(
+                encode_basestring_ascii if set(map(type, keys)) == {str}
+                else _key_text, keys)]
+            values = list(map(obj.__getitem__, keys))
+            opening, closing = "{", "}"
+        indent = "\n" + "  " * (depth + 1)
+        kinds = set(map(type, values))
+        spell = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spell is not None:
+            texts = map(spell, values)
+            if heads is not None:
+                texts = map(str.__add__, heads, texts)
+            out.append(opening + indent + ("," + indent).join(texts)
+                       + indent[:-2] + closing)
+            return
+        for i, value in enumerate(values):
+            out.append((opening if i == 0 else ",") + indent
+                       + ("" if heads is None else heads[i]))
+            _encode(value, depth + 1, out)
+        out.append(indent[:-2] + closing)
+    elif isinstance(obj, (str, int, float)):  # a subclass: as its base
+        out.append(_SCALARS[next(t for t in (str, int, float)
+                                 if isinstance(obj, t))](obj))
+    else:
+        codes = obj.codes if isinstance(obj, CodedArray) else obj
+        if not (isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"):
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(obj).__name__)
+        if codes.ndim and codes.size:
+            out.append((obj, depth))
+        else:
+            _encode(obj.tolist(), depth, out)
+
+
+def _text(obj):
+    """_encode's text of obj nested no container deep, as one str; obj
+    holds no array with a cell (TypeError, as json's, if it does)."""
+    out = []
+    _encode(obj, 0, out)
+    if tuple in map(type, out):
+        raise TypeError("an array with a cell in a JSON value")
+    return "".join(out)
+
+
 def write_report(report, out_path):
     """Write json.dumps(report, sort_keys=True, indent=2) + "\n" to
     out_path, or to stdout, byte for byte; an OSError from opening,
     writing, flushing or closing raises ConfigError (_stdout_failed's
     for stdout).
 
-    json.dumps writes the report; its default hook turns each integer
-    ndarray and CodedArray with a cell into a placeholder string, a token
-    drawn afresh from os.urandom, each empty or 0-d one into its
-    tolist(), and raises TypeError, as json does, on any other value.
-    The text is written in pieces of at most ARRAY_CHARS, each placeholder
-    replaced by the text of its array from _array_chunks, nested as deep
-    as the placeholder's line is indented.  A CodedArray's value texts
-    are kept by the identity of its value list, which the report keeps
-    alive."""
-    token = os.urandom(16).hex()
-    arrays = []
-
-    def placeholder(obj):
-        codes = obj.codes if isinstance(obj, CodedArray) else obj
-        if not (isinstance(codes, np.ndarray) and codes.dtype.kind in "iu"):
-            raise TypeError("Object of type %s is not JSON serializable"
-                            % type(obj).__name__)
-        if codes.ndim == 0 or codes.size == 0:
-            return obj.tolist()
-        arrays.append(obj)
-        return token
-
-    text = json.dumps(report, sort_keys=True, indent=2, default=placeholder)
-    memo = {}
+    _encode spells the report but for its arrays with a cell; the text
+    between two arrays is joined and written in pieces of at most
+    ARRAY_CHARS, each array by _array_chunks, as deep as _encode found
+    it.  A CodedArray's value texts are kept by the identity of its value
+    list, which the report keeps alive."""
+    parts, memo = [], {}
+    _encode(report, 0, parts)
+    parts.append("\n")
     try:
         out = open(out_path, "w", buffering=1 << 18) if out_path \
             else nullcontext(sys.stdout)
         with out as fh:
-            for head, A in zip(text.split('"%s"' % token), arrays + [None]):
-                for cut in range(0, len(head), ARRAY_CHARS):
-                    fh.write(head[cut:cut + ARRAY_CHARS])
-                if A is not None:
-                    line = head[head.rfind("\n") + 1:]
-                    depth = (len(line) - len(line.lstrip(" "))) // 2
-                    for chunk in _array_chunks(A, depth, memo):
-                        fh.write(chunk)
-            fh.write("\n")
+            for arrays, run in groupby(parts, lambda p: type(p) is tuple):
+                if arrays:
+                    for A, depth in run:
+                        for chunk in _array_chunks(A, depth, memo):
+                            fh.write(chunk)
+                    continue
+                text = "".join(run)
+                for cut in range(0, len(text), ARRAY_CHARS):
+                    fh.write(text[cut:cut + ARRAY_CHARS])
             fh.flush()
     except OSError as exc:
         if not out_path:
             raise _stdout_failed("report", exc)
         raise ConfigError("cannot write report %s: %s" % (out_path, exc))
-    # json's pure-Python encoder (indent) leaves a reference cycle that
-    # keeps placeholder, and so the arrays, until the collector runs
-    arrays.clear()
 
 
 def _stdout_failed(what, exc):
@@ -251,17 +322,22 @@ def _stdout_failed(what, exc):
     return ConfigError("cannot write %s to stdout: %s" % (what, exc))
 
 
-def render_eigenmatrix(name, M):
-    """TSV table: exact cyclotomic entry plus 6-decimal approximation.
-    The cell text is built once per distinct object of the nested lists
-    M and looked up by identity: the certificate's P and Q hold one
-    CycloInt per distinct value (duality.distinct_elements)."""
-    cells = list(chain.from_iterable(M))
-    texts = {key: "%s (%.*f)" % (c.render(), APPROX_DIGITS,
-                                 c.approx()[0].real)
-             for key, c in dict(zip(map(id, cells), cells)).items()}
-    return "\n".join([name] + ["\t".join(map(texts.__getitem__,
-                                             map(id, row))) for row in M])
+def render_eigenmatrices(cert):
+    """The TSV tables of Q and P, each after its name: every entry's exact
+    cyclotomic value and its 6-decimal approximation, from
+    cert.approximations.  A cell text is built once per distinct element
+    of the two."""
+    Q, P = cert.codes[:2]
+    texts = np.empty(len(cert.elements), dtype=object)
+    for code in np.flatnonzero(np.bincount(np.concatenate(
+            [Q.ravel(), P.ravel()]))).tolist():
+        texts[code] = "%s (%.*f)" % (cert.elements[code].render(),
+                                     APPROX_DIGITS,
+                                     cert.approximations[code].real)
+    lines = []
+    for name, codes in (("Q", Q), ("P", P)):
+        lines += [name] + list(map("\t".join, texts[codes].tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def check_report(space, genset):
@@ -353,8 +429,7 @@ def cmd_dual(args):
     write_report(cert.to_json(), args.out)
     try:
         if cert.Q is not None:
-            sys.stdout.write(render_eigenmatrix("Q", cert.Q) + "\n")
-            sys.stdout.write(render_eigenmatrix("P", cert.P) + "\n")
+            sys.stdout.write(render_eigenmatrices(cert))
         sys.stdout.write("duality: %s (%s)\n"
                          % ("PASS" if cert.passed else "FAIL", cert.mode))
         sys.stdout.flush()

@@ -243,8 +243,11 @@ class CycloInt:
             s += " - " + t[1:] if t.startswith("-") else " + " + t
         return s
 
-    def to_json(self):
-        val, _ = self.approx()
+    def to_json(self, val=None):
+        """The element as JSON: order, coefficients and approx()'s value,
+        rounded; val is that value when the caller has it already."""
+        if val is None:
+            val, _ = self.approx()
         return {"order": self.order, "coeffs": list(self.coeffs),
                 "approx": [round(val.real, 12), round(val.imag, 12)]}
 

@@ -98,6 +98,7 @@ structure constants of Z[zeta_m], over the carried columns only:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -335,33 +336,49 @@ def distinct_elements(arrays, m):
     array of its shape without the coefficient axis, the index of each
     entry's element.  Each coefficient row, at the union of the arrays'
     columns, is packed into one mixed-radix key, the last column the most
-    significant digit, each digit offset from its column's minimum: int64
-    when the product of the column spans is below 2^63, Python integers
-    otherwise.  The sorted distinct keys order the elements as their rows
-    read from the last column; each entry's code is its key's place
-    among them, and only the distinct rows are decoded and widened to
-    phi(m) coefficients."""
+    significant digit, each digit offset from its column's minimum over
+    the arrays: int64 when the product of the column spans is below 2^63,
+    Python integers otherwise.  The sorted distinct keys order the
+    elements as their rows read from the last column; each entry's code
+    is its key's place among them, and only the distinct rows are decoded
+    and widened to phi(m) coefficients.
+
+    The rows are keyed where they are, a block of BLOCK_CELLS cells at a
+    time, twice: once for each block's distinct keys, once for its codes.
+    No array of the arrays' size is made but the codes: at large d the
+    Krein tensor's size."""
     cols = union_columns(*(k for _, k in arrays))
-    rows = np.concatenate([widen(A, k, cols).reshape(-1, len(cols))
-                           for A, k in arrays])
-    low = rows.min(axis=0)
+    low, high = (f([widen(f(A, axis=tuple(range(A.ndim - 1))), k, cols)
+                    for A, k in arrays], axis=0) for f in (np.min, np.max))
     offsets = low.tolist()
-    spans = [hi - lo + 1 for hi, lo in zip(rows.max(axis=0).tolist(), offsets)]
+    spans = [hi - lo + 1 for hi, lo in zip(high.tolist(), offsets)]
     dtype = np.int64 if math.prod(spans) < 2 ** 63 else object
-    if dtype is object:
-        rows = rows.astype(object)
-    keys = (rows[:, -1] - offsets[-1]).astype(dtype, copy=False)
-    for c in reversed(range(len(cols) - 1)):
-        keys *= spans[c]
-        keys += (rows[:, c] - offsets[c]).astype(dtype, copy=False)
-    # the keys replace the rows: at large d they are the Krein tensor's
-    # size, and freeing them lowers the peak of the sort
-    del rows
-    unique = np.sort(keys)
-    first = np.ones(len(unique), dtype=bool)
-    first[1:] = unique[1:] != unique[:-1]
-    unique = unique[first]
-    group = np.searchsorted(unique, keys)
+
+    def keyed(A, k):
+        """The keys of each block of A's rows, at columns k: as many of
+        A's entries along its first axis as fit in BLOCK_CELLS, at least
+        one (a slice: a view is not copied whole)."""
+        step = max(1, BLOCK_CELLS // (math.prod(A.shape[1:-1]) * len(cols)))
+        for start in range(0, len(A), step):
+            rows = widen(A[start:start + step], k, cols).reshape(
+                -1, len(cols))
+            if dtype is object:
+                rows = rows.astype(object)
+            keys = (rows[:, -1] - offsets[-1]).astype(dtype, copy=False)
+            for c in reversed(range(len(cols) - 1)):
+                keys *= spans[c]
+                keys += (rows[:, c] - offsets[c]).astype(dtype, copy=False)
+            yield keys
+
+    unique = _sorted_distinct(np.concatenate([
+        _sorted_distinct(keys) for A, k in arrays for keys in keyed(A, k)]))
+    codes = []
+    for A, k in arrays:
+        codes.append(np.empty(A.shape[:-1], dtype=np.intp))
+        flat, start = codes[-1].reshape(-1), 0
+        for keys in keyed(A, k):
+            flat[start:start + len(keys)] = np.searchsorted(unique, keys)
+            start += len(keys)
     digits = np.empty((len(unique), len(cols)), dtype=dtype)
     for c in range(len(cols)):
         digits[:, c] = unique % spans[c]
@@ -370,12 +387,16 @@ def distinct_elements(arrays, m):
     elements = np.fromiter((CycloInt(m, tuple(coeffs), reduce=False)
                             for coeffs in distinct), dtype=object,
                            count=len(distinct))
-    codes, start = [], 0
-    for A, _ in arrays:
-        stop = start + A[..., 0].size
-        codes.append(group[start:stop].reshape(A.shape[:-1]))
-        start = stop
     return elements, codes
+
+
+def _sorted_distinct(keys):
+    """The distinct values of a 1-d array, sorted (np.unique would import
+    numpy.ma, a megabyte of resident memory)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
 
 
 class CodedArray:
@@ -417,15 +438,23 @@ class DualityCertificate:
         if witness is not None:
             self.witnesses.append({"check": check, "witness": witness})
 
+    @functools.cached_property
+    def approximations(self):
+        """CycloInt.approx()'s complex value of each distinct element, run
+        once per value: to_json's dicts and cli's eigenmatrix tables share
+        them."""
+        return [c.approx()[0] for c in self.elements]
+
     def to_json(self):
         """The certificate as JSON-ready dicts, lists and arrays.  Q, P
         and the Krein tensor are CodedArrays of the certificate's code
         arrays into one shared list of CycloInt.to_json() dicts, one per
-        distinct element, so CycloInt.approx() runs once per value.
-        json.dumps needs the arrays' tolist()."""
+        distinct element, from its approximations.  json.dumps needs the
+        arrays' tolist()."""
         Q = P = krein = None
         if self.elements is not None:
-            entries = [c.to_json() for c in self.elements]
+            entries = list(map(CycloInt.to_json, self.elements,
+                               self.approximations))
             Q, P, krein = (CodedArray(code, entries) for code in self.codes)
         return {
             "mode": self.mode,

@@ -22,6 +22,7 @@ from scheme_forge import cli, duality, scheme
 from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  Generator, GeneratorSet)
 from scheme_forge.cli import main
+from scheme_forge.cyclo import CycloInt
 from scheme_forge.duality import CodedArray
 from scheme_forge.space import AbelianSpace, CyclicProductSpace, GramSpace
 
@@ -704,6 +705,32 @@ def test_eigenmatrix_tables_rendered(capsys):
     assert "(2.000000)" in out  # exact entry with 6-decimal approximation
 
 
+@pytest.mark.parametrize("name", ["her2_f4", "cyclotomic2_f5"])
+def test_dual_approximates_each_distinct_value_once(name, capsys,
+                                                    monkeypatch):
+    """After duality_report, dual computes CycloInt.approx() once per
+    distinct value of the certificate: the JSON dicts and the Q and P
+    tables share it."""
+    certs, calls = [], []
+    real_report, real_approx = cli.duality_report, CycloInt.approx
+
+    def counted(c):
+        calls.append(c)
+        return real_approx(c)
+
+    def report(*args, **kwargs):
+        certs.append(real_report(*args, **kwargs))
+        monkeypatch.setattr(CycloInt, "approx", counted)
+        return certs[-1]
+
+    monkeypatch.setattr(cli, "duality_report", report)
+    code, out, _ = run(["dual", cfg(name)], capsys)
+    assert code == 0 and "\nP\n" in out
+    elements = certs[0].elements.tolist()
+    assert len(elements) > 2
+    assert sorted(map(id, calls)) == sorted(map(id, elements))
+
+
 @pytest.mark.parametrize("array_chars", [3, 1 << 16])
 def test_write_report_streams_the_dumps_bytes(array_chars, capsys, tmp_path,
                                               monkeypatch):
@@ -863,16 +890,17 @@ def test_write_report_streams_shared_large_entries(monkeypatch):
     assert max(recorder.sizes) <= 64 * 1024
 
 
-def counted_dumps(monkeypatch):
-    """Replace json.dumps by a wrapper that counts its calls per first
-    argument, by identity; return the counts."""
-    calls, real = {}, json.dumps
+def counted_encodings(monkeypatch):
+    """Replace write_report's encoder, cli._encode, by a wrapper that
+    counts its calls per first argument, by identity; return the
+    counts."""
+    calls, real = {}, cli._encode
 
     def counted(obj, *args, **kwargs):
         calls[id(obj)] = calls.get(id(obj), 0) + 1
         return real(obj, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", counted)
+    monkeypatch.setattr(cli, "_encode", counted)
     return calls
 
 
@@ -880,9 +908,8 @@ def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
         monkeypatch):
     """One dict shared by two coded arrays at the same depth, as the
     certificate's P and Q share a value, and by a third array one level
-    deeper, is encoded by json.dumps once: each array fits that text to
-    its own indentation.  A value that no array holds is never
-    encoded."""
+    deeper, is encoded once: each array fits that text to its own
+    indentation.  A value that no array holds is never encoded."""
     entry = large_entry()
     other = {"order": 1, "coeffs": [2]}
     absent = {"order": 3, "coeffs": [4]}
@@ -893,7 +920,7 @@ def test_write_report_encodes_an_entry_shared_by_two_arrays_once(
               "Q": CodedArray(codes.T, pool),
               "deeper": [CodedArray(codes, pool)]}
     want = json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
-    calls = counted_dumps(monkeypatch)
+    calls = counted_encodings(monkeypatch)
     assert encoded(report) == want
     assert (calls[id(entry)], calls[id(other)]) == (1, 1)
     assert id(absent) not in calls
@@ -914,28 +941,45 @@ def test_write_report_keeps_no_array_alive():
         gc.enable()
 
 
-def test_write_report_writes_placeholder_lookalikes_verbatim(monkeypatch):
-    """Strings and keys shaped like write_report's placeholders, the
-    token of an earlier write among them, next to integer and coded
-    arrays, are written as json.dumps writes them: each write draws its
-    own token."""
-    tokens, real = [], os.urandom
-
-    def recorded(n):
-        tokens.append(real(n).hex())
-        return bytes.fromhex(tokens[-1])
-
-    monkeypatch.setattr(os, "urandom", recorded)
+def test_write_report_writes_placeholder_lookalikes_verbatim():
+    """Strings and keys shaped like quoted random tokens, next to integer
+    and coded arrays, in the arrays' values and as keys, are written as
+    json.dumps writes them: nothing in the text stands for an array."""
+    token = "0123456789abcdef" * 2
     A = np.arange(6).reshape(2, 3)
-    encoded({"a": A})
-    old, = tokens
-    pool = [{"order": 2, "coeffs": [old]}, old]
-    report = {old: A, "a": [old, A, '"%s"' % old, A],
-              "b": {"0" * len(old): CodedArray(A % 2, pool), "c": old},
-              "d": [CodedArray(A.T % 2, pool), old + "1", '"' + old]}
+    pool = [{"order": 2, "coeffs": [token]}, token]
+    report = {token: A, "a": [token, A, '"%s"' % token, A],
+              "b": {"0" * len(token): CodedArray(A % 2, pool), "c": token},
+              "d": [CodedArray(A.T % 2, pool), token + "1", '"' + token]}
     assert encoded(report) == \
         json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
-    assert len(tokens) == 2 and tokens[1] != old
+
+
+@functools.cache
+def shipped_certificate():
+    """her2_f4's dual certificate, as to_json gives it, and its
+    json.dumps text."""
+    _, genset = cli.load_action(cli.read_config(cfg("her2_f4")), 4096)
+    cert = duality.duality_report(genset).to_json()
+    return cert, json.dumps(plain(cert), sort_keys=True, indent=2) + "\n"
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a function the writer must not call was called")
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(TREES)
+def test_write_report_calls_neither_json_dumps_nor_urandom(tree):
+    """A shipped dual certificate and a drawn tree of every JSON type are
+    written as json.dumps writes them with json.dumps and os.urandom made
+    to raise: the writer calls neither."""
+    cert, want = shipped_certificate()
+    tree_want = json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    with mock.patch.object(json, "dumps", forbidden), \
+            mock.patch.object(os, "urandom", forbidden):
+        assert encoded(cert) == want
+        assert encoded(tree) == tree_want
 
 
 @pytest.mark.parametrize("values", [list(range(4000)),
@@ -1154,7 +1198,7 @@ def test_write_report_writes_large_coded_entries_as_json_dumps(shape, size):
 
 
 def test_write_report_encodes_each_distinct_array_entry_once(monkeypatch):
-    """A 30^3 coded array holding five Krein-like dicts: json.dumps
+    """A 30^3 coded array holding five Krein-like dicts: the writer
     encodes each dict once, although the array's rows are each longer
     than ARRAY_CHARS, and the array is written in blocks of whole cells
     of at most ARRAY_CHARS each, no text cut; the text is json.dumps's."""
@@ -1171,7 +1215,7 @@ def test_write_report_encodes_each_distinct_array_entry_once(monkeypatch):
             yield text
 
     monkeypatch.setattr(cli, "_array_chunks", recorded)
-    calls = counted_dumps(monkeypatch)
+    calls = counted_encodings(monkeypatch)
     assert encoded(report) == want
     assert [calls[id(entry)] for entry in pool] == [1] * 5
     assert max(map(len, pieces)) <= cli.ARRAY_CHARS

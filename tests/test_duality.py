@@ -966,6 +966,39 @@ def test_distinct_elements_match_a_row_dict_oracle(kind, m):
     assert all(type(c) is int for e in elements for c in e.coeffs)
 
 
+@pytest.mark.parametrize("kind", DISTINCT_KINDS)
+def test_distinct_elements_in_blocks_match_one_block(kind, monkeypatch):
+    """With BLOCK_CELLS at 7, so that each array is keyed in blocks of
+    one to three entries along its first axis, and its transposed view
+    (not contiguous), the elements and codes are those of one block."""
+    arrays = distinct_case(kind, 12)
+    arrays += [(A.swapaxes(0, 1), k) for A, k in arrays if A.ndim > 2]
+    whole = duality.distinct_elements(arrays, 12)
+    monkeypatch.setattr(duality, "BLOCK_CELLS", 7)
+    elements, codes = duality.distinct_elements(arrays, 12)
+    assert elements.tolist() == whole[0].tolist()
+    assert all(np.array_equal(a, b) for a, b in zip(codes, whole[1]))
+
+
+def test_distinct_elements_allocate_the_codes_and_blocks_only():
+    """A Krein-like 128^3 tensor one coefficient wide, as a transposed
+    view, with a small Q: the allocations of distinct_elements peak below
+    twice the tensor's codes (16 MB).  The rows are keyed in place, a
+    block at a time, with no copy of the tensor, whole or of its keys."""
+    rng = np.random.default_rng(7)
+    T = rng.integers(-3, 3, size=(128, 128, 128, 1)).transpose(2, 1, 0, 3)
+    Q = rng.integers(-3, 3, size=(128, 128, 2))
+    tracemalloc.start()
+    try:
+        elements, codes = duality.distinct_elements(
+            [(Q, np.array([0, 3])), (T, np.array([0]))], 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert codes[1].shape == T.shape[:-1] and len(elements) <= 36
+    assert peak < 2 * codes[1].nbytes
+
+
 @pytest.mark.parametrize("name", ["hamming4_f3", "cyclotomic2_f5",
                                   "her2_f4", "wh21_f2"])
 def test_one_distinct_table_per_duality_report(name, monkeypatch):
