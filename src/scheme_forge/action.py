@@ -149,7 +149,8 @@ def orbit_labels(perms, size):
     for perm in perms:
         inverse = np.empty_like(label)
         inverse[perm] = label
-        maps += [perm, inverse]
+        # in intp, which numpy need not convert again at every gather
+        maps += [perm.astype(np.intp, copy=False), inverse]
     while True:
         lowered = label.copy()
         for perm in maps:

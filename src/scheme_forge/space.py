@@ -17,11 +17,11 @@ a block, the spread S(x) = sum_i d_i(x) W_i, W_i the product of 2 r_j - 1
 over the later digits j of the block, keeps each digit sum of
 S(x) + S(y) whole, and a sum table T maps it to sum_i (d_i(x) + d_i(y)
 mod r_i) w_i, the block's share of x + y.  `add` sums T[S(x) + S(y)]
-over the blocks, `sub` the same with the spread of -y, `neg` is one
-gather and `scalar_mul` a sweep of D.  They take a point index or integer
-index arrays, which broadcast against each other, so a sweep over X (or
-over X x X) is one call; index arrays stay in int32 whenever
-N max(|X|, m)^2 < 2^31 (see AbelianSpace.__init__), else int64.
+over the blocks, `sub` is that law on x and -y, `neg` is one gather and
+`scalar_mul` a sweep of D.  They take a point index or integer index
+arrays, which broadcast against each other, so a sweep over X (or over
+X x X) is one call; index arrays are int32 whenever every product the
+space forms fits (AbelianSpace.__init__), else int64.
 
 The pairing is one bilinear form: <x,y> = zeta_m^k with
 
@@ -102,9 +102,8 @@ def check_dimensions(**dims):
 
 def _law_blocks(columns, radices, place, limit):
     """The blocks of the group law on the digit columns D^T (module
-    docstring), each while prod (2 r_i - 1) <= limit: (T, S, S of -x)."""
+    docstring), each while prod (2 r_i - 1) <= limit: (T, S)."""
     spans, blocks, start = [2 * r - 1 for r in radices], [], 0
-    negated = -columns % np.array(radices, dtype=place.dtype)[:, None]
     while start < len(radices):
         stop = start + 1
         while stop < len(spans) and math.prod(spans[start:stop + 1]) <= limit:
@@ -119,8 +118,7 @@ def _law_blocks(columns, radices, place, limit):
         for axis, r in enumerate(rs):
             table = np.concatenate(
                 [table, table[(slice(None),) * axis + (slice(r - 1),)]], axis)
-        blocks.append((table.ravel(), weights @ columns[start:stop],
-                       weights @ negated[start:stop]))
+        blocks.append((table.ravel(), weights @ columns[start:stop]))
         start = stop
     return blocks
 
@@ -148,17 +146,18 @@ class AbelianSpace:
         if math.gcd(lambda_multiplier, character_order) != 1:
             raise UsageError("lambda multiplier must be a unit mod %d"
                              % character_order)
-        # every intermediate of the group law (a digit times a scalar
-        # reduced mod the group exponent is below |X|^2) and of
-        # d(x) . B . d(y) (at most N m max(r_i)) stays below this bound
-        bound = len(radices) * max(size, character_order) ** 2
+        # int32 holds each product made in the index dtype: spread sums
+        # of the law (below its block limit), d(x) . B . d(y) and blocks of
+        # pairing_rows (below N m max r_i), its lambda product (below m^2)
+        # and a digit times its unit in scalar_mul (below max r_i^2)
+        m, r = character_order, max(radices)
+        bound = max(8 * max(size, 1024), len(radices) * m * r, m * m, r * r)
         dtype = np.int32 if bound < 2 ** 31 else np.int64
         self.radices = radices
         self._coord_radices = tuple(math.prod(d) for d in coord_radices)
         self._coord_place = np.array(
             [math.prod(self._coord_radices[i + 1:])
              for i in range(len(self._coord_radices))], dtype=dtype)
-        self._exponent = math.lcm(*radices)
         self.place = np.array([math.prod(radices[i + 1:])
                                for i in range(len(radices))], dtype=dtype)
         # D^T is C-contiguous: the pairing table and the law read its rows
@@ -169,7 +168,7 @@ class AbelianSpace:
                                                  self._radices)
         self._blocks = _law_blocks(self.digits.T, radices, self.place,
                                    max(4 * size, 4096))
-        self._neg = sum(table[negated] for table, _, negated in self._blocks)
+        self._neg = -self.digits % self._radices @ self.place
         self.basis = self.place[np.array(radices) > 1]
         self.size = size
         self.size_bound = size_bound
@@ -202,28 +201,26 @@ class AbelianSpace:
     # Each operation takes point indices or integer index arrays (which
     # broadcast against each other) and returns an index or an index array.
 
-    def _law(self, x, y, which):
-        """The sum over the blocks of T[S(x) + S(y)] (which = 1) or of
-        T[S(x) + S(-y)] (which = 2)."""
+    def _law(self, x, y):
+        """x + y: the sum over the blocks of T[S(x) + S(y)]."""
         out = functools.reduce(operator.iadd, (
-            block[0][block[1][x] + block[which][y]] for block in self._blocks))
+            table[spread[x] + spread[y]] for table, spread in self._blocks))
         return out if np.ndim(out) else int(out)
 
-    def add(self, x, y):
-        return self._law(x, y, 1)
+    add = _law
 
     def neg(self, x):
         out = self._neg[x]
         return out if np.ndim(out) else int(out)
 
     def sub(self, x, y):
-        """x - y."""
-        return self._law(x, y, 2)
+        """x - y, the law on x and -y (not add: a tracer counts its calls)."""
+        return self._law(x, self._neg[y])
 
     def scalar_mul(self, x, u):
-        """u * x for an integer u."""
-        u %= self._exponent
-        out = self.digits[x] * u % self._radices @ self.place
+        """u * x for an integer u, reduced mod each radix first."""
+        units = np.array([u % r for r in self.radices], dtype=self.place.dtype)
+        out = self.digits[x] * units % self._radices @ self.place
         return out if np.ndim(out) else int(out)
 
     # -- pairing (subclasses define pairing_exponent and psi) ---------------
@@ -346,8 +343,8 @@ def pairing_rows(space, points):
     DEFAULT_SIZE_BOUND (N <= 12 digits, m <= |X|).  It runs
     BLOCK_CELLS // |X| rows at a time, at least one, so that the
     temporaries stay small, and each block is reduced mod m in the index
-    dtype of the space (AbelianSpace.__init__ sizes it to hold the
-    products), where the division is faster than in int64."""
+    dtype of the space, which holds its products (AbelianSpace.__init__),
+    where the division is faster than in int64."""
     m = space.character_order
     rows = space._gram_row(points) * (space.lambda_multiplier % m) % m
     cols = space.digits.T

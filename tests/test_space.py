@@ -193,10 +193,16 @@ class TupleDigits:
         return True, None
 
 
-def assert_matches_tuple_oracle(space, units=(0, 1, 2, 3, -1, -5, 1000)):
+def assert_matches_tuple_oracle(space, units=(0, 1, 2, 3, -1, -5, 1000,
+                                              10 ** 30, -10 ** 30 - 7)):
     """The array group law (index and index-array calls), pairing_exponent,
     pairing_table and verify_nondegenerate equal the tuple oracle's on
-    every point and every pair of points."""
+    every point and every pair of points; scalar_mul does at the `units`,
+    beyond 2^63 among them, and at multiples of the group exponent, off
+    by one or not."""
+    exponent = math.lcm(*space.radices)
+    units += tuple(k * exponent + s for k in (1, -2, 10 ** 20)
+                   for s in (0, 1, -1))
     oracle = TupleDigits(space)
     n = space.size
     points = np.arange(n)
@@ -306,7 +312,7 @@ LINEAR_SIZE_SPACES = {
 @pytest.mark.parametrize("make, blocks", LINEAR_SIZE_SPACES.values(),
                          ids=LINEAR_SIZE_SPACES)
 def test_table_law_has_linear_size(make, blocks):
-    """The law's tables (a sum table and two spread tables per block, and
+    """The law's tables (a sum table and a spread table per block, and
     the negation table) hold at most 16 |X| + 16384 entries, up to
     |X| = 2^16; the blocks are as many as their bound allows."""
     space = make()
@@ -317,9 +323,16 @@ def test_table_law_has_linear_size(make, blocks):
         assert len(space._blocks) == blocks
 
 
+# Z_215 x Z_217 with lambda = m - 1: m = 46655, so lambda times a Gram
+# row entry, below m^2, passes 2^31, while every other product of the
+# space fits int32
+LAMBDA_SPACE = CyclicProductSpace((215, 217), lambda_multiplier=46654,
+                                  size_bound=46655)
+
+
 @pytest.mark.parametrize("space, dtype", [
     (VectorSpace(2, FieldSpec(3)), np.int32),
-    (CyclicProductSpace((256, 256), size_bound=2 ** 16), np.int64),
+    (LAMBDA_SPACE, np.int64),
 ], ids=["int32", "int64"])
 def test_table_law_keeps_the_index_dtype(space, dtype):
     """Index arrays of any integer dtype give arrays in the dtype of
@@ -336,6 +349,38 @@ def test_table_law_keeps_the_index_dtype(space, dtype):
         assert type(space.sub(a, b)) is int
         assert type(space.neg(a)) is int
     assert space.add(n - 1, space.neg(n - 1)) == 0 == space.sub(1, 1)
+
+
+def test_index_dtype_holds_the_lambda_product():
+    """The m^2 term alone makes LAMBDA_SPACE int64, and its pairing rows
+    equal the int64 product (D . B mod m) lambda mod m . D^T mod m: in
+    int32 the lambda product would wrap."""
+    space, m, r = LAMBDA_SPACE, LAMBDA_SPACE.character_order, 217
+    assert max(8 * space.size, 2 * m * r, r * r) < 2 ** 31 <= m * m
+    assert space.place.dtype == np.int64
+    points = np.array([1, 217, 12345, space.size - 1])
+    D = space.digits.astype(np.int64)
+    want = (D[points] @ space.gram % m * space.lambda_multiplier % m
+            @ D.T % m)
+    assert np.array_equal(pairing_rows(space, points), want)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+def test_sub_calls_neither_add_nor_neg(space, monkeypatch):
+    """sub runs the private law, so the tracer's add and neg counters
+    count only their own callers: with both public methods raising, sub
+    on scalars and on arrays still equals the tuple oracle's."""
+    def refuse(*args):
+        raise AssertionError("sub called a public group operation")
+    monkeypatch.setattr(space_module.AbelianSpace, "add", refuse)
+    monkeypatch.setattr(space_module.AbelianSpace, "neg", refuse)
+    oracle = TupleDigits(space)
+    points = np.arange(space.size)
+    want = [[oracle.sub(x, y) for y in range(space.size)]
+            for x in range(space.size)]
+    assert space.sub(points[:, None], points).tolist() == want
+    assert [space.sub(x, y) for x, y in ((0, space.size - 1), (1, 1))] \
+        == [want[0][-1], want[1][1]]
 
 
 def test_index_of_rejects_out_of_range_coordinates():
