@@ -32,10 +32,11 @@ is block diagonal, one block per free coordinate, holding an F_p-bilinear
 trace form on that coordinate's digit basis; for cyclic products it is
 diag(m/m_i).  B is stored once, as one point psi(x) per point x
 (AbelianSpace): the Gram row d(x) . B mod m is d(psi(x)) . c, digit by
-digit.  `pairing_exponent` returns k before the lambda multiplier, for
-indices or index arrays; `pairing_rows` is the rows of the table
-(D . B . D^T) lambda mod m at some points as one matrix product, and
-`pairing_table` all of it.  Biadditivity lets a check quantified over
+digit.  psi, negation and every map of the action layer are each one
+`linear_extension`.  `pairing_exponent` returns k before the lambda
+multiplier, for indices or index arrays; `pairing_rows` is the rows of
+the table (D . B . D^T) lambda mod m at some points as one matrix
+product, and `pairing_table` all of it: biadditivity lets a check over
 all y use the digit basis vectors e_i (the points w_i) instead.
 
 Coordinates (`coords_of`, `coords_array`, `index_of`, `serialize_point`)
@@ -168,12 +169,27 @@ class AbelianSpace:
                                                  self._radices)
         self._blocks = _law_blocks(self.digits.T, radices, self.place,
                                    max(4 * size, 4096))
-        self._neg = -self.digits % self._radices @ self.place
-        self.basis = self.place[np.array(radices) > 1]
         self.size = size
+        # -d(x) = (r - 1) d(x) mod r, digit by digit
+        self._neg = self.linear_extension(np.diag(self._radices - 1), radices)
+        self.basis = self.place[np.array(radices) > 1]
         self.size_bound = size_bound
         self.character_order = character_order
         self.lambda_multiplier = lambda_multiplier
+
+    def linear_extension(self, rows, moduli):
+        """The point of digits d(x) . rows mod moduli at every x, in index
+        order, `rows` K x N in [0, moduli) (K < N only for the trivial
+        group's radix-1 digit): one cyclo.exact_matmul per BLOCK_CELLS //
+        N points, at least one, into one index array: no |X| x N temporary."""
+        D = self.digits[:, :len(rows)]
+        bound = len(rows) * (max(self.radices) - 1) * int(max(moduli))
+        out = np.empty(self.size, dtype=self.place.dtype)
+        step = max(1, BLOCK_CELLS // len(self.radices))
+        for start in range(0, self.size, step):
+            out[start:start + step] = exact_matmul(
+                D[start:start + step], rows, bound) % moduli @ self.place
+        return out
 
     # -- indexing ----------------------------------------------------------
 
@@ -313,11 +329,9 @@ class GramSpace(AbelianSpace):
             raise UsageError("the Gram matrix must be well defined on the "
                              "digits: r_i B_ij = 0 mod %d" % m)
         self.gram = gram
-        # digit k of d(x) . B mod m is a multiple of c_k, as r_k B_jk = 0;
-        # the product gets BLAS through exact_matmul, an integer one none
-        bound = n * (max(self.radices) - 1) * (m - 1)
-        rows = exact_matmul(self.digits, gram, bound) % m
-        self._psi = (rows // self._steps @ self.place).astype(gram.dtype)
+        # digit k of psi(x) is d(x) . B_.k / c_k, whole as r_k B_jk = 0, mod
+        # m / c_k, not mod r_k (Z_4 paired mod 2): X's law cannot build psi
+        self._psi = self.linear_extension(gram // self._steps, m // self._steps)
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""
@@ -326,8 +340,8 @@ class GramSpace(AbelianSpace):
         return k if np.ndim(k) else int(k)
 
 
-# cells of one block: of the pairing rows of one float64 product (4 MB),
-# and of the exponent histograms of one block of duality.character_profile
+# cells of one block: of one linear_extension product, of the pairing rows
+# of one float64 product (4 MB), of one block of character_profile histograms
 BLOCK_CELLS = 1 << 19
 
 

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from scheme_forge import cli, oracles
 from scheme_forge import action as action_module
+from scheme_forge import space as space_module
 from scheme_forge.errors import UsageError, IntegrityError
 from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
@@ -880,6 +882,60 @@ def test_built_in_maps_pass_the_sweep_on_spaces(space):
     for family, params in natural_actions(space):
         assert_built_in_maps_are_additive(build_action(space, family,
                                                        **params))
+
+
+def extension_arrays(path):
+    """The space of a config and the arrays it and its action take by
+    linear extension: psi, negation, and every generator's and
+    adjoint's permutation."""
+    with open(path) as fh:
+        space, genset = cli.load_action(json.load(fh), 4096)
+    maps = genset.generators + adjoint_map(genset).images
+    return space, [space._psi, space._neg] + [h.perm for h in maps]
+
+
+@pytest.mark.parametrize("path", config_paths() + [
+    os.path.join(CUSTOM_CONFIGS, f) for f in sorted(os.listdir(
+        CUSTOM_CONFIGS)) if f.endswith(".json")], ids=os.path.basename)
+def test_linear_extensions_in_blocks_match_one_block(path, monkeypatch):
+    """With BLOCK_CELLS at 7, below N on most spaces, so that
+    linear_extension takes one point per block (a ragged last block on
+    central Z8), psi, negation and every map equal the arrays built at
+    the default BLOCK_CELLS and the whole-array oracles:
+    (D . B mod m) // c . place for psi and D . D[images] mod r . place
+    for each map (images its own basis images), -D mod r . place for
+    negation."""
+    _, whole = extension_arrays(path)
+    monkeypatch.setattr(space_module, "BLOCK_CELLS", 7)
+    space, blocked = extension_arrays(path)
+    assert len(blocked) == len(whole)
+    for a, b in zip(blocked, whole):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    D = space.digits.astype(np.int64)
+    radices = np.array(space.radices)
+    psi = D @ space.gram % space.character_order // space._steps
+    assert np.array_equal(blocked[0], psi @ space.place)
+    assert np.array_equal(blocked[1], -D % radices @ space.place)
+    for perm in blocked[2:]:
+        assert np.array_equal(perm, D @ D[perm[space.basis]] % radices
+                              @ space.place)
+
+
+def test_bilinear_action_allocates_little_beyond_its_maps(monkeypatch):
+    """With BLOCK_CELLS at 2^10, the four bilinear generators of a space
+    of 2^16 points and 16 digits extend in blocks of 64 points: building
+    them peaks within 1.5 MB of their permutations (1 MB), with no
+    |X| x N product."""
+    monkeypatch.setattr(space_module, "BLOCK_CELLS", 1 << 10)
+    space = FullMatrixSpace(4, 4, FieldSpec(2), size_bound=1 << 16)
+    tracemalloc.start()
+    try:
+        genset = build_action(space, "bilinear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(genset.generators) == 4
+    assert peak < sum(g.perm.nbytes for g in genset.generators) + 1_500_000
 
 
 @pytest.mark.parametrize("name", SHIPPED)

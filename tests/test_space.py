@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import tracemalloc
 from operator import mul
 
 import numpy as np
@@ -613,9 +614,12 @@ DEGENERATE_GRAMS = [
     ([((2, 2), ((1, 1), (1, 1)))], 2, 3),
     # a zero block between two others: x = (0, 1, 0)
     ([((3,), ((1,),)), ((3,), ((0,),)), ((3,), ((2,),))], 3, 3),
+    # Z_4 paired mod 2, where psi's digit runs mod m / c = 2, not mod the
+    # radix 4: x = 2 pairs to 1 with every point
+    ([((4,), ((1,),))], 2, 2),
 ]
 DEGENERATE_IDS = ["zero-block", "late-witness", "singular-block",
-                  "middle-block"]
+                  "middle-block", "radix-above-m"]
 
 
 @pytest.mark.parametrize("blocks, m, witness", DEGENERATE_GRAMS,
@@ -657,6 +661,32 @@ def test_space_stores_the_pairing_as_psi(space):
             if isinstance(value, np.ndarray)
             and value.size >= space.size * len(space.radices)]
     assert wide == ["digits"]
+
+
+def kept_bytes(space):
+    """The bytes of the arrays a space keeps, its law's tables and
+    spreads included, each buffer counted once."""
+    arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+    arrays += [a for block in space._blocks for a in block]
+    owners = {id(a if a.base is None else a.base):
+              (a if a.base is None else a.base).nbytes for a in arrays}
+    return sum(owners.values())
+
+
+def test_space_allocates_little_beyond_what_it_keeps(monkeypatch):
+    """With BLOCK_CELLS at 2^10, a space of 2^16 points and 16 digits
+    takes psi and negation by linear extension in blocks of 64 points:
+    its allocations peak within 0.25 MB of the arrays it keeps (about 6
+    MB, 4 MB of them its digits), with no |X| x N product beside D."""
+    monkeypatch.setattr(space_module, "BLOCK_CELLS", 1 << 10)
+    field = FieldSpec(2)
+    tracemalloc.start()
+    try:
+        space = FullMatrixSpace(4, 4, field, size_bound=1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kept_bytes(space) + 250_000
 
 
 @st.composite
