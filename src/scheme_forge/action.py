@@ -13,9 +13,9 @@ is g(x), and `OrbitPartition.class_of[x]` the class of x, each class an
 ascending array of points.  A field family's formula runs on the entry
 arrays of the digit basis points through the field's index tables
 (FieldSpec.matmul).  A built-in map and an adjoint are the linear
-extensions of their basis images (_linear_map: one blocked product of
-the space), additive by construction and marked so, as is a custom
-generator once _build_custom has swept it: verify_additive and
+extensions of their basis images (_linear_map: one call of the law over
+the space's split), additive by construction and marked so, as is a
+custom generator once _build_custom has swept it: verify_additive and
 verify_adjoint sweep hand-built maps.
 """
 
@@ -229,14 +229,15 @@ def _additivity_witness(space, perm):
 
 def _linear_map(space, name, images, data):
     """The Generator `name` with `data` mapping x = sum_j d_j(x) e_j to
-    sum_j d_j(x) images[j]: digits sum_j d_j(x) d(images[j]) mod r
-    (AbelianSpace.linear_extension).  The one constructor that marks a
-    map `additive`, as each caller proves r_j images[j] = 0 (a carry out
-    of digit j drops it): a field radix is p; a central image is u e_j;
-    r_j times an adjoint image pairs with each e_i as <g(e_i), r_j e_j>
-    = 1, so is 0 by nondegeneracy (adjoint_images).  The adjoint
-    identity needs g additive: verify_adjoint sweeps it."""
-    perm = space.linear_extension(space.digits[images], space.radices)
+    sum_j d_j(x) images[j], as f(a) + f(b) over X = A x B, each of digits
+    sum_j d_j d(images[j]) mod r (AbelianSpace.linear_extension).  The
+    one constructor that marks a map `additive`, as each caller proves
+    r_j images[j] = 0 (a carry out of digit j drops it): a field radix
+    is p; a central image is u e_j; r_j times an adjoint image pairs with
+    each e_i as <g(e_i), r_j e_j> = 1, so is 0 by nondegeneracy
+    (adjoint_images).  The adjoint identity needs g additive:
+    verify_adjoint sweeps it."""
+    perm = space.linear_extension(space.digits[images])
     return Generator(name, perm, data, additive=True)
 
 

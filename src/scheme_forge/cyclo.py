@@ -40,8 +40,7 @@ product, inner dimension 1, is the broadcast product of its operands,
 int64 below 2^63 and Python integers otherwise, with no float64 round
 trip: the outer product "li,lj->lij", the product with M when ka and kb
 are one column each, and the conjugation of a one-column array.  The
-character profile and the pairing table (duality.py, space.py) take
-their float64 products through the same function.
+character profile (duality.py) takes its histograms through it too.
 """
 
 from __future__ import annotations

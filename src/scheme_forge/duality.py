@@ -132,8 +132,8 @@ def character_profile(space, dual, points):
     coefficients through cyclo.exact_matmul: each histogram sums to its
     class size, so the largest class times max|R| bounds every entry's
     products.  A block is BLOCK_CELLS // max(|X|, (d + 1) m) points, at
-    least one, so that its pairing rows and its histograms, and their
-    float64 copies, hold at most BLOCK_CELLS cells each."""
+    least one, so that its pairing rows and its histograms (and the
+    histograms' float64 copy) hold at most BLOCK_CELLS cells each."""
     m = space.character_order
     R = reduction_matrix(m)
     bound = max(dual.sizes) * max_abs(R)

@@ -14,8 +14,6 @@ report, which cli.write_report writes as JSON directly.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import IntegrityError
@@ -137,20 +135,12 @@ def difference_rows(space, reps):
     """u - z for every u of the index array `reps` (rows) and every z in
     X (columns, in index order), an index array (len(reps), |X|).
 
-    X splits into the points A of its leading digits and B of its
-    trailing ones, X = A x B with |A| + |B| least.  With z = a + b and
-    u = u_A + u_B so split, u - z = (u_A - a) + (u_B - b), and the two
-    differences have no digit in common: the rows are one broadcast sum
-    of two calls of the law, of shapes (len(reps), |A|) and
-    (len(reps), |B|), each no larger than the output.  A space of one
-    digit has no such split, and its rows are one call of the law on
-    every pair."""
-    radices, size = space.radices, space.size
-    if len(radices) == 1:
-        return space.sub(reps[:, None], np.arange(size))
-    lead = min((math.prod(radices[:s]) for s in range(1, len(radices))),
-               key=lambda a: a + size // a)
-    trail = size // lead
+    On X = A x B (AbelianSpace.split), with z = a + b and u = u_A + u_B
+    so split, u - z = (u_A - a) + (u_B - b), and the two differences have
+    no digit in common: the rows are one broadcast sum of two calls of
+    the law, of shapes (len(reps), |A|) and (len(reps), |B|), each no
+    larger than the output."""
+    size, trail = space.size, space.size // space.split[1]
     low = reps % trail
     rows_a = space.sub((reps - low)[:, None], np.arange(0, size, trail))
     rows_b = space.sub(low[:, None], np.arange(trail))

@@ -23,6 +23,13 @@ arrays, which broadcast against each other, so a sweep over X (or over
 X x X) is one call; index arrays are int32 whenever every product the
 space forms fits (AbelianSpace.__init__), else int64.
 
+X splits once as A x B (AbelianSpace.split), A the points of the k
+leading digits and B of the others, k the least with |A| + |B| least.
+An additive f is f(a) + f(b) on it: one call of the law on f(A) x f(B),
+read off one int64 product of the digits of A and B, O(sqrt|X| N)
+cells (`linear_extension`: psi, negation and every map); so are the
+pairing rows, in Z_m.
+
 The pairing is one bilinear form: <x,y> = zeta_m^k with
 
     k = d(x) . B . d(y) mod m,
@@ -31,13 +38,13 @@ where the N x N Gram matrix B is built once per space.  For field spaces B
 is block diagonal, one block per free coordinate, holding an F_p-bilinear
 trace form on that coordinate's digit basis; for cyclic products it is
 diag(m/m_i).  B is stored once, as one point psi(x) per point x
-(AbelianSpace): the Gram row d(x) . B mod m is d(psi(x)) . c, digit by
-digit.  psi, negation and every map of the action layer are each one
-`linear_extension`.  `pairing_exponent` returns k before the lambda
-multiplier, for indices or index arrays; `pairing_rows` is the rows of
-the table (D . B . D^T) lambda mod m at some points as one matrix
-product, and `pairing_table` all of it: biadditivity lets a check over
-all y use the digit basis vectors e_i (the points w_i) instead.
+(AbelianSpace): <x, e_k> is an r_k-th root of unity, as r_k e_k = 0, and
+digit k of psi(x) is its exponent over zeta_{r_k}, so the Gram row
+d(x) . B mod m is d(psi(x)) m / r, digit by digit.  `pairing_exponent`
+returns k before the lambda multiplier, for indices or index arrays;
+`pairing_rows` is the rows of the table (D . B . D^T) lambda mod m at
+some points, and `pairing_table` all of it: biadditivity lets a check
+over all y use the digit basis vectors e_i (the points w_i) instead.
 
 Coordinates (`coords_of`, `coords_array`, `index_of`, `serialize_point`)
 group the digits of one field coordinate back into a field-element index.
@@ -59,7 +66,6 @@ import operator
 
 import numpy as np
 
-from .cyclo import exact_matmul, max_abs
 from .errors import (UsageError, ConfigError, ResourceLimitError,
                      IntegrityError)
 from .gf import FieldSpec
@@ -131,9 +137,10 @@ class AbelianSpace:
     `digits` is the |X| x N array D whose row x is d(x), `radices` the r_i
     and `place` the place weights, so x = D[x] . place.  `basis` lists the
     digit basis vectors e_i (the points place[i], r_i > 1), which generate
-    X.  `_steps` holds c_k = m / gcd(m, r_k); subclasses define
-    `pairing_exponent` and `_psi`, which maps x to the point psi(x) of
-    digits <x, e_k> / c_k (GramSpace), the form X -> X^ of the pairing.
+    X.  `split` is (the int64 basis digits of the points of A and then
+    of B, |A|), X = A x B.  Subclasses define `pairing_exponent` and
+    `_psi`, which maps x to the point psi(x) of digits <x, e_k> r_k / m
+    (GramSpace), the form X -> X^ of the pairing.
     """
 
     kind = None
@@ -148,8 +155,8 @@ class AbelianSpace:
             raise UsageError("lambda multiplier must be a unit mod %d"
                              % character_order)
         # int32 holds each product made in the index dtype: spread sums
-        # of the law (below its block limit), d(x) . B . d(y) and blocks of
-        # pairing_rows (below N m max r_i), its lambda product (below m^2)
+        # of the law (below its block limit), d(x) . B . d(y) (below N m
+        # max r_i), the lambda product of the pairing rows (below m^2)
         # and a digit times its unit in scalar_mul (below max r_i^2)
         m, r = character_order, max(radices)
         bound = max(8 * max(size, 1024), len(radices) * m * r, m * m, r * r)
@@ -161,35 +168,40 @@ class AbelianSpace:
              for i in range(len(self._coord_radices))], dtype=dtype)
         self.place = np.array([math.prod(radices[i + 1:])
                                for i in range(len(radices))], dtype=dtype)
-        # D^T is C-contiguous: the pairing table and the law read its rows
+        # D^T is C-contiguous: the law reads its rows
         self.digits = np.indices(radices, dtype).reshape(len(radices),
                                                          size).T
         self._radices = np.array(radices, dtype=dtype)
-        self._steps = character_order // np.gcd(character_order,
-                                                 self._radices)
         self._blocks = _law_blocks(self.digits.T, radices, self.place,
                                    max(4 * size, 4096))
         self.size = size
+        self._live = self._radices > 1
+        self.basis = self.place[self._live]
+        lead = min(range(len(radices) + 1), key=lambda k: math.prod(
+            radices[:k]) + math.prod(radices[k:]))
+        trail = math.prod(radices[lead:])
+        points = np.concatenate([np.arange(0, size, trail), np.arange(trail)])
+        self.split = (points[:, None] // self.basis
+                      % self._radices[self._live], size // trail)
         # -d(x) = (r - 1) d(x) mod r, digit by digit
-        self._neg = self.linear_extension(np.diag(self._radices - 1), radices)
-        self.basis = self.place[np.array(radices) > 1]
+        self._neg = self.linear_extension(
+            np.diag(self._radices - 1)[self._live])
         self.size_bound = size_bound
         self.character_order = character_order
         self.lambda_multiplier = lambda_multiplier
 
-    def linear_extension(self, rows, moduli):
-        """The point of digits d(x) . rows mod moduli at every x, in index
-        order, `rows` K x N in [0, moduli) (K < N only for the trivial
-        group's radix-1 digit): one cyclo.exact_matmul per BLOCK_CELLS //
-        N points, at least one, into one index array: no |X| x N temporary."""
-        D = self.digits[:, :len(rows)]
-        bound = len(rows) * (max(self.radices) - 1) * int(max(moduli))
-        out = np.empty(self.size, dtype=self.place.dtype)
-        step = max(1, BLOCK_CELLS // len(self.radices))
-        for start in range(0, self.size, step):
-            out[start:start + step] = exact_matmul(
-                D[start:start + step], rows, bound) % moduli @ self.place
-        return out
+    def linear_extension(self, rows):
+        """f at every x, in index order, for the additive f: X -> X with
+        d(f(basis[i])) = rows[i]: f(a + b) = f(a) + f(b) on X = A x B, one
+        call of the law per BLOCK_CELLS cells (a chunk of A's rows)."""
+        digits, lead = self.split
+        f = digits @ rows % self._radices @ self.place
+        f_a, f_b = f[:lead, None], f[lead:]
+        out = np.empty((lead, len(f_b)), dtype=self.place.dtype)
+        step = max(1, BLOCK_CELLS // len(f_b))
+        for start in range(0, lead, step):
+            out[start:start + step] = self._law(f_a[start:start + step], f_b)
+        return out.ravel()
 
     # -- indexing ----------------------------------------------------------
 
@@ -255,10 +267,10 @@ class AbelianSpace:
     @functools.cached_property
     def _psi_inverse(self):
         """psi^-1 of adjoint_images, computed once per space and kept, or
-        None for a degenerate pairing.  On a nondegenerate one each r_k
-        divides m (<e_k, .> has order r_k), so digit k of psi, <x, e_k> /
-        c_k, is additive mod m / c_k = r_k: psi is additive with kernel
-        {0} (verify_nondegenerate), so a permutation of the finite X."""
+        None for a degenerate pairing.  Digit k of psi, <x, e_k> r_k / m,
+        is additive mod r_k, so psi is additive, and on a nondegenerate
+        pairing its kernel is {0} (verify_nondegenerate): it is a
+        permutation of the finite X."""
         if not self.verify_nondegenerate()[0]:
             return None
         inverse = np.empty_like(self._psi)
@@ -266,22 +278,24 @@ class AbelianSpace:
         return inverse
 
     def _gram_row(self, x):
-        """d(x) . B mod m at a point or index array x: d(psi(x)) . c."""
-        return self.digits[self._psi[x]] * self._steps
+        """d(x) . B mod m at a point or index array x: d(psi(x)) m / r."""
+        return (self.digits[self._psi[x]] * self.character_order
+                // self._radices)
 
     def adjoint_images(self, images):
         """iota(e_k) at images[..., k] for the adjoints iota of additive
         maps g with g(e_j) = images[..., j]; None for a degenerate pairing
         (lambda, a unit, is left out).  iota(e_k) is the h with <e_j, h> =
         <g(e_j), e_k> for all j: B is symmetric, so psi(h) has digit j
-        <g(e_j), e_k> / c_j, whole as r_j g(e_j) = 0 (c_k would not do:
+        <g(e_j), e_k> r_j / m, whole as r_j g(e_j) = 0 (r_k would not do:
         the two differ on mixed radices such as Z_2 x Z_4)."""
         inverse = self._psi_inverse
         if inverse is None:
             return None
-        live = self._radices > 1
+        live = self._live
         exponents = np.swapaxes(self._gram_row(images)[..., live], -1, -2)
-        return inverse[exponents // self._steps[live] @ self.place[live]]
+        return inverse[exponents * self._radices[live]
+                       // self.character_order @ self.basis]
 
     # -- misc ---------------------------------------------------------------
 
@@ -315,23 +329,21 @@ class GramSpace(AbelianSpace):
     def __init__(self, blocks, character_order, **kw):
         super().__init__([radices for radices, _ in blocks], character_order,
                          **kw)
-        n = len(self.radices)
-        m = character_order
-        gram = np.zeros((n, n), dtype=self.place.dtype)
-        at = 0
+        m, at = character_order, 0
+        gram = np.zeros((len(self.radices),) * 2, dtype=self.place.dtype)
         for radices, block in blocks:
-            end = at + len(radices)
-            gram[at:end, at:end] = np.mod(block, m)
-            at = end
+            gram[at:at + len(radices), at:at + len(radices)] = np.mod(block, m)
+            at += len(radices)
         if ((gram - gram.T) % m).any():
             raise UsageError("the Gram matrix must be symmetric mod %d" % m)
         if (self._radices[:, None] * gram % m).any():
             raise UsageError("the Gram matrix must be well defined on the "
                              "digits: r_i B_ij = 0 mod %d" % m)
         self.gram = gram
-        # digit k of psi(x) is d(x) . B_.k / c_k, whole as r_k B_jk = 0, mod
-        # m / c_k, not mod r_k (Z_4 paired mod 2): X's law cannot build psi
-        self._psi = self.linear_extension(gram // self._steps, m // self._steps)
+        # digit k of psi(x) is d(x) . B_.k r_k / m mod r_k, each term whole
+        # as r_k B_jk = 0 mod m: psi is a map into X itself (Z_4 mod 2 too)
+        self._psi = self.linear_extension(
+            (gram * self._radices // m)[self._live])
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""
@@ -340,8 +352,8 @@ class GramSpace(AbelianSpace):
         return k if np.ndim(k) else int(k)
 
 
-# cells of one block: of one linear_extension product, of the pairing rows
-# of one float64 product (4 MB), of one block of character_profile histograms
+# cells of one block: of one call of the law in linear_extension, of
+# pairing_rows, of character_profile's histograms, of distinct_elements keys
 BLOCK_CELLS = 1 << 19
 
 
@@ -351,28 +363,24 @@ def pairing_rows(space, points):
     with every point of X, an array (len(points), |X|) in the smallest
     integer dtype holding m - 1.
 
-    The product is cyclo.exact_matmul, in float64 through BLAS (an
-    integer matmul gets none) while its bound, N (m - 1)(max r_i - 1) for
-    N digits, is below 2^53: it is under 12 * 4096^2 < 2^28 for |X| <=
-    DEFAULT_SIZE_BOUND (N <= 12 digits, m <= |X|).  It runs
-    BLOCK_CELLS // |X| rows at a time, at least one, so that the
-    temporaries stay small, and each block is reduced mod m in the index
-    dtype of the space, which holds its products (AbelianSpace.__init__),
-    where the division is faster than in int64."""
+    On X = A x B (AbelianSpace.split) the exponent of y with a + b is
+    e_A(a) + e_B(b), each an int64 product of y's Gram row with digits,
+    mod m.  Their sum, below 2m, is one broadcast in the least unsigned
+    dtype holding 2m - 2 and one subtraction of m where it is reached,
+    BLOCK_CELLS // |X| rows at a time, at least one: on one digit (A =
+    {0}) the exponents e_B are as wide as X, in int64."""
     m = space.character_order
-    rows = space._gram_row(points) * (space.lambda_multiplier % m) % m
-    cols = space.digits.T
-    bound = cols.shape[0] * max_abs(rows) * max_abs(cols)
-    table = np.empty((len(rows), space.size),
-                     dtype=np.min_scalar_type(m - 1))
+    rows = (space._gram_row(points)[..., space._live]
+            * (space.lambda_multiplier % m) % m)
+    digits, lead = space.split
+    dtype = np.min_scalar_type(2 * m - 2)
+    table = np.empty((len(rows), space.size), np.min_scalar_type(m - 1))
     step = max(1, BLOCK_CELLS // space.size)
     for start in range(0, len(rows), step):
-        block = exact_matmul(rows[start:start + step], cols,
-                             bound).astype(space.place.dtype)
-        # block mod m, with numpy's floor_divide by a scalar, which is
-        # about three times faster than its remainder
-        block -= block // m * m
-        table[start:start + step] = block
+        e = (rows[start:start + step] @ digits.T % m).astype(dtype)
+        sums = (e[:, :lead, None] + e[:, None, lead:]).reshape(len(e), -1)
+        # an unsigned t < m wraps past t in t - m
+        table[start:start + step] = np.minimum(sums, sums - m)
     return table
 
 

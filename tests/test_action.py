@@ -884,36 +884,53 @@ def test_built_in_maps_pass_the_sweep_on_spaces(space):
                                                        **params))
 
 
-def extension_arrays(path):
-    """The space of a config and the arrays it and its action take by
-    linear extension: psi, negation, and every generator's and
-    adjoint's permutation."""
-    with open(path) as fh:
-        space, genset = cli.load_action(json.load(fh), 4096)
-    maps = genset.generators + adjoint_map(genset).images
+def extension_arrays(case):
+    """The space of a config (its path, or the dict) and the arrays it
+    and its action take by linear extension: psi, negation, and every
+    generator's and adjoint's permutation; for a tuple of GramSpace
+    arguments, the psi and negation of that space, which has no action."""
+    if isinstance(case, tuple):
+        space, maps = GramSpace(*case), []
+    else:
+        if isinstance(case, str):
+            with open(case) as fh:
+                case = json.load(fh)
+        space, genset = cli.load_action(case, 4096)
+        maps = genset.generators + adjoint_map(genset).images
     return space, [space._psi, space._neg] + [h.perm for h in maps]
 
 
-@pytest.mark.parametrize("path", config_paths() + [
+# lopsided splits of X: Z_4096, one digit, where A = {0}, and Z_4 paired
+# mod 2, whose pairing exponents psi reads in Z_4
+LOPSIDED_EXTENSIONS = [
+    pytest.param({"space": {"kind": "cyclic_product", "moduli": [4096]},
+                  "action": {"family": "central"}}, id="Z4096-central"),
+    pytest.param(([((4,), ((1,),))], 2), id="radix-above-m"),
+]
+
+
+@pytest.mark.parametrize("case", config_paths() + [
     os.path.join(CUSTOM_CONFIGS, f) for f in sorted(os.listdir(
-        CUSTOM_CONFIGS)) if f.endswith(".json")], ids=os.path.basename)
-def test_linear_extensions_in_blocks_match_one_block(path, monkeypatch):
-    """With BLOCK_CELLS at 7, below N on most spaces, so that
-    linear_extension takes one point per block (a ragged last block on
-    central Z8), psi, negation and every map equal the arrays built at
-    the default BLOCK_CELLS and the whole-array oracles:
-    (D . B mod m) // c . place for psi and D . D[images] mod r . place
+        CUSTOM_CONFIGS)) if f.endswith(".json")] + LOPSIDED_EXTENSIONS,
+    ids=os.path.basename)
+def test_linear_extensions_in_blocks_match_one_block(case, monkeypatch):
+    """With BLOCK_CELLS at 7, below |B| on every space of more than 4
+    points, so that linear_extension calls the law once per row of A,
+    psi, negation and every map equal the arrays built at the default
+    BLOCK_CELLS and the whole-array oracles:
+    (D . B mod m) r / m . place for psi and D . D[images] mod r . place
     for each map (images its own basis images), -D mod r . place for
     negation."""
-    _, whole = extension_arrays(path)
+    _, whole = extension_arrays(case)
     monkeypatch.setattr(space_module, "BLOCK_CELLS", 7)
-    space, blocked = extension_arrays(path)
+    space, blocked = extension_arrays(case)
     assert len(blocked) == len(whole)
     for a, b in zip(blocked, whole):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     D = space.digits.astype(np.int64)
     radices = np.array(space.radices)
-    psi = D @ space.gram % space.character_order // space._steps
+    m = space.character_order
+    psi = D @ space.gram % m * radices // m
     assert np.array_equal(blocked[0], psi @ space.place)
     assert np.array_equal(blocked[1], -D % radices @ space.place)
     for perm in blocked[2:]:
@@ -923,7 +940,8 @@ def test_linear_extensions_in_blocks_match_one_block(path, monkeypatch):
 
 def test_bilinear_action_allocates_little_beyond_its_maps(monkeypatch):
     """With BLOCK_CELLS at 2^10, the four bilinear generators of a space
-    of 2^16 points and 16 digits extend in blocks of 64 points: building
+    of 2^16 points and 16 digits extend over A x B, |A| = |B| = 256, in
+    calls of the law on 4 rows of A (1024 points) each: building
     them peaks within 1.5 MB of their permutations (1 MB), with no
     |X| x N product."""
     monkeypatch.setattr(space_module, "BLOCK_CELLS", 1 << 10)

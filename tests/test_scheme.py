@@ -274,8 +274,9 @@ def test_difference_rows_match_the_law(space):
 
 
 def test_difference_rows_of_one_digit():
-    """Z_4096, one digit and no split, at the first points of the central
-    classes, as intersection_tensor takes them above the verify bound."""
+    """Z_4096, one digit, so that its split has A = {0} and B = X, at
+    the first points of the central classes, as intersection_tensor
+    takes them above the verify bound."""
     space = CyclicProductSpace((4096,))
     reps = np.array([cls[0] for cls in
                      orbits(build_action(space, "central")).classes])

@@ -50,9 +50,10 @@ def test_traced_names_resolve():
 
 
 def test_no_einsum_calls():
-    """Every contraction in src goes through cyclo.exact_matmul, whose
-    dtype follows a proven bound; np.einsum (and einsum_path) stays in
-    the test oracles."""
+    """Every product over Z[zeta_m] in src goes through
+    cyclo.exact_matmul, whose dtype follows a proven bound, and every
+    product over digits is an int64 matmul (space.py); np.einsum (and
+    einsum_path) stays in the test oracles."""
     paths = sorted(SRC.glob("*.py"))
     found = ["%s:%d" % (path.name, node.lineno)
              for path in paths
@@ -61,6 +62,20 @@ def test_no_einsum_calls():
              and getattr(node.func, "attr", getattr(node.func, "id", ""))
              .startswith("einsum")]
     assert not found, "einsum calls in src: %s" % found
+
+
+def test_space_imports_nothing_from_cyclo():
+    """The arrays over X (psi, negation, every map, the pairing rows)
+    are int64 products over the digit rows of X = A x B and calls of the
+    group law, none a product over Z[zeta_m]: space.py imports nothing
+    from .cyclo."""
+    path = SRC / "space.py"
+    found = ["space.py:%d" % node.lineno
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and (
+                 node.module == "cyclo"
+                 or any(alias.name == "cyclo" for alias in node.names))]
+    assert not found, "imports from cyclo in space.py: %s" % found
 
 
 def test_every_definition_has_a_use():

@@ -534,23 +534,34 @@ def test_to_config_keeps_lambda_multiplier():
         dict(cfg, lambda_multiplier=1)).to_config()
 
 
-@pytest.mark.parametrize("space", ORACLE_SPACES, ids=lambda s: repr(s))
+# lopsided splits of X: Z_4096, one digit, where A = {0}, and Z_4 paired
+# mod 2, whose pairing exponents psi reads in Z_4
+LOPSIDED_SPACES = [CyclicProductSpace((4096,)),
+                   GramSpace([((4,), ((1,),))], 2)]
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES + LOPSIDED_SPACES,
+                         ids=lambda s: repr(s))
 def test_pairing_table_matches_int64_product(space, monkeypatch):
-    """The float64 product, in blocks of the default cell count and in
-    blocks of 3 rows (a ragged last block included), equals the int64
-    product (D . B mod m) lambda mod m . D^T mod m, as do the Gram rows
-    read off psi, d(psi(x)) . c, in that product."""
+    """The table, summed over the split of X, in blocks of the default
+    cell count and in blocks of 3 rows (a ragged last block included),
+    equals the int64 product (D . B mod m) lambda mod m . D^T mod m, as
+    do the Gram rows read off psi, d(psi(x)) m / r, in that product.
+    The products are compared 256 rows at a time: Z_4096 has 2^24."""
     m = space.character_order
     D = space.digits.astype(np.int64)
     rows = D @ space.gram % m * (space.lambda_multiplier % m) % m
-    want = rows @ D.T % m
-    assert np.array_equal(gram_rows(space) * (space.lambda_multiplier % m)
-                          % m @ D.T % m, want)
+    psi_rows = gram_rows(space) * (space.lambda_multiplier % m) % m
+    tables = []
     for cells in (space_module.BLOCK_CELLS, 3 * space.size):
         monkeypatch.setattr(space_module, "BLOCK_CELLS", cells)
-        table = pairing_table(space)
-        assert table.dtype == np.min_scalar_type(m - 1)
-        assert np.array_equal(table, want)
+        tables.append(pairing_table(space))
+        assert tables[-1].dtype == np.min_scalar_type(m - 1)
+    for start in range(0, space.size, 256):
+        want = rows[start:start + 256] @ D.T % m
+        assert np.array_equal(psi_rows[start:start + 256] @ D.T % m, want)
+        for table in tables:
+            assert np.array_equal(table[start:start + 256], want)
 
 
 # -- oracle: the pairing-form broadcast that the kernel of psi replaced ------
@@ -580,21 +591,23 @@ def config_space(path):
 
 
 def gram_rows(space):
-    """The Gram rows d(x) . B mod m of every x, read off psi: d(psi(x)) . c."""
+    """The Gram rows d(x) . B mod m of every x, read off psi:
+    d(psi(x)) m / r."""
     return space._gram_row(np.arange(space.size))
 
 
 def assert_gram_rows_match_oracles(space):
     """verify_nondegenerate equals the pairing-form oracle, verdict and
-    witness, and the Gram rows read off psi, a float64 product, equal the
-    int64 product D . B mod m in the space's index dtype."""
+    witness, and the Gram rows read off psi, built over the split of X,
+    equal the int64 product D . B mod m in the space's index dtype."""
     assert space.verify_nondegenerate() == pairing_form_nondegenerate(space)
     want = space.digits @ space.gram % space.character_order
     assert space._psi.dtype == gram_rows(space).dtype == want.dtype
     assert np.array_equal(gram_rows(space), want)
 
 
-@pytest.mark.parametrize("space", SPACES, ids=lambda s: repr(s))
+@pytest.mark.parametrize("space", SPACES + LOPSIDED_SPACES,
+                         ids=lambda s: repr(s))
 def test_gram_rows_match_oracles_on_spaces(space):
     assert_gram_rows_match_oracles(space)
 
@@ -614,8 +627,8 @@ DEGENERATE_GRAMS = [
     ([((2, 2), ((1, 1), (1, 1)))], 2, 3),
     # a zero block between two others: x = (0, 1, 0)
     ([((3,), ((1,),)), ((3,), ((0,),)), ((3,), ((2,),))], 3, 3),
-    # Z_4 paired mod 2, where psi's digit runs mod m / c = 2, not mod the
-    # radix 4: x = 2 pairs to 1 with every point
+    # Z_4 paired mod 2, where psi's digit, <x, e> read in Z_4, is 0 or 2:
+    # x = 2 pairs to 1 with every point
     ([((4,), ((1,),))], 2, 2),
 ]
 DEGENERATE_IDS = ["zero-block", "late-witness", "singular-block",
@@ -675,7 +688,8 @@ def kept_bytes(space):
 
 def test_space_allocates_little_beyond_what_it_keeps(monkeypatch):
     """With BLOCK_CELLS at 2^10, a space of 2^16 points and 16 digits
-    takes psi and negation by linear extension in blocks of 64 points:
+    takes psi and negation by linear extension over A x B, |A| = |B| =
+    256, in calls of the law on 4 rows of A (1024 points) each:
     its allocations peak within 0.25 MB of the arrays it keeps (about 6
     MB, 4 MB of them its digits), with no |X| x N product beside D."""
     monkeypatch.setattr(space_module, "BLOCK_CELLS", 1 << 10)
@@ -687,6 +701,22 @@ def test_space_allocates_little_beyond_what_it_keeps(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < kept_bytes(space) + 250_000
+
+
+def test_pairing_rows_allocate_little_beyond_their_result():
+    """The pairing row of one point of a space of 2^16 points and 16
+    digits is one broadcast sum of its exponents with A and with B, 256
+    points each, in uint8: it peaks below 16 bytes per cell of the row,
+    with no copy of the digits D (128 bytes per point in float64)."""
+    space = FullMatrixSpace(4, 4, FieldSpec(2), size_bound=1 << 16)
+    tracemalloc.start()
+    try:
+        row = pairing_rows(space, np.array([0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.shape == (1, space.size)
+    assert peak < 16 * row.size
 
 
 @st.composite
