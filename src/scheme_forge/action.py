@@ -237,7 +237,7 @@ def _linear_map(space, name, images, data):
     each e_i as <g(e_i), r_j e_j> = 1, so is 0 by nondegeneracy
     (adjoint_images).  The adjoint identity needs g additive:
     verify_adjoint sweeps it."""
-    perm = space.linear_extension(space.digits[images])
+    perm = space.linear_extension(space.digits_of(images))
     return Generator(name, perm, data, additive=True)
 
 

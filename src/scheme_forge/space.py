@@ -8,27 +8,27 @@ digit of radix p, highest-degree coefficient first (the order of
 FieldElement.index); each factor Z_{m_i} of a cyclic product is one digit
 of radix m_i.
 
-The digits of all points form one numpy array D (|X| x N, row x = d(x));
-with the radices r_i and the place weights w_i = r_{i+1} ... r_N, a point
-is x = sum_i d_i(x) w_i.  The group law is table gathers, with no carry:
-the digits fall into blocks of consecutive digits, each while prod
-(2 r_i - 1) <= max(4 |X|, 4096), so every table has O(|X|) entries.  In
-a block, the spread S(x) = sum_i d_i(x) W_i, W_i the product of 2 r_j - 1
-over the later digits j of the block, keeps each digit sum of
-S(x) + S(y) whole, and a sum table T maps it to sum_i (d_i(x) + d_i(y)
-mod r_i) w_i, the block's share of x + y.  `add` sums T[S(x) + S(y)]
-over the blocks, `sub` is that law on x and -y, `neg` is one gather and
-`scalar_mul` a sweep of D.  They take a point index or integer index
-arrays, which broadcast against each other, so a sweep over X (or over
-X x X) is one call; index arrays are int32 whenever every product the
-space forms fits (AbelianSpace.__init__), else int64.
+With the radices r_i and the place weights w_i = r_{i+1} ... r_N, a point
+is x = sum_i d_i(x) w_i, and `digits_of` decodes its digits on demand,
+d_i(x) = x // w_i mod r_i: no array holds those of all points.  The group
+law is table gathers, with no carry: the digits fall into blocks of
+consecutive digits, each while prod (2 r_i - 1) <= max(4 |X|, 4096), so
+every table has O(|X|) entries.  In a block, the spread S(x) = sum_i d_i(x)
+W_i, W_i the product of 2 r_j - 1 over the later digits j of the block,
+keeps each digit sum of S(x) + S(y) whole, and a sum table T maps it to
+sum_i (d_i(x) + d_i(y) mod r_i) w_i, the block's share of x + y.  `add`
+sums T[S(x) + S(y)] over the blocks, `sub` is that law on x and -y, `neg`
+is one gather and `scalar_mul` u times the decoded digits.  They take a
+point index or integer index arrays, which broadcast against each other, so
+a sweep over X (or over X x X) is one call; index arrays are int32 whenever
+every product the space forms fits (AbelianSpace.__init__), else int64.
 
 X splits once as A x B (AbelianSpace.split), A the points of the k
 leading digits and B of the others, k the least with |A| + |B| least.
 An additive f is f(a) + f(b) on it: one call of the law on f(A) x f(B),
-read off one int64 product of the digits of A and B, O(sqrt|X| N)
-cells (`linear_extension`: psi, negation and every map); so are the
-pairing rows, in Z_m.
+read off one product of the digits of A and B, O(sqrt|X| N) cells
+(`linear_extension`: psi, negation and every map); so are the pairing
+rows, in Z_m.
 
 The pairing is one bilinear form: <x,y> = zeta_m^k with
 
@@ -42,7 +42,7 @@ diag(m/m_i).  B is stored once, as one point psi(x) per point x
 digit k of psi(x) is its exponent over zeta_{r_k}, so the Gram row
 d(x) . B mod m is d(psi(x)) m / r, digit by digit.  `pairing_exponent`
 returns k before the lambda multiplier, for indices or index arrays;
-`pairing_rows` is the rows of the table (D . B . D^T) lambda mod m at
+`pairing_rows` is the rows of the table (d(x) . B . d(y)) lambda mod m at
 some points, and `pairing_table` all of it: biadditivity lets a check
 over all y use the digit basis vectors e_i (the points w_i) instead.
 
@@ -107,25 +107,29 @@ def check_dimensions(**dims):
             raise UsageError("%s must be >= 1" % name)
 
 
-def _law_blocks(columns, radices, place, limit):
-    """The blocks of the group law on the digit columns D^T (module
-    docstring), each while prod (2 r_i - 1) <= limit: (T, S)."""
+def _decode(points, place, radices):
+    """points // place % radices, one row per point, in place's dtype."""
+    return np.asarray(points, place.dtype)[..., None] // place % radices
+
+
+def _law_blocks(radices, place, limit):
+    """The blocks of the group law (module docstring), each while prod
+    (2 r_i - 1) <= limit: (T, S), S read off the index grid of T."""
     spans, blocks, start = [2 * r - 1 for r in radices], [], 0
     while start < len(radices):
         stop = start + 1
         while stop < len(spans) and math.prod(spans[start:stop + 1]) <= limit:
             stop += 1
-        weights = np.array([math.prod(spans[i + 1:stop])
-                            for i in range(start, stop)], dtype=place.dtype)
-        # T at digits u_i is the share of the digits u_i mod r_i: the
-        # block's own shares, wrapped around along each axis
-        rs = radices[start:stop]
-        table = (np.arange(math.prod(rs), dtype=place.dtype)
-                 * place[stop - 1]).reshape(rs)
-        for axis, r in enumerate(rs):
-            table = np.concatenate(
-                [table, table[(slice(None),) * axis + (slice(r - 1),)]], axis)
-        blocks.append((table.ravel(), weights @ columns[start:stop]))
+        # T at digits u_i < 2 r_i - 1 is the outer sum of (u_i mod r_i) w_i
+        # over the block; S(x) is the index in T of x's block digits
+        rs, ss = radices[start:stop], spans[start:stop]
+        grid = np.arange(math.prod(ss), dtype=place.dtype).reshape(ss)
+        spread = np.broadcast_to(grid[tuple(map(slice, rs))][..., None], (
+            math.prod(radices[:start]), *rs, place[stop - 1]))
+        table = functools.reduce(np.add.outer, [
+            np.arange(s, dtype=place.dtype) % r * w
+            for s, r, w in zip(ss, rs, place[start:stop])])
+        blocks.append((table.ravel(), spread.ravel()))
         start = stop
     return blocks
 
@@ -134,11 +138,11 @@ class AbelianSpace:
     """X = Z_{r_1} x ... x Z_{r_N} on digit vectors.
 
     `coord_radices` lists, per free coordinate, the radices of its digits.
-    `digits` is the |X| x N array D whose row x is d(x), `radices` the r_i
-    and `place` the place weights, so x = D[x] . place.  `basis` lists the
-    digit basis vectors e_i (the points place[i], r_i > 1), which generate
-    X.  `split` is (the int64 basis digits of the points of A and then
-    of B, |A|), X = A x B.  Subclasses define `pairing_exponent` and
+    `radices` are the r_i and `place` the place weights; `digits_of`
+    decodes points to their digits d(x), so x = d(x) . place.  `basis`
+    lists the digit basis vectors e_i (the points place[i], r_i > 1),
+    which generate X.  `split` is (the basis digits of the points of A and
+    then of B, |A|), X = A x B.  Subclasses define `pairing_exponent` and
     `_psi`, which maps x to the point psi(x) of digits <x, e_k> r_k / m
     (GramSpace), the form X -> X^ of the pairing.
     """
@@ -147,7 +151,7 @@ class AbelianSpace:
 
     def __init__(self, coord_radices, character_order, lambda_multiplier=1,
                  size_bound=DEFAULT_SIZE_BOUND):
-        # the trivial group gets one digit of radix 1, so D has a column
+        # the trivial group gets one digit of radix 1: the law needs a block
         radices = tuple(r for digits in coord_radices for r in digits) or (1,)
         size = check_size({"size_bound": size_bound},
                           *((r, 1) for r in radices))
@@ -155,25 +159,20 @@ class AbelianSpace:
             raise UsageError("lambda multiplier must be a unit mod %d"
                              % character_order)
         # int32 holds each product made in the index dtype: spread sums
-        # of the law (below its block limit), d(x) . B . d(y) (below N m
-        # max r_i), the lambda product of the pairing rows (below m^2)
-        # and a digit times its unit in scalar_mul (below max r_i^2)
+        # (below the block limit), digits times Gram rows, digit rows or
+        # units (below N max(m, r_i) max r_i), lambda products (below m^2)
         m, r = character_order, max(radices)
-        bound = max(8 * max(size, 1024), len(radices) * m * r, m * m, r * r)
+        bound = max(8 * max(size, 1024), len(radices) * max(m, r) * r, m * m)
         dtype = np.int32 if bound < 2 ** 31 else np.int64
         self.radices = radices
-        self._coord_radices = tuple(math.prod(d) for d in coord_radices)
+        self._coord_radices = np.array([*map(math.prod, coord_radices)], dtype)
         self._coord_place = np.array(
             [math.prod(self._coord_radices[i + 1:])
              for i in range(len(self._coord_radices))], dtype=dtype)
         self.place = np.array([math.prod(radices[i + 1:])
                                for i in range(len(radices))], dtype=dtype)
-        # D^T is C-contiguous: the law reads its rows
-        self.digits = np.indices(radices, dtype).reshape(len(radices),
-                                                         size).T
         self._radices = np.array(radices, dtype=dtype)
-        self._blocks = _law_blocks(self.digits.T, radices, self.place,
-                                   max(4 * size, 4096))
+        self._blocks = _law_blocks(radices, self.place, max(4 * size, 4096))
         self.size = size
         self._live = self._radices > 1
         self.basis = self.place[self._live]
@@ -181,8 +180,7 @@ class AbelianSpace:
             radices[:k]) + math.prod(radices[k:]))
         trail = math.prod(radices[lead:])
         points = np.concatenate([np.arange(0, size, trail), np.arange(trail)])
-        self.split = (points[:, None] // self.basis
-                      % self._radices[self._live], size // trail)
+        self.split = (self.digits_of(points)[:, self._live], size // trail)
         # -d(x) = (r - 1) d(x) mod r, digit by digit
         self._neg = self.linear_extension(
             np.diag(self._radices - 1)[self._live])
@@ -212,13 +210,15 @@ class AbelianSpace:
 
     def coords_array(self, points):
         """coords_of for an index array: one row of coordinates per point."""
-        points = np.asarray(points)[..., None]
-        return points // self._coord_place % np.array(self._coord_radices,
-                                                      dtype=points.dtype)
+        return _decode(points, self._coord_place, self._coord_radices)
+
+    def digits_of(self, points):
+        """d(x) at a point or index array x: one row of digits per point."""
+        return _decode(points, self.place, self._radices)
 
     def index_of(self, coords):
         index = 0
-        for c, r in zip(coords, self._coord_radices):
+        for c, r in zip(coords, self._coord_radices.tolist()):
             if not 0 <= c < r:
                 raise UsageError("coordinate %r out of range [0, %d)" % (c, r))
             index = index * r + c
@@ -248,7 +248,7 @@ class AbelianSpace:
     def scalar_mul(self, x, u):
         """u * x for an integer u, reduced mod each radix first."""
         units = np.array([u % r for r in self.radices], dtype=self.place.dtype)
-        out = self.digits[x] * units % self._radices @ self.place
+        out = self.digits_of(x) * units % self._radices @ self.place
         return out if np.ndim(out) else int(out)
 
     # -- pairing (subclasses define pairing_exponent and psi) ---------------
@@ -279,7 +279,7 @@ class AbelianSpace:
 
     def _gram_row(self, x):
         """d(x) . B mod m at a point or index array x: d(psi(x)) m / r."""
-        return (self.digits[self._psi[x]] * self.character_order
+        return (self.digits_of(self._psi[x]) * self.character_order
                 // self._radices)
 
     def adjoint_images(self, images):
@@ -347,7 +347,7 @@ class GramSpace(AbelianSpace):
 
     def pairing_exponent(self, x, y):
         """k with <x,y> = zeta_m^k (before the lambda multiplier)."""
-        k = ((self._gram_row(x) * self.digits[y]).sum(axis=-1)
+        k = ((self._gram_row(x) * self.digits_of(y)).sum(axis=-1)
              % self.character_order)
         return k if np.ndim(k) else int(k)
 
@@ -364,11 +364,11 @@ def pairing_rows(space, points):
     integer dtype holding m - 1.
 
     On X = A x B (AbelianSpace.split) the exponent of y with a + b is
-    e_A(a) + e_B(b), each an int64 product of y's Gram row with digits,
-    mod m.  Their sum, below 2m, is one broadcast in the least unsigned
-    dtype holding 2m - 2 and one subtraction of m where it is reached,
-    BLOCK_CELLS // |X| rows at a time, at least one: on one digit (A =
-    {0}) the exponents e_B are as wide as X, in int64."""
+    e_A(a) + e_B(b), each a product of y's Gram row with digits in the
+    index dtype, mod m.  Their sum, below 2m, is one broadcast in the
+    least unsigned dtype holding 2m - 2 and one subtraction of m where it
+    is reached, BLOCK_CELLS // |X| rows at a time, at least one: on one
+    digit (A = {0}) the exponents e_B are as wide as X."""
     m = space.character_order
     rows = (space._gram_row(points)[..., space._live]
             * (space.lambda_multiplier % m) % m)
@@ -386,7 +386,7 @@ def pairing_rows(space, points):
 
 def pairing_table(space):
     """The |X| x |X| table T[x][y] of lambda-scaled pairing exponents,
-    (D . B . D^T) lambda mod m: pairing_rows at every point.  Public API
+    (d(x) . B . d(y)) lambda mod m: pairing_rows at every point.  Public API
     and the tests' oracle: no command builds it."""
     return pairing_rows(space, np.arange(space.size))
 

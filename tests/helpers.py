@@ -19,6 +19,14 @@ def poset_partner(genset):
                         **genset.params)
 
 
+def all_digits(space):
+    """The |X| x N array D of the digits of every point, row x = d(x), in
+    the space's index dtype: the oracle of the space's digit decoder, from
+    np.indices over its radices (first digit most significant)."""
+    radices = space.radices
+    return np.indices(radices, space.place.dtype).reshape(len(radices), -1).T
+
+
 def plain(obj):
     """obj with every array, ndarray or CodedArray, as its tolist(): what
     json.dumps takes of a report or certificate that holds arrays."""

@@ -16,8 +16,8 @@ NAME as a custom action, its generators as point permutations: it is
 written to that directory at run time by the package of --src (about
 300 KB for hamming8_f3), and is not kept in this folder.  The duals of
 central_z32xz32 and central_z64xz64 write certificates of 326 MB and
-4.3 GB; the dual of bilinear45_f2 (|X| = 2^20) peaks near 290 MB
-resident, its build near 275 MB.
+4.3 GB; the dual of bilinear45_f2 (|X| = 2^20) peaks near 212 MB
+resident, its build near 194 MB.
 """
 
 import argparse

@@ -26,7 +26,7 @@ from scheme_forge.action import (build_action, orbits, check_condition_4,
                                  GeneratorSet, gl_generators,
                                  _field_map, orbit_labels)
 
-from helpers import poset_partner
+from helpers import all_digits, poset_partner
 from test_space import SPACES, ORACLE_SPACES, TupleDigits, index_of_entries
 from test_poset import sphere_sizes
 
@@ -782,7 +782,7 @@ def test_array_perms_match_loops_on_configs(path):
 def shear(space, k, l, t):
     """The additive automorphism that adds t d_l(x) to digit k (k != l)
     of a cyclic product, t r_l = 0 mod r_k, as a permutation list."""
-    D = space.digits.copy()
+    D = all_digits(space)
     D[:, k] = (D[:, k] + t * D[:, l]) % space.radices[k]
     return (D @ space.place).tolist()
 
@@ -927,7 +927,7 @@ def test_linear_extensions_in_blocks_match_one_block(case, monkeypatch):
     assert len(blocked) == len(whole)
     for a, b in zip(blocked, whole):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    D = space.digits.astype(np.int64)
+    D = all_digits(space).astype(np.int64)
     radices = np.array(space.radices)
     m = space.character_order
     psi = D @ space.gram % m * radices // m

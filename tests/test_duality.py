@@ -32,7 +32,8 @@ from scheme_forge.duality import (pairing_table, character_profile,
                                   duality_report,
                                   KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
 
-from helpers import coeff_array, cyclo_entries, plain, poset_partner
+from helpers import (all_digits, coeff_array, cyclo_entries, plain,
+                     poset_partner)
 from test_space import DEGENERATE_GRAMS, DEGENERATE_IDS
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
@@ -1196,7 +1197,7 @@ def random_automorphism(draw, space):
     composition of elementary maps on the digits, each additive and
     invertible: a unit times digit k, t d_l(x) added to digit k (t r_l =
     0 mod r_k, k != l), a swap of two digits of one radix."""
-    D = space.digits.copy()
+    D = all_digits(space)
     radices = space.radices
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["scale", "shear", "swap"]))

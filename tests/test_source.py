@@ -52,8 +52,9 @@ def test_traced_names_resolve():
 def test_no_einsum_calls():
     """Every product over Z[zeta_m] in src goes through
     cyclo.exact_matmul, whose dtype follows a proven bound, and every
-    product over digits is an int64 matmul (space.py); np.einsum (and
-    einsum_path) stays in the test oracles."""
+    product over digits is a matmul in the index dtype, which
+    AbelianSpace sizes to hold it; np.einsum (and einsum_path) stays in
+    the test oracles."""
     paths = sorted(SRC.glob("*.py"))
     found = ["%s:%d" % (path.name, node.lineno)
              for path in paths
@@ -66,9 +67,9 @@ def test_no_einsum_calls():
 
 def test_space_imports_nothing_from_cyclo():
     """The arrays over X (psi, negation, every map, the pairing rows)
-    are int64 products over the digit rows of X = A x B and calls of the
-    group law, none a product over Z[zeta_m]: space.py imports nothing
-    from .cyclo."""
+    are integer products over the digit rows of X = A x B and calls of
+    the group law, none a product over Z[zeta_m]: space.py imports
+    nothing from .cyclo."""
     path = SRC / "space.py"
     found = ["space.py:%d" % node.lineno
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -76,6 +77,17 @@ def test_space_imports_nothing_from_cyclo():
                  node.module == "cyclo"
                  or any(alias.name == "cyclo" for alias in node.names))]
     assert not found, "imports from cyclo in space.py: %s" % found
+
+
+def test_no_source_reads_a_digits_attribute():
+    """No space keeps the digits of all points: src reads digits through
+    the space's one decoder (digits_of), never as an attribute
+    `digits`."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "digits"]
+    assert not found, "digits attributes read in src: %s" % found
 
 
 def test_every_definition_has_a_use():

@@ -23,6 +23,8 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 GramSpace, pairing_rows, pairing_table,
                                 space_from_config)
 
+from helpers import all_digits
+
 SPACES = [
     VectorSpace(2, FieldSpec(2)),
     VectorSpace(1, FieldSpec(5)),
@@ -360,7 +362,7 @@ def test_index_dtype_holds_the_lambda_product():
     assert max(8 * space.size, 2 * m * r, r * r) < 2 ** 31 <= m * m
     assert space.place.dtype == np.int64
     points = np.array([1, 217, 12345, space.size - 1])
-    D = space.digits.astype(np.int64)
+    D = all_digits(space).astype(np.int64)
     want = (D[points] @ space.gram % m * space.lambda_multiplier % m
             @ D.T % m)
     assert np.array_equal(pairing_rows(space, points), want)
@@ -549,7 +551,7 @@ def test_pairing_table_matches_int64_product(space, monkeypatch):
     do the Gram rows read off psi, d(psi(x)) m / r, in that product.
     The products are compared 256 rows at a time: Z_4096 has 2^24."""
     m = space.character_order
-    D = space.digits.astype(np.int64)
+    D = all_digits(space).astype(np.int64)
     rows = D @ space.gram % m * (space.lambda_multiplier % m) % m
     psi_rows = gram_rows(space) * (space.lambda_multiplier % m) % m
     tables = []
@@ -601,7 +603,7 @@ def assert_gram_rows_match_oracles(space):
     witness, and the Gram rows read off psi, built over the split of X,
     equal the int64 product D . B mod m in the space's index dtype."""
     assert space.verify_nondegenerate() == pairing_form_nondegenerate(space)
-    want = space.digits @ space.gram % space.character_order
+    want = all_digits(space) @ space.gram % space.character_order
     assert space._psi.dtype == gram_rows(space).dtype == want.dtype
     assert np.array_equal(gram_rows(space), want)
 
@@ -667,13 +669,36 @@ WIDE_SPACES = [s for s in ORACLE_SPACES if len(s.radices) > 1] + [
 @pytest.mark.parametrize("space", WIDE_SPACES, ids=lambda s: repr(s))
 def test_space_stores_the_pairing_as_psi(space):
     """The pairing is stored once, as psi, one index per point: once its
-    adjoints are read, a space keeps no array of |X| N entries or more
-    but its digits D."""
+    adjoints are read, a space keeps no array of |X| N entries or more,
+    the digits of its points included."""
     space.adjoint_images(space.basis)
     wide = [name for name, value in vars(space).items()
             if isinstance(value, np.ndarray)
             and value.size >= space.size * len(space.radices)]
-    assert wide == ["digits"]
+    assert wide == []
+
+
+# the decoder's spaces: one digit or more, int32 and int64 (LAMBDA_SPACE)
+DECODER_SPACES = ORACLE_SPACES + [s for s in WIDE_SPACES
+                                  if s not in ORACLE_SPACES] + [LAMBDA_SPACE]
+
+
+@pytest.mark.parametrize("space", DECODER_SPACES, ids=lambda s: repr(s))
+def test_digits_of_matches_the_indices_oracle(space):
+    """digits_of, the space's one mixed-radix decoder, equals all_digits
+    at a scalar point (Python or numpy), at every point and on a 2-d
+    index array, one row of digits per point, in the space's index dtype
+    for int32, int64 and intp input."""
+    D, dtype = all_digits(space), space.place.dtype
+    for x in (0, space.size - 1, np.int32(space.size // 2)):
+        got = space.digits_of(x)
+        assert got.dtype == dtype and np.array_equal(got, D[x])
+    for index_dtype in (np.int32, np.int64, np.intp):
+        points = np.arange(space.size, dtype=index_dtype)
+        grid = np.add.outer(points[:6], points[-4:]) % space.size
+        for x in (points, grid):
+            got = space.digits_of(x)
+            assert got.dtype == dtype and np.array_equal(got, D[x])
 
 
 def kept_bytes(space):
@@ -689,9 +714,10 @@ def kept_bytes(space):
 def test_space_allocates_little_beyond_what_it_keeps(monkeypatch):
     """With BLOCK_CELLS at 2^10, a space of 2^16 points and 16 digits
     takes psi and negation by linear extension over A x B, |A| = |B| =
-    256, in calls of the law on 4 rows of A (1024 points) each:
-    its allocations peak within 0.25 MB of the arrays it keeps (about 6
-    MB, 4 MB of them its digits), with no |X| x N product beside D."""
+    256, in calls of the law on 4 rows of A (1024 points) each: it
+    keeps under 32 bytes per point (about 1.8 MB: psi, negation, the
+    law's tables and spreads, and no digits of all points), and its
+    allocations peak within 0.25 MB of that, with no |X| x N array."""
     monkeypatch.setattr(space_module, "BLOCK_CELLS", 1 << 10)
     field = FieldSpec(2)
     tracemalloc.start()
@@ -700,6 +726,7 @@ def test_space_allocates_little_beyond_what_it_keeps(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert kept_bytes(space) < 32 * space.size
     assert peak < kept_bytes(space) + 250_000
 
 
@@ -707,7 +734,7 @@ def test_pairing_rows_allocate_little_beyond_their_result():
     """The pairing row of one point of a space of 2^16 points and 16
     digits is one broadcast sum of its exponents with A and with B, 256
     points each, in uint8: it peaks below 16 bytes per cell of the row,
-    with no copy of the digits D (128 bytes per point in float64)."""
+    with no copy of the digits of all points."""
     space = FullMatrixSpace(4, 4, FieldSpec(2), size_bound=1 << 16)
     tracemalloc.start()
     try:
@@ -751,7 +778,7 @@ def test_psi_matches_brute_force_on_mixed_radices(gram, data):
     every x, found by a search of the table."""
     radices, m, B = gram
     space = GramSpace([(radices, B)], m)
-    D = space.digits.astype(np.int64)
+    D = all_digits(space).astype(np.int64)
     table = D @ np.array(B) @ D.T % m
     points = np.arange(space.size)
     assert np.array_equal(space.pairing_exponent(points[:, None], points),
@@ -770,7 +797,7 @@ def test_psi_matches_brute_force_on_mixed_radices(gram, data):
     images = (np.reshape(units, (2, len(r), len(r)))
               * (r // np.gcd(r[:, None], r)) % r @ space.place)
     for g, got in zip(images, space.adjoint_images(images)):
-        gx = D @ space.digits[g] % r @ space.place
+        gx = D @ D[g] % r @ space.place
         for k, e_k in enumerate(space.basis):
             h = np.flatnonzero((table == table[gx, e_k][:, None]).all(axis=0))
             assert h.tolist() == [got[k]]
