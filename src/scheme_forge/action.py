@@ -8,11 +8,11 @@ has one rule: its digit basis images are read off the pairing
 a weak-Hamming action act on the dual poset (duality_report).
 
 Maps and partitions are numpy index arrays: a generator's F_q matrices
-(`data`) hold element indices (FieldElement.index), `Generator.perm[x]`
-is g(x), and `OrbitPartition.class_of[x]` the class of x, each class an
-ascending array of points.  A field family's formula runs on the entry
-arrays of the digit basis points through the field's index tables
-(FieldSpec.matmul).  A built-in map and an adjoint are the linear
+(`data`) hold element indices (gf), `Generator.perm[x]` is g(x), and
+`OrbitPartition.class_of[x]` the class of x, each class an ascending
+array of points.  A field family's formula runs on the entry arrays of
+the digit basis points through the field's index tables (FieldSpec:
+matmul, primitive, power).  A built-in map and an adjoint are the linear
 extensions of their basis images (_linear_map: one call of the law over
 the space's split), additive by construction and marked so, as is a
 custom generator once _build_custom has swept it: verify_additive and
@@ -26,7 +26,6 @@ import math
 
 import numpy as np
 
-from . import oracles
 from .errors import UsageError, IntegrityError
 from .poset import WeakOrderPoset
 from .space import (AbelianSpace, VectorSpace, FullMatrixSpace,
@@ -48,7 +47,7 @@ def gl_generators(k, field):
         gens.append(("transvection", transvection))
     if field.q > 2:
         diag = eye.copy()
-        diag[0, 0] = field.primitive_element().index
+        diag[0, 0] = field.primitive
         gens.append(("diag_primitive", diag))
     return gens
 
@@ -115,10 +114,12 @@ class OrbitPartition:
     int32 labels (intersection_tensor codes label pairs in uint16 or
     int64), and `classes[i]` the points of class i, by default read off
     class_of in ascending order, so that classes[i][0] is the least
-    point."""
+    point.  `ranks[i]` is the matrix rank of class i on a matrix space
+    (orbits), else ranks is None."""
 
-    def __init__(self, class_of, classes=None):
+    def __init__(self, class_of, classes=None, ranks=None):
         self.class_of = np.asarray(class_of, dtype=np.int32)
+        self.ranks = ranks
         if classes is None:
             sizes = np.bincount(self.class_of)
             order = np.argsort(self.class_of, kind="stable")
@@ -167,19 +168,23 @@ def orbits(genset: GeneratorSet) -> OrbitPartition:
     least point; the orbit of 0 must be {0}."""
     space = genset.space
     label = orbit_labels([g.perm for g in genset.generators], space.size)
-    least = np.flatnonzero(label == np.arange(space.size)).tolist()
+    # the least points, ascending: a stable sort by key breaks ties by them
+    least = key = np.flatnonzero(label == np.arange(space.size))
+    ranks = None
     if genset.poset is not None:
         # weak-Hamming classes are weight spheres; label by poset weight so
         # class j of the action and of its dual-poset partner correspond
-        least.sort(key=lambda x: (genset.poset.weight(space.coords_of(x)), x))
+        key = genset.poset.weights(space.entries(least) != 0)
     elif isinstance(space, (FullMatrixSpace, FormsSpace)):
         # forms schemes label classes by rank (alternating: rank/2, which
-        # sorts the same way); ties broken by minimal point index
-        least.sort(key=lambda x: (oracles.matrix_rank(
-            space.materialize(x), space.field), x))
+        # sorts the same way), one row reduction of every representative
+        key = ranks = space.field.ranks(space.entries(least))
+    order = np.argsort(key, kind="stable")
+    least = least[order]
     position = np.empty(space.size, dtype=np.intp)
     position[least] = np.arange(len(least))
-    partition = OrbitPartition(position[label])
+    partition = OrbitPartition(position[label], ranks=None if ranks is None
+                               else ranks[order].tolist())
     if least[0] != 0 or len(partition.classes[0]) != 1:
         raise IntegrityError("orbit of 0 is not {0}")
     return partition
@@ -284,9 +289,9 @@ def _build_cyclotomic(space, family, params):
     q = space.field.q
     if q % 2 == 0 or d < 1 or (q - 1) % (2 * d) != 0:
         raise UsageError("cyclotomic classes need odd q with 2d | q-1")
-    w_d = space.field.primitive_element() ** d
+    w_d = space.field.power(space.field.primitive, d)
     gen = _field_map(space, "cyclotomic", "mul_w^%d" % d,
-                     {"matrix": np.array([[w_d.index]])})
+                     {"matrix": np.array([[w_d]])})
     return GeneratorSet(space, "cyclotomic", {"d": d}, [gen])
 
 
@@ -334,7 +339,7 @@ def _hamming_block_generators(space, block, tag):
         gens.append(("%sswap_%d_%d" % (tag, a, b), swap))
     if field.q > 2:
         scale = eye.copy()
-        scale[block[0] - 1, block[0] - 1] = field.primitive_element().index
+        scale[block[0] - 1, block[0] - 1] = field.primitive
         gens.append(("%sscale_%d" % (tag, block[0]), scale))
     return gens
 

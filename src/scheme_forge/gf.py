@@ -1,17 +1,27 @@
 """Exact arithmetic in F_q (q = p^e), polynomial-basis representation.
 
-Elements are coefficient tuples (constant term first) reduced mod a monic
-irreducible modulus of degree e over F_p.  Everything is immutable and
-desk-scale: q is capped at DEFAULT_Q_BOUND (256) and the irreducibility
-of the modulus is verified by exhaustive trial division.  For array work
-a FieldSpec tabulates its addition, multiplication (through discrete
-logarithms) and negation on element indices once (`tables`, `matmul`).
+An element is a coefficient vector (constant term first) reduced mod a
+monic irreducible modulus of degree e over F_p, and its index is
+sum_i d_i(a) p^i over its coefficients d_i(a).  q is capped at
+DEFAULT_Q_BOUND (256), so a FieldSpec is a set of integer tables on
+element indices, built once: add and neg act on coefficients mod p, and
+mul[a, b] = sum_i d_i(a) (t^i b) is one product of the q x e coefficient
+array with the table of t^i b, each row t times the row before (a shift
+and one subtraction of the modulus).  The modulus is irreducible iff mul
+has no zero divisor.  Inverses, powers (the Frobenius map among them),
+traces, the primitive element, the least nonsquare and the ranks of
+stacked matrices (`ranks`, one row reduction of all) are read off these
+tables.  FieldElement, one element as an object, is the tests' reference
+arithmetic: no command builds one.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from .cyclo import exact_matmul
 from .errors import UsageError, ResourceLimitError, IntegrityError
 
 DEFAULT_Q_BOUND = 256
@@ -55,7 +65,8 @@ def _poly_mod(coeffs, modulus, p):
 
 
 class FieldSpec:
-    """A finite field F_{p^e} with a fixed polynomial basis."""
+    """A finite field F_{p^e} with a fixed polynomial basis, as index
+    tables."""
 
     def __init__(self, p, e=1, modulus=None):
         # the bound first: no trial division of a large p, and p ** e only
@@ -77,44 +88,38 @@ class FieldSpec:
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise UsageError("modulus must be monic of degree e")
         if e == 1:
-            self.modulus = (0, 1)  # unused; t - 0 placeholder
-        else:
+            modulus = (0, 1)  # t, unused: F_p needs no shift
+        elif modulus is None:
+            modulus = BUILTIN_MODULI.get((p, e))
             if modulus is None:
-                modulus = BUILTIN_MODULI.get((p, e))
-                if modulus is None:
-                    raise UsageError(
-                        "no built-in modulus for q = %d^%d; supply one" % (p, e))
-            if not self._is_irreducible(modulus, p):
-                raise UsageError("modulus %r is reducible over F_%d" % (modulus, p))
-            self.modulus = modulus
+                raise UsageError(
+                    "no built-in modulus for q = %d^%d; supply one" % (p, e))
+        self.modulus = modulus
+        place = p ** np.arange(e)
+        coeffs = np.arange(q)[:, None] // place % p
+        # shifts[i, b] holds the coefficients of t^i b: t c is c moved up
+        # one degree, less its t^e coefficient times the modulus
+        shifts = [coeffs]
+        for _ in range(e - 1):
+            up = np.roll(shifts[-1], 1, axis=1)
+            up[:, 0] = 0
+            shifts.append((up - shifts[-1][:, -1:] * modulus[:e]) % p)
+        # each coefficient of ab is a sum of e products below p^2
+        mul = (exact_matmul(coeffs, np.stack(shifts).reshape(e, q * e),
+                            e * p * p) % p).reshape(q, q, e) @ place
+        if (mul[1:, 1:] == 0).any():
+            raise UsageError("modulus %r is reducible over F_%d"
+                             % (modulus, p))
+        # a + b: the sum of the spreads of a and b, in base 2p - 1, has no
+        # carry, and a table reduces each of its digits mod p
+        spread = coeffs @ (2 * p - 1) ** np.arange(e)
+        digit_mod = functools.reduce(np.add.outer, [
+            np.arange(2 * p - 1) % p * w for w in place[::-1]]).ravel()
+        self._tables = (digit_mod[spread[:, None] + spread], mul,
+                        -coeffs % p @ place)
         self._elements = None
-        self._primitive = None
-        self._tables = None
 
-    @staticmethod
-    def _is_irreducible(modulus, p):
-        # trial division by every monic polynomial of degree 1..e//2
-        e = len(modulus) - 1
-        for deg in range(1, e // 2 + 1):
-            for idx in range(p ** deg):
-                div = []
-                k = idx
-                for _ in range(deg):
-                    div.append(k % p)
-                    k //= p
-                div.append(1)
-                # long division remainder of modulus by div
-                rem = list(modulus)
-                for i in range(len(rem) - 1, deg - 1, -1):
-                    c = rem[i]
-                    if c:
-                        for j in range(deg + 1):
-                            rem[i - deg + j] = (rem[i - deg + j] - c * div[j]) % p
-                if not any(rem[:deg]):
-                    return False
-        return True
-
-    # -- element constructors ------------------------------------------------
+    # -- element constructors (FieldElement: the tests' reference) -----------
 
     def element(self, coeffs):
         if isinstance(coeffs, int):
@@ -147,49 +152,95 @@ class FieldSpec:
             self._elements = tuple(self.from_index(i) for i in range(self.q))
         return self._elements
 
-    def primitive_element(self):
-        """Least element (coefficient-lex = index order) of order q-1."""
-        if self._primitive is None:
-            if self.q == 2:
-                self._primitive = self.one()
-            else:
-                for a in self.elements():
-                    if a.is_zero():
-                        continue
-                    if a.multiplicative_order() == self.q - 1:
-                        self._primitive = a
-                        break
-        return self._primitive
-
     # -- index tables -----------------------------------------------------
 
     def tables(self):
-        """(add, mul, neg) on element indices, built once: add[a, b] adds
-        coefficient vectors mod p, mul[a, b] = w^(log a + log b) from the
-        FieldElement powers of the primitive element w, neg[a] = -a."""
-        if self._tables is None:
-            q, els = self.q, self.elements()
-            coeffs = np.array([a.coeffs for a in els])
-            place = self.p ** np.arange(self.e)
-            add = (coeffs[:, None] + coeffs) % self.p @ place
-            power = [self.one()]
-            for _ in range(q - 2):
-                power.append(power[-1] * self.primitive_element())
-            exp = np.array([a.index for a in power])
-            log = np.zeros(q, dtype=np.intp)
-            log[exp] = np.arange(q - 1)
-            mul = exp[(log[:, None] + log) % (q - 1)]
-            mul[0] = mul[:, 0] = 0
-            neg = np.array([(-a).index for a in els])
-            self._tables = add, mul, neg
+        """(add, mul, neg) on element indices: add[a, b] = a + b, mul[a,
+        b] = ab and neg[a] = -a, built with the FieldSpec."""
         return self._tables
+
+    @functools.cached_property
+    def inverse(self):
+        """inverse[a] = a^-1 at every element index a, and inverse[0] = 0."""
+        return (self._tables[1] == 1).argmax(axis=1)
+
+    def power(self, a, n):
+        """a^n (n >= 0) at an element index or index array a, by
+        squaring; power(np.arange(q), p) is the Frobenius map."""
+        mul = self._tables[1]
+        out, a = np.ones_like(a), np.asarray(a)
+        while n:
+            if n & 1:
+                out = mul[out, a]
+            a = mul[a, a]
+            n >>= 1
+        return out
+
+    def trace(self, f=None):
+        """Tr_{F_{p^f}/F_p}(a) = a + a^p + ... + a^(p^(f-1)) at every
+        element index a (by default f = e, the absolute trace).  Raises
+        IntegrityError unless it lies in F_p (index < p) on the subfield
+        F_{p^f}, the a with a^(p^f) = a."""
+        add, every = self._tables[0], np.arange(self.q)
+        frobenius = self.power(every, self.p)
+        acc = x = every
+        for _ in range((f or self.e) - 1):
+            x = frobenius[x]
+            acc = add[acc, x]
+        if (acc[frobenius[x] == every] >= self.p).any():
+            raise IntegrityError("trace landed outside F_p")
+        return acc
+
+    @functools.cached_property
+    def primitive(self):
+        """The index of the least element of order q - 1: the least a != 0
+        with a^((q-1)/r) != 1 for every prime r dividing q - 1."""
+        a, q = np.arange(1, self.q), self.q
+        order_q1 = np.ones(q - 1, dtype=bool)
+        for r in filter(is_prime, range(2, q)):
+            if (q - 1) % r == 0:
+                order_q1 &= self.power(a, (q - 1) // r) != 1
+        return int(a[order_q1.argmax()])
+
+    def least_nonsquare(self):
+        """The least (index order) nonsquare in F_q, q odd."""
+        if self.p == 2:
+            raise UsageError("every element of F_%d is a square" % self.q)
+        square = np.zeros(self.q, dtype=bool)
+        square[self._tables[1].diagonal()] = True
+        return int(square.argmin())
+
+    def ranks(self, A):
+        """The rank of every matrix of the stack A (..., r, c) of element
+        indices, an array of shape A.shape[:-2], by one row reduction of
+        them all along the shorter side (rank A = rank A^T): a row still
+        nonzero once the rows before it are cleared from it counts one,
+        and is cleared from the rows after it at its first nonzero
+        column."""
+        add, mul, neg = self._tables
+        A = np.asarray(A)
+        if A.shape[-2] > A.shape[-1]:
+            A = np.swapaxes(A, -1, -2)
+        shape = A.shape
+        A = A.reshape((-1,) + shape[-2:])
+        stack, rank = np.arange(len(A)), 0
+        for _ in range(shape[-2]):
+            row, A = A[:, 0], A[:, 1:]
+            nonzero = row != 0
+            col = nonzero.argmax(axis=1)
+            rank = rank + nonzero.any(axis=1)
+            # -A[k, col] / row[col] for each row k after it; 0 if row is 0
+            coef = mul[A[stack, :, col],
+                       neg[self.inverse[row[stack, col]]][:, None]]
+            A = add[A, mul[coef[:, :, None], row[:, None]]]
+        return np.reshape(rank, shape[:-2])
 
     def matmul(self, A, B):
         """The matrix product A B over F_q on arrays of element indices,
         stacked over any leading axes that broadcast: A is (..., r, k), B
         (..., k, c).  Each product is one lookup in the mul table and the
         k terms of each entry fold through the add table."""
-        add, mul, _ = self.tables()
+        add, mul, _ = self._tables
         terms = mul[A[..., :, :, None], B[..., None, :, :]]
         acc = terms[..., 0, :]
         for j in range(1, terms.shape[-2]):
@@ -286,37 +337,6 @@ class FieldElement:
         if any(acc.coeffs[1:]):
             raise IntegrityError("trace landed outside F_p")
         return acc.coeffs[0]
-
-    def subfield_trace(self, f):
-        """Trace to F_p of an element known to lie in the subfield F_{p^f}.
-
-        Computes sum of a^(p^i) for i < f and checks the result (and the
-        element itself) is where it should be.
-        """
-        spec = self.spec
-        if spec.e % f != 0:
-            raise UsageError("F_{p^%d} is not a subfield of F_{p^%d}" % (f, spec.e))
-        if (self ** (spec.p ** f)).coeffs != self.coeffs:
-            raise UsageError("element does not lie in the declared subfield")
-        acc = self
-        x = self
-        for _ in range(f - 1):
-            x = x.frobenius()
-            acc = acc + x
-        if any(acc.coeffs[1:]):
-            raise IntegrityError("subfield trace landed outside F_p")
-        return acc.coeffs[0]
-
-    def multiplicative_order(self):
-        if self.is_zero():
-            raise UsageError("zero has no multiplicative order")
-        one = self.spec.one()
-        x = self
-        n = 1
-        while x != one:
-            x = x * self
-            n += 1
-        return n
 
     def is_zero(self):
         return not any(self.coeffs)

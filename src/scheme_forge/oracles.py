@@ -1,13 +1,12 @@
-"""Independent cross-check oracles: Gaussian-elimination rank over F_q and
-small field utilities used only for verification and labeling.
+"""Independent cross-check oracle: Gaussian-elimination rank over F_q on
+FieldElements, the tests' reference for FieldSpec.ranks; no command calls
+it.
 
-Kept free of any orbit or scheme machinery so the acceptance tests compare
-two genuinely different computations.
+Kept free of any orbit or scheme machinery and of the field's index
+tables, so the tests compare two genuinely different computations.
 """
 
 from __future__ import annotations
-
-from .errors import UsageError
 
 
 def matrix_rank(mat, field):
@@ -35,13 +34,3 @@ def matrix_rank(mat, field):
         rank += 1
     return rank
 
-
-def least_nonsquare(field):
-    """The least (index order) nonsquare in F_q, q odd."""
-    if field.q % 2 == 0:
-        raise UsageError("every element of a characteristic-2 field is a square")
-    squares = {(a * a).index for a in field.elements()}
-    for a in field.elements():
-        if a.index not in squares:
-            return a
-    raise UsageError("no nonsquare found (q must be odd)")

@@ -53,12 +53,11 @@ class WeakOrderPoset:
                               tuple(t + 1 - v for v in self.level_of))
 
     def weight(self, coords):
-        """P-weight of a coordinate vector (any sequence of field elements
-        or residues; only zero-ness is consulted)."""
+        """P-weight of a coordinate vector of element indices or residues
+        (only zero-ness is consulted)."""
         if len(coords) != self.n:
             raise UsageError("vector dimension != poset size")
-        return int(self.weights(np.array([_nonzero(c) for c in coords],
-                                         dtype=bool)))
+        return int(self.weights(np.not_equal(coords, 0)))
 
     def weights(self, nonzero):
         """P-weights of a stack of vectors given by their nonzero masks
@@ -76,9 +75,3 @@ class WeakOrderPoset:
     def __repr__(self):
         return "WeakOrderPoset(levels=%s, level_of=%s)" % (
             list(self.levels), list(self.level_of))
-
-
-def _nonzero(v):
-    if hasattr(v, "is_zero"):
-        return not v.is_zero()
-    return v != 0

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import IntegrityError
 from .action import OrbitPartition, check_condition_4
 from .space import AbelianSpace, check_tensor_size
-from . import oracles
 
 DEFAULT_MATRIX_BOUND = 512
 REPRESENTATIVE_VERIFY_BOUND = 1024
@@ -82,29 +81,26 @@ class TranslationScheme:
 
     def class_labels(self, family):
         """Human-readable labels per class where the action family defines
-        them: Hamming weight, matrix rank, or (rank, type) for symmetric
-        forms."""
+        them: Hamming weight, matrix rank (kept on the partition by
+        orbits), or (rank, type) for symmetric forms."""
         space = self.space
         labels = ["0"] + ["class_%d" % i for i in range(1, self.d + 1)]
         if family in ("hamming", "weak_hamming", "weak_hamming_dual"):
             for i in range(1, self.d + 1):
                 labels[i] = "weight_%d" % i
         elif family in ("bilinear", "hermitian", "alternating"):
-            for i, cls in enumerate(self.partition.classes[1:], 1):
-                r = oracles.matrix_rank(space.materialize(int(cls[0])),
-                                        space.field)
-                labels[i] = "rank_%d" % r
+            for i in range(1, self.d + 1):
+                labels[i] = "rank_%d" % self.partition.ranks[i]
         elif family == "symmetric":
             labels = self._symmetric_labels(labels)
         return labels
 
     def _symmetric_labels(self, labels):
         space = self.space
-        field = space.field
-        eps = oracles.least_nonsquare(field)
+        eps = space.field.least_nonsquare()
         for r in range(1, space.m + 1):
-            plus = _diag_rep(space, [field.one()] * r)
-            minus = _diag_rep(space, [eps] + [field.one()] * (r - 1))
+            plus = _diag_rep(space, [1] * r)
+            minus = _diag_rep(space, [eps] + [1] * (r - 1))
             labels[self.partition.class_of[plus]] = "(%d,+)" % r
             cm = self.partition.class_of[minus]
             if labels[cm].startswith("class_") or minus == plus:
@@ -124,10 +120,10 @@ class TranslationScheme:
 
 
 def _diag_rep(space, entries):
-    """The point diag(entries, 0, ..., 0) of a symmetric space."""
+    """The point diag(entries, 0, ..., 0), entries element indices."""
     mat = np.zeros((1, space.m, space.m), dtype=np.intp)
-    for i, v in enumerate(entries):
-        mat[0, i, i] = v.index
+    diag = np.arange(len(entries))
+    mat[0, diag, diag] = entries
     return int(space.points_of(mat, "diag", [0])[0])
 
 

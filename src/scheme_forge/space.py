@@ -4,9 +4,9 @@ Every built-in space is the group Z_{r_1} x ... x Z_{r_N}: a point is a
 digit vector d(x) with 0 <= d_i < r_i, and its index is the plain
 mixed-radix number of its digits (first digit most significant, zero
 element at index 0).  Each F_p coefficient of a field coordinate is one
-digit of radix p, highest-degree coefficient first (the order of
-FieldElement.index); each factor Z_{m_i} of a cyclic product is one digit
-of radix m_i.
+digit of radix p, highest-degree coefficient first, so that a
+coordinate is its element's index (gf); each factor Z_{m_i} of a cyclic
+product is one digit of radix m_i.
 
 With the radices r_i and the place weights w_i = r_{i+1} ... r_N, a point
 is x = sum_i d_i(x) w_i, and `digits_of` decodes its digits on demand,
@@ -52,10 +52,9 @@ The field spaces decode index arrays of points to arrays of the element
 indices of their vector or matrix entries (`entries`) and encode such
 arrays back to points (`points_of`, which raises IntegrityError for a
 matrix outside X); the action families evaluate their formulas on these
-arrays, at the digit basis, through the field's index tables.
-`materialize` gives one point as FieldElements, for rank labels.  No
-FieldElement arithmetic runs in the group law, the pairing or the
-actions.
+arrays, at the digit basis, through the field's index tables, as do
+the trace forms of the Gram blocks.  `materialize` gives one point as
+FieldElements, the tests' reference; no command builds one.
 """
 
 from __future__ import annotations
@@ -391,24 +390,22 @@ def pairing_table(space):
     return pairing_rows(space, np.arange(space.size))
 
 
-def _trace_block(elements, p, f, form):
-    """Digit radices and Gram block of one field coordinate whose index k
-    stands for elements[k], k < p^f.  Both built-in orders (a field, or a
-    subfield listed in index order) make elements[k] F_p-linear in the
-    base-p digits of k, so digit l, counted from the least significant, is
-    the coefficient of the basis element elements[p^l].  Entry (i, j) is
-    form(b_i, b_j) mod p over that basis, most significant digit first."""
-    basis = [elements[p ** l] for l in reversed(range(f))]
-    return (p,) * f, tuple(tuple(form(a, b) % p for b in basis)
-                           for a in basis)
-
-
-def _trace(a, b):
-    return (a * b).trace()
-
-
-def _trace_twice(a, b):
-    return 2 * (a * b).trace()
+def _trace_block(field, form=None, values=None, f=None):
+    """Digit radices and Gram block of one field coordinate of f digits
+    (default e) whose index k stands for the element index values[k]
+    (default k), k < p^f.  Both built-in orders (a field, or a subfield
+    listed in index order) make values[k] F_p-linear in the base-p digits
+    of k, so digit l, counted from the least significant, is the
+    coefficient of the basis element values[p^l].  Entry (i, j) is
+    form[b_i, b_j] mod p over that basis, most significant digit first,
+    form a table on element indices (default the trace form Tr(ab))."""
+    p, f = field.p, f or field.e
+    if form is None:
+        form = field.trace()[field.tables()[1]]
+    basis = p ** np.arange(f - 1, -1, -1)
+    if values is not None:
+        basis = values[basis]
+    return (p,) * f, form[basis[:, None], basis] % p
 
 
 class FieldSpace(GramSpace):
@@ -421,7 +418,6 @@ class FieldSpace(GramSpace):
     def __init__(self, shape, field: FieldSpec, blocks, **kw):
         self.shape = shape
         self.field = field
-        self._field_elements = field.elements()
         super().__init__(blocks, field.p, **kw)
 
     def entries(self, points):
@@ -436,8 +432,9 @@ class FieldSpace(GramSpace):
         return coords @ self._coord_place
 
     def materialize(self, x):
-        """Point x as a tuple of FieldElements, or of rows of them."""
-        els = self._field_elements
+        """Point x as a tuple of FieldElements, or of rows of them: the
+        tests' reference, which no command calls."""
+        els = self.field.elements()
         E = self.entries(x)
         if E.ndim == 1:
             return tuple(els[a] for a in E)
@@ -453,7 +450,7 @@ class VectorSpace(FieldSpace):
         check_dimensions(n=n)
         check_size(kw, (field.q, n))
         self.n = n
-        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        block = _trace_block(field)
         super().__init__((n,), field, [block] * n, **kw)
 
 
@@ -467,7 +464,7 @@ class FullMatrixSpace(FieldSpace):
         check_size(kw, (field.q, m * n))
         self.m = m
         self.n = n
-        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        block = _trace_block(field)
         super().__init__((m, n), field, [block] * (m * n), **kw)
 
 
@@ -529,7 +526,7 @@ class AlternatingMatrixSpace(FormsSpace):
         check_dimensions(m=m)
         check_size(kw, (field.q, m * (m - 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        block = _trace_block(field.elements(), field.p, field.e, _trace)
+        block = _trace_block(field)
         super().__init__(m, field, positions, [block] * len(positions),
                          field.tables()[2], **kw)
 
@@ -548,9 +545,8 @@ class SymmetricMatrixSpace(FormsSpace):
         check_dimensions(m=m)
         check_size(kw, (field.q, m * (m + 1) // 2))
         positions = [(i, j) for i in range(m) for j in range(i, m)]
-        els, p = field.elements(), field.p
-        blocks = [_trace_block(els, p, field.e,
-                               _trace if i == j else _trace_twice)
+        form = field.trace()[field.tables()[1]]
+        blocks = [_trace_block(field, form if i == j else 2 * form)
                   for i, j in positions]
         super().__init__(m, field, positions, blocks, np.arange(field.q),
                          **kw)
@@ -564,8 +560,9 @@ class HermitianMatrixSpace(FormsSpace):
     *A = A.  The pairing tr(AB) lands in F_q and is fed to the base-field
     trace, keeping the character order at p: a diagonal coordinate carries
     Tr_{F_q/F_p}(ab), an upper one Tr_{F_q^2/F_p}(a conj(b)).  A diagonal
-    coordinate k stands for the entry _subfield[k]; conj_index[a] is
-    the index of conj(a).
+    coordinate k stands for the entry _sub_to_field[k], the elements
+    fixed by conj listed in index order; conj_index[a] is the index of
+    conj(a) = a^q.
     """
 
     kind = "matrix_hermitian"
@@ -578,29 +575,24 @@ class HermitianMatrixSpace(FormsSpace):
         self.base_f = field.e // 2
         self.base_q = field.p ** self.base_f
         check_size(kw, (self.base_q, m), (field.q, m * (m - 1) // 2))
-        els = field.elements()
-        self._subfield = tuple(
-            a for a in els if (a ** self.base_q).coeffs == a.coeffs)
-        if len(self._subfield) != self.base_q:
-            raise IntegrityError("F_%d has %d elements fixed by a -> a^%d"
-                                 % (field.q, len(self._subfield), self.base_q))
+        every, mul = np.arange(field.q), field.tables()[1]
+        self.conj_index = field.power(every, self.base_q)
         # subfield coordinate -> entry, and entry -> coordinate (-1 off it)
-        self._sub_to_field = np.array([a.index for a in self._subfield])
+        self._sub_to_field = np.flatnonzero(self.conj_index == every)
+        if len(self._sub_to_field) != self.base_q:
+            raise IntegrityError("F_%d has %d elements fixed by a -> a^%d"
+                                 % (field.q, len(self._sub_to_field),
+                                    self.base_q))
         self._field_to_sub = np.full(field.q, -1)
         self._field_to_sub[self._sub_to_field] = np.arange(self.base_q)
         upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        p = field.p
-        diag = _trace_block(self._subfield, p, self.base_f,
-                            lambda a, b: (a * b).subfield_trace(self.base_f))
-        upper_block = _trace_block(els, p, field.e,
-                                   lambda a, b: (a * self.conj(b)).trace())
-        self.conj_index = np.array([self.conj(a).index for a in els])
+        diag = _trace_block(field, field.trace(self.base_f)[mul],
+                            self._sub_to_field, self.base_f)
+        upper_block = _trace_block(field,
+                                   field.trace()[mul[:, self.conj_index]])
         super().__init__(m, field, [(i, i) for i in range(m)] + upper,
                          [diag] * m + [upper_block] * len(upper),
                          self.conj_index, **kw)
-
-    def conj(self, a):
-        return a ** self.base_q
 
     def _to_entries(self, coords):
         values = coords.copy()

@@ -17,7 +17,7 @@ import pytest
 
 from scheme_forge import duality, oracles
 from scheme_forge.cyclo import CycloInt
-from scheme_forge.gf import FieldSpec
+from scheme_forge.gf import FieldSpec, FieldElement
 from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 AlternatingMatrixSpace, SymmetricMatrixSpace,
                                 HermitianMatrixSpace, CyclicProductSpace,
@@ -271,7 +271,7 @@ def test_criterion_8_oracle_cross_checks(gensets):
         part = orbits(genset)
         scheme = TranslationScheme(space, part)
         for x in range(space.size):
-            w = genset.poset.weight(space.materialize(x))
+            w = genset.poset.weight(space.coords_of(x))
             if part.class_of[x] != w:
                 ok = False
                 detail.append("%s: class/weight mismatch at %d" % (name, x))
@@ -279,8 +279,7 @@ def test_criterion_8_oracle_cross_checks(gensets):
         # wreath relation: (x, y) in R_i iff w_P(y - x) = i, every pair
         for x in range(space.size):
             for y in range(space.size):
-                w = genset.poset.weight(
-                    space.materialize(space.sub(y, x)))
+                w = genset.poset.weight(space.coords_of(space.sub(y, x)))
                 if scheme.relation(x, y) != w:
                     ok = False
                     detail.append("%s: relation mismatch" % name)
@@ -455,6 +454,43 @@ GOLDEN_REPORTS = {
 def test_reports_match_golden_digests(command, tmp_path):
     code, digest, _ = command_digests(command, tmp_path / "report.json")
     assert (code, digest) == GOLDEN_REPORTS[command]
+
+
+def field_free_commands():
+    """The commands of GOLDEN_REPORTS, then check, build and dual on every
+    other config of configs/, perfbench/configs/ and tests/configs/, but
+    the dual of central_z15xz15 (a cyclic product, no field), which takes
+    seconds in its Krein parameters."""
+    commands = list(GOLDEN_REPORTS)
+    for folder in ("configs", "perfbench/configs", "tests/configs"):
+        for name in sorted(os.listdir(os.path.join(ROOT, folder))):
+            for verb in ("check", "build", "dual"):
+                command = "%s %s/%s" % (verb, folder, name)
+                if command not in commands and command != (
+                        "dual perfbench/configs/central_z15xz15.json"):
+                    commands.append(command)
+    return commands
+
+
+@pytest.mark.parametrize("command", field_free_commands())
+def test_no_command_builds_a_field_element(command, tmp_path, monkeypatch):
+    """F_q is its FieldSpec's index tables in every command: with
+    FieldElement construction and oracles.matrix_rank made to raise, each
+    command reaches neither, and each report of GOLDEN_REPORTS keeps its
+    digest."""
+    reached = []
+
+    def forbidden(*args, **kwargs):
+        reached.append(args)
+        raise AssertionError("a command built a FieldElement or ranked "
+                             "one by oracles.matrix_rank")
+
+    monkeypatch.setattr(FieldElement, "__init__", forbidden)
+    monkeypatch.setattr(oracles, "matrix_rank", forbidden)
+    code, digest, _ = command_digests(command, tmp_path / "report.json")
+    assert not reached
+    if command in GOLDEN_REPORTS:
+        assert (code, digest) == GOLDEN_REPORTS[command]
 
 # sha256 of the stdout of each dual command of GOLDEN_REPORTS (run with
 # --out, so the eigenmatrix tables and the PASS/FAIL line), recorded before

@@ -4,7 +4,10 @@ that the benchmark tracer wraps."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scheme_forge"
 
@@ -47,6 +50,22 @@ def test_traced_names_resolve():
         if not found:
             missing.append("%s.%s" % (module, path))
     assert not missing, "traced names that do not resolve: %s" % missing
+
+
+def test_cli_import_loads_every_traced_module():
+    """The tracer patches each module it wraps where sys.modules holds it
+    once the CLI is imported: in a fresh interpreter, importing
+    scheme_forge.cli loads every one of them, oracles included, which no
+    command calls."""
+    tracer = load_tracer()
+    modules = sorted({"scheme_forge." + module for module, _, _
+                      in tracer.SPANS + tracer.COUNTERS})
+    code = ("import sys, scheme_forge.cli; print(*(m for m in %r "
+            "if m not in sys.modules))" % modules)
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == []
 
 
 def test_no_einsum_calls():

@@ -23,7 +23,7 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace,
                                 GramSpace, pairing_rows, pairing_table,
                                 space_from_config)
 
-from helpers import all_digits
+from helpers import all_digits, conj, subfield, subfield_trace
 
 SPACES = [
     VectorSpace(2, FieldSpec(2)),
@@ -57,9 +57,9 @@ def oracle_add_tables(space):
     if space.kind == "cyclic_product":
         return [[[(a + b) % m for b in range(m)] for a in range(m)]
                 for m in space.moduli]
-    values = [space._field_elements] * len(space.coords_of(0))
+    values = [space.field.elements()] * len(space.coords_of(0))
     if space.kind == "matrix_hermitian":
-        values[:space.m] = [space._subfield] * space.m
+        values[:space.m] = [subfield(space)] * space.m
     tables = []
     for vals in values:
         index = {v: k for k, v in enumerate(vals)}
@@ -93,8 +93,8 @@ def oracle_pairing(space):
                  for i, j in zip(space._rows, space._cols)]
     elif space.kind == "matrix_hermitian":
         terms = [(i * m + j, j * m + i) for i in range(m) for j in range(m)]
-        final = {a.index: a.subfield_trace(space.base_f)
-                 for a in space._subfield}
+        final = {a.index: subfield_trace(a, space.base_f)
+                 for a in subfield(space)}
     else:  # vector, full and symmetric (sum_ij A_ij B_ij = tr(AB))
         terms = [(k, k) for k in range(len(entries[0]))]
 
@@ -137,7 +137,7 @@ def index_of_entries(space, A):
     else:
         coords = [A[i][j].index for i, j in zip(space._rows, space._cols)]
         if space.kind == "matrix_hermitian":
-            coords[:space.m] = [space._subfield.index(A[i][i])
+            coords[:space.m] = [subfield(space).index(A[i][i])
                                 for i in range(space.m)]
     return space.index_of(tuple(coords))
 
@@ -461,7 +461,7 @@ def test_hermitian_space_structure():
         A = sp.materialize(x)
         for i in range(2):
             for j in range(2):
-                assert sp.conj(A[i][j]) == A[j][i]
+                assert conj(sp, A[i][j]) == A[j][i]
         assert index_of_entries(sp, A) == x
 
 
