@@ -4,8 +4,8 @@ Each built-in family materializes a small generating set as point
 permutations; orbits are an array closure over them (the full group is
 never stored).  Every generator's adjoint iota(g), custom ones included,
 has one rule: its digit basis images are read off the pairing
-(AbelianSpace.adjoint_images), and verify_adjoint checks them; those of
-a weak-Hamming action act on the dual poset (duality_report).
+(AbelianSpace.adjoint_images), and verify_adjoint checks them; their
+orbits give a self dual its dual partition (duality_report).
 
 Maps and partitions are numpy index arrays: a generator's F_q matrices
 (`data`) hold element indices (gf), `Generator.perm[x]` is g(x), and
@@ -96,12 +96,12 @@ class GeneratorSet:
         _build_custom), else by a sweep of g(x + e_i) = g(x) + g(e_i) over
         every point x and digit basis vector e_i, O(N |X|) (the e_i
         generate X: induct on y as a word in them).  Returns (ok,
-        witness), the witness a violating (g.name, x, y)."""
+        witness), the witness a violating (g.name, x, y) in coordinates."""
         for g in self.generators:
             witness = None if g.additive else _additivity_witness(self.space,
                                                                   g.perm)
             if witness is not None:
-                return False, (g.name,) + witness
+                return False, (g.name, *witness)
         return True, None
 
     def label(self):
@@ -217,8 +217,8 @@ def check_condition_6(partition: OrbitPartition, space: AbelianSpace):
 
 def _additivity_witness(space, perm):
     """The first (x, e_i) in row-major order with perm(x + e_i) !=
-    perm(x) + perm(e_i), e_i running over the digit basis; None if there
-    is none."""
+    perm(x) + perm(e_i), e_i running over the digit basis, as
+    coordinates; None if there is none."""
     points = np.arange(space.size)[:, None]
     basis = space.basis
     bad = perm[space.add(points, basis)] != space.add(perm[points],
@@ -226,7 +226,7 @@ def _additivity_witness(space, perm):
     if not bad.any():
         return None
     x, i = divmod(int(bad.argmax()), len(basis))
-    return x, int(basis[i])
+    return space.serialize_point(x), space.serialize_point(int(basis[i]))
 
 
 # -- family constructors -----------------------------------------------------
@@ -467,13 +467,13 @@ def verify_adjoint(adjoint: AdjointMap):
     basis = space.basis
     nondegenerate, x = space.verify_nondegenerate()
     if not nondegenerate:
-        return False, ("degenerate pairing", space.serialize_point(x))
+        return False, ("degenerate pairing", x)
     for g, ig in zip(genset.generators, adjoint.images):
         for h in (g,) if ig.perm is g.perm else (g, ig):
             witness = None if h.additive else _additivity_witness(space,
                                                                   h.perm)
             if witness is not None:
-                return False, (h.name, *map(space.serialize_point, witness))
+                return False, (h.name, *witness)
         bad = (space.pairing_exponent(g.perm[basis][:, None], basis)
                != space.pairing_exponent(basis[:, None], ig.perm[basis]))
         if bad.any():

@@ -354,13 +354,11 @@ def check_report(space, genset):
     additive_ok, additive_witness = genset.verify_additive()
     report["condition_3_additive"] = additive_ok
     if not additive_ok:
-        name, x, y = additive_witness
-        report["condition_3_witness"] = [name, space.serialize_point(x),
-                                         space.serialize_point(y)]
+        report["condition_3_witness"] = list(additive_witness)
     nondeg_ok, nondeg_witness = space.verify_nondegenerate()
     report["pairing_nondegenerate"] = nondeg_ok
     if not nondeg_ok:
-        report["pairing_witness"] = space.serialize_point(nondeg_witness)
+        report["pairing_witness"] = nondeg_witness
     partition = orbits(genset)
     report["d"] = partition.d
     report["class_sizes"] = partition.sizes

@@ -37,12 +37,14 @@ one function; over a nondegenerate pairing distinct characters are
 linearly independent (Delsarte 1973), so iota(g) Y_j = Y_j.  So a point
 that a verified iota(g) moves out of its dual class witnesses that
 constancy fails, and no profile is computed; a side with no premise
-fails with the adjoint's own witness.  With a second action, or the
-adjoint images, on the dual poset, of a weak-Hamming action in self
-mode, constancy_G_check is decided the same way from that action's
-adjoints against G's classes: read off the pairing (adjoint_map), or,
-for the images, G's generators, through G's verified identity:
-iota(iota(g)) = g, as the pairing is symmetric.
+fails with the adjoint's own witness.  In self mode the verdict against
+G's classes picks the dual partition: the images act on X as G on the
+characters, so (Brauer's permutation lemma, Isaacs 1976, Cor. 6.33)
+they have d + 1 orbits, G's classes if they keep them (P is Q), else
+the dual partition, on G's dual poset if any ("cross" when P != Q).
+A second action, or those images, decides constancy_G_check alike from
+its adjoints: read off the pairing (adjoint_map), or, for the images,
+G's generators: iota(iota(g)) = g by G's verified identity.
 
 character_profile computes f_j at the points it is given, a block at a
 time: their pairing rows (pairing_rows), one exponent histogram per
@@ -477,29 +479,29 @@ class DualityCertificate:
 def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     """Run the full duality pipeline and assemble the certificate.
 
-    gens_Gc = None means self mode: the dual partition is G's own, or the
-    orbits of a weak-Hamming action's adjoints.  A class count d past the
-    tensor bound of the space's size bound raises ResourceLimitError
+    gens_Gc = None means self mode, whose dual partition the adjoint lemma
+    picks (module docstring).  A class count d past the tensor bound of
+    the space's size bound raises ResourceLimitError
     (space.check_tensor_size)."""
     space = gens_G.space
-    cert = DualityCertificate("self" if gens_Gc is None else "cross", space)
-    adjoint_G = partner = None
-    if gens_Gc is None and gens_G.poset is not None:
-        # the dual partition of a weak-Hamming scheme: the orbits of G's
-        # adjoints, on the dual poset; palindromic level vectors keep
-        # this a self-duality
-        adjoint_G = adjoint_map(gens_G)
-        gens_Gc = partner = GeneratorSet(
-            space, "adjoint", {}, adjoint_G.images, poset=gens_G.poset.dual())
-        levels = gens_G.poset.levels
-        cert.mode = "self" if levels == levels[::-1] else "cross"
-        cert.notes.append("dual partition taken from the dual poset")
     # compared as built: equal configs index their points alike
     if gens_Gc is not None and gens_Gc.space is not space \
             and gens_Gc.space.to_config() != space.to_config():
         raise UsageError("the two actions must share the vertex space")
+    cert = DualityCertificate("self" if gens_Gc is None else "cross", space)
 
     part_G = orbits(gens_G)
+    adjoint_G = adjoint_map(gens_G)
+    verdict, premise = verify_adjoint(adjoint_G)
+    # if the images move G's classes, their orbits are the dual classes
+    partner = None
+    if gens_Gc is None and premise is None \
+            and keeps_classes(adjoint_G, part_G) is not None:
+        poset = gens_G.poset and gens_G.poset.dual()
+        gens_Gc = partner = GeneratorSet(space, "adjoint", {},
+                                         adjoint_G.images, poset=poset)
+        cert.notes.append("dual partition taken from the " + (
+            "dual poset" if poset else "orbits of the adjoint images"))
     part_Gc = part_G if gens_Gc is None else orbits(gens_Gc)
 
     for name, part in (("G", part_G), ("G_check", part_Gc)):
@@ -524,27 +526,28 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     cert.valencies = scheme_G.valencies
     cert.multiplicities = part_Gc.sizes
 
-    adjoint_G = adjoint_map(gens_G) if adjoint_G is None else adjoint_G
-    verdict, witness = verify_adjoint(adjoint_G)
     cert.checks["adjoint"] = verdict
     if not verdict:
-        cert.fail("adjoint", witness)
-    # each side's premise, (adjoint map, verify_adjoint's witness); the
-    # partner's adjoints are G's generators, through G's verified identity
-    premises = [(adjoint_G, witness)]
+        cert.fail("adjoint", premise)
+    # each side's verdict against the other's classes, from its premise
+    # (adjoint map, verify_adjoint's witness): the partner's adjoints are
+    # G's generators, through G's verified identity; G's alone is above
+    premises = [(adjoint_G, premise)]
     if partner is not None:
-        premises.append((AdjointMap(partner, gens_G.generators), witness))
+        premises.append((AdjointMap(partner, gens_G.generators), premise))
     elif gens_Gc is not None:
         adjoint_Gc = adjoint_map(gens_Gc)
         premises.append((adjoint_Gc, verify_adjoint(adjoint_Gc)[1]))
+    verdicts = [premise] if gens_Gc is None else (
+        keeps_classes(adj, dual) if witness is None else witness
+        for (adj, witness), dual in zip(premises, (part_Gc, part_G)))
 
     # Q from f_j over the dual classes, P from f_j over G's, each decided
     # by the adjoint lemma; with no second action both tests are one
     # test, run once, and P is Q
     eigenmatrices = []
-    for name, part, dual, (adj, witness) in zip(
-            ("G", "G_check"), (part_G, part_Gc), (part_Gc, part_G), premises):
-        witness = keeps_classes(adj, dual) if witness is None else witness
+    for name, part, dual, witness in zip(
+            ("G", "G_check"), (part_G, part_Gc), (part_Gc, part_G), verdicts):
         if witness is not None:
             cert.fail("constancy_" + name, witness)
             return cert
@@ -564,6 +567,8 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     cert.checks["eigen_identities"] = eig["all_pass"]
     cert.checks["eigen_detail"] = eig
 
+    if partner is not None and not equal(P, Q):
+        cert.mode = "cross"
     if cert.mode == "self":
         cert.checks["P_equals_Q"] = equal(P, Q)
         cert.checks["valencies_equal_multiplicities"] = \

@@ -38,10 +38,6 @@ class WeakOrderPoset:
             if sum(1 for v in self.level_of if v == s) != size:
                 raise UsageError("level_of does not match level sizes")
 
-    def less(self, k, l):
-        """Strict order: k < l iff level(k) < level(l) (1-based coords)."""
-        return self.level_of[k - 1] < self.level_of[l - 1]
-
     def block(self, s):
         """Coordinates (1-based) at level s."""
         return [k for k in range(1, self.n + 1) if self.level_of[k - 1] == s]

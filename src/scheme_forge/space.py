@@ -257,10 +257,10 @@ class AbelianSpace:
         The pairing exponent is biadditive, so y ranges over the digit
         basis, and lambda is a unit, so it is left out: x is degenerate
         iff every <x, e_k> is 1, that is iff psi(x) = 0.  Returns (ok,
-        witness_or_None), the witness the least degenerate x."""
+        witness_or_None), the witness the least degenerate x in coordinates."""
         degenerate = np.flatnonzero(self._psi[1:] == 0)
         if len(degenerate):
-            return False, int(degenerate[0]) + 1
+            return False, self.serialize_point(int(degenerate[0]) + 1)
         return True, None
 
     @functools.cached_property

@@ -39,10 +39,10 @@ SRC = os.path.join(HERE, os.pardir, os.pardir, "src")
 # representative verify bound, sweep every representative.  The central
 # duals time the report writer on a mid-size and a large certificate.
 # The custom action proves constancy by the adjoint lemma, as hamming8_f3
-# does.  The weak-Hamming dual takes its dual partition from the adjoint
-# images.  As a custom action in self mode its adjoints do not keep its
-# own classes: constancy of wh8_6_f2 (2^14 points) fails with the adjoint
-# lemma's witness, and no point's character profile is computed.
+# does.  The weak-Hamming duals take their dual partition from the
+# adjoint images, whose orbits differ from G's: built-in (wh10_6_f2) and
+# as a custom action (wh8_6_f2, 2^14 points), which orders the same
+# classes by least point.
 COMMANDS = [
     ("build", "hamming10_f2", []),
     ("build", "central_z32xz32", []),

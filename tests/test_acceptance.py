@@ -95,8 +95,9 @@ GOLDEN_CERTIFICATES = {
         "4ab68c57d7aa0f3780ba9593f5e276398a40a2b1b67c094cc4c18a1da844ae6a",
 }
 
-# weak_hamming(2,1) has non-palindromic levels: its certificate is the
-# cross-duality of criterion 4, not a self-duality
+# the adjoint images of weak_hamming(2,1) give its dual partition with
+# P != Q: its certificate is the cross-duality of criterion 4, not a
+# self-duality
 SELF_DUAL = [name for name, _ in FAMILIES if name != "weak_hamming(2,1)/F_2"]
 
 
@@ -296,7 +297,7 @@ def test_criterion_9_krein_flags(certificates):
         if not (cert.krein_flags and cert.krein_flags["real"]
                 and cert.krein_flags["nonnegative"]):
             failures.append(name)
-    # the non-palindromic weak-Hamming pair, via its cross certificate
+    # the weak-Hamming pair with P != Q, via its cross certificate
     space = VectorSpace(3, FieldSpec(2))
     cert = duality_report(build_action(space, "weak_hamming", levels=[2, 1]),
                           build_action(space, "weak_hamming_dual",
@@ -336,14 +337,13 @@ def test_certificates_match_golden_digests(certificates):
     assert not changed, "certificates changed: %s" % changed
 
 
-# The dual commands of GOLDEN_REPORTS whose constancy fails: the adjoints
-# of wh21_f2, verified, do not keep its own classes, as a built-in action
-# against itself or as a custom action (its generators as point
-# permutations) in self mode, so by the converse of the adjoint lemma
+# The dual command of GOLDEN_REPORTS whose constancy fails: the adjoints
+# of wh21_f2, verified, do not keep its own classes, so with wh21_f2 as
+# its own second action, by the converse of the adjoint lemma,
 # constancy_G fails (exit 1) with keeps_classes' witness, and no
-# character profile is computed.
+# character profile is computed.  In self mode the same adjoints give
+# the dual partition instead, built-in or custom, and the duality holds.
 FAILED_PREMISE_DUALS = [
-    "dual tests/configs/custom_wh21_f2.json",
     "dual configs/wh21_f2.json configs/wh21_f2.json",
 ]
 
@@ -351,9 +351,11 @@ FAILED_PREMISE_DUALS = [
 # shipped configs, the cross pair and the perfbench stretch configs (the
 # same argv as perfbench/workloads.py), recorded before generator and
 # adjoint materialization moved from FieldElement loops to index tables;
-# those of FAILED_PREMISE_DUALS since the adjoint lemma's witness fails
-# their constancy; those of the three custom commands since custom
-# actions read their adjoints off the pairing
+# that of FAILED_PREMISE_DUALS since the adjoint lemma's witness fails
+# its constancy; those of the three custom commands since custom
+# actions read their adjoints off the pairing, and that of the custom
+# wh21_f2 self dual since the orbits of its adjoint images became its
+# dual partition
 GOLDEN_REPORTS = {
     "check configs/alternating4_f2.json":
         (0, "5cedc148a72c6335238e22d1483650c52b3e49666ea9e8fe2413a05ea8e10fd1"),
@@ -434,7 +436,7 @@ GOLDEN_REPORTS = {
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
         (0, "40a018b6affccb31a65e693c0aa32c2a465c7d94af233c60192168bc22b066d8"),
     "dual tests/configs/custom_wh21_f2.json":
-        (1, "820c5004bcbb27340b710967c12d6f7048a30dd0c3ddb29aa9098c62699cf1d0"),
+        (0, "8633894d7ad8e7b6c346bb490704e5c2e0c526c106d4568bbde6566db0791e44"),
     "dual configs/wh21_f2.json configs/wh21_f2.json":
         (1, "3d52de032b711718b595e548e547702797e7a93c45fe6f16bf0fd4cbf3c33c79"),
     "build perfbench/configs/bilinear24_f2.json":
@@ -494,7 +496,9 @@ def test_no_command_builds_a_field_element(command, tmp_path, monkeypatch):
 
 # sha256 of the stdout of each dual command of GOLDEN_REPORTS (run with
 # --out, so the eigenmatrix tables and the PASS/FAIL line), recorded before
-# render_eigenmatrix built each distinct cell text once
+# render_eigenmatrix built each distinct cell text once; that of the custom
+# wh21_f2 self dual since it certifies the duality of the custom cross
+# pair, whose stdout it prints
 GOLDEN_DUAL_STDOUT = {
     "dual configs/alternating4_f2.json":
         "b8b79003c2076aea6798c8d949cc9a19c4ba08386eff020342055bb02b723d86",
@@ -527,7 +531,7 @@ GOLDEN_DUAL_STDOUT = {
     "dual tests/configs/custom_wh21_f2.json tests/configs/custom_wh12_f2.json":
         "8596d066356c25cec2027205c0eae28390f48eeef875e403960bc6bd97da77cd",
     "dual tests/configs/custom_wh21_f2.json":
-        "060e1c7a9ea1f6296fd19fd86bbea2814442f4cfee15b31081d3e65f5e6ec53c",
+        "8596d066356c25cec2027205c0eae28390f48eeef875e403960bc6bd97da77cd",
     "dual configs/wh21_f2.json configs/wh21_f2.json":
         "8d55331d4b93a8d868268b53af8c7c6f3b35f7bbeafacc0ae87c4d6d1d89bea6",
     "dual perfbench/configs/hamming5_f3.json --matrix-bound 64":
@@ -567,6 +571,26 @@ def test_dual_of_built_in_actions_needs_no_pairing_table(tmp_path,
                 (witness,) = json.loads(report.read_text())["witnesses"]
                 assert witness["check"] == "constancy_G", command
                 assert witness["witness"][0].startswith("adj_"), command
+
+
+def test_custom_self_dual_prints_its_cross_pair(tmp_path):
+    """The adjoints of custom wh21_f2 move its classes, so in self mode
+    the orbits of their images are its dual partition: those of custom
+    wh12_f2, the built-in dual family as point permutations, ordered
+    alike by least point.  dual of custom wh21_f2 alone exits 0 in cross
+    mode with the stdout of the custom cross pair, and its --out JSON is
+    the pair's but for the note that names the dual partition."""
+    alone, pair = tmp_path / "alone.json", tmp_path / "pair.json"
+    code, _, out = command_digests(
+        "dual tests/configs/custom_wh21_f2.json", alone)
+    command = ("dual tests/configs/custom_wh21_f2.json "
+               "tests/configs/custom_wh12_f2.json")
+    assert (code, out) == (0, command_digests(command, pair)[2])
+    got, want = json.loads(alone.read_text()), json.loads(pair.read_text())
+    assert got.pop("notes") == ["dual partition taken from the orbits of "
+                                "the adjoint images"]
+    assert want.pop("notes") == [] and got == want
+    assert got["mode"] == "cross" and got["pass"] is True
 
 
 def test_no_dual_builds_the_pairing_table(tmp_path, monkeypatch):

@@ -575,6 +575,7 @@ def assert_sweeps_match_loops(genset):
     assert ok == loop_verify_additive(genset)[0]
     if not ok:
         name, x, y = witness
+        x, y = space.index_of(x), space.index_of(y)
         perm = {g.name: g.perm for g in genset.generators}[name]
         assert perm[space.add(x, y)] != space.add(perm[x], perm[y])
     part = assert_orbits_match_bfs(genset)

@@ -437,6 +437,24 @@ def test_condition_3_witness_is_in_coordinates():
         report["condition_3_witness"]
 
 
+def test_custom_additivity_error_names_coordinates(capsys, tmp_path):
+    """A custom generator of F_3^2 that swaps (0, 1) and (0, 2), points 1
+    and 2, and fixes the rest is not additive: x = (0, 1) and e = (1, 0),
+    point 3, give g(x + e) = (1, 1) but g(x) + g(e) = (1, 2).  Every
+    command exits 2 with the witness as coordinates, not as the point
+    indices 1 and 3."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "space": {"kind": "vector", "n": 2, "field": {"p": 3}},
+        "action": {"family": "custom",
+                   "generators": [[0, 2, 1, 3, 4, 5, 6, 7, 8]]}}))
+    for command in ("check", "build", "dual"):
+        code, _, err = run([command, str(bad)], capsys)
+        assert code == 2 and err == (
+            "config error: custom generator violates additivity at "
+            "('custom_0', [0, 1], [1, 0])\n"), command
+
+
 def test_reports_are_byte_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["dual", cfg("hamming2_f2"), "--out", str(a)], capsys)

@@ -23,7 +23,7 @@ from scheme_forge.space import (VectorSpace, FullMatrixSpace, GramSpace,
                                 CyclicProductSpace)
 from scheme_forge.action import (build_action, orbits, OrbitPartition,
                                  adjoint_map, verify_adjoint, AdjointMap,
-                                 Generator, FAMILIES)
+                                 Generator, GeneratorSet, FAMILIES)
 from scheme_forge.scheme import TranslationScheme, intersection_tensor
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
@@ -320,7 +320,11 @@ def sweep_sigma_permutation(space, dual_partition, profile, table):
 
 
 def dual_action(genset, gens_Gc=None):
-    """The action whose orbits duality_report takes as dual classes."""
+    """An action whose orbits are duality_report's dual classes: the
+    second action if there is one; else, for a weak-Hamming action, the
+    family on the dual poset, whose orbits are those of the adjoint
+    images (G's own with one level); else G, whose adjoints keep its
+    classes on every action this is called with."""
     if gens_Gc is None and genset.poset is not None:
         return poset_partner(genset)
     return genset if gens_Gc is None else gens_Gc
@@ -1286,14 +1290,73 @@ def test_conjugated_custom_actions_give_the_same_certificate(data):
             == coded(want, "krein")).all()
 
 
+def test_custom_wh21_self_dual_matches_its_built_in_twin():
+    """wh21_f2 as a custom action (tests/configs/custom_wh21_f2.json), in
+    self mode, takes the orbits of its adjoint images as its dual
+    partition, as the built-in action does: the same point sets, ordered
+    by least point rather than by dual-poset weight.  Its classes are
+    matched to the built-in's as point sets, G's by the built-in
+    classes' least points and the dual classes through the orbits of
+    custom wh12_f2 (the built-in dual family as point permutations) and
+    of the built-in dual family.  Under that matching its valencies,
+    multiplicities, P, Q and Krein tensor are the built-in certificate's,
+    and both are cross certificates, as P != Q."""
+    space, (builtin, custom, custom_dual) = load_actions(
+        ("wh21_f2", "tests/custom_wh21_f2", "tests/custom_wh12_f2"))
+    want, got = duality_report(builtin), duality_report(custom)
+    assert want.passed and got.passed
+    assert want.mode == got.mode == "cross"
+    parts = [orbits(gens) for gens in (builtin, poset_partner(builtin),
+                                       custom, custom_dual)]
+    pi = parts[2].class_of[[cls[0] for cls in parts[0].classes]]
+    sigma = parts[3].class_of[[cls[0] for cls in parts[1].classes]]
+    assert np.array_equal(pi[parts[0].class_of], parts[2].class_of)
+    assert np.array_equal(sigma[parts[1].class_of], parts[3].class_of)
+    assert sorted(pi) == sorted(sigma) == list(range(len(pi)))
+    assert [got.valencies[i] for i in pi] == want.valencies
+    assert [got.multiplicities[j] for j in sigma] == want.multiplicities
+    assert (coded(got, "Q")[np.ix_(pi, sigma)] == coded(want, "Q")).all()
+    assert (coded(got, "P")[np.ix_(sigma, pi)] == coded(want, "P")).all()
+    assert (coded(got, "krein")[np.ix_(sigma, sigma, sigma)]
+            == coded(want, "krein")).all()
+
+
+def test_self_dual_reads_each_lemma_stage_once(monkeypatch):
+    """The self dual of an action with no poset, whose adjoints keep its
+    classes (hamming4_f3), computes its orbits, its adjoint map, the
+    adjoint's verification and the lemma's verdict once each: the verdict
+    that picks G's own classes as the dual partition is constancy_G."""
+    calls = []
+
+    def counted(name):
+        real = getattr(duality, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(duality, name, call)
+
+    for name in ("orbits", "adjoint_map", "verify_adjoint",
+                 "keeps_classes"):
+        counted(name)
+    _, (genset,) = load_actions(("hamming4_f3",))
+    cert = duality_report(genset)
+    assert cert.passed and cert.mode == "self"
+    assert cert.codes[1] is cert.codes[0]
+    assert sorted(calls) == ["adjoint_map", "keeps_classes", "orbits",
+                             "verify_adjoint"]
+
+
 def test_failed_premise_fails_constancy_with_the_lemma_witness(
         monkeypatch):
     """weak_hamming(2, 1) against itself is not a dual pair: its adjoints
     are verified but do not keep its own classes, so constancy_G fails
     with keeps_classes' witness, and no exhaustive test runs.  A verified
     adjoint with one image that moves a point out of a dual class is a
-    premise that the converse takes at its word: that image's witness
-    fails constancy_G, though the exhaustive test would pass."""
+    premise that the converse takes at its word: with the action as its
+    own second action, that image's witness fails constancy_G, though
+    the exhaustive test would pass.  In self mode the same moved image
+    makes the orbits of the adjoint images the dual partition."""
     calls = counted_constancy_tests(monkeypatch)
     space, (gens, again) = load_actions(("wh21_f2", "wh21_f2"))
     adjoint = adjoint_map(gens)
@@ -1323,14 +1386,20 @@ def test_failed_premise_fails_constancy_with_the_lemma_witness(
 
     monkeypatch.setattr(duality, "adjoint_map", moved)
     monkeypatch.setattr(duality, "verify_adjoint", lambda adj: (True, None))
-    cert = duality_report(genset)
-    perm = moved(genset).images[0].perm
+    cert = duality_report(genset, genset)
+    images = moved(genset).images
+    perm = images[0].perm
     x = min(y for y in range(space.size)
             if part.class_of[perm[y]] != part.class_of[y])
     assert not calls and not cert.checks["constancy_G"]
     assert cert.witnesses == [{"check": "constancy_G", "witness": (
         "moved", int(part.class_of[x]), space.serialize_point(x),
         space.serialize_point(perm[x]))}]
+    partner, dual = self_dual_partition(genset)
+    assert partner is not genset and partner.poset is None
+    assert [g.perm.tolist() for g in partner.generators] == [
+        ig.perm.tolist() for ig in images]
+    assert not np.array_equal(dual.class_of, part.class_of)
 
 
 @pytest.mark.parametrize("names", [("hamming4_f3",),
@@ -1365,28 +1434,32 @@ def test_adjoint_failing_verification_is_no_premise(names, monkeypatch):
 
 
 class DualPartitionBuilt(Exception):
-    """Cuts duality_report short once its second partition is built."""
+    """Cuts duality_report short once its dual partition is picked."""
 
 
 def self_dual_partition(genset):
     """(partner, partition): the generator set whose orbits
     duality_report takes as the dual partition of `genset` in self mode,
-    and those orbits, the argument and the result of its second orbits
-    call; the report stops there."""
+    and those orbits, the argument and the result of its last orbits
+    call before the condition (4) test, where the report stops.  With
+    one orbits call, when G's adjoints keep its classes, they are genset
+    and its own orbits."""
     calls = []
     real = duality.orbits
 
     def spy(gens):
         calls.append((gens, real(gens)))
-        if len(calls) == 2:
-            raise DualPartitionBuilt
         return calls[-1][1]
+
+    def stop(part, space):
+        raise DualPartitionBuilt
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(duality, "orbits", spy)
+        patch.setattr(duality, "check_condition_4", stop)
         with pytest.raises(DualPartitionBuilt):
             duality_report(genset)
-    return calls[1]
+    return calls[-1]
 
 
 def compositions(n):
@@ -1405,13 +1478,15 @@ def test_partner_orbits_match_the_dual_family(p, e, lam):
     unit (the shipped weak-Hamming configs among them), the self-mode
     partner is the adjoint images, and its orbits are, label for label,
     those of the family on the dual poset built by name
-    (helpers.poset_partner)."""
+    (helpers.poset_partner).  With one level the adjoints are G's own
+    generators, which keep G's classes, and the partner is G itself."""
     for n in range(1, 5):
         space = VectorSpace(n, FieldSpec(p, e), lambda_multiplier=lam)
         for levels in compositions(n):
             for family in ("weak_hamming", "weak_hamming_dual"):
                 genset = build_action(space, family, levels=levels)
                 partner, part = self_dual_partition(genset)
+                assert (partner is genset) == (len(levels) == 1)
                 assert [g.perm.tolist() for g in partner.generators] == [
                     ig.perm.tolist() for ig in adjoint_map(genset).images]
                 assert np.array_equal(part.class_of,
@@ -1569,7 +1644,10 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
     random, G itself, G's adjoint images, or those and random maps
     (assert_lemma_decides).  Every image of G's and of H's adjoint map,
     which pass verify_adjoint, is a permutation of X, the premise's own
-    consequence (duality module docstring)."""
+    consequence (duality module docstring).  The images iota(G) have as
+    many orbits as G (Brauer's permutation lemma), and the same ones
+    exactly when keeps_classes finds that iota(G) keeps G's classes: the
+    rule by which dual in self mode picks its dual partition."""
     space = data.draw(st.sampled_from(CONVERSE_SPACES), label="space")()
 
     def maps(label):
@@ -1593,6 +1671,14 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
     assert verify_adjoint(adjoint_H) == (True, None)
     for ig in adjoint.images + adjoint_H.images:
         assert np.array_equal(np.sort(ig.perm), np.arange(space.size))
+    # Brauer's permutation lemma: iota(G) has as many orbits as G, so the
+    # lemma's verdict against G's classes is None exactly when iota(G)'s
+    # orbits are G's (both ordered by least point)
+    part, images = orbits(genset), orbits(GeneratorSet(
+        space, "adjoint", {}, adjoint.images))
+    assert images.d == part.d
+    assert (duality.keeps_classes(adjoint, part) is None) == np.array_equal(
+        images.class_of, part.class_of)
 
 
 @settings(max_examples=20, deadline=None, database=None)

@@ -21,7 +21,6 @@ def test_level_layout():
     assert P.level_of == (1, 1, 2)
     assert P.block(1) == [1, 2]
     assert P.block(2) == [3]
-    assert P.less(1, 3) and not P.less(3, 1) and not P.less(1, 2)
 
 
 def test_dual_preserves_coordinates():
@@ -75,10 +74,12 @@ def test_validation():
 
 
 def ideal_weight(P, coords):
-    """|<supp(v)>|: the order ideal generated by the support, from `less`."""
+    """|<supp(v)>|: the order ideal generated by the support, k below j
+    iff level(k) < level(j)."""
     support = [k for k in range(1, P.n + 1) if coords[k - 1]]
     return len({k for k in range(1, P.n + 1)
-                if any(k == j or P.less(k, j) for j in support)})
+                if any(k == j or P.level_of[k - 1] < P.level_of[j - 1]
+                       for j in support)})
 
 
 def block_weight(P, coords):

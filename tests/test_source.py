@@ -109,6 +109,19 @@ def test_no_source_reads_a_digits_attribute():
     assert not found, "digits attributes read in src: %s" % found
 
 
+def test_duality_reads_no_action_family():
+    """dual has one rule for every action, the adjoint lemma's (duality
+    module docstring): duality.py reads no `levels` and no `family`
+    attribute, so no family or level vector picks its dual partition or
+    its mode."""
+    path = SRC / "duality.py"
+    found = ["duality.py:%d .%s" % (node.lineno, node.attr)
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("levels", "family")]
+    assert not found, "family attributes read in duality.py: %s" % found
+
+
 def test_every_definition_has_a_use():
     """Every module-level function or class of src/scheme_forge is named
     somewhere in src outside its own definition, listed in the package's

@@ -230,7 +230,15 @@ def assert_matches_tuple_oracle(space, units=(0, 1, 2, 3, -1, -5, 1000,
     table = pairing_table(space)
     assert table.tolist() == oracle.pairing_table()
     assert table.dtype == np.min_scalar_type(space.character_order - 1)
-    assert space.verify_nondegenerate() == oracle.verify_nondegenerate()
+    assert space.verify_nondegenerate() == in_coordinates(
+        space, oracle.verify_nondegenerate())
+
+
+def in_coordinates(space, verdict):
+    """An oracle's (ok, the least degenerate point or None) with the point
+    as coordinates, as verify_nondegenerate gives its witness."""
+    ok, x = verdict
+    return ok, None if x is None else space.serialize_point(x)
 
 
 @pytest.mark.parametrize("space", SPACES + [
@@ -602,7 +610,8 @@ def assert_gram_rows_match_oracles(space):
     """verify_nondegenerate equals the pairing-form oracle, verdict and
     witness, and the Gram rows read off psi, built over the split of X,
     equal the int64 product D . B mod m in the space's index dtype."""
-    assert space.verify_nondegenerate() == pairing_form_nondegenerate(space)
+    assert space.verify_nondegenerate() == in_coordinates(
+        space, pairing_form_nondegenerate(space))
     want = all_digits(space) @ space.gram % space.character_order
     assert space._psi.dtype == gram_rows(space).dtype == want.dtype
     assert np.array_equal(gram_rows(space), want)
@@ -641,10 +650,12 @@ DEGENERATE_IDS = ["zero-block", "late-witness", "singular-block",
                          ids=DEGENERATE_IDS)
 def test_degenerate_gram_matrix_gives_the_least_witness(blocks, m, witness):
     """On a degenerate Gram matrix verify_nondegenerate fails with the
-    least nonzero point of the kernel of psi, the least degenerate point
-    of the pairing-form oracle and of the exhaustive scan of every pair."""
+    least nonzero point of the kernel of psi, in coordinates: the least
+    degenerate point of the pairing-form oracle and of the exhaustive
+    scan of every pair."""
     space = GramSpace(blocks, m)
-    assert space.verify_nondegenerate() == (False, witness)
+    assert space.verify_nondegenerate() == (False,
+                                            space.serialize_point(witness))
     assert pairing_form_nondegenerate(space) == (False, witness)
     assert TupleDigits(space).verify_nondegenerate() == (False, witness)
 
@@ -785,8 +796,8 @@ def test_psi_matches_brute_force_on_mixed_radices(gram, data):
                           table)
     zero = np.flatnonzero(~table[1:].any(axis=1))
     scan = (False, int(zero[0]) + 1) if len(zero) else (True, None)
-    assert space.verify_nondegenerate() == pairing_form_nondegenerate(
-        space) == scan
+    assert pairing_form_nondegenerate(space) == scan
+    assert space.verify_nondegenerate() == in_coordinates(space, scan)
     if not scan[0]:
         assert space.adjoint_images(space.basis) is None
         return
