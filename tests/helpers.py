@@ -3,9 +3,13 @@
 import numpy as np
 
 from scheme_forge.action import build_action
-from scheme_forge.cyclo import CycloInt
+from scheme_forge.cyclo import (CycloInt, contract, conjugate_array, equal,
+                                euler_phi, nonzero, widen)
 from scheme_forge.duality import CodedArray
-from scheme_forge.errors import UsageError
+from scheme_forge.errors import IntegrityError, UsageError
+
+# the advisory float lower bound of krein_contraction's irrational entries
+KREIN_FLOAT_FLOOR = -1e-9
 
 # each weak-Hamming family and the family on its dual poset
 DUAL_FAMILY = {"weak_hamming": "weak_hamming_dual",
@@ -135,3 +139,39 @@ def cyclo_entries(A, m):
     for size in reversed(A.shape[1:-1]):
         entries = [entries[i:i + size] for i in range(0, len(entries), size)]
     return entries
+
+
+def krein_contraction(P, Q, size, m):
+    """The Krein parameters q_ij^k = (1/|X|) sum_l P[k][l] Q[l][i] Q[l][j]
+    of support-width arrays P and Q over Z[zeta_m], by contraction: the
+    oracle of duality.krein_parameters, which reads them off the dual
+    intersection numbers (duality module docstring).
+
+    Two contractions (cyclo.contract), "li,lj->lij" then "kl,lij->ijk",
+    then an exact division by |X|: a sum that |X| does not divide raises
+    IntegrityError naming the first (i, j, k).  Nonnegativity is decided
+    exactly for rational-integer entries and by the rigorous float lower
+    bound (>= KREIN_FLOAT_FLOOR) of CycloInt.approx for the others.
+    Returns (support-width array T[i, j, k], flags dict), the flags with
+    "worst_value", the least lower bound, when one is negative."""
+    T, cols = contract("kl,lij->ijk", P, contract("li,lj->lij", Q, Q, m), m)
+    quotient = T // size
+    inexact = (quotient * size != T).any(axis=-1)
+    if inexact.any():
+        raise IntegrityError("Krein parameter q_ij^k at (i, j, k) = %s: "
+                             "sum not divisible by |X| = %d"
+                             % (tuple(map(int, np.argwhere(inexact)[0])),
+                                size))
+    T = quotient
+    irrational = nonzero(T[..., 1:])
+    lows = [float(v) for v in T[..., 0][~irrational & (T[..., 0] < 0)]]
+    for coeffs in widen(T[irrational], cols,
+                        np.arange(euler_phi(m))).tolist():
+        val, err = CycloInt(m, tuple(coeffs), reduce=False).approx()
+        if val.real - err < KREIN_FLOAT_FLOOR:
+            lows.append(val.real - err)
+    flags = {"real": equal(conjugate_array((T, cols), m), (T, cols)),
+             "nonnegative": not lows}
+    if lows:
+        flags["worst_value"] = min(lows)
+    return (T, cols), flags

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Everything here is exact (zero tolerance) except the floating lower bound
-on Krein parameters, which uses -1e-9.  Expensive pipeline runs are shared
-through module-scoped fixtures so the suite stays fast.
+Everything here is exact (zero tolerance).  Expensive pipeline runs are
+shared through module-scoped fixtures so the suite stays fast.
 """
 
 import contextlib
@@ -305,8 +304,8 @@ def test_criterion_9_krein_flags(certificates):
     if not (cert.krein_flags["real"] and cert.krein_flags["nonnegative"]):
         failures.append("weak_hamming(2,1)/F_2")
     report_line(9, not failures,
-                "Krein parameters conjugation-invariant exactly and "
-                ">= -1e-9 in floating approximation for all families"
+                "Krein parameters real and nonnegative (dual intersection "
+                "numbers) for all families"
                 + ("" if not failures else "; failed: %s" % failures))
 
 
@@ -460,16 +459,13 @@ def test_reports_match_golden_digests(command, tmp_path):
 
 def field_free_commands():
     """The commands of GOLDEN_REPORTS, then check, build and dual on every
-    other config of configs/, perfbench/configs/ and tests/configs/, but
-    the dual of central_z15xz15 (a cyclic product, no field), which takes
-    seconds in its Krein parameters."""
+    other config of configs/, perfbench/configs/ and tests/configs/."""
     commands = list(GOLDEN_REPORTS)
     for folder in ("configs", "perfbench/configs", "tests/configs"):
         for name in sorted(os.listdir(os.path.join(ROOT, folder))):
             for verb in ("check", "build", "dual"):
                 command = "%s %s/%s" % (verb, folder, name)
-                if command not in commands and command != (
-                        "dual perfbench/configs/central_z15xz15.json"):
+                if command not in commands:
                     commands.append(command)
     return commands
 

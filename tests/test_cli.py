@@ -703,17 +703,23 @@ def test_matrix_bound_is_a_dual_flag(command, capsys):
         "checks"]
 
 
-def test_krein_integrity_failure_exits_1(capsys, monkeypatch):
-    """An inexact Krein division ends dual with exit 1 and a message: here
-    krein_parameters is handed |X| + 1 = 5, which divides none of the sums
-    4 q_ij^k with q_ij^k != 0 mod 5."""
-    real = duality.krein_parameters
-    monkeypatch.setattr(duality, "krein_parameters",
-                        lambda P, Q, size, *bound: real(P, Q, size + 1,
-                                                        *bound))
+def test_intersection_integrity_failure_exits_1(capsys, monkeypatch):
+    """Intersection numbers that depend on the representative end dual
+    with exit 1 and intersection_tensor's message: here the differences
+    u - z of the second point of class 1 of hamming(2)/F_2 (points 1 and
+    2) are made those of u = 0, whose class pairs differ from u = 1's."""
+    real = scheme.difference_rows
+
+    def skewed(space, reps):
+        rows = real(space, reps)
+        rows[2] = real(space, reps[:1])[0]
+        return rows
+
+    monkeypatch.setattr(scheme, "difference_rows", skewed)
     code, _, err = run(["dual", cfg("hamming2_f2")], capsys)
     assert code == 1
-    assert err.startswith("integrity failure: Krein parameter")
+    assert err == ("integrity failure: intersection numbers depend on the "
+                   "representative of class 1 (u=1 vs u=2)\n")
 
 
 def test_eigenmatrix_tables_rendered(capsys):

@@ -28,12 +28,11 @@ from scheme_forge.scheme import TranslationScheme, intersection_tensor
 from scheme_forge.duality import (pairing_table, character_profile,
                                   constancy_test, verify_eigen_identities,
                                   verify_idempotents, sigma_permutation,
-                                  krein_parameters, krein_equals_intersection,
-                                  duality_report,
-                                  KREIN_FLOAT_FLOOR, DENSE_IDEMPOTENT_BOUND)
+                                  krein_equals_intersection, duality_report,
+                                  DENSE_IDEMPOTENT_BOUND)
 
 from helpers import (all_digits, coeff_array, cyclo_entries, plain,
-                     poset_partner)
+                     poset_partner, krein_contraction, KREIN_FLOAT_FLOOR)
 from test_space import DEGENERATE_GRAMS, DEGENERATE_IDS
 from test_cyclo import (as_rational_integer, divide_exact, is_real,
                         from_exponent_counts, full_width, unsliced_contract,
@@ -103,7 +102,7 @@ def loop_eigen_identities(P, Q, PQ, valencies, multiplicities, size):
 
 
 def loop_krein_parameters(P, Q, size):
-    """krein_parameters as (d+1)^4 scalar products."""
+    """krein_contraction as (d+1)^4 scalar products."""
     d = len(Q) - 1
     m = Q[0][0].order
     tensor = [[[None] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
@@ -150,7 +149,7 @@ def assert_contractions_match_loops(P, Q, size, valencies, multiplicities):
     assert verify_eigen_identities(Pa, Qa, PQa, valencies, multiplicities,
                                    size, m) == eigen
     krein = loop_krein_parameters(P, Q, size)
-    tensor, flags = krein_parameters(Pa, Qa, size, m)
+    tensor, flags = krein_contraction(Pa, Qa, size, m)
     assert (cyclo_entries(full_width(tensor, m), m), flags) == krein
     return eigen, krein
 
@@ -749,7 +748,7 @@ def test_gram_matrix_must_be_symmetric():
 def test_krein_equals_intersection_hamming22(hamming22):
     sp, genset, part, table, profile = hamming22
     _, F, _ = constancy_test(part, profile)
-    krein, flags = krein_parameters(sliced(F), sliced(F), sp.size, 2)
+    krein, flags = krein_contraction(sliced(F), sliced(F), sp.size, 2)
     assert flags["real"] and flags["nonnegative"]
     sch = TranslationScheme(sp, part)
     ok, witness = krein_equals_intersection(
@@ -763,14 +762,14 @@ def test_krein_equals_intersection_hamming22(hamming22):
 
 
 def test_krein_sign_exact_for_integer_entries(monkeypatch):
-    """Rational-integer q_ij^k get an exact sign; with d = 0 and |X| = 1
-    the single Krein parameter is P[0][0].  Only irrational entries use
-    the float bound."""
+    """The oracle krein_contraction gives rational-integer q_ij^k an
+    exact sign; with d = 0 and |X| = 1 the single Krein parameter is
+    P[0][0].  Only irrational entries use the float bound."""
     m = 5
     one = CycloInt.integer(m, 1)
     monkeypatch.setattr(CycloInt, "approx", None)  # any float use fails
     for value, nonnegative in ((-1, False), (0, True), (1, True)):
-        tensor, flags = krein_parameters(
+        tensor, flags = krein_contraction(
             sliced(coeff_array([[CycloInt.integer(m, value)]])),
             sliced(coeff_array([[one]])), 1, m)
         assert cyclo_entries(full_width(tensor, m), m) == \
@@ -780,11 +779,11 @@ def test_krein_sign_exact_for_integer_entries(monkeypatch):
     monkeypatch.undo()
     z = lambda k: CycloInt.root_of_unity(m, k)
     Q = sliced(coeff_array([[one]]))
-    _, flags = krein_parameters(sliced(coeff_array([[z(2) + z(3)]])), Q, 1,
-                                m)  # -1.618...
+    _, flags = krein_contraction(sliced(coeff_array([[z(2) + z(3)]])), Q, 1,
+                                 m)  # -1.618...
     assert not flags["nonnegative"] and flags["worst_value"] < -1.6
-    _, flags = krein_parameters(sliced(coeff_array([[z(1) + z(4)]])), Q, 1,
-                                m)  # 0.618...
+    _, flags = krein_contraction(sliced(coeff_array([[z(1) + z(4)]])), Q, 1,
+                                 m)  # 0.618...
     assert flags["nonnegative"]
 
 
@@ -1321,30 +1320,48 @@ def test_custom_wh21_self_dual_matches_its_built_in_twin():
             == coded(want, "krein")).all()
 
 
+def lemma_stage_calls(name, monkeypatch):
+    """The self dual of config `name`, and the sorted names of the calls
+    it makes of orbits, adjoint_map, verify_adjoint and keeps_classes."""
+    calls = []
+
+    def counted(stage):
+        real = getattr(duality, stage)
+
+        def call(*args):
+            calls.append(stage)
+            return real(*args)
+        monkeypatch.setattr(duality, stage, call)
+
+    for stage in ("orbits", "adjoint_map", "verify_adjoint",
+                  "keeps_classes"):
+        counted(stage)
+    _, (genset,) = load_actions((name,))
+    return duality_report(genset), sorted(calls)
+
+
 def test_self_dual_reads_each_lemma_stage_once(monkeypatch):
     """The self dual of an action with no poset, whose adjoints keep its
     classes (hamming4_f3), computes its orbits, its adjoint map, the
     adjoint's verification and the lemma's verdict once each: the verdict
     that picks G's own classes as the dual partition is constancy_G."""
-    calls = []
-
-    def counted(name):
-        real = getattr(duality, name)
-
-        def call(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(duality, name, call)
-
-    for name in ("orbits", "adjoint_map", "verify_adjoint",
-                 "keeps_classes"):
-        counted(name)
-    _, (genset,) = load_actions(("hamming4_f3",))
-    cert = duality_report(genset)
+    cert, calls = lemma_stage_calls("hamming4_f3", monkeypatch)
     assert cert.passed and cert.mode == "self"
     assert cert.codes[1] is cert.codes[0]
-    assert sorted(calls) == ["adjoint_map", "keeps_classes", "orbits",
-                             "verify_adjoint"]
+    assert calls == ["adjoint_map", "keeps_classes", "orbits",
+                     "verify_adjoint"]
+
+
+def test_self_dual_of_adjoint_images_reads_keeps_classes_once(monkeypatch):
+    """When G's adjoints move its classes (wh12_f2), the one keeps_classes
+    call picks the orbits of the adjoint images as the dual partition, a
+    second orbits call, and both constancy verdicts hold by construction
+    (duality module docstring): no further keeps_classes call, and no
+    second adjoint map or verification."""
+    cert, calls = lemma_stage_calls("wh12_f2", monkeypatch)
+    assert cert.passed and cert.checks["constancy_G_check"]
+    assert calls == ["adjoint_map", "keeps_classes", "orbits", "orbits",
+                     "verify_adjoint"]
 
 
 def test_failed_premise_fails_constancy_with_the_lemma_witness(
@@ -1647,7 +1664,10 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
     consequence (duality module docstring).  The images iota(G) have as
     many orbits as G (Brauer's permutation lemma), and the same ones
     exactly when keeps_classes finds that iota(G) keeps G's classes: the
-    rule by which dual in self mode picks its dual partition."""
+    rule by which dual in self mode picks its dual partition.  Each
+    certificate that reaches the Krein tensor, of G, of (G, H), and of
+    both with x -> -x added, has the oracle contraction as its Krein
+    tensor (assert_krein_is_the_contraction)."""
     space = data.draw(st.sampled_from(CONVERSE_SPACES), label="space")()
 
     def maps(label):
@@ -1679,6 +1699,16 @@ def test_converse_of_the_adjoint_lemma_on_random_automorphisms(data):
     assert images.d == part.d
     assert (duality.keeps_classes(adjoint, part) is None) == np.array_equal(
         images.class_of, part.class_of)
+    # the Krein tensor of each certificate that reaches it, of G and of
+    # (G, H), and of both with x -> -x added, which meets condition (4):
+    # G's self dual then always reaches it
+    neg = [space.neg(np.arange(space.size))]
+    signed = [build_action(space, "custom", generators=[
+        h.tolist() for h in gens + neg])
+        for gens in ([g.perm for g in genset.generators], H)]
+    for gensets in ((genset,), (genset, dual), signed):
+        assert_krein_is_the_contraction(*gensets)
+    assert assert_krein_is_the_contraction(signed[0]).krein is not None
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -1794,13 +1824,13 @@ def test_contractions_match_loops_irrational(m, real):
 
 
 def test_krein_parameters_names_the_first_sum_not_divisible():
-    """For each size, krein_parameters divides every Krein sum exactly or
-    raises IntegrityError naming the first (i, j, k), in row-major order,
-    whose sum the size does not divide: checked against the scalar sums
-    of random complex P and Q over Z[zeta_12], whose coefficients are of
-    both signs.  P is 6 times a random matrix but for P[2][1], and Q[1][0]
-    is a multiple of 6, so 2, 3 and 6 divide every sum but some with k = 2
-    and i, j >= 1."""
+    """For each size, the oracle krein_contraction divides every Krein
+    sum exactly or raises IntegrityError naming the first (i, j, k), in
+    row-major order, whose sum the size does not divide: checked against
+    the scalar sums of random complex P and Q over Z[zeta_12], whose
+    coefficients are of both signs.  P is 6 times a random matrix but
+    for P[2][1], and Q[1][0] is a multiple of 6, so 2, 3 and 6 divide
+    every sum but some with k = 2 and i, j >= 1."""
     rng = random.Random(12)
     m, d = 12, 3
     Q = [[random_cyclo(rng, m, False) for _ in range(d + 1)]
@@ -1817,12 +1847,12 @@ def test_krein_parameters_names_the_first_sum_not_divisible():
                for k in range(d + 1)
                if any(c % size for c in sums[i][j][k].coeffs)]
         if not bad:
-            tensor, flags = krein_parameters(Pa, Qa, size, m)
+            tensor, flags = krein_contraction(Pa, Qa, size, m)
             assert (cyclo_entries(full_width(tensor, m), m), flags) == \
                 loop_krein_parameters(P, Q, size)
         else:
             with pytest.raises(IntegrityError) as exc:
-                krein_parameters(Pa, Qa, size, m)
+                krein_contraction(Pa, Qa, size, m)
             assert str(exc.value) == (
                 "Krein parameter q_ij^k at (i, j, k) = %s: sum not "
                 "divisible by |X| = %d" % (bad[0], size))
@@ -1871,13 +1901,13 @@ def assert_support_width_matches_full_width(P, Q, valencies,
     eigen = verify_eigen_identities(Ps, Qs, PQs, valencies, multiplicities,
                                     size, m)
     assert eigen["row_orthogonality"] is np.array_equal(gram, want)
-    tensor, flags = krein_parameters(Ps, Qs, size, m)
+    tensor, flags = krein_contraction(Ps, Qs, size, m)
     assert np.array_equal(full_width(tensor, m), krein)
     assert flags["real"] is real
     _, _, first, _ = full_width_oracle(P, Q, valencies, size + 1, m)
     with pytest.raises(IntegrityError, match=re.escape(
             "(i, j, k) = %s:" % (tuple(map(int, first)),))):
-        krein_parameters(Ps, Qs, size + 1, m)
+        krein_contraction(Ps, Qs, size + 1, m)
     return Ps[0].shape[-1], Qs[0].shape[-1]
 
 
@@ -1919,6 +1949,48 @@ def test_support_width_matches_full_width(case):
     assert widths == wide.get(case, (1, 1))
 
 
+def assert_krein_is_the_contraction(gens_G, gens_Gc=None):
+    """duality_report(gens_G, gens_Gc); when it reaches the Krein
+    tensor, the oracle krein_contraction of the certificate's P and Q
+    equals its Krein tensor and flags (duality module docstring), and
+    the intersection numbers of the dual partition: the orbits of
+    gens_Gc, or in self mode those of self_dual_partition.  Returns the
+    certificate."""
+    cert = duality_report(gens_G, gens_Gc)
+    if cert.krein is not None:
+        space = cert.space
+        P, Q = (sliced(coeff_array(M)) for M in (cert.P, cert.Q))
+        T, flags = krein_contraction(P, Q, space.size,
+                                     space.character_order)
+        assert flags == cert.krein_flags == {"real": True,
+                                             "nonnegative": True}
+        assert cyclo.equal(T, cert.krein)
+        dual = self_dual_partition(gens_G)[1] if gens_Gc is None else \
+            orbits(gens_Gc)
+        p_dual = TranslationScheme(space, dual).intersection_numbers()
+        assert krein_equals_intersection(T, p_dual) == (True, None)
+    return cert
+
+
+KREIN_CASES = dict(
+    [(name, lambda name=name: load_actions((name,))[1])
+     for name in CONVERSE_ACTIONS]
+    + [(case, SUPPORT_CASES[case]) for case in (
+        "wh21_f2 x wh12_f2", "wh12_f2 x wh21_f2", "central Z16 x Z20")])
+
+
+@pytest.mark.parametrize("case", KREIN_CASES)
+def test_krein_contraction_is_the_dual_intersection_tensor(case):
+    """Every config of configs/, perfbench/configs/ and tests/configs/,
+    both weak-Hamming cross orders and central Z16 x Z20: the
+    certificate's Krein tensor, read off the dual intersection numbers,
+    is the contraction of its P and Q (assert_krein_is_the_contraction).
+    Every certificate carries one but symmetric(2)/F_3's, which fails
+    condition (4)."""
+    cert = assert_krein_is_the_contraction(*KREIN_CASES[case]())
+    assert (cert.krein is None) == (case == "symmetric2_f3")
+
+
 @pytest.mark.parametrize("m", [5, 12])
 def test_support_width_matches_full_width_complex(m):
     """Random complex P and Q (P scaled by |X| = 3): a `real` flag that
@@ -1955,7 +2027,7 @@ def test_contract_object_branch_is_exact():
     assert out[0].dtype == object
     assert full_width(out, m).tolist() == \
         coeff_array(_cyclo_matmul(P, Q)).tolist()
-    tensor, flags = krein_parameters(A, B, 1, m)
+    tensor, flags = krein_contraction(A, B, 1, m)
     want = loop_krein_parameters(P, Q, 1)
     assert (cyclo_entries(full_width(tensor, m), m), flags) == want
     assert max(abs(c) for c in tensor[0].ravel().tolist()) >= 2 ** 63
@@ -1976,10 +2048,10 @@ def test_int64_only_below_the_bound(e):
 
 def test_krein_inexact_division_raises_integrity_error():
     """P = Q = [[1]] with |X| = 2: q_00^0 = 1/2 is not an algebraic
-    integer; the error names (i, j, k)."""
+    integer; the oracle krein_contraction's error names (i, j, k)."""
     one = sliced(coeff_array([[CycloInt.integer(5, 1)]]))
     with pytest.raises(IntegrityError, match=r"\(0, 0, 0\)"):
-        krein_parameters(one, one, 2, 5)
+        krein_contraction(one, one, 2, 5)
 
 
 # -- the array pipeline at many classes over a large cyclotomic field ----------
@@ -1998,10 +2070,11 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
     """Central Z16 x Z20 (|X| = 320, d = 35, m = 80, phi(m) = 32) has
     rational-integer P and Q (Ramanujan sums): every exact_matmul that
     contract and conjugate_array run in its duality_report, two per
-    contraction and one per conjugate (of Q, which P is in self mode,
-    and of the Krein tensor), has operands and a result one coefficient
-    wide, and every contraction and conjugate equals the unsliced einsum
-    over all 32 coefficients."""
+    contraction (P Q and row orthogonality; the Krein tensor is read off
+    the dual intersection numbers) and one per conjugate (of Q, which P
+    is in self mode), has operands and a result one coefficient wide,
+    and every contraction and conjugate equals the unsliced einsum over
+    all 32 coefficients."""
     real_matmul = cyclo.exact_matmul
     kernel = []
 
@@ -2017,8 +2090,7 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
     def recorded(calls, fn):
         def wrapper(*args):
             out = fn(*args)
-            # a copy: krein_parameters divides its tensor in place
-            calls.append((args, (out[0].copy(), out[1])))
+            calls.append((args, out))
             return out
         return wrapper
 
@@ -2031,12 +2103,12 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
                                        "central"))
     assert cert.passed and len(cert.Q) == 36
     assert [args[0] for args, _ in contracts] == [
-        "ik,kj->ij", "i,ij->ij", "ij,ik->jk", "li,lj->lij", "kl,lij->ijk"]
+        "ik,kj->ij", "i,ij->ij", "ij,ik->jk"]
     for (spec, X, Y, m), out in contracts:
         assert [k.tolist() for k in (X[1], Y[1], out[1])] == [[0]] * 3
         assert np.array_equal(full_width(out, m), unsliced_contract(
             spec, full_width(X, m), full_width(Y, m), m, dtype=np.float64))
-    assert len(conjugates) == 2 and len(kernel) == 2 * 5 + 2
+    assert len(conjugates) == 1 and len(kernel) == 2 * 3 + 1
     for (X, m), out in conjugates:
         assert out[1].tolist() == [0]
         assert np.array_equal(full_width(out, m), unsliced_conjugate(
@@ -2044,11 +2116,11 @@ def test_central_16x20_contracts_one_coefficient(monkeypatch):
 
 
 def test_central_krein_parameters_stay_one_coefficient_wide(monkeypatch):
-    """Central Z16 x Z20 (d = 35, phi(m) = 32): every array that
-    krein_parameters contracts, conjugates, divides or returns is one
-    coefficient wide, and its allocations peak below the size of one
+    """Central Z16 x Z20 (d = 35, phi(m) = 32): every array that the
+    oracle krein_contraction contracts, conjugates, divides or returns is
+    one coefficient wide, and its allocations peak below the size of one
     (d + 1)^3 int64 tensor 8 coefficients wide, a quarter of a single
-    phi(m)-wide one."""
+    phi(m)-wide one; its tensor and flags are the certificate's."""
     genset = build_action(CyclicProductSpace((16, 20)), "central")
     cert = duality_report(genset)
     P, Q = (sliced(coeff_array(M)) for M in (cert.P, cert.Q))
@@ -2064,7 +2136,7 @@ def test_central_krein_parameters_stay_one_coefficient_wide(monkeypatch):
     monkeypatch.setattr(cyclo, "exact_matmul", recorded)
     tracemalloc.start()
     try:
-        (T, cols), flags = krein_parameters(P, Q, 320, 80)
+        (T, cols), flags = krein_contraction(P, Q, 320, 80)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
